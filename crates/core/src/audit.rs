@@ -43,7 +43,7 @@
 //! the runtime in three distinct ways that each MUST trip one.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use crate::serializer::SsId;
@@ -249,13 +249,16 @@ impl SetAudit {
 
 /// The auditor: a sharded per-set conflict-graph summary plus the logical
 /// clock tokens are drawn from. Constructed once per runtime when the audit
-/// mode is not `Off` and shared (behind `Core`) by every thread.
+/// mode is not `Off` and shared (behind `Core`) by every thread and every
+/// epoch domain: whether a domain's current epoch is audited is that
+/// domain's own flag (`Domain::audit_on`, consulted by the `Core::audit_*`
+/// callers), and every record is stamped with the domain's
+/// `audit_serial`, so one tenant's unaudited epoch never suppresses — and
+/// one tenant's sweep never touches — another's records.
 pub(crate) struct AuditState {
     mode: AuditMode,
     /// Logical clock; tokens start at 1 so 0 can mean "untagged".
     clock: AtomicU64,
-    /// Whether the current epoch is being audited (per the sampling mode).
-    epoch_on: AtomicBool,
     /// Sharded set map, keyed by raw `SsId`.
     shards: [Mutex<HashMap<u64, SetAudit>>; SHARDS],
     /// First violation seen this epoch (first report wins; later events for
@@ -272,7 +275,6 @@ impl AuditState {
         AuditState {
             mode,
             clock: AtomicU64::new(1),
-            epoch_on: AtomicBool::new(false),
             shards: std::array::from_fn(|_| Mutex::new(HashMap::new())),
             violation: Mutex::new(None),
             overflowed: AtomicU64::new(0),
@@ -282,12 +284,6 @@ impl AuditState {
 
     pub(crate) fn mode(&self) -> AuditMode {
         self.mode
-    }
-
-    /// Whether events in the current epoch are being recorded.
-    #[inline]
-    pub(crate) fn active(&self) -> bool {
-        self.epoch_on.load(Ordering::Relaxed)
     }
 
     /// Total conflict-graph edges recorded since construction.
@@ -314,9 +310,9 @@ impl AuditState {
         }
     }
 
-    /// The sampling decision for an epoch with this serial (sessions call
-    /// it with their own per-tenant serials, so each tenant's epochs are
-    /// sampled independently).
+    /// The sampling decision for an epoch with this serial (each domain
+    /// calls it with its own serial, so tenants' epochs are sampled
+    /// independently).
     pub(crate) fn should_audit(&self, serial: u64) -> bool {
         match self.mode {
             AuditMode::Off => false,
@@ -325,58 +321,15 @@ impl AuditState {
         }
     }
 
-    /// Opens an epoch: decides (per the sampling mode) whether its events
-    /// are recorded. Called from `begin_isolation` while quiesced.
-    pub(crate) fn begin_epoch(&self, serial: u64) {
-        self.epoch_on
-            .store(self.should_audit(serial), Ordering::Relaxed);
-    }
-
-    /// Records a submission: draws one token for an operation pushed by
-    /// `producer` to `ss`. Returns the encoded tag carried by the
-    /// invocation (0 when the epoch is unaudited or the set untracked).
+    /// Records a submission: draws `n` consecutive tokens for operations
+    /// pushed by `producer` to `ss` and returns the tag of the first (0
+    /// when the set is untracked). The k-th operation's tag is
+    /// `base + ((k as u64) << 16)`.
     ///
     /// Must be called on the producing thread, immediately adjacent to the
     /// queue push (or inline run), so per-producer token order equals
     /// per-producer queue order.
-    pub(crate) fn submit(&self, ss: SsId, producer: u16, serial: u64) -> u64 {
-        if !self.active() {
-            return 0;
-        }
-        self.submit_in(ss, producer, serial)
-    }
-
-    /// Domain-qualified form of [`submit`](AuditState::submit): the caller
-    /// (a session path) has already checked its own domain's on-flag, so
-    /// the root epoch's `epoch_on` is not consulted — one tenant's
-    /// unaudited epoch must not suppress another's records.
-    pub(crate) fn submit_in(&self, ss: SsId, producer: u16, serial: u64) -> u64 {
-        let mut shard = self.shard(ss).lock().unwrap();
-        let state = match entry_capped(&mut shard, ss, serial, &self.overflowed) {
-            Some(s) => s,
-            None => return 0,
-        };
-        let token = self.clock.fetch_add(1, Ordering::Relaxed);
-        state.submitted += 1;
-        let p = state.producer_mut(producer);
-        p.submitted += 1;
-        p.last_submit = token;
-        encode_tag(token, producer)
-    }
-
-    /// Batch submission: draws `n` consecutive tokens for `producer`'s ops
-    /// on `ss` and returns the tag of the first (0 when unaudited). The
-    /// k-th operation's tag is `base + ((k as u64) << 16)`.
-    pub(crate) fn submit_batch(&self, ss: SsId, producer: u16, n: u64, serial: u64) -> u64 {
-        if !self.active() {
-            return 0;
-        }
-        self.submit_batch_in(ss, producer, n, serial)
-    }
-
-    /// Domain-qualified form of [`submit_batch`](AuditState::submit_batch)
-    /// (see [`submit_in`](AuditState::submit_in)).
-    pub(crate) fn submit_batch_in(&self, ss: SsId, producer: u16, n: u64, serial: u64) -> u64 {
+    pub(crate) fn submit(&self, ss: SsId, producer: u16, n: u64, serial: u64) -> u64 {
         if n == 0 {
             return 0;
         }
@@ -509,15 +462,6 @@ impl AuditState {
     /// or reclaim has invalidated, and is reported as
     /// [`AuditViolation::StaleMemoServe`].
     pub(crate) fn memo_hit(&self, ss: SsId, serial: u64, entry_gen: u64, live_gen: u64) {
-        if !self.active() {
-            return;
-        }
-        self.memo_hit_in(ss, serial, entry_gen, live_gen);
-    }
-
-    /// Domain-qualified form of [`memo_hit`](AuditState::memo_hit) (see
-    /// [`submit_in`](AuditState::submit_in)).
-    pub(crate) fn memo_hit_in(&self, ss: SsId, serial: u64, entry_gen: u64, live_gen: u64) {
         self.edges.fetch_add(1, Ordering::Relaxed);
         if entry_gen != live_gen {
             self.report(AuditReport {
@@ -540,15 +484,6 @@ impl AuditState {
     /// *before* touching the value — under the chaos `skip_reclaim_fence`
     /// knob this is what keeps the test itself memory-safe.
     pub(crate) fn access_gate(&self, ss: SsId, serial: u64) -> Option<AuditReport> {
-        if !self.active() {
-            return None;
-        }
-        self.access_gate_in(ss, serial)
-    }
-
-    /// Domain-qualified form of [`access_gate`](AuditState::access_gate)
-    /// (see [`submit_in`](AuditState::submit_in)).
-    pub(crate) fn access_gate_in(&self, ss: SsId, serial: u64) -> Option<AuditReport> {
         let mut shard = self.shard(ss).lock().unwrap();
         let state = match shard.get_mut(&ss.0) {
             Some(s) if s.serial == serial => s,
@@ -575,16 +510,6 @@ impl AuditState {
             self.report(v);
         }
         violation
-    }
-
-    /// Closes the root epoch: conservation check, domain sweep, first
-    /// violation (if any). Returns whether the epoch was audited.
-    pub(crate) fn end_epoch(&self, serial: u64) -> (bool, Option<AuditReport>) {
-        let was_on = self.epoch_on.swap(false, Ordering::Relaxed);
-        if !was_on {
-            return (false, None);
-        }
-        (true, self.close_domain(serial))
     }
 
     /// Closes one epoch *domain*: runs the conservation check over the
@@ -661,9 +586,7 @@ mod tests {
     use super::*;
 
     fn full() -> AuditState {
-        let a = AuditState::new(AuditMode::Full);
-        a.begin_epoch(1);
-        a
+        AuditState::new(AuditMode::Full)
     }
 
     #[test]
@@ -679,12 +602,11 @@ mod tests {
     fn clean_epoch_certifies() {
         let a = full();
         let ss = SsId(9);
-        let t1 = a.submit(ss, 0, 1);
-        let t2 = a.submit(ss, 0, 1);
+        let t1 = a.submit(ss, 0, 1, 1);
+        let t2 = a.submit(ss, 0, 1, 1);
         a.exec(ss, t1, 2, 1);
         a.exec(ss, t2, 2, 1);
-        let (on, v) = a.end_epoch(1);
-        assert!(on);
+        let v = a.close_domain(1);
         assert_eq!(v, None);
         assert_eq!(a.graph_size(), 0);
     }
@@ -693,11 +615,11 @@ mod tests {
     fn two_executors_is_reported() {
         let a = full();
         let ss = SsId(4);
-        let t1 = a.submit(ss, 0, 1);
-        let t2 = a.submit(ss, 0, 1);
+        let t1 = a.submit(ss, 0, 1, 1);
+        let t2 = a.submit(ss, 0, 1, 1);
         a.exec(ss, t1, 1, 1);
         a.exec(ss, t2, 2, 1);
-        let (_, v) = a.end_epoch(1);
+        let v = a.close_domain(1);
         match v.expect("violation").kind {
             AuditViolation::TwoExecutors {
                 first: 1,
@@ -714,14 +636,14 @@ mod tests {
         // execution is one serial order, not TwoExecutors.
         let a = full();
         let ss = SsId(4);
-        let t1 = a.submit(ss, 0, 1);
-        let t2 = a.submit(ss, 0, 1);
-        let t3 = a.submit(ss, 0, 1);
+        let t1 = a.submit(ss, 0, 1, 1);
+        let t2 = a.submit(ss, 0, 1, 1);
+        let t3 = a.submit(ss, 0, 1, 1);
         a.exec(ss, t1, 1, 1);
         a.handover(ss, 1, 2);
         a.exec(ss, t2, 2, 1);
         a.exec(ss, t3, 2, 1);
-        let (_, v) = a.end_epoch(1);
+        let v = a.close_domain(1);
         assert_eq!(v, None);
     }
 
@@ -731,12 +653,12 @@ mod tests {
         // handover re-pointed the record at the thief — caught.
         let a = full();
         let ss = SsId(4);
-        let t1 = a.submit(ss, 0, 1);
-        let t2 = a.submit(ss, 0, 1);
+        let t1 = a.submit(ss, 0, 1, 1);
+        let t2 = a.submit(ss, 0, 1, 1);
         a.exec(ss, t1, 1, 1);
         a.handover(ss, 1, 2);
         a.exec(ss, t2, 1, 1); // owner, not thief
-        let (_, v) = a.end_epoch(1);
+        let v = a.close_domain(1);
         assert!(matches!(
             v.expect("violation").kind,
             AuditViolation::TwoExecutors {
@@ -752,10 +674,10 @@ mod tests {
         // re-point; the thief's first exec claims the record as usual.
         let a = full();
         let ss = SsId(4);
-        let t1 = a.submit(ss, 0, 1);
+        let t1 = a.submit(ss, 0, 1, 1);
         a.handover(ss, 1, 2);
         a.exec(ss, t1, 3, 1); // claims slot 3, no violation
-        let (_, v) = a.end_epoch(1);
+        let v = a.close_domain(1);
         assert_eq!(v, None);
     }
 
@@ -763,11 +685,11 @@ mod tests {
     fn order_inversion_is_reported() {
         let a = full();
         let ss = SsId(4);
-        let t1 = a.submit(ss, 0, 1);
-        let t2 = a.submit(ss, 0, 1);
+        let t1 = a.submit(ss, 0, 1, 1);
+        let t2 = a.submit(ss, 0, 1, 1);
         a.exec(ss, t2, 1, 1);
         a.exec(ss, t1, 1, 1);
-        let (_, v) = a.end_epoch(1);
+        let v = a.close_domain(1);
         assert!(matches!(
             v.expect("violation").kind,
             AuditViolation::OrderInversion { producer: 0, .. }
@@ -779,7 +701,7 @@ mod tests {
         // Unexecuted program op caught at the gate.
         let a = full();
         let ss = SsId(8);
-        let t = a.submit(ss, 0, 1);
+        let t = a.submit(ss, 0, 1, 1);
         let v = a.access_gate(ss, 1).expect("gate violation");
         match v.kind {
             AuditViolation::BarrierOverrun { op, .. } => assert_eq!(op, decode_tag(t).0),
@@ -787,11 +709,11 @@ mod tests {
         }
         // A clean reclaim, then a program op executing past the barrier.
         let b = full();
-        let t1 = b.submit(ss, 0, 1);
+        let t1 = b.submit(ss, 0, 1, 1);
         b.exec(ss, t1, 1, 1);
         assert_eq!(b.access_gate(ss, 1), None);
         b.exec(ss, t1, 1, 1); // pre-barrier token executing late
-        let (_, v2) = b.end_epoch(1);
+        let v2 = b.close_domain(1);
         assert!(matches!(
             v2.expect("violation").kind,
             AuditViolation::BarrierOverrun { .. }
@@ -802,8 +724,8 @@ mod tests {
     fn lost_operations_reported_at_close() {
         let a = full();
         let ss = SsId(2);
-        let _t = a.submit(ss, 0, 1);
-        let (_, v) = a.end_epoch(1);
+        let _t = a.submit(ss, 0, 1, 1);
+        let v = a.close_domain(1);
         assert!(matches!(
             v.expect("violation").kind,
             AuditViolation::LostOperations {
@@ -817,34 +739,31 @@ mod tests {
     fn unsubmit_balances_failed_push() {
         let a = full();
         let ss = SsId(2);
-        let t = a.submit(ss, 0, 1);
+        let t = a.submit(ss, 0, 1, 1);
         a.unsubmit(ss, t, 1, 1);
-        let (_, v) = a.end_epoch(1);
+        let v = a.close_domain(1);
         assert_eq!(v, None);
     }
 
     #[test]
     fn sampling_skips_off_epochs() {
         let a = AuditState::new(AuditMode::Sample(2));
-        a.begin_epoch(3); // 3 % 2 != 0 → off
-        assert!(!a.active());
-        assert_eq!(a.submit(SsId(1), 0, 3), 0);
-        a.begin_epoch(4);
-        assert!(a.active());
-        assert_ne!(a.submit(SsId(1), 0, 4), 0);
+        assert!(!a.should_audit(3)); // 3 % 2 != 0 → off
+        assert!(a.should_audit(4));
+        assert!(AuditState::new(AuditMode::Sample(0)).should_audit(7)); // stride 0 ≡ 1
     }
 
     #[test]
     fn shard_cap_bounds_graph_size() {
         let a = full();
         for i in 0..(SHARDS as u64 * PER_SHARD_CAP as u64 * 2) {
-            a.submit(SsId(i), 0, 1);
+            a.submit(SsId(i), 0, 1, 1);
         }
         assert!(a.graph_size() <= SHARDS * PER_SHARD_CAP);
         assert!(a.overflowed.load(Ordering::Relaxed) > 0);
         // Untracked sets do not produce LostOperations (tag 0 was returned)
-        // but tracked ones do; clear via end_epoch.
-        let _ = a.end_epoch(1);
+        // but tracked ones do; clear via close_domain.
+        let _ = a.close_domain(1);
         assert_eq!(a.graph_size(), 0);
     }
 
@@ -852,14 +771,13 @@ mod tests {
     fn stale_entries_refresh_across_epochs() {
         let a = full();
         let ss = SsId(5);
-        let t = a.submit(ss, 0, 1);
+        let t = a.submit(ss, 0, 1, 1);
         a.exec(ss, t, 1, 1);
-        let (_, v) = a.end_epoch(1);
+        let v = a.close_domain(1);
         assert_eq!(v, None);
-        a.begin_epoch(2);
-        let t2 = a.submit(ss, 0, 2);
+        let t2 = a.submit(ss, 0, 1, 2);
         a.exec(ss, t2, 2, 2); // different executor than epoch 1 — legal
-        let (_, v2) = a.end_epoch(2);
+        let v2 = a.close_domain(2);
         assert_eq!(v2, None);
     }
 
@@ -867,17 +785,17 @@ mod tests {
     fn memo_hit_fresh_is_silent_stale_is_reported() {
         let a = full();
         let ss = SsId(6);
-        let t = a.submit(ss, 0, 1);
+        let t = a.submit(ss, 0, 1, 1);
         a.exec(ss, t, 1, 1);
         a.memo_hit(ss, 1, 3, 3); // fresh serve: generations agree
-        let (_, v) = a.end_epoch(1);
+        let v = a.close_domain(1);
         assert_eq!(v, None);
 
         let b = full();
-        let t = b.submit(ss, 0, 1);
+        let t = b.submit(ss, 0, 1, 1);
         b.exec(ss, t, 1, 1);
         b.memo_hit(ss, 1, 3, 5); // stale serve: entry trails the live gen
-        let (_, v) = b.end_epoch(1);
+        let v = b.close_domain(1);
         assert!(matches!(
             v.expect("violation").kind,
             AuditViolation::StaleMemoServe { served: 3, live: 5 }
@@ -890,10 +808,10 @@ mod tests {
         // must still balance on the real submit/exec counts alone.
         let a = full();
         let ss = SsId(6);
-        let t = a.submit(ss, 0, 1);
+        let t = a.submit(ss, 0, 1, 1);
         a.memo_hit(ss, 1, 1, 1);
         a.exec(ss, t, 1, 1);
-        let (_, v) = a.end_epoch(1);
+        let v = a.close_domain(1);
         assert_eq!(v, None);
     }
 

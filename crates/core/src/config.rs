@@ -186,25 +186,6 @@ impl StealPolicy {
     }
 }
 
-/// How the routing layer stores its set→executor pins (see
-/// `docs/ARCHITECTURE.md`, "The routing layer").
-///
-/// [`RoutingMode::Sharded`] (the default) is strictly better under
-/// contention and no worse without it; [`RoutingMode::LegacyMutex`]
-/// reproduces the pre-sharding behaviour — one global pin-map lock, no
-/// lock-free fast path — and exists as an ablation/diagnostic knob (the
-/// `ablation_routing` bench measures the two against each other).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RoutingMode {
-    /// Sharded pin map: per-shard locks for writers, lock-free reads of
-    /// already-pinned sets. The default.
-    #[default]
-    Sharded,
-    /// One global pin-map lock; every resolution takes it. Ablation
-    /// baseline only.
-    LegacyMutex,
-}
-
 /// How delegated operations are executed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecutionMode {
@@ -263,7 +244,6 @@ pub struct RuntimeBuilder {
     pub(crate) trace: bool,
     pub(crate) assignment: Assignment,
     pub(crate) stealing: StealPolicy,
-    pub(crate) routing: RoutingMode,
     pub(crate) audit: AuditMode,
     pub(crate) session_queue_cap: Option<u64>,
     pub(crate) memo_capacity: Option<usize>,
@@ -288,7 +268,6 @@ impl Default for RuntimeBuilder {
             trace: false,
             assignment: Assignment::Static,
             stealing: StealPolicy::Off,
-            routing: RoutingMode::Sharded,
             audit: AuditMode::Off,
             session_queue_cap: None,
             memo_capacity: None,
@@ -405,16 +384,6 @@ impl RuntimeBuilder {
         self
     }
 
-    /// Selects the pin-map layout of the routing layer. Default
-    /// [`RoutingMode::Sharded`]; [`RoutingMode::LegacyMutex`] restores
-    /// the single global routing lock and exists for ablation and
-    /// diagnosis only (results are identical either way — routing
-    /// storage is invisible to the execution model).
-    pub fn routing(mut self, r: RoutingMode) -> Self {
-        self.routing = r;
-        self
-    }
-
     /// Enables the online serializability auditor: every submitted and
     /// executed operation reports to a per-epoch conflict-graph checker,
     /// and `end_isolation` either certifies the epoch serializable or
@@ -473,9 +442,10 @@ impl RuntimeBuilder {
     /// `delegate` (bumping [`Stats::starvation_stalls`](crate::Stats))
     /// until the shared pool drains some of its backlog — fairness
     /// backpressure that keeps one greedy tenant from monopolizing every
-    /// delegate queue. Default: uncapped. Root-runtime submissions are
-    /// never capped (the paper's single-tenant behaviour is preserved
-    /// bit-for-bit); see `docs/POLICIES.md` for guidance on sizing.
+    /// delegate queue. A `delegate_iter` run is admitted piecewise, never
+    /// past the room left under the cap. Default: uncapped. Root-runtime
+    /// submissions are never capped; see `docs/POLICIES.md` for guidance
+    /// on sizing.
     pub fn session_queue_cap(mut self, cap: usize) -> Self {
         self.session_queue_cap = Some(cap.max(1) as u64);
         self
@@ -560,13 +530,6 @@ mod tests {
         assert_eq!(Assignment::EwmaCost.instantiate().name(), "ewma-cost");
         assert_eq!(format!("{:?}", Assignment::LeastLoaded), "LeastLoaded");
         assert_eq!(format!("{:?}", Assignment::EwmaCost), "EwmaCost");
-    }
-
-    #[test]
-    fn routing_mode_defaults_to_sharded() {
-        assert_eq!(RuntimeBuilder::default().routing, RoutingMode::Sharded);
-        let b = RuntimeBuilder::default().routing(RoutingMode::LegacyMutex);
-        assert_eq!(b.routing, RoutingMode::LegacyMutex);
     }
 
     #[test]

@@ -27,7 +27,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::Thread;
 
-use crate::runtime::session::SessionShared;
+use crate::runtime::Domain;
 use crate::serializer::SsId;
 
 /// Words in the [`TaskSlot`] inline buffer. Three words fit the common
@@ -154,14 +154,13 @@ pub(crate) enum Invocation {
         /// Serializability-audit tag (token + producer) drawn at submit,
         /// or 0 when the epoch is not being audited.
         audit: u64,
-        /// Owning session, when the operation was submitted through a
-        /// [`Session`](crate::Session) handle rather than the root
-        /// runtime. The executing delegate settles the *session's*
-        /// `in_flight` counter (after the audit record lands) instead of
-        /// the pool-wide one, which is what keeps one tenant's epoch
-        /// barrier from observing another tenant's operations. `None` for
-        /// every root submission — the seed paths are unchanged.
-        session: Option<Arc<SessionShared>>,
+        /// The owning domain of a session operation; `None` for the root's
+        /// (the executor then settles against `Core::root`, and the
+        /// submit path clones no `Arc`). The executing delegate records
+        /// the audit entry and settles the drain counter of *this* domain,
+        /// which is what keeps one tenant's epoch barrier from observing
+        /// another tenant's operations.
+        session: Option<Arc<Domain>>,
     },
     /// Synchronization object: signal the token and continue.
     Sync(Arc<SyncToken>),

@@ -80,7 +80,7 @@ mod wrappers;
 pub use audit::{AuditMode, AuditReport, AuditViolation};
 #[cfg(feature = "chaos")]
 pub use config::ChaosKnobs;
-pub use config::{Assignment, ExecutionMode, RoutingMode, RuntimeBuilder, StealPolicy, WaitPolicy};
+pub use config::{Assignment, ExecutionMode, RuntimeBuilder, StealPolicy, WaitPolicy};
 pub use error::{SsError, SsResult};
 pub use fingerprint::{fingerprint_of, Fingerprint, MemoValue};
 pub use future::SsFuture;

@@ -455,9 +455,9 @@ impl CostBook {
 /// The assignment policy and its epoch bookkeeping, shared by all
 /// routing paths behind the [`Router`](super::Router)'s policy mutex.
 ///
-/// This used to also own the set→executor pin table; pins now live in
-/// the router's sharded [`ShardMap`](ss_queue::shardmap::ShardMap), so
-/// the scheduler mutex is held only for actual policy consultations
+/// Pins live in each domain's sharded
+/// [`ShardMap`](ss_queue::shardmap::ShardMap), not here, so the
+/// scheduler mutex is held only for actual policy consultations
 /// (first touches and pure-policy recomputations) — never on the
 /// re-delegate-to-a-pinned-set hot path.
 pub(crate) struct Scheduler {

@@ -44,24 +44,25 @@ use crate::stats::StatsCell;
 use crate::trace::{SideEvent, TraceExecutor, TraceKind};
 use crate::wrappers::Writable;
 
-use super::session::key_session;
-use super::{Core, Executor, Router, Runtime, SessionShared, StealShared};
+use super::dispatch::Lane;
+use super::domain::{key_domain, Domain};
+use super::{Core, Executor, Router, Runtime, StealShared};
 
 thread_local! {
     /// `(runtime id, delegate index)` for delegate threads; `None` elsewhere.
     pub(super) static DELEGATE_CTX: Cell<Option<(u64, u32)>> = const { Cell::new(None) };
 
-    /// Tenant id of the operation currently executing on this thread
+    /// Domain id of the operation currently executing on this thread
     /// (0 = root). Stamped around `task.run()` by [`execute_op`] —
     /// save/restore, because help-first waits nest executions — and read
-    /// by the nested submit paths to reject cross-domain re-delegation.
-    static CURRENT_SESSION: Cell<u32> = const { Cell::new(0) };
+    /// by nested submits to reject cross-domain re-delegation.
+    static CURRENT_DOMAIN: Cell<u32> = const { Cell::new(0) };
 }
 
-/// Tenant id of the operation currently executing on the calling thread
+/// Domain id of the operation currently executing on the calling thread
 /// (0 when none, or a root operation, is running).
-pub(super) fn current_session_id() -> u32 {
-    CURRENT_SESSION.with(|c| c.get())
+pub(super) fn current_domain_id() -> u32 {
+    CURRENT_DOMAIN.with(|c| c.get())
 }
 
 /// Sleep/wake channel for one delegate thread (used by the `SpinPark` wait
@@ -139,31 +140,19 @@ impl Wakeup {
 //   the deferred buffer (tokens included, in order) before popping
 //   anything new, so the contract holds exactly.
 
-/// Where a queue entry was popped from. Decides which counters settle
-/// after execution: ring entries are covered by queue tokens alone, while
-/// injector-lane and deque entries each carry an `in_flight` count (the
-/// transitive-drain signal the epoch barrier waits on).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Origin {
-    /// The delegate's own SPSC ring (program-thread pushes).
-    Ring,
-    /// The ring's multi-producer injector lane (nested pushes).
-    Injected,
-    /// The shared steal deque (stealing transport; all producers).
-    Deque,
-}
-
 /// An entry parked in the help-first deferred buffer (see the module
 /// comment above for the two reasons an entry gets deferred).
 struct DeferredEntry {
     inv: Invocation,
-    origin: Origin,
+    /// Where the entry was popped from (decides which counters settle
+    /// after execution: see [`Lane::counted`]).
+    lane: Lane,
 }
 
 /// A ring entry deliberately held back by the chaos `reorder_drain`
 /// weakening, waiting for the next entry to overtake it.
 #[cfg(feature = "chaos")]
-type ChaosHold = (TaskSlot, SsId, u64, Option<Arc<SessionShared>>);
+type ChaosHold = (TaskSlot, SsId, u64, Option<Arc<Domain>>);
 
 /// Raw handles onto the queue the owning delegate thread pops from.
 /// Pointers into `delegate_main{,_stealing}`'s stack frame; valid for the
@@ -295,8 +284,8 @@ fn execute_op(
     ss: SsId,
     task: TaskSlot,
     audit: u64,
-    session: Option<Arc<SessionShared>>,
-    origin: Origin,
+    session: Option<Arc<Domain>>,
+    lane: Lane,
     steal: Option<(&Router, &ss_queue::StealDeque<Invocation>)>,
 ) {
     HELP.with(|h| {
@@ -304,25 +293,21 @@ fn execute_op(
             s.active.push(ss.0);
         }
     });
-    // Stamp the tenant marker for the duration of the user code, so a
+    let d: &Domain = session.as_deref().unwrap_or(&core.root);
+    // Stamp the domain marker for the duration of the user code, so a
     // nested re-delegation from inside it can verify it targets the same
     // domain. Saved/restored, not set/cleared: help-first waits nest
-    // executions of (possibly) different tenants on one stack.
-    let prev_session = CURRENT_SESSION.with(|c| c.replace(session.as_ref().map_or(0, |s| s.id)));
+    // executions of (possibly) different domains on one stack.
+    let prev_domain = CURRENT_DOMAIN.with(|c| c.replace(d.id));
     let want_timer =
         core.cost_samples.is_some() || steal.is_some_and(|(router, _)| router.cost_aware());
     let timer = want_timer.then(std::time::Instant::now);
     task.run();
-    CURRENT_SESSION.with(|c| c.set(prev_session));
+    CURRENT_DOMAIN.with(|c| c.set(prev_domain));
     // Audit record lands *before* the drain counters settle below, so the
-    // epoch barrier's token/`in_flight` drain proves every record of the
-    // epoch has been delivered by the time the auditor closes it. Session
-    // operations record against the session's serial for the same reason:
-    // the record precedes the `settle_one` their barrier drains on.
-    match &session {
-        Some(s) => core.session_audit_exec(s, ss, audit, 1 + idx),
-        None => core.audit_exec(ss, audit, 1 + idx),
-    }
+    // domain barrier's token/`in_flight` drain proves every record of the
+    // epoch has been delivered by the time the auditor closes it.
+    core.audit_exec(d, ss, audit, 1 + idx);
     let elapsed = timer.map(|t0| t0.elapsed().as_nanos() as u64);
     if let (Some(buffers), Some(nanos)) = (&core.cost_samples, elapsed) {
         let mut buffer = buffers[idx].lock();
@@ -351,25 +336,20 @@ fn execute_op(
         // Only after the audit record above is delivered may the set look
         // quiescent to a thief's tail-steal — so a stolen tail is provably
         // ordered after every completed operation of the owner's prefix.
-        if origin == Origin::Deque {
+        if lane == Lane::Deque {
             deque.finish(ss.0);
         }
         core.gate("done", idx as u32);
     }
     // Depth was raised at submit; the Release pairs with assignment-time
     // Relaxed reads (stale is fine) and keeps the counter exact for stats
-    // snapshots. Lane/deque entries additionally carry the `in_flight`
-    // count whose Release pairs with the barrier's Acquire drain load —
-    // the *session's* counter for session operations, so only the owning
-    // tenant's barrier observes this op.
+    // snapshots. Lane/deque entries additionally carry a count in their
+    // *domain's* `in_flight`, whose Release pairs with the barrier's
+    // Acquire drain load — so only the owning domain's barrier observes
+    // this op.
     core.stats.queue_depths[idx].fetch_sub(1, Ordering::Release);
-    match session {
-        Some(s) => s.settle_one(),
-        None => {
-            if origin != Origin::Ring {
-                core.stats.in_flight.fetch_sub(1, Ordering::Release);
-            }
-        }
+    if lane.counted() {
+        d.settle(1);
     }
     StatsCell::bump(&core.stats.delegate_executed[idx]);
 }
@@ -396,8 +376,8 @@ fn help_one(rt_id: u64) -> bool {
     // these nested executions (conservative — the model just sees fewer
     // samples). The settle itself must still happen, or the set would
     // never look quiescent again.
-    let finish_deque = |origin: Origin, set: u64| {
-        if origin == Origin::Deque {
+    let finish_deque = |lane: Lane, set: u64| {
+        if lane == Lane::Deque {
             if let SourcePtr::Steal(shared) = source {
                 // SAFETY: owning thread, worker frame alive (as above).
                 unsafe { &*shared }.deques[idx].finish(set);
@@ -414,8 +394,8 @@ fn help_one(rt_id: u64) -> bool {
         else {
             unreachable!("deferred_take_runnable only returns Execute entries");
         };
-        execute_op(core, idx, ss, task, audit, session, d.origin, None);
-        finish_deque(d.origin, ss.0);
+        execute_op(core, idx, ss, task, audit, session, d.lane, None);
+        finish_deque(d.lane, ss.0);
         return true;
     }
     loop {
@@ -424,20 +404,16 @@ fn help_one(rt_id: u64) -> bool {
             SourcePtr::Spsc(consumer) => {
                 let consumer = unsafe { &*consumer };
                 match consumer.try_pop() {
-                    Pop::Value(inv) => Some((inv, Origin::Ring)),
-                    _ => consumer
-                        .try_pop_injected()
-                        .map(|inv| (inv, Origin::Injected)),
+                    Pop::Value(inv) => Some((inv, Lane::Ring)),
+                    _ => consumer.try_pop_injected().map(|inv| (inv, Lane::Injected)),
                 }
             }
             SourcePtr::Steal(shared) => {
                 let shared = unsafe { &*shared };
-                shared.deques[idx]
-                    .pop()
-                    .map(|(_, inv)| (inv, Origin::Deque))
+                shared.deques[idx].pop().map(|(_, inv)| (inv, Lane::Deque))
             }
         };
-        let Some((inv, origin)) = popped else {
+        let Some((inv, lane)) = popped else {
             return false;
         };
         match inv {
@@ -447,11 +423,11 @@ fn help_one(rt_id: u64) -> bool {
                 audit,
                 session,
             } if !active_contains(ss.0) => {
-                execute_op(core, idx, ss, task, audit, session, origin, None);
-                finish_deque(origin, ss.0);
+                execute_op(core, idx, ss, task, audit, session, lane, None);
+                finish_deque(lane, ss.0);
                 return true;
             }
-            inv => deferred_push_back(DeferredEntry { inv, origin }),
+            inv => deferred_push_back(DeferredEntry { inv, lane }),
         }
     }
 }
@@ -489,13 +465,10 @@ pub(crate) fn future_wait_turn(
     let Some(me) = me else {
         return WaitTurn::NotDelegate;
     };
-    // Session futures were submitted under the tenant's composite key, and
+    // Operations are submitted under their domain's routing key, and
     // that is what the active stacks and queue entries carry — qualify the
     // set once here so every check below compares like with like.
-    let set = match &rt.session {
-        Some(s) => SsId(s.route_key(set)),
-        None => set,
-    };
+    let set = SsId(rt.domain().key(set));
     // Immediate self-cycle: the waited-on operation belongs to a set this
     // thread is currently executing, so per-set FIFO orders it after the
     // operation doing the waiting. Deterministic, no timing involved.
@@ -634,7 +607,7 @@ pub(super) fn delegate_main(
                     task,
                     audit,
                     session,
-                    Origin::Ring,
+                    Lane::Ring,
                     None,
                 );
             }
@@ -654,16 +627,7 @@ pub(super) fn delegate_main(
                     ss,
                     audit,
                     session,
-                } => execute_op(
-                    &core,
-                    idx as usize,
-                    ss,
-                    task,
-                    audit,
-                    session,
-                    d.origin,
-                    None,
-                ),
+                } => execute_op(&core, idx as usize, ss, task, audit, session, d.lane, None),
                 Invocation::Sync(token) => {
                     #[cfg(feature = "chaos")]
                     chaos_flush!();
@@ -702,7 +666,7 @@ pub(super) fn delegate_main(
                                         task,
                                         audit,
                                         session,
-                                        Origin::Ring,
+                                        Lane::Ring,
                                         None,
                                     );
                                     held
@@ -722,7 +686,7 @@ pub(super) fn delegate_main(
                             task,
                             audit,
                             session,
-                            Origin::Ring,
+                            Lane::Ring,
                             None,
                         )
                     }
@@ -767,7 +731,7 @@ pub(super) fn delegate_main(
                             task,
                             audit,
                             session,
-                            Origin::Injected,
+                            Lane::Injected,
                             None,
                         ),
                         Invocation::Sync(token) => token.signal(),
@@ -850,7 +814,7 @@ pub(super) fn delegate_main_stealing(
                     task,
                     audit,
                     session,
-                    d.origin,
+                    d.lane,
                     Some((&router, deque)),
                 ),
                 Invocation::Sync(token) => token.signal(),
@@ -900,7 +864,7 @@ pub(super) fn delegate_main_stealing(
                         task,
                         audit,
                         session,
-                        Origin::Deque,
+                        Lane::Deque,
                         Some((&router, deque)),
                     );
                     // A nested wait inside the op may have deferred
@@ -1022,7 +986,7 @@ fn try_steal(
     };
     let keep = candidates.len() / 2;
     let chosen = candidates.split_off(keep);
-    let serial = core.epoch_serial.load(Ordering::Acquire);
+    let serial = core.root.serial();
     let mut batch: Vec<(u64, Invocation)> = Vec::new();
     // Chaos `steal_no_repin`: skip phase 2 entirely — lift the chosen
     // batches straight out of the victim's deque without validating or
@@ -1047,26 +1011,10 @@ fn try_steal(
         StatsCell::bump(&core.stats.steals);
         return true;
     }
-    // Phase 2: validate pins and migrate under the keys' shard locks.
-    //
-    // Candidate keys are namespace-qualified (high bits = tenant id), and
-    // each tenant owns a private pin map stamped with its own epoch
-    // serial — so the chosen keys are grouped by domain and each group is
-    // validated against the map and serial its domain actually routes
-    // through. Root keys (domain 0) take the pool-wide map as before. A
-    // root set whose raw id aliases a tenant domain fails safe: the
-    // revalidation in that tenant's map misses, the key is skipped whole
-    // and its pin left alone.
-    let mut groups: Vec<(u32, Vec<u64>)> = Vec::new();
-    for &key in &chosen {
-        let domain = key_session(key);
-        match groups.iter_mut().find(|(d, _)| *d == domain) {
-            Some((_, keys)) => keys.push(key),
-            None => groups.push((domain, vec![key])),
-        }
-    }
+    // Phase 2: validate pins and migrate under the keys' shard locks,
+    // domain by domain (see `for_each_domain`).
     let mut taken_total = 0usize;
-    for (domain, keys) in groups {
+    for_each_domain(core, &chosen, |d, keys| {
         let transfer = |valid: &[u64]| {
             let taken = shared.deques[victim].steal_keys_into(valid, &mut batch);
             if !batch.is_empty() {
@@ -1081,60 +1029,33 @@ fn try_steal(
             record_steal_events(core, serial, &taken, me, TraceKind::Steal);
             taken
         };
-        if domain == 0 {
-            taken_total += router
-                .migrate_keys(
-                    serial,
-                    &keys,
-                    Executor::Delegate(victim),
-                    Executor::Delegate(me),
-                    transfer,
-                )
-                .len();
-            continue;
-        }
-        let Some(session) = core.session_by_id(domain) else {
-            // Tenant closed between candidate listing and now; leave its
-            // batches for the owner's drain.
-            continue;
-        };
-        let session_serial = session.epoch_serial.load(Ordering::Acquire);
-        // Chaos `cross_session_pin_leak`: move the batches but "publish"
-        // the rewritten pin into the *root* namespace instead of the
-        // tenant's — the wrong-map write a buggy thief would make. The
-        // tenant's own pin still names the victim, so later submits of
-        // the set keep routing there while its stolen prefix runs here:
-        // a two-executor overlap confined to (and caught by) that
+        // Chaos `cross_session_pin_leak`: move a tenant's batches but
+        // "publish" the rewritten pin into the *root* namespace instead
+        // of the tenant's — the wrong-map write a buggy thief would make.
+        // The tenant's own pin still names the victim, so later submits
+        // of the set keep routing there while its stolen prefix runs
+        // here: a two-executor overlap confined to (and caught by) that
         // tenant's audit domain.
         #[cfg(feature = "chaos")]
-        if core.chaos_cross_session_pin_leak() {
-            let taken = router.migrate_keys_in(
-                &session.pins,
-                session_serial,
-                &keys,
-                Executor::Delegate(victim),
-                Executor::Delegate(me),
-                false,
-                transfer,
-            );
+        let leak = core.chaos_cross_session_pin_leak() && d.id != 0;
+        #[cfg(not(feature = "chaos"))]
+        let leak = false;
+        let taken = router.migrate_keys(
+            d,
+            keys,
+            Executor::Delegate(victim),
+            Executor::Delegate(me),
+            !leak,
+            transfer,
+        );
+        #[cfg(feature = "chaos")]
+        if leak {
             for &key in &taken {
-                router.leak_pin(key, serial, Executor::Delegate(me));
+                router.leak_pin(&core.root, key, Executor::Delegate(me));
             }
-            taken_total += taken.len();
-            continue;
         }
-        taken_total += router
-            .migrate_keys_in(
-                &session.pins,
-                session_serial,
-                &keys,
-                Executor::Delegate(victim),
-                Executor::Delegate(me),
-                true,
-                transfer,
-            )
-            .len();
-    }
+        taken_total += taken.len();
+    });
     if taken_total == 0 {
         // The victim looked deep but had nothing migratable (all started,
         // fenced, drained, or re-pinned since the depth check). Remember
@@ -1296,29 +1217,13 @@ fn try_steal_cost_aware(
     // tail, forcing the phase-2 re-validation branch (`steal_tail_into`
     // finds the set busy again and skips it whole).
     core.gate("migrate", me as u32);
-    let serial = core.epoch_serial.load(Ordering::Acquire);
+    let serial = core.root.serial();
     let mut batch: Vec<(u64, Invocation)> = Vec::new();
-    let mut groups: Vec<(u32, Vec<u64>)> = Vec::new();
-    for &key in tail_keys.iter().chain(fresh_keys.iter()) {
-        let domain = key_session(key);
-        match groups.iter_mut().find(|(d, _)| *d == domain) {
-            Some((_, keys)) => keys.push(key),
-            None => groups.push((domain, vec![key])),
-        }
-    }
+    let chosen: Vec<u64> = tail_keys.iter().chain(&fresh_keys).copied().collect();
     let mut taken_total = 0usize;
     let mut tails_taken = 0u64;
     let mut moved_ops = 0u64;
-    for (domain, keys) in groups {
-        let session = if domain == 0 {
-            None
-        } else {
-            match core.session_by_id(domain) {
-                Some(s) => Some(s),
-                // Tenant closed between scan and now; leave its batches.
-                None => continue,
-            }
-        };
+    for_each_domain(core, &chosen, |d, keys| {
         let transfer = |valid: &[u64]| {
             let tail_req: Vec<u64> = valid
                 .iter()
@@ -1361,10 +1266,7 @@ fn try_steal_cost_aware(
             // executed on some delegate this epoch. Inert for sets that
             // have not executed yet.
             for &key in &taken {
-                match &session {
-                    Some(s) => core.session_audit_handover(s, SsId(key), 1 + me),
-                    None => core.audit_handover(SsId(key), 1 + me),
-                }
+                core.audit_handover(d, SsId(key), 1 + me);
             }
             if !batch.is_empty() {
                 moved_ops += batch.len() as u64;
@@ -1374,32 +1276,17 @@ fn try_steal_cost_aware(
             }
             taken
         };
-        taken_total += match &session {
-            None => router
-                .migrate_keys(
-                    serial,
-                    &keys,
-                    Executor::Delegate(victim),
-                    Executor::Delegate(me),
-                    transfer,
-                )
-                .len(),
-            Some(s) => {
-                let session_serial = s.epoch_serial.load(Ordering::Acquire);
-                router
-                    .migrate_keys_in(
-                        &s.pins,
-                        session_serial,
-                        &keys,
-                        Executor::Delegate(victim),
-                        Executor::Delegate(me),
-                        true,
-                        transfer,
-                    )
-                    .len()
-            }
-        };
-    }
+        taken_total += router
+            .migrate_keys(
+                d,
+                keys,
+                Executor::Delegate(victim),
+                Executor::Delegate(me),
+                true,
+                transfer,
+            )
+            .len();
+    });
     if taken_total == 0 {
         // Every chosen key failed phase-2 re-validation: the owner
         // re-popped it between scan and migrate. That is a race lost,
@@ -1421,6 +1308,34 @@ fn try_steal_cost_aware(
     true
 }
 
+/// Runs `f(domain, keys)` once per epoch domain owning some of `keys`.
+///
+/// Stolen keys are domain-qualified (high bits = domain id), and each
+/// domain owns a private pin map stamped with its own epoch serial — so
+/// a thief's chosen keys are grouped by domain and each group is
+/// validated against the map and serial its domain actually routes
+/// through. Groups whose session closed since the candidates were listed
+/// are skipped (its batches stay for the owner's drain). A root set whose
+/// raw id aliases a tenant id fails safe: the revalidation in that
+/// tenant's map misses, the key is skipped whole and its pin left alone.
+fn for_each_domain(core: &Core, keys: &[u64], mut f: impl FnMut(&Domain, &[u64])) {
+    let mut groups: Vec<(u32, Vec<u64>)> = Vec::new();
+    for &key in keys {
+        let id = key_domain(key);
+        match groups.iter_mut().find(|(d, _)| *d == id) {
+            Some((_, group)) => group.push(key),
+            None => groups.push((id, vec![key])),
+        }
+    }
+    for (id, group) in groups {
+        if id == 0 {
+            f(&core.root, &group);
+        } else if let Some(session) = core.session_of_key(group[0]) {
+            f(&session, &group);
+        }
+    }
+}
+
 /// Records one steal side event per migrated set (no-op when tracing is
 /// disabled) — `TraceKind::Steal` for whole never-started sets,
 /// `TraceKind::OpSteal` for the quiescent tail of a started set. Factored
@@ -1430,7 +1345,7 @@ fn record_steal_events(core: &Core, serial: u64, sets: &[u64], thief: usize, kin
         let mut buf = buf.lock();
         for &key in sets {
             buf.push(SideEvent {
-                order: core.trace_clock.fetch_add(1, Ordering::Relaxed),
+                order: core.root.trace_clock.fetch_add(1, Ordering::Relaxed),
                 serial,
                 kind,
                 object: None,

@@ -1,36 +1,42 @@
 //! Delegation dispatch: submission and queue synchronization.
 //!
-//! This is the hot path between the wrappers and the delegate threads.
-//! All four submit paths — program-context ([`Runtime::submit`]), nested
-//! ([`Runtime::submit_nested`], used by
-//! [`DelegateContext`](super::DelegateContext)), their stealing-transport
-//! variants, and the future-returning delegations that ride on both —
-//! resolve their executor through the single [`Router`](super::Router)
-//! layer and then publish over the transport chosen at build time
-//! ([`Channels`]):
+//! This is the hot path between the wrappers and the delegate threads,
+//! and the paper's one delegation mechanism (§4): the submitting context
+//! pushes invocation objects into the owning delegate's queue, and a
+//! synchronization object at the tail reclaims ownership. Every
+//! submission — program-context or nested, one operation or a
+//! `delegate_iter` run, void or future-returning, root or session —
+//! goes through the single [`Runtime::submit`]:
 //!
-//! * **SPSC** (stealing off, the default) — the seed's path:
-//!   program-thread-owned FastForward producers for program submits, the
-//!   rings' multi-producer injector lanes for nested submits. Routing is
-//!   a lock-free pin-map read in the common re-delegate case (pins are
-//!   immutable within an epoch when no thief can rewrite them), with the
-//!   assignment policy consulted — under the set's shard lock — only on
-//!   the first touch of a set in an epoch. Static assignment without
-//!   stealing bypasses even that: the inline modulo, bit for bit.
-//! * **Stealing** — the pin resolution and the deque push happen in one
-//!   critical section *of the set's shard* ([`Router::route_publish`]),
-//!   so a concurrent steal (which locks the same shard to rewrite the
-//!   pin) can never observe or create a half-routed set. Unrelated sets
-//!   route in parallel on other shards — this is what took the global
-//!   routing mutex off the hot path. Synchronization tokens are pushed
-//!   as *fences*, which the deque refuses to steal across, preserving
-//!   the "token pops ⇒ everything it was ordered after ran *here*"
-//!   reclaim argument.
+//! **route → reserve → audit token run → push → account.**
 //!
-//! Every nested submission raises `in_flight` *before* its parent
-//! completes — which is what lets the `end_isolation` barrier wait for
-//! transitively spawned work with a single drain loop and no lost-wakeup
-//! window.
+//! What varies between callers is data, not code:
+//!
+//! * **Lane** ([`Lane`]). The root program thread owns the FastForward
+//!   ring producers; every other producer on the SPSC transport (nested
+//!   submits, session program threads) uses the rings' multi-producer
+//!   injector lanes, which never block (a nested push must never wait on
+//!   a full ring, or two delegates pushing into each other's queues could
+//!   deadlock). With stealing on, everyone pushes into the shared deques
+//!   and the push happens *inside* [`Router::route_publish`]'s shard
+//!   critical section, so a concurrent steal (which locks the same shard
+//!   to rewrite the pin) can never observe or create a half-routed set.
+//! * **Drain proof.** Ring entries are covered by barrier tokens and stay
+//!   uncounted. Lane and deque entries raise their domain's `in_flight`
+//!   *before* the push — a nested child is counted before its parent
+//!   completes — which is what lets the barrier wait for transitively
+//!   spawned work with a single drain loop and no lost-wakeup window.
+//! * **Program-routed sets** run inline for a program-origin submit and
+//!   are rejected ([`SsError::NestedOnProgram`]) for a nested one: the
+//!   program thread is not at a delegation point.
+//! * **Backpressure** stalls only the program thread of a domain with a
+//!   queue cap.
+//!
+//! Routing is a lock-free pin-map read in the common re-delegate case
+//! (pins are immutable within an epoch when no thief can rewrite them),
+//! with the assignment policy consulted — under the set's shard lock —
+//! only on the first touch of a set in an epoch. Static assignment
+//! without stealing bypasses even that: the inline modulo.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -41,31 +47,54 @@ use crate::serializer::SsId;
 use crate::stats::StatsCell;
 use crate::trace::TraceKind;
 
-use super::assign::StealShared;
-use super::delegate::current_session_id;
+use super::delegate::current_domain_id;
+use super::domain::Domain;
 use super::router::Route;
-use super::session::key_session;
-use super::{Channels, DelegateLoads, Executor, Runtime, SessionShared};
+use super::{Channels, DelegateLoads, Executor, Runtime};
 
-/// Audit tag of the k-th operation in a batch whose first tag is `base`
-/// (an unaudited batch's 0 stays 0). Batch tokens are consecutive, and the
+/// Which context a submission comes from.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Origin {
+    /// The domain's program thread, at a delegation point.
+    Program,
+    /// A delegate context running one of the domain's operations
+    /// (recursive delegation).
+    Nested,
+}
+
+/// The queue lane an invocation travels on — chosen at submit, known at
+/// pop, and the only thing that decides how the entry's drain is proven.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Lane {
+    /// A delegate's SPSC ring (root program-thread pushes).
+    Ring,
+    /// The ring's multi-producer injector lane.
+    Injected,
+    /// A shared steal deque (stealing transport; all producers).
+    Deque,
+}
+
+impl Lane {
+    /// Whether entries on this lane carry a count in their domain's
+    /// `in_flight`. Ring entries do not: FIFO queue tokens prove their
+    /// drain.
+    #[inline]
+    pub(crate) fn counted(self) -> bool {
+        self != Lane::Ring
+    }
+}
+
+/// Audit tag of the k-th operation in a run whose first tag is `base`
+/// (an unaudited run's 0 stays 0). Run tokens are consecutive, and the
 /// producer lives in the low 16 bits, so the k-th token is `base + k`
 /// shifted into the token field.
 #[inline]
-fn batch_tag(base: u64, k: u64) -> u64 {
+fn run_tag(base: u64, k: u64) -> u64 {
     if base == 0 {
         0
     } else {
         base + (k << 16)
     }
-}
-
-/// Which context a routing decision was made from — decides where its
-/// fresh-pin trace event goes (program-order log vs side-event buffer).
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum RouteSite {
-    Program,
-    Nested,
 }
 
 impl Runtime {
@@ -81,43 +110,26 @@ impl Runtime {
 
     /// Records a routing decision's observability: the lock-free-hit
     /// counter, and — for fresh pins — the pins counter and a
-    /// `TraceKind::Pin` event in the log matching the call site.
-    fn note_route(&self, route: &Route, ss: SsId, site: RouteSite) {
+    /// `TraceKind::Pin` event in the log matching the call site
+    /// (program-order log vs side-event buffer).
+    fn note_route(&self, route: &Route, key: SsId, origin: Origin) {
         let stats = &self.inner.core.stats;
         if route.fast_hit {
             StatsCell::bump(&stats.pin_fast_hits);
         }
         if route.fresh_pin {
             StatsCell::bump(&stats.pins);
-            match site {
-                RouteSite::Program => {
+            match origin {
+                Origin::Program => {
                     if self.trace_enabled() {
-                        self.trace_record(TraceKind::Pin, None, Some(ss), Some(route.executor));
+                        self.trace_record(TraceKind::Pin, None, Some(key), Some(route.executor));
                     }
                 }
-                RouteSite::Nested => {
-                    self.record_side_event(TraceKind::Pin, None, Some(ss), route.executor);
+                Origin::Nested => {
+                    self.record_side_event(TraceKind::Pin, None, Some(key), route.executor);
                 }
             }
         }
-    }
-
-    /// Routes a serialization set to its executor via the router,
-    /// recording pin observability (program thread only; non-stealing
-    /// transport — the stealing path routes inside
-    /// [`Runtime::submit_stealing`] so the answer cannot go stale before
-    /// the push).
-    pub(crate) fn executor_for(&self, ss: SsId) -> Executor {
-        debug_assert!(self.is_program_thread());
-        if self.inner.topology.n_delegates == 0 {
-            return Executor::Program;
-        }
-        // SAFETY: program thread (debug-asserted; all callers are
-        // program-thread paths); borrow scoped, no user code runs inside.
-        let serial = unsafe { self.inner.epoch.get() }.serial;
-        let route = self.inner.router.route(ss, serial, &self.loads());
-        self.note_route(&route, ss, RouteSite::Program);
-        route.executor
     }
 
     /// Cross-thread, read-only resolution of the executor that owns a
@@ -128,67 +140,25 @@ impl Runtime {
     /// retries later), so this never creates pins and never blocks a
     /// routing operation. The caller may hold the `future_waits` mutex.
     ///
-    /// `key` is **already namespace-qualified**: waits-for entries store
+    /// `key` is **already domain-qualified**: waits-for entries store
     /// the keys operations were submitted under (composite for tenants,
-    /// raw for the root), and one walk may cross tenant domains, so each
-    /// hop must consult the pin map the key actually lives in. Root sets
-    /// may use raw ids whose high bits alias a tenant id; a miss in the
-    /// tenant namespace therefore falls through to the root namespace.
+    /// raw for the root), and one walk may cross domains, so each hop
+    /// must consult the pin map the key actually lives in. Root sets may
+    /// use raw ids whose high bits alias a tenant id; a miss in the
+    /// tenant's map therefore falls through to the root's.
     pub(crate) fn executor_of_key(&self, key: u64) -> Option<Executor> {
-        if self.inner.topology.n_delegates == 0 {
-            return Some(Executor::Program);
-        }
         let loads = self.loads();
-        let domain = key_session(key);
-        if domain != 0 {
-            if let Some(s) = self.inner.core.session_by_id(domain) {
-                let serial = s.epoch_serial.load(Ordering::Acquire);
-                if let Some(e) = self
-                    .inner
-                    .router
-                    .peek_in(&s.pins, SsId(key), serial, &loads)
-                {
-                    return Some(e);
-                }
-            }
-        }
-        let serial = self.inner.core.epoch_serial.load(Ordering::Acquire);
-        self.inner.router.peek(SsId(key), serial, &loads)
+        let core = &self.inner.core;
+        let router = &self.inner.router;
+        core.session_of_key(key)
+            .and_then(|d| router.peek(&d, SsId(key), &loads))
+            .or_else(|| router.peek(&core.root, SsId(key), &loads))
     }
 
-    /// Runs a delegated task inline on the program thread (program-share
-    /// virtual delegates and zero-delegate runtimes).
-    fn run_inline(&self, task: TaskSlot) -> SsResult<()> {
-        {
-            // SAFETY: program thread (wrappers checked); scoped so the
-            // task below may legally re-enter the runtime.
-            let epoch = unsafe { self.inner.epoch.get() };
-            if epoch.executing_inline {
-                return Err(SsError::NestedDelegation);
-            }
-            epoch.executing_inline = true;
-        }
-        task.run();
-        // SAFETY: program thread; fresh scoped borrow after user code.
-        unsafe { self.inner.epoch.get() }.executing_inline = false;
-        StatsCell::bump(&self.inner.core.stats.inline_executions);
-        Ok(())
-    }
-
-    /// Counts a submitted task against the inline/boxed storage split
-    /// (`Stats::{tasks_inline,tasks_boxed}`).
-    fn note_task(&self, task: &TaskSlot) {
-        let stats = &self.inner.core.stats;
-        if task.is_inline() {
-            StatsCell::bump(&stats.tasks_inline);
-        } else {
-            StatsCell::bump(&stats.tasks_boxed);
-        }
-    }
-
-    /// Batch variant of [`Runtime::note_task`]: one `fetch_add` per kind.
-    fn note_tasks(&self, tasks: &[TaskSlot]) {
-        let inline = tasks.iter().filter(|t| t.is_inline()).count() as u64;
+    /// Counts submitted tasks against the inline/boxed storage split
+    /// (`Stats::{tasks_inline,tasks_boxed}`): one `fetch_add` per kind.
+    fn note_tasks(&self, tasks: &[Option<TaskSlot>]) {
+        let inline = tasks.iter().flatten().filter(|t| t.is_inline()).count() as u64;
         let boxed = tasks.len() as u64 - inline;
         let stats = &self.inner.core.stats;
         if inline > 0 {
@@ -199,871 +169,280 @@ impl Runtime {
         }
     }
 
-    /// Submits a packaged task for the given serialization set. Must be
-    /// called on the program thread during an isolation epoch (wrappers
-    /// enforce both). Returns the executor chosen.
-    pub(crate) fn submit(&self, ss: SsId, task: TaskSlot) -> SsResult<Executor> {
-        self.check_live()?;
-        self.note_task(&task);
-        if let Some(s) = &self.session {
-            return self.submit_session(s, ss, task);
-        }
-        if let Channels::Steal(shared) = &self.inner.channels {
-            return self.submit_stealing(shared, ss, task);
-        }
-        let executor = self.executor_for(ss);
-        match executor {
-            Executor::Program => {
-                // Audit tag drawn immediately before the inline run, so
-                // per-producer token order equals execution order.
-                let audit = self.inner.core.audit_submit(ss, 0);
-                if let Err(e) = self.run_inline(task) {
-                    self.inner.core.audit_unsubmit(ss, audit, 1);
-                    return Err(e);
-                }
-                self.inner.core.audit_exec(ss, audit, 0);
-            }
-            Executor::Delegate(i) => {
-                // Raise the depth before publishing so a LeastLoaded
-                // assignment racing with this submit sees the queue grow.
-                self.inner.core.stats.queue_depths[i].fetch_add(1, Ordering::Relaxed);
-                let Channels::Spsc { producers, .. } = &self.inner.channels else {
-                    unreachable!("stealing transport handled above");
-                };
-                // SAFETY: producers are program-thread-only; wrappers
-                // verified the calling context.
-                let producer = unsafe { producers[i].get() };
-                let audit = self.inner.core.audit_submit(ss, 0);
-                if producer
-                    .push_blocking(Invocation::Execute {
-                        task,
-                        ss,
-                        audit,
-                        session: None,
-                    })
-                    .is_err()
-                {
-                    self.inner.core.audit_unsubmit(ss, audit, 1);
-                    self.inner.core.stats.queue_depths[i].fetch_sub(1, Ordering::Relaxed);
-                    return Err(SsError::Terminated);
-                }
-                self.inner.wakeups[i].notify();
-                StatsCell::bump(&self.inner.core.stats.delegations);
-            }
-        }
-        Ok(executor)
-    }
-
-    /// The stealing transport's publish step, shared verbatim by the
-    /// program and nested submit paths: raise the accounting counters,
-    /// then land the invocation in the owner's deque. Runs inside the
-    /// set's shard critical section (`route_publish`), and the counter
-    /// order is load-bearing — `in_flight` must be visible before the
-    /// entry exists, so the barrier's drain can never miss it.
-    fn publish_stealing(
-        &self,
-        shared: &StealShared,
-        ss: SsId,
-        producer: usize,
-        task: &mut Option<TaskSlot>,
-        executor: Executor,
-    ) {
-        let Executor::Delegate(i) = executor else {
-            unreachable!("route_publish only publishes delegate-bound work");
-        };
-        debug_assert!(i < self.inner.topology.n_delegates);
-        let stats = &self.inner.core.stats;
-        stats.queue_depths[i].fetch_add(1, Ordering::Relaxed);
-        stats.in_flight.fetch_add(1, Ordering::Relaxed);
-        let task = task.take().expect("task consumed once");
-        let audit = self.inner.core.audit_submit(ss, producer);
-        shared.deques[i].push_keyed(
-            ss.0,
-            Invocation::Execute {
-                task,
-                ss,
-                audit,
-                session: None,
-            },
-        );
-        // Cost-aware stealing prices victims by these summaries; inert
-        // under every other policy.
-        self.inner.router.note_queued(i, 1);
-        // Shard lock released after route_publish returns: the push is
-        // visible before any steal can re-route the set.
-    }
-
-    /// Stealing-transport submit: [`Router::route_publish`] resolves the
-    /// pin and publishes the invocation in one critical section of the
-    /// set's *shard*, so a thief can never migrate the set between
-    /// "program thread decided queue i" and "the operation landed in
-    /// queue i". Program-bound tasks run inline after the lock drops (no
-    /// user code under a shard lock).
-    fn submit_stealing(
-        &self,
-        shared: &StealShared,
-        ss: SsId,
-        task: TaskSlot,
-    ) -> SsResult<Executor> {
-        // SAFETY: program thread (wrappers checked); scoped borrow.
-        let serial = unsafe { self.inner.epoch.get() }.serial;
-        let mut task = Some(task);
-        let route = self
-            .inner
-            .router
-            .route_publish(ss, serial, &self.loads(), |executor| {
-                self.publish_stealing(shared, ss, 0, &mut task, executor)
-            });
-        self.note_route(&route, ss, RouteSite::Program);
-        match route.executor {
-            Executor::Program => {
-                let task = task.take().expect("program-bound task unconsumed");
-                let audit = self.inner.core.audit_submit(ss, 0);
-                if let Err(e) = self.run_inline(task) {
-                    self.inner.core.audit_unsubmit(ss, audit, 1);
-                    return Err(e);
-                }
-                self.inner.core.audit_exec(ss, audit, 0);
-            }
-            Executor::Delegate(i) => {
-                self.inner.wakeups[i].notify();
-                StatsCell::bump(&self.inner.core.stats.delegations);
-            }
-        }
-        Ok(route.executor)
-    }
-
-    // ------------------------------------------------------------------
-    // session submission. Same routing and accounting shape as the root
-    // paths, with the three tenant-isolation substitutions applied
-    // throughout: keys are session-qualified (`id << 48 | fold48(ss)`),
-    // pins resolve against the session's own map, and the drain counter
-    // raised before every push is the *session's* `in_flight` — never the
-    // pool-wide one. Program-context pushes go through the multi-producer
-    // lanes (injector lanes / deques): the SPSC ring producers are owned
-    // by the root program thread, and a session handle may live on any
-    // thread.
-
-    /// Runs a session-inline task on the session's own thread, guarded by
-    /// the session's `executing_inline` flag (the lock is never held
-    /// across the user code).
-    fn run_inline_session(&self, s: &SessionShared, task: TaskSlot) -> SsResult<()> {
-        {
-            let mut epoch = s.epoch.lock();
-            if epoch.executing_inline {
-                return Err(SsError::NestedDelegation);
-            }
-            epoch.executing_inline = true;
-        }
-        task.run();
-        s.epoch.lock().executing_inline = false;
-        StatsCell::bump(&self.inner.core.stats.inline_executions);
-        Ok(())
-    }
-
-    /// Fairness backpressure: a program-context session submit stalls
-    /// while the session sits at its queue-depth cap, so one tenant
-    /// cannot monopolize the shared pool's queues. Never applied to
-    /// nested submits — a delegate stalling mid-parent could be the very
+    /// Validates the calling context against `origin` and returns its
+    /// audit producer slot (0 = program thread, `1 + i` = delegate `i`)
+    /// with how many operations of a run of `n` may be pushed now.
+    ///
+    /// Program origin: the wrappers verified the program thread; what is
+    /// left is the fairness backpressure — a program-context submit
+    /// stalls while its domain sits at its queue cap and is then admitted
+    /// only as far as the cap has room, so one tenant cannot monopolize
+    /// the shared pool's queues however long its run is. Never applied to
+    /// nested submits: a delegate stalling mid-parent could be the very
     /// delegate the drain needs, and parents settle only after their
     /// nested submits return.
-    fn session_backpressure(&self, s: &SessionShared) -> SsResult<()> {
-        let Some(cap) = s.queue_cap else {
-            return Ok(());
-        };
-        if s.in_flight.load(Ordering::Relaxed) < cap {
-            return Ok(());
-        }
-        StatsCell::bump(&self.inner.core.stats.starvation_stalls);
-        let backoff = ss_queue::Backoff::new();
-        while s.in_flight.load(Ordering::Acquire) >= cap {
-            self.check_live()?;
-            backoff.snooze();
-        }
-        Ok(())
-    }
-
-    /// Session-context submit: the session-side counterpart of
-    /// [`Runtime::submit`]. Returns the executor chosen.
-    fn submit_session(
-        &self,
-        s: &Arc<SessionShared>,
-        ss: SsId,
-        task: TaskSlot,
-    ) -> SsResult<Executor> {
-        let key = SsId(s.route_key(ss));
-        let serial = s.epoch_serial.load(Ordering::Acquire);
-        if let Channels::Steal(shared) = &self.inner.channels {
-            return self.submit_session_stealing(s, shared, key, serial, task);
-        }
-        let route = self
-            .inner
-            .router
-            .route_in(&s.pins, key, serial, &self.loads());
-        self.note_route(&route, key, RouteSite::Program);
-        match route.executor {
-            Executor::Program => {
-                let audit = self.inner.core.session_audit_submit(s, key, 0);
-                if let Err(e) = self.run_inline_session(s, task) {
-                    self.inner.core.session_audit_unsubmit(s, key, audit, 1);
-                    return Err(e);
-                }
-                self.inner.core.session_audit_exec(s, key, audit, 0);
-                s.submitted.fetch_add(1, Ordering::Relaxed);
-                s.completed.fetch_add(1, Ordering::Relaxed);
-            }
-            Executor::Delegate(i) => {
-                self.session_backpressure(s)?;
-                let Channels::Spsc { injectors, .. } = &self.inner.channels else {
-                    unreachable!("stealing transport handled above");
-                };
-                let stats = &self.inner.core.stats;
-                stats.queue_depths[i].fetch_add(1, Ordering::Relaxed);
-                // Raised before the push (the session barrier's drain must
-                // see the operation the instant it can exist), settled by
-                // the executing delegate after the audit record lands.
-                s.in_flight.fetch_add(1, Ordering::Relaxed);
-                let audit = self.inner.core.session_audit_submit(s, key, 0);
-                if injectors[i]
-                    .push(Invocation::Execute {
-                        task,
-                        ss: key,
-                        audit,
-                        session: Some(Arc::clone(s)),
-                    })
-                    .is_err()
-                {
-                    self.inner.core.session_audit_unsubmit(s, key, audit, 1);
-                    stats.queue_depths[i].fetch_sub(1, Ordering::Relaxed);
-                    s.in_flight.fetch_sub(1, Ordering::Relaxed);
-                    return Err(SsError::Terminated);
-                }
-                self.inner.wakeups[i].notify();
-                s.submitted.fetch_add(1, Ordering::Relaxed);
-                StatsCell::bump(&stats.delegations);
-            }
-        }
-        Ok(route.executor)
-    }
-
-    /// Session submit over the stealing transport: the pin resolve and
-    /// the deque push share one critical section of the *session map's*
-    /// shard — the thief locks the same shard to migrate this tenant's
-    /// keys, so the no-half-routed-set argument holds per tenant.
-    fn submit_session_stealing(
-        &self,
-        s: &Arc<SessionShared>,
-        shared: &StealShared,
-        key: SsId,
-        serial: u64,
-        task: TaskSlot,
-    ) -> SsResult<Executor> {
-        self.session_backpressure(s)?;
-        let mut task = Some(task);
-        let route =
-            self.inner
-                .router
-                .route_publish_in(&s.pins, key, serial, &self.loads(), |executor| {
-                    let Executor::Delegate(i) = executor else {
-                        unreachable!("route_publish only publishes delegate-bound work");
-                    };
-                    let stats = &self.inner.core.stats;
-                    stats.queue_depths[i].fetch_add(1, Ordering::Relaxed);
-                    s.in_flight.fetch_add(1, Ordering::Relaxed);
-                    let task = task.take().expect("task consumed once");
-                    let audit = self.inner.core.session_audit_submit(s, key, 0);
-                    shared.deques[i].push_keyed(
-                        key.0,
-                        Invocation::Execute {
-                            task,
-                            ss: key,
-                            audit,
-                            session: Some(Arc::clone(s)),
-                        },
-                    );
-                    self.inner.router.note_queued(i, 1);
-                });
-        self.note_route(&route, key, RouteSite::Program);
-        match route.executor {
-            Executor::Program => {
-                let task = task.take().expect("program-bound task unconsumed");
-                let audit = self.inner.core.session_audit_submit(s, key, 0);
-                if let Err(e) = self.run_inline_session(s, task) {
-                    self.inner.core.session_audit_unsubmit(s, key, audit, 1);
-                    return Err(e);
-                }
-                self.inner.core.session_audit_exec(s, key, audit, 0);
-                s.submitted.fetch_add(1, Ordering::Relaxed);
-                s.completed.fetch_add(1, Ordering::Relaxed);
-            }
-            Executor::Delegate(i) => {
-                self.inner.wakeups[i].notify();
-                s.submitted.fetch_add(1, Ordering::Relaxed);
-                StatsCell::bump(&self.inner.core.stats.delegations);
-            }
-        }
-        Ok(route.executor)
-    }
-
-    /// Session batch submit: one routed submit per task. The root batch
-    /// paths amortize the router consult and the queue critical section;
-    /// here the per-op route is a lock-free session-map hit after the
-    /// first touch, and correctness (same set ⇒ same executor ⇒ FIFO) is
-    /// identical, so the simple loop keeps the error contract — the
-    /// returned count is exactly the tasks that will never execute —
-    /// without a third copy of every transport's batch entry point.
-    fn submit_batch_session(
-        &self,
-        ss: SsId,
-        tasks: Vec<TaskSlot>,
-    ) -> Result<Executor, (SsError, usize)> {
-        let s = Arc::clone(
-            self.session
-                .as_ref()
-                .expect("session batch on a session handle"),
-        );
-        let mut remaining = tasks.len();
-        let mut executor = Executor::Program;
-        for task in tasks {
-            match self.submit_session(&s, ss, task) {
-                Ok(e) => executor = e,
-                Err(err) => return Err((err, remaining)),
-            }
-            remaining -= 1;
-        }
-        Ok(executor)
-    }
-
-    /// Session nested submit (a delegate running this session's operation
-    /// re-delegates). Mirrors the root nested paths with the session
-    /// substitutions; no queue-cap stall (see
-    /// [`session_backpressure`](Runtime::session_backpressure)).
-    fn submit_nested_session(
-        &self,
-        s: &Arc<SessionShared>,
-        ss: SsId,
-        producer: usize,
-        task: TaskSlot,
-    ) -> SsResult<Executor> {
-        let key = SsId(s.route_key(ss));
-        let serial = s.epoch_serial.load(Ordering::Acquire);
-        let stats = &self.inner.core.stats;
-        match &self.inner.channels {
-            Channels::Steal(shared) => {
-                let mut task = Some(task);
-                let route = self.inner.router.route_publish_in(
-                    &s.pins,
-                    key,
-                    serial,
-                    &self.loads(),
-                    |executor| {
-                        let Executor::Delegate(i) = executor else {
-                            unreachable!("route_publish only publishes delegate-bound work");
-                        };
-                        stats.queue_depths[i].fetch_add(1, Ordering::Relaxed);
-                        s.in_flight.fetch_add(1, Ordering::Relaxed);
-                        let task = task.take().expect("task consumed once");
-                        let audit = self.inner.core.session_audit_submit(s, key, producer);
-                        shared.deques[i].push_keyed(
-                            key.0,
-                            Invocation::Execute {
-                                task,
-                                ss: key,
-                                audit,
-                                session: Some(Arc::clone(s)),
-                            },
-                        );
-                        self.inner.router.note_queued(i, 1);
-                    },
-                );
-                self.note_route(&route, key, RouteSite::Nested);
-                let Executor::Delegate(i) = route.executor else {
-                    return Err(SsError::NestedOnProgram { set: Some(ss) });
-                };
-                self.inner.wakeups[i].notify();
-                s.submitted.fetch_add(1, Ordering::Relaxed);
-                StatsCell::bump(&stats.delegations);
-                StatsCell::bump(&stats.nested_delegations);
-                Ok(route.executor)
-            }
-            Channels::Spsc { injectors, .. } => {
-                let route = self
-                    .inner
-                    .router
-                    .route_in(&s.pins, key, serial, &self.loads());
-                self.note_route(&route, key, RouteSite::Nested);
-                let Executor::Delegate(i) = route.executor else {
-                    return Err(SsError::NestedOnProgram { set: Some(ss) });
-                };
-                stats.queue_depths[i].fetch_add(1, Ordering::Relaxed);
-                s.in_flight.fetch_add(1, Ordering::Relaxed);
-                let audit = self.inner.core.session_audit_submit(s, key, producer);
-                if injectors[i]
-                    .push(Invocation::Execute {
-                        task,
-                        ss: key,
-                        audit,
-                        session: Some(Arc::clone(s)),
-                    })
-                    .is_err()
-                {
-                    self.inner.core.session_audit_unsubmit(s, key, audit, 1);
-                    stats.queue_depths[i].fetch_sub(1, Ordering::Relaxed);
-                    s.in_flight.fetch_sub(1, Ordering::Relaxed);
-                    return Err(SsError::Terminated);
-                }
-                self.inner.wakeups[i].notify();
-                s.submitted.fetch_add(1, Ordering::Relaxed);
-                StatsCell::bump(&stats.delegations);
-                StatsCell::bump(&stats.nested_delegations);
-                Ok(route.executor)
-            }
-        }
-    }
-
-    /// Submits a packaged task from a **delegate context** — the
-    /// recursive-delegation path. The calling thread's identity is
-    /// re-validated against the runtime's thread-local delegate marker, so
-    /// a smuggled [`DelegateContext`](super::DelegateContext) cannot
-    /// submit from a foreign thread. Returns the executor chosen; sets
-    /// routed to the program context are rejected
-    /// ([`SsError::NestedOnProgram`]) because the program thread is not at
-    /// a delegation point.
     ///
-    /// The caller (the wrapper's nested phase 1) has already marked the
-    /// epoch nested and raised the object's pending count under the
-    /// object's state lock.
-    pub(crate) fn submit_nested(&self, ss: SsId, task: TaskSlot) -> SsResult<Executor> {
-        self.check_live()?;
-        self.note_task(&task);
-        let producer = match self.current_executor_slot() {
-            Some(slot) if slot >= 1 => slot,
-            _ => return Err(SsError::WrongContext),
+    /// Nested origin: the calling thread's identity is re-validated
+    /// against the runtime's thread-local delegate marker, so a smuggled
+    /// [`DelegateContext`](super::DelegateContext) cannot submit from a
+    /// foreign thread; and the currently-executing operation's domain (a
+    /// thread-local stamped by the delegate loop) must match this
+    /// handle's. A session op re-delegating through a root-owned object
+    /// (or another tenant's) would count its child against the wrong
+    /// domain's drain counter, letting the spawning domain's barrier
+    /// close with related work still in flight — reject it.
+    fn admit(&self, origin: Origin, d: &Domain, n: usize) -> SsResult<(usize, usize)> {
+        if origin == Origin::Nested {
+            return match self.current_executor_slot() {
+                Some(slot) if slot >= 1 && current_domain_id() == d.id => Ok((slot, n)),
+                _ => Err(SsError::WrongContext),
+            };
+        }
+        let Some(cap) = d.queue_cap else {
+            return Ok((0, n));
         };
-        // Domain check: the currently-executing operation's tenant (a
-        // thread-local stamped by the delegate loop) must match this
-        // handle's. A session op re-delegating through a root-owned
-        // object (or another tenant's) would count its child against the
-        // wrong domain's drain counter, letting the spawning tenant's
-        // barrier close with related work still in flight — reject it.
-        if current_session_id() != self.session.as_ref().map_or(0, |s| s.id) {
-            return Err(SsError::WrongContext);
-        }
-        if let Some(s) = &self.session {
-            return self.submit_nested_session(s, ss, producer, task);
-        }
-        let serial = self.cross_epoch_serial();
-        match &self.inner.channels {
-            Channels::Steal(shared) => {
-                self.submit_nested_stealing(shared, ss, serial, producer, task)
+        let mut queued = d.in_flight.load(Ordering::Relaxed);
+        if queued >= cap {
+            StatsCell::bump(&self.inner.core.stats.starvation_stalls);
+            let backoff = ss_queue::Backoff::new();
+            while queued >= cap {
+                self.check_live()?;
+                backoff.snooze();
+                queued = d.in_flight.load(Ordering::Acquire);
             }
-            Channels::Spsc { .. } => self.submit_nested_mpsc(ss, serial, producer, task),
+        }
+        Ok((0, n.min((cap - queued) as usize)))
+    }
+
+    /// The lane a submission from `origin` travels on (see the module
+    /// docs): only the root program thread owns ring producers.
+    fn lane(&self, origin: Origin) -> Lane {
+        match &self.inner.channels {
+            Channels::Steal(_) => Lane::Deque,
+            Channels::Spsc { .. } if origin == Origin::Program && self.is_root() => Lane::Ring,
+            Channels::Spsc { .. } => Lane::Injected,
         }
     }
 
-    /// Nested submit over the MPSC transport: resolve through the router
-    /// (lock-free for already-pinned sets — no thief exists to rewrite a
-    /// pin mid-epoch), then push into the owner's injector lane
-    /// (unbounded — a nested push must never block on a full ring, or
-    /// two delegates pushing into each other's queues could deadlock).
-    fn submit_nested_mpsc(
-        &self,
-        ss: SsId,
-        serial: u64,
-        producer: usize,
-        task: TaskSlot,
-    ) -> SsResult<Executor> {
-        let route = self.inner.router.route(ss, serial, &self.loads());
-        self.note_route(&route, ss, RouteSite::Nested);
-        let Executor::Delegate(i) = route.executor else {
-            return Err(SsError::NestedOnProgram { set: Some(ss) });
-        };
-        let Channels::Spsc { injectors, .. } = &self.inner.channels else {
-            unreachable!("caller matched the MPSC transport");
-        };
-        let stats = &self.inner.core.stats;
-        stats.queue_depths[i].fetch_add(1, Ordering::Relaxed);
-        // Raised before the push: the barrier's drain must see the child
-        // the instant it can exist (its parent is still running and
-        // counted only via its queue token, so the child must carry its
-        // own count from birth).
-        stats.in_flight.fetch_add(1, Ordering::Relaxed);
-        let audit = self.inner.core.audit_submit(ss, producer);
-        if injectors[i]
-            .push(Invocation::Execute {
-                task,
-                ss,
-                audit,
-                session: None,
-            })
-            .is_err()
-        {
-            self.inner.core.audit_unsubmit(ss, audit, 1);
-            stats.queue_depths[i].fetch_sub(1, Ordering::Relaxed);
-            stats.in_flight.fetch_sub(1, Ordering::Relaxed);
-            return Err(SsError::Terminated);
-        }
-        self.inner.wakeups[i].notify();
-        StatsCell::bump(&stats.delegations);
-        StatsCell::bump(&stats.nested_delegations);
-        Ok(route.executor)
-    }
-
-    /// Nested submit over the stealing transport: identical critical
-    /// section to [`Runtime::submit_stealing`] — pin resolution
-    /// (consulting the policy on first touch) and the deque push are one
-    /// atomic step under the set's shard lock, so a concurrent thief can
-    /// never migrate the set mid-publish.
-    fn submit_nested_stealing(
-        &self,
-        shared: &StealShared,
-        ss: SsId,
-        serial: u64,
-        producer: usize,
-        task: TaskSlot,
-    ) -> SsResult<Executor> {
-        let mut task = Some(task);
-        let route = self
-            .inner
-            .router
-            .route_publish(ss, serial, &self.loads(), |executor| {
-                self.publish_stealing(shared, ss, producer, &mut task, executor)
-            });
-        self.note_route(&route, ss, RouteSite::Nested);
-        let Executor::Delegate(i) = route.executor else {
-            // The pin stays recorded (it is what the policy answered); the
-            // operation itself is rejected — the program thread cannot
-            // execute work it never delegated.
-            return Err(SsError::NestedOnProgram { set: Some(ss) });
-        };
-        self.inner.wakeups[i].notify();
-        let stats = &self.inner.core.stats;
-        StatsCell::bump(&stats.delegations);
-        StatsCell::bump(&stats.nested_delegations);
-        Ok(route.executor)
-    }
-
-    /// Submits a whole run of packaged tasks bound for the **same**
-    /// serialization set — the transport half of
-    /// [`Writable::delegate_iter`](crate::Writable::delegate_iter). The
-    /// router is consulted *once* for the run, the per-delegate accounting
-    /// counters are raised once by the batch size, the invocations land in
-    /// the queue through the transports' batch entry points (one critical
-    /// section / one ring sweep instead of n), and the owning delegate is
-    /// woken once.
+    /// Submits a run of packaged tasks bound for the **same**
+    /// serialization set — a single delegation is a run of one
+    /// (`&mut [Some(task)]`), `delegate_iter` passes its whole `Vec`; the
+    /// tasks are taken out of the slice as they are pushed (or run
+    /// inline), and whatever is left in it never executes. The router is
+    /// consulted once for the run, the accounting counters are raised
+    /// once by the run length, the invocations land through the
+    /// transports' batch entry points (one critical section / one ring
+    /// sweep), and the owning delegate is woken once. A capped domain's
+    /// program thread is the one exception: its run goes through all of
+    /// that in pieces no larger than the room under the cap
+    /// ([`admit`](Runtime::admit)), so its counted backlog never passes
+    /// the cap.
+    ///
+    /// The caller (a wrapper's phase 1) has verified the calling context
+    /// for `origin`, that an isolation epoch is open, and — for nested
+    /// submits — has already marked the epoch nested and raised the
+    /// object's pending count under the object's state lock. Returns the
+    /// executor chosen.
     ///
     /// On failure the error is paired with the number of tasks that will
     /// **never execute** (dropped unsubmitted, or unrun on an inline
     /// error); the caller unwinds the object's pending count by exactly
     /// that amount — tasks already landed still run and decrement it
     /// themselves.
-    pub(crate) fn submit_batch(
+    pub(crate) fn submit(
         &self,
+        origin: Origin,
         ss: SsId,
-        tasks: Vec<TaskSlot>,
+        run: &mut [Option<TaskSlot>],
     ) -> Result<Executor, (SsError, usize)> {
-        let n = tasks.len();
+        let d = self.domain();
         if let Err(e) = self.check_live() {
-            return Err((e, n));
+            return Err((e, run.len()));
         }
-        self.note_tasks(&tasks);
-        if self.session.is_some() {
-            return self.submit_batch_session(ss, tasks);
-        }
-        if let Channels::Steal(shared) = &self.inner.channels {
-            return self.submit_batch_stealing(shared, ss, tasks);
-        }
-        let executor = self.executor_for(ss);
-        match executor {
-            Executor::Program => {
-                let base = self.inner.core.audit_submit_batch(ss, 0, n);
-                self.run_inline_batch(ss, base, tasks)?
-            }
-            Executor::Delegate(i) => {
-                let stats = &self.inner.core.stats;
-                stats.queue_depths[i].fetch_add(n as u64, Ordering::Relaxed);
-                let Channels::Spsc { producers, .. } = &self.inner.channels else {
-                    unreachable!("stealing transport handled above");
-                };
-                // SAFETY: producers are program-thread-only; wrappers
-                // verified the calling context.
-                let producer = unsafe { producers[i].get() };
-                let base = self.inner.core.audit_submit_batch(ss, 0, n);
-                let mut k = 0u64;
-                let pushed = match producer.push_batch(tasks.into_iter().map(|task| {
-                    let audit = batch_tag(base, k);
-                    k += 1;
-                    Invocation::Execute {
-                        task,
-                        ss,
-                        audit,
-                        session: None,
+        self.note_tasks(run);
+        let key = SsId(d.key(ss));
+        let lane = self.lane(origin);
+        let mut rest = run;
+        loop {
+            let (producer, room) = match self.admit(origin, d, rest.len()) {
+                Ok(admitted) => admitted,
+                Err(e) => return Err((e, rest.len())),
+            };
+            let (run, later) = std::mem::take(&mut rest).split_at_mut(room);
+            let n = run.len();
+            let mut lost = 0;
+            let route = if lane == Lane::Deque {
+                self.inner.router.route_publish(d, key, &self.loads(), |i| {
+                    lost = self.push(d, key, producer, lane, i, run);
+                })
+            } else {
+                self.inner.router.route(d, key, &self.loads())
+            };
+            self.note_route(&route, key, origin);
+            match (route.executor, origin) {
+                (Executor::Delegate(i), _) => {
+                    if lane != Lane::Deque {
+                        lost = self.push(d, key, producer, lane, i, run);
                     }
-                })) {
-                    Ok(pushed) => pushed,
-                    Err(pushed) => {
-                        // The unpushed remainder never executes; what did
-                        // land still will (the consumer disconnects only
-                        // after draining), so it keeps its accounting.
-                        let lost = (n - pushed) as u64;
-                        self.inner.core.audit_unsubmit(ss, base, n - pushed);
-                        stats.queue_depths[i].fetch_sub(lost, Ordering::Relaxed);
-                        stats
-                            .delegations
-                            .fetch_add(pushed as u64, Ordering::Relaxed);
+                    let pushed = (n - lost) as u64;
+                    if pushed > 0 {
                         self.inner.wakeups[i].notify();
-                        return Err((SsError::Terminated, n - pushed));
+                        let stats = &self.inner.core.stats;
+                        stats.delegations.fetch_add(pushed, Ordering::Relaxed);
+                        if origin == Origin::Nested {
+                            stats
+                                .nested_delegations
+                                .fetch_add(pushed, Ordering::Relaxed);
+                        }
+                        if lane.counted() {
+                            d.submitted.fetch_add(pushed, Ordering::Relaxed);
+                        }
                     }
-                };
-                debug_assert_eq!(pushed, n);
-                self.inner.wakeups[i].notify();
-                stats.delegations.fetch_add(n as u64, Ordering::Relaxed);
+                    if lost > 0 {
+                        // What did land still runs (a consumer disconnects
+                        // only after draining) and keeps its accounting.
+                        return Err((SsError::Terminated, lost + later.len()));
+                    }
+                }
+                (Executor::Program, Origin::Program) => {
+                    // Runs after the shard lock dropped: no user code under
+                    // a routing lock.
+                    if let Err((e, unrun)) = self.run_inline(d, key, run) {
+                        return Err((e, unrun + later.len()));
+                    }
+                }
+                // The pin stays recorded (it is what the policy answered);
+                // the run itself was never published.
+                (Executor::Program, Origin::Nested) => {
+                    return Err((SsError::NestedOnProgram { set: Some(ss) }, n + later.len()));
+                }
             }
+            if later.is_empty() {
+                return Ok(route.executor);
+            }
+            rest = later;
         }
-        Ok(executor)
     }
 
-    /// Runs a program-bound batch inline, in order. On error the failed
-    /// task and the rest of the batch are dropped unrun and counted (and
-    /// their audit tokens rolled back). `base` is the batch's first audit
-    /// tag (0 when the epoch is unaudited).
-    fn run_inline_batch(
+    /// Reserve → audit token run → push, for a run of `n` bound for
+    /// delegate `i`'s queue on `lane`. Returns how many tasks of the run
+    /// were **lost** (the consumer is gone: dropped unpushed, never to
+    /// execute), with their reservations and tokens rolled back.
+    ///
+    /// The counter order is load-bearing: the depth is raised before
+    /// publishing so a `LeastLoaded` assignment racing with this submit
+    /// sees the queue grow, and `in_flight` must be visible before the
+    /// entry exists, so the barrier's drain can never miss it. Audit
+    /// tokens are drawn immediately before the push, so per-producer
+    /// token order equals queue order. On the stealing transport this
+    /// whole function runs inside the set's shard critical section.
+    fn push(
         &self,
-        ss: SsId,
-        base: u64,
-        tasks: Vec<TaskSlot>,
-    ) -> Result<(), (SsError, usize)> {
-        let mut remaining = tasks.len();
-        for (k, task) in tasks.into_iter().enumerate() {
-            if let Err(e) = self.run_inline(task) {
-                self.inner.core.audit_unsubmit(ss, base, remaining);
-                return Err((e, remaining));
+        d: &Domain,
+        key: SsId,
+        producer: usize,
+        lane: Lane,
+        i: usize,
+        run: &mut [Option<TaskSlot>],
+    ) -> usize {
+        debug_assert!(i < self.inner.topology.n_delegates);
+        let n = run.len();
+        let core = &self.inner.core;
+        core.stats.queue_depths[i].fetch_add(n as u64, Ordering::Relaxed);
+        if lane.counted() {
+            d.in_flight.fetch_add(n as u64, Ordering::Relaxed);
+        }
+        let base = core.audit_submit(d, key, producer, n);
+        let mut k = 0u64;
+        let invocations = run.iter_mut().map(|task| {
+            let task = task.take().expect("run pushed once");
+            let audit = run_tag(base, k);
+            k += 1;
+            Invocation::Execute {
+                task,
+                ss: key,
+                audit,
+                // `None` for the root: no `Arc` traffic on its path.
+                session: self.session.clone(),
             }
-            self.inner.core.audit_exec(ss, batch_tag(base, k as u64), 0);
-            remaining -= 1;
+        });
+        let pushed = match (&self.inner.channels, lane) {
+            (Channels::Spsc { producers, .. }, Lane::Ring) => {
+                // SAFETY: the ring lane is chosen only for the root
+                // program thread (`lane`), which owns the producers;
+                // wrappers verified the calling context.
+                let producer = unsafe { producers[i].get() };
+                // Spins while the ring is full; stops short only if the
+                // consumer disconnected.
+                match producer.push_batch(invocations) {
+                    Ok(pushed) | Err(pushed) => pushed,
+                }
+            }
+            // The injector accepts or rejects a run whole (one lock).
+            (Channels::Spsc { injectors, .. }, _) => {
+                injectors[i].push_batch(invocations).unwrap_or(0)
+            }
+            (Channels::Steal(shared), _) => {
+                let pushed = shared.deques[i].push_keyed_batch(key.0, invocations);
+                // Cost-aware stealing prices victims by these summaries;
+                // inert under every other policy.
+                self.inner.router.note_queued(i, pushed as u64);
+                pushed
+            }
+        };
+        let lost = n - pushed;
+        if lost > 0 {
+            core.audit_unsubmit(d, key, base, lost);
+            core.stats.queue_depths[i].fetch_sub(lost as u64, Ordering::Relaxed);
+            if lane.counted() {
+                d.in_flight.fetch_sub(lost as u64, Ordering::Relaxed);
+            }
+        }
+        lost
+    }
+
+    /// Runs a program-bound run inline on the domain's program thread, in
+    /// order (program-share virtual delegates and zero-delegate
+    /// runtimes). On error the failed task and the rest of the run are
+    /// dropped unrun and counted, and their audit tokens rolled back.
+    fn run_inline(
+        &self,
+        d: &Domain,
+        key: SsId,
+        run: &mut [Option<TaskSlot>],
+    ) -> Result<(), (SsError, usize)> {
+        let n = run.len();
+        let core = &self.inner.core;
+        let base = core.audit_submit(d, key, 0, n);
+        for (k, task) in run.iter_mut().enumerate() {
+            let task = task.take().expect("run executed once");
+            {
+                // SAFETY: the domain's program thread (wrappers checked);
+                // scoped so the task below may legally re-enter the
+                // runtime.
+                let epoch = unsafe { d.epoch.get() };
+                if epoch.executing_inline {
+                    core.audit_unsubmit(d, key, base, n - k);
+                    return Err((SsError::NestedDelegation, n - k));
+                }
+                epoch.executing_inline = true;
+            }
+            task.run();
+            // SAFETY: program thread; fresh scoped borrow after user code.
+            unsafe { d.epoch.get() }.executing_inline = false;
+            StatsCell::bump(&core.stats.inline_executions);
+            core.audit_exec(d, key, run_tag(base, k as u64), 0);
+            d.submitted.fetch_add(1, Ordering::Relaxed);
+            d.completed.fetch_add(1, Ordering::Relaxed);
         }
         Ok(())
     }
 
-    /// Stealing-transport batch submit: one `route_publish` critical
-    /// section publishes the whole run into the owner's deque (single
-    /// deque lock), so a thief sees either none or all of it — and a
-    /// whole-batch steal migrates it with the same granularity it was
-    /// pushed with.
-    fn submit_batch_stealing(
-        &self,
-        shared: &StealShared,
-        ss: SsId,
-        tasks: Vec<TaskSlot>,
-    ) -> Result<Executor, (SsError, usize)> {
-        let n = tasks.len();
-        // SAFETY: program thread (wrappers checked); scoped borrow.
-        let serial = unsafe { self.inner.epoch.get() }.serial;
-        let mut tasks = Some(tasks);
-        let route = self
-            .inner
-            .router
-            .route_publish(ss, serial, &self.loads(), |executor| {
-                let Executor::Delegate(i) = executor else {
-                    unreachable!("route_publish only publishes delegate-bound work");
-                };
-                debug_assert!(i < self.inner.topology.n_delegates);
-                let batch = tasks.take().expect("batch consumed once");
-                let stats = &self.inner.core.stats;
-                stats.queue_depths[i].fetch_add(n as u64, Ordering::Relaxed);
-                stats.in_flight.fetch_add(n as u64, Ordering::Relaxed);
-                let base = self.inner.core.audit_submit_batch(ss, 0, n);
-                let mut k = 0u64;
-                shared.deques[i].push_keyed_batch(
-                    ss.0,
-                    batch.into_iter().map(|task| {
-                        let audit = batch_tag(base, k);
-                        k += 1;
-                        Invocation::Execute {
-                            task,
-                            ss,
-                            audit,
-                            session: None,
-                        }
-                    }),
-                );
-                self.inner.router.note_queued(i, n as u64);
-            });
-        self.note_route(&route, ss, RouteSite::Program);
-        match route.executor {
-            Executor::Program => {
-                let batch = tasks.take().expect("program-bound batch unconsumed");
-                let base = self.inner.core.audit_submit_batch(ss, 0, n);
-                self.run_inline_batch(ss, base, batch)?
-            }
-            Executor::Delegate(i) => {
-                self.inner.wakeups[i].notify();
-                self.inner
-                    .core
-                    .stats
-                    .delegations
-                    .fetch_add(n as u64, Ordering::Relaxed);
-            }
-        }
-        Ok(route.executor)
-    }
-
-    /// Batch variant of [`Runtime::submit_nested`]: same context
-    /// validation, one route, one injector/deque critical section, one
-    /// wakeup for the whole same-set run.
-    pub(crate) fn submit_nested_batch(
-        &self,
-        ss: SsId,
-        tasks: Vec<TaskSlot>,
-    ) -> Result<Executor, (SsError, usize)> {
-        let n = tasks.len();
-        if let Err(e) = self.check_live() {
-            return Err((e, n));
-        }
-        let producer = match self.current_executor_slot() {
-            Some(slot) if slot >= 1 => slot,
-            _ => return Err((SsError::WrongContext, n)),
-        };
-        // Same domain check as the single-task nested path.
-        if current_session_id() != self.session.as_ref().map_or(0, |s| s.id) {
-            return Err((SsError::WrongContext, n));
-        }
-        self.note_tasks(&tasks);
-        if let Some(s) = &self.session {
-            let s = Arc::clone(s);
-            let mut remaining = n;
-            let mut executor = Executor::Program;
-            for task in tasks {
-                match self.submit_nested_session(&s, ss, producer, task) {
-                    Ok(e) => executor = e,
-                    Err(err) => return Err((err, remaining)),
-                }
-                remaining -= 1;
-            }
-            return Ok(executor);
-        }
-        let serial = self.cross_epoch_serial();
-        match &self.inner.channels {
-            Channels::Steal(shared) => {
-                self.submit_nested_batch_stealing(shared, ss, serial, producer, tasks)
-            }
-            Channels::Spsc { .. } => self.submit_nested_batch_mpsc(ss, serial, producer, tasks),
-        }
-    }
-
-    /// Nested batch over the MPSC transport: the whole run lands in the
-    /// owner's injector lane under a single lane lock. `in_flight` is
-    /// raised by the batch size *before* the push, preserving the
-    /// children-counted-from-birth barrier argument verbatim.
-    fn submit_nested_batch_mpsc(
-        &self,
-        ss: SsId,
-        serial: u64,
-        producer: usize,
-        tasks: Vec<TaskSlot>,
-    ) -> Result<Executor, (SsError, usize)> {
-        let n = tasks.len();
-        let route = self.inner.router.route(ss, serial, &self.loads());
-        self.note_route(&route, ss, RouteSite::Nested);
-        let Executor::Delegate(i) = route.executor else {
-            return Err((SsError::NestedOnProgram { set: Some(ss) }, n));
-        };
-        let Channels::Spsc { injectors, .. } = &self.inner.channels else {
-            unreachable!("caller matched the MPSC transport");
-        };
-        let stats = &self.inner.core.stats;
-        stats.queue_depths[i].fetch_add(n as u64, Ordering::Relaxed);
-        stats.in_flight.fetch_add(n as u64, Ordering::Relaxed);
-        let base = self.inner.core.audit_submit_batch(ss, producer, n);
-        let mut k = 0u64;
-        if injectors[i]
-            .push_batch(tasks.into_iter().map(|task| {
-                let audit = batch_tag(base, k);
-                k += 1;
-                Invocation::Execute {
-                    task,
-                    ss,
-                    audit,
-                    session: None,
-                }
-            }))
-            .is_none()
-        {
-            // The injector rejects batches all-or-nothing (one lock).
-            self.inner.core.audit_unsubmit(ss, base, n);
-            stats.queue_depths[i].fetch_sub(n as u64, Ordering::Relaxed);
-            stats.in_flight.fetch_sub(n as u64, Ordering::Relaxed);
-            return Err((SsError::Terminated, n));
-        }
-        self.inner.wakeups[i].notify();
-        stats.delegations.fetch_add(n as u64, Ordering::Relaxed);
-        stats
-            .nested_delegations
-            .fetch_add(n as u64, Ordering::Relaxed);
-        Ok(route.executor)
-    }
-
-    /// Nested batch over the stealing transport: identical critical
-    /// section to [`Runtime::submit_batch_stealing`], with program-routed
-    /// sets rejected as in the single-task nested path.
-    fn submit_nested_batch_stealing(
-        &self,
-        shared: &StealShared,
-        ss: SsId,
-        serial: u64,
-        producer: usize,
-        tasks: Vec<TaskSlot>,
-    ) -> Result<Executor, (SsError, usize)> {
-        let n = tasks.len();
-        let mut tasks = Some(tasks);
-        let route = self
-            .inner
-            .router
-            .route_publish(ss, serial, &self.loads(), |executor| {
-                let Executor::Delegate(i) = executor else {
-                    unreachable!("route_publish only publishes delegate-bound work");
-                };
-                let batch = tasks.take().expect("batch consumed once");
-                let stats = &self.inner.core.stats;
-                stats.queue_depths[i].fetch_add(n as u64, Ordering::Relaxed);
-                stats.in_flight.fetch_add(n as u64, Ordering::Relaxed);
-                let base = self.inner.core.audit_submit_batch(ss, producer, n);
-                let mut k = 0u64;
-                shared.deques[i].push_keyed_batch(
-                    ss.0,
-                    batch.into_iter().map(|task| {
-                        let audit = batch_tag(base, k);
-                        k += 1;
-                        Invocation::Execute {
-                            task,
-                            ss,
-                            audit,
-                            session: None,
-                        }
-                    }),
-                );
-                self.inner.router.note_queued(i, n as u64);
-            });
-        self.note_route(&route, ss, RouteSite::Nested);
-        let Executor::Delegate(i) = route.executor else {
-            // As in the single-task path: the pin stays recorded, the
-            // batch is rejected (and was never published).
-            return Err((SsError::NestedOnProgram { set: Some(ss) }, n));
-        };
-        self.inner.wakeups[i].notify();
-        let stats = &self.inner.core.stats;
-        stats.delegations.fetch_add(n as u64, Ordering::Relaxed);
-        stats
-            .nested_delegations
-            .fetch_add(n as u64, Ordering::Relaxed);
-        Ok(route.executor)
-    }
-
-    /// Sends a synchronization object to the queue that currently owns the
-    /// reclaimed set and waits until that queue has drained everything
-    /// before it — the ownership-reclaim mechanism of §4 ("it will be the
-    /// last object in the queue, since the program thread has ceased
-    /// sending invocations").
+    /// Reclaims ownership of a set for the program context — the
+    /// mechanism of §4 ("it will be the last object in the queue, since
+    /// the program thread has ceased sending invocations"): sends a
+    /// synchronization object to the queue that currently owns the set
+    /// and waits until that queue has drained everything before it.
     ///
     /// `owner` is the executor recorded at delegation time; `ss` the set
     /// being reclaimed. Without stealing the two never disagree. With
@@ -1073,186 +452,166 @@ impl Runtime {
     /// the set is frozen on that queue until the token pops. Returns the
     /// executor actually synchronized with.
     ///
-    /// Once the epoch has seen a **nested** delegation, a single queue
-    /// token no longer bounds the reclaimed set's outstanding work: any
-    /// still-running parent, on any queue, could spawn another operation
-    /// onto the set after the token popped. The reclaim therefore
-    /// escalates to a full quiesce — the same token-broadcast +
-    /// transitive `in_flight` drain the epoch barrier uses — after which
-    /// nothing is running anywhere and the program context may touch the
-    /// value. (New parents cannot appear: only the program thread starts
-    /// roots, and it is here.)
+    /// A per-queue token bounds the set's outstanding work only for ring
+    /// and fence coverage with a single producer. It does not once the
+    /// epoch has seen a **nested** delegation (any still-running parent,
+    /// on any queue, could spawn another operation onto the set after the
+    /// token popped), and it does not exist for a session (whose program
+    /// thread owns no ring, and whose lanes carry no per-tenant fence). In
+    /// both cases the reclaim escalates to the domain's full quiesce —
+    /// the same barrier `end_isolation` uses — after which nothing of the
+    /// domain is running anywhere and the program context may touch the
+    /// value. Coarser than a per-set token (every queued op of the domain
+    /// completes, a superset of "everything ordered before the reclaimed
+    /// set's ops"), but it never waits on other domains' work. (New
+    /// parents cannot appear: only the program thread starts roots, and
+    /// it is here.)
     pub(crate) fn sync_owner(&self, owner: Executor, ss: Option<SsId>) -> SsResult<Executor> {
         self.check_live()?;
+        let stats = &self.inner.core.stats;
         if self.inner.core.chaos_skip_reclaim_fence() {
             // chaos weakening: claim the reclaim succeeded without
             // flushing anything. The auditor's access gate (which runs
             // before the caller touches the value) must catch this.
             return Ok(owner);
         }
-        if let Some(s) = &self.session {
-            // Session reclaim: a session-wide drain (spin this tenant's
-            // `in_flight` to zero) rather than a per-set fence. Coarser
-            // than the root's token — every queued op of this session
-            // completes, a superset of "everything ordered before the
-            // reclaimed set's ops" — but it never waits on other
-            // tenants' work, and it needs no fence the multi-producer
-            // lanes would have to thread a session identity through.
-            let backoff = ss_queue::Backoff::new();
-            while s.in_flight.load(Ordering::Acquire) != 0 {
-                self.check_live()?;
-                backoff.snooze();
+        let d = self.domain();
+        if !self.is_root() || self.nested_epoch_active() {
+            self.barrier(d)?;
+            if !self.is_root() {
+                // Stands for the per-set token a session cannot send.
+                StatsCell::bump(&stats.sync_objects);
             }
-            StatsCell::bump(&self.inner.core.stats.sync_objects);
             return Ok(owner);
         }
-        if self.nested_epoch_active() {
-            self.barrier_all_delegates();
-            return Ok(owner);
-        }
-        if let Channels::Steal(shared) = &self.inner.channels {
-            let token = SyncToken::new();
-            // SAFETY: program thread (reclaims are program-context only).
-            let serial = unsafe { self.inner.epoch.get() }.serial;
-            let executor = match ss {
-                Some(s) => {
-                    // The reclaimed set is frozen on its current queue
-                    // until the token pops; resolving the pin and placing
-                    // the fence under the shard lock means no steal can
-                    // move the set between the two.
-                    self.inner
-                        .router
-                        .with_current_pin(s, serial, owner, |executor| {
-                            if let Executor::Delegate(i) = executor {
-                                shared.deques[i].push_fence(
-                                    ss_queue::FenceScope::Key(s.0),
-                                    Invocation::Sync(Arc::clone(&token)),
-                                );
-                            }
-                            executor
-                        })
-                }
-                None => {
-                    // Unreachable in practice (reclaims always name their
-                    // set); `All` is the conservative scope for a caller
-                    // that cannot.
-                    if let Executor::Delegate(i) = owner {
+        let token = SyncToken::new();
+        let executor = match (&self.inner.channels, ss) {
+            (Channels::Steal(shared), Some(s)) => {
+                // The reclaimed set is frozen on its current queue until
+                // the token pops; resolving the pin and placing the fence
+                // under the shard lock means no steal can move the set
+                // between the two.
+                self.inner.router.with_current_pin(d, s, owner, |executor| {
+                    if let Executor::Delegate(i) = executor {
                         shared.deques[i].push_fence(
-                            ss_queue::FenceScope::All,
+                            ss_queue::FenceScope::Key(s.0),
                             Invocation::Sync(Arc::clone(&token)),
                         );
                     }
-                    owner
-                }
-            };
-            let Executor::Delegate(i) = executor else {
-                return Ok(Executor::Program); // inline sets are always drained
-            };
-            self.inner.wakeups[i].notify();
-            StatsCell::bump(&self.inner.core.stats.sync_objects);
-            token.wait();
-            return Ok(Executor::Delegate(i));
-        }
-        let Executor::Delegate(i) = owner else {
-            return Ok(owner); // program-owned sets are always already drained
-        };
-        let token = SyncToken::new();
-        let Channels::Spsc { producers, .. } = &self.inner.channels else {
-            unreachable!("stealing transport handled above");
-        };
-        // SAFETY: producers are program-thread-only; callers verified.
-        let producer = unsafe { producers[i].get() };
-        if producer
-            .push_blocking(Invocation::Sync(Arc::clone(&token)))
-            .is_err()
-        {
-            return Err(SsError::Terminated);
-        }
-        self.inner.wakeups[i].notify();
-        StatsCell::bump(&self.inner.core.stats.sync_objects);
-        token.wait();
-        Ok(owner)
-    }
-
-    /// Synchronizes with every delegate thread (used by `end_isolation`,
-    /// and by nested-epoch reclaims). Tokens are sent to all queues first,
-    /// then awaited, so delegates drain in parallel.
-    ///
-    /// Tokens alone do not prove quiescence in two situations, so the
-    /// barrier additionally waits for the `in_flight` counter to reach
-    /// zero:
-    ///
-    /// * **Stealing** — barrier tokens are `Open` fences (stealing stays
-    ///   *enabled* while the barrier drains, which is most of the epoch's
-    ///   remaining parallelism in push-everything-then-end workloads), so
-    ///   a batch stolen mid-barrier can still be running on the thief
-    ///   after the victim's token popped.
-    /// * **Recursive delegation** — a running parent may spawn children
-    ///   onto queues whose token has already popped (including its own
-    ///   injector lane, which ring tokens do not cover at all). Every
-    ///   nested submission raises `in_flight` *before* its parent
-    ///   completes, so once all ring/deque tokens have popped (⇒ every
-    ///   root operation finished) the counter can only drain — each child
-    ///   is counted from birth, grandchildren are counted before their
-    ///   parents finish, and zero therefore means the whole spawn tree has
-    ///   executed. No lost-wakeup window exists: the count is raised
-    ///   before the push, and the waiter spins (it never parks).
-    ///
-    /// The counter is deliberately a *single* atomic: it is raised at
-    /// submit and lowered (with Release) only after an operation's effects
-    /// are complete, and a steal never touches it — so one Acquire load is
-    /// a sound everything-executed check. (Per-delegate depth counters
-    /// would not be: a steal transfers depth between two counters
-    /// non-atomically with respect to a multi-counter scan, which could
-    /// read the victim after the transfer and the thief before it and
-    /// conclude quiescence with a stolen batch still running.)
-    ///
-    /// The fence broadcast takes no routing state locks at all: fences
-    /// are per-deque critical sections, and the `in_flight` drain — not
-    /// any pin-map consistency — is what proves quiescence against
-    /// concurrent steals and nested spawns.
-    ///
-    /// Without stealing and without nesting, `in_flight` is permanently
-    /// zero and the drain is a single load — the seed path is unchanged.
-    pub(crate) fn barrier_all_delegates(&self) {
-        let n = self.inner.topology.n_delegates;
-        let mut tokens = Vec::with_capacity(n);
-        match &self.inner.channels {
-            Channels::Spsc { producers, .. } => {
-                for (i, producer) in producers.iter().enumerate() {
-                    let token = SyncToken::new();
-                    // SAFETY: program thread (callers checked).
-                    let producer = unsafe { producer.get() };
-                    if producer
-                        .push_blocking(Invocation::Sync(Arc::clone(&token)))
-                        .is_ok()
-                    {
-                        self.inner.wakeups[i].notify();
-                        StatsCell::bump(&self.inner.core.stats.sync_objects);
-                        tokens.push(token);
-                    }
-                }
+                    executor
+                })
             }
-            Channels::Steal(shared) => {
-                for (i, deque) in shared.deques.iter().enumerate() {
-                    let token = SyncToken::new();
-                    deque.push_fence(
-                        ss_queue::FenceScope::Open,
+            (Channels::Steal(shared), None) => {
+                // Unreachable in practice (reclaims always name their
+                // set); `All` is the conservative scope for a caller that
+                // cannot.
+                if let Executor::Delegate(i) = owner {
+                    shared.deques[i].push_fence(
+                        ss_queue::FenceScope::All,
                         Invocation::Sync(Arc::clone(&token)),
                     );
-                    self.inner.wakeups[i].notify();
-                    StatsCell::bump(&self.inner.core.stats.sync_objects);
-                    tokens.push(token);
                 }
+                owner
+            }
+            (Channels::Spsc { producers, .. }, _) => {
+                if let Executor::Delegate(i) = owner {
+                    // SAFETY: root program thread (reclaims are
+                    // program-context only, and this is the root branch).
+                    let producer = unsafe { producers[i].get() };
+                    if producer
+                        .push_blocking(Invocation::Sync(Arc::clone(&token)))
+                        .is_err()
+                    {
+                        return Err(SsError::Terminated);
+                    }
+                }
+                owner
+            }
+        };
+        let Executor::Delegate(i) = executor else {
+            return Ok(Executor::Program); // inline sets are always drained
+        };
+        self.inner.wakeups[i].notify();
+        StatsCell::bump(&stats.sync_objects);
+        token.wait();
+        Ok(executor)
+    }
+
+    /// The domain barrier: returns once every operation of `d`'s epoch —
+    /// including transitively spawned ones — has executed. Used by
+    /// `end_isolation`, by escalated reclaims and by `Session::drop`.
+    ///
+    /// Two proofs, chosen by what covers the domain's entries:
+    ///
+    /// * **Queue tokens** — the root only. Its program thread owns the
+    ///   rings, whose entries are uncounted, so it sends a token to every
+    ///   queue first, then awaits them all (delegates drain in parallel):
+    ///   FIFO ⇒ when a token pops, everything pushed before it on that
+    ///   queue has completed. On the stealing transport the tokens are
+    ///   `Open` fences — stealing stays *enabled* while the barrier
+    ///   drains, which is most of the epoch's remaining parallelism in
+    ///   push-everything-then-end workloads — and the broadcast takes no
+    ///   routing locks at all.
+    /// * **The drain counter** — every domain. Tokens alone do not prove
+    ///   quiescence for entries that can move or multiply: a batch stolen
+    ///   mid-barrier can still be running on the thief after the victim's
+    ///   token popped, and a running parent may spawn children onto
+    ///   queues whose token has already popped (including its own
+    ///   injector lane, which ring tokens do not cover at all). Every
+    ///   such entry raised `in_flight` *before* it was pushed — a child
+    ///   before its parent completes — so once the tokens have popped (⇒
+    ///   every ring-borne root operation finished) the counter can only
+    ///   drain, and zero means the whole spawn tree has executed. A
+    ///   session's entries are all counted, so for it the counter is the
+    ///   whole proof. No lost-wakeup window exists: the count is raised
+    ///   before the push, and the waiter spins (it never parks).
+    ///
+    /// The counter is deliberately a *single* atomic per domain: it is
+    /// raised at submit and lowered (with Release) only after an
+    /// operation's effects are complete, and a steal never touches it —
+    /// so one Acquire load is a sound everything-executed check.
+    /// (Per-delegate depth counters would not be: a steal transfers depth
+    /// between two counters non-atomically with respect to a
+    /// multi-counter scan, which could read the victim after the transfer
+    /// and the thief before it and conclude quiescence with a stolen
+    /// batch still running.)
+    ///
+    /// For the root without stealing and without nesting, `in_flight` is
+    /// permanently zero and the drain is a single load. Errors only with
+    /// [`SsError::Terminated`], when the pool was shut down under a
+    /// waiting session.
+    pub(crate) fn barrier(&self, d: &Domain) -> SsResult<()> {
+        if self.is_root() {
+            let stats = &self.inner.core.stats;
+            let mut tokens = Vec::with_capacity(self.inner.topology.n_delegates);
+            for (i, wakeup) in self.inner.wakeups.iter().enumerate() {
+                let token = SyncToken::new();
+                let sync = Invocation::Sync(Arc::clone(&token));
+                match &self.inner.channels {
+                    Channels::Spsc { producers, .. } => {
+                        // SAFETY: root program thread (callers checked).
+                        if unsafe { producers[i].get() }.push_blocking(sync).is_err() {
+                            continue;
+                        }
+                    }
+                    Channels::Steal(shared) => {
+                        shared.deques[i].push_fence(ss_queue::FenceScope::Open, sync);
+                    }
+                }
+                wakeup.notify();
+                StatsCell::bump(&stats.sync_objects);
+                tokens.push(token);
+            }
+            for t in tokens {
+                t.wait();
             }
         }
-        for t in tokens {
-            t.wait();
-        }
         let backoff = ss_queue::Backoff::new();
-        while self.inner.core.stats.in_flight.load(Ordering::Acquire) != 0 {
+        while d.in_flight.load(Ordering::Acquire) != 0 {
+            self.check_live()?;
             backoff.snooze();
         }
+        Ok(())
     }
 
     /// Records reduction time (called by `Reducible`; Figure 5a component).

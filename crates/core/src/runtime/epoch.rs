@@ -6,6 +6,12 @@
 //! epoch control is restricted to the program thread; `end_isolation`
 //! synchronizes with every delegate queue, which is what makes it safe to
 //! clear the assignment pin table and touch writable objects again.
+//!
+//! The state machine is written once over a [`Domain`](super::Domain):
+//! the root runtime's handle drives domain 0, a session's handle its own.
+//! What differs between them is data — the barrier (`Runtime::barrier`)
+//! broadcasts queue tokens only for the domain that owns the rings — plus
+//! the root-owned resources touched under `is_root()`.
 
 use std::sync::atomic::Ordering;
 use std::time::Instant;
@@ -14,44 +20,18 @@ use crate::error::{SsError, SsResult};
 use crate::stats::StatsCell;
 use crate::trace::TraceKind;
 
-use super::{Runtime, SessionShared};
-
-/// Program-thread-only epoch bookkeeping (per tenant: the root runtime
-/// holds it in a `ProgramOnly` cell, each session in its own mutex).
-pub(crate) struct EpochState {
-    pub(super) in_isolation: bool,
-    /// Increments at every `begin_isolation`; wrappers compare it to their
-    /// stored serial to lazily reset per-epoch object state.
-    pub(super) serial: u64,
-    pub(super) started: Option<Instant>,
-    /// True while a delegated operation executes inline on the program
-    /// thread (guards against nested delegation / re-entrant wrapper use).
-    pub(super) executing_inline: bool,
-}
-
-impl EpochState {
-    pub(super) fn new() -> Self {
-        EpochState {
-            in_isolation: false,
-            serial: 0,
-            started: None,
-            executing_inline: false,
-        }
-    }
-}
+use super::Runtime;
 
 impl Runtime {
     /// Begins an isolation epoch (Table 1 `begin_isolation`): wakes delegate
     /// processor resources if necessary and enables delegation.
     pub fn begin_isolation(&self) -> SsResult<()> {
-        if let Some(s) = &self.session {
-            return self.session_begin_isolation(s);
-        }
         self.require_program_thread()?;
         self.check_live()?;
+        let d = self.domain();
         {
-            // SAFETY: program thread (checked above); borrow scoped.
-            let epoch = unsafe { self.inner.epoch.get() };
+            // SAFETY: the domain's program thread (checked above); scoped.
+            let epoch = unsafe { d.epoch.get() };
             if epoch.executing_inline {
                 return Err(SsError::WrongContext);
             }
@@ -67,38 +47,37 @@ impl Runtime {
             w.notify();
         }
         // SAFETY: program thread; scoped.
-        let epoch = unsafe { self.inner.epoch.get() };
+        let epoch = unsafe { d.epoch.get() };
         epoch.in_isolation = true;
-        epoch.serial += 1;
         epoch.started = Some(Instant::now());
-        // Publish the serial for delegate threads (the nested-delegation
-        // path and the thieves read it) before delegation becomes
-        // possible.
-        self.inner
-            .core
-            .epoch_serial
-            .store(epoch.serial, Ordering::Release);
-        // Runtime is quiesced here (no delegated work from the previous
-        // epoch survives the barrier), so the auditor's sampling decision
-        // is published before any event of this epoch can be recorded.
-        self.inner.core.audit_begin_epoch(epoch.serial);
-        self.inner.epoch_gen.fetch_add(1, Ordering::Release); // → odd
+        // Publish the serial (wrappers, nested delegation, thieves and
+        // audit stamps read it) before delegation becomes possible. Only
+        // this thread writes it, so the read half needs no ordering.
+        let serial = d.epoch_serial.load(Ordering::Relaxed) + 1;
+        d.epoch_serial.store(serial, Ordering::Release);
+        // The domain is quiescent here (its previous barrier drained every
+        // operation), so the auditor's sampling decision is published
+        // before any event of this epoch can be recorded.
+        self.inner.core.audit_begin_epoch(d, serial);
+        if self.is_root() {
+            self.inner.epoch_gen.fetch_add(1, Ordering::Release); // → odd
+        }
         self.trace_record(TraceKind::BeginIsolation, None, None, None);
         Ok(())
     }
 
     /// Ends the isolation epoch (Table 1 `end_isolation`): synchronizes the
-    /// program context with all delegate contexts, then starts a new
-    /// aggregation epoch.
+    /// program context with the delegate contexts — every operation of
+    /// *this domain's* epoch, including transitively spawned ones — then
+    /// starts a new aggregation epoch. One tenant's barrier never waits on
+    /// another tenant's queued work.
     pub fn end_isolation(&self) -> SsResult<()> {
-        if let Some(s) = &self.session {
-            return self.session_end_isolation(s);
-        }
         self.require_program_thread()?;
         self.check_live()?;
+        let d = self.domain();
         {
             // SAFETY: program thread; scoped.
-            let epoch = unsafe { self.inner.epoch.get() };
+            let epoch = unsafe { d.epoch.get() };
             if epoch.executing_inline {
                 return Err(SsError::WrongContext);
             }
@@ -111,62 +90,41 @@ impl Runtime {
         // token/`in_flight` count settles, so token-drain + counter-drain
         // transitively implies future-resolution. A future carried across
         // this boundary is a plain ready value.
-        self.barrier_all_delegates();
-        // The drain is the completion-cell pool's quiescence point: every
-        // operation of the epoch has run, so no sender handle survives,
-        // and cells whose futures were resolved or dropped are down to
-        // the pool's own reference — ready for reuse next epoch. Futures
-        // the user still holds keep their cells in flight.
-        self.inner.core.cell_pool.recycle();
-        if let super::Channels::Steal(shared) = &self.inner.channels {
-            // All *root* queues just drained: safe to forget started sets,
-            // so the next epoch re-routes (and re-steals) freely. Pins need
-            // no reset — the router's sharded map is epoch-stamped and
-            // expires lazily, shard by shard, at the next epoch's writes.
-            //
-            // Skipped while any session is live: the root barrier proves
-            // nothing about tenants' queued work, and forgetting *their*
-            // started keys would let a thief migrate a set whose earlier
-            // ops are still queued on the victim. Keeping the records only
-            // blocks steals of previously-started keys — conservative,
-            // never wrong.
-            if self
-                .inner
-                .core
-                .stats
-                .sessions_active
-                .load(Ordering::Acquire)
-                == 0
-            {
-                shared.reset_epoch();
-                // Queued-cost summaries restart with the drained queues
-                // (clears the drift the saturating arithmetic accrues).
-                self.inner.router.reset_queued_costs();
-            }
+        self.barrier(d)?;
+        if self.is_root() {
+            // The root drain is the completion-cell pool's quiescence
+            // point: every root operation of the epoch has run, so no
+            // sender handle survives, and cells whose futures were
+            // resolved or dropped are down to the pool's own reference —
+            // ready for reuse next epoch. Futures the user still holds
+            // keep their cells in flight. (Session futures take unpooled
+            // cells: this drain proves nothing about them.)
+            self.inner.core.cell_pool.recycle();
+            self.reset_steal_epoch();
         }
         // The barrier waited for all transitively spawned work (`in_flight`
         // reached zero with every parent complete), so no nested producer
         // survives into the next epoch: reset the flag that makes reclaims
         // conservative.
-        self.inner
-            .core
-            .nested_in_epoch
-            .store(false, Ordering::Release);
+        d.nested_in_epoch.store(false, Ordering::Release);
         // After the barrier every execution record of the epoch has been
         // delivered (audit records land before the drain counters/tokens
         // they are proven by), so the conservation check is exact.
-        let audit_failure = self.inner.core.audit_end_epoch();
+        let audit_failure = self.inner.core.audit_end_epoch(d);
         {
             // SAFETY: program thread; scoped.
-            let epoch = unsafe { self.inner.epoch.get() };
+            let epoch = unsafe { d.epoch.get() };
             epoch.in_isolation = false;
             if let Some(t0) = epoch.started.take() {
                 StatsCell::add_nanos(&self.inner.core.stats.isolation_nanos, t0.elapsed());
             }
         }
+        d.epochs.fetch_add(1, Ordering::Release);
         StatsCell::bump(&self.inner.core.stats.isolation_epochs);
-        self.inner.epoch_gen.fetch_add(1, Ordering::Release); // → even
-        self.flush_side_trace();
+        if self.is_root() {
+            self.inner.epoch_gen.fetch_add(1, Ordering::Release); // → even
+            self.flush_side_trace();
+        }
         self.trace_record(TraceKind::EndIsolation, None, None, None);
         if self.is_poisoned() {
             return Err(self.inner.core.poison_error());
@@ -175,6 +133,30 @@ impl Runtime {
             return Err(SsError::SerializabilityViolation(report));
         }
         Ok(())
+    }
+
+    /// Stealing transport, root epoch boundary: all *root* queues just
+    /// drained, so started-set records can be forgotten and the next
+    /// epoch re-routes (and re-steals) freely. Pins need no reset — each
+    /// domain's sharded map is epoch-stamped and expires lazily, shard by
+    /// shard, at the next epoch's writes.
+    ///
+    /// Skipped while any session is live: the root barrier proves nothing
+    /// about tenants' queued work, and forgetting *their* started keys
+    /// would let a thief migrate a set whose earlier ops are still queued
+    /// on the victim. Keeping the records only blocks steals of
+    /// previously-started keys — conservative, never wrong.
+    fn reset_steal_epoch(&self) {
+        let super::Channels::Steal(shared) = &self.inner.channels else {
+            return;
+        };
+        let sessions = &self.inner.core.stats.sessions_active;
+        if sessions.load(Ordering::Acquire) == 0 {
+            shared.reset_epoch();
+            // Queued-cost summaries restart with the drained queues
+            // (clears the drift the saturating arithmetic accrues).
+            self.inner.router.reset_queued_costs();
+        }
     }
 
     /// Runs `f` inside an isolation epoch, synchronizing with all delegates
@@ -199,14 +181,8 @@ impl Runtime {
     /// True while an isolation epoch is open (program thread only; other
     /// threads always observe `false`).
     pub fn in_isolation(&self) -> bool {
-        if !self.is_program_thread() {
-            return false;
-        }
-        if let Some(s) = &self.session {
-            return s.epoch.lock().in_isolation;
-        }
-        // SAFETY: program thread.
-        unsafe { self.inner.epoch.get() }.in_isolation
+        // SAFETY: program thread (checked first).
+        self.is_program_thread() && unsafe { self.domain().epoch.get() }.in_isolation
     }
 
     /// Cross-thread epoch generation counter: odd while an isolation epoch
@@ -220,104 +196,9 @@ impl Runtime {
     /// only; used by the wrappers.
     pub(crate) fn epoch_flags(&self) -> (bool, u64, bool) {
         debug_assert!(self.is_program_thread());
-        if let Some(s) = &self.session {
-            let e = s.epoch.lock();
-            return (e.in_isolation, e.serial, e.executing_inline);
-        }
+        let d = self.domain();
         // SAFETY: program thread (debug-asserted; all callers check).
-        let e = unsafe { self.inner.epoch.get() };
-        (e.in_isolation, e.serial, e.executing_inline)
-    }
-
-    // ------------------------------------------------------------------
-    // session epoch domain. Same state machine, but the bookkeeping lives
-    // in the session's own `Mutex<EpochState>` (a session handle may be
-    // owned by any thread, so the root's `ProgramOnly` cell is off
-    // limits), the serial is published to the session's `epoch_serial`,
-    // and — the point of the exercise — `end_isolation` drains only this
-    // tenant's `in_flight` counter, so one session's barrier never waits
-    // on another tenant's queued work.
-
-    fn session_begin_isolation(&self, s: &SessionShared) -> SsResult<()> {
-        self.require_program_thread()?;
-        self.check_live()?;
-        {
-            let epoch = s.epoch.lock();
-            if epoch.executing_inline {
-                return Err(SsError::WrongContext);
-            }
-            if epoch.in_isolation {
-                return Err(SsError::AlreadyInIsolation);
-            }
-        }
-        if self.is_poisoned() {
-            return Err(self.inner.core.poison_error());
-        }
-        self.inner.force_sleep.store(false, Ordering::Release);
-        for w in self.inner.wakeups.iter() {
-            w.notify();
-        }
-        let mut epoch = s.epoch.lock();
-        epoch.in_isolation = true;
-        epoch.serial += 1;
-        epoch.started = Some(Instant::now());
-        // Publish for the delegate-side paths (nested delegation, thieves)
-        // before any delegation of this epoch can happen.
-        s.epoch_serial.store(epoch.serial, Ordering::Release);
-        // The previous session epoch drained this tenant's `in_flight` to
-        // zero, so no straggler of an earlier epoch can observe the new
-        // sampling decision.
-        self.inner.core.session_audit_begin_epoch(s, epoch.serial);
-        Ok(())
-    }
-
-    fn session_end_isolation(&self, s: &SessionShared) -> SsResult<()> {
-        self.require_program_thread()?;
-        self.check_live()?;
-        {
-            let epoch = s.epoch.lock();
-            if epoch.executing_inline {
-                return Err(SsError::WrongContext);
-            }
-            if !epoch.in_isolation {
-                return Err(SsError::NotIsolating);
-            }
-        }
-        // Per-tenant drain barrier. Every operation submitted through this
-        // session raised `s.in_flight` before it was pushed and settles it
-        // (with Release, after its effects *and* its audit record) when it
-        // completes, so Acquire-observing zero here proves this tenant's
-        // epoch has fully executed — without ever touching the pool-wide
-        // counter other tenants are draining against.
-        let mut spins = 0u32;
-        while s.in_flight.load(Ordering::Acquire) != 0 {
-            self.check_live()?;
-            if spins < 128 {
-                core::hint::spin_loop();
-                spins += 1;
-            } else {
-                std::thread::yield_now();
-            }
-        }
-        s.nested_in_epoch.store(false, Ordering::Release);
-        // Drained: every execution record of this session's epoch has
-        // landed (records precede the counter decrement), so the
-        // conservation sweep over this domain is exact.
-        let audit_failure = self.inner.core.session_audit_end_epoch(s);
-        {
-            let mut epoch = s.epoch.lock();
-            epoch.in_isolation = false;
-            if let Some(t0) = epoch.started.take() {
-                StatsCell::add_nanos(&self.inner.core.stats.isolation_nanos, t0.elapsed());
-            }
-        }
-        StatsCell::bump(&self.inner.core.stats.isolation_epochs);
-        if self.is_poisoned() {
-            return Err(self.inner.core.poison_error());
-        }
-        if let Some(report) = audit_failure {
-            return Err(SsError::SerializabilityViolation(report));
-        }
-        Ok(())
+        let e = unsafe { d.epoch.get() };
+        (e.in_isolation, d.serial(), e.executing_inline)
     }
 }

@@ -6,6 +6,11 @@
 //! * The thread that constructs the [`Runtime`] is the **program thread**; it
 //!   implements the *program context* and is the only thread allowed to
 //!   delegate, call, or switch epochs. Epoch control lives in [`epoch`].
+//!   Everything a program context owns — epoch state and serial, pin
+//!   map, drain counter, trace clock — is one [`domain::Domain`] record;
+//!   the root runtime is domain 0, and [`Runtime::session`] opens further
+//!   domains (each with its own program thread) over the same delegate
+//!   pool. Every path below is written once, over `&Domain`.
 //! * `N` **delegate threads** implement the *delegate context*. Each owns the
 //!   consumer side of a FastForward SPSC queue; the program thread owns all
 //!   producer sides. The worker loop and wakeup machinery live in
@@ -46,10 +51,11 @@
 mod assign;
 mod delegate;
 mod dispatch;
+mod domain;
 mod epoch;
 mod gates;
 mod router;
-pub(crate) mod session;
+mod session;
 #[cfg(test)]
 mod tests;
 
@@ -60,15 +66,16 @@ pub use assign::{
 pub(crate) use assign::{CostSamples, StealShared};
 pub use delegate::DelegateContext;
 pub(crate) use delegate::{future_wait_turn, trace_executor_for, WaitTurn};
+pub(crate) use dispatch::Origin;
+pub(crate) use domain::Domain;
 pub(crate) use gates::TestGates;
 pub(crate) use router::Router;
-pub(crate) use session::SessionShared;
 pub use session::{Session, SessionStats};
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::{JoinHandle, ThreadId};
+use std::thread::JoinHandle;
 use std::time::Instant;
 
 use parking_lot::Mutex;
@@ -76,7 +83,7 @@ use ss_queue::slab::CellPool;
 use ss_queue::{Injector, Producer, SpscQueue};
 
 use delegate::{delegate_main, delegate_main_stealing, Wakeup, DELEGATE_CTX};
-use epoch::EpochState;
+use domain::{key_domain, ROOT_SHARDS};
 
 use crate::audit::{AuditMode, AuditReport, AuditState};
 use crate::cell::ProgramOnly;
@@ -102,20 +109,12 @@ pub(crate) struct Core {
     pub(crate) stats: StatsCell,
     pub(crate) poisoned: AtomicBool,
     pub(crate) panic_msg: Mutex<Option<String>>,
-    /// True once any *nested* delegation (from a delegate context) has
-    /// happened in the current isolation epoch; cleared by
-    /// `end_isolation` after the barrier. While set, mid-epoch reclaims
-    /// quiesce the whole runtime — any still-running parent could spawn
-    /// onto the reclaimed set, so a per-queue token no longer bounds the
-    /// set's outstanding work. Written under the target object's state
-    /// lock (before the object's `pending` count is raised), and read
-    /// under the same lock by the program-context access path, so the two
-    /// sides serialize per object.
-    pub(crate) nested_in_epoch: AtomicBool,
-    /// Logical clock for delegate-side trace events (see
-    /// [`SideEvent::order`]): each steal / nested delegation draws a
-    /// token here, and the fold sorts by it.
-    pub(crate) trace_clock: AtomicU64,
+    /// Domain 0: the root runtime's epoch serial, drain counter,
+    /// nested-epoch flag, audit flag, trace clock and pin map — the same
+    /// record every session owns one of (see [`domain`]). Lives here so
+    /// delegate-side paths that hold no `Inner` reference (thieves,
+    /// packaged closures) can reach it.
+    pub(crate) root: Domain,
     /// Delegate-side trace events awaiting fold into the program-order
     /// log; `None` when tracing is disabled.
     pub(crate) side_events: Option<Mutex<Vec<SideEvent>>>,
@@ -127,12 +126,6 @@ pub(crate) struct Core {
     /// router's strictly non-blocking `peek`, so no shard or scheduler
     /// lock is ever *waited on* while this mutex is held.
     pub(crate) future_waits: Mutex<Vec<Option<FutureWait>>>,
-    /// Cross-thread copy of the isolation-epoch serial, published at
-    /// `begin_isolation`. Read by delegate threads (nested delegation,
-    /// thieves, side-trace events) — the authoritative `epoch.serial` is
-    /// program-only. Stable for the duration of any delegated task,
-    /// because epochs only change when all queues are drained.
-    pub(crate) epoch_serial: AtomicU64,
     /// Per-delegate `(set, observed runtime ns)` sample buffers, present
     /// only when the assignment policy asked for cost feedback
     /// ([`DelegateAssignment::wants_cost_feedback`]); drained by the
@@ -148,13 +141,12 @@ pub(crate) struct Core {
     /// mode other than `Off` — the `None` fast path keeps the default
     /// hot path free of audit atomics.
     pub(crate) audit: Option<AuditState>,
-    /// Live tenant registry: session id → shared session state. Written
-    /// by `Runtime::session` / `Session::drop` (rare); read by thieves to
-    /// resolve which tenant's pin map and epoch serial a stolen key
-    /// belongs to. Never touched on the root (single-tenant) hot path.
-    pub(crate) sessions: Mutex<HashMap<u32, Arc<SessionShared>>>,
-    /// Tenant-id dispenser (ids start at 1; the root runtime is the
-    /// implicit tenant 0).
+    /// Live tenant registry: domain id → session domain. Written by
+    /// `Runtime::session` / `Session::drop` (rare); read by thieves and
+    /// the deadlock detector to resolve which domain's pin map and epoch
+    /// serial a key belongs to. Never touched on the root hot path.
+    pub(crate) sessions: Mutex<HashMap<u32, Arc<Domain>>>,
+    /// Tenant-id dispenser (ids start at 1; the root is domain 0).
     pub(crate) next_session_id: AtomicU32,
     /// The memo table backing the `delegate_memo` family, present only
     /// when [`RuntimeBuilder::memo_capacity`] was set — the `None` fast
@@ -205,51 +197,44 @@ impl Core {
     }
 
     // --------------------------------------------------------------
-    // serializability audit (no-ops when auditing is off)
+    // serializability audit (no-ops when auditing is off). One recorder
+    // for every domain: each call is gated on the *domain's* sampling
+    // flag and stamped with the domain's `audit_serial`
+    // (`id << 48 | epoch serial`), so each tenant's epochs are audited
+    // independently of the root epoch and of every other tenant. `key` is
+    // the domain-qualified routing key.
 
-    /// Draws an audit token for one operation being pushed by `producer`
-    /// (0 = program thread, `1 + i` = delegate `i`). Must be called on
-    /// the producing thread immediately before the queue push / inline
-    /// run so per-producer token order equals queue order. Returns 0
-    /// when unaudited.
+    /// The auditor, when it is observing `d`'s current epoch.
     #[inline]
-    pub(crate) fn audit_submit(&self, ss: SsId, producer: usize) -> u64 {
-        match &self.audit {
-            Some(a) if a.active() => a.submit(
-                ss,
-                producer as u16,
-                self.epoch_serial.load(Ordering::Acquire),
-            ),
-            _ => 0,
-        }
+    fn auditing(&self, d: &Domain) -> Option<&AuditState> {
+        self.audit
+            .as_ref()
+            .filter(|_| d.audit_on.load(Ordering::Relaxed))
     }
 
-    /// Batch form of [`audit_submit`](Core::audit_submit): draws `n`
-    /// consecutive tokens, returning the first tag (the k-th op's tag is
-    /// `base + (k << 16)`); 0 when unaudited.
+    /// Draws `n` consecutive audit tokens for operations being pushed by
+    /// `producer` (0 = program thread, `1 + i` = delegate `i`), returning
+    /// the first tag (the k-th op's tag is `base + (k << 16)`); 0 when
+    /// unaudited. Must be called on the producing thread immediately
+    /// before the queue push / inline run so per-producer token order
+    /// equals queue order.
     #[inline]
-    pub(crate) fn audit_submit_batch(&self, ss: SsId, producer: usize, n: usize) -> u64 {
-        match &self.audit {
-            Some(a) if a.active() => a.submit_batch(
-                ss,
-                producer as u16,
-                n as u64,
-                self.epoch_serial.load(Ordering::Acquire),
-            ),
-            _ => 0,
-        }
+    pub(crate) fn audit_submit(&self, d: &Domain, key: SsId, producer: usize, n: usize) -> u64 {
+        self.auditing(d).map_or(0, |a| {
+            a.submit(key, producer as u16, n as u64, d.audit_serial())
+        })
     }
 
     /// Rolls back `n` consecutive tagged submissions starting at `tag`
     /// (the queue push failed after the tokens were drawn). No-op when
     /// `tag` is 0.
     #[inline]
-    pub(crate) fn audit_unsubmit(&self, ss: SsId, tag: u64, n: usize) {
+    pub(crate) fn audit_unsubmit(&self, d: &Domain, key: SsId, tag: u64, n: usize) {
         if tag == 0 {
             return;
         }
         if let Some(a) = &self.audit {
-            a.unsubmit(ss, tag, n as u64, self.epoch_serial.load(Ordering::Acquire));
+            a.unsubmit(key, tag, n as u64, d.audit_serial());
         }
     }
 
@@ -258,16 +243,16 @@ impl Core {
     /// task body runs, *before* the drain counters are decremented, so
     /// every epoch-barrier drain proof covers the audit record too.
     #[inline]
-    pub(crate) fn audit_exec(&self, ss: SsId, tag: u64, slot: usize) {
+    pub(crate) fn audit_exec(&self, d: &Domain, key: SsId, tag: u64, slot: usize) {
         if tag == 0 {
             return;
         }
         if let Some(a) = &self.audit {
-            a.exec(ss, tag, slot, self.epoch_serial.load(Ordering::Acquire));
+            a.exec(key, tag, slot, d.audit_serial());
         }
     }
 
-    /// Records an executor handover for `ss` after a *legal* steal: the
+    /// Records an executor handover for `key` after a *legal* steal: the
     /// auditor's one-executor-per-set record is re-pointed at the thief's
     /// slot so subsequent executions of the migrated operations do not
     /// read as a second executor. Called for every successful migration —
@@ -277,16 +262,13 @@ impl Core {
     /// `TwoExecutors` on C. Sound because every legal migration happens
     /// with no operation of the set in flight anywhere.
     #[inline]
-    pub(crate) fn audit_handover(&self, ss: SsId, slot: usize) {
-        match &self.audit {
-            Some(a) if a.active() => {
-                a.handover(ss, self.epoch_serial.load(Ordering::Acquire), slot)
-            }
-            _ => {}
+    pub(crate) fn audit_handover(&self, d: &Domain, key: SsId, slot: usize) {
+        if let Some(a) = self.auditing(d) {
+            a.handover(key, d.audit_serial(), slot);
         }
     }
 
-    /// Records a memo hit for `ss`: the served entry's generation is
+    /// Records a memo hit for `key`: the served entry's generation is
     /// checked against the set's live generation and a stale serve is
     /// reported as [`AuditViolation::StaleMemoServe`]. Deliberately
     /// touches no submitted/executed/executor state — a memo hit is *not*
@@ -295,162 +277,46 @@ impl Core {
     ///
     /// [`AuditViolation::StaleMemoServe`]: crate::AuditViolation::StaleMemoServe
     #[inline]
-    pub(crate) fn audit_memo_hit(&self, ss: SsId, entry_gen: u64, live_gen: u64) {
-        match &self.audit {
-            Some(a) if a.active() => a.memo_hit(
-                ss,
-                self.epoch_serial.load(Ordering::Acquire),
-                entry_gen,
-                live_gen,
-            ),
-            _ => {}
-        }
-    }
-
-    /// Session form of [`audit_memo_hit`](Core::audit_memo_hit): gated on
-    /// the session's sampling flag and stamped with its composite serial.
-    #[inline]
-    pub(crate) fn session_audit_memo_hit(
-        &self,
-        s: &SessionShared,
-        key: SsId,
-        entry_gen: u64,
-        live_gen: u64,
-    ) {
-        match &self.audit {
-            Some(a) if s.audit_on.load(Ordering::Relaxed) => {
-                a.memo_hit_in(key, s.audit_serial(), entry_gen, live_gen)
-            }
-            _ => {}
+    pub(crate) fn audit_memo_hit(&self, d: &Domain, key: SsId, entry_gen: u64, live_gen: u64) {
+        if let Some(a) = self.auditing(d) {
+            a.memo_hit(key, d.audit_serial(), entry_gen, live_gen);
         }
     }
 
     /// The ownership-reclaim gate: certifies every program-submitted
-    /// operation of `ss` has executed and stamps a reclaim barrier.
+    /// operation of `key` has executed and stamps a reclaim barrier.
     /// Returns the violation, if any, so the caller can refuse the
     /// access before touching the value.
     #[inline]
-    pub(crate) fn audit_access_gate(&self, ss: SsId) -> Option<AuditReport> {
-        match &self.audit {
-            Some(a) if a.active() => a.access_gate(ss, self.epoch_serial.load(Ordering::Acquire)),
-            _ => None,
-        }
+    pub(crate) fn audit_access_gate(&self, d: &Domain, key: SsId) -> Option<AuditReport> {
+        self.auditing(d)
+            .and_then(|a| a.access_gate(key, d.audit_serial()))
     }
 
-    /// Opens an audit epoch (called from `begin_isolation`, quiesced).
+    /// Opens an audit epoch (called from `begin_isolation`): samples on
+    /// the domain's *own* epoch serial, so sparse tenants still get
+    /// audited epochs under `AuditMode::Sample`. The domain is quiescent
+    /// here (its previous epoch drained), so the decision is published
+    /// before any event of this epoch can be recorded.
     #[inline]
-    pub(crate) fn audit_begin_epoch(&self, serial: u64) {
+    pub(crate) fn audit_begin_epoch(&self, d: &Domain, serial: u64) {
         if let Some(a) = &self.audit {
-            a.begin_epoch(serial);
+            d.audit_on.store(a.should_audit(serial), Ordering::Relaxed);
         }
     }
 
-    /// Closes the audit epoch after the `end_isolation` barrier: runs the
-    /// conservation check, clears the graph, bumps `epochs_audited`, and
-    /// returns the first violation (if any).
+    /// Closes the domain's audit epoch after its `end_isolation` barrier:
+    /// runs the conservation check over this domain's entries, sweeps
+    /// them, bumps `epochs_audited`, and returns the first violation (if
+    /// any).
     #[inline]
-    pub(crate) fn audit_end_epoch(&self) -> Option<AuditReport> {
+    pub(crate) fn audit_end_epoch(&self, d: &Domain) -> Option<AuditReport> {
         let a = self.audit.as_ref()?;
-        let (was_on, violation) = a.end_epoch(self.epoch_serial.load(Ordering::Acquire));
-        if was_on {
-            StatsCell::bump(&self.stats.epochs_audited);
-        }
-        violation
-    }
-
-    // --------------------------------------------------------------
-    // session-domain audit. Same recorder, but gated on the *session's*
-    // sampling flag and stamped with the session's composite serial
-    // (`id << 48 | epoch_serial`), so each tenant's epochs are audited
-    // independently of the root epoch and of every other tenant.
-
-    /// Session form of [`audit_submit`](Core::audit_submit). `key` is the
-    /// session-qualified route key.
-    #[inline]
-    pub(crate) fn session_audit_submit(
-        &self,
-        s: &SessionShared,
-        key: SsId,
-        producer: usize,
-    ) -> u64 {
-        match &self.audit {
-            Some(a) if s.audit_on.load(Ordering::Relaxed) => {
-                a.submit_in(key, producer as u16, s.audit_serial())
-            }
-            _ => 0,
-        }
-    }
-
-    /// Session form of [`audit_unsubmit`](Core::audit_unsubmit).
-    #[inline]
-    pub(crate) fn session_audit_unsubmit(&self, s: &SessionShared, key: SsId, tag: u64, n: usize) {
-        if tag == 0 {
-            return;
-        }
-        if let Some(a) = &self.audit {
-            a.unsubmit(key, tag, n as u64, s.audit_serial());
-        }
-    }
-
-    /// Session form of [`audit_exec`](Core::audit_exec): records against
-    /// the session's serial so the entry lookup matches the submit stamp.
-    #[inline]
-    pub(crate) fn session_audit_exec(&self, s: &SessionShared, key: SsId, tag: u64, slot: usize) {
-        if tag == 0 {
-            return;
-        }
-        if let Some(a) = &self.audit {
-            a.exec(key, tag, slot, s.audit_serial());
-        }
-    }
-
-    /// Session form of [`audit_handover`](Core::audit_handover): stamps
-    /// the session's composite serial so the entry lookup matches.
-    #[inline]
-    pub(crate) fn session_audit_handover(&self, s: &SessionShared, key: SsId, slot: usize) {
-        match &self.audit {
-            Some(a) if s.audit_on.load(Ordering::Relaxed) => {
-                a.handover(key, s.audit_serial(), slot)
-            }
-            _ => {}
-        }
-    }
-
-    /// Session form of [`audit_access_gate`](Core::audit_access_gate).
-    #[inline]
-    pub(crate) fn session_audit_access_gate(
-        &self,
-        s: &SessionShared,
-        key: SsId,
-    ) -> Option<AuditReport> {
-        match &self.audit {
-            Some(a) if s.audit_on.load(Ordering::Relaxed) => {
-                a.access_gate_in(key, s.audit_serial())
-            }
-            _ => None,
-        }
-    }
-
-    /// Opens a session audit epoch: samples on the session's *own* epoch
-    /// serial so sparse tenants still get audited epochs under
-    /// `AuditMode::Sample`.
-    #[inline]
-    pub(crate) fn session_audit_begin_epoch(&self, s: &SessionShared, serial: u64) {
-        if let Some(a) = &self.audit {
-            s.audit_on.store(a.should_audit(serial), Ordering::Relaxed);
-        }
-    }
-
-    /// Closes a session audit epoch after the session's drain barrier:
-    /// conservation-checks and sweeps only this session's entries.
-    #[inline]
-    pub(crate) fn session_audit_end_epoch(&self, s: &SessionShared) -> Option<AuditReport> {
-        let a = self.audit.as_ref()?;
-        if !s.audit_on.swap(false, Ordering::Relaxed) {
+        if !d.audit_on.swap(false, Ordering::Relaxed) {
             return None;
         }
         StatsCell::bump(&self.stats.epochs_audited);
-        a.close_domain(s.audit_serial())
+        a.close_domain(d.audit_serial())
     }
 
     // --------------------------------------------------------------
@@ -526,12 +392,16 @@ impl Core {
         self.chaos.cross_session_pin_leak
     }
 
-    /// Resolves a tenant id (a key's or stamp's high 16 bits) to its live
-    /// session — the thief's and the deadlock detector's way into a
-    /// foreign tenant's pin map and epoch serial. `None` for dropped
-    /// sessions and for root keys whose raw bits merely alias an id.
-    pub(crate) fn session_by_id(&self, id: u32) -> Option<Arc<SessionShared>> {
-        self.sessions.lock().get(&id).cloned()
+    /// Resolves a routing key's high 16 bits to the live session domain
+    /// that owns it — the thief's and the deadlock detector's way into a
+    /// tenant's pin map and epoch serial. `None` for root keys (callers
+    /// fall back to [`Core::root`]), for dropped sessions, and for root
+    /// keys whose raw bits merely alias an id nobody holds.
+    pub(crate) fn session_of_key(&self, key: u64) -> Option<Arc<Domain>> {
+        match key_domain(key) {
+            0 => None,
+            id => self.sessions.lock().get(&id).cloned(),
+        }
     }
 
     /// Records one delegate-side trace event directly against the shared
@@ -552,7 +422,7 @@ impl Core {
             return;
         };
         let event = SideEvent {
-            order: self.trace_clock.fetch_add(1, Ordering::Relaxed),
+            order: self.root.trace_clock.fetch_add(1, Ordering::Relaxed),
             serial,
             kind,
             object,
@@ -582,7 +452,6 @@ pub(crate) enum Channels {
 
 pub(crate) struct Inner {
     id: u64,
-    program_thread: ThreadId,
     mode: ExecutionMode,
     dynamic_checks: bool,
     topology: AssignTopology,
@@ -590,15 +459,14 @@ pub(crate) struct Inner {
     /// Effective steal policy (normalized: `Off` unless ≥ 2 delegates in
     /// parallel mode — with fewer there is no one to steal from).
     steal_policy: StealPolicy,
-    /// The routing layer: assignment policy + sharded set→executor pin
-    /// map. Shared (`Arc`) with the stealing-mode delegate threads, which
-    /// rewrite pins when they migrate batches; holds no reference back
-    /// to this `Inner`.
+    /// The routing layer: the assignment policy, resolving against each
+    /// domain's pin map. Shared (`Arc`) with the stealing-mode delegate
+    /// threads, which rewrite pins when they migrate batches; holds no
+    /// reference back to this `Inner`.
     pub(crate) router: Arc<Router>,
     pub(crate) channels: Channels,
     wakeups: Box<[Arc<Wakeup>]>,
     join_handles: Mutex<Vec<JoinHandle<()>>>,
-    epoch: ProgramOnly<EpochState>,
     started_at: Instant,
     terminated: AtomicBool,
     force_sleep: Arc<AtomicBool>,
@@ -607,9 +475,7 @@ pub(crate) struct Inner {
     /// isolating) and again at `end_isolation` (even during aggregation).
     /// Readable by any executor — stable for the duration of any delegated
     /// task, because epochs only change when all queues are drained.
-    /// (The epoch *serial* lives in [`Core`], where delegate-side paths
-    /// that hold no `Inner` reference — thieves, packaged closures — can
-    /// reach it too.)
+    /// Root-domain state: sessions' epochs do not move it.
     epoch_gen: AtomicU64,
     /// §3.3 execution trace, when enabled (program-thread-only).
     trace_log: Option<ProgramOnly<TraceLog>>,
@@ -634,9 +500,9 @@ pub struct Runtime {
     pub(crate) inner: Arc<Inner>,
     /// `Some` when this handle is a [`Session`]'s view of the runtime:
     /// epoch control, routing, auditing and drain accounting then act on
-    /// the session's own domain instead of the root's. `None` for every
-    /// root handle — all root paths are the seed behaviour, untouched.
-    pub(crate) session: Option<Arc<SessionShared>>,
+    /// the session's [`Domain`] instead of [`Core::root`] (see
+    /// [`Runtime::domain`]). `None` for every root handle.
+    pub(crate) session: Option<Arc<Domain>>,
 }
 
 impl std::fmt::Debug for Runtime {
@@ -714,7 +580,6 @@ impl Runtime {
             topology,
             static_assignment,
             steal_policy != StealPolicy::Off,
-            b.routing == crate::config::RoutingMode::Sharded,
             cost_book,
         ));
 
@@ -723,11 +588,9 @@ impl Runtime {
             stats: StatsCell::new(n_delegates),
             poisoned: AtomicBool::new(false),
             panic_msg: Mutex::new(None),
-            nested_in_epoch: AtomicBool::new(false),
-            trace_clock: AtomicU64::new(0),
+            root: Domain::new(0, ROOT_SHARDS, None),
             side_events: b.trace.then(|| Mutex::new(Vec::new())),
             future_waits: Mutex::new((0..n_delegates).map(|_| None).collect()),
-            epoch_serial: AtomicU64::new(0),
             cost_samples: wants_cost_feedback
                 .then(|| (0..n_delegates).map(|_| Mutex::new(Vec::new())).collect()),
             cell_pool: CellPool::new(),
@@ -763,7 +626,6 @@ impl Runtime {
 
         let inner = Arc::new(Inner {
             id,
-            program_thread: std::thread::current().id(),
             mode: b.mode,
             dynamic_checks: b.dynamic_checks,
             topology,
@@ -773,7 +635,6 @@ impl Runtime {
             channels,
             wakeups,
             join_handles: Mutex::new(Vec::new()),
-            epoch: ProgramOnly::new(EpochState::new()),
             started_at: Instant::now(),
             terminated: AtomicBool::new(false),
             force_sleep,
@@ -895,8 +756,10 @@ impl Runtime {
     /// Instrumentation snapshot (Figure 5a components, operation counts and
     /// per-delegate load).
     pub fn stats(&self) -> Stats {
-        let mut s = self.inner.core.stats.snapshot(self.inner.started_at);
-        if let Some(a) = &self.inner.core.audit {
+        let core = &self.inner.core;
+        let mut s = core.stats.snapshot(self.inner.started_at);
+        s.in_flight = core.root.in_flight.load(Ordering::Acquire);
+        if let Some(a) = &core.audit {
             s.audit_edges = a.edges();
         }
         s
@@ -967,13 +830,13 @@ impl Runtime {
         let Some(log) = &self.inner.trace_log else {
             return;
         };
-        if let Some(s) = &self.session {
-            // The program-order log and its epoch cell belong to the root
-            // program thread. The session's own logical clock still
-            // advances per trace-worthy event, so tenants keep an ordered
-            // event count (`SessionStats::trace_events`) without writing
-            // into the root log.
-            s.trace_clock.fetch_add(1, Ordering::Relaxed);
+        let d = self.domain();
+        if !self.is_root() {
+            // The program-order log belongs to the root program thread.
+            // A session's own logical clock still advances per
+            // trace-worthy event, so tenants keep an ordered event count
+            // (`SessionStats::trace_events`) without writing into it.
+            d.trace_clock.fetch_add(1, Ordering::Relaxed);
             return;
         }
         debug_assert!(self.is_program_thread());
@@ -983,8 +846,7 @@ impl Runtime {
         });
         // SAFETY: program thread (all call sites are program-thread paths);
         // scoped borrow.
-        let epoch = unsafe { self.inner.epoch.get() }.serial;
-        unsafe { log.get() }.record(epoch, kind, object, set, executor);
+        unsafe { log.get() }.record(d.serial(), kind, object, set, executor);
     }
 
     /// Folds delegate-side trace events (steals, nested delegations, pins
@@ -1002,7 +864,7 @@ impl Runtime {
         let Some(buf) = &self.inner.core.side_events else {
             return;
         };
-        if self.session.is_some() {
+        if !self.is_root() {
             return;
         }
         let mut events = std::mem::take(&mut *buf.lock());
@@ -1028,7 +890,7 @@ impl Runtime {
         set: Option<SsId>,
         executor: Executor,
     ) {
-        if self.session.is_some() {
+        if !self.is_root() {
             // The side-event buffer drains into the root-domain trace log;
             // tenant events would pollute it with composite set ids.
             return;
@@ -1037,19 +899,15 @@ impl Runtime {
             Executor::Program => TraceExecutor::Program,
             Executor::Delegate(i) => TraceExecutor::Delegate(i),
         };
-        self.inner.core.record_side(
-            self.inner.core.epoch_serial.load(Ordering::Acquire),
-            kind,
-            object,
-            set,
-            executor,
-        );
+        self.inner
+            .core
+            .record_side(self.inner.core.root.serial(), kind, object, set, executor);
     }
 
     /// Removes and returns the recorded trace (program thread only; empty
     /// when tracing is disabled). Sequence numbers continue across takes.
     pub fn take_trace(&self) -> SsResult<Vec<TraceEvent>> {
-        if self.session.is_some() {
+        if !self.is_root() {
             // The program-order trace log is root-domain state.
             return Err(SsError::WrongContext);
         }
@@ -1072,14 +930,30 @@ impl Runtime {
         self.inner.id
     }
 
+    /// The epoch domain this handle acts on: the session's for a
+    /// [`Session`]'s handle, the root's otherwise. Everything
+    /// domain-scoped — program thread, epoch state, serial, routing keys
+    /// and pins, drain counter, audit stamps — is read through here.
+    #[inline]
+    pub(crate) fn domain(&self) -> &Domain {
+        match &self.session {
+            Some(d) => d,
+            None => &self.inner.core.root,
+        }
+    }
+
+    /// True for handles on the root domain — the domain whose program
+    /// thread owns the SPSC ring producers, the program-order trace log,
+    /// the completion-cell pool's recycle point and the pool lifecycle
+    /// (`sleep`/`shutdown`/`session`).
+    #[inline]
+    pub(crate) fn is_root(&self) -> bool {
+        self.session.is_none()
+    }
+
     #[inline]
     pub(crate) fn is_program_thread(&self) -> bool {
-        let target = match &self.session {
-            // A session's "program thread" is the thread that opened it.
-            Some(s) => s.program_thread,
-            None => self.inner.program_thread,
-        };
-        std::thread::current().id() == target
+        std::thread::current().id() == self.domain().program_thread
     }
 
     /// Executor identity of the calling thread, if it belongs to this
@@ -1108,54 +982,20 @@ impl Runtime {
         self.current_executor_slot()
     }
 
-    /// True once a nested delegation has happened in the current isolation
-    /// epoch (cleared by `end_isolation` after the barrier).
+    /// True once a nested delegation has happened in the domain's current
+    /// isolation epoch (cleared by `end_isolation` after the barrier).
     #[inline]
     pub(crate) fn nested_epoch_active(&self) -> bool {
-        match &self.session {
-            Some(s) => s.nested_in_epoch.load(Ordering::Acquire),
-            None => self.inner.core.nested_in_epoch.load(Ordering::Acquire),
-        }
+        self.domain().nested_in_epoch.load(Ordering::Acquire)
     }
 
     /// Marks the current isolation epoch as containing nested delegations.
     /// Called under the target object's state lock, before raising the
-    /// object's pending count (see [`Core::nested_in_epoch`] for why that
-    /// ordering matters).
+    /// object's pending count (see [`Domain::nested_in_epoch`] for why
+    /// that ordering matters).
     #[inline]
     pub(crate) fn mark_nested_epoch(&self) {
-        match &self.session {
-            Some(s) => s.nested_in_epoch.store(true, Ordering::Release),
-            None => self
-                .inner
-                .core
-                .nested_in_epoch
-                .store(true, Ordering::Release),
-        }
-    }
-
-    /// Cross-thread view of the isolation-epoch serial (the nested
-    /// delegation path's substitute for the program-only `epoch.serial`).
-    /// Session handles answer with the session's own serial — the value
-    /// every session-qualified pin and audit stamp is built from.
-    #[inline]
-    pub(crate) fn cross_epoch_serial(&self) -> u64 {
-        match &self.session {
-            Some(s) => s.epoch_serial.load(Ordering::Acquire),
-            None => self.inner.core.epoch_serial.load(Ordering::Acquire),
-        }
-    }
-
-    /// The memo-table key for `ss` under this handle's domain: root
-    /// handles use the raw set id; session handles use the
-    /// session-qualified route key, which is what gives every session a
-    /// private memo domain with no extra memo state.
-    #[inline]
-    pub(crate) fn memo_key(&self, ss: SsId) -> u64 {
-        match &self.session {
-            Some(s) => s.route_key(ss),
-            None => ss.0,
-        }
+        self.domain().nested_in_epoch.store(true, Ordering::Release);
     }
 
     #[inline]
@@ -1181,7 +1021,7 @@ impl Runtime {
     /// (Table 1 `sleep`): delegate threads park as soon as their queues are
     /// empty, regardless of wait policy, until the next `begin_isolation`.
     pub fn sleep(&self) -> SsResult<()> {
-        if self.session.is_some() {
+        if !self.is_root() {
             // Pool-wide lifecycle stays with the root handle: one tenant
             // must not park the delegates out from under the others.
             return Err(SsError::WrongContext);
@@ -1198,7 +1038,7 @@ impl Runtime {
     /// Terminates the delegate threads after they drain their queues (Table 1
     /// `terminate`). Idempotent; also implied by dropping the last handle.
     pub fn shutdown(&self) -> SsResult<()> {
-        if self.session.is_some() {
+        if !self.is_root() {
             return Err(SsError::WrongContext);
         }
         self.require_program_thread()?;

@@ -4,16 +4,17 @@
 //! program thread delegating, a delegate context delegating recursively,
 //! a future-returning delegation on either, a thief migrating batches, a
 //! reclaim placing its fence token, the future-wait deadlock detector
-//! resolving pins — goes through this [`Router`]. It owns the two pieces
-//! of routing state:
-//!
-//! * the **assignment policy** ([`Scheduler`]), behind a mutex that is
-//!   held only while a policy actually runs (first touch of a set in an
-//!   epoch, or a pure-policy recomputation) — never on the hot path of a
-//!   set that is already pinned;
-//! * the **sharded pin map** ([`ss_queue::shardmap::ShardMap`]): the
-//!   epoch-stamped set→executor pins, with per-shard locks for writers
-//!   and lock-free reads for the re-delegate-to-a-pinned-set case.
+//! resolving pins — goes through this [`Router`]. It owns the
+//! **assignment policy** ([`Scheduler`]), behind a mutex that is held only
+//! while a policy actually runs (first touch of a set in an epoch, or a
+//! pure-policy recomputation) — never on the hot path of a set that is
+//! already pinned — and resolves every key against the **sharded pin map**
+//! ([`ss_queue::shardmap::ShardMap`]) of the [`Domain`] it is handed: the
+//! epoch-stamped set→executor pins, with per-shard locks for writers and
+//! lock-free reads for the re-delegate-to-a-pinned-set case. Pin maps are
+//! per domain because a shard's serial gate wipes the whole shard on
+//! mismatch: two domains' interleaved epochs sharing one map would erase
+//! each other's live pins.
 //!
 //! # The sharded-pin protocol
 //!
@@ -55,19 +56,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use ss_queue::shardmap::ShardMap;
 use ss_queue::CachePadded;
 
 use crate::serializer::SsId;
 
 use super::assign::{static_executor, AssignTopology, CostBook, DelegateLoads, Scheduler};
+use super::domain::Domain;
 use super::Executor;
-
-/// Shard count for the default routing mode. 64 shards keep the
-/// per-shard collision probability low for realistic set counts while
-/// costing ~100 KiB per runtime; `RoutingMode::LegacyMutex` collapses to
-/// 1 (a single global lock, for ablation).
-const DEFAULT_SHARDS: usize = 64;
 
 /// How a [`Router`] resolved a set (returned by the `route*` calls).
 pub(crate) struct Route {
@@ -139,12 +134,7 @@ pub(crate) struct Router {
     /// True when pins are authoritative even for pure policies (stealing
     /// mode: a steal must be able to override any policy's answer).
     always_pin: bool,
-    /// False under `RoutingMode::LegacyMutex`: every resolution takes
-    /// the (single) shard lock, reproducing the pre-sharding global
-    /// mutex for the `ablation_routing` comparison.
-    lock_free: bool,
     scheduler: Mutex<Scheduler>,
-    pins: ShardMap,
     /// `Some` only under [`crate::StealPolicy::CostAware`].
     costs: Option<CostState>,
 }
@@ -155,7 +145,6 @@ impl Router {
         topology: AssignTopology,
         static_assignment: bool,
         always_pin: bool,
-        sharded: bool,
         cost_book: Option<Arc<CostBook>>,
     ) -> Router {
         let costs = cost_book.map(|book| CostState {
@@ -169,9 +158,7 @@ impl Router {
             static_assignment,
             pure: policy.is_pure(),
             always_pin,
-            lock_free: sharded,
             scheduler: Mutex::new(Scheduler::new(policy)),
-            pins: ShardMap::new(if sharded { DEFAULT_SHARDS } else { 1 }),
             costs,
         }
     }
@@ -271,57 +258,49 @@ impl Router {
             .assign_raw(ss, serial, &self.topology, loads)
     }
 
-    /// Resolves `ss` for epoch `serial` — the non-publishing resolution
-    /// used by the non-stealing transports (SPSC rings and injector
-    /// lanes), where a pin can never change within an epoch and the
-    /// queue push therefore does not need to be atomic with the lookup.
+    /// Resolves `key` in domain `d`'s current epoch — the non-publishing
+    /// resolution used by the non-stealing transports (SPSC rings and
+    /// injector lanes), where a pin can never change within an epoch and
+    /// the queue push therefore does not need to be atomic with the
+    /// lookup.
     ///
     /// Pure policies bypass the pin map entirely (recomputed per call,
     /// matching the pre-router behaviour: no pin, no `Pin` trace).
-    pub(crate) fn route(&self, ss: SsId, serial: u64, loads: &DelegateLoads<'_>) -> Route {
-        self.route_in(&self.pins, ss, serial, loads)
-    }
-
-    /// [`route`](Router::route) against an explicit pin map — the
-    /// session paths resolve their (session-qualified) keys against the
-    /// session's own map, whose per-shard epoch stamps carry that
-    /// tenant's serials. Sharing the root map would be unsound: a shard's
-    /// serial gate wipes the whole shard on mismatch, so two tenants'
-    /// interleaved epochs would erase each other's live pins.
-    pub(crate) fn route_in(
-        &self,
-        pins: &ShardMap,
-        ss: SsId,
-        serial: u64,
-        loads: &DelegateLoads<'_>,
-    ) -> Route {
+    pub(crate) fn route(&self, d: &Domain, key: SsId, loads: &DelegateLoads<'_>) -> Route {
         debug_assert!(!self.always_pin, "stealing submits must route_publish");
+        if self.topology.n_delegates == 0 {
+            // Serial mode / zero-delegate runtimes: everything runs inline.
+            return Route {
+                executor: Executor::Program,
+                fresh_pin: false,
+                fast_hit: false,
+            };
+        }
         if self.static_assignment {
             return Route {
-                executor: static_executor(ss, &self.topology),
+                executor: static_executor(key, &self.topology),
                 fresh_pin: false,
                 fast_hit: false,
             };
         }
+        let serial = d.serial();
         if self.pure {
             return Route {
-                executor: self.assign(ss, serial, loads),
+                executor: self.assign(key, serial, loads),
                 fresh_pin: false,
                 fast_hit: false,
             };
         }
-        if self.lock_free {
-            if let Some(code) = pins.get(ss.0, serial) {
-                return Route {
-                    executor: decode(code),
-                    fresh_pin: false,
-                    fast_hit: true,
-                };
-            }
+        if let Some(code) = d.pins.get(key.0, serial) {
+            return Route {
+                executor: decode(code),
+                fresh_pin: false,
+                fast_hit: true,
+            };
         }
-        let mut shard = pins.lock_key(ss.0);
+        let mut shard = d.pins.lock_key(key.0);
         let (code, fresh_pin) =
-            shard.get_or_insert_with(ss.0, serial, || encode(self.assign(ss, serial, loads)));
+            shard.get_or_insert_with(key.0, serial, || encode(self.assign(key, serial, loads)));
         Route {
             executor: decode(code),
             fresh_pin,
@@ -329,10 +308,11 @@ impl Router {
         }
     }
 
-    /// Resolves `ss` and, if it routes to a delegate, runs `publish`
-    /// (the queue push plus its accounting) inside the set's shard
-    /// critical section — the stealing transport's submit. Holding the
-    /// shard lock across the push is what keeps a concurrent steal from
+    /// Resolves `key` and, if it routes to delegate `i`, runs
+    /// `publish(i)` (the queue push plus its accounting) inside the set's
+    /// shard critical section — the stealing transport's submit. Holding
+    /// the shard lock across the push is what keeps a concurrent steal
+    /// (which locks the same shard of the same domain's map) from
     /// migrating the set mid-publish; see the module docs, mode 2.
     ///
     /// Program-routed sets skip `publish` (no queue; the caller runs the
@@ -341,33 +321,18 @@ impl Router {
     /// must be able to override the policy's answer for the epoch.
     pub(crate) fn route_publish(
         &self,
-        ss: SsId,
-        serial: u64,
+        d: &Domain,
+        key: SsId,
         loads: &DelegateLoads<'_>,
-        publish: impl FnOnce(Executor),
+        publish: impl FnOnce(usize),
     ) -> Route {
-        self.route_publish_in(&self.pins, ss, serial, loads, publish)
-    }
-
-    /// [`route_publish`](Router::route_publish) against an explicit pin
-    /// map (see [`route_in`](Router::route_in)). A thief migrating a
-    /// session's keys locks the same session map, so the
-    /// publish-vs-steal critical-section argument is unchanged — it just
-    /// plays out per tenant.
-    pub(crate) fn route_publish_in(
-        &self,
-        pins: &ShardMap,
-        ss: SsId,
-        serial: u64,
-        loads: &DelegateLoads<'_>,
-        publish: impl FnOnce(Executor),
-    ) -> Route {
-        let mut shard = pins.lock_key(ss.0);
+        let serial = d.serial();
+        let mut shard = d.pins.lock_key(key.0);
         let (code, fresh_pin) =
-            shard.get_or_insert_with(ss.0, serial, || encode(self.assign(ss, serial, loads)));
+            shard.get_or_insert_with(key.0, serial, || encode(self.assign(key, serial, loads)));
         let executor = decode(code);
-        if matches!(executor, Executor::Delegate(_)) {
-            publish(executor);
+        if let Executor::Delegate(i) = executor {
+            publish(i);
         }
         Route {
             executor,
@@ -376,20 +341,20 @@ impl Router {
         }
     }
 
-    /// Resolves the *current* pin of `ss` (falling back to `fallback`
+    /// Resolves the *current* pin of `key` (falling back to `fallback`
     /// when the set has no pin this epoch) and runs `f` with the answer
     /// while still holding the set's shard lock — the reclaim path's
     /// fence placement, which must be atomic with respect to a steal
     /// migrating the set out from under the token.
     pub(crate) fn with_current_pin<R>(
         &self,
-        ss: SsId,
-        serial: u64,
+        d: &Domain,
+        key: SsId,
         fallback: Executor,
         f: impl FnOnce(Executor) -> R,
     ) -> R {
-        let shard = self.pins.lock_key(ss.0);
-        let executor = shard.get(ss.0, serial).map(decode).unwrap_or(fallback);
+        let shard = d.pins.lock_key(key.0);
+        let executor = shard.get(key.0, d.serial()).map(decode).unwrap_or(fallback);
         f(executor)
     }
 
@@ -402,70 +367,43 @@ impl Router {
     /// conservative answer costs a millisecond, not a hang.
     pub(crate) fn peek(
         &self,
-        ss: SsId,
-        serial: u64,
+        d: &Domain,
+        key: SsId,
         loads: &DelegateLoads<'_>,
     ) -> Option<Executor> {
-        self.peek_in(&self.pins, ss, serial, loads)
-    }
-
-    /// [`peek`](Router::peek) against an explicit pin map (see
-    /// [`route_in`](Router::route_in)).
-    pub(crate) fn peek_in(
-        &self,
-        pins: &ShardMap,
-        ss: SsId,
-        serial: u64,
-        loads: &DelegateLoads<'_>,
-    ) -> Option<Executor> {
+        if self.topology.n_delegates == 0 {
+            return Some(Executor::Program);
+        }
         if self.static_assignment {
-            return Some(static_executor(ss, &self.topology));
+            return Some(static_executor(key, &self.topology));
         }
         if self.pure && !self.always_pin {
             // Pure ⇒ side-effect-free recomputation, but the policy box
             // still sits behind the mutex; try_lock keeps the
             // non-blocking contract when a first touch is mid-flight.
             let mut scheduler = self.scheduler.try_lock()?;
-            return Some(scheduler.assign_raw(ss, serial, &self.topology, loads));
+            return Some(scheduler.assign_raw(key, d.serial(), &self.topology, loads));
         }
-        pins.read_nonblocking(ss.0, serial).map(decode)
+        d.pins.read_nonblocking(key.0, d.serial()).map(decode)
     }
 
-    /// Migrates `candidates` from executor `from` to executor `to`, with
-    /// `transfer` performing the actual queue surgery (remove the
-    /// batches from the victim, land them on the thief) under the
-    /// candidates' shard locks. `transfer` receives the candidates that
-    /// are still pinned to `from` (another thief may have won a key in
-    /// the window before the locks were taken) and returns the keys it
+    /// Migrates `candidates` (keys of domain `d`) from executor `from` to
+    /// executor `to`, with `transfer` performing the actual queue surgery
+    /// (remove the batches from the victim, land them on the thief) under
+    /// the candidates' shard locks. `transfer` receives the candidates
+    /// that are still pinned to `from` (another thief may have won a key
+    /// in the window before the locks were taken) and returns the keys it
     /// actually removed — only those are re-pinned. Returns the migrated
     /// keys.
-    pub(crate) fn migrate_keys(
-        &self,
-        serial: u64,
-        candidates: &[u64],
-        from: Executor,
-        to: Executor,
-        transfer: impl FnOnce(&[u64]) -> Vec<u64>,
-    ) -> Vec<u64> {
-        self.migrate_keys_in(&self.pins, serial, candidates, from, to, true, transfer)
-    }
-
-    /// [`migrate_keys`](Router::migrate_keys) against an explicit pin map
-    /// — the thief resolves each candidate's *domain* (the key's high 16
-    /// bits) and migrates session-owned keys against that session's map
-    /// and epoch serial, so the revalidate-transfer-repin step composes
-    /// per tenant.
     ///
     /// `repin: false` moves the batches but leaves the victim's pin in
     /// place — only the `cross_session_pin_leak` chaos knob passes it, to
-    /// model a thief that republishes the pin in the wrong tenant's
-    /// namespace (see [`leak_pin`](Router::leak_pin)). The per-session
+    /// model a thief that republishes the pin in the wrong domain's
+    /// namespace (see [`leak_pin`](Router::leak_pin)). The tenant's
     /// auditor must then see the set execute on two executors.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn migrate_keys_in(
+    pub(crate) fn migrate_keys(
         &self,
-        pins: &ShardMap,
-        serial: u64,
+        d: &Domain,
         candidates: &[u64],
         from: Executor,
         to: Executor,
@@ -475,8 +413,9 @@ impl Router {
         if candidates.is_empty() {
             return Vec::new();
         }
+        let serial = d.serial();
         let from_code = encode(from);
-        let mut shards = pins.lock_keys(candidates);
+        let mut shards = d.pins.lock_keys(candidates);
         let valid: Vec<u64> = candidates
             .iter()
             .copied()
@@ -504,9 +443,9 @@ impl Router {
     /// thief — the two-executor overlap the per-session auditor exists to
     /// catch.
     #[cfg(feature = "chaos")]
-    pub(crate) fn leak_pin(&self, key: u64, root_serial: u64, to: Executor) {
-        let mut shard = self.pins.lock_key(key);
-        shard.set(key, root_serial, encode(to));
+    pub(crate) fn leak_pin(&self, root: &Domain, key: u64, to: Executor) {
+        let mut shard = root.pins.lock_key(key);
+        shard.set(key, root.serial(), encode(to));
     }
 }
 
@@ -516,7 +455,6 @@ impl std::fmt::Debug for Router {
             .field("static_assignment", &self.static_assignment)
             .field("pure", &self.pure)
             .field("always_pin", &self.always_pin)
-            .field("shards", &self.pins.shard_count())
             .finish()
     }
 }
@@ -548,7 +486,14 @@ mod tests {
     }
 
     fn router(policy: Box<dyn super::super::DelegateAssignment>, n: usize) -> Router {
-        Router::new(policy, topo(n), false, false, true, None)
+        Router::new(policy, topo(n), false, false, None)
+    }
+
+    /// A root-like domain whose current epoch serial is `serial`.
+    fn epoch(serial: u64) -> Domain {
+        let e = Domain::new(0, 4, None);
+        e.epoch_serial.store(serial, Ordering::Relaxed);
+        e
     }
 
     #[test]
@@ -557,17 +502,18 @@ mod tests {
         // must hold it on its first-touch executor within one epoch.
         let d = depths(&[0, 4]);
         let r = router(Box::new(LeastLoaded), 2);
-        let first = r.route(SsId(7), 1, &loads_of(&d));
+        let e = epoch(1);
+        let first = r.route(&e, SsId(7), &loads_of(&d));
         assert_eq!(first.executor, Executor::Delegate(0));
         assert!(first.fresh_pin);
         d[0].store(100, std::sync::atomic::Ordering::Relaxed);
-        let again = r.route(SsId(7), 1, &loads_of(&d));
+        let again = r.route(&e, SsId(7), &loads_of(&d));
         assert_eq!(again.executor, Executor::Delegate(0));
         assert!(!again.fresh_pin);
         assert!(again.fast_hit, "second resolution must be lock-free");
         // A *different* set may go elsewhere.
         assert_eq!(
-            r.route(SsId(8), 1, &loads_of(&d)).executor,
+            r.route(&e, SsId(8), &loads_of(&d)).executor,
             Executor::Delegate(1)
         );
     }
@@ -576,19 +522,21 @@ mod tests {
     fn repins_only_at_epoch_boundary() {
         let d = depths(&[10, 0]);
         let r = router(Box::new(LeastLoaded), 2);
+        let e = epoch(1);
         assert_eq!(
-            r.route(SsId(7), 1, &loads_of(&d)).executor,
+            r.route(&e, SsId(7), &loads_of(&d)).executor,
             Executor::Delegate(1)
         );
         d[1].store(50, std::sync::atomic::Ordering::Relaxed);
         // Same epoch: stays.
         assert_eq!(
-            r.route(SsId(7), 1, &loads_of(&d)).executor,
+            r.route(&e, SsId(7), &loads_of(&d)).executor,
             Executor::Delegate(1)
         );
         // New epoch: free to move to the now-shallow delegate 0.
         d[0].store(0, std::sync::atomic::Ordering::Relaxed);
-        let moved = r.route(SsId(7), 2, &loads_of(&d));
+        e.epoch_serial.store(2, Ordering::Relaxed);
+        let moved = r.route(&e, SsId(7), &loads_of(&d));
         assert_eq!(moved.executor, Executor::Delegate(0));
         assert!(moved.fresh_pin);
     }
@@ -597,8 +545,9 @@ mod tests {
     fn pure_policies_bypass_the_pin_map() {
         let d = depths(&[0, 0]);
         let r = router(Box::new(StaticAssignment), 2);
+        let e = epoch(1);
         for ss in 0..10u64 {
-            let route = r.route(SsId(ss), 1, &loads_of(&d));
+            let route = r.route(&e, SsId(ss), &loads_of(&d));
             assert!(!route.fresh_pin && !route.fast_hit);
         }
     }
@@ -607,23 +556,13 @@ mod tests {
     fn round_robin_is_epoch_stable_through_the_router() {
         let d = depths(&[0, 0, 0]);
         let r = router(Box::new(RoundRobinFirstTouch::default()), 3);
-        let first = r.route(SsId(5), 3, &loads_of(&d)).executor;
+        let e = epoch(3);
+        let first = r.route(&e, SsId(5), &loads_of(&d)).executor;
         for _ in 0..5 {
-            r.route(SsId(1), 3, &loads_of(&d));
-            r.route(SsId(2), 3, &loads_of(&d));
-            assert_eq!(r.route(SsId(5), 3, &loads_of(&d)).executor, first);
+            r.route(&e, SsId(1), &loads_of(&d));
+            r.route(&e, SsId(2), &loads_of(&d));
+            assert_eq!(r.route(&e, SsId(5), &loads_of(&d)).executor, first);
         }
-    }
-
-    #[test]
-    fn legacy_mutex_mode_still_routes_correctly() {
-        let d = depths(&[0, 0]);
-        let r = Router::new(Box::new(LeastLoaded), topo(2), false, false, false, None);
-        let first = r.route(SsId(1), 1, &loads_of(&d));
-        assert!(first.fresh_pin);
-        let again = r.route(SsId(1), 1, &loads_of(&d));
-        assert_eq!(again.executor, first.executor);
-        assert!(!again.fast_hit, "legacy mode has no lock-free path");
     }
 
     #[test]
@@ -634,18 +573,18 @@ mod tests {
             topo(2),
             false,
             true,
-            true,
             None,
         );
+        let e = epoch(1);
         let mut published = None;
-        let route = r.route_publish(SsId(3), 1, &loads_of(&d), |e| published = Some(e));
-        assert_eq!(published, Some(route.executor));
+        let route = r.route_publish(&e, SsId(3), &loads_of(&d), |i| published = Some(i));
+        assert_eq!(published.map(Executor::Delegate), Some(route.executor));
         assert!(route.fresh_pin);
         // Second publish reuses the pin.
         let mut again = None;
-        let route2 = r.route_publish(SsId(3), 1, &loads_of(&d), |e| again = Some(e));
+        let route2 = r.route_publish(&e, SsId(3), &loads_of(&d), |i| again = Some(i));
         assert!(!route2.fresh_pin);
-        assert_eq!(again, Some(route.executor));
+        assert_eq!(again.map(Executor::Delegate), Some(route.executor));
     }
 
     #[test]
@@ -656,17 +595,17 @@ mod tests {
             topo(3),
             false,
             true,
-            true,
             None,
         );
+        let e = epoch(1);
         // Pin three sets to whatever the policy says, then force them
         // all onto delegate 0 by routing with a fresh map state.
         for ss in [10u64, 11, 12] {
-            r.route_publish(SsId(ss), 1, &loads_of(&d), |_| {});
+            r.route_publish(&e, SsId(ss), &loads_of(&d), |_| {});
         }
         let pins: Vec<Executor> = [10u64, 11, 12]
             .iter()
-            .map(|&ss| r.peek(SsId(ss), 1, &loads_of(&d)).unwrap())
+            .map(|&ss| r.peek(&e, SsId(ss), &loads_of(&d)).unwrap())
             .collect();
         let victim = pins[0];
         let victims: Vec<u64> = [10u64, 11, 12]
@@ -677,18 +616,25 @@ mod tests {
             .collect();
         // Ask to migrate all three candidates; transfer only takes the
         // first valid one.
-        let taken = r.migrate_keys(1, &[10, 11, 12], victim, Executor::Delegate(2), |valid| {
-            assert_eq!(valid, victims.as_slice());
-            vec![valid[0]]
-        });
+        let taken = r.migrate_keys(
+            &e,
+            &[10, 11, 12],
+            victim,
+            Executor::Delegate(2),
+            true,
+            |valid| {
+                assert_eq!(valid, victims.as_slice());
+                vec![valid[0]]
+            },
+        );
         assert_eq!(taken, vec![victims[0]]);
         assert_eq!(
-            r.peek(SsId(victims[0]), 1, &loads_of(&d)),
+            r.peek(&e, SsId(victims[0]), &loads_of(&d)),
             Some(Executor::Delegate(2))
         );
         // Untaken keys keep their pins.
         for (&ss, &pin) in [10u64, 11, 12].iter().zip(&pins).skip(1) {
-            assert_eq!(r.peek(SsId(ss), 1, &loads_of(&d)), Some(pin));
+            assert_eq!(r.peek(&e, SsId(ss), &loads_of(&d)), Some(pin));
         }
     }
 
@@ -701,7 +647,6 @@ mod tests {
             Box::new(RoundRobinFirstTouch::default()),
             topo(2),
             false,
-            true,
             true,
             Some(Arc::clone(&book)),
         );
@@ -748,7 +693,6 @@ mod tests {
             Box::new(RoundRobinFirstTouch::default()),
             topo(2),
             false,
-            true,
             true,
             Some(Arc::clone(&book)),
         );
@@ -821,10 +765,11 @@ mod tests {
             }),
             2,
         ));
-        let r2 = Arc::clone(&r);
+        let e = Arc::new(epoch(1));
+        let (r2, e2) = (Arc::clone(&r), Arc::clone(&e));
         let blocker = std::thread::spawn(move || {
             let d = depths(&[0, 0]);
-            r2.route(SsId(1), 1, &loads_of(&d));
+            r2.route(&e2, SsId(1), &loads_of(&d));
         });
         while !entered.load(Ordering::Acquire) {
             std::hint::spin_loop();
@@ -834,7 +779,7 @@ mod tests {
         let d = depths(&[0, 0]);
         let peeker = std::thread::spawn(move || {
             for ss in 0..200u64 {
-                let _ = r.peek(SsId(ss), 1, &loads_of(&d));
+                let _ = r.peek(&e, SsId(ss), &loads_of(&d));
             }
         });
         peeker.join().expect("peek blocked behind a shard writer");

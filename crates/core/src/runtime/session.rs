@@ -1,172 +1,20 @@
-//! Sessions: per-tenant epoch domains over one shared delegate pool.
+//! Sessions: per-tenant handles onto one shared delegate pool.
 //!
-//! The paper's model has exactly one program thread; `end_isolation`
-//! quiesces the world. A [`Session`] relaxes that to *multi-tenant*
-//! operation: each session owns its own epoch domain — epoch serial,
-//! isolation flag, pin namespace, in-flight counter, trace clock — while
-//! every session shares the root runtime's delegate threads, queues and
-//! completion machinery. The root runtime itself remains a tenant (the
-//! implicit "session 0") whose paths are bit-for-bit the seed behaviour.
-//!
-//! Isolation between tenants rests on three mechanisms (the proof sketch
-//! lives in `docs/ARCHITECTURE.md`, "Sessions"):
-//!
-//! 1. **Namespaced routing keys.** Every session-submitted operation is
-//!    routed, queued and audited under a composite key carrying the
-//!    session id in its high 16 bits ([`SessionShared::route_key`]), so
-//!    two tenants delegating the same user-visible `SsId` never share a
-//!    pin, a deque batch, or an audit entry.
-//! 2. **Per-session pin maps.** Each session owns a private
-//!    [`ShardMap`]: the shard-level epoch stamps that let pins expire
-//!    lazily are per-tenant, so one session opening its next epoch never
-//!    invalidates (or worse, wipes) another tenant's live pins.
-//! 3. **Per-session drain counters.** A session raises its own
-//!    `in_flight` before every push and the executing delegate lowers it
-//!    *after* the operation's effects (completion cell, audit record)
-//!    are visible — so a session's `end_isolation` spins only on its own
-//!    counter and one tenant's barrier never waits for another tenant's
-//!    epoch.
+//! A [`Session`] is a [`Runtime`] handle bound to its own
+//! [`Domain`](super::domain::Domain) — epoch serial, isolation flag, pin
+//! namespace, drain counter, trace clock — while every session shares the
+//! root runtime's delegate threads, queues and completion machinery. The
+//! root runtime is domain 0 of the same record; nothing here is a second
+//! implementation of anything.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::thread::ThreadId;
-
-use parking_lot::Mutex;
-use ss_queue::shardmap::ShardMap;
 
 use crate::error::{SsError, SsResult};
-use crate::serializer::SsId;
 use crate::stats::StatsCell;
 
-use super::epoch::EpochState;
+use super::domain::{Domain, SESSION_SHARDS};
 use super::Runtime;
-
-/// Shard count for a session's private pin map. Sessions are expected to
-/// be numerous, so each map is kept smaller than the root's 64 shards;
-/// collisions only cost lock granularity, never correctness.
-const SESSION_SHARDS: usize = 16;
-
-/// Bits of the user-visible serialization-set id preserved in a
-/// session-qualified routing key; the top 16 bits carry the session id.
-const KEY_BITS: u32 = 48;
-const KEY_MASK: u64 = (1 << KEY_BITS) - 1;
-
-/// Folds an arbitrary 64-bit set id into the 48-bit key space. Identity
-/// for ids below 2^48 (every object-address- or sequence-derived id);
-/// larger external ids fold their high bits in. A fold collision merely
-/// merges two sets' routing granularity — they co-pin and co-steal, a
-/// scheduling restriction, never an ordering violation.
-#[inline]
-pub(crate) fn fold48(id: u64) -> u64 {
-    (id ^ (id >> KEY_BITS)) & KEY_MASK
-}
-
-/// Extracts the owning session id from a composite routing key (0 for
-/// root-domain keys below 2^48).
-#[inline]
-pub(crate) fn key_session(key: u64) -> u32 {
-    (key >> KEY_BITS) as u32
-}
-
-/// The cross-thread state of one session, shared between the session
-/// handle, every invocation it has in flight, and (in stealing mode) the
-/// thieves that migrate its batches.
-pub(crate) struct SessionShared {
-    /// Non-zero tenant id (the root runtime is the implicit domain 0).
-    pub(crate) id: u32,
-    /// The session's program thread: the thread that called
-    /// [`Runtime::session`]. Epoch control and delegation for this
-    /// session are restricted to it, exactly as the root runtime
-    /// restricts them to its constructing thread.
-    pub(crate) program_thread: ThreadId,
-    /// The session's epoch state machine. A mutex rather than the root's
-    /// `ProgramOnly` cell: session threads are "foreign" to the pool, and
-    /// an uncontended `parking_lot` lock on the session's own thread is
-    /// cheap, allocation-free, and keeps this module `unsafe`-free.
-    pub(crate) epoch: Mutex<EpochState>,
-    /// Cross-thread copy of the session's epoch serial (delegates and
-    /// thieves read it; the mutex-guarded `epoch.serial` is the
-    /// authority). Stable for the duration of any delegated task — the
-    /// session barrier drains before the serial can change.
-    pub(crate) epoch_serial: AtomicU64,
-    /// Session-scoped drain counter: raised before every push of a
-    /// session operation, lowered by the executing delegate after the
-    /// operation's effects (audit record included) are visible. The
-    /// session's `end_isolation` spins on this alone.
-    pub(crate) in_flight: AtomicU64,
-    /// Operations submitted through this session (monotonic).
-    pub(crate) submitted: AtomicU64,
-    /// Operations completed for this session (monotonic) — the
-    /// cross-tenant stress test's liveness witness.
-    pub(crate) completed: AtomicU64,
-    /// True once a nested delegation happened in the session's current
-    /// isolation epoch (makes its reclaims conservative, mirroring the
-    /// root flag).
-    pub(crate) nested_in_epoch: AtomicBool,
-    /// The session's own logical trace clock: advances once per
-    /// trace-worthy event on the session's program thread (the root trace
-    /// log itself is root-domain state, so tenants count events rather
-    /// than write them there).
-    pub(crate) trace_clock: AtomicU64,
-    /// Whether the auditor is observing the session's current epoch
-    /// (per-domain sampling decision, published at `begin_isolation`
-    /// while the session is quiescent).
-    pub(crate) audit_on: AtomicBool,
-    /// The session's private set→executor pin map.
-    pub(crate) pins: ShardMap,
-    /// Per-session in-flight cap (fairness backpressure), from
-    /// [`RuntimeBuilder::session_queue_cap`](crate::RuntimeBuilder::session_queue_cap).
-    pub(crate) queue_cap: Option<u64>,
-}
-
-impl SessionShared {
-    pub(crate) fn new(id: u32, queue_cap: Option<u64>) -> Self {
-        SessionShared {
-            id,
-            program_thread: std::thread::current().id(),
-            epoch: Mutex::new(EpochState::new()),
-            epoch_serial: AtomicU64::new(0),
-            in_flight: AtomicU64::new(0),
-            submitted: AtomicU64::new(0),
-            completed: AtomicU64::new(0),
-            nested_in_epoch: AtomicBool::new(false),
-            trace_clock: AtomicU64::new(0),
-            audit_on: AtomicBool::new(false),
-            pins: ShardMap::new(SESSION_SHARDS),
-            queue_cap,
-        }
-    }
-
-    /// The session-qualified routing key for a user-visible set id: the
-    /// session id in the high 16 bits over the folded set id. Used for
-    /// deque keys, pin-map keys and audit keys alike, so every layer
-    /// distinguishes tenant A's set 7 from tenant B's set 7.
-    #[inline]
-    pub(crate) fn route_key(&self, ss: SsId) -> u64 {
-        ((self.id as u64) << KEY_BITS) | fold48(ss.0)
-    }
-
-    /// The session-qualified audit/epoch stamp: the session id in the
-    /// high 16 bits over the (folded) epoch serial. Distinct domains can
-    /// therefore never produce equal stamps, which is what lets the
-    /// shared auditor sweep one tenant's entries while another tenant's
-    /// epoch is still open.
-    #[inline]
-    pub(crate) fn audit_serial(&self) -> u64 {
-        ((self.id as u64) << KEY_BITS) | (self.epoch_serial.load(Ordering::Acquire) & KEY_MASK)
-    }
-
-    /// Settles one completed operation: bumps the completion counter,
-    /// then releases the drain counter. Called by the executing context
-    /// *after* the operation's effects (including its audit record) are
-    /// visible — the release ordering makes an Acquire load of
-    /// `in_flight == 0` a proof of transitive quiescence.
-    #[inline]
-    pub(crate) fn settle_one(&self) {
-        self.completed.fetch_add(1, Ordering::Relaxed);
-        self.in_flight.fetch_sub(1, Ordering::Release);
-    }
-}
 
 /// A point-in-time view of one session's activity (see
 /// [`Session::session_stats`]).
@@ -231,66 +79,48 @@ impl std::ops::Deref for Session {
 
 impl std::fmt::Debug for Session {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let shared = self.shared();
+        let d = self.domain();
         f.debug_struct("Session")
-            .field("id", &shared.id)
-            .field("in_flight", &shared.in_flight.load(Ordering::Relaxed))
+            .field("id", &d.id)
+            .field("in_flight", &d.in_flight.load(Ordering::Relaxed))
             .finish()
     }
 }
 
 impl Session {
-    #[inline]
-    pub(crate) fn shared(&self) -> &Arc<SessionShared> {
-        self.rt
-            .session
-            .as_ref()
-            .expect("Session handle always carries its shared state")
-    }
-
     /// This session's runtime-unique tenant id (non-zero; the root
-    /// runtime is the implicit tenant 0).
+    /// runtime is domain 0).
     pub fn id(&self) -> u32 {
-        self.shared().id
+        self.domain().id
     }
 
     /// This session's activity counters. Unlike
     /// [`Runtime::stats`](crate::Runtime::stats) (the pool-wide view),
     /// these count only operations submitted through this handle.
     pub fn session_stats(&self) -> SessionStats {
-        let s = self.shared();
+        let d = self.domain();
         SessionStats {
-            submitted: s.submitted.load(Ordering::Relaxed),
-            completed: s.completed.load(Ordering::Relaxed),
-            in_flight: s.in_flight.load(Ordering::Acquire),
-            epochs: s.epoch_serial.load(Ordering::Acquire),
-            trace_events: s.trace_clock.load(Ordering::Relaxed),
+            submitted: d.submitted.load(Ordering::Relaxed),
+            completed: d.completed.load(Ordering::Relaxed),
+            in_flight: d.in_flight.load(Ordering::Acquire),
+            epochs: d.epochs.load(Ordering::Acquire),
+            trace_events: d.trace_clock.load(Ordering::Relaxed),
         }
     }
 }
 
 impl Drop for Session {
     fn drop(&mut self) {
-        let shared = Arc::clone(self.shared());
+        let d = self.domain();
         let core = &self.rt.inner.core;
         // Drain this tenant's queued work before unregistering: once
         // `sessions_active` can reach zero, the root epoch boundary is
         // allowed to forget started-set records, which would be unsound
         // while this tenant still has operations queued. Best-effort —
-        // a terminated pool can no longer execute anything, so bail.
-        let mut spins = 0u32;
-        while shared.in_flight.load(Ordering::Acquire) != 0 {
-            if self.rt.check_live().is_err() {
-                break;
-            }
-            if spins < 128 {
-                core::hint::spin_loop();
-                spins += 1;
-            } else {
-                std::thread::yield_now();
-            }
-        }
-        core.sessions.lock().remove(&shared.id);
+        // a terminated pool can no longer execute anything (the barrier
+        // reports `Terminated`), so unregister regardless.
+        let _ = self.rt.barrier(d);
+        core.sessions.lock().remove(&d.id);
         core.stats.sessions_active.fetch_sub(1, Ordering::Release);
     }
 }
@@ -304,22 +134,27 @@ impl Runtime {
     /// of the root runtime and of every other session.
     pub fn session(&self) -> SsResult<Session> {
         self.check_live()?;
-        if self.session.is_some() {
+        if !self.is_root() {
             // Sessions are handed out by the root runtime only; nesting
             // tenants inside tenants has no meaning in the model.
             return Err(SsError::WrongContext);
         }
         let core = &self.inner.core;
         let id = core.next_session_id.fetch_add(1, Ordering::Relaxed);
-        let shared = Arc::new(SessionShared::new(id, self.inner.session_queue_cap));
-        // A capped session's backlog never exceeds its queue cap
-        // (`session_backpressure` stalls the program context at the cap),
-        // so growing each injector lane to the cap here — session open is
-        // a legitimate allocation point, like an epoch boundary — means
-        // the steady-state delegate path never grows a lane buffer while
-        // the cap holds. This is what makes the zero-allocation gate
-        // deterministic on the session path; an uncapped session falls
-        // back to the lane's amortized growth.
+        let domain = Arc::new(Domain::new(
+            id,
+            SESSION_SHARDS,
+            self.inner.session_queue_cap,
+        ));
+        // A capped session's program-submitted backlog never exceeds its
+        // queue cap (`Runtime::admit` stalls the program context at the
+        // cap and lets even a `delegate_iter` run through only as far as
+        // the cap has room), so growing each injector lane to the cap here
+        // — session open is a legitimate allocation point, like an epoch
+        // boundary — means the steady-state delegate path never grows a
+        // lane buffer while the cap holds. This is what makes the
+        // zero-allocation gate deterministic on the session path; an
+        // uncapped session falls back to the lane's amortized growth.
         if let (Some(cap), super::Channels::Spsc { injectors, .. }) =
             (self.inner.session_queue_cap, &self.inner.channels)
         {
@@ -327,12 +162,12 @@ impl Runtime {
                 injector.reserve(cap as usize);
             }
         }
-        core.sessions.lock().insert(id, Arc::clone(&shared));
+        core.sessions.lock().insert(id, Arc::clone(&domain));
         StatsCell::bump(&core.stats.sessions_active);
         Ok(Session {
             rt: Runtime {
                 inner: Arc::clone(&self.inner),
-                session: Some(shared),
+                session: Some(domain),
             },
         })
     }

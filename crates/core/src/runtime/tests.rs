@@ -10,6 +10,20 @@ use super::*;
 use crate::config::{Assignment, WaitPolicy};
 use crate::invocation::TaskSlot;
 
+/// Program-origin submit of a run of one.
+fn submit(rt: &Runtime, ss: SsId, task: TaskSlot) -> SsResult<Executor> {
+    rt.submit(Origin::Program, ss, &mut [Some(task)])
+        .map_err(|(e, _)| e)
+}
+
+/// Where the router sends `ss` in the current epoch (pins it, like a
+/// submit would; program thread, non-stealing transport).
+fn executor_for(rt: &Runtime, ss: SsId) -> Executor {
+    let d = rt.domain();
+    let route = rt.inner.router.route(d, SsId(d.key(ss)), &rt.loads());
+    route.executor
+}
+
 /// Packaged task that bumps `counter` (the common body of delivery tests).
 fn bump(counter: &Arc<AtomicU64>) -> TaskSlot {
     let c = Arc::clone(counter);
@@ -27,18 +41,18 @@ fn executor_assignment_is_static_modulo() {
         .build()
         .unwrap();
     // v = ss % 4; v == 0 → program; v in 1..4 → delegate (v-1) % 3.
-    assert_eq!(rt.executor_for(SsId(0)), Executor::Program);
-    assert_eq!(rt.executor_for(SsId(4)), Executor::Program);
-    assert_eq!(rt.executor_for(SsId(1)), Executor::Delegate(0));
-    assert_eq!(rt.executor_for(SsId(2)), Executor::Delegate(1));
-    assert_eq!(rt.executor_for(SsId(3)), Executor::Delegate(2));
-    assert_eq!(rt.executor_for(SsId(5)), Executor::Delegate(0));
+    assert_eq!(executor_for(&rt, SsId(0)), Executor::Program);
+    assert_eq!(executor_for(&rt, SsId(4)), Executor::Program);
+    assert_eq!(executor_for(&rt, SsId(1)), Executor::Delegate(0));
+    assert_eq!(executor_for(&rt, SsId(2)), Executor::Delegate(1));
+    assert_eq!(executor_for(&rt, SsId(3)), Executor::Delegate(2));
+    assert_eq!(executor_for(&rt, SsId(5)), Executor::Delegate(0));
 }
 
 #[test]
 fn zero_delegates_run_inline() {
     let rt = Runtime::builder().delegate_threads(0).build().unwrap();
-    assert_eq!(rt.executor_for(SsId(17)), Executor::Program);
+    assert_eq!(executor_for(&rt, SsId(17)), Executor::Program);
     assert_eq!(rt.delegate_threads(), 0);
 }
 
@@ -78,26 +92,13 @@ fn epoch_control_from_wrong_thread_fails() {
 }
 
 #[test]
-fn submit_runs_on_delegates_and_barrier_waits() {
-    let rt = Runtime::builder().delegate_threads(2).build().unwrap();
-    let counter = Arc::new(AtomicU64::new(0));
-    rt.begin_isolation().unwrap();
-    for ss in 0..100u64 {
-        rt.submit(SsId(ss), bump(&counter)).unwrap();
-    }
-    rt.end_isolation().unwrap();
-    assert_eq!(counter.load(Ordering::Relaxed), 100);
-}
-
-#[test]
 fn same_set_preserves_program_order() {
     let rt = Runtime::builder().delegate_threads(2).build().unwrap();
     let log = Arc::new(Mutex::new(Vec::new()));
     rt.begin_isolation().unwrap();
     for i in 0..1000u64 {
         let log = Arc::clone(&log);
-        rt.submit(SsId(7), TaskSlot::new(move || log.lock().push(i)))
-            .unwrap();
+        submit(&rt, SsId(7), TaskSlot::new(move || log.lock().push(i))).unwrap();
     }
     rt.end_isolation().unwrap();
     let log = log.lock();
@@ -114,7 +115,7 @@ fn inline_sets_execute_immediately() {
         .unwrap();
     let hits = Arc::new(AtomicU64::new(0));
     rt.begin_isolation().unwrap();
-    rt.submit(SsId(0), bump(&hits)).unwrap();
+    submit(&rt, SsId(0), bump(&hits)).unwrap();
     // Inline execution is synchronous: visible before end_isolation.
     assert_eq!(hits.load(Ordering::Relaxed), 1);
     rt.end_isolation().unwrap();
@@ -128,10 +129,11 @@ fn nested_delegation_rejected() {
     rt.begin_isolation().unwrap();
     let err = Arc::new(Mutex::new(None));
     let err2 = Arc::clone(&err);
-    rt.submit(
+    submit(
+        &rt,
         SsId(0),
         TaskSlot::new(move || {
-            let e = rt2.submit(SsId(1), TaskSlot::new(|| {})).unwrap_err();
+            let e = submit(&rt2, SsId(1), TaskSlot::new(|| {})).unwrap_err();
             *err2.lock() = Some(e);
         }),
     )
@@ -158,7 +160,7 @@ fn sleep_requires_aggregation_and_wakes_on_isolation() {
     // Delegates park; a new epoch must wake them and still work.
     rt.begin_isolation().unwrap();
     let hits = Arc::new(AtomicU64::new(0));
-    rt.submit(SsId(1), bump(&hits)).unwrap();
+    submit(&rt, SsId(1), bump(&hits)).unwrap();
     rt.end_isolation().unwrap();
     assert_eq!(hits.load(Ordering::Relaxed), 1);
 }
@@ -168,7 +170,7 @@ fn stats_count_operations() {
     let rt = Runtime::builder().delegate_threads(1).build().unwrap();
     rt.begin_isolation().unwrap();
     for i in 0..10u64 {
-        rt.submit(SsId(i), TaskSlot::new(|| {})).unwrap();
+        submit(&rt, SsId(i), TaskSlot::new(|| {})).unwrap();
     }
     rt.end_isolation().unwrap();
     let s = rt.stats();
@@ -185,7 +187,7 @@ fn many_runtimes_coexist() {
     let hits = Arc::new(AtomicU64::new(0));
     for rt in [&a, &b] {
         rt.begin_isolation().unwrap();
-        rt.submit(SsId(0), bump(&hits)).unwrap();
+        submit(rt, SsId(0), bump(&hits)).unwrap();
         rt.end_isolation().unwrap();
     }
     assert_eq!(hits.load(Ordering::Relaxed), 2);
@@ -206,7 +208,7 @@ fn wait_policies_all_deliver() {
         let hits = Arc::new(AtomicU64::new(0));
         rt.begin_isolation().unwrap();
         for i in 0..50u64 {
-            rt.submit(SsId(i), bump(&hits)).unwrap();
+            submit(&rt, SsId(i), bump(&hits)).unwrap();
         }
         rt.end_isolation().unwrap();
         assert_eq!(hits.load(Ordering::Relaxed), 50, "policy {policy:?}");
@@ -224,7 +226,7 @@ fn tiny_queue_applies_backpressure_without_deadlock() {
     let counter = Arc::new(AtomicU64::new(0));
     rt.begin_isolation().unwrap();
     for i in 0..5000u64 {
-        rt.submit(SsId(i), bump(&counter)).unwrap();
+        submit(&rt, SsId(i), bump(&counter)).unwrap();
     }
     rt.end_isolation().unwrap();
     assert_eq!(counter.load(Ordering::Relaxed), 5000);
@@ -248,7 +250,7 @@ fn all_policies_deliver_all_work() {
         let counter = Arc::new(AtomicU64::new(0));
         rt.begin_isolation().unwrap();
         for i in 0..500u64 {
-            rt.submit(SsId(i % 13), bump(&counter)).unwrap();
+            submit(&rt, SsId(i % 13), bump(&counter)).unwrap();
         }
         rt.end_isolation().unwrap();
         assert_eq!(counter.load(Ordering::Relaxed), 500, "{assignment:?}");
@@ -271,8 +273,7 @@ fn all_policies_preserve_same_set_program_order() {
         rt.begin_isolation().unwrap();
         for i in 0..800u64 {
             let log = Arc::clone(&log);
-            rt.submit(SsId(i % 3), TaskSlot::new(move || log.lock().push(i)))
-                .unwrap();
+            submit(&rt, SsId(i % 3), TaskSlot::new(move || log.lock().push(i))).unwrap();
         }
         rt.end_isolation().unwrap();
         let log = log.lock();
@@ -293,12 +294,12 @@ fn dynamic_policies_keep_a_set_on_one_executor_within_an_epoch() {
         .build()
         .unwrap();
     rt.begin_isolation().unwrap();
-    let first = rt.executor_for(SsId(42));
+    let first = executor_for(&rt, SsId(42));
     // Load up other delegates so a re-assignment would move the set.
     for i in 0..200u64 {
-        rt.submit(SsId(i), TaskSlot::new(|| {})).unwrap();
+        submit(&rt, SsId(i), TaskSlot::new(|| {})).unwrap();
     }
-    assert_eq!(rt.executor_for(SsId(42)), first);
+    assert_eq!(executor_for(&rt, SsId(42)), first);
     rt.end_isolation().unwrap();
 }
 
@@ -311,7 +312,7 @@ fn pins_counter_tracks_first_touches() {
         .unwrap();
     rt.begin_isolation().unwrap();
     for i in 0..60u64 {
-        rt.submit(SsId(i % 6), TaskSlot::new(|| {})).unwrap();
+        submit(&rt, SsId(i % 6), TaskSlot::new(|| {})).unwrap();
     }
     rt.end_isolation().unwrap();
     // 6 distinct sets → 6 pins; static assignment would report 0.
@@ -323,7 +324,7 @@ fn static_assignment_reports_no_pins() {
     let rt = Runtime::builder().delegate_threads(2).build().unwrap();
     rt.begin_isolation().unwrap();
     for i in 0..60u64 {
-        rt.submit(SsId(i % 6), TaskSlot::new(|| {})).unwrap();
+        submit(&rt, SsId(i % 6), TaskSlot::new(|| {})).unwrap();
     }
     rt.end_isolation().unwrap();
     assert_eq!(rt.stats().pins, 0);
@@ -356,9 +357,9 @@ fn custom_policy_is_pluggable() {
     let hits = Arc::new(AtomicU64::new(0));
     rt.begin_isolation().unwrap();
     for i in 0..50u64 {
-        rt.submit(SsId(i), bump(&hits)).unwrap();
+        submit(&rt, SsId(i), bump(&hits)).unwrap();
     }
-    assert_eq!(rt.executor_for(SsId(999)), Executor::Delegate(2));
+    assert_eq!(executor_for(&rt, SsId(999)), Executor::Delegate(2));
     rt.end_isolation().unwrap();
     assert_eq!(hits.load(Ordering::Relaxed), 50);
     let s = rt.stats();
@@ -375,7 +376,7 @@ fn queue_depths_return_to_zero_after_barrier() {
         .unwrap();
     rt.begin_isolation().unwrap();
     for i in 0..300u64 {
-        rt.submit(SsId(i), TaskSlot::new(|| {})).unwrap();
+        submit(&rt, SsId(i), TaskSlot::new(|| {})).unwrap();
     }
     rt.end_isolation().unwrap();
     let s = rt.stats();
@@ -404,7 +405,8 @@ fn least_loaded_routes_away_from_a_busy_delegate() {
     rt.begin_isolation().unwrap();
     // First touch with both queues empty: tie-break picks delegate 0.
     let g = Arc::clone(&gate);
-    rt.submit(
+    submit(
+        &rt,
         SsId(1),
         TaskSlot::new(move || {
             while g.load(Ordering::Acquire) == 0 {
@@ -413,13 +415,13 @@ fn least_loaded_routes_away_from_a_busy_delegate() {
         }),
     )
     .unwrap();
-    assert_eq!(rt.executor_for(SsId(1)), Executor::Delegate(0));
+    assert_eq!(executor_for(&rt, SsId(1)), Executor::Delegate(0));
     // Delegate 0's depth is pinned at 1 until the gate opens, so the
     // next first-touch must see [1, 0] and pick delegate 1.
-    assert_eq!(rt.executor_for(SsId(2)), Executor::Delegate(1));
+    assert_eq!(executor_for(&rt, SsId(2)), Executor::Delegate(1));
     // And set 2 stays there even after more load lands on delegate 1.
-    rt.submit(SsId(2), TaskSlot::new(|| {})).unwrap();
-    assert_eq!(rt.executor_for(SsId(2)), Executor::Delegate(1));
+    submit(&rt, SsId(2), TaskSlot::new(|| {})).unwrap();
+    assert_eq!(executor_for(&rt, SsId(2)), Executor::Delegate(1));
     gate.store(1, Ordering::Release);
     rt.end_isolation().unwrap();
     let s = rt.stats();
@@ -525,7 +527,7 @@ fn idle_delegate_steals_from_skewed_queue() {
     let entered = Arc::new(Mutex::new(None));
     let log: Arc<Mutex<Vec<(u64, String)>>> = Arc::new(Mutex::new(Vec::new()));
     rt.begin_isolation().unwrap();
-    rt.submit(SsId(1), gated_task(&gate, &entered)).unwrap();
+    submit(&rt, SsId(1), gated_task(&gate, &entered)).unwrap();
     let blocked = wait_entered(&entered);
     // Route the backlog to the *blocked* delegate's queue: even set ids
     // pin to delegate 0, odd to delegate 1 (ByParity is pure, and these
@@ -534,7 +536,7 @@ fn idle_delegate_steals_from_skewed_queue() {
     for s in 0..32u64 {
         let set = base + 2 * s;
         for _ in 0..4 {
-            rt.submit(SsId(set), record_thread(&log, set)).unwrap();
+            submit(&rt, SsId(set), record_thread(&log, set)).unwrap();
         }
     }
     // Give the free delegate time to steal while the other is gated.
@@ -575,11 +577,11 @@ fn started_sets_never_migrate() {
     let entered = Arc::new(Mutex::new(None));
     let log: Arc<Mutex<Vec<(u64, String)>>> = Arc::new(Mutex::new(Vec::new()));
     rt.begin_isolation().unwrap();
-    rt.submit(SsId(7), gated_task(&gate, &entered)).unwrap();
+    submit(&rt, SsId(7), gated_task(&gate, &entered)).unwrap();
     // Set 7 has started — wherever the race landed it, it is now pinned.
     let home = wait_entered(&entered);
     for _ in 0..16 {
-        rt.submit(SsId(7), record_thread(&log, 7)).unwrap();
+        submit(&rt, SsId(7), record_thread(&log, 7)).unwrap();
     }
     std::thread::sleep(std::time::Duration::from_millis(30));
     gate.store(1, Ordering::Release);
@@ -607,7 +609,8 @@ fn steal_failures_are_counted() {
     rt.begin_isolation().unwrap();
     let g = Arc::clone(&gate);
     let e = Arc::clone(&entered);
-    rt.submit(
+    submit(
+        &rt,
         SsId(3),
         TaskSlot::new(move || {
             e.store(1, Ordering::Release);
@@ -623,7 +626,7 @@ fn steal_failures_are_counted() {
         std::hint::spin_loop();
     }
     for _ in 0..4 {
-        rt.submit(SsId(3), TaskSlot::new(|| {})).unwrap();
+        submit(&rt, SsId(3), TaskSlot::new(|| {})).unwrap();
     }
     std::thread::sleep(std::time::Duration::from_millis(30));
     gate.store(1, Ordering::Release);
@@ -651,7 +654,8 @@ fn reclaim_follows_a_stolen_set() {
     let w: crate::Writable<u64> = crate::Writable::new(&rt, 0);
     rt.begin_isolation().unwrap();
     let g = Arc::clone(&gate);
-    rt.submit(
+    submit(
+        &rt,
         SsId(1_000_000),
         TaskSlot::new(move || {
             while g.load(Ordering::Acquire) == 0 {
@@ -847,7 +851,8 @@ fn delegate_scope_requires_a_delegate_context() {
     let seen = Arc::new(Mutex::new(None));
     let (rt3, seen2) = (rt.clone(), Arc::clone(&seen));
     rt.begin_isolation().unwrap();
-    rt.submit(
+    submit(
+        &rt,
         SsId(0),
         TaskSlot::new(move || {
             *seen2.lock() = Some(rt3.delegate_scope(|_| ()).unwrap_err());
@@ -1012,7 +1017,8 @@ fn steal_trace_events_are_recorded() {
     let gate = Arc::new(AtomicU64::new(0));
     rt.begin_isolation().unwrap();
     let g = Arc::clone(&gate);
-    rt.submit(
+    submit(
+        &rt,
         SsId(0),
         TaskSlot::new(move || {
             while g.load(Ordering::Acquire) == 0 {
@@ -1022,7 +1028,7 @@ fn steal_trace_events_are_recorded() {
     )
     .unwrap();
     for s in 1..=16u64 {
-        rt.submit(SsId(s), TaskSlot::new(|| {})).unwrap();
+        submit(&rt, SsId(s), TaskSlot::new(|| {})).unwrap();
     }
     std::thread::sleep(std::time::Duration::from_millis(50));
     gate.store(1, Ordering::Release);
@@ -1044,4 +1050,190 @@ fn steal_trace_events_are_recorded() {
     // Pin events exist too: stealing always pins, even under non-static
     // policies… and a stolen set's pin rewrite is visible as placement.
     assert!(trace.iter().any(|e| e.kind == crate::TraceKind::Pin));
+}
+
+// ----------------------------------------------------------------------
+// the single submit path: conservation laws over every cell of the matrix
+
+/// One row per cell of {program, nested} × {root, session} × {SPSC,
+/// stealing} × {run of 1, run of n}: whatever lane the run travels on,
+/// the same laws hold after the domain's barrier — the drain counter and
+/// every queue depth are back at 0, the delegation counters equal the
+/// submitted count, every counted operation has completed, and a submit
+/// on a terminated pool reports exactly the tasks that never executed
+/// (which is what the wrapper unwinds from `pending`).
+#[test]
+fn one_submit_path_conserves_operations_in_every_cell() {
+    const RUNS: usize = 12;
+    for origin in [Origin::Program, Origin::Nested] {
+        for tenant in [false, true] {
+            for stealing in [StealPolicy::Off, StealPolicy::WhenIdle] {
+                for len in [1usize, 5] {
+                    let cell = format!(
+                        "{} / {} / {stealing:?} / run of {len}",
+                        if origin == Origin::Program {
+                            "program"
+                        } else {
+                            "nested"
+                        },
+                        if tenant { "session" } else { "root" },
+                    );
+                    let rt = Runtime::builder()
+                        .delegate_threads(2)
+                        .stealing(stealing)
+                        .build()
+                        .unwrap();
+                    let session = tenant.then(|| rt.session().unwrap());
+                    let handle: Runtime = match &session {
+                        Some(s) => (**s).clone(),
+                        None => rt.clone(),
+                    };
+                    let executed = Arc::new(AtomicU64::new(0));
+                    let run_of = |executed: &Arc<AtomicU64>| -> Vec<Option<TaskSlot>> {
+                        (0..len).map(|_| Some(bump(executed))).collect()
+                    };
+
+                    handle.begin_isolation().unwrap();
+                    for r in 0..RUNS as u64 {
+                        match origin {
+                            Origin::Program => {
+                                handle
+                                    .submit(Origin::Program, SsId(r), &mut run_of(&executed))
+                                    .unwrap();
+                            }
+                            Origin::Nested => {
+                                // A parent of this domain re-delegates the
+                                // run from its delegate context.
+                                let (h, mut run) = (handle.clone(), run_of(&executed));
+                                let parent = TaskSlot::new(move || {
+                                    h.submit(Origin::Nested, SsId(1_000 + r), &mut run).unwrap();
+                                });
+                                handle
+                                    .submit(Origin::Program, SsId(r), &mut [Some(parent)])
+                                    .unwrap();
+                            }
+                        }
+                    }
+                    handle.end_isolation().unwrap();
+
+                    let ops = (RUNS * len) as u64;
+                    let parents = if origin == Origin::Nested {
+                        RUNS as u64
+                    } else {
+                        0
+                    };
+                    // Only the root's program thread pushes on the
+                    // (uncounted) rings; every other lane counts.
+                    let ring = !tenant && stealing == StealPolicy::Off;
+                    let counted = match origin {
+                        Origin::Program if ring => 0,
+                        Origin::Program => ops,
+                        Origin::Nested if ring => ops,
+                        Origin::Nested => ops + parents,
+                    };
+                    let (d, stats) = (handle.domain(), rt.stats());
+                    assert_eq!(executed.load(Ordering::Relaxed), ops, "{cell}");
+                    assert_eq!(d.in_flight.load(Ordering::Acquire), 0, "{cell}");
+                    assert!(
+                        stats.queue_depths.iter().all(|&q| q == 0),
+                        "{cell}: {stats:?}"
+                    );
+                    assert_eq!(stats.delegations, ops + parents, "{cell}");
+                    assert_eq!(stats.nested_delegations, ops * parents.min(1), "{cell}");
+                    assert_eq!(d.submitted.load(Ordering::Relaxed), counted, "{cell}");
+                    assert_eq!(d.completed.load(Ordering::Relaxed), counted, "{cell}");
+                    assert_eq!(
+                        stats.delegate_executed.iter().sum::<u64>(),
+                        ops + parents,
+                        "{cell}"
+                    );
+
+                    // Terminated pool: the whole run is reported unexecuted,
+                    // and the wrapper unwinds `pending` by exactly that. (A
+                    // session may still be mid-epoch when the root shuts the
+                    // pool down, which is how a wrapper reaches the submit.)
+                    let w: crate::Writable<u64> = crate::Writable::new(&handle, 0);
+                    if tenant {
+                        handle.begin_isolation().unwrap();
+                    }
+                    rt.shutdown().unwrap();
+                    assert_eq!(
+                        handle.submit(Origin::Program, SsId(7), &mut run_of(&executed)),
+                        Err((SsError::Terminated, len)),
+                        "{cell}"
+                    );
+                    if tenant {
+                        let err = w.delegate_iter((0..len).map(|_| |n: &mut u64| *n += 1));
+                        assert_eq!(err, Err(SsError::Terminated), "{cell}");
+                        assert_eq!(w.pending_operations(), 0, "{cell}");
+                    }
+                    assert_eq!(executed.load(Ordering::Relaxed), ops, "{cell}");
+                }
+            }
+        }
+    }
+}
+
+/// `session_queue_cap` bounds a tenant's program-submitted backlog however
+/// long the run is: a `delegate_iter`-sized run is admitted only as far as
+/// the cap has room, and the stall is counted.
+#[test]
+fn capped_session_admits_a_long_run_only_up_to_its_cap() {
+    const CAP: u64 = 4;
+    const RUN: u64 = 40;
+    for stealing in [StealPolicy::Off, StealPolicy::WhenIdle] {
+        let rt = Runtime::builder()
+            .delegate_threads(2)
+            .stealing(stealing)
+            .session_queue_cap(CAP as usize)
+            .build()
+            .unwrap();
+        let session = rt.session().unwrap();
+        let peak = Arc::new(AtomicU64::new(0));
+        let mut run: Vec<Option<TaskSlot>> = (0..RUN)
+            .map(|k| {
+                let (h, peak) = ((*session).clone(), Arc::clone(&peak));
+                Some(TaskSlot::new(move || {
+                    let (d, stats) = (h.domain(), &h.inner.core.stats);
+                    // The first operation holds its queue until the program
+                    // thread has filled the cap and stalled on it (or has
+                    // overrun it, which the assertion below reports).
+                    while k == 0
+                        && stats.starvation_stalls.load(Ordering::Relaxed) == 0
+                        && d.in_flight.load(Ordering::Relaxed) <= CAP
+                    {
+                        std::thread::yield_now();
+                    }
+                    peak.fetch_max(d.in_flight.load(Ordering::Relaxed), Ordering::Relaxed);
+                }))
+            })
+            .collect();
+
+        session.begin_isolation().unwrap();
+        session.submit(Origin::Program, SsId(1), &mut run).unwrap();
+        session.end_isolation().unwrap();
+
+        assert_eq!(peak.load(Ordering::Relaxed), CAP, "{stealing:?}");
+        assert!(rt.stats().starvation_stalls >= 1, "{stealing:?}");
+        assert_eq!(session.session_stats().completed, RUN, "{stealing:?}");
+    }
+}
+
+/// `SessionStats::epochs` counts *completed* epochs: it must not move at
+/// `begin_isolation` (the epoch serial does).
+#[test]
+fn session_stats_epochs_counts_completed_epochs_only() {
+    let rt = Runtime::builder().delegate_threads(1).build().unwrap();
+    let session = rt.session().unwrap();
+    assert_eq!(session.session_stats().epochs, 0);
+    for done in 0..3u64 {
+        session.begin_isolation().unwrap();
+        assert_eq!(session.session_stats().epochs, done, "inside an open epoch");
+        session.end_isolation().unwrap();
+        assert_eq!(session.session_stats().epochs, done + 1, "after the epoch");
+    }
+    // The root's epochs are its own.
+    rt.begin_isolation().unwrap();
+    rt.end_isolation().unwrap();
+    assert_eq!(session.session_stats().epochs, 3);
 }

@@ -53,13 +53,6 @@ pub(crate) struct StatsCell {
     /// Quiescence handshakes that failed: a thief selected a started set's
     /// tail but the owner still had an operation of the set in flight.
     pub quiesce_fail: AtomicU64,
-    /// Delegated operations submitted but not yet fully executed
-    /// (stealing transport only). A *single* counter on purpose: steals
-    /// never touch it, so the `end_isolation` drain check reads one
-    /// atomic instead of racing a cross-counter transfer (per-delegate
-    /// depths can transiently hide an in-flight batch from a non-atomic
-    /// multi-counter scan).
-    pub in_flight: AtomicU64,
     /// Isolation epochs certified (or condemned) by the serializability
     /// auditor.
     pub epochs_audited: AtomicU64,
@@ -116,7 +109,6 @@ impl StatsCell {
             steal_failures: AtomicU64::new(0),
             op_steals: AtomicU64::new(0),
             quiesce_fail: AtomicU64::new(0),
-            in_flight: AtomicU64::new(0),
             epochs_audited: AtomicU64::new(0),
             sessions_active: AtomicU64::new(0),
             starvation_stalls: AtomicU64::new(0),
@@ -159,7 +151,9 @@ impl StatsCell {
             steal_failures: self.steal_failures.load(Ordering::Relaxed),
             op_steals: self.op_steals.load(Ordering::Relaxed),
             quiesce_fail: self.quiesce_fail.load(Ordering::Relaxed),
-            in_flight: self.in_flight.load(Ordering::Acquire),
+            // Patched in by Runtime::stats: the drain counter lives in the
+            // root `Domain`, the auditor outside this cell (0 when off).
+            in_flight: 0,
             epochs_audited: self.epochs_audited.load(Ordering::Relaxed),
             sessions_active: self.sessions_active.load(Ordering::Relaxed),
             starvation_stalls: self.starvation_stalls.load(Ordering::Relaxed),
@@ -167,8 +161,6 @@ impl StatsCell {
             memo_misses: self.memo_misses.load(Ordering::Relaxed),
             memo_invalidations: self.memo_invalidations.load(Ordering::Relaxed),
             ops_cancelled: self.ops_cancelled.load(Ordering::Relaxed),
-            // Patched in by Runtime::stats from the auditor's own counter
-            // (the auditor lives outside this cell); 0 when auditing is off.
             audit_edges: 0,
             queue_depths: self
                 .queue_depths
@@ -214,9 +206,9 @@ pub struct Stats {
     /// fast path: a re-delegation to an already-pinned set on a
     /// non-stealing transport, resolved with no lock and no
     /// read-modify-write. 0 under pure policies (which bypass the pin
-    /// map), under `RoutingMode::LegacyMutex`, and on the stealing
-    /// transport (whose submits always take the set's shard lock so the
-    /// queue publish is atomic with the pin resolution).
+    /// map) and on the stealing transport (whose submits always take the
+    /// set's shard lock so the queue publish is atomic with the pin
+    /// resolution).
     pub pin_fast_hits: u64,
     /// Operations delegated from *delegate* contexts — the recursive
     /// delegation path ([`Runtime::delegate_scope`](crate::Runtime::delegate_scope)).

@@ -61,7 +61,7 @@ use crate::error::{SsError, SsResult};
 use crate::fingerprint::MemoValue;
 use crate::future::SsFuture;
 use crate::invocation::TaskSlot;
-use crate::runtime::{trace_executor_for, DelegateContext, Executor, Runtime};
+use crate::runtime::{trace_executor_for, DelegateContext, Executor, Origin, Runtime};
 use crate::serializer::{ObjectSerializer, SerializeCx, Serializer, SsId};
 use crate::stats::StatsCell;
 use crate::trace::TraceKind;
@@ -417,7 +417,7 @@ impl<T: Send + 'static, S: Serializer<T>> Writable<T, S> {
         let (ss, _serial) = self.prepare_program_delegation(external)?;
         self.shared.pending.fetch_add(1, Ordering::Relaxed);
         let task = self.package_task(f);
-        self.submit_and_record(ss, task)?;
+        self.submit_and_record(Origin::Program, ss, &mut [Some(task)])?;
         Ok(())
     }
 
@@ -430,7 +430,7 @@ impl<T: Send + 'static, S: Serializer<T>> Writable<T, S> {
         self.shared.pending.fetch_add(1, Ordering::Relaxed);
         let (tx, rx) = self.oneshot_cell(serial);
         let task = self.package_task_with(f, tx, serial, ss);
-        let executor = self.submit_and_record(ss, task)?;
+        let executor = self.submit_and_record(Origin::Program, ss, &mut [Some(task)])?;
         Ok(SsFuture::new(rx, self.rt.clone(), ss, executor))
     }
 
@@ -485,8 +485,8 @@ impl<T: Send + 'static, S: Serializer<T>> Writable<T, S> {
                 self.shared.pending.fetch_add(1, Ordering::Relaxed);
                 let (tx, rx) = self.oneshot_cell(serial);
                 let task =
-                    self.package_task_memo(f, tx, serial, ss, rt.memo_key(ss), fp, generation);
-                let executor = self.submit_and_record(ss, task)?;
+                    self.package_task_memo(f, tx, serial, ss, rt.domain().key(ss), fp, generation);
+                let executor = self.submit_and_record(Origin::Program, ss, &mut [Some(task)])?;
                 Ok(SsFuture::new(rx, self.rt.clone(), ss, executor))
             }
         }
@@ -574,7 +574,7 @@ impl<T: Send + 'static, S: Serializer<T>> Writable<T, S> {
                 }
             }
         };
-        let key = rt.memo_key(ss);
+        let key = rt.domain().key(ss);
         // Normal mode serves only live-generation entries; the chaos
         // `stale_memo_serve` weakening serves any entry but reports both
         // generations honestly, so the auditor can catch the lie.
@@ -607,13 +607,11 @@ impl<T: Send + 'static, S: Serializer<T>> Writable<T, S> {
     }
 
     /// Records a memo hit with the serializability auditor under this
-    /// handle's domain (root key or session-qualified composite key).
+    /// handle's domain.
     fn record_memo_hit_audit(&self, ss: SsId, entry_gen: u64, live_gen: u64) {
+        let d = self.rt.domain();
         let core = &self.rt.inner.core;
-        match &self.rt.session {
-            Some(s) => core.session_audit_memo_hit(s, SsId(s.route_key(ss)), entry_gen, live_gen),
-            None => core.audit_memo_hit(ss, entry_gen, live_gen),
-        }
+        core.audit_memo_hit(d, SsId(d.key(ss)), entry_gen, live_gen);
     }
 
     /// Invalidates the set's memoized results: one generation bump
@@ -623,7 +621,7 @@ impl<T: Send + 'static, S: Serializer<T>> Writable<T, S> {
     #[inline]
     fn invalidate_memo(&self, ss: SsId) {
         if let Some(memo) = &self.rt.inner.core.memo {
-            memo.bump_generation(self.rt.memo_key(ss));
+            memo.bump_generation(self.rt.domain().key(ss));
             StatsCell::bump(&self.rt.inner.core.stats.memo_invalidations);
         }
     }
@@ -677,14 +675,15 @@ impl<T: Send + 'static, S: Serializer<T>> Writable<T, S> {
     {
         // Package first: an empty run must not tag the object or flip its
         // epoch state (packaging touches no shared state).
-        let tasks: Vec<TaskSlot> = fs.into_iter().map(|f| self.package_task(f)).collect();
+        let mut tasks: Vec<Option<TaskSlot>> =
+            fs.into_iter().map(|f| Some(self.package_task(f))).collect();
         let n = tasks.len();
         if n == 0 {
             return Ok(0);
         }
         let (ss, _serial) = self.prepare_program_delegation(external)?;
         self.shared.pending.fetch_add(n as u32, Ordering::Relaxed);
-        self.submit_batch_and_record(ss, tasks)?;
+        self.submit_and_record(Origin::Program, ss, &mut tasks)?;
         Ok(n)
     }
 
@@ -781,41 +780,25 @@ impl<T: Send + 'static, S: Serializer<T>> Writable<T, S> {
         Ok((ss, serial))
     }
 
-    /// Program-context delegation, phases 2–3: submit the packaged
-    /// invocation (the caller has already raised `pending`) and record
-    /// the owning executor for later reclaims. A failed submit undoes
-    /// `pending` — the invocation never ran and was dropped.
-    fn submit_and_record(&self, ss: SsId, task: TaskSlot) -> SsResult<Executor> {
+    /// Delegation, phases 2–3, for either origin: submit the packaged run
+    /// (the caller has already raised `pending` by its length) and record
+    /// the owning executor for later reclaims — one router resolution and
+    /// one queue publish however long the run. A failed submit undoes
+    /// `pending` by exactly the number of tasks that will never execute
+    /// (tasks already landed still run and settle their own share). With
+    /// tracing on, one event is recorded per operation — in the
+    /// program-order log for program origin, as a side event for nested —
+    /// so the log of a run is indistinguishable from the equivalent
+    /// single-op calls.
+    fn submit_and_record(
+        &self,
+        origin: Origin,
+        ss: SsId,
+        run: &mut [Option<TaskSlot>],
+    ) -> SsResult<Executor> {
         let rt = &self.rt;
-        let executor = match rt.submit(ss, task) {
-            Ok(e) => e,
-            Err(e) => {
-                self.shared.pending.fetch_sub(1, Ordering::Release);
-                return Err(e);
-            }
-        };
-        self.shared.local.lock().owner = Some(executor);
-        if rt.trace_enabled() {
-            let kind = if executor == Executor::Program {
-                TraceKind::InlineExecute
-            } else {
-                TraceKind::Delegate
-            };
-            rt.trace_record(kind, Some(self.shared.instance), Some(ss), Some(executor));
-        }
-        Ok(executor)
-    }
-
-    /// Batch form of [`submit_and_record`](Writable::submit_and_record):
-    /// one router resolution and one queue publish for the run. A failed
-    /// submit undoes `pending` by exactly the number of tasks that will
-    /// never execute (tasks already landed still run and settle their own
-    /// share). With tracing on, one event is recorded per operation, so
-    /// the log is indistinguishable from the equivalent single-op calls.
-    fn submit_batch_and_record(&self, ss: SsId, tasks: Vec<TaskSlot>) -> SsResult<Executor> {
-        let rt = &self.rt;
-        let n = tasks.len();
-        let executor = match rt.submit_batch(ss, tasks) {
+        let n = run.len();
+        let executor = match rt.submit(origin, ss, run) {
             Ok(e) => e,
             Err((e, unsubmitted)) => {
                 self.shared
@@ -825,14 +808,23 @@ impl<T: Send + 'static, S: Serializer<T>> Writable<T, S> {
             }
         };
         self.shared.local.lock().owner = Some(executor);
-        if rt.trace_enabled() {
-            let kind = if executor == Executor::Program {
-                TraceKind::InlineExecute
-            } else {
-                TraceKind::Delegate
-            };
-            for _ in 0..n {
-                rt.trace_record(kind, Some(self.shared.instance), Some(ss), Some(executor));
+        let instance = Some(self.shared.instance);
+        match origin {
+            Origin::Program if rt.trace_enabled() => {
+                let kind = if executor == Executor::Program {
+                    TraceKind::InlineExecute
+                } else {
+                    TraceKind::Delegate
+                };
+                for _ in 0..n {
+                    rt.trace_record(kind, instance, Some(ss), Some(executor));
+                }
+            }
+            Origin::Program => {}
+            Origin::Nested => {
+                for _ in 0..n {
+                    rt.record_side_event(TraceKind::NestedDelegate, instance, Some(ss), executor);
+                }
             }
         }
         Ok(executor)
@@ -847,9 +839,10 @@ impl<T: Send + 'static, S: Serializer<T>> Writable<T, S> {
         &self,
         serial: u64,
     ) -> (OneshotSender<R>, ss_queue::oneshot::OneshotReceiver<R>) {
-        match &self.rt.session {
-            Some(_) => ss_queue::oneshot::oneshot(serial),
-            None => self.rt.inner.core.cell_pool.oneshot(serial),
+        if self.rt.is_root() {
+            self.rt.inner.core.cell_pool.oneshot(serial)
+        } else {
+            ss_queue::oneshot::oneshot(serial)
         }
     }
 
@@ -1064,8 +1057,8 @@ impl<T: Send + 'static, S: Serializer<T>> Writable<T, S> {
                 StatsCell::bump(&rt.inner.core.stats.memo_misses);
                 let (tx, rx) = self.oneshot_cell(serial);
                 let task =
-                    self.package_task_memo(f, tx, serial, ss, rt.memo_key(ss), fp, generation);
-                let executor = self.submit_nested_and_record(ss, task)?;
+                    self.package_task_memo(f, tx, serial, ss, rt.domain().key(ss), fp, generation);
+                let executor = self.submit_and_record(Origin::Nested, ss, &mut [Some(task)])?;
                 Ok(SsFuture::new(rx, self.rt.clone(), ss, executor))
             }
         }
@@ -1091,7 +1084,7 @@ impl<T: Send + 'static, S: Serializer<T>> Writable<T, S> {
         if rt.is_poisoned() {
             return Err(rt.inner.core.poison_error());
         }
-        let serial = rt.cross_epoch_serial();
+        let serial = rt.domain().serial();
         let memo = rt
             .inner
             .core
@@ -1146,7 +1139,7 @@ impl<T: Send + 'static, S: Serializer<T>> Writable<T, S> {
                 }
             }
         };
-        let key = rt.memo_key(ss);
+        let key = rt.domain().key(ss);
         let served = match memo.lookup_entry(key, fp) {
             Some((bits, entry_gen, live_gen))
                 if entry_gen == live_gen || rt.inner.core.chaos_stale_memo_serve() =>
@@ -1205,7 +1198,7 @@ impl<T: Send + 'static, S: Serializer<T>> Writable<T, S> {
     {
         let (ss, _serial) = self.prepare_nested_delegation(cx, external, 1)?;
         let task = self.package_task(f);
-        self.submit_nested_and_record(ss, task)?;
+        self.submit_and_record(Origin::Nested, ss, &mut [Some(task)])?;
         Ok(())
     }
 
@@ -1224,13 +1217,14 @@ impl<T: Send + 'static, S: Serializer<T>> Writable<T, S> {
         I: IntoIterator<Item = F>,
         F: FnOnce(&mut T) + Send + 'static,
     {
-        let tasks: Vec<TaskSlot> = fs.into_iter().map(|f| self.package_task(f)).collect();
+        let mut tasks: Vec<Option<TaskSlot>> =
+            fs.into_iter().map(|f| Some(self.package_task(f))).collect();
         let n = tasks.len();
         if n == 0 {
             return Ok(0);
         }
         let (ss, _serial) = self.prepare_nested_delegation(cx, external, n as u32)?;
-        self.submit_nested_batch_and_record(ss, tasks)?;
+        self.submit_and_record(Origin::Nested, ss, &mut tasks)?;
         Ok(n)
     }
 
@@ -1250,7 +1244,7 @@ impl<T: Send + 'static, S: Serializer<T>> Writable<T, S> {
         let (ss, serial) = self.prepare_nested_delegation(cx, external, 1)?;
         let (tx, rx) = self.oneshot_cell(serial);
         let task = self.package_task_with(f, tx, serial, ss);
-        let executor = self.submit_nested_and_record(ss, task)?;
+        let executor = self.submit_and_record(Origin::Nested, ss, &mut [Some(task)])?;
         Ok(SsFuture::new(rx, self.rt.clone(), ss, executor))
     }
 
@@ -1279,7 +1273,7 @@ impl<T: Send + 'static, S: Serializer<T>> Writable<T, S> {
         }
         // Stable for the duration of the enclosing operation: the epoch
         // cannot end while a parent runs (the barrier drains `in_flight`).
-        let serial = rt.cross_epoch_serial();
+        let serial = rt.domain().serial();
 
         let ss = {
             let mut local = self.shared.local.lock();
@@ -1347,57 +1341,6 @@ impl<T: Send + 'static, S: Serializer<T>> Writable<T, S> {
         // results, same as the program path.
         self.invalidate_memo(ss);
         Ok((ss, serial))
-    }
-
-    /// Nested delegation, phases 2–3: submit through the re-entrant path
-    /// and record the owning executor. A failed submit undoes `pending`
-    /// (the invocation never ran and was dropped).
-    fn submit_nested_and_record(&self, ss: SsId, task: TaskSlot) -> SsResult<Executor> {
-        let rt = &self.rt;
-        let executor = match rt.submit_nested(ss, task) {
-            Ok(e) => e,
-            Err(e) => {
-                self.shared.pending.fetch_sub(1, Ordering::Release);
-                return Err(e);
-            }
-        };
-        self.shared.local.lock().owner = Some(executor);
-        rt.record_side_event(
-            TraceKind::NestedDelegate,
-            Some(self.shared.instance),
-            Some(ss),
-            executor,
-        );
-        Ok(executor)
-    }
-
-    /// Batch form of
-    /// [`submit_nested_and_record`](Writable::submit_nested_and_record):
-    /// one re-entrant queue publish for the run, with the failed-submit
-    /// `pending` unwind scaled to the tasks that will never execute. One
-    /// side event is recorded per operation, matching the single-op path.
-    fn submit_nested_batch_and_record(&self, ss: SsId, tasks: Vec<TaskSlot>) -> SsResult<Executor> {
-        let rt = &self.rt;
-        let n = tasks.len();
-        let executor = match rt.submit_nested_batch(ss, tasks) {
-            Ok(e) => e,
-            Err((e, unsubmitted)) => {
-                self.shared
-                    .pending
-                    .fetch_sub(unsubmitted as u32, Ordering::Release);
-                return Err(e);
-            }
-        };
-        self.shared.local.lock().owner = Some(executor);
-        for _ in 0..n {
-            rt.record_side_event(
-                TraceKind::NestedDelegate,
-                Some(self.shared.instance),
-                Some(ss),
-                executor,
-            );
-        }
-        Ok(executor)
     }
 
     // ------------------------------------------------------------------
@@ -1553,16 +1496,8 @@ impl<T: Send + 'static, S: Serializer<T>> Writable<T, S> {
             // disagrees. Runs *before* the closure touches the value, so
             // a weakened reclaim fails loudly instead of racing.
             if let Some(ss) = tag {
-                // Session objects were audited under the tenant's
-                // composite key and sampling flag; gate against those.
-                let report = match &rt.session {
-                    Some(s) => rt
-                        .inner
-                        .core
-                        .session_audit_access_gate(s, SsId(s.route_key(ss))),
-                    None => rt.inner.core.audit_access_gate(ss),
-                };
-                if let Some(report) = report {
+                let d = rt.domain();
+                if let Some(report) = rt.inner.core.audit_access_gate(d, SsId(d.key(ss))) {
                     self.shared.local.lock().accessing = false;
                     return Err(SsError::SerializabilityViolation(report));
                 }

@@ -1,9 +1,9 @@
-//! Criterion microbenchmarks for the communication-queue substrate:
-//! FastForward vs Lamport, single-threaded cycle cost and cross-thread
+//! Criterion microbenchmarks for the communication-queue substrate: the
+//! FastForward ring's single-threaded cycle cost and cross-thread
 //! transfer (the §4 "cache-optimized lock-free queue" claim).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use ss_queue::{LamportQueue, SpscQueue};
+use ss_queue::SpscQueue;
 use std::hint::black_box;
 
 fn single_thread_cycles(c: &mut Criterion) {
@@ -14,13 +14,6 @@ fn single_thread_cycles(c: &mut Criterion) {
         b.iter(|| {
             tx.try_push(black_box(1u64)).unwrap();
             black_box(rx.try_pop().value().unwrap());
-        });
-    });
-    g.bench_function("lamport", |b| {
-        let (tx, rx) = LamportQueue::with_capacity(64);
-        b.iter(|| {
-            tx.try_push(black_box(1u64)).unwrap();
-            black_box(rx.pop_blocking().unwrap());
         });
     });
     g.finish();
@@ -35,25 +28,6 @@ fn cross_thread_transfer(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("fastforward", cap), &cap, |b, &cap| {
             b.iter(|| {
                 let (tx, rx) = SpscQueue::with_capacity(cap);
-                std::thread::scope(|s| {
-                    s.spawn(move || {
-                        for i in 0..N {
-                            tx.push_blocking(i).unwrap();
-                        }
-                    });
-                    s.spawn(move || {
-                        let mut sum = 0u64;
-                        while let Some(v) = rx.pop_blocking() {
-                            sum = sum.wrapping_add(v);
-                        }
-                        black_box(sum);
-                    });
-                });
-            });
-        });
-        g.bench_with_input(BenchmarkId::new("lamport", cap), &cap, |b, &cap| {
-            b.iter(|| {
-                let (tx, rx) = LamportQueue::with_capacity(cap);
                 std::thread::scope(|s| {
                     s.spawn(move || {
                         for i in 0..N {

@@ -1,40 +1,34 @@
-//! Ablation: sharded routing vs the legacy global routing mutex.
+//! The non-static routing trajectory: what one routing decision costs
+//! when every set actually goes through the sharded pin map.
 //!
-//! PR 5 replaced the routing layer's global pin-table mutex with a
-//! sharded, epoch-stamped pin map (`ss_queue::shardmap`): per-shard
-//! locks for writers, lock-free resolution for the common
-//! re-delegate-to-a-pinned-set case. `RoutingMode::LegacyMutex` keeps
-//! the old layout reachable — a single-shard map with the lock-free fast
-//! path disabled, i.e. one global mutex acquisition per routing decision
-//! — so this bin can measure exactly what the sharding bought, at
-//! 2/4/8 delegates over the two delegation shapes that stress routing
-//! differently:
+//! The routing layer keeps its set→executor pins in a sharded,
+//! epoch-stamped map (`ss_queue::shardmap`): per-shard locks for writers,
+//! lock-free resolution for the common re-delegate-to-a-pinned-set case.
+//! This bin tracks that path at 2/4/8 delegates over the two delegation
+//! shapes that stress routing differently:
 //!
 //! * `flat` — the program thread delegates every operation top-level.
-//!   Routing is single-producer; the win to look for is the lock-free
-//!   fast path (no mutex acquisition, no read-modify-write per
-//!   re-delegation), not reduced contention.
+//!   Routing is single-producer; what shows is the lock-free fast path
+//!   (no mutex acquisition, no read-modify-write per re-delegation).
 //! * `nested` — the program thread delegates only roots; every child and
 //!   grandchild is routed *from a delegate context*, so up to
-//!   `delegates + 1` threads hit the routing layer concurrently — the
-//!   contention shape ROADMAP's "per-delegate pin-table sharding"
-//!   follow-on named.
+//!   `delegates + 1` threads hit the routing layer concurrently.
 //!
 //! Assignment is `RoundRobinFirstTouch` (non-pure, so every set actually
 //! routes through the pin map; the static default would bypass it) and
 //! stealing is off (isolating the pin-map path; the stealing transport
 //! additionally benefits from shard-local publish critical sections).
 //!
-//! Output: a table plus `bench ablation_routing/<shape>-<n>d/<mode>
+//! Output: a table plus `bench ablation_routing/<shape>-<n>d/sharded
 //! median_ns=<n>` lines that `scripts/record_baseline.sh` folds into
-//! `BENCH_baseline.json`; a fingerprint gate asserts the routing layout
+//! `BENCH_baseline.json`; a fingerprint gate asserts the delegate count
 //! is observationally invisible. Measured numbers and guidance live in
 //! `docs/POLICIES.md`.
 
 use std::sync::Arc;
 
 use ss_bench::*;
-use ss_core::{Assignment, RoutingMode, Runtime, SequenceSerializer, Writable};
+use ss_core::{Assignment, Runtime, SequenceSerializer, Writable};
 
 fn work(seed: u64, rounds: u32) -> u64 {
     let mut x = seed | 1;
@@ -148,90 +142,66 @@ fn main() {
         ss_workloads::scale::Scale::L => 16,
     };
     println!(
-        "Ablation: sharded routing vs legacy global routing mutex \
+        "Ablation: non-static routing through the sharded pin map \
          (host threads: {})\n",
         host_threads()
     );
 
-    let modes: [(&str, RoutingMode); 2] = [
-        ("legacy-mutex", RoutingMode::LegacyMutex),
-        ("sharded", RoutingMode::Sharded),
-    ];
-
-    let mut table = Table::new(&[
-        "shape",
-        "delegates",
-        "mode",
-        "time",
-        "vs legacy",
-        "pins",
-        "lock-free hits",
-    ]);
-    let mut gate: Vec<(String, u64)> = Vec::new();
+    let mut table = Table::new(&["shape", "delegates", "time", "pins", "lock-free hits"]);
     let mut bench_lines: Vec<String> = Vec::new();
     for shape in shapes(scale_mul) {
+        let mut reference = None;
         for delegates in [2usize, 4, 8] {
-            let mut legacy_time = None;
-            for (mode_name, mode) in modes {
-                let mut fp = 0;
-                let mut pins = 0;
-                let mut fast_hits = 0;
-                let (t, _) = measure(reps, || {
-                    let rt = Runtime::builder()
-                        .delegate_threads(delegates)
-                        .queue_capacity(8192)
-                        .assignment(Assignment::RoundRobinFirstTouch)
-                        .routing(mode)
-                        .build()
-                        .unwrap();
-                    fp = run(&rt, shape);
-                    let stats = rt.stats();
-                    pins = stats.pins;
-                    fast_hits = stats.pin_fast_hits;
-                    fp
-                });
-                let baseline = *legacy_time.get_or_insert(t);
-                table.row(vec![
-                    shape.name.to_string(),
-                    delegates.to_string(),
-                    mode_name.to_string(),
-                    fmt_dur(t),
-                    format!("{:.2}x", baseline.as_secs_f64() / t.as_secs_f64()),
-                    pins.to_string(),
-                    fast_hits.to_string(),
-                ]);
-                gate.push((format!("{}-{}d/{}", shape.name, delegates, mode_name), fp));
-                bench_lines.push(format!(
-                    "bench ablation_routing/{}-{}d/{} median_ns={}",
-                    shape.name,
-                    delegates,
-                    mode_name,
-                    t.as_nanos()
-                ));
-            }
+            let mut fp = 0;
+            let mut pins = 0;
+            let mut fast_hits = 0;
+            let (t, _) = measure(reps, || {
+                let rt = Runtime::builder()
+                    .delegate_threads(delegates)
+                    .queue_capacity(8192)
+                    .assignment(Assignment::RoundRobinFirstTouch)
+                    .build()
+                    .unwrap();
+                fp = run(&rt, shape);
+                let stats = rt.stats();
+                pins = stats.pins;
+                fast_hits = stats.pin_fast_hits;
+                fp
+            });
+            table.row(vec![
+                shape.name.to_string(),
+                delegates.to_string(),
+                fmt_dur(t),
+                pins.to_string(),
+                fast_hits.to_string(),
+            ]);
+            // Correctness gate: where a set is pinned must be
+            // observationally invisible — identical fingerprints per
+            // shape at every delegate count.
+            assert_eq!(
+                *reference.get_or_insert(fp),
+                fp,
+                "{} fingerprint diverged at {delegates} delegates",
+                shape.name
+            );
+            bench_lines.push(format!(
+                "bench ablation_routing/{}-{}d/sharded median_ns={}",
+                shape.name,
+                delegates,
+                t.as_nanos()
+            ));
         }
     }
     println!("{}", table.render());
-
-    // Correctness gate: the pin-map layout must be observationally
-    // invisible — identical fingerprints per (shape, delegate count).
-    for chunk in gate.chunks(2) {
-        assert_eq!(
-            chunk[0].1, chunk[1].1,
-            "{} and {} fingerprints diverged",
-            chunk[0].0, chunk[1].0
-        );
-    }
-    println!("Both routing modes produced identical fingerprints per shape.\n");
+    println!("Every delegate count produced identical fingerprints per shape.\n");
     for line in &bench_lines {
         println!("{line}");
     }
     println!(
         "\nExpected: `flat` isolates the lock-free fast path (lock-free\n\
-         hits ≈ re-delegations under sharded, 0 under legacy); `nested`\n\
-         adds routing contention from every delegate context, which the\n\
-         per-shard locks cut. On a 1-CPU container the nested contention\n\
-         win is bounded by oversubscription — see docs/POLICIES.md for\n\
-         the recorded numbers and interpretation."
+         hits ≈ re-delegations); `nested` adds routing contention from\n\
+         every delegate context, which the per-shard locks bound. On a\n\
+         1-2 CPU container the higher delegate counts are oversubscribed\n\
+         — see docs/POLICIES.md for the recorded numbers."
     );
 }

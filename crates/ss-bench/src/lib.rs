@@ -11,7 +11,6 @@
 //! | `fig5a_breakdown`  | Figure 5a — aggregation/isolation/reduction time |
 //! | `fig5b_input_scaling` | Figure 5b — speedup vs input size (S/M/L) |
 //! | `fig6_scaling`     | Figure 6 — speedup vs delegate-thread count |
-//! | `ablation_queue`   | FastForward vs Lamport SPSC queues |
 //! | `ablation_serializer` | §2.1 serializer granularity (matmul) |
 //! | `ablation_ratio`   | §4 program-thread assignment ratio |
 //! | `ablation_kmeans`  | §5.1 kmeans variants (paper vs reduction) |

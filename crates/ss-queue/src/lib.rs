@@ -10,7 +10,7 @@
 //! > condition on the consumer side. … these conditions are checked in a spin
 //! > loop rather than using blocking OS synchronization." — §4
 //!
-//! Three queue implementations are provided:
+//! Two queue implementations are provided:
 //!
 //! * [`SpscQueue`] — FastForward-style: *no shared head/tail indices at all*.
 //!   Each slot carries its own full/empty flag; the producer and consumer
@@ -21,10 +21,6 @@
 //!   MPSC queue when extra producers (the runtime's recursive-delegation
 //!   path) need to reach the same consumer without risking a
 //!   bounded-ring deadlock.
-//! * [`LamportQueue`] — the classic Lamport ring buffer with shared atomic
-//!   head/tail indices. Retained as the ablation baseline for the
-//!   `ablation_queue` experiment (FastForward's contribution is precisely the
-//!   removal of this index sharing).
 //! * [`StealDeque`] — the work-stealing substrate of the runtime's stealing
 //!   mode: keyed entries, whole-batch steals, epoch-aware started-key
 //!   filtering, per-key in-flight counts that gate quiescent-tail
@@ -75,7 +71,6 @@
 
 mod backoff;
 mod deque;
-mod lamport;
 pub mod memomap;
 pub mod oneshot;
 mod pad;
@@ -85,7 +80,6 @@ mod spsc;
 
 pub use backoff::Backoff;
 pub use deque::{push_shard_of, FenceScope, StealDeque, StealScan, StealTag, PUSH_SHARDS};
-pub use lamport::LamportQueue;
 pub use pad::CachePadded;
 pub use spsc::{Consumer, Injector, Producer, SpscQueue};
 

@@ -184,20 +184,13 @@ fn mix(key: u64) -> u64 {
 
 impl ShardMap {
     /// Creates a map with `shards` shards (rounded up to a power of two,
-    /// minimum 1). One shard degenerates to a single global lock — the
-    /// configuration the runtime's `RoutingMode::LegacyMutex` ablation
-    /// knob uses.
+    /// minimum 1). One shard degenerates to a single global lock.
     pub fn new(shards: usize) -> Self {
         let n = shards.max(1).next_power_of_two();
         ShardMap {
             shards: (0..n).map(|_| Shard::new()).collect(),
             shift: 64 - n.trailing_zeros(),
         }
-    }
-
-    /// Number of shards (diagnostic).
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
     }
 
     #[inline]
@@ -570,22 +563,45 @@ mod tests {
         let m = Arc::new(ShardMap::new(8));
         let threads = 4;
         let per = 500u64;
+        let fast_hits = AtomicU64::new(0);
         std::thread::scope(|s| {
             for t in 0..threads {
-                let m = Arc::clone(&m);
+                let (m, fast_hits) = (Arc::clone(&m), &fast_hits);
                 s.spawn(move || {
                     for i in 0..per {
                         let key = t * per + i;
-                        let (v, _) = m
-                            .lock_key(key)
-                            .get_or_insert_with(key, 1, || (key % 97 + 1) as u32);
-                        assert_eq!(v, (key % 97 + 1) as u32);
+                        let want = (key % 97 + 1) as u32;
+                        let (v, _) = m.lock_key(key).get_or_insert_with(key, 1, || want);
+                        assert_eq!(v, want);
                         // Immediate read-back through every read path.
-                        assert_eq!(m.read_nonblocking(key, 1).unwrap(), v);
+                        assert_eq!(m.lock_key(key).get(key, 1), Some(want));
+                        // Lock-free: a hit or (spilled to overflow) a miss,
+                        // never a wrong value.
+                        if let Some(got) = m.get(key, 1) {
+                            assert_eq!(got, want);
+                            fast_hits.fetch_add(1, Ordering::Relaxed);
+                        }
+                        // Non-blocking: a conservative `None` is allowed
+                        // only while another thread holds the shard, so a
+                        // retry must hit.
+                        let deadline =
+                            std::time::Instant::now() + std::time::Duration::from_secs(10);
+                        let got = loop {
+                            match m.read_nonblocking(key, 1) {
+                                Some(got) => break got,
+                                None if std::time::Instant::now() < deadline => {
+                                    std::thread::yield_now()
+                                }
+                                None => panic!("key {key}: non-blocking read never hit"),
+                            }
+                        };
+                        assert_eq!(got, want);
                     }
                 });
             }
         });
+        // The first `SLOTS` keys of every shard take the fast array.
+        assert!(fast_hits.load(Ordering::Relaxed) >= SLOTS as u64);
         for key in 0..threads * per {
             assert_eq!(
                 m.lock_key(key).get(key, 1),

@@ -3,7 +3,7 @@
 //! from the correct sides.
 
 use proptest::prelude::*;
-use ss_queue::{LamportQueue, Pop, SpscQueue};
+use ss_queue::SpscQueue;
 use std::collections::VecDeque;
 
 #[derive(Debug, Clone)]
@@ -49,29 +49,6 @@ proptest! {
         let mut rest = Vec::new();
         while let Some(v) = rx.pop_blocking() { rest.push(v); }
         prop_assert_eq!(rest, model.into_iter().collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn lamport_matches_fifo_model(
-        cap in 1usize..32,
-        ops in proptest::collection::vec(op_strategy(), 0..200),
-    ) {
-        let (tx, rx) = LamportQueue::with_capacity(cap);
-        let real_cap = tx.capacity();
-        let mut model: VecDeque<u32> = VecDeque::new();
-        for op in ops {
-            match op {
-                Op::Push(v) => {
-                    let ok = tx.try_push(v).is_ok();
-                    prop_assert_eq!(ok, model.len() < real_cap);
-                    if model.len() < real_cap { model.push_back(v); }
-                }
-                Op::Pop => {
-                    let got = match rx.try_pop() { Pop::Value(v) => Some(v), _ => None };
-                    prop_assert_eq!(got, model.pop_front());
-                }
-            }
-        }
     }
 
     /// Cross-thread: arbitrary payload vectors survive the handoff verbatim.

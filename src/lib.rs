@@ -53,7 +53,7 @@ pub mod prelude {
         doall, fingerprint_of, AssignTopology, Assignment, AuditMode, AuditReport, AuditViolation,
         DelegateAssignment, DelegateContext, DelegateLoads, EwmaCost, ExecutionMode, Executor,
         Fingerprint, FnSerializer, LeastLoaded, MemoValue, NullSerializer, ObjectSerializer,
-        ReadOnly, Reduce, Reducible, RoundRobinFirstTouch, RoutingMode, Runtime, RuntimeBuilder,
+        ReadOnly, Reduce, Reducible, RoundRobinFirstTouch, Runtime, RuntimeBuilder,
         SequenceSerializer, Serializer, Session, SessionStats, SsError, SsFuture, SsId,
         StaticAssignment, Stats, StealPolicy, TraceEvent, TraceExecutor, TraceKind, WaitPolicy,
         Writable,

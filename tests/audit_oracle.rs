@@ -426,8 +426,15 @@ mod chaos {
                 std::thread::sleep(Duration::from_millis(150))
             })
             .unwrap();
+        // The stolen prefix outlasts the blocker (8 x 30 ms > 150 ms), so
+        // the thief is still busy — not idle and lifting the post-steal
+        // batch as well — when delegate 0 gets to that batch.
         for _ in 0..8 {
-            victim.delegate_in(ss_core::SsId(2), |_| {}).unwrap();
+            victim
+                .delegate_in(ss_core::SsId(2), |_| {
+                    std::thread::sleep(Duration::from_millis(30))
+                })
+                .unwrap();
         }
         // Wait for delegate 1 to lift the session's queued victim batch.
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
@@ -559,8 +566,15 @@ mod chaos {
                 std::thread::sleep(Duration::from_millis(150))
             })
             .unwrap();
+        // The stolen prefix outlasts the blocker (8 x 30 ms > 150 ms), so
+        // the thief is still busy — not idle and lifting the post-steal
+        // batch as well — when delegate 0 gets to that batch.
         for _ in 0..8 {
-            victim.delegate_in(ss_core::SsId(2), |_| {}).unwrap();
+            victim
+                .delegate_in(ss_core::SsId(2), |_| {
+                    std::thread::sleep(Duration::from_millis(30))
+                })
+                .unwrap();
         }
         // Wait for delegate 1 to lift the victim set's queued batch.
         let deadline = std::time::Instant::now() + Duration::from_secs(5);

@@ -123,6 +123,15 @@ fn audit_mode_of(idx: usize) -> AuditMode {
     }
 }
 
+/// Unwraps a runtime result on a session thread, naming the operation it
+/// belonged to. The program is deterministic but the schedule is not, so
+/// when a one-in-fifty interleaving fails (ROADMAP item 3) the panic has
+/// to carry everything needed to chase it: which op, and which error.
+#[track_caller]
+fn ok<T>(result: Result<T, SsError>, i: usize, what: &str) -> T {
+    result.unwrap_or_else(|e| panic!("session op #{i} ({what}) failed: {e:?}"))
+}
+
 /// Runs one session's program to completion on the current thread (which
 /// becomes the session's program thread) and returns what it observed.
 fn run_program(session: &Session, k: usize, ops: &[Op]) -> Observed {
@@ -132,34 +141,34 @@ fn run_program(session: &Session, k: usize, ops: &[Op]) -> Observed {
         (0..k).map(|_| Writable::new(session, 0)).collect();
     let mut read_log = Vec::new();
     let mut future_log = Vec::new();
-    let mut pending_futures: Vec<SsFuture<u64>> = Vec::new();
+    let mut pending_futures: Vec<(usize, SsFuture<u64>)> = Vec::new();
 
-    session.begin_isolation().unwrap();
-    for op in ops {
+    ok(session.begin_isolation(), 0, "first begin_isolation");
+    for (i, op) in ops.iter().enumerate() {
         match op {
             Op::Mutate { obj, x } => {
                 let x = *x;
-                objects[*obj].delegate(move |s| *s = fold(*s, x)).unwrap();
+                ok(
+                    objects[*obj].delegate(move |s| *s = fold(*s, x)),
+                    i,
+                    "delegate",
+                );
             }
             Op::MutateBatch { obj, xs } => {
-                let n = objects[*obj]
-                    .delegate_iter(
-                        xs.clone()
-                            .into_iter()
-                            .map(|x| move |s: &mut u64| *s = fold(*s, x)),
-                    )
-                    .unwrap();
+                let run = xs
+                    .clone()
+                    .into_iter()
+                    .map(|x| move |s: &mut u64| *s = fold(*s, x));
+                let n = ok(objects[*obj].delegate_iter(run), i, "delegate_iter");
                 assert_eq!(n, xs.len());
             }
             Op::MutateFuture { obj, x } => {
                 let x = *x;
-                let fut = objects[*obj]
-                    .delegate_with(move |s| {
-                        *s = fold(*s, x);
-                        *s
-                    })
-                    .unwrap();
-                pending_futures.push(fut);
+                let fut = objects[*obj].delegate_with(move |s| {
+                    *s = fold(*s, x);
+                    *s
+                });
+                pending_futures.push((i, ok(fut, i, "delegate_with")));
             }
             Op::MutateNested { obj, x } => {
                 let x = *x;
@@ -168,33 +177,37 @@ fn run_program(session: &Session, k: usize, ops: &[Op]) -> Observed {
                 // stay inside this session's namespace.
                 let rt2 = Runtime::clone(session);
                 let child = children[*obj].clone();
-                objects[*obj]
-                    .delegate(move |s| {
-                        *s = fold(*s, x);
-                        rt2.delegate_scope(|cx| {
-                            cx.delegate(&child, move |c| *c = fold(*c, mix(x))).unwrap();
-                        })
-                        .unwrap();
-                    })
-                    .unwrap();
+                let parent = objects[*obj].delegate(move |s| {
+                    *s = fold(*s, x);
+                    let nested = rt2
+                        .delegate_scope(|cx| cx.delegate(&child, move |c| *c = fold(*c, mix(x))));
+                    ok(ok(nested, i, "delegate_scope"), i, "nested delegate");
+                });
+                ok(parent, i, "delegate (nesting parent)");
             }
-            Op::Read { obj } => read_log.push(objects[*obj].call_mut(|s| *s).unwrap()),
+            Op::Read { obj } => read_log.push(ok(objects[*obj].call_mut(|s| *s), i, "call_mut")),
             Op::EpochBoundary => {
-                for fut in pending_futures.drain(..) {
-                    future_log.push(fut.wait().unwrap());
+                for (j, fut) in pending_futures.drain(..) {
+                    future_log.push(ok(fut.wait(), j, "future wait at epoch boundary"));
                 }
-                session.end_isolation().unwrap();
-                session.begin_isolation().unwrap();
+                ok(session.end_isolation(), i, "end_isolation");
+                ok(session.begin_isolation(), i, "begin_isolation");
             }
         }
     }
-    for fut in pending_futures.drain(..) {
-        future_log.push(fut.wait().unwrap());
+    for (j, fut) in pending_futures.drain(..) {
+        future_log.push(ok(fut.wait(), j, "future wait at program end"));
     }
-    session.end_isolation().unwrap();
+    ok(session.end_isolation(), ops.len(), "final end_isolation");
 
-    let finals = objects.iter().map(|o| o.call(|s| *s).unwrap()).collect();
-    let child_finals = children.iter().map(|o| o.call(|s| *s).unwrap()).collect();
+    let finals = objects
+        .iter()
+        .map(|o| ok(o.call(|s| *s), ops.len(), "final call"))
+        .collect();
+    let child_finals = children
+        .iter()
+        .map(|o| ok(o.call(|s| *s), ops.len(), "final child call"))
+        .collect();
     (finals, child_finals, read_log, future_log)
 }
 
@@ -224,7 +237,7 @@ fn run_sessions(
             .map(|ops| {
                 let rt = rt.clone();
                 scope.spawn(move || {
-                    let session = rt.session().unwrap();
+                    let session = ok(rt.session(), 0, "open session");
                     let observed = run_program(&session, k, ops);
                     // The session's own barrier has run: its drain counter
                     // must be settled and its accounting must balance.
@@ -238,7 +251,7 @@ fn run_sessions(
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     });
     // Every handle dropped on join: the tenant registry must be empty
-    // again (root epoch boundaries regain their seed fast path).
+    // again (root epoch boundaries may reset steal bookkeeping again).
     assert_eq!(rt.stats().sessions_active, 0, "tenant leak");
     results
 }
@@ -292,8 +305,8 @@ proptest! {
 
     /// The root runtime is itself a tenant: a session runs concurrently
     /// with the root program thread driving the same pool, and *both*
-    /// match their oracles (the root path must stay bit-for-bit the seed
-    /// behaviour while a tenant is live).
+    /// match their oracles (the root is domain 0 of the same machinery,
+    /// and must stay oracle-identical while a tenant is live).
     #[test]
     fn root_and_session_coexist_and_both_match(
         root_ops in proptest::collection::vec(op_strategy(3), 0..50),
