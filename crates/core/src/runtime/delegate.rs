@@ -42,7 +42,7 @@ use crate::invocation::{Invocation, TaskSlot};
 use crate::serializer::{Serializer, SsId};
 use crate::stats::StatsCell;
 use crate::trace::{SideEvent, TraceExecutor, TraceKind};
-use crate::wrappers::Writable;
+use crate::wrappers::{Memo, NoMemo, Submitter, Void, Writable};
 
 use super::dispatch::Lane;
 use super::domain::{key_domain, Domain};
@@ -260,7 +260,7 @@ const COST_SAMPLE_CAP: usize = 4096;
 /// Executes one `Execute` invocation with active-set tracking and
 /// origin-correct counter settlement. Shared by the worker loops and the
 /// help loop so every path maintains identical accounting. The task slot
-/// never unwinds (`package_task` traps panics), so the push/pop pair
+/// never unwinds (`Writable::package` traps panics), so the push/pop pair
 /// stays balanced.
 ///
 /// When the assignment policy asked for cost feedback
@@ -1387,6 +1387,13 @@ fn record_steal_events(core: &Core, serial: u64, sets: &[u64], thief: usize, kin
 /// operations ([`SsError::NestedOnProgram`]): the program thread is not
 /// at a delegation point.
 ///
+/// A nested delegation runs the same per-epoch state machine as the
+/// program thread's, so with `dynamic_checks` on it gets the same §3.3
+/// consistency check: re-delegating an object already tagged this epoch
+/// reports [`SsError::InconsistentSerializer`] when the external set
+/// supplied — or, once the object's earlier operations have completed,
+/// its recomputed internal serializer — disagrees with the tag.
+///
 /// ```
 /// use ss_core::{Runtime, SequenceSerializer, Writable};
 ///
@@ -1456,7 +1463,13 @@ impl<'rt> DelegateContext<'rt> {
         S: Serializer<T>,
         F: FnOnce(&mut T) + Send + 'static,
     {
-        target.delegate_nested(self, None, f)
+        target
+            .delegate_run(
+                Submitter::Nested(self),
+                None,
+                &mut [target.package(f, Void)],
+            )
+            .map(drop)
     }
 
     /// Delegates in an explicitly supplied serialization set — the nested
@@ -1472,7 +1485,10 @@ impl<'rt> DelegateContext<'rt> {
         S: Serializer<T>,
         F: FnOnce(&mut T) + Send + 'static,
     {
-        target.delegate_nested(self, Some(ss.into()), f)
+        let run = &mut [target.package(f, Void)];
+        target
+            .delegate_run(Submitter::Nested(self), Some(ss.into()), run)
+            .map(drop)
     }
 
     /// Delegates a whole run of operations on `target` from this delegate
@@ -1513,7 +1529,7 @@ impl<'rt> DelegateContext<'rt> {
         I: IntoIterator<Item = F>,
         F: FnOnce(&mut T) + Send + 'static,
     {
-        target.delegate_nested_iter(self, None, fs)
+        target.delegate_run(Submitter::Nested(self), None, &mut target.package_all(fs))
     }
 
     /// Batch nested delegation in an explicitly supplied serialization
@@ -1530,7 +1546,8 @@ impl<'rt> DelegateContext<'rt> {
         I: IntoIterator<Item = F>,
         F: FnOnce(&mut T) + Send + 'static,
     {
-        target.delegate_nested_iter(self, Some(ss.into()), fs)
+        let run = &mut target.package_all(fs);
+        target.delegate_run(Submitter::Nested(self), Some(ss.into()), run)
     }
 
     /// Delegates a *future-returning* operation on `target` from this
@@ -1574,7 +1591,7 @@ impl<'rt> DelegateContext<'rt> {
         R: Send + 'static,
         F: FnOnce(&mut T) -> R + Send + 'static,
     {
-        target.delegate_nested_with(self, None, f)
+        target.delegate_future(Submitter::Nested(self), None, NoMemo, f)
     }
 
     /// Future-returning nested delegation in an explicitly supplied
@@ -1592,7 +1609,7 @@ impl<'rt> DelegateContext<'rt> {
         R: Send + 'static,
         F: FnOnce(&mut T) -> R + Send + 'static,
     {
-        target.delegate_nested_with(self, Some(ss.into()), f)
+        target.delegate_future(Submitter::Nested(self), Some(ss.into()), NoMemo, f)
     }
 
     /// Memoized future-returning delegation from this delegate context —
@@ -1611,7 +1628,7 @@ impl<'rt> DelegateContext<'rt> {
         R: crate::fingerprint::MemoValue,
         F: FnOnce(&mut T) -> R + Send + 'static,
     {
-        target.delegate_nested_memo(self, None, fingerprint, f)
+        target.delegate_future(Submitter::Nested(self), None, Memo(fingerprint), f)
     }
 
     /// Memoized nested delegation in an explicitly supplied
@@ -1630,7 +1647,12 @@ impl<'rt> DelegateContext<'rt> {
         R: crate::fingerprint::MemoValue,
         F: FnOnce(&mut T) -> R + Send + 'static,
     {
-        target.delegate_nested_memo(self, Some(ss.into()), fingerprint, f)
+        target.delegate_future(
+            Submitter::Nested(self),
+            Some(ss.into()),
+            Memo(fingerprint),
+            f,
+        )
     }
 }
 

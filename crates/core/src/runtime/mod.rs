@@ -206,7 +206,7 @@ impl Core {
 
     /// The auditor, when it is observing `d`'s current epoch.
     #[inline]
-    fn auditing(&self, d: &Domain) -> Option<&AuditState> {
+    pub(crate) fn auditing(&self, d: &Domain) -> Option<&AuditState> {
         self.audit
             .as_ref()
             .filter(|_| d.audit_on.load(Ordering::Relaxed))

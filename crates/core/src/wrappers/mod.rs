@@ -24,6 +24,7 @@ mod writable;
 pub use read_only::ReadOnly;
 pub use reducible::{Reduce, Reducible};
 pub use writable::{doall, Writable};
+pub(crate) use writable::{Memo, NoMemo, Submitter, Void};
 
 /// Extracts a human-readable message from a panic payload.
 pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {

@@ -41,14 +41,21 @@
 //!    program context's access closure runs, the `accessing` flag rejects
 //!    racing delegations ([`SsError::AccessInProgress`]) instead of letting
 //!    them alias the live borrow.
-//! 3. `pending` (incremented at delegation, decremented with Release after
+//! 3. `pending` (raised at delegation, lowered with Release after
 //!    execution) gives the cheap "no outstanding work" fast path, read with
-//!    Acquire. On the nested path it is incremented *under* the state mutex,
-//!    after the global nested-epoch flag is raised, so a program-context
-//!    access that observes `pending == 0` under the same mutex either
-//!    predates the nested submission entirely (and the submission will then
-//!    see `accessing`/state and reject or queue behind the reclaim) or sees
-//!    the flag and quiesces.
+//!    Acquire. Every delegation — program-context and nested alike — raises
+//!    it *under* the state mutex, in the critical section that tags the
+//!    object (a nested one after raising the domain's nested-epoch flag).
+//!    So whoever holds the mutex and reads `pending == 0` with `accessing
+//!    == false` knows that no executor holds the value and that none can
+//!    take it before the mutex is released. That is what lets the
+//!    delegation state machine hand `&T` to the internal serializer (for
+//!    the first tag of an epoch and for the §3.3 re-check of a later
+//!    delegation, from either context), and what orders a program-context
+//!    access against a nested submission: the submission either precedes
+//!    the access's critical section (which then sees its `pending` count
+//!    or the nested flag and quiesces) or follows it (and is rejected by
+//!    `accessing`, or queues behind the state the access left).
 
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
@@ -61,7 +68,7 @@ use crate::error::{SsError, SsResult};
 use crate::fingerprint::MemoValue;
 use crate::future::SsFuture;
 use crate::invocation::TaskSlot;
-use crate::runtime::{trace_executor_for, DelegateContext, Executor, Origin, Runtime};
+use crate::runtime::{trace_executor_for, Core, DelegateContext, Executor, Origin, Runtime};
 use crate::serializer::{ObjectSerializer, SerializeCx, Serializer, SsId};
 use crate::stats::StatsCell;
 use crate::trace::TraceKind;
@@ -135,29 +142,172 @@ impl Drop for AccessGuard<'_> {
     }
 }
 
-/// Outcome of a memoized delegation's phase 1 (state machine + memo
-/// lookup under the object mutex).
-enum MemoPrepared {
-    /// The memo table held a servable entry: the future is born ready
-    /// from `bits` and nothing was committed (no tag, no claim, no
-    /// pending raise — the operation will not run).
-    Hit {
-        bits: u64,
-        ss: SsId,
-        serial: u64,
-        entry_gen: u64,
-        live_gen: u64,
-    },
-    /// No servable entry: the delegation was committed (on the nested
-    /// path, `pending` was raised inside the critical section; the
-    /// program path raises it after, like the non-memo flow).
-    /// `generation` is the set's live generation at lookup time — the
+/// Who is delegating: the domain's program thread at a delegation point,
+/// or a delegate context running one of the domain's operations (recursive
+/// delegation). Both drive the same state machine; the branches on this
+/// value are the only places they differ — the context check, the
+/// [`SsError::NestedOnProgram`] rule and the nested-epoch mark in
+/// [`Writable::prepare`], and which trace log records the event (`prepare`
+/// for a memo hit, [`Writable::submit_and_record`] otherwise).
+#[derive(Clone, Copy)]
+pub(crate) enum Submitter<'a> {
+    Program,
+    Nested(&'a DelegateContext<'a>),
+}
+
+impl Submitter<'_> {
+    fn origin(self) -> Origin {
+        match self {
+            Submitter::Program => Origin::Program,
+            Submitter::Nested(_) => Origin::Nested,
+        }
+    }
+}
+
+/// Where a delegated operation's result goes once it has run: the
+/// completion kind, which is all that the void, future and memo forms of
+/// a delegation differ in after [`Writable::prepare`]. Captured by value
+/// in the invocation closure and dispatched statically.
+pub(crate) trait Sink<R>: Send + 'static {
+    /// Whether the delegator abandoned the result before the operation
+    /// was popped (drop-to-cancel): the body is then skipped.
+    fn cancelled(&self) -> bool;
+    /// Delivers the result, before the object's `pending` count drops.
+    fn resolve(self, out: R, core: &Core, instance: u64);
+}
+
+/// Void delegation (Table 1 `delegate`): nothing to deliver. Zero-sized,
+/// so a void invocation closure is two `Arc`s plus the user closure — it
+/// fits `TaskSlot`'s three inline words whenever the user capture fits one.
+pub(crate) struct Void;
+
+impl Sink<()> for Void {
+    #[inline]
+    fn cancelled(&self) -> bool {
+        false
+    }
+    #[inline]
+    fn resolve(self, _: (), _: &Core, _: u64) {}
+}
+
+/// Future-returning delegation: the sending half of the one-shot cell
+/// behind the [`SsFuture`], plus what its `FutureResolve` trace event
+/// reports.
+pub(crate) struct Cell<R> {
+    tx: OneshotSender<R>,
+    serial: u64,
+    ss: SsId,
+    rt_id: u64,
+}
+
+impl<R: Send + 'static> Sink<R> for Cell<R> {
+    fn cancelled(&self) -> bool {
+        self.tx.is_cancelled()
+    }
+    fn resolve(self, out: R, core: &Core, instance: u64) {
+        self.tx.send(out);
+        StatsCell::bump(&core.stats.futures_resolved);
+        if core.side_events.is_some() {
+            core.record_side(
+                self.serial,
+                TraceKind::FutureResolve,
+                Some(instance),
+                Some(self.ss),
+                trace_executor_for(self.rt_id),
+            );
+        }
+    }
+}
+
+/// Memoized delegation that missed: the cell, plus the `(key, fingerprint,
+/// generation)` stamp the executed result publishes under.
+pub(crate) struct MemoCell<R> {
+    cell: Cell<R>,
+    key: u64,
+    fp: u64,
+    generation: u64,
+}
+
+impl<R: MemoValue> Sink<R> for MemoCell<R> {
+    fn cancelled(&self) -> bool {
+        self.cell.cancelled()
+    }
+    fn resolve(self, out: R, core: &Core, instance: u64) {
+        // Publish before settle: the result lands in the memo table before
+        // the cell settles and `pending` drops, so every drain proof (epoch
+        // barrier, reclaim quiesce) covers the publication and a
+        // re-submission after any barrier observes it. `publish` re-checks
+        // the generation under the shard lock and drops a publication
+        // whose set was invalidated while the operation was queued or ran.
+        if let Some(memo) = &core.memo {
+            memo.publish(self.key, self.fp, self.generation, out.to_memo_bits());
+        }
+        self.cell.resolve(out, core, instance);
+    }
+}
+
+/// Whether a future-returning delegation consults the memo table: the
+/// `delegate_with` family passes [`NoMemo`], the `delegate_memo` family
+/// [`Memo`] with the caller's input fingerprint. A trait and not an
+/// `Option<u64>` because only the memoized form needs `R: MemoValue` — to
+/// decode a hit and to publish a miss.
+pub(crate) trait MemoUse<R>: Copy {
+    type Sink: Sink<R>;
+    fn fingerprint(self) -> Option<u64>;
+    fn decode(bits: u64) -> R;
+    fn sink(self, cell: Cell<R>, key: u64, generation: u64) -> Self::Sink;
+}
+
+#[derive(Clone, Copy)]
+pub(crate) struct NoMemo;
+
+impl<R: Send + 'static> MemoUse<R> for NoMemo {
+    type Sink = Cell<R>;
+    fn fingerprint(self) -> Option<u64> {
+        None
+    }
+    fn decode(_: u64) -> R {
+        unreachable!("a delegation without a fingerprint cannot hit the memo table")
+    }
+    fn sink(self, cell: Cell<R>, _: u64, _: u64) -> Cell<R> {
+        cell
+    }
+}
+
+#[derive(Clone, Copy)]
+pub(crate) struct Memo(pub(crate) u64);
+
+impl<R: MemoValue> MemoUse<R> for Memo {
+    type Sink = MemoCell<R>;
+    fn fingerprint(self) -> Option<u64> {
+        Some(self.0)
+    }
+    fn decode(bits: u64) -> R {
+        R::from_memo_bits(bits)
+    }
+    fn sink(self, cell: Cell<R>, key: u64, generation: u64) -> MemoCell<R> {
+        MemoCell {
+            cell,
+            key,
+            fp: self.0,
+            generation,
+        }
+    }
+}
+
+/// Outcome of [`Writable::prepare`].
+struct Prepared {
+    /// The effective serialization set.
+    ss: SsId,
+    /// The domain's isolation-epoch serial.
+    serial: u64,
+    /// `Some(bits)` when the memo table held a servable entry: the future
+    /// is born ready from `bits` and **nothing was committed** (no tag, no
+    /// claim, no `pending` raise — the operation will not run).
+    hit: Option<u64>,
+    /// On a memoized miss, the set's live generation at lookup time — the
     /// stamp the executed result must publish under.
-    Miss {
-        ss: SsId,
-        serial: u64,
-        generation: u64,
-    },
+    generation: u64,
 }
 
 /// A privately-writable data domain (Prometheus `writable<T, S>`).
@@ -282,7 +432,8 @@ impl<T: Send + 'static, S: Serializer<T>> Writable<T, S> {
     where
         F: FnOnce(&mut T) + Send + 'static,
     {
-        self.delegate_impl(None, f)
+        self.delegate_run(Submitter::Program, None, &mut [self.package(f, Void)])
+            .map(drop)
     }
 
     /// Delegates in an explicitly supplied serialization set — the external
@@ -291,7 +442,9 @@ impl<T: Send + 'static, S: Serializer<T>> Writable<T, S> {
     where
         F: FnOnce(&mut T) + Send + 'static,
     {
-        self.delegate_impl(Some(ss.into()), f)
+        let run = &mut [self.package(f, Void)];
+        self.delegate_run(Submitter::Program, Some(ss.into()), run)
+            .map(drop)
     }
 
     /// Future-returning delegation (Table 1 `delegate`, minus the "return
@@ -320,7 +473,7 @@ impl<T: Send + 'static, S: Serializer<T>> Writable<T, S> {
         R: Send + 'static,
         F: FnOnce(&mut T) -> R + Send + 'static,
     {
-        self.delegate_with_impl(None, f)
+        self.delegate_future(Submitter::Program, None, NoMemo, f)
     }
 
     /// Future-returning delegation in an explicitly supplied
@@ -331,7 +484,7 @@ impl<T: Send + 'static, S: Serializer<T>> Writable<T, S> {
         R: Send + 'static,
         F: FnOnce(&mut T) -> R + Send + 'static,
     {
-        self.delegate_with_impl(Some(ss.into()), f)
+        self.delegate_future(Submitter::Program, Some(ss.into()), NoMemo, f)
     }
 
     /// Memoized future-returning delegation: like
@@ -391,7 +544,7 @@ impl<T: Send + 'static, S: Serializer<T>> Writable<T, S> {
         R: MemoValue,
         F: FnOnce(&mut T) -> R + Send + 'static,
     {
-        self.delegate_memo_impl(None, fingerprint, f)
+        self.delegate_future(Submitter::Program, None, Memo(fingerprint), f)
     }
 
     /// Memoized delegation in an explicitly supplied serialization set —
@@ -407,223 +560,7 @@ impl<T: Send + 'static, S: Serializer<T>> Writable<T, S> {
         R: MemoValue,
         F: FnOnce(&mut T) -> R + Send + 'static,
     {
-        self.delegate_memo_impl(Some(ss.into()), fingerprint, f)
-    }
-
-    fn delegate_impl<F>(&self, external: Option<SsId>, f: F) -> SsResult<()>
-    where
-        F: FnOnce(&mut T) + Send + 'static,
-    {
-        let (ss, _serial) = self.prepare_program_delegation(external)?;
-        self.shared.pending.fetch_add(1, Ordering::Relaxed);
-        let task = self.package_task(f);
-        self.submit_and_record(Origin::Program, ss, &mut [Some(task)])?;
-        Ok(())
-    }
-
-    fn delegate_with_impl<R, F>(&self, external: Option<SsId>, f: F) -> SsResult<SsFuture<R>>
-    where
-        R: Send + 'static,
-        F: FnOnce(&mut T) -> R + Send + 'static,
-    {
-        let (ss, serial) = self.prepare_program_delegation(external)?;
-        self.shared.pending.fetch_add(1, Ordering::Relaxed);
-        let (tx, rx) = self.oneshot_cell(serial);
-        let task = self.package_task_with(f, tx, serial, ss);
-        let executor = self.submit_and_record(Origin::Program, ss, &mut [Some(task)])?;
-        Ok(SsFuture::new(rx, self.rt.clone(), ss, executor))
-    }
-
-    fn delegate_memo_impl<R, F>(
-        &self,
-        external: Option<SsId>,
-        fp: u64,
-        f: F,
-    ) -> SsResult<SsFuture<R>>
-    where
-        R: MemoValue,
-        F: FnOnce(&mut T) -> R + Send + 'static,
-    {
-        let rt = &self.rt;
-        if rt.inner.core.memo.is_none() {
-            // No memo table configured: every submission is a plain
-            // future-returning delegation (and nothing is recorded).
-            return self.delegate_with_impl(external, f);
-        }
-        match self.prepare_memo_delegation(external, fp)? {
-            MemoPrepared::Hit {
-                bits,
-                ss,
-                serial,
-                entry_gen,
-                live_gen,
-            } => {
-                let core = &rt.inner.core;
-                StatsCell::bump(&core.stats.memo_hits);
-                self.record_memo_hit_audit(ss, entry_gen, live_gen);
-                if rt.trace_enabled() {
-                    rt.trace_record(
-                        TraceKind::MemoHit,
-                        Some(self.shared.instance),
-                        Some(ss),
-                        None,
-                    );
-                }
-                Ok(SsFuture::new_memo_hit(
-                    R::from_memo_bits(bits),
-                    rt.clone(),
-                    ss,
-                    serial,
-                ))
-            }
-            MemoPrepared::Miss {
-                ss,
-                serial,
-                generation,
-            } => {
-                StatsCell::bump(&rt.inner.core.stats.memo_misses);
-                self.shared.pending.fetch_add(1, Ordering::Relaxed);
-                let (tx, rx) = self.oneshot_cell(serial);
-                let task =
-                    self.package_task_memo(f, tx, serial, ss, rt.domain().key(ss), fp, generation);
-                let executor = self.submit_and_record(Origin::Program, ss, &mut [Some(task)])?;
-                Ok(SsFuture::new(rx, self.rt.clone(), ss, executor))
-            }
-        }
-    }
-
-    /// Memoized delegation, phase 1 (program-thread form): the same
-    /// context/epoch/state-machine checks as
-    /// [`prepare_program_delegation`](Writable::prepare_program_delegation),
-    /// plus the memo lookup — all under one hold of the object mutex. A
-    /// **hit returns without committing anything**: the object is not
-    /// tagged, not claimed and `pending` is untouched, because no
-    /// operation will run. Only a miss commits the delegation.
-    fn prepare_memo_delegation(&self, external: Option<SsId>, fp: u64) -> SsResult<MemoPrepared> {
-        let rt = &self.rt;
-        rt.require_program_thread()?;
-        let (in_iso, serial, inline) = rt.epoch_flags();
-        if inline {
-            return Err(SsError::NestedDelegation);
-        }
-        if !in_iso {
-            return Err(SsError::NotInIsolation);
-        }
-        if rt.is_poisoned() {
-            return Err(rt.inner.core.poison_error());
-        }
-        let memo = rt
-            .inner
-            .core
-            .memo
-            .as_ref()
-            .expect("caller checked the table exists");
-
-        let mut local = self.shared.local.lock();
-        let local = &mut *local;
-        local.refresh(serial);
-        if local.accessing {
-            return Err(SsError::AccessInProgress {
-                instance: self.shared.instance,
-            });
-        }
-        if local.use_state == UseState::ReadShared {
-            return Err(SsError::StateConflict {
-                instance: self.shared.instance,
-                was_read_shared: true,
-            });
-        }
-        // Effective-set computation: identical rules to the non-memo
-        // prepare (first tag authoritative, §3.3 consistency check under
-        // dynamic checks), but the tag is only *committed* on a miss.
-        let ss = if let Some(tag) = local.tag {
-            if rt.dynamic_checks() {
-                let recomputed = match external {
-                    Some(e) => Some(e),
-                    None if self.shared.pending.load(Ordering::Acquire) == 0 => {
-                        // SAFETY: pending == 0 ⇒ no executor holds the value.
-                        let value = unsafe { &*self.shared.value.get() };
-                        self.serializer.serialize(value, self.cx())
-                    }
-                    None => None,
-                };
-                if let Some(got) = recomputed {
-                    if got != tag {
-                        return Err(SsError::InconsistentSerializer {
-                            instance: self.shared.instance,
-                            tagged: tag,
-                            got,
-                        });
-                    }
-                }
-            }
-            tag
-        } else {
-            match external {
-                Some(e) => e,
-                None => {
-                    // Untagged ⇒ no delegation this epoch ⇒ pending == 0
-                    // (all previous epochs drained), so the serializer may
-                    // inspect the object.
-                    debug_assert_eq!(self.shared.pending.load(Ordering::Acquire), 0);
-                    // SAFETY: no delegated operations in flight (above).
-                    let value = unsafe { &*self.shared.value.get() };
-                    self.serializer
-                        .serialize(value, self.cx())
-                        .ok_or(SsError::MissingSerializer)?
-                }
-            }
-        };
-        let key = rt.domain().key(ss);
-        // Normal mode serves only live-generation entries; the chaos
-        // `stale_memo_serve` weakening serves any entry but reports both
-        // generations honestly, so the auditor can catch the lie.
-        let served = match memo.lookup_entry(key, fp) {
-            Some((bits, entry_gen, live_gen))
-                if entry_gen == live_gen || rt.inner.core.chaos_stale_memo_serve() =>
-            {
-                Some((bits, entry_gen, live_gen))
-            }
-            _ => None,
-        };
-        if let Some((bits, entry_gen, live_gen)) = served {
-            return Ok(MemoPrepared::Hit {
-                bits,
-                ss,
-                serial,
-                entry_gen,
-                live_gen,
-            });
-        }
-        // Miss: commit the delegation exactly as the non-memo prepare
-        // would have.
-        local.tag = Some(ss);
-        local.use_state = UseState::PrivateWritable;
-        Ok(MemoPrepared::Miss {
-            ss,
-            serial,
-            generation: memo.generation(key),
-        })
-    }
-
-    /// Records a memo hit with the serializability auditor under this
-    /// handle's domain.
-    fn record_memo_hit_audit(&self, ss: SsId, entry_gen: u64, live_gen: u64) {
-        let d = self.rt.domain();
-        let core = &self.rt.inner.core;
-        core.audit_memo_hit(d, SsId(d.key(ss)), entry_gen, live_gen);
-    }
-
-    /// Invalidates the set's memoized results: one generation bump
-    /// lazily kills every `(set, fingerprint)` entry. Called wherever a
-    /// non-memoized mutation of the set's object commits — plain
-    /// delegation and mutating ownership reclaim.
-    #[inline]
-    fn invalidate_memo(&self, ss: SsId) {
-        if let Some(memo) = &self.rt.inner.core.memo {
-            memo.bump_generation(self.rt.domain().key(ss));
-            StatsCell::bump(&self.rt.inner.core.stats.memo_invalidations);
-        }
+        self.delegate_future(Submitter::Program, Some(ss.into()), Memo(fingerprint), f)
     }
 
     /// Batch delegation: assigns a whole run of operations on this object
@@ -654,7 +591,7 @@ impl<T: Send + 'static, S: Serializer<T>> Writable<T, S> {
         I: IntoIterator<Item = F>,
         F: FnOnce(&mut T) + Send + 'static,
     {
-        self.delegate_iter_impl(None, fs)
+        self.delegate_run(Submitter::Program, None, &mut self.package_all(fs))
     }
 
     /// Batch delegation in an explicitly supplied serialization set — the
@@ -665,123 +602,251 @@ impl<T: Send + 'static, S: Serializer<T>> Writable<T, S> {
         I: IntoIterator<Item = F>,
         F: FnOnce(&mut T) + Send + 'static,
     {
-        self.delegate_iter_impl(Some(ss.into()), fs)
+        let run = &mut self.package_all(fs);
+        self.delegate_run(Submitter::Program, Some(ss.into()), run)
     }
 
-    fn delegate_iter_impl<I, F>(&self, external: Option<SsId>, fs: I) -> SsResult<usize>
-    where
-        I: IntoIterator<Item = F>,
-        F: FnOnce(&mut T) + Send + 'static,
-    {
-        // Package first: an empty run must not tag the object or flip its
-        // epoch state (packaging touches no shared state).
-        let mut tasks: Vec<Option<TaskSlot>> =
-            fs.into_iter().map(|f| Some(self.package_task(f))).collect();
-        let n = tasks.len();
+    /// Void delegation of a packaged run, for either submitter: every
+    /// `delegate`, `delegate_in`, `delegate_iter` and `delegate_iter_in`
+    /// (here and on [`DelegateContext`]) is this — a single delegation is
+    /// a run of one on the caller's stack. Packaging came first because
+    /// it touches no shared state: an empty run must not tag the object
+    /// or flip its epoch state. Returns the run's length.
+    pub(crate) fn delegate_run(
+        &self,
+        by: Submitter<'_>,
+        external: Option<SsId>,
+        run: &mut [Option<TaskSlot>],
+    ) -> SsResult<usize> {
+        let n = run.len();
         if n == 0 {
             return Ok(0);
         }
-        let (ss, _serial) = self.prepare_program_delegation(external)?;
-        self.shared.pending.fetch_add(n as u32, Ordering::Relaxed);
-        self.submit_and_record(Origin::Program, ss, &mut tasks)?;
+        let p = self.prepare(by, external, n as u32, None)?;
+        self.submit_and_record(by.origin(), p.ss, run)?;
         Ok(n)
     }
 
-    /// Program-context delegation, phase 1: context/epoch/poison checks
-    /// plus the epoch-local state machine and set computation (under the
-    /// state mutex: nothing here may run user code). Returns the
-    /// effective set and the epoch serial. Shared by
-    /// [`delegate`](Writable::delegate) and
-    /// [`delegate_with`](Writable::delegate_with).
-    fn prepare_program_delegation(&self, external: Option<SsId>) -> SsResult<(SsId, u64)> {
+    /// Future-returning delegation, for either submitter and with or
+    /// without the memo table: every `delegate_with`, `delegate_in_with`,
+    /// `delegate_memo` and `delegate_in_memo` is this. A memo hit is
+    /// served here, born ready, with nothing packaged or submitted.
+    pub(crate) fn delegate_future<R, F, M>(
+        &self,
+        by: Submitter<'_>,
+        external: Option<SsId>,
+        memo: M,
+        f: F,
+    ) -> SsResult<SsFuture<R>>
+    where
+        R: Send + 'static,
+        F: FnOnce(&mut T) -> R + Send + 'static,
+        M: MemoUse<R>,
+    {
         let rt = &self.rt;
-        rt.require_program_thread()?;
-        let (in_iso, serial, inline) = rt.epoch_flags();
-        if inline {
-            return Err(SsError::NestedDelegation);
+        let p = self.prepare(by, external, 1, memo.fingerprint())?;
+        if let Some(bits) = p.hit {
+            let value = M::decode(bits);
+            return Ok(SsFuture::new_memo_hit(value, rt.clone(), p.ss, p.serial));
         }
-        if !in_iso {
-            return Err(SsError::NotInIsolation);
-        }
-        if rt.is_poisoned() {
-            return Err(rt.inner.core.poison_error());
-        }
-
-        let ss = {
-            let mut local = self.shared.local.lock();
-            let local = &mut *local;
-            local.refresh(serial);
-            if local.accessing {
-                // Re-entrant delegation from inside this object's own
-                // `call`/`call_mut` closure would alias the live borrow.
-                return Err(SsError::AccessInProgress {
-                    instance: self.shared.instance,
-                });
-            }
-            if local.use_state == UseState::ReadShared {
-                return Err(SsError::StateConflict {
-                    instance: self.shared.instance,
-                    was_read_shared: true,
-                });
-            }
-            let effective = if let Some(tag) = local.tag {
-                // Already tagged this epoch. The first tag is authoritative
-                // for routing (this keeps executor exclusivity even when a
-                // buggy serializer would disagree); with diagnostics on we
-                // also verify consistency as in §3.3.
-                if rt.dynamic_checks() {
-                    let recomputed = match external {
-                        Some(e) => Some(e),
-                        // Recomputing the internal serializer needs `&T`,
-                        // which is only safe when no delegated operation is
-                        // in flight.
-                        None if self.shared.pending.load(Ordering::Acquire) == 0 => {
-                            // SAFETY: pending == 0 ⇒ no executor holds the value.
-                            let value = unsafe { &*self.shared.value.get() };
-                            self.serializer.serialize(value, self.cx())
-                        }
-                        None => None,
-                    };
-                    if let Some(got) = recomputed {
-                        if got != tag {
-                            return Err(SsError::InconsistentSerializer {
-                                instance: self.shared.instance,
-                                tagged: tag,
-                                got,
-                            });
-                        }
-                    }
-                }
-                tag
-            } else {
-                let computed = match external {
-                    Some(e) => e,
-                    None => {
-                        // First delegation this epoch ⇒ pending == 0 (all
-                        // previous epochs drained at end_isolation), so the
-                        // serializer may inspect the object.
-                        debug_assert_eq!(self.shared.pending.load(Ordering::Acquire), 0);
-                        // SAFETY: no delegated operations in flight (above).
-                        let value = unsafe { &*self.shared.value.get() };
-                        self.serializer
-                            .serialize(value, self.cx())
-                            .ok_or(SsError::MissingSerializer)?
-                    }
-                };
-                local.tag = Some(computed);
-                computed
-            };
-            local.use_state = UseState::PrivateWritable;
-            effective
+        let (tx, rx) = self.oneshot_cell(p.serial);
+        let cell = Cell {
+            tx,
+            serial: p.serial,
+            ss: p.ss,
+            rt_id: rt.id(),
         };
-        // A non-memoized delegation mutates the set's object outside the
-        // memo protocol: invalidate the set's cached results.
-        self.invalidate_memo(ss);
-        Ok((ss, serial))
+        let sink = memo.sink(cell, rt.domain().key(p.ss), p.generation);
+        let executor = self.submit_and_record(by.origin(), p.ss, &mut [self.package(f, sink)])?;
+        Ok(SsFuture::new(rx, rt.clone(), p.ss, executor))
     }
 
-    /// Delegation, phases 2–3, for either origin: submit the packaged run
-    /// (the caller has already raised `pending` by its length) and record
+    /// Delegation, phase 1 — the one per-epoch state machine (§3.1/§3.3)
+    /// behind every `delegate*` entry point: context, epoch and poison
+    /// checks, then, under the object's state mutex (nothing there may run
+    /// user code other than the serializer), the effective set, the
+    /// optional memo lookup and the commit of a run of `count` operations.
+    ///
+    /// A **memo hit returns without committing anything**: no tag, no
+    /// claim, no `pending` raise, because no operation will run. Otherwise
+    /// the commit — tag, privately-writable claim, nested-epoch mark and
+    /// the `pending` raise by `count` — happens inside the critical
+    /// section for both submitters (module safety model, point 3).
+    ///
+    /// Three rules apply to a delegate context only:
+    ///
+    /// * its [`DelegateContext`] must belong to this runtime, and it has
+    ///   no epoch flags to consult: the domain's epoch cannot end while
+    ///   the parent operation runs, so its serial is stable;
+    /// * an object claimed by a program-context mutation this epoch
+    ///   (privately-writable with no set tag) rejects it
+    ///   ([`SsError::NestedOnProgram`]) — the program thread owns the
+    ///   value and is not at a delegation point;
+    /// * the domain's nested-epoch flag is raised *before* `pending`, so a
+    ///   program-context access under the same mutex either sees the work
+    ///   coming (and quiesces) or strictly precedes it (and `accessing` /
+    ///   the state it leaves protect the access).
+    fn prepare(
+        &self,
+        by: Submitter<'_>,
+        external: Option<SsId>,
+        count: u32,
+        fp: Option<u64>,
+    ) -> SsResult<Prepared> {
+        let rt = &self.rt;
+        let core = &rt.inner.core;
+        let d = rt.domain();
+        let instance = self.shared.instance;
+        let serial = match by {
+            Submitter::Program => {
+                rt.require_program_thread()?;
+                let (in_iso, serial, inline) = rt.epoch_flags();
+                if inline {
+                    return Err(SsError::NestedDelegation);
+                }
+                if !in_iso {
+                    return Err(SsError::NotInIsolation);
+                }
+                serial
+            }
+            Submitter::Nested(cx) => {
+                if !cx.belongs_to(rt) {
+                    return Err(SsError::WrongContext);
+                }
+                rt.check_live()?;
+                d.serial()
+            }
+        };
+        if rt.is_poisoned() {
+            return Err(core.poison_error());
+        }
+        // Without a memo table a memoized delegation is a plain future.
+        let memo = core.memo.as_ref().zip(fp);
+
+        let mut local = self.shared.local.lock();
+        local.refresh(serial);
+        if local.accessing {
+            // Delegating from inside this object's own `call`/`call_mut`
+            // closure, or racing it, would alias the live borrow.
+            return Err(SsError::AccessInProgress { instance });
+        }
+        if local.use_state == UseState::ReadShared {
+            return Err(SsError::StateConflict {
+                instance,
+                was_read_shared: true,
+            });
+        }
+        let tag = local.tag;
+        if tag.is_none()
+            && local.use_state == UseState::PrivateWritable
+            && matches!(by, Submitter::Nested(_))
+        {
+            return Err(SsError::NestedOnProgram { set: None });
+        }
+        // What the serializers say now: the external set when one was
+        // supplied, else the internal serializer — which needs `&T`, so it
+        // is consulted only while no delegated operation is in flight (and
+        // not at all for a tagged object with diagnostics off).
+        let idle = self.shared.pending.load(Ordering::Acquire) == 0;
+        let computed = match external {
+            Some(e) => Some(e),
+            None if idle && (tag.is_none() || rt.dynamic_checks()) => {
+                // SAFETY: `pending == 0` and `accessing == false`, both read
+                // under the state mutex, which every delegation's `pending`
+                // raise and every program access's `accessing` claim also
+                // hold: no executor has the value and none can take it
+                // before the mutex is released.
+                let value = unsafe { &*self.shared.value.get() };
+                self.serializer.serialize(value, self.cx())
+            }
+            None => None,
+        };
+        let ss = match tag {
+            // Already tagged this epoch. The first tag is authoritative for
+            // routing (this keeps executor exclusivity even when a buggy
+            // serializer would disagree); with diagnostics on, consistency
+            // is also verified as in §3.3.
+            Some(tag) => {
+                if let Some(got) = computed.filter(|&got| got != tag && rt.dynamic_checks()) {
+                    return Err(SsError::InconsistentSerializer {
+                        instance,
+                        tagged: tag,
+                        got,
+                    });
+                }
+                tag
+            }
+            // First delegation of the epoch: untagged ⇒ every earlier
+            // epoch's work drained at its barrier.
+            None => {
+                debug_assert!(idle);
+                computed.ok_or(SsError::MissingSerializer)?
+            }
+        };
+        let mut generation = 0;
+        if let Some((table, fp)) = memo {
+            let key = d.key(ss);
+            // Normal mode serves only live-generation entries; the chaos
+            // `stale_memo_serve` weakening serves any entry but reports both
+            // generations honestly, so the auditor can catch the lie.
+            match table.lookup_entry(key, fp) {
+                Some((bits, entry_gen, live_gen))
+                    if entry_gen == live_gen || core.chaos_stale_memo_serve() =>
+                {
+                    drop(local);
+                    StatsCell::bump(&core.stats.memo_hits);
+                    core.audit_memo_hit(d, SsId(key), entry_gen, live_gen);
+                    // `MemoHit` is a program-order, delegation-site record.
+                    if matches!(by, Submitter::Program) && rt.trace_enabled() {
+                        rt.trace_record(TraceKind::MemoHit, Some(instance), Some(ss), None);
+                    }
+                    return Ok(Prepared {
+                        ss,
+                        serial,
+                        hit: Some(bits),
+                        generation,
+                    });
+                }
+                _ => {
+                    StatsCell::bump(&core.stats.memo_misses);
+                    generation = table.generation(key);
+                }
+            }
+        }
+        local.tag = Some(ss);
+        local.use_state = UseState::PrivateWritable;
+        if matches!(by, Submitter::Nested(_)) {
+            rt.mark_nested_epoch();
+        }
+        self.shared.pending.fetch_add(count, Ordering::Relaxed);
+        drop(local);
+        if memo.is_none() {
+            // A non-memoized delegation mutates the set's object outside
+            // the memo protocol: invalidate the set's cached results.
+            self.invalidate_memo(ss);
+        }
+        Ok(Prepared {
+            ss,
+            serial,
+            hit: None,
+            generation,
+        })
+    }
+
+    /// Invalidates the set's memoized results: one generation bump
+    /// lazily kills every `(set, fingerprint)` entry. Called wherever a
+    /// non-memoized mutation of the set's object commits — plain
+    /// delegation (`prepare`) and mutating ownership reclaim (`access`).
+    #[inline]
+    fn invalidate_memo(&self, ss: SsId) {
+        if let Some(memo) = &self.rt.inner.core.memo {
+            memo.bump_generation(self.rt.domain().key(ss));
+            StatsCell::bump(&self.rt.inner.core.stats.memo_invalidations);
+        }
+    }
+
+    /// Delegation, phase 3, for either origin: submit the packaged run
+    /// (`prepare` has already raised `pending` by its length) and record
     /// the owning executor for later reclaims — one router resolution and
     /// one queue publish however long the run. A failed submit undoes
     /// `pending` by exactly the number of tasks that will never execute
@@ -846,501 +911,72 @@ impl<T: Send + 'static, S: Serializer<T>> Writable<T, S> {
         }
     }
 
-    /// Packages `f` as the self-contained invocation closure shipped
-    /// through the queues: it performs the unsafe receiver access, traps
-    /// panics into the runtime poison flag, and settles the object's
-    /// pending count (shared by the program-thread and nested delegation
-    /// paths).
-    fn package_task<F>(&self, f: F) -> TaskSlot
-    where
-        F: FnOnce(&mut T) + Send + 'static,
-    {
-        let shared = Arc::clone(&self.shared);
-        let core = Arc::clone(&self.rt.inner.core);
-        TaskSlot::new(move || {
-            if !core.poisoned.load(Ordering::Acquire) {
-                let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    // SAFETY: executor exclusivity — see module-level safety
-                    // model. This closure runs on the single executor that
-                    // owns this object's serialization set, serially with all
-                    // other operations on the object.
-                    let value = unsafe { &mut *shared.value.get() };
-                    f(value);
-                }));
-                if let Err(p) = result {
-                    core.poison(panic_message(p.as_ref()));
-                }
-            }
-            StatsCell::bump(&core.stats.executed);
-            shared.pending.fetch_sub(1, Ordering::Release);
-        })
-    }
-
-    /// Packages a *future-returning* `f` as the invocation closure: like
-    /// [`package_task`](Writable::package_task), plus settling the
-    /// future's one-shot cell. Ordering is load-bearing twice over:
+    /// Delegation, phase 2: packages `f` and its completion `sink` as the
+    /// self-contained invocation closure shipped through the queues. The
+    /// closure performs the unsafe receiver access, traps panics into the
+    /// runtime poison flag, delivers the result and settles the object's
+    /// `pending` count. Its order is load-bearing:
     ///
-    /// * the cell is settled **before** the object's `pending` count (and
-    ///   the caller-side queue counters) drop — so every drain proof
-    ///   (`end_isolation`, reclaim quiesce) transitively proves all
-    ///   futures of the epoch are resolved;
-    /// * on the panic/poison paths the poison flag is set **before** the
-    ///   sender drops (closing the cell), so a waiter that wakes on a
-    ///   closed cell and consults the flag cannot miss the panic.
-    fn package_task_with<R, F>(&self, f: F, tx: OneshotSender<R>, serial: u64, ss: SsId) -> TaskSlot
+    /// * **Cancellation check first.** A future dropped before this pop
+    ///   abandoned the result and, explicitly, the effects: the body is
+    ///   skipped and only [`Stats::ops_cancelled`](crate::Stats::ops_cancelled)
+    ///   and the settle counters move, so the drain accounting is exactly
+    ///   that of an executed operation.
+    /// * **Poison before close.** On the panic and poisoned-skip paths the
+    ///   poison flag is set before the unsent sink drops (closing its cell
+    ///   and waking the waiter), so a waiter that wakes on a closed cell
+    ///   and consults the flag cannot miss the panic.
+    /// * **Sink before settle.** The sink resolves or drops before
+    ///   `pending` (and the caller-side queue counters) drop, so every
+    ///   drain proof (`end_isolation`, reclaim quiesce) transitively
+    ///   proves all futures of the epoch are resolved.
+    ///
+    /// Returned as `Some` because a run slice is what consumes it.
+    pub(crate) fn package<R, F, K>(&self, f: F, sink: K) -> Option<TaskSlot>
     where
-        R: Send + 'static,
         F: FnOnce(&mut T) -> R + Send + 'static,
+        K: Sink<R>,
     {
         let shared = Arc::clone(&self.shared);
         let core = Arc::clone(&self.rt.inner.core);
-        let rt_id = self.rt.id();
-        TaskSlot::new(move || {
-            let mut tx = Some(tx);
-            // Drop-to-cancel: the future was dropped before this pop, so
-            // the caller explicitly abandoned the result and the effects.
-            // Skip the body; the settle counters below still run, so the
-            // drain accounting is exactly that of an executed operation.
-            let cancelled = tx.as_ref().is_some_and(|t| t.is_cancelled());
-            if cancelled {
+        Some(TaskSlot::new(move || {
+            let out = if sink.cancelled() {
                 StatsCell::bump(&core.stats.ops_cancelled);
-            } else if !core.poisoned.load(Ordering::Acquire) {
-                let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    // SAFETY: executor exclusivity — see module-level safety
-                    // model; identical to `package_task`.
-                    let value = unsafe { &mut *shared.value.get() };
-                    f(value)
-                }));
-                match result {
-                    Ok(out) => {
-                        tx.take().expect("sender consumed once").send(out);
-                        StatsCell::bump(&core.stats.futures_resolved);
-                        if core.side_events.is_some() {
-                            core.record_side(
-                                serial,
-                                TraceKind::FutureResolve,
-                                Some(shared.instance),
-                                Some(ss),
-                                trace_executor_for(rt_id),
-                            );
-                        }
+                None
+            } else if core.poisoned.load(Ordering::Acquire) {
+                None
+            } else {
+                let body = std::panic::AssertUnwindSafe(|| {
+                    // SAFETY: executor exclusivity — see the module-level
+                    // safety model. This closure runs on the single executor
+                    // that owns this object's serialization set, serially
+                    // with all other operations on the object.
+                    f(unsafe { &mut *shared.value.get() })
+                });
+                match std::panic::catch_unwind(body) {
+                    Ok(out) => Some(out),
+                    Err(p) => {
+                        core.poison(panic_message(p.as_ref()));
+                        None
                     }
-                    Err(p) => core.poison(panic_message(p.as_ref())),
                 }
+            };
+            match out {
+                Some(out) => sink.resolve(out, &core, shared.instance),
+                None => drop(sink),
             }
-            // Cancellation path (poisoned-skip or panic): the poison flag
-            // is already set, so dropping the unsent sender — which
-            // closes the cell and wakes the waiter — happens after it.
-            drop(tx);
             StatsCell::bump(&core.stats.executed);
             shared.pending.fetch_sub(1, Ordering::Release);
-        })
+        }))
     }
 
-    /// Packages a *memoized* future-returning `f`: like
-    /// [`package_task_with`](Writable::package_task_with), with two
-    /// additions in load-bearing order:
-    ///
-    /// * **Cancellation check first.** If the operation's future was
-    ///   dropped before this pop, its result — and, because the caller
-    ///   explicitly abandoned it, its effects — can no longer be
-    ///   depended on: the body is skipped, nothing is published, and
-    ///   only [`Stats::ops_cancelled`](crate::Stats::ops_cancelled) and
-    ///   the settle counters move.
-    /// * **Publish before settle.** The result lands in the memo table
-    ///   *before* the cell settles and `pending` drops, so every drain
-    ///   proof (epoch barrier, reclaim quiesce) covers the publication —
-    ///   a re-submission after any barrier observes it. `publish`
-    ///   re-checks the generation under the shard lock and drops a
-    ///   publication whose set was invalidated while the operation was
-    ///   queued or running.
-    #[allow(clippy::too_many_arguments)]
-    fn package_task_memo<R, F>(
-        &self,
-        f: F,
-        tx: OneshotSender<R>,
-        serial: u64,
-        ss: SsId,
-        memo_key: u64,
-        fp: u64,
-        generation: u64,
-    ) -> TaskSlot
-    where
-        R: MemoValue,
-        F: FnOnce(&mut T) -> R + Send + 'static,
-    {
-        let shared = Arc::clone(&self.shared);
-        let core = Arc::clone(&self.rt.inner.core);
-        let rt_id = self.rt.id();
-        TaskSlot::new(move || {
-            let mut tx = Some(tx);
-            let cancelled = tx.as_ref().is_some_and(|t| t.is_cancelled());
-            if cancelled {
-                StatsCell::bump(&core.stats.ops_cancelled);
-            } else if !core.poisoned.load(Ordering::Acquire) {
-                let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    // SAFETY: executor exclusivity — see module-level safety
-                    // model; identical to `package_task`.
-                    let value = unsafe { &mut *shared.value.get() };
-                    f(value)
-                }));
-                match result {
-                    Ok(out) => {
-                        if let Some(memo) = &core.memo {
-                            memo.publish(memo_key, fp, generation, out.to_memo_bits());
-                        }
-                        tx.take().expect("sender consumed once").send(out);
-                        StatsCell::bump(&core.stats.futures_resolved);
-                        if core.side_events.is_some() {
-                            core.record_side(
-                                serial,
-                                TraceKind::FutureResolve,
-                                Some(shared.instance),
-                                Some(ss),
-                                trace_executor_for(rt_id),
-                            );
-                        }
-                    }
-                    Err(p) => core.poison(panic_message(p.as_ref())),
-                }
-            }
-            drop(tx);
-            StatsCell::bump(&core.stats.executed);
-            shared.pending.fetch_sub(1, Ordering::Release);
-        })
-    }
-
-    /// Memoized delegation from a **delegate context** — the backing
-    /// implementation of [`DelegateContext::delegate_memo`] and
-    /// [`DelegateContext::delegate_in_memo`]. A hit is served without
-    /// committing anything (and without a trace event — the program-order
-    /// [`TraceKind::MemoHit`] is a delegation-site record); a miss
-    /// commits under the nested rules and publishes like the program
-    /// path.
-    pub(crate) fn delegate_nested_memo<R, F>(
-        &self,
-        cx: &DelegateContext<'_>,
-        external: Option<SsId>,
-        fp: u64,
-        f: F,
-    ) -> SsResult<SsFuture<R>>
-    where
-        R: MemoValue,
-        F: FnOnce(&mut T) -> R + Send + 'static,
-    {
-        let rt = &self.rt;
-        if rt.inner.core.memo.is_none() {
-            return self.delegate_nested_with(cx, external, f);
-        }
-        match self.prepare_nested_memo(cx, external, fp)? {
-            MemoPrepared::Hit {
-                bits,
-                ss,
-                serial,
-                entry_gen,
-                live_gen,
-            } => {
-                StatsCell::bump(&rt.inner.core.stats.memo_hits);
-                self.record_memo_hit_audit(ss, entry_gen, live_gen);
-                Ok(SsFuture::new_memo_hit(
-                    R::from_memo_bits(bits),
-                    rt.clone(),
-                    ss,
-                    serial,
-                ))
-            }
-            MemoPrepared::Miss {
-                ss,
-                serial,
-                generation,
-            } => {
-                StatsCell::bump(&rt.inner.core.stats.memo_misses);
-                let (tx, rx) = self.oneshot_cell(serial);
-                let task =
-                    self.package_task_memo(f, tx, serial, ss, rt.domain().key(ss), fp, generation);
-                let executor = self.submit_and_record(Origin::Nested, ss, &mut [Some(task)])?;
-                Ok(SsFuture::new(rx, self.rt.clone(), ss, executor))
-            }
-        }
-    }
-
-    /// Memoized delegation, phase 1 (nested form): the
-    /// [`prepare_nested_delegation`](Writable::prepare_nested_delegation)
-    /// rules plus the memo lookup, one hold of the object mutex. A hit
-    /// commits nothing; a miss commits — tag, claim, nested-epoch flag
-    /// and `pending`, all inside the critical section (module safety
-    /// model, point 3).
-    fn prepare_nested_memo(
-        &self,
-        cx: &DelegateContext<'_>,
-        external: Option<SsId>,
-        fp: u64,
-    ) -> SsResult<MemoPrepared> {
-        let rt = &self.rt;
-        if !cx.belongs_to(rt) {
-            return Err(SsError::WrongContext);
-        }
-        rt.check_live()?;
-        if rt.is_poisoned() {
-            return Err(rt.inner.core.poison_error());
-        }
-        let serial = rt.domain().serial();
-        let memo = rt
-            .inner
-            .core
-            .memo
-            .as_ref()
-            .expect("caller checked the table exists");
-
-        let mut local = self.shared.local.lock();
-        let local = &mut *local;
-        local.refresh(serial);
-        if local.accessing {
-            return Err(SsError::AccessInProgress {
-                instance: self.shared.instance,
-            });
-        }
-        if local.use_state == UseState::ReadShared {
-            return Err(SsError::StateConflict {
-                instance: self.shared.instance,
-                was_read_shared: true,
-            });
-        }
-        let ss = if let Some(tag) = local.tag {
-            if rt.dynamic_checks() {
-                if let Some(got) = external {
-                    if got != tag {
-                        return Err(SsError::InconsistentSerializer {
-                            instance: self.shared.instance,
-                            tagged: tag,
-                            got,
-                        });
-                    }
-                }
-            }
-            tag
-        } else {
-            if local.use_state == UseState::PrivateWritable {
-                // Claimed by a program-context mutation this epoch: see
-                // `prepare_nested_delegation`.
-                return Err(SsError::NestedOnProgram { set: None });
-            }
-            debug_assert_eq!(self.shared.pending.load(Ordering::Acquire), 0);
-            match external {
-                Some(e) => e,
-                None => {
-                    // SAFETY: pending == 0 under the state mutex and no
-                    // program access is live (`accessing == false`) — no
-                    // executor holds the value.
-                    let value = unsafe { &*self.shared.value.get() };
-                    self.serializer
-                        .serialize(value, self.cx())
-                        .ok_or(SsError::MissingSerializer)?
-                }
-            }
-        };
-        let key = rt.domain().key(ss);
-        let served = match memo.lookup_entry(key, fp) {
-            Some((bits, entry_gen, live_gen))
-                if entry_gen == live_gen || rt.inner.core.chaos_stale_memo_serve() =>
-            {
-                Some((bits, entry_gen, live_gen))
-            }
-            _ => None,
-        };
-        if let Some((bits, entry_gen, live_gen)) = served {
-            return Ok(MemoPrepared::Hit {
-                bits,
-                ss,
-                serial,
-                entry_gen,
-                live_gen,
-            });
-        }
-        local.tag = Some(ss);
-        local.use_state = UseState::PrivateWritable;
-        // Flag first, then pending, both inside the critical section:
-        // see the module-level safety model, point 3.
-        rt.mark_nested_epoch();
-        self.shared.pending.fetch_add(1, Ordering::Relaxed);
-        Ok(MemoPrepared::Miss {
-            ss,
-            serial,
-            generation: memo.generation(key),
-        })
-    }
-
-    /// Delegation from a **delegate context** (recursive delegation) —
-    /// the backing implementation of [`DelegateContext::delegate`] and
-    /// [`DelegateContext::delegate_in`].
-    ///
-    /// The state machine runs under the object's mutex exactly like the
-    /// program-thread path, with three extra rules:
-    ///
-    /// * an object claimed by a program-context mutation this epoch
-    ///   (privately-writable with no set tag) rejects nested delegation
-    ///   ([`SsError::NestedOnProgram`]) — its value may be under the
-    ///   program thread's hands;
-    /// * a live program access rejects it ([`SsError::AccessInProgress`]);
-    /// * the global nested-epoch flag is raised and the pending count
-    ///   incremented *inside* the critical section, so a program-context
-    ///   access under the same mutex either sees the work coming (and
-    ///   quiesces) or strictly precedes it (and the rules above protect
-    ///   the access).
-    pub(crate) fn delegate_nested<F>(
-        &self,
-        cx: &DelegateContext<'_>,
-        external: Option<SsId>,
-        f: F,
-    ) -> SsResult<()>
-    where
-        F: FnOnce(&mut T) + Send + 'static,
-    {
-        let (ss, _serial) = self.prepare_nested_delegation(cx, external, 1)?;
-        let task = self.package_task(f);
-        self.submit_and_record(Origin::Nested, ss, &mut [Some(task)])?;
-        Ok(())
-    }
-
-    /// Batch delegation from a **delegate context** — the backing
-    /// implementation of [`DelegateContext::delegate_iter`]. Same phase-1
-    /// state machine as [`delegate_nested`](Writable::delegate_nested)
-    /// (run once, raising `pending` by the whole batch size inside the
-    /// critical section), then one batched queue publish.
-    pub(crate) fn delegate_nested_iter<I, F>(
-        &self,
-        cx: &DelegateContext<'_>,
-        external: Option<SsId>,
-        fs: I,
-    ) -> SsResult<usize>
+    /// Packages a whole `delegate_iter` run of void operations.
+    pub(crate) fn package_all<I, F>(&self, fs: I) -> Vec<Option<TaskSlot>>
     where
         I: IntoIterator<Item = F>,
         F: FnOnce(&mut T) + Send + 'static,
     {
-        let mut tasks: Vec<Option<TaskSlot>> =
-            fs.into_iter().map(|f| Some(self.package_task(f))).collect();
-        let n = tasks.len();
-        if n == 0 {
-            return Ok(0);
-        }
-        let (ss, _serial) = self.prepare_nested_delegation(cx, external, n as u32)?;
-        self.submit_and_record(Origin::Nested, ss, &mut tasks)?;
-        Ok(n)
-    }
-
-    /// Future-returning delegation from a delegate context — the backing
-    /// implementation of [`DelegateContext::delegate_with`] and
-    /// [`DelegateContext::delegate_in_with`].
-    pub(crate) fn delegate_nested_with<R, F>(
-        &self,
-        cx: &DelegateContext<'_>,
-        external: Option<SsId>,
-        f: F,
-    ) -> SsResult<SsFuture<R>>
-    where
-        R: Send + 'static,
-        F: FnOnce(&mut T) -> R + Send + 'static,
-    {
-        let (ss, serial) = self.prepare_nested_delegation(cx, external, 1)?;
-        let (tx, rx) = self.oneshot_cell(serial);
-        let task = self.package_task_with(f, tx, serial, ss);
-        let executor = self.submit_and_record(Origin::Nested, ss, &mut [Some(task)])?;
-        Ok(SsFuture::new(rx, self.rt.clone(), ss, executor))
-    }
-
-    /// Nested delegation, phase 1: context/poison checks plus the
-    /// per-epoch state machine (same mutex as the program path), with the
-    /// three nested-only rules documented on
-    /// [`delegate_nested`](Writable::delegate_nested). On success the
-    /// epoch is marked nested and the object's `pending` count is already
-    /// raised by `count` (1 for single delegations, the batch size for
-    /// [`delegate_nested_iter`](Writable::delegate_nested_iter)) — both
-    /// *inside* the critical section (see the module-level safety model,
-    /// point 3).
-    fn prepare_nested_delegation(
-        &self,
-        cx: &DelegateContext<'_>,
-        external: Option<SsId>,
-        count: u32,
-    ) -> SsResult<(SsId, u64)> {
-        let rt = &self.rt;
-        if !cx.belongs_to(rt) {
-            return Err(SsError::WrongContext);
-        }
-        rt.check_live()?;
-        if rt.is_poisoned() {
-            return Err(rt.inner.core.poison_error());
-        }
-        // Stable for the duration of the enclosing operation: the epoch
-        // cannot end while a parent runs (the barrier drains `in_flight`).
-        let serial = rt.domain().serial();
-
-        let ss = {
-            let mut local = self.shared.local.lock();
-            let local = &mut *local;
-            local.refresh(serial);
-            if local.accessing {
-                return Err(SsError::AccessInProgress {
-                    instance: self.shared.instance,
-                });
-            }
-            if local.use_state == UseState::ReadShared {
-                return Err(SsError::StateConflict {
-                    instance: self.shared.instance,
-                    was_read_shared: true,
-                });
-            }
-            let effective = if let Some(tag) = local.tag {
-                if rt.dynamic_checks() {
-                    if let Some(got) = external {
-                        if got != tag {
-                            return Err(SsError::InconsistentSerializer {
-                                instance: self.shared.instance,
-                                tagged: tag,
-                                got,
-                            });
-                        }
-                    }
-                }
-                tag
-            } else {
-                if local.use_state == UseState::PrivateWritable {
-                    // Privately writable without a tag ⇒ claimed by a
-                    // program-context mutation this epoch. The program
-                    // thread owns the value; a delegate context may not
-                    // route operations onto it.
-                    return Err(SsError::NestedOnProgram { set: None });
-                }
-                // Unused object, first delegation of the epoch: the tag is
-                // unset only while pending == 0 (the mutex serializes all
-                // taggers), so the serializer may inspect the value.
-                debug_assert_eq!(self.shared.pending.load(Ordering::Acquire), 0);
-                let computed = match external {
-                    Some(e) => e,
-                    None => {
-                        // SAFETY: pending == 0 under the state mutex and no
-                        // program access is live (`accessing == false`) —
-                        // no executor holds the value.
-                        let value = unsafe { &*self.shared.value.get() };
-                        self.serializer
-                            .serialize(value, self.cx())
-                            .ok_or(SsError::MissingSerializer)?
-                    }
-                };
-                local.tag = Some(computed);
-                computed
-            };
-            local.use_state = UseState::PrivateWritable;
-            // Flag first, then pending, both inside the critical section:
-            // see the module-level safety model, point 3.
-            rt.mark_nested_epoch();
-            self.shared.pending.fetch_add(count, Ordering::Relaxed);
-            effective
-        };
-        // A non-memoized nested delegation invalidates the set's cached
-        // results, same as the program path.
-        self.invalidate_memo(ss);
-        Ok((ss, serial))
+        fs.into_iter().map(|f| self.package(f, Void)).collect()
     }
 
     // ------------------------------------------------------------------
@@ -1454,8 +1090,13 @@ impl<T: Send + 'static, S: Serializer<T>> Writable<T, S> {
             let sync_target = owner.unwrap_or(Executor::Program);
             let mut escalated = mid_submit;
             let mut synced: Option<Executor> = None;
+            // `pending` drops inside the operation's closure, but its audit
+            // record lands after the closure returns: in an audited epoch
+            // `pending == 0` does not yet prove the record the gate below
+            // checks is in, so the reclaim always flushes the queue.
+            let audited = rt.inner.core.auditing(rt.domain()).is_some();
             loop {
-                if escalated || self.shared.pending.load(Ordering::Acquire) > 0 {
+                if escalated || audited || self.shared.pending.load(Ordering::Acquire) > 0 {
                     // With stealing enabled the set may have migrated since
                     // delegation, so the reclaim resolves the *current*
                     // owner from the router's sharded pin map — fence
@@ -1609,13 +1250,6 @@ mod tests {
     }
 
     #[test]
-    fn delegate_outside_isolation_errors() {
-        let rt = rt(1);
-        let w: Writable<u64> = Writable::new(&rt, 0);
-        assert_eq!(w.delegate(|n| *n += 1), Err(SsError::NotInIsolation));
-    }
-
-    #[test]
     fn call_during_isolation_reclaims_ownership() {
         let rt = rt(2);
         let w: Writable<Vec<u32>> = Writable::new(&rt, Vec::new());
@@ -1694,6 +1328,38 @@ mod tests {
         let err = w.delegate_in(2u64, |n| *n += 1).unwrap_err();
         assert!(matches!(err, SsError::InconsistentSerializer { .. }));
         rt.end_isolation().unwrap();
+    }
+
+    /// §3.3 from a delegate context: the first delegation tags the object
+    /// with set 1 and moves the value its serializer keys on; once that
+    /// operation has run (`pending == 0`), a nested re-delegation
+    /// recomputes the internal serializer and reports the disagreement.
+    #[test]
+    fn inconsistent_internal_serializer_detected_on_nested_redelegation() {
+        let rt = rt(2);
+        let parent: Writable<u64, SequenceSerializer> = Writable::new(&rt, 0);
+        let w = Writable::with_serializer(&rt, 1u64, FnSerializer::new(|v: &u64| *v));
+        rt.begin_isolation().unwrap();
+        w.delegate(|n| *n = 2).unwrap();
+        assert_eq!(w.call(|n| *n).unwrap(), 2);
+        let (rt2, w2) = (rt.clone(), w.clone());
+        let err = parent
+            .delegate_with(move |_| rt2.delegate_scope(|cx| cx.delegate(&w2, |n| *n += 1)))
+            .unwrap()
+            .wait()
+            .unwrap()
+            .unwrap()
+            .unwrap_err();
+        assert_eq!(
+            err,
+            SsError::InconsistentSerializer {
+                instance: w.instance(),
+                tagged: SsId(1),
+                got: SsId(2),
+            }
+        );
+        rt.end_isolation().unwrap();
+        assert_eq!(w.call(|n| *n).unwrap(), 2);
     }
 
     #[test]
@@ -1865,6 +1531,234 @@ mod tests {
         }
         for w in outputs.windows(2) {
             assert_eq!(w[0], w[1]);
+        }
+    }
+
+    // ------------------------------------------------------------------
+    // one state machine behind all sixteen entry points
+
+    /// The eight `delegate*` forms; each exists on [`Writable`] (program
+    /// thread) and on [`DelegateContext`] (delegate context).
+    #[derive(Debug, Clone, Copy)]
+    enum Form {
+        Delegate,
+        DelegateIn,
+        Iter,
+        IterIn,
+        With,
+        InWith,
+        Memo,
+        InMemo,
+    }
+    const ALL: [Form; 8] = [
+        Form::Delegate,
+        Form::DelegateIn,
+        Form::Iter,
+        Form::IterIn,
+        Form::With,
+        Form::InWith,
+        Form::Memo,
+        Form::InMemo,
+    ];
+    /// The forms that consult the internal serializer.
+    const INTERNAL: [Form; 4] = [Form::Delegate, Form::Iter, Form::With, Form::Memo];
+
+    /// A rejected call: the form, its error, and the object's `pending`
+    /// count right after.
+    type Rejected = (Form, Option<SsError>, u32);
+
+    /// Calls one entry point — `cx` picks the `DelegateContext` method
+    /// over the `Writable` one, `ss` is what the `_in` forms pass.
+    fn enter<S: Serializer<u64>>(
+        form: Form,
+        cx: Option<&DelegateContext<'_>>,
+        w: &Writable<u64, S>,
+        ss: u64,
+    ) -> Rejected {
+        let op = |n: &mut u64| *n += 1;
+        let get = |n: &mut u64| *n;
+        let err = match (cx, form) {
+            (None, Form::Delegate) => w.delegate(op).err(),
+            (None, Form::DelegateIn) => w.delegate_in(ss, op).err(),
+            (None, Form::Iter) => w.delegate_iter([op]).err(),
+            (None, Form::IterIn) => w.delegate_iter_in(ss, [op]).err(),
+            (None, Form::With) => w.delegate_with(get).err(),
+            (None, Form::InWith) => w.delegate_in_with(ss, get).err(),
+            (None, Form::Memo) => w.delegate_memo(7, get).err(),
+            (None, Form::InMemo) => w.delegate_in_memo(ss, 7, get).err(),
+            (Some(cx), Form::Delegate) => cx.delegate(w, op).err(),
+            (Some(cx), Form::DelegateIn) => cx.delegate_in(w, ss, op).err(),
+            (Some(cx), Form::Iter) => cx.delegate_iter(w, [op]).err(),
+            (Some(cx), Form::IterIn) => cx.delegate_iter_in(w, ss, [op]).err(),
+            (Some(cx), Form::With) => cx.delegate_with(w, get).err(),
+            (Some(cx), Form::InWith) => cx.delegate_in_with(w, ss, get).err(),
+            (Some(cx), Form::Memo) => cx.delegate_memo(w, 7, get).err(),
+            (Some(cx), Form::InMemo) => cx.delegate_in_memo(w, ss, 7, get).err(),
+        };
+        (form, err, w.pending_operations())
+    }
+
+    /// `forms` from the calling (program) thread.
+    fn from_program<S: Serializer<u64>>(
+        forms: &[Form],
+        w: &Writable<u64, S>,
+        ss: u64,
+    ) -> Vec<Rejected> {
+        forms.iter().map(|&f| enter(f, None, w, ss)).collect()
+    }
+
+    /// `forms` from a delegate context: a parent operation on `parent`
+    /// (an object of `prt`, which must be isolating) runs `pre`, then
+    /// makes the calls.
+    fn from_delegate<S: Serializer<u64>>(
+        forms: &'static [Form],
+        prt: &Runtime,
+        parent: &Writable<u64>,
+        w: &Writable<u64, S>,
+        ss: u64,
+        pre: impl FnOnce() + Send + 'static,
+    ) -> Vec<Rejected> {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let (prt2, w2) = (prt.clone(), w.clone());
+        parent
+            .delegate(move |_| {
+                pre();
+                let calls = |cx: &DelegateContext<'_>| -> Vec<Rejected> {
+                    forms.iter().map(|&f| enter(f, Some(cx), &w2, ss)).collect()
+                };
+                tx.send(prt2.delegate_scope(calls).unwrap()).unwrap();
+            })
+            .unwrap();
+        rx.recv().expect("the parent operation ran")
+    }
+
+    /// Every call was rejected with the expected error, raised nothing,
+    /// and left the object's tag where it was.
+    fn assert_rejected<S: Serializer<u64>>(
+        what: &str,
+        w: &Writable<u64, S>,
+        set: Option<SsId>,
+        calls: &[Rejected],
+        expect: fn(&SsError) -> bool,
+    ) {
+        assert!(!calls.is_empty());
+        for (form, err, pending) in calls {
+            let err = err
+                .as_ref()
+                .unwrap_or_else(|| panic!("{what}: {form:?} was accepted"));
+            assert!(expect(err), "{what}: {form:?} returned {err:?}");
+            assert_eq!(*pending, 0, "{what}: {form:?} left operations pending");
+        }
+        assert_eq!(w.current_set().unwrap(), set, "{what}: the tag moved");
+    }
+
+    fn memo_rt() -> Runtime {
+        Runtime::builder()
+            .delegate_threads(2)
+            .memo_capacity(64)
+            .build()
+            .unwrap()
+    }
+
+    /// All sixteen public entry points run the one `prepare`: in each
+    /// rejecting state every one of them returns the same error and
+    /// commits nothing.
+    #[test]
+    fn every_entry_point_rejects_alike_and_commits_nothing() {
+        type Obj = Writable<u64, SequenceSerializer>;
+
+        // Read-shared this epoch.
+        {
+            let rt = memo_rt();
+            let (parent, w): (Writable<u64>, Obj) = (Writable::new(&rt, 0), Writable::new(&rt, 0));
+            let expect = |e: &SsError| matches!(e, SsError::StateConflict { .. });
+            rt.begin_isolation().unwrap();
+            w.call(|_| ()).unwrap();
+            assert_rejected("read-shared", &w, None, &from_program(&ALL, &w, 9), expect);
+            let nested = from_delegate(&ALL, &rt, &parent, &w, 9, || ());
+            assert_rejected("read-shared, nested", &w, None, &nested, expect);
+            rt.end_isolation().unwrap();
+        }
+
+        // A program-context access closure is live.
+        {
+            let rt = memo_rt();
+            let (parent, w): (Writable<u64>, Obj) = (Writable::new(&rt, 0), Writable::new(&rt, 0));
+            let expect = |e: &SsError| matches!(e, SsError::AccessInProgress { .. });
+            rt.begin_isolation().unwrap();
+            w.call_mut(|_| {
+                assert_rejected("accessing", &w, None, &from_program(&ALL, &w, 9), expect);
+                let nested = from_delegate(&ALL, &rt, &parent, &w, 9, || ());
+                assert_rejected("accessing, nested", &w, None, &nested, expect);
+            })
+            .unwrap();
+            rt.end_isolation().unwrap();
+        }
+
+        // The serializers disagree with the epoch's tag: the object was
+        // tagged with set 1 by an operation that moved the value its
+        // internal serializer keys on to 2, and the `_in` forms pass 3.
+        {
+            let rt = memo_rt();
+            let parent: Writable<u64> = Writable::new(&rt, 0);
+            let w = Writable::with_serializer(&rt, 1u64, FnSerializer::new(|v: &u64| *v));
+            let expect = |e: &SsError| matches!(e, SsError::InconsistentSerializer { tagged, .. } if *tagged == SsId(1));
+            rt.begin_isolation().unwrap();
+            w.delegate(|n| *n = 2).unwrap();
+            assert_eq!(w.call(|n| *n).unwrap(), 2);
+            let tag = Some(SsId(1));
+            assert_rejected("set ≠ tag", &w, tag, &from_program(&ALL, &w, 3), expect);
+            let nested = from_delegate(&ALL, &rt, &parent, &w, 3, || ());
+            assert_rejected("set ≠ tag, nested", &w, tag, &nested, expect);
+            rt.end_isolation().unwrap();
+        }
+
+        // `NullSerializer` and no external set (the `_in` forms supply
+        // one, so only the internal forms apply).
+        {
+            let rt = memo_rt();
+            let parent: Writable<u64> = Writable::new(&rt, 0);
+            let w: Writable<u64, NullSerializer> = Writable::new(&rt, 0);
+            let expect = |e: &SsError| matches!(e, SsError::MissingSerializer);
+            rt.begin_isolation().unwrap();
+            assert_rejected("null", &w, None, &from_program(&INTERNAL, &w, 9), expect);
+            let nested = from_delegate(&INTERNAL, &rt, &parent, &w, 9, || ());
+            assert_rejected("null, nested", &w, None, &nested, expect);
+            rt.end_isolation().unwrap();
+        }
+
+        // Poisoned runtime. A poisoned pool skips operation bodies, so the
+        // parent operation poisons the runtime itself, mid-body.
+        {
+            let rt = memo_rt();
+            let (parent, w): (Writable<u64>, Obj) = (Writable::new(&rt, 0), Writable::new(&rt, 0));
+            let expect = |e: &SsError| matches!(e, SsError::DelegatePanicked(_));
+            rt.begin_isolation().unwrap();
+            let core = Arc::clone(&rt.inner.core);
+            let nested = from_delegate(&ALL, &rt, &parent, &w, 9, move || {
+                core.poison("table".into())
+            });
+            assert_rejected("poisoned, nested", &w, None, &nested, expect);
+            assert_rejected("poisoned", &w, None, &from_program(&ALL, &w, 9), expect);
+            assert!(rt.end_isolation().is_err());
+        }
+
+        // The wrong place to delegate from: outside isolation for the
+        // program thread, another runtime's context for a delegate.
+        {
+            let (rt, other) = (memo_rt(), memo_rt());
+            let parent: Writable<u64> = Writable::new(&other, 0);
+            let w: Obj = Writable::new(&rt, 0);
+            let outside = from_program(&ALL, &w, 9);
+            assert_rejected("aggregation", &w, None, &outside, |e| {
+                *e == SsError::NotInIsolation
+            });
+            other.begin_isolation().unwrap();
+            let nested = from_delegate(&ALL, &other, &parent, &w, 9, || ());
+            assert_rejected("foreign context", &w, None, &nested, |e| {
+                *e == SsError::WrongContext
+            });
+            other.end_isolation().unwrap();
         }
     }
 }

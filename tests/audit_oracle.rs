@@ -300,6 +300,53 @@ fn sample_mode_audits_the_configured_fraction() {
     assert_eq!(s.epochs_audited, 4, "every 4th of 16 epochs: {s:?}");
 }
 
+/// The access gate must not outrun an operation's audit record. An
+/// object's `pending` count drops inside the operation's closure, the
+/// audit record lands after the closure returns; a reclaim that trusted
+/// `pending == 0` in an audited epoch reached the gate between the two
+/// and reported a false `BarrierOverrun`. The loop forces that window:
+/// it polls `pending` down to 0 and reclaims at once.
+fn reclaim_right_after_pending_drops(rt: &Runtime) {
+    let w: Writable<u64, SequenceSerializer> = Writable::new(rt, 0);
+    rt.begin_isolation().unwrap();
+    for i in 1..=50_000u64 {
+        w.delegate(|s| *s += 1).unwrap();
+        let mut spins = 0u8;
+        while w.pending_operations() != 0 {
+            // Spin to land inside the window; yield every 256th time so a
+            // host with fewer CPUs than threads still lets the delegate run.
+            spins = spins.wrapping_add(1);
+            if spins == 0 {
+                std::thread::yield_now();
+            }
+        }
+        assert_eq!(w.call(|s| *s), Ok(i), "reclaim {i}");
+    }
+    rt.end_isolation().unwrap();
+    assert!(rt.stats().epochs_audited > 0);
+}
+
+#[test]
+fn access_gate_waits_for_the_audit_record_root() {
+    let rt = Runtime::builder()
+        .delegate_threads(1)
+        .audit(AuditMode::Full)
+        .build()
+        .unwrap();
+    reclaim_right_after_pending_drops(&rt);
+}
+
+#[test]
+fn access_gate_waits_for_the_audit_record_session() {
+    let rt = Runtime::builder()
+        .delegate_threads(1)
+        .audit(AuditMode::Full)
+        .build()
+        .unwrap();
+    let session = rt.session().unwrap();
+    reclaim_right_after_pending_drops(&session);
+}
+
 // ----------------------------------------------------------------------
 // chaos legs: each weakened-runtime knob must trip the auditor with the
 // right violation kind, naming a real operation pair.

@@ -296,6 +296,107 @@ fn sessions_have_private_memo_domains() {
     assert_eq!(submit(&s2, &w2), 20); // and hit within s2 thereafter
 }
 
+/// One nested program, memoized or not: each epoch a parent operation
+/// queries `child` from its delegate context (`cx.delegate_memo`, or
+/// `cx.delegate_in_memo` when `set` is given; `cx.delegate_with` /
+/// `cx.delegate_in_with` for the unmemoized arm) and waits for the answer
+/// right there; in the epochs listed in `mutate_in` it first mutates
+/// `child` through a plain nested `cx.delegate`. Returns each epoch's
+/// `(answer, was_memo_hit)`, the child's final state, and the stats.
+fn run_nested(
+    rt: &Runtime,
+    set: Option<SsId>,
+    memoized: bool,
+    epochs: usize,
+    mutate_in: &'static [usize],
+) -> (Vec<(u64, bool)>, u64, Stats) {
+    let parent: Writable<u64, SequenceSerializer> = Writable::new(rt, 0);
+    let child: Writable<u64, SequenceSerializer> = Writable::new(rt, 7);
+    let mut log = Vec::new();
+    for epoch in 0..epochs {
+        rt.begin_isolation().unwrap();
+        let (rt2, child2) = (rt.clone(), child.clone());
+        let answer = parent.delegate_with(move |_| {
+            rt2.delegate_scope(|cx| {
+                if mutate_in.contains(&epoch) {
+                    match set {
+                        Some(ss) => cx.delegate_in(&child2, ss, |s| *s = fold(*s, 1)),
+                        None => cx.delegate(&child2, |s| *s = fold(*s, 1)),
+                    }
+                    .unwrap();
+                }
+                let q = |s: &mut u64| query(*s, 42);
+                let fp = fingerprint_of(&42u64);
+                let fut = match (memoized, set) {
+                    (true, None) => cx.delegate_memo(&child2, fp, q),
+                    (true, Some(ss)) => cx.delegate_in_memo(&child2, ss, fp, q),
+                    (false, None) => cx.delegate_with(&child2, q),
+                    (false, Some(ss)) => cx.delegate_in_with(&child2, ss, q),
+                }
+                .unwrap();
+                let hit = fut.was_memo_hit();
+                (fut.wait().unwrap(), hit)
+            })
+            .unwrap()
+        });
+        log.push(answer.unwrap().wait().unwrap());
+        rt.end_isolation().unwrap();
+    }
+    (log, child.call(|s| *s).unwrap(), rt.stats())
+}
+
+/// The nested × memo cell: from a delegate context the first submission
+/// misses and publishes, a clean re-submission in a later epoch is served
+/// born ready, a plain nested delegation on the set invalidates, and the
+/// answers equal the unmemoized program's — on the root and in a session,
+/// over the SPSC and the stealing transport, internal and external set.
+#[test]
+fn nested_memo_misses_hits_invalidates_and_matches_unmemoized() {
+    for stealing in [StealPolicy::Off, StealPolicy::WhenIdle] {
+        for in_session in [false, true] {
+            for set in [None, Some(SsId(1000))] {
+                let leg = format!("stealing {stealing:?}, session {in_session}, set {set:?}");
+                let run_arm = |memoized: bool| {
+                    let rt = Runtime::builder()
+                        .delegate_threads(2)
+                        .stealing(stealing)
+                        .memo_capacity(64)
+                        .build()
+                        .unwrap();
+                    if in_session {
+                        let session = rt.session().unwrap();
+                        run_nested(&session, set, memoized, 5, &[2])
+                    } else {
+                        run_nested(&rt, set, memoized, 5, &[2])
+                    }
+                };
+                let (memo_log, memo_final, memo_stats) = run_arm(true);
+                let (plain_log, plain_final, plain_stats) = run_arm(false);
+
+                let (before, after) = (query(7, 42), query(fold(7, 1), 42));
+                let answers: Vec<u64> = memo_log.iter().map(|(a, _)| *a).collect();
+                assert_eq!(answers, [before, before, after, after, after], "{leg}");
+                let hits: Vec<bool> = memo_log.iter().map(|(_, h)| *h).collect();
+                assert_eq!(hits, [false, true, false, true, true], "{leg}");
+                assert_eq!(memo_final, fold(7, 1), "{leg}");
+
+                assert_eq!(plain_final, memo_final, "{leg}");
+                let plain: Vec<u64> = plain_log.iter().map(|(a, _)| *a).collect();
+                assert_eq!(plain, answers, "{leg}");
+                assert!(plain_log.iter().all(|(_, hit)| !hit), "{leg}");
+
+                assert_eq!(memo_stats.memo_misses, 2, "{leg}: {memo_stats:?}");
+                assert_eq!(memo_stats.memo_hits, 3, "{leg}: {memo_stats:?}");
+                assert!(memo_stats.memo_invalidations >= 1, "{leg}: {memo_stats:?}");
+                // The parent's own plain `delegate_with` aside, a hit is not
+                // an operation: three fewer executions than the plain arm.
+                assert_eq!(memo_stats.executed + 3, plain_stats.executed, "{leg}");
+                assert_eq!(plain_stats.memo_hits + plain_stats.memo_misses, 0, "{leg}");
+            }
+        }
+    }
+}
+
 // ----------------------------------------------------------------------
 // chaos leg: a cache that serves across an invalidation must be caught.
 
