@@ -23,93 +23,152 @@
 //!   down after draining their queues.
 
 use core::mem::{self, MaybeUninit};
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::Thread;
 
-use crate::runtime::Domain;
+use ss_queue::oneshot::OneshotSender;
+
+use crate::runtime::{Core, Domain};
 use crate::serializer::SsId;
+use crate::trace::TraceExecutor;
+
+/// What the executing context lends a packaged operation for the duration
+/// of its run: the runtime's shared [`Core`] and the executor's identity.
+/// The record *borrows* these instead of owning an `Arc<Core>` — whoever
+/// runs a record (a delegate loop, the help-first loop, the program
+/// thread's inline path) already holds the core, and a record that is
+/// dropped unrun needs none of it.
+pub(crate) struct ExecCx<'a> {
+    pub(crate) core: &'a Core,
+    /// Who is executing (what a `FutureResolve` trace event reports).
+    pub(crate) executor: TraceExecutor,
+}
 
 /// Words in the [`TaskSlot`] inline buffer. Three words fit the common
-/// packaged shape — two `Arc`s (object + runtime core) plus a small user
-/// capture — while keeping an `Invocation` within a cache line in the
-/// SPSC ring slots.
+/// packaged shapes — the object's `Arc` plus a two-word user capture for a
+/// void operation, or plus a completion-cell sender and a one-word user
+/// capture for a future-returning one.
 const TASK_INLINE_WORDS: usize = 3;
 /// Byte capacity of the inline buffer.
 const TASK_INLINE_BYTES: usize = TASK_INLINE_WORDS * mem::size_of::<usize>();
 
-/// A packaged delegated operation: a fixed ~3-word buffer that stores small
-/// closures by value and falls back to boxing only for large captures.
+// The layout the ring depends on: a record is the inline buffer plus one
+// vtable pointer, an invocation niche-packs to 56 bytes — so its SPSC ring
+// slot (payload + `full` flag, `ss_queue::spsc`) is exactly one 64-byte
+// cache line — and a future's sender is one word, which is what lets a
+// `delegate_with` record ride inline. A field added to any of them fails
+// the build here instead of silently straddling lines again.
+const _: () = assert!(mem::size_of::<TaskSlot>() == 32);
+const _: () = assert!(mem::size_of::<Invocation>() <= 56);
+const _: () = assert!(mem::size_of::<OneshotSender<u64>>() == mem::size_of::<usize>());
+
+/// How to run or drop the capture a [`TaskSlot`] holds; one static
+/// instance per capture type.
+struct TaskVTable {
+    /// Reads the capture out of the buffer and invokes it.
+    call: unsafe fn(*mut u8, &ExecCx<'_>),
+    /// Drops the capture in place without invoking it.
+    drop: unsafe fn(*mut u8),
+    /// Whether the capture is stored inline (false: boxed fallback).
+    inline: bool,
+}
+
+type BoxedTask = Box<dyn FnOnce(&ExecCx<'_>) + Send>;
+
+/// # Safety
+/// `p` must point at an initialized `F` written by [`TaskSlot::new`]; the
+/// capture is moved out, so the caller must not touch it again.
+unsafe fn call_inline<F: FnOnce(&ExecCx<'_>)>(p: *mut u8, cx: &ExecCx<'_>) {
+    // SAFETY: per the contract above.
+    (unsafe { (p as *mut F).read() })(cx);
+}
+
+/// # Safety
+/// As [`call_inline`], but the capture is dropped, not run.
+unsafe fn drop_inline<F>(p: *mut u8) {
+    // SAFETY: per the contract above.
+    unsafe { (p as *mut F).drop_in_place() }
+}
+
+/// # Safety
+/// `p` must point at an initialized [`BoxedTask`] written by
+/// [`TaskSlot::new`]; the box is moved out.
+unsafe fn call_boxed(p: *mut u8, cx: &ExecCx<'_>) {
+    // SAFETY: per the contract above.
+    (unsafe { (p as *mut BoxedTask).read() })(cx);
+}
+
+/// # Safety
+/// As [`call_boxed`], but the box is dropped, not run.
+unsafe fn drop_boxed(p: *mut u8) {
+    // SAFETY: per the contract above.
+    unsafe { (p as *mut BoxedTask).drop_in_place() }
+}
+
+/// Carrier for the vtable of an inline capture of type `F`.
+struct InlineTask<F>(PhantomData<F>);
+
+impl<F: FnOnce(&ExecCx<'_>)> InlineTask<F> {
+    const VTABLE: TaskVTable = TaskVTable {
+        call: call_inline::<F>,
+        drop: drop_inline::<F>,
+        inline: true,
+    };
+}
+
+static BOXED_VTABLE: TaskVTable = TaskVTable {
+    call: call_boxed,
+    drop: drop_boxed,
+    inline: false,
+};
+
+/// A packaged delegated operation: a fixed 3-word buffer that stores small
+/// closures by value and falls back to boxing only for large captures,
+/// plus one pointer to the static vtable that knows the capture's type.
 ///
 /// The slot is the paper's invocation object with the C++ layout discipline
 /// restored: a per-call-site monomorphized capture lives directly in the
-/// queue slot. The boxed fallback stores the `Box<dyn FnOnce() + Send>` fat
-/// pointer *in* the same buffer, so consumers are non-generic either way —
-/// one `call` function pointer runs the operation, one `drop` function
-/// pointer handles slots that are dropped without running (queue teardown).
+/// queue slot. The boxed fallback stores the `Box<dyn FnOnce>` fat pointer
+/// *in* the same buffer, so consumers are non-generic either way. The
+/// operation takes its execution context ([`ExecCx`]) as an argument, so
+/// the capture holds nothing the executor already has.
 pub(crate) struct TaskSlot {
     /// Inline storage for the capture (or for the fallback `Box`'s fat
     /// pointer). `usize`-aligned; captures needing stricter alignment take
     /// the boxed path.
     data: MaybeUninit<[usize; TASK_INLINE_WORDS]>,
-    /// Reads the capture out of `data` and invokes it (consuming the slot).
-    call: unsafe fn(*mut u8),
-    /// Drops the capture in place without invoking it.
-    drop_fn: unsafe fn(*mut u8),
-    /// Whether the capture is stored inline (false: boxed fallback).
-    inline: bool,
+    vtable: &'static TaskVTable,
 }
 
-// SAFETY: construction requires `F: Send` (or boxes into `dyn FnOnce() +
+// SAFETY: construction requires `F: Send` (or boxes into `dyn FnOnce +
 // Send`), and the slot owns the capture exclusively.
 unsafe impl Send for TaskSlot {}
 
 impl TaskSlot {
     /// Packages `f`, storing it inline when it fits the buffer and is no
     /// more aligned than a word; otherwise boxes it.
-    pub(crate) fn new<F: FnOnce() + Send + 'static>(f: F) -> Self {
+    pub(crate) fn new<F: FnOnce(&ExecCx<'_>) + Send + 'static>(f: F) -> Self {
+        let mut data = MaybeUninit::<[usize; TASK_INLINE_WORDS]>::uninit();
         if mem::size_of::<F>() <= TASK_INLINE_BYTES
             && mem::align_of::<F>() <= mem::align_of::<usize>()
         {
-            unsafe fn call_inline<F: FnOnce()>(p: *mut u8) {
-                // SAFETY: `p` points at a valid, initialized `F` written by
-                // `new`; `read` moves it out and the caller forgets the slot.
-                (unsafe { (p as *mut F).read() })();
-            }
-            unsafe fn drop_inline<F>(p: *mut u8) {
-                // SAFETY: as above, but the capture is dropped, not run.
-                unsafe { (p as *mut F).drop_in_place() }
-            }
-            let mut data = MaybeUninit::<[usize; TASK_INLINE_WORDS]>::uninit();
             // SAFETY: size/alignment checked above; the buffer is exclusively
             // ours.
             unsafe { (data.as_mut_ptr() as *mut F).write(f) };
             TaskSlot {
                 data,
-                call: call_inline::<F>,
-                drop_fn: drop_inline::<F>,
-                inline: true,
+                vtable: &InlineTask::<F>::VTABLE,
             }
         } else {
-            type Boxed = Box<dyn FnOnce() + Send>;
-            unsafe fn call_boxed(p: *mut u8) {
-                // SAFETY: `p` holds a valid `Boxed` written by `new`.
-                (unsafe { (p as *mut Boxed).read() })();
-            }
-            unsafe fn drop_boxed(p: *mut u8) {
-                // SAFETY: as above.
-                unsafe { (p as *mut Boxed).drop_in_place() }
-            }
-            let boxed: Boxed = Box::new(f);
-            let mut data = MaybeUninit::<[usize; TASK_INLINE_WORDS]>::uninit();
+            let boxed: BoxedTask = Box::new(f);
             // SAFETY: a `Box<dyn ...>` fat pointer is two words, within the
             // buffer, at word alignment.
-            unsafe { (data.as_mut_ptr() as *mut Boxed).write(boxed) };
+            unsafe { (data.as_mut_ptr() as *mut BoxedTask).write(boxed) };
             TaskSlot {
                 data,
-                call: call_boxed,
-                drop_fn: drop_boxed,
-                inline: false,
+                vtable: &BOXED_VTABLE,
             }
         }
     }
@@ -117,17 +176,17 @@ impl TaskSlot {
     /// Whether the capture is stored inline (feeds `Stats::tasks_inline` /
     /// `tasks_boxed`).
     pub(crate) fn is_inline(&self) -> bool {
-        self.inline
+        self.vtable.inline
     }
 
-    /// Runs the packaged operation, consuming the slot.
-    pub(crate) fn run(mut self) {
-        let call = self.call;
+    /// Runs the packaged operation in `cx`, consuming the slot.
+    pub(crate) fn run(mut self, cx: &ExecCx<'_>) {
+        let call = self.vtable.call;
         let p = self.data.as_mut_ptr() as *mut u8;
         // SAFETY: the capture is initialized (only `run`/`Drop` consume it,
         // each at most once); `call` moves it out, so forget the slot to
         // keep `Drop` from double-dropping it.
-        unsafe { call(p) };
+        unsafe { call(p, cx) };
         mem::forget(self);
     }
 }
@@ -137,7 +196,7 @@ impl Drop for TaskSlot {
         // Reached only for slots never run (queue teardown after
         // termination); `run` forgets the slot before this could fire.
         // SAFETY: the capture is still initialized and dropped exactly once.
-        unsafe { (self.drop_fn)(self.data.as_mut_ptr() as *mut u8) }
+        unsafe { (self.vtable.drop)(self.data.as_mut_ptr() as *mut u8) }
     }
 }
 
@@ -162,18 +221,35 @@ pub(crate) enum Invocation {
         /// another tenant's operations.
         session: Option<Arc<Domain>>,
     },
-    /// Synchronization object: signal the token and continue.
-    Sync(Arc<SyncToken>),
-    /// Termination object: signal and exit the delegate loop.
-    Terminate(Arc<SyncToken>),
+    /// Synchronization or termination object: signal the token, and — for
+    /// a termination object — exit the delegate loop. One variant, so the
+    /// enum's tag hides in the vtable pointer's niche.
+    Token {
+        token: Arc<SyncToken>,
+        terminate: bool,
+    },
+}
+
+impl Invocation {
+    /// A synchronization object signalling `token`.
+    pub(crate) fn sync(token: &Arc<SyncToken>) -> Self {
+        Invocation::Token {
+            token: Arc::clone(token),
+            terminate: false,
+        }
+    }
 }
 
 impl std::fmt::Debug for Invocation {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Invocation::Execute { ss, .. } => f.debug_struct("Execute").field("ss", ss).finish(),
-            Invocation::Sync(_) => f.write_str("Sync"),
-            Invocation::Terminate(_) => f.write_str("Terminate"),
+            Invocation::Token {
+                terminate: false, ..
+            } => f.write_str("Sync"),
+            Invocation::Token {
+                terminate: true, ..
+            } => f.write_str("Terminate"),
         }
     }
 }
@@ -182,7 +258,11 @@ impl std::fmt::Debug for Invocation {
 ///
 /// The program thread spins briefly (delegation queues drain in microseconds
 /// when the system is healthy) and then parks; the delegate unparks it on
-/// signal. Parking tolerates spurious wakeups by re-checking the flag.
+/// signal. Parking tolerates spurious wakeups by re-checking the flag —
+/// which is also what makes a token reusable: the root program thread
+/// keeps one per delegate and [`rearm`](SyncToken::rearm)s it before each
+/// push, and the previous use's `unpark`, should it land late, is just
+/// one more spurious wakeup.
 pub(crate) struct SyncToken {
     done: AtomicBool,
     waiter: Thread,
@@ -195,6 +275,13 @@ impl SyncToken {
             done: AtomicBool::new(false),
             waiter: std::thread::current(),
         })
+    }
+
+    /// Readies a token whose previous `wait` has returned for another
+    /// round trip. Called by the waiter before it pushes the token; the
+    /// push's Release publishes the store to the signalling delegate.
+    pub(crate) fn rearm(&self) {
+        self.done.store(false, Ordering::Relaxed);
     }
 
     /// Marks the token complete and wakes the waiter.
@@ -254,22 +341,55 @@ mod tests {
     #[test]
     fn invocation_debug_format() {
         let inv = Invocation::Execute {
-            task: TaskSlot::new(|| {}),
+            task: TaskSlot::new(|_| {}),
             ss: SsId(3),
             audit: 0,
             session: None,
         };
         assert!(format!("{inv:?}").contains("SsId(3)"));
-        assert_eq!(format!("{:?}", Invocation::Sync(SyncToken::new())), "Sync");
+        let token = SyncToken::new();
+        assert_eq!(format!("{:?}", Invocation::sync(&token)), "Sync");
+        let terminate = Invocation::Token {
+            token,
+            terminate: true,
+        };
+        assert_eq!(format!("{terminate:?}"), "Terminate");
+    }
+
+    #[test]
+    fn rearmed_token_makes_a_second_round_trip() {
+        let token = SyncToken::new();
+        for _ in 0..2 {
+            token.rearm();
+            assert!(!token.is_done());
+            let t2 = Arc::clone(&token);
+            std::thread::scope(|s| {
+                s.spawn(move || t2.signal());
+                token.wait();
+            });
+            assert!(token.is_done());
+        }
+    }
+
+    /// An execution context for running slots outside a runtime.
+    fn with_cx(f: impl FnOnce(&ExecCx<'_>)) {
+        let rt = crate::Runtime::builder()
+            .delegate_threads(0)
+            .build()
+            .unwrap();
+        f(&ExecCx {
+            core: &rt.inner.core,
+            executor: TraceExecutor::Program,
+        });
     }
 
     #[test]
     fn small_capture_is_stored_inline_and_runs() {
         let hit = Arc::new(AtomicBool::new(false));
         let h = Arc::clone(&hit);
-        let slot = TaskSlot::new(move || h.store(true, Ordering::Relaxed));
+        let slot = TaskSlot::new(move |_| h.store(true, Ordering::Relaxed));
         assert!(slot.is_inline());
-        slot.run();
+        with_cx(|cx| slot.run(cx));
         assert!(hit.load(Ordering::Relaxed));
     }
 
@@ -278,11 +398,11 @@ mod tests {
         let sink = Arc::new(std::sync::atomic::AtomicU64::new(0));
         let s = Arc::clone(&sink);
         let payload = [1u64, 2, 3, 4, 5, 6, 7, 8];
-        let slot = TaskSlot::new(move || {
+        let slot = TaskSlot::new(move |_| {
             s.store(payload.iter().sum(), Ordering::Relaxed);
         });
         assert!(!slot.is_inline());
-        slot.run();
+        with_cx(|cx| slot.run(cx));
         assert_eq!(sink.load(Ordering::Relaxed), 36);
     }
 
@@ -300,11 +420,11 @@ mod tests {
             let probe = Probe(Arc::clone(&ran), Arc::clone(&dropped));
             let slot = if force_boxed {
                 let pad = [0u64; 8];
-                TaskSlot::new(move || {
+                TaskSlot::new(move |_| {
                     probe.0.store(pad[0] == 0, Ordering::Relaxed);
                 })
             } else {
-                TaskSlot::new(move || probe.0.store(true, Ordering::Relaxed))
+                TaskSlot::new(move |_| probe.0.store(true, Ordering::Relaxed))
             };
             assert_eq!(slot.is_inline(), !force_boxed);
             drop(slot);

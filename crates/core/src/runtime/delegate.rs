@@ -38,7 +38,7 @@ use ss_queue::{Consumer, Pop};
 use crate::config::WaitPolicy;
 use crate::error::{SsError, SsResult};
 use crate::future::SsFuture;
-use crate::invocation::{Invocation, TaskSlot};
+use crate::invocation::{ExecCx, Invocation, TaskSlot};
 use crate::serializer::{Serializer, SsId};
 use crate::stats::StatsCell;
 use crate::trace::{SideEvent, TraceExecutor, TraceKind};
@@ -53,7 +53,7 @@ thread_local! {
     pub(super) static DELEGATE_CTX: Cell<Option<(u64, u32)>> = const { Cell::new(None) };
 
     /// Domain id of the operation currently executing on this thread
-    /// (0 = root). Stamped around `task.run()` by [`execute_op`] —
+    /// (0 = root). Stamped around `task.run` by [`execute_op`] —
     /// save/restore, because help-first waits nest executions — and read
     /// by nested submits to reject cross-domain re-delegation.
     static CURRENT_DOMAIN: Cell<u32> = const { Cell::new(0) };
@@ -302,7 +302,10 @@ fn execute_op(
     let want_timer =
         core.cost_samples.is_some() || steal.is_some_and(|(router, _)| router.cost_aware());
     let timer = want_timer.then(std::time::Instant::now);
-    task.run();
+    task.run(&ExecCx {
+        core,
+        executor: TraceExecutor::Delegate(idx),
+    });
     CURRENT_DOMAIN.with(|c| c.set(prev_domain));
     // Audit record lands *before* the drain counters settle below, so the
     // domain barrier's token/`in_flight` drain proves every record of the
@@ -552,17 +555,6 @@ fn wait_cycle_closes(
     false
 }
 
-/// The [`TraceExecutor`] identity of the calling thread relative to
-/// runtime `rt_id`: a delegate index when called from one of its delegate
-/// threads, otherwise the program executor. Used by packaged future task
-/// closures, which capture only the shared [`Core`].
-pub(crate) fn trace_executor_for(rt_id: u64) -> TraceExecutor {
-    DELEGATE_CTX.with(|c| match c.get() {
-        Some((id, idx)) if id == rt_id => TraceExecutor::Delegate(idx as usize),
-        _ => TraceExecutor::Program,
-    })
-}
-
 /// Delegate thread main loop (§4): repeatedly read invocation objects from
 /// the communication queue and execute them.
 ///
@@ -628,16 +620,13 @@ pub(super) fn delegate_main(
                     audit,
                     session,
                 } => execute_op(&core, idx as usize, ss, task, audit, session, d.lane, None),
-                Invocation::Sync(token) => {
-                    #[cfg(feature = "chaos")]
-                    chaos_flush!();
-                    token.signal()
-                }
-                Invocation::Terminate(token) => {
+                Invocation::Token { token, terminate } => {
                     #[cfg(feature = "chaos")]
                     chaos_flush!();
                     token.signal();
-                    break;
+                    if terminate {
+                        break;
+                    }
                 }
             }
             continue;
@@ -690,16 +679,13 @@ pub(super) fn delegate_main(
                             None,
                         )
                     }
-                    Invocation::Sync(token) => {
-                        #[cfg(feature = "chaos")]
-                        chaos_flush!();
-                        token.signal()
-                    }
-                    Invocation::Terminate(token) => {
+                    Invocation::Token { token, terminate } => {
                         #[cfg(feature = "chaos")]
                         chaos_flush!();
                         token.signal();
-                        break;
+                        if terminate {
+                            break;
+                        }
                     }
                 }
             }
@@ -734,10 +720,11 @@ pub(super) fn delegate_main(
                             Lane::Injected,
                             None,
                         ),
-                        Invocation::Sync(token) => token.signal(),
-                        Invocation::Terminate(token) => {
+                        Invocation::Token { token, terminate } => {
                             token.signal();
-                            break;
+                            if terminate {
+                                break;
+                            }
                         }
                     }
                     continue;
@@ -817,10 +804,11 @@ pub(super) fn delegate_main_stealing(
                     d.lane,
                     Some((&router, deque)),
                 ),
-                Invocation::Sync(token) => token.signal(),
-                Invocation::Terminate(token) => {
+                Invocation::Token { token, terminate } => {
                     token.signal();
-                    break 'main;
+                    if terminate {
+                        break 'main;
+                    }
                 }
             }
         }
@@ -873,10 +861,11 @@ pub(super) fn delegate_main_stealing(
                         continue 'main;
                     }
                 }
-                Invocation::Sync(token) => token.signal(),
-                Invocation::Terminate(token) => {
+                Invocation::Token { token, terminate } => {
                     token.signal();
-                    break 'main;
+                    if terminate {
+                        break 'main;
+                    }
                 }
             }
         }

@@ -39,13 +39,12 @@
 //! without stealing bypasses even that: the inline modulo.
 
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
 
 use crate::error::{SsError, SsResult};
-use crate::invocation::{Invocation, SyncToken, TaskSlot};
+use crate::invocation::{ExecCx, Invocation, TaskSlot};
 use crate::serializer::SsId;
 use crate::stats::StatsCell;
-use crate::trace::TraceKind;
+use crate::trace::{TraceExecutor, TraceKind};
 
 use super::delegate::current_domain_id;
 use super::domain::Domain;
@@ -413,6 +412,10 @@ impl Runtime {
     ) -> Result<(), (SsError, usize)> {
         let n = run.len();
         let core = &self.inner.core;
+        let cx = ExecCx {
+            core,
+            executor: TraceExecutor::Program,
+        };
         let base = core.audit_submit(d, key, 0, n);
         for (k, task) in run.iter_mut().enumerate() {
             let task = task.take().expect("run executed once");
@@ -427,7 +430,7 @@ impl Runtime {
                 }
                 epoch.executing_inline = true;
             }
-            task.run();
+            task.run(&cx);
             // SAFETY: program thread; fresh scoped borrow after user code.
             unsafe { d.epoch.get() }.executing_inline = false;
             StatsCell::bump(&core.stats.inline_executions);
@@ -436,6 +439,17 @@ impl Runtime {
             d.completed.fetch_add(1, Ordering::Relaxed);
         }
         Ok(())
+    }
+
+    /// The synchronization object for delegate `i`'s queue: the root
+    /// program thread's reusable token for that delegate
+    /// (`Inner::sync_tokens`), re-armed — so neither a reclaim nor an epoch
+    /// boundary allocates. Root program thread only, and only after the
+    /// token's previous `wait` returned.
+    fn sync_object(&self, i: usize) -> Invocation {
+        let token = &self.inner.sync_tokens[i];
+        token.rearm();
+        Invocation::sync(token)
     }
 
     /// Reclaims ownership of a set for the program context — the
@@ -484,7 +498,6 @@ impl Runtime {
             }
             return Ok(owner);
         }
-        let token = SyncToken::new();
         let executor = match (&self.inner.channels, ss) {
             (Channels::Steal(shared), Some(s)) => {
                 // The reclaimed set is frozen on its current queue until
@@ -493,10 +506,8 @@ impl Runtime {
                 // between the two.
                 self.inner.router.with_current_pin(d, s, owner, |executor| {
                     if let Executor::Delegate(i) = executor {
-                        shared.deques[i].push_fence(
-                            ss_queue::FenceScope::Key(s.0),
-                            Invocation::Sync(Arc::clone(&token)),
-                        );
+                        let sync = self.sync_object(i);
+                        shared.deques[i].push_fence(ss_queue::FenceScope::Key(s.0), sync);
                     }
                     executor
                 })
@@ -506,10 +517,7 @@ impl Runtime {
                 // set); `All` is the conservative scope for a caller that
                 // cannot.
                 if let Executor::Delegate(i) = owner {
-                    shared.deques[i].push_fence(
-                        ss_queue::FenceScope::All,
-                        Invocation::Sync(Arc::clone(&token)),
-                    );
+                    shared.deques[i].push_fence(ss_queue::FenceScope::All, self.sync_object(i));
                 }
                 owner
             }
@@ -518,10 +526,7 @@ impl Runtime {
                     // SAFETY: root program thread (reclaims are
                     // program-context only, and this is the root branch).
                     let producer = unsafe { producers[i].get() };
-                    if producer
-                        .push_blocking(Invocation::Sync(Arc::clone(&token)))
-                        .is_err()
-                    {
+                    if producer.push_blocking(self.sync_object(i)).is_err() {
                         return Err(SsError::Terminated);
                     }
                 }
@@ -533,7 +538,7 @@ impl Runtime {
         };
         self.inner.wakeups[i].notify();
         StatsCell::bump(&stats.sync_objects);
-        token.wait();
+        self.inner.sync_tokens[i].wait();
         Ok(executor)
     }
 
@@ -582,15 +587,18 @@ impl Runtime {
     /// waiting session.
     pub(crate) fn barrier(&self, d: &Domain) -> SsResult<()> {
         if self.is_root() {
+            // A token whose push fails (consumer gone) is signalled here
+            // instead, so the wait pass below needs no list of who was
+            // actually sent to.
             let stats = &self.inner.core.stats;
-            let mut tokens = Vec::with_capacity(self.inner.topology.n_delegates);
-            for (i, wakeup) in self.inner.wakeups.iter().enumerate() {
-                let token = SyncToken::new();
-                let sync = Invocation::Sync(Arc::clone(&token));
+            let tokens = &self.inner.sync_tokens;
+            for (i, token) in tokens.iter().enumerate() {
+                let sync = self.sync_object(i);
                 match &self.inner.channels {
                     Channels::Spsc { producers, .. } => {
                         // SAFETY: root program thread (callers checked).
                         if unsafe { producers[i].get() }.push_blocking(sync).is_err() {
+                            token.signal();
                             continue;
                         }
                     }
@@ -598,12 +606,11 @@ impl Runtime {
                         shared.deques[i].push_fence(ss_queue::FenceScope::Open, sync);
                     }
                 }
-                wakeup.notify();
+                self.inner.wakeups[i].notify();
                 StatsCell::bump(&stats.sync_objects);
-                tokens.push(token);
             }
-            for t in tokens {
-                t.wait();
+            for token in tokens.iter() {
+                token.wait();
             }
         }
         let backoff = ss_queue::Backoff::new();

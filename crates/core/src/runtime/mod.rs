@@ -65,7 +65,7 @@ pub use assign::{
 };
 pub(crate) use assign::{CostSamples, StealShared};
 pub use delegate::DelegateContext;
-pub(crate) use delegate::{future_wait_turn, trace_executor_for, WaitTurn};
+pub(crate) use delegate::{future_wait_turn, WaitTurn};
 pub(crate) use dispatch::Origin;
 pub(crate) use domain::Domain;
 pub(crate) use gates::TestGates;
@@ -100,11 +100,14 @@ use crate::trace::{SideEvent, TraceEvent, TraceExecutor, TraceKind, TraceLog};
 /// confuse each other's delegate threads.
 static NEXT_RUNTIME_ID: AtomicU64 = AtomicU64::new(1);
 
-/// State shared between the runtime and in-flight invocation closures.
+/// State shared between the runtime and the contexts that execute
+/// invocations.
 ///
-/// Kept in its own `Arc` (instead of handing tasks the whole runtime) so
-/// queued closures never form reference cycles with the queues that carry
-/// them, and so delegate threads hold no strong reference to [`Inner`].
+/// Kept in its own `Arc` so delegate threads hold no strong reference to
+/// [`Inner`] (which joins them on drop). Queued invocation closures hold
+/// no reference at all: whoever runs one lends it the `Core` for the call
+/// ([`ExecCx`](crate::invocation::ExecCx)), so the queues' owners — the
+/// delegate threads and `Inner` — are what keep it alive.
 pub(crate) struct Core {
     pub(crate) stats: StatsCell,
     pub(crate) poisoned: AtomicBool,
@@ -408,8 +411,8 @@ impl Core {
     /// core (no-op when tracing is disabled). The `Runtime`-level
     /// [`record_side_event`](Runtime::record_side_event) wrapper is
     /// preferred where a runtime handle exists; this form is for packaged
-    /// task closures, which deliberately capture only the `Core` (see the
-    /// [`Core`] docs for why they must not hold the runtime alive).
+    /// task closures, which are lent only the `Core` (see the [`Core`]
+    /// docs).
     pub(crate) fn record_side(
         &self,
         serial: u64,
@@ -466,6 +469,12 @@ pub(crate) struct Inner {
     pub(crate) router: Arc<Router>,
     pub(crate) channels: Channels,
     wakeups: Box<[Arc<Wakeup>]>,
+    /// One reusable synchronization token per delegate, waited on by the
+    /// root program thread only (its epoch barrier uses all of them, a
+    /// reclaim the owner's): created here, on that thread, and re-armed
+    /// before every push, so neither allocates. Termination keeps its own
+    /// tokens — it may run on whichever thread drops the last handle.
+    sync_tokens: Box<[Arc<SyncToken>]>,
     join_handles: Mutex<Vec<JoinHandle<()>>>,
     started_at: Instant,
     terminated: AtomicBool,
@@ -634,6 +643,7 @@ impl Runtime {
             router,
             channels,
             wakeups,
+            sync_tokens: (0..n_delegates).map(|_| SyncToken::new()).collect(),
             join_handles: Mutex::new(Vec::new()),
             started_at: Instant::now(),
             terminated: AtomicBool::new(false),
@@ -923,13 +933,6 @@ impl Runtime {
     // ------------------------------------------------------------------
     // context checks
 
-    /// This runtime's process-unique id (delegate threads carry it in
-    /// their thread-local context marker).
-    #[inline]
-    pub(crate) fn id(&self) -> u64 {
-        self.inner.id
-    }
-
     /// The epoch domain this handle acts on: the session's for a
     /// [`Session`]'s handle, the root's otherwise. Everything
     /// domain-scoped — program thread, epoch state, serial, routing keys
@@ -1057,20 +1060,22 @@ impl Inner {
     fn terminate_and_join(&self) {
         if !self.terminated.swap(true, Ordering::AcqRel) {
             for i in 0..self.topology.n_delegates {
-                let token = SyncToken::new();
+                let terminate = Invocation::Token {
+                    token: SyncToken::new(),
+                    terminate: true,
+                };
                 match &self.channels {
                     Channels::Spsc { producers, .. } => {
                         // SAFETY: exclusive by the method contract above.
                         let producer = unsafe { producers[i].get() };
-                        let _ = producer.push_blocking(Invocation::Terminate(token));
+                        let _ = producer.push_blocking(terminate);
                     }
                     Channels::Steal(shared) => {
                         // Queues are already drained at shutdown (an open
                         // isolation epoch forbids it), so the scope is moot;
                         // `Open` keeps a stuck-at-exit thief from being
                         // frozen out of a peer's leftovers.
-                        shared.deques[i]
-                            .push_fence(ss_queue::FenceScope::Open, Invocation::Terminate(token));
+                        shared.deques[i].push_fence(ss_queue::FenceScope::Open, terminate);
                     }
                 }
                 self.wakeups[i].notify();

@@ -27,7 +27,7 @@ fn executor_for(rt: &Runtime, ss: SsId) -> Executor {
 /// Packaged task that bumps `counter` (the common body of delivery tests).
 fn bump(counter: &Arc<AtomicU64>) -> TaskSlot {
     let c = Arc::clone(counter);
-    TaskSlot::new(move || {
+    TaskSlot::new(move |_| {
         c.fetch_add(1, Ordering::Relaxed);
     })
 }
@@ -98,7 +98,7 @@ fn same_set_preserves_program_order() {
     rt.begin_isolation().unwrap();
     for i in 0..1000u64 {
         let log = Arc::clone(&log);
-        submit(&rt, SsId(7), TaskSlot::new(move || log.lock().push(i))).unwrap();
+        submit(&rt, SsId(7), TaskSlot::new(move |_| log.lock().push(i))).unwrap();
     }
     rt.end_isolation().unwrap();
     let log = log.lock();
@@ -132,8 +132,8 @@ fn nested_delegation_rejected() {
     submit(
         &rt,
         SsId(0),
-        TaskSlot::new(move || {
-            let e = submit(&rt2, SsId(1), TaskSlot::new(|| {})).unwrap_err();
+        TaskSlot::new(move |_| {
+            let e = submit(&rt2, SsId(1), TaskSlot::new(|_| {})).unwrap_err();
             *err2.lock() = Some(e);
         }),
     )
@@ -170,7 +170,7 @@ fn stats_count_operations() {
     let rt = Runtime::builder().delegate_threads(1).build().unwrap();
     rt.begin_isolation().unwrap();
     for i in 0..10u64 {
-        submit(&rt, SsId(i), TaskSlot::new(|| {})).unwrap();
+        submit(&rt, SsId(i), TaskSlot::new(|_| {})).unwrap();
     }
     rt.end_isolation().unwrap();
     let s = rt.stats();
@@ -273,7 +273,7 @@ fn all_policies_preserve_same_set_program_order() {
         rt.begin_isolation().unwrap();
         for i in 0..800u64 {
             let log = Arc::clone(&log);
-            submit(&rt, SsId(i % 3), TaskSlot::new(move || log.lock().push(i))).unwrap();
+            submit(&rt, SsId(i % 3), TaskSlot::new(move |_| log.lock().push(i))).unwrap();
         }
         rt.end_isolation().unwrap();
         let log = log.lock();
@@ -297,7 +297,7 @@ fn dynamic_policies_keep_a_set_on_one_executor_within_an_epoch() {
     let first = executor_for(&rt, SsId(42));
     // Load up other delegates so a re-assignment would move the set.
     for i in 0..200u64 {
-        submit(&rt, SsId(i), TaskSlot::new(|| {})).unwrap();
+        submit(&rt, SsId(i), TaskSlot::new(|_| {})).unwrap();
     }
     assert_eq!(executor_for(&rt, SsId(42)), first);
     rt.end_isolation().unwrap();
@@ -312,7 +312,7 @@ fn pins_counter_tracks_first_touches() {
         .unwrap();
     rt.begin_isolation().unwrap();
     for i in 0..60u64 {
-        submit(&rt, SsId(i % 6), TaskSlot::new(|| {})).unwrap();
+        submit(&rt, SsId(i % 6), TaskSlot::new(|_| {})).unwrap();
     }
     rt.end_isolation().unwrap();
     // 6 distinct sets → 6 pins; static assignment would report 0.
@@ -324,7 +324,7 @@ fn static_assignment_reports_no_pins() {
     let rt = Runtime::builder().delegate_threads(2).build().unwrap();
     rt.begin_isolation().unwrap();
     for i in 0..60u64 {
-        submit(&rt, SsId(i % 6), TaskSlot::new(|| {})).unwrap();
+        submit(&rt, SsId(i % 6), TaskSlot::new(|_| {})).unwrap();
     }
     rt.end_isolation().unwrap();
     assert_eq!(rt.stats().pins, 0);
@@ -376,7 +376,7 @@ fn queue_depths_return_to_zero_after_barrier() {
         .unwrap();
     rt.begin_isolation().unwrap();
     for i in 0..300u64 {
-        submit(&rt, SsId(i), TaskSlot::new(|| {})).unwrap();
+        submit(&rt, SsId(i), TaskSlot::new(|_| {})).unwrap();
     }
     rt.end_isolation().unwrap();
     let s = rt.stats();
@@ -408,7 +408,7 @@ fn least_loaded_routes_away_from_a_busy_delegate() {
     submit(
         &rt,
         SsId(1),
-        TaskSlot::new(move || {
+        TaskSlot::new(move |_| {
             while g.load(Ordering::Acquire) == 0 {
                 std::hint::spin_loop();
             }
@@ -420,7 +420,7 @@ fn least_loaded_routes_away_from_a_busy_delegate() {
     // next first-touch must see [1, 0] and pick delegate 1.
     assert_eq!(executor_for(&rt, SsId(2)), Executor::Delegate(1));
     // And set 2 stays there even after more load lands on delegate 1.
-    submit(&rt, SsId(2), TaskSlot::new(|| {})).unwrap();
+    submit(&rt, SsId(2), TaskSlot::new(|_| {})).unwrap();
     assert_eq!(executor_for(&rt, SsId(2)), Executor::Delegate(1));
     gate.store(1, Ordering::Release);
     rt.end_isolation().unwrap();
@@ -464,7 +464,7 @@ impl DelegateAssignment for ByParity {
 /// inside a task (which would let a delegate thread join itself on drop).
 fn record_thread(log: &Arc<Mutex<Vec<(u64, String)>>>, set: u64) -> TaskSlot {
     let log = Arc::clone(log);
-    TaskSlot::new(move || {
+    TaskSlot::new(move |_| {
         let name = std::thread::current().name().unwrap_or("?").to_string();
         log.lock().push((set, name));
     })
@@ -477,7 +477,7 @@ fn record_thread(log: &Arc<Mutex<Vec<(u64, String)>>>, set: u64) -> TaskSlot {
 fn gated_task(gate: &Arc<AtomicU64>, entered: &Arc<Mutex<Option<String>>>) -> TaskSlot {
     let gate = Arc::clone(gate);
     let entered = Arc::clone(entered);
-    TaskSlot::new(move || {
+    TaskSlot::new(move |_| {
         *entered.lock() = Some(std::thread::current().name().unwrap_or("?").to_string());
         while gate.load(Ordering::Acquire) == 0 {
             std::hint::spin_loop();
@@ -612,7 +612,7 @@ fn steal_failures_are_counted() {
     submit(
         &rt,
         SsId(3),
-        TaskSlot::new(move || {
+        TaskSlot::new(move |_| {
             e.store(1, Ordering::Release);
             while g.load(Ordering::Acquire) == 0 {
                 std::hint::spin_loop();
@@ -626,7 +626,7 @@ fn steal_failures_are_counted() {
         std::hint::spin_loop();
     }
     for _ in 0..4 {
-        submit(&rt, SsId(3), TaskSlot::new(|| {})).unwrap();
+        submit(&rt, SsId(3), TaskSlot::new(|_| {})).unwrap();
     }
     std::thread::sleep(std::time::Duration::from_millis(30));
     gate.store(1, Ordering::Release);
@@ -657,7 +657,7 @@ fn reclaim_follows_a_stolen_set() {
     submit(
         &rt,
         SsId(1_000_000),
-        TaskSlot::new(move || {
+        TaskSlot::new(move |_| {
             while g.load(Ordering::Acquire) == 0 {
                 std::hint::spin_loop();
             }
@@ -854,7 +854,7 @@ fn delegate_scope_requires_a_delegate_context() {
     submit(
         &rt,
         SsId(0),
-        TaskSlot::new(move || {
+        TaskSlot::new(move |_| {
             *seen2.lock() = Some(rt3.delegate_scope(|_| ()).unwrap_err());
         }),
     )
@@ -1020,7 +1020,7 @@ fn steal_trace_events_are_recorded() {
     submit(
         &rt,
         SsId(0),
-        TaskSlot::new(move || {
+        TaskSlot::new(move |_| {
             while g.load(Ordering::Acquire) == 0 {
                 std::hint::spin_loop();
             }
@@ -1028,7 +1028,7 @@ fn steal_trace_events_are_recorded() {
     )
     .unwrap();
     for s in 1..=16u64 {
-        submit(&rt, SsId(s), TaskSlot::new(|| {})).unwrap();
+        submit(&rt, SsId(s), TaskSlot::new(|_| {})).unwrap();
     }
     std::thread::sleep(std::time::Duration::from_millis(50));
     gate.store(1, Ordering::Release);
@@ -1105,7 +1105,7 @@ fn one_submit_path_conserves_operations_in_every_cell() {
                                 // A parent of this domain re-delegates the
                                 // run from its delegate context.
                                 let (h, mut run) = (handle.clone(), run_of(&executed));
-                                let parent = TaskSlot::new(move || {
+                                let parent = TaskSlot::new(move |_| {
                                     h.submit(Origin::Nested, SsId(1_000 + r), &mut run).unwrap();
                                 });
                                 handle
@@ -1193,7 +1193,7 @@ fn capped_session_admits_a_long_run_only_up_to_its_cap() {
         let mut run: Vec<Option<TaskSlot>> = (0..RUN)
             .map(|k| {
                 let (h, peak) = ((*session).clone(), Arc::clone(&peak));
-                Some(TaskSlot::new(move || {
+                Some(TaskSlot::new(move |_| {
                     let (d, stats) = (h.domain(), &h.inner.core.stats);
                     // The first operation holds its queue until the program
                     // thread has filled the cap and stalled on it (or has

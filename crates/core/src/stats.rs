@@ -231,8 +231,11 @@ pub struct Stats {
     /// Submitted operations whose capture exceeded the inline buffer (or
     /// required stricter-than-word alignment) and fell back to a heap
     /// `Box`. A hot loop that should be allocation-free wants this to
-    /// stay flat; shrink captures below ~3 words to move ops to the
-    /// inline path.
+    /// stay flat: the buffer is three words, of which the wrapper uses
+    /// one (and a future-returning operation a second, for its completion
+    /// cell), so user captures of up to two words (`delegate`) or one
+    /// word (`delegate_with`) take the inline path; a memoized miss
+    /// always boxes.
     pub tasks_boxed: u64,
     /// Successful steals: whole-batch migrations of never-started sets
     /// from a loaded delegate to an idle one. 0 when

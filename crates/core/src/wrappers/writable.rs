@@ -67,8 +67,8 @@ use ss_queue::oneshot::OneshotSender;
 use crate::error::{SsError, SsResult};
 use crate::fingerprint::MemoValue;
 use crate::future::SsFuture;
-use crate::invocation::TaskSlot;
-use crate::runtime::{trace_executor_for, Core, DelegateContext, Executor, Origin, Runtime};
+use crate::invocation::{ExecCx, TaskSlot};
+use crate::runtime::{DelegateContext, Executor, Origin, Runtime};
 use crate::serializer::{ObjectSerializer, SerializeCx, Serializer, SsId};
 use crate::stats::StatsCell;
 use crate::trace::TraceKind;
@@ -125,6 +125,24 @@ struct Shared<T> {
     local: Mutex<EpochLocal>,
 }
 
+/// What a completion [`Sink`] may ask about its operation's receiver —
+/// the object half of a `FutureResolve` trace event.
+pub(crate) struct Receiver<'a> {
+    instance: u64,
+    local: &'a Mutex<EpochLocal>,
+}
+
+impl Receiver<'_> {
+    /// The set the running operation was delegated in: the object's tag
+    /// for the epoch (the first tag is authoritative, and the epoch cannot
+    /// close before the operation settles). Not recoverable from the
+    /// routing key the executor popped — a session's is composite, and
+    /// folds ids above 2^48.
+    fn set(&self) -> Option<SsId> {
+        self.local.lock().tag
+    }
+}
+
 // SAFETY: `value` is accessed under the executor-exclusivity protocol
 // documented at module level; `local` is mutex-guarded; `pending` is
 // atomic. `T: Send` because the value migrates between executor threads.
@@ -173,12 +191,14 @@ pub(crate) trait Sink<R>: Send + 'static {
     /// was popped (drop-to-cancel): the body is then skipped.
     fn cancelled(&self) -> bool;
     /// Delivers the result, before the object's `pending` count drops.
-    fn resolve(self, out: R, core: &Core, instance: u64);
+    /// `object` is the operation's receiver, for the trace.
+    fn resolve(self, out: R, cx: &ExecCx<'_>, object: Receiver<'_>);
 }
 
 /// Void delegation (Table 1 `delegate`): nothing to deliver. Zero-sized,
-/// so a void invocation closure is two `Arc`s plus the user closure — it
-/// fits `TaskSlot`'s three inline words whenever the user capture fits one.
+/// so a void invocation closure is the object's `Arc` plus the user
+/// closure — it fits `TaskSlot`'s three inline words whenever the user
+/// capture fits two.
 pub(crate) struct Void;
 
 impl Sink<()> for Void {
@@ -187,33 +207,33 @@ impl Sink<()> for Void {
         false
     }
     #[inline]
-    fn resolve(self, _: (), _: &Core, _: u64) {}
+    fn resolve(self, _: (), _: &ExecCx<'_>, _: Receiver<'_>) {}
 }
 
 /// Future-returning delegation: the sending half of the one-shot cell
-/// behind the [`SsFuture`], plus what its `FutureResolve` trace event
-/// reports.
-pub(crate) struct Cell<R> {
-    tx: OneshotSender<R>,
-    serial: u64,
-    ss: SsId,
-    rt_id: u64,
-}
+/// behind the [`SsFuture`] — one word, so the invocation closure (object
+/// `Arc` + sender + user closure) fits `TaskSlot`'s three inline words
+/// whenever the user capture fits one. What the `FutureResolve` trace
+/// event reports is not carried: the epoch serial is the cell's tag, the
+/// executor comes with the execution context, and the set is the
+/// receiver's epoch tag.
+pub(crate) struct Cell<R>(OneshotSender<R>);
 
 impl<R: Send + 'static> Sink<R> for Cell<R> {
     fn cancelled(&self) -> bool {
-        self.tx.is_cancelled()
+        self.0.is_cancelled()
     }
-    fn resolve(self, out: R, core: &Core, instance: u64) {
-        self.tx.send(out);
-        StatsCell::bump(&core.stats.futures_resolved);
-        if core.side_events.is_some() {
-            core.record_side(
-                self.serial,
+    fn resolve(self, out: R, cx: &ExecCx<'_>, object: Receiver<'_>) {
+        let serial = self.0.tag();
+        self.0.send(out);
+        StatsCell::bump(&cx.core.stats.futures_resolved);
+        if cx.core.side_events.is_some() {
+            cx.core.record_side(
+                serial,
                 TraceKind::FutureResolve,
-                Some(instance),
-                Some(self.ss),
-                trace_executor_for(self.rt_id),
+                Some(object.instance),
+                object.set(),
+                cx.executor,
             );
         }
     }
@@ -232,17 +252,17 @@ impl<R: MemoValue> Sink<R> for MemoCell<R> {
     fn cancelled(&self) -> bool {
         self.cell.cancelled()
     }
-    fn resolve(self, out: R, core: &Core, instance: u64) {
+    fn resolve(self, out: R, cx: &ExecCx<'_>, object: Receiver<'_>) {
         // Publish before settle: the result lands in the memo table before
         // the cell settles and `pending` drops, so every drain proof (epoch
         // barrier, reclaim quiesce) covers the publication and a
         // re-submission after any barrier observes it. `publish` re-checks
         // the generation under the shard lock and drops a publication
         // whose set was invalidated while the operation was queued or ran.
-        if let Some(memo) = &core.memo {
+        if let Some(memo) = &cx.core.memo {
             memo.publish(self.key, self.fp, self.generation, out.to_memo_bits());
         }
-        self.cell.resolve(out, core, instance);
+        self.cell.resolve(out, cx, object);
     }
 }
 
@@ -650,13 +670,7 @@ impl<T: Send + 'static, S: Serializer<T>> Writable<T, S> {
             return Ok(SsFuture::new_memo_hit(value, rt.clone(), p.ss, p.serial));
         }
         let (tx, rx) = self.oneshot_cell(p.serial);
-        let cell = Cell {
-            tx,
-            serial: p.serial,
-            ss: p.ss,
-            rt_id: rt.id(),
-        };
-        let sink = memo.sink(cell, rt.domain().key(p.ss), p.generation);
+        let sink = memo.sink(Cell(tx), rt.domain().key(p.ss), p.generation);
         let executor = self.submit_and_record(by.origin(), p.ss, &mut [self.package(f, sink)])?;
         Ok(SsFuture::new(rx, rt.clone(), p.ss, executor))
     }
@@ -931,6 +945,12 @@ impl<T: Send + 'static, S: Serializer<T>> Writable<T, S> {
     ///   drain proof (`end_isolation`, reclaim quiesce) transitively
     ///   proves all futures of the epoch are resolved.
     ///
+    /// The closure owns the object (`shared`) and nothing of the runtime:
+    /// the [`Core`](crate::runtime::Core) it counts and poisons against is
+    /// lent by whoever runs it ([`ExecCx`]), so packaging clones one `Arc`
+    /// and the program thread and the delegate share no refcount per
+    /// operation.
+    ///
     /// Returned as `Some` because a run slice is what consumes it.
     pub(crate) fn package<R, F, K>(&self, f: F, sink: K) -> Option<TaskSlot>
     where
@@ -938,8 +958,8 @@ impl<T: Send + 'static, S: Serializer<T>> Writable<T, S> {
         K: Sink<R>,
     {
         let shared = Arc::clone(&self.shared);
-        let core = Arc::clone(&self.rt.inner.core);
-        Some(TaskSlot::new(move || {
+        Some(TaskSlot::new(move |cx: &ExecCx<'_>| {
+            let core = cx.core;
             let out = if sink.cancelled() {
                 StatsCell::bump(&core.stats.ops_cancelled);
                 None
@@ -962,7 +982,13 @@ impl<T: Send + 'static, S: Serializer<T>> Writable<T, S> {
                 }
             };
             match out {
-                Some(out) => sink.resolve(out, &core, shared.instance),
+                Some(out) => {
+                    let object = Receiver {
+                        instance: shared.instance,
+                        local: &shared.local,
+                    };
+                    sink.resolve(out, cx, object)
+                }
                 None => drop(sink),
             }
             StatsCell::bump(&core.stats.executed);

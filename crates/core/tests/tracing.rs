@@ -1,7 +1,8 @@
 //! Tests for the §3.3 execution-trace facility.
 
 use ss_core::{
-    Reduce, Reducible, Runtime, SequenceSerializer, SsError, TraceExecutor, TraceKind, Writable,
+    NullSerializer, Reduce, Reducible, Runtime, SequenceSerializer, SsError, SsId, TraceEvent,
+    TraceExecutor, TraceKind, Writable,
 };
 
 struct Acc(u64);
@@ -82,6 +83,107 @@ fn inline_executions_are_distinguished() {
         .collect();
     assert_eq!(inline.len(), 1);
     assert_eq!(inline[0].executor, Some(TraceExecutor::Program));
+}
+
+/// `(epoch serial, object instance, set, executor)` of a trace event.
+type Resolve = (u64, Option<u64>, Option<SsId>, Option<TraceExecutor>);
+
+/// The `FutureResolve` events of `trace`, in log order.
+fn resolves(trace: &[TraceEvent]) -> Vec<Resolve> {
+    trace
+        .iter()
+        .filter(|e| e.kind == TraceKind::FutureResolve)
+        .map(|e| (e.epoch, e.object, e.set, e.executor))
+        .collect()
+}
+
+/// What a `FutureResolve` event reports is not carried by the operation's
+/// record: the serial is the completion cell's tag, the executor is the
+/// executing context's, the set is the receiver's epoch tag. Pinned here
+/// for every way a future-returning operation can run.
+#[test]
+fn future_resolve_reports_the_delegation_site_view() {
+    let delegate0 = Some(TraceExecutor::Delegate(0));
+    let rt = Runtime::builder()
+        .delegate_threads(1)
+        .trace(true)
+        .build()
+        .unwrap();
+
+    // Root, program-submitted, in the root's first epoch.
+    let w: Writable<u64, NullSerializer> = Writable::new(&rt, 1);
+    rt.begin_isolation().unwrap();
+    let f = w.delegate_in_with(77u64, |n| *n + 1).unwrap();
+    assert_eq!(f.wait().unwrap(), 2);
+    rt.end_isolation().unwrap();
+    assert_eq!(
+        resolves(&rt.take_trace().unwrap()),
+        vec![(1, Some(w.instance()), Some(SsId(77)), delegate0)]
+    );
+
+    // Nested: submitted and awaited by a running parent, in root epoch 2.
+    let child: Writable<u64, NullSerializer> = Writable::new(&rt, 10);
+    let (rt2, child2) = (rt.clone(), child.clone());
+    rt.begin_isolation().unwrap();
+    w.delegate_in(77u64, move |_| {
+        let got = rt2
+            .delegate_scope(|cx| {
+                cx.delegate_in_with(&child2, 9u64, |n| *n + 1)
+                    .unwrap()
+                    .wait()
+            })
+            .unwrap();
+        assert_eq!(got, Ok(11));
+    })
+    .unwrap();
+    rt.end_isolation().unwrap();
+    assert_eq!(
+        resolves(&rt.take_trace().unwrap()),
+        vec![(2, Some(child.instance()), Some(SsId(9)), delegate0)]
+    );
+
+    // A session, in *its* second epoch, under a set id its routing key
+    // cannot represent (the key carries the tenant in the top 16 bits
+    // over the id folded to 48): the event still names the set as
+    // delegated.
+    let wide = SsId((1 << 50) | 5);
+    let session = rt.session().unwrap();
+    let ws: Writable<u64, NullSerializer> = Writable::new(&session, 20);
+    session.begin_isolation().unwrap();
+    session.end_isolation().unwrap();
+    session.begin_isolation().unwrap();
+    let f = ws.delegate_in_with(wide, |n| *n + 1).unwrap();
+    assert_eq!(f.wait().unwrap(), 21);
+    session.end_isolation().unwrap();
+    assert_eq!(
+        resolves(&rt.take_trace().unwrap()),
+        vec![(2, Some(ws.instance()), Some(wide), delegate0)]
+    );
+}
+
+/// The inline path lends the program executor's identity.
+#[test]
+fn future_resolved_inline_reports_the_program_executor() {
+    let rt = Runtime::builder()
+        .delegate_threads(0)
+        .trace(true)
+        .build()
+        .unwrap();
+    let w: Writable<u64> = Writable::new(&rt, 0);
+    rt.begin_isolation().unwrap();
+    let f = w.delegate_with(|n| *n + 1).unwrap();
+    let set = f.set();
+    assert_eq!(f.wait().unwrap(), 1);
+    rt.end_isolation().unwrap();
+    assert_eq!(
+        resolves(&rt.take_trace().unwrap()),
+        vec![(
+            1,
+            Some(w.instance()),
+            Some(set),
+            Some(TraceExecutor::Program)
+        )]
+    );
 }
 
 #[test]

@@ -76,8 +76,8 @@ fn objects(rt: &Runtime, shape: Shape) -> Vec<Writable<u64, SequenceSerializer>>
 /// The per-operation fold: op `j` on a shard mixes a fresh input into the
 /// shard state. Identical across strategies by construction. The op index
 /// and round count arrive packed in one word: the runtime's task wrapper
-/// itself captures two `Arc`s (16 bytes), so a closure keeps the inline
-/// path only if its own captures fit the remaining 8 bytes.
+/// itself captures the object's `Arc` (8 bytes), so a closure keeps the
+/// inline path only if its own captures fit the remaining 16 bytes.
 fn apply(s: &mut u64, packed: u64) {
     let j = packed & 0xFFFF_FFFF;
     let rounds = (packed >> 32) as u32;
@@ -109,7 +109,7 @@ fn run_boxed(rt: &Runtime, shape: Shape) -> u64 {
     for o in &objs {
         for j in 0..OPS_PER_SHARD as u64 {
             // The pad pushes the record past the 24-byte inline buffer
-            // (8-byte arg + 16-byte pad + the wrapper's two `Arc`s) and
+            // (8-byte arg + 16-byte pad + the wrapper's `Arc`) and
             // folds in as zero, leaving the arithmetic identical to the
             // inline strategies.
             let arg = pack(j, rounds);

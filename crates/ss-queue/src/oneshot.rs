@@ -48,7 +48,7 @@
 
 use core::cell::UnsafeCell;
 use core::marker::PhantomData;
-use core::mem::MaybeUninit;
+use core::mem::{ManuallyDrop, MaybeUninit};
 use core::ptr;
 use core::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
@@ -226,7 +226,6 @@ pub(crate) fn pair_from_signal<T: Send>(
     (
         OneshotSender {
             signal: Arc::clone(&signal),
-            sent: false,
             _value: PhantomData,
         },
         OneshotReceiver {
@@ -256,10 +255,12 @@ pub enum OneshotPoll<T> {
 
 /// Completing half of a one-shot cell; owned by the executor that runs
 /// the delegated operation. A phantom-typed view over the non-generic
-/// `Signal` — the value type exists only in the handles.
+/// `Signal` — the value type exists only in the handles. One word: a
+/// delegated operation's record carries it next to its other captures, so
+/// "already sent" is not a field but the absence of the sender
+/// ([`send`](OneshotSender::send) consumes it without running `Drop`).
 pub struct OneshotSender<T> {
     signal: Arc<Signal>,
-    sent: bool,
     _value: PhantomData<T>,
 }
 
@@ -269,8 +270,13 @@ impl<T> OneshotSender<T> {
     /// the cell, or at the pool's next recycle) — see the module docs for
     /// why the runtime needs that. Values up to three words land in the
     /// cell's inline buffer; larger ones are boxed here.
-    pub fn send(mut self, value: T) {
-        let signal = &self.signal;
+    pub fn send(self, value: T) {
+        // Take the handle apart instead of dropping it: `Drop` is the
+        // unsent path and would settle the cell `CLOSED`.
+        // SAFETY: `self` is wrapped in `ManuallyDrop`, so its only
+        // non-trivial field is read out exactly once and never dropped in
+        // place.
+        let signal = unsafe { ptr::read(&ManuallyDrop::new(self).signal) };
         // SAFETY: state is still EMPTY (only `send`/`Drop` of this unique
         // sender move it out of EMPTY), so no reader touches the slot
         // before the `READY` release-store below.
@@ -284,8 +290,7 @@ impl<T> OneshotSender<T> {
                 *signal.value_drop.get() = Some(drop_boxed::<T>);
             }
         }
-        self.sent = true;
-        self.signal.settle(READY);
+        signal.settle(READY);
     }
 
     /// The tag the cell currently carries.
@@ -305,10 +310,9 @@ impl<T> OneshotSender<T> {
 }
 
 impl<T> Drop for OneshotSender<T> {
+    /// Reached only by a sender that never sent.
     fn drop(&mut self) {
-        if !self.sent {
-            self.signal.settle(CLOSED);
-        }
+        self.signal.settle(CLOSED);
     }
 }
 
@@ -448,7 +452,10 @@ mod tests {
     #[test]
     fn dropped_sender_closes_cell() {
         let (tx, rx) = oneshot::<u32>(0);
+        assert_eq!(Arc::strong_count(&rx.signal), 2);
         drop(tx);
+        assert_eq!(rx.signal.state.load(Ordering::Acquire), CLOSED);
+        assert_eq!(Arc::strong_count(&rx.signal), 1);
         assert!(rx.is_settled());
         assert!(matches!(rx.poll(), OneshotPoll::Closed));
     }
@@ -472,6 +479,32 @@ mod tests {
         assert_eq!(drops.load(Ordering::Relaxed), 0);
         drop(probe);
         // …and is dropped with the cell.
+        assert_eq!(drops.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn send_leaves_ready_and_hands_the_value_over_once() {
+        struct Bomb<'a>(&'a AtomicU8);
+        impl Drop for Bomb<'_> {
+            fn drop(&mut self) {
+                self.0.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        let drops = AtomicU8::new(0);
+        let (tx, rx) = oneshot::<Bomb<'_>>(0);
+        // `send` consumes the sender; were its `Drop` to run as well, the
+        // cell would end `CLOSED` and the value would be unreachable.
+        tx.send(Bomb(&drops));
+        assert_eq!(rx.signal.state.load(Ordering::Acquire), READY);
+        let OneshotPoll::Ready(bomb) = rx.poll() else {
+            panic!("sent value must be ready");
+        };
+        assert_eq!(rx.signal.state.load(Ordering::Acquire), TAKEN);
+        // The consumed sender still released its reference.
+        assert_eq!(Arc::strong_count(&rx.signal), 1);
+        assert_eq!(drops.load(Ordering::Relaxed), 0);
+        drop(bomb);
+        drop(rx);
         assert_eq!(drops.load(Ordering::Relaxed), 1);
     }
 

@@ -32,10 +32,22 @@ use std::sync::Arc;
 use crate::backoff::Backoff;
 use crate::oneshot::{pair_from_signal, OneshotReceiver, OneshotSender, Signal};
 
-/// Upper bound on the free list. Cells beyond this are simply dropped at
-/// recycle, so a one-off burst of futures does not pin its high-water
-/// mark of memory forever.
-const FREE_LIST_CAP: usize = 1024;
+/// Floor of the free list's cap. The cap itself follows demand: each
+/// recycle keeps as many free cells as the busiest of the last
+/// [`DEMAND_WINDOW`] epochs issued (or this floor, if more), so a program
+/// that issues N futures per epoch allocates none after its first epoch
+/// whatever N is — also when a few small epochs separate its large ones —
+/// while a one-off burst does not pin its high-water mark of memory
+/// forever: once it has left the window, the next recycle drops the
+/// excess.
+const FREE_LIST_FLOOR: usize = 1024;
+
+/// Epochs (recycle-to-recycle spans) whose demand sets the cap. Wide
+/// enough that a handful of small epochs between large ones (a probe, a
+/// reduction phase) costs the large ones nothing; the price is that a
+/// burst's cells — about a hundred bytes each — outlive it by this many
+/// epochs.
+const DEMAND_WINDOW: usize = 8;
 
 /// The two lists, guarded by the pool's spinlock.
 struct Lists {
@@ -43,6 +55,10 @@ struct Lists {
     free: Vec<Arc<Signal>>,
     /// Cells issued since their last recycle; may still have live handles.
     in_flight: Vec<Arc<Signal>>,
+    /// Cells issued since the previous recycle.
+    issued: usize,
+    /// `issued` of the epochs closed before that, newest first.
+    demand: [usize; DEMAND_WINDOW - 1],
 }
 
 /// A pool of recyclable one-shot cells (see the module docs for the
@@ -73,6 +89,8 @@ impl CellPool {
             lists: std::cell::UnsafeCell::new(Lists {
                 free: Vec::new(),
                 in_flight: Vec::new(),
+                issued: 0,
+                demand: [0; DEMAND_WINDOW - 1],
             }),
             created: AtomicU64::new(0),
         }
@@ -96,29 +114,33 @@ impl CellPool {
     /// Issues a one-shot cell tagged `tag`, reusing a quiescent cell when
     /// one is available and allocating otherwise. The steady-state path —
     /// pool warm, futures resolved within their epoch — performs no heap
-    /// allocation.
+    /// allocation and takes the lock once.
     pub fn oneshot<T: Send>(&self, tag: u64) -> (OneshotSender<T>, OneshotReceiver<T>) {
-        let signal = match self.with_lists(|l| l.free.pop()) {
-            Some(s) => {
-                // We hold the sole reference (popped off `free`, not yet
-                // re-registered), so the reset — which only needs to
-                // restamp the tag; the value was already dropped at
-                // recycle — is exclusive.
-                s.reset(tag);
-                s
-            }
-            None => {
-                self.created.fetch_add(1, Ordering::Relaxed);
-                Arc::new(Signal::new(tag))
-            }
-        };
-        self.with_lists(|l| l.in_flight.push(Arc::clone(&signal)));
+        let reused = self.with_lists(|l| {
+            l.issued += 1;
+            let s = l.free.pop()?;
+            // Popped off `free` and not yet re-registered: ours is the sole
+            // reference, so the reset — which only needs to restamp the
+            // tag; the value was already dropped at recycle — is exclusive.
+            s.reset(tag);
+            l.in_flight.push(Arc::clone(&s));
+            Some(s)
+        });
+        let signal = reused.unwrap_or_else(|| {
+            // Allocate outside the lock, then register.
+            self.created.fetch_add(1, Ordering::Relaxed);
+            let s = Arc::new(Signal::new(tag));
+            self.with_lists(|l| l.in_flight.push(Arc::clone(&s)));
+            s
+        });
         pair_from_signal(signal)
     }
 
     /// Scans the in-flight list and moves every released cell (no live
     /// sender/receiver/probe — `Arc::strong_count == 1`) to the free
-    /// list, resetting it. Returns the number of cells recycled.
+    /// list, resetting it; then trims the free list to what the busiest
+    /// of the last eight epochs issued (at least 1024 cells stay). Returns
+    /// the number of cells recycled.
     ///
     /// Must only be called at a quiescence point (the runtime's epoch
     /// boundary): the count observation is an `Acquire` load pairing with
@@ -126,18 +148,30 @@ impl CellPool {
     /// accesses happened-before the reset.
     pub fn recycle(&self) -> usize {
         self.with_lists(|l| {
-            let Lists { free, in_flight } = l;
+            let Lists {
+                free,
+                in_flight,
+                issued,
+                demand,
+            } = l;
+            let closing = std::mem::take(issued);
+            let cap = demand
+                .iter()
+                .fold(FREE_LIST_FLOOR.max(closing), |c, &d| c.max(d));
+            demand.rotate_right(1);
+            demand[0] = closing;
             let before = in_flight.len();
             in_flight.retain(|cell| {
                 if Arc::strong_count(cell) > 1 {
                     return true; // a handle survives (future held across epochs)
                 }
                 cell.reset(0);
-                if free.len() < FREE_LIST_CAP {
+                if free.len() < cap {
                     free.push(Arc::clone(cell));
                 }
                 false
             });
+            free.truncate(cap);
             before - in_flight.len()
         })
     }
@@ -219,13 +253,35 @@ mod tests {
     }
 
     #[test]
-    fn free_list_is_capped() {
+    fn free_list_cap_follows_demand_and_decays() {
+        const BURST: usize = 5_000;
         let pool = CellPool::new();
-        let receivers: Vec<_> = (0..FREE_LIST_CAP + 10)
-            .map(|i| pool.oneshot::<u64>(i as u64))
-            .collect();
-        drop(receivers);
-        assert_eq!(pool.recycle(), FREE_LIST_CAP + 10);
-        assert_eq!(pool.counts(), (FREE_LIST_CAP, 0));
+        let epoch = |n: usize| {
+            drop((0..n).map(|_| pool.oneshot::<u64>(0)).collect::<Vec<_>>());
+            assert_eq!(pool.recycle(), n);
+        };
+        // A burst well past the floor is kept whole: the next epoch of
+        // the same size reuses every cell.
+        epoch(BURST);
+        assert_eq!(pool.counts(), (BURST, 0));
+        epoch(BURST);
+        assert_eq!(pool.created(), BURST as u64);
+        assert_eq!(pool.counts(), (BURST, 0));
+        // Small epochs in between do not cost a recurring large one its
+        // cells while it is still inside the demand window…
+        for _ in 1..DEMAND_WINDOW {
+            epoch(10);
+        }
+        epoch(BURST);
+        assert_eq!(pool.created(), BURST as u64);
+        // …but demand that stays down lets the burst's cells go: a
+        // window of small epochs later the list is back at the floor.
+        for _ in 0..DEMAND_WINDOW {
+            epoch(10);
+        }
+        assert_eq!(pool.created(), BURST as u64);
+        let (free, in_flight) = pool.counts();
+        assert!(free <= FREE_LIST_FLOOR, "free list still holds {free}");
+        assert_eq!(in_flight, 0);
     }
 }

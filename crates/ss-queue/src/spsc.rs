@@ -471,6 +471,14 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
 
+    /// The runtime sizes its invocation record to 56 bytes so that a slot
+    /// — payload plus the `full` flag — is exactly one cache line
+    /// (`ss_core::invocation` asserts the payload side at compile time).
+    #[test]
+    fn slot_of_a_56_byte_payload_is_one_cache_line() {
+        assert_eq!(size_of::<Slot<[u64; 7]>>(), 64);
+    }
+
     #[test]
     fn fifo_order_single_thread() {
         let (tx, rx) = SpscQueue::with_capacity(8);
