@@ -263,6 +263,13 @@ impl std::fmt::Debug for Invocation {
 /// keeps one per delegate and [`rearm`](SyncToken::rearm)s it before each
 /// push, and the previous use's `unpark`, should it land late, is just
 /// one more spurious wakeup.
+///
+/// Aligned to a cache-line pair of its own: the flag is written by both
+/// threads once per epoch and spun on by the waiter, and as a heap object
+/// of a few words it would otherwise share its line with whatever the
+/// allocator placed next to it (measured: `epoch-churn` at 1.2 or 2.2 M
+/// ops/s from run to run, by the luck of that neighbour).
+#[repr(align(128))]
 pub(crate) struct SyncToken {
     done: AtomicBool,
     waiter: Thread,
@@ -273,6 +280,16 @@ impl SyncToken {
     pub(crate) fn new() -> Arc<Self> {
         Arc::new(SyncToken {
             done: AtomicBool::new(false),
+            waiter: std::thread::current(),
+        })
+    }
+
+    /// A token for [`rearm`](SyncToken::rearm)-and-reuse by the current
+    /// thread, born signalled: nobody waits on it until its first `rearm`
+    /// (which is what [`is_pending`](SyncToken::is_pending) reports).
+    pub(crate) fn idle() -> Arc<Self> {
+        Arc::new(SyncToken {
+            done: AtomicBool::new(true),
             waiter: std::thread::current(),
         })
     }
@@ -305,6 +322,13 @@ impl SyncToken {
         }
     }
 
+    /// True from `rearm` until `signal`: the waiter has pushed the token,
+    /// or is about to, and will block on it. A hint for the signalling
+    /// side (a slipping delegate stops slipping); it orders nothing.
+    pub(crate) fn is_pending(&self) -> bool {
+        !self.done.load(Ordering::Relaxed)
+    }
+
     /// Non-blocking check (used by tests).
     #[cfg(test)]
     pub(crate) fn is_done(&self) -> bool {
@@ -329,6 +353,18 @@ mod tests {
             token.wait();
         });
         assert!(token.is_done());
+    }
+
+    #[test]
+    fn a_reusable_token_is_pending_from_rearm_to_signal() {
+        let token = SyncToken::idle();
+        assert!(!token.is_pending());
+        token.wait(); // born signalled: must not block
+        token.rearm();
+        assert!(token.is_pending());
+        token.signal();
+        assert!(!token.is_pending());
+        token.wait();
     }
 
     #[test]

@@ -38,7 +38,7 @@ use ss_queue::{Consumer, Pop};
 use crate::config::WaitPolicy;
 use crate::error::{SsError, SsResult};
 use crate::future::SsFuture;
-use crate::invocation::{ExecCx, Invocation, TaskSlot};
+use crate::invocation::{ExecCx, Invocation, SyncToken, TaskSlot};
 use crate::serializer::{Serializer, SsId};
 use crate::stats::StatsCell;
 use crate::trace::{SideEvent, TraceExecutor, TraceKind};
@@ -66,7 +66,11 @@ pub(super) fn current_domain_id() -> u32 {
 }
 
 /// Sleep/wake channel for one delegate thread (used by the `SpinPark` wait
-/// policy and by [`Runtime::sleep`](super::Runtime::sleep)).
+/// policy and by [`Runtime::sleep`](super::Runtime::sleep)). Every
+/// submitter reads `sleeping` once per operation, so the channel gets a
+/// cache-line pair of its own rather than whatever neighbour the
+/// allocator gives an object of a few words.
+#[repr(align(128))]
 pub(super) struct Wakeup {
     mutex: Mutex<()>,
     condvar: Condvar,
@@ -112,6 +116,107 @@ impl Wakeup {
                 .wait_for(&mut guard, std::time::Duration::from_millis(1));
         }
         self.sleeping.store(false, Ordering::Relaxed);
+    }
+}
+
+// ----------------------------------------------------------------------
+// temporal slipping (the ring transport's consumer)
+//
+// A delegate that pops an operation the instant its producer publishes it
+// shares that operation's cache lines with the producer *while both use
+// them*: the ring slot, and — because a program thread's consecutive
+// delegations usually target the same object — the object's state mutex,
+// pending count and reference count, which the producer is already
+// raising for the next operation. Every operation then costs both threads
+// several core-to-core transfers, and the pair runs at one of two speeds
+// a factor of two apart: *lockstep* (ring empty, each side slowed by the
+// other, so the producer never gets away) or *run-ahead* (the delegate a
+// few objects behind, neither side waiting on a line the other holds).
+// Which one an epoch lands in is decided by timer ticks and wake-up
+// latencies — that is what made tiny-operation throughput bimodal from
+// one run to the next.
+//
+// FastForward's answer (Giacomoni et al., PPoPP 2008) is *temporal
+// slipping*: a consumer that catches up with a streaming producer holds
+// off until the producer is a margin ahead again. Here a delegate that
+// finds its ring dry and then sees an entry waits, before popping it,
+// until `SLIP_LEAD` entries are there. Three rules keep the wait off
+// every path where somebody is waiting for the delegate:
+//
+// * **Streams only.** The slip is armed once the delegate has drained
+//   `SLIP_ARM` ring operations in a row; a token, or an idle spell long
+//   enough to leave the backoff's first spin rounds, disarms it. Small
+//   epochs and sparse operations (a `delegate_with` → `wait` round trip)
+//   never slip.
+// * **Never against a waiting program thread.** The root program thread
+//   re-arms its per-delegate `SyncToken` before it pushes it (barrier,
+//   ownership reclaim); a slip ends the moment that token is pending, so
+//   the tail of an epoch is drained at once.
+// * **Bounded.** `SLIP_SPINS` spin hints end a slip whatever happens — a
+//   producer that stopped without pushing a token (a program-thread
+//   future wait) is kept waiting for microseconds, not more.
+//
+// Nothing is reordered: a slip only delays popping an entry that is
+// already in the ring.
+
+/// Ring operations a delegate must drain in a row before it slips.
+const SLIP_ARM: u32 = 64;
+/// The lead a slipping delegate lets its producer rebuild: four objects'
+/// worth of a 16-operations-per-object stream, an eighth of the default
+/// ring.
+const SLIP_LEAD: usize = 64;
+/// Upper bound on one slip, in spin hints (a dozen microseconds).
+const SLIP_SPINS: u32 = 1024;
+/// Consecutive empty polls after which the delegate counts as idle, not
+/// as trailing a stream: the backoff's spin rounds, before it yields.
+const SLIP_IDLE_POLLS: u32 = 8;
+
+/// The ring consumer's slip state (see the section comment above).
+#[derive(Default)]
+struct Slip {
+    /// Ring operations popped since the last token or idle spell.
+    streak: u32,
+    /// Empty ring polls since the last pop.
+    dry: u32,
+}
+
+impl Slip {
+    /// A ring operation was popped.
+    fn popped(&mut self) {
+        self.streak = self.streak.saturating_add(1);
+        self.dry = 0;
+    }
+
+    /// A ring poll came back empty.
+    fn ran_dry(&mut self) {
+        self.dry = self.dry.saturating_add(1);
+        if self.dry == SLIP_IDLE_POLLS {
+            self.streak = 0;
+        }
+    }
+
+    /// A token was popped: the program thread is waiting on this delegate.
+    fn disarm(&mut self) {
+        *self = Slip::default();
+    }
+
+    /// Called before each ring pop. If the delegate has just caught up
+    /// with a streaming producer (armed, last poll empty, an entry there
+    /// now), lets the producer get `SLIP_LEAD` entries ahead, unless
+    /// `sync` — the program thread's token for this delegate — is pending.
+    /// Returns the spin hints spent.
+    fn before_pop(&mut self, consumer: &Consumer<Invocation>, sync: &SyncToken) -> u32 {
+        if self.dry == 0 || self.streak < SLIP_ARM || !consumer.has_pending() {
+            return 0;
+        }
+        self.dry = 0;
+        let lead = SLIP_LEAD.min(consumer.capacity());
+        let mut spins = 0;
+        while spins < SLIP_SPINS && !consumer.has_lead(lead) && !sync.is_pending() {
+            core::hint::spin_loop();
+            spins += 1;
+        }
+        spins
     }
 }
 
@@ -562,11 +667,13 @@ fn wait_cycle_closes(
 /// force-sleep flag, the shared [`Core`] for stats) — deliberately *not*
 /// an `Arc` of the runtime's `Inner`, which would keep the runtime alive
 /// forever (threads are joined by `Inner::drop`).
+#[allow(clippy::too_many_arguments)]
 pub(super) fn delegate_main(
     rt_id: u64,
     idx: u32,
     consumer: Consumer<Invocation>,
     wakeup: Arc<Wakeup>,
+    sync: Arc<SyncToken>,
     policy: WaitPolicy,
     force_sleep: Arc<AtomicBool>,
     core: Arc<Core>,
@@ -581,6 +688,7 @@ pub(super) fn delegate_main(
         deferred: VecDeque::new(),
     });
     let backoff = ss_queue::Backoff::new();
+    let mut slip = Slip::default();
     // Chaos `reorder_drain`: at most one ring entry is held back so its
     // successor overtakes it — an adjacent swap in the drain order. The
     // hold is flushed before any token is signaled (and before the ring
@@ -623,6 +731,7 @@ pub(super) fn delegate_main(
                 Invocation::Token { token, terminate } => {
                     #[cfg(feature = "chaos")]
                     chaos_flush!();
+                    slip.disarm();
                     token.signal();
                     if terminate {
                         break;
@@ -631,6 +740,7 @@ pub(super) fn delegate_main(
             }
             continue;
         }
+        let _ = slip.before_pop(&consumer, &sync);
         match consumer.try_pop() {
             Pop::Value(inv) => {
                 backoff.reset();
@@ -641,6 +751,7 @@ pub(super) fn delegate_main(
                         audit,
                         session,
                     } => {
+                        slip.popped();
                         #[cfg(feature = "chaos")]
                         let (task, ss, audit, session) = if core.chaos_reorder_drain() {
                             match chaos_hold.take() {
@@ -682,6 +793,7 @@ pub(super) fn delegate_main(
                     Invocation::Token { token, terminate } => {
                         #[cfg(feature = "chaos")]
                         chaos_flush!();
+                        slip.disarm();
                         token.signal();
                         if terminate {
                             break;
@@ -721,6 +833,7 @@ pub(super) fn delegate_main(
                             None,
                         ),
                         Invocation::Token { token, terminate } => {
+                            slip.disarm();
                             token.signal();
                             if terminate {
                                 break;
@@ -729,6 +842,7 @@ pub(super) fn delegate_main(
                     }
                     continue;
                 }
+                slip.ran_dry();
                 let force = force_sleep.load(Ordering::Acquire);
                 match policy {
                     WaitPolicy::Spin if !force => backoff.spin(),
@@ -1669,5 +1783,87 @@ impl Runtime {
             _not_send: PhantomData,
         };
         Ok(f(&cx))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ss_queue::SpscQueue;
+
+    fn op() -> Invocation {
+        Invocation::Execute {
+            task: TaskSlot::new(|_| {}),
+            ss: SsId(1),
+            audit: 0,
+            session: None,
+        }
+    }
+
+    /// A slip state that has just caught up with a stream of `n` pops.
+    fn caught_up_after(n: u32) -> Slip {
+        let mut slip = Slip::default();
+        (0..n).for_each(|_| slip.popped());
+        slip.ran_dry();
+        slip
+    }
+
+    #[test]
+    fn only_an_armed_delegate_that_just_caught_up_slips() {
+        let (tx, rx) = SpscQueue::with_capacity(512);
+        let sync = SyncToken::idle();
+        // Nothing in the ring: nothing to hold back.
+        assert_eq!(caught_up_after(SLIP_ARM).before_pop(&rx, &sync), 0);
+        tx.try_push(op()).unwrap();
+        // A short streak is a small epoch, not a stream.
+        assert_eq!(caught_up_after(SLIP_ARM - 1).before_pop(&rx, &sync), 0);
+        // Mid-stream (the last poll found an entry): pop on.
+        let mut streaming = caught_up_after(SLIP_ARM);
+        streaming.popped();
+        assert_eq!(streaming.before_pop(&rx, &sync), 0);
+        // Caught up, armed, one entry, a producer that has stopped: the
+        // slip runs out its bound, once.
+        let mut slip = caught_up_after(SLIP_ARM);
+        assert_eq!(slip.before_pop(&rx, &sync), SLIP_SPINS);
+        assert_eq!(slip.before_pop(&rx, &sync), 0);
+    }
+
+    #[test]
+    fn a_slip_ends_at_the_lead_or_at_a_pending_token() {
+        let (tx, rx) = SpscQueue::with_capacity(512);
+        let sync = SyncToken::idle();
+        (0..SLIP_LEAD).for_each(|_| tx.try_push(op()).unwrap());
+        // The producer is already the whole margin ahead.
+        assert_eq!(caught_up_after(SLIP_ARM).before_pop(&rx, &sync), 0);
+        assert!(matches!(rx.try_pop(), Pop::Value(_)));
+        // One short of it — but the program thread has re-armed its
+        // token (it is at a barrier or a reclaim): drain at once.
+        sync.rearm();
+        assert_eq!(caught_up_after(SLIP_ARM).before_pop(&rx, &sync), 0);
+        sync.signal();
+        assert_eq!(caught_up_after(SLIP_ARM).before_pop(&rx, &sync), SLIP_SPINS);
+    }
+
+    #[test]
+    fn tokens_and_idle_spells_disarm() {
+        let (tx, rx) = SpscQueue::with_capacity(8);
+        let sync = SyncToken::idle();
+        tx.try_push(op()).unwrap();
+        let mut slip = caught_up_after(4 * SLIP_ARM);
+        slip.disarm();
+        slip.ran_dry();
+        assert_eq!(slip.before_pop(&rx, &sync), 0);
+        // An idle spell (the backoff left its spin rounds) ends the streak;
+        // a shorter one does not.
+        let mut slip = caught_up_after(4 * SLIP_ARM);
+        (1..SLIP_IDLE_POLLS - 1).for_each(|_| slip.ran_dry());
+        assert!(slip.streak >= SLIP_ARM);
+        slip.ran_dry();
+        assert_eq!(slip.streak, 0);
+        assert_eq!(slip.before_pop(&rx, &sync), 0);
+        // The margin is capped by the ring: a tiny ring still slips, and
+        // stops as soon as it is full.
+        (0..7).for_each(|_| tx.try_push(op()).unwrap());
+        assert_eq!(caught_up_after(SLIP_ARM).before_pop(&rx, &sync), 0);
     }
 }

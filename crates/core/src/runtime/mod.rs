@@ -643,7 +643,7 @@ impl Runtime {
             router,
             channels,
             wakeups,
-            sync_tokens: (0..n_delegates).map(|_| SyncToken::new()).collect(),
+            sync_tokens: (0..n_delegates).map(|_| SyncToken::idle()).collect(),
             join_handles: Mutex::new(Vec::new()),
             started_at: Instant::now(),
             terminated: AtomicBool::new(false),
@@ -660,6 +660,7 @@ impl Runtime {
             Channels::Spsc { .. } => {
                 for (idx, consumer) in consumers.into_iter().enumerate() {
                     let wakeup = Arc::clone(&inner.wakeups[idx]);
+                    let sync = Arc::clone(&inner.sync_tokens[idx]);
                     let force_sleep = Arc::clone(&inner.force_sleep);
                     let core = Arc::clone(&inner.core);
                     let policy = b.wait_policy;
@@ -672,6 +673,7 @@ impl Runtime {
                                     idx as u32,
                                     consumer,
                                     wakeup,
+                                    sync,
                                     policy,
                                     force_sleep,
                                     core,

@@ -232,6 +232,41 @@ fn tiny_queue_applies_backpressure_without_deadlock() {
     assert_eq!(counter.load(Ordering::Relaxed), 5000);
 }
 
+/// Streams long enough to arm the delegate's temporal slip, on a ring
+/// smaller than the slip's margin and on the default one, under every
+/// wait policy: per-set order holds, a mid-stream reclaim is answered
+/// (its token ends the slip), and the barrier drains the tail.
+#[test]
+fn a_slipping_delegate_keeps_order_and_answers_reclaims() {
+    for policy in [
+        WaitPolicy::Spin,
+        WaitPolicy::SpinYield,
+        WaitPolicy::SpinPark,
+    ] {
+        for capacity in [2, 512] {
+            let rt = Runtime::builder()
+                .delegate_threads(1)
+                .queue_capacity(capacity)
+                .wait_policy(policy)
+                .build()
+                .unwrap();
+            let log: crate::Writable<Vec<u32>, crate::SequenceSerializer> =
+                crate::Writable::new(&rt, Vec::new());
+            rt.begin_isolation().unwrap();
+            for i in 0..3000u32 {
+                log.delegate(move |v| v.push(i)).unwrap();
+                if i % 1000 == 999 {
+                    let seen = log.call_mut(|v| v.len()).unwrap();
+                    assert_eq!(seen, i as usize + 1, "{policy:?} cap {capacity}");
+                }
+            }
+            rt.end_isolation().unwrap();
+            let v = log.call(|v| v.clone()).unwrap();
+            assert!(v.iter().copied().eq(0..3000), "{policy:?} cap {capacity}");
+        }
+    }
+}
+
 // ----------------------------------------------------------------------
 // assignment layer
 

@@ -440,8 +440,20 @@ impl<T> Consumer<T> {
     /// (Consumer-side peek; the slot cannot be emptied by anyone else.)
     #[inline]
     pub fn has_pending(&self) -> bool {
+        self.has_lead(1)
+    }
+
+    /// True if at least `n` values are immediately available in the ring
+    /// (`1 <= n <= capacity`), without consuming any: the producer fills
+    /// slots in order and only this handle empties them, so the `n`-th
+    /// slot from the tail being full means the `n - 1` before it are.
+    /// What a consumer that wants to trail its producer by a margin —
+    /// FastForward's *temporal slipping* — polls.
+    #[inline]
+    pub fn has_lead(&self, n: usize) -> bool {
+        debug_assert!((1..=self.capacity()).contains(&n));
         let q = &*self.shared;
-        q.slots[self.tail.get() & q.mask]
+        q.slots[self.tail.get().wrapping_add(n - 1) & q.mask]
             .full
             .load(Ordering::Acquire)
     }
@@ -490,6 +502,24 @@ mod tests {
             assert_eq!(rx.try_pop().value(), Some(i));
         }
         assert!(matches!(rx.try_pop(), Pop::Empty));
+    }
+
+    #[test]
+    fn has_lead_counts_from_the_tail_across_the_wrap() {
+        let (tx, rx) = SpscQueue::with_capacity(4);
+        assert!(!rx.has_lead(1));
+        for lap in 0..3 {
+            for i in 0..3 {
+                tx.try_push(lap * 10 + i).unwrap();
+            }
+            assert!(rx.has_pending() && rx.has_lead(3) && !rx.has_lead(4));
+            assert_eq!(rx.try_pop().value(), Some(lap * 10));
+            // The freed slot is the 4th from the new tail: still empty.
+            assert!(rx.has_lead(2) && !rx.has_lead(3) && !rx.has_lead(4));
+            assert_eq!(rx.try_pop().value(), Some(lap * 10 + 1));
+            assert_eq!(rx.try_pop().value(), Some(lap * 10 + 2));
+            assert!(!rx.has_lead(1));
+        }
     }
 
     #[test]
