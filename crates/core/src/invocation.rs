@@ -32,6 +32,7 @@ use ss_queue::oneshot::OneshotSender;
 
 use crate::runtime::{Core, Domain};
 use crate::serializer::SsId;
+use crate::stats::Counters;
 use crate::trace::TraceExecutor;
 
 /// What the executing context lends a packaged operation for the duration
@@ -44,6 +45,17 @@ pub(crate) struct ExecCx<'a> {
     pub(crate) core: &'a Core,
     /// Who is executing (what a `FutureResolve` trace event reports).
     pub(crate) executor: TraceExecutor,
+}
+
+impl ExecCx<'_> {
+    /// The executing thread's counter block.
+    #[inline]
+    pub(crate) fn stats(&self) -> &Counters {
+        match self.executor {
+            TraceExecutor::Program => self.core.stats.program(),
+            TraceExecutor::Delegate(i) => self.core.stats.delegate(i),
+        }
+    }
 }
 
 /// Words in the [`TaskSlot`] inline buffer. Three words fit the common

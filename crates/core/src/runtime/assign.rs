@@ -28,8 +28,9 @@
 //!   executors; robust to clustered id spaces (e.g. object serializers
 //!   whose addresses share alignment, which alias badly under modulo).
 //! * [`LeastLoaded`] — pins a first-seen set to the delegate with the
-//!   shallowest queue at that instant, using the depth counters kept in
-//!   [`stats`](crate::Stats::queue_depths).
+//!   shallowest queue at that instant, using the queue depths the
+//!   runtime's counters keep (the ones
+//!   [`Stats::queue_depths`](crate::Stats::queue_depths) reports).
 //! * [`EwmaCost`] — pins a first-seen set to the delegate with the least
 //!   *estimated committed cost*, where each set's cost is an
 //!   exponentially-weighted moving average of its operations' observed
@@ -38,7 +39,6 @@
 //!   estimates do not.
 
 use std::collections::HashMap;
-use std::sync::atomic::AtomicU64;
 
 use parking_lot::Mutex;
 use ss_queue::StealDeque;
@@ -46,6 +46,7 @@ use ss_queue::StealDeque;
 use crate::config::StealPolicy;
 use crate::invocation::Invocation;
 use crate::serializer::SsId;
+use crate::stats::StatsCell;
 
 /// Which executor runs a serialization set.
 ///
@@ -80,13 +81,18 @@ pub(crate) type CostSamples = [Mutex<Vec<(u64, u64)>>];
 
 /// Read-only view of per-delegate load, sampled at assignment time.
 ///
-/// Depths count *delegated operations* currently enqueued or executing on
-/// each delegate (synchronization tokens are not counted). The snapshot
-/// is racy by design — delegates drain concurrently — but a stale read
-/// only costs balance, never correctness, because the chosen executor is
-/// pinned for the epoch either way.
+/// A delegate's depth counts the *delegated operations* enqueued on it or
+/// executing there (synchronization tokens are not counted). It is read,
+/// not kept: operations ever queued on the delegate — raised by every
+/// submitter before its push, moved along by steals — minus the ones the
+/// delegate has finished, which only the delegate itself counts. Each
+/// reading is racy by design — delegates drain concurrently, and the two
+/// counters are loaded one after the other (a reading that would go below
+/// zero reads 0) — but a stale read only costs balance, never
+/// correctness, because the chosen executor is pinned for the epoch
+/// either way.
 pub struct DelegateLoads<'a> {
-    pub(crate) depths: &'a [AtomicU64],
+    pub(crate) stats: &'a StatsCell,
     /// Observed-runtime sample buffers, present only when the active
     /// policy asked for cost feedback
     /// ([`DelegateAssignment::wants_cost_feedback`]).
@@ -96,18 +102,18 @@ pub struct DelegateLoads<'a> {
 impl DelegateLoads<'_> {
     /// Number of delegates with tracked load.
     pub fn delegates(&self) -> usize {
-        self.depths.len()
+        self.stats.delegates()
     }
 
     /// Current queue depth of delegate `i` (enqueued + executing).
     pub fn queue_depth(&self, i: usize) -> u64 {
-        self.depths[i].load(std::sync::atomic::Ordering::Relaxed)
+        self.stats.queue_depth(i)
     }
 
     /// Index of the delegate with the shallowest queue (lowest index on
     /// ties); `None` when there are no delegates.
     pub fn shallowest(&self) -> Option<usize> {
-        (0..self.depths.len()).min_by_key(|&i| (self.queue_depth(i), i))
+        (0..self.delegates()).min_by_key(|&i| (self.queue_depth(i), i))
     }
 
     /// Drains every pending `(set, runtime ns)` cost sample into `f`.
@@ -538,7 +544,7 @@ impl StealShared {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::atomic::Ordering;
 
     fn topo(n: usize, virt: usize, share: usize) -> AssignTopology {
         AssignTopology {
@@ -548,15 +554,20 @@ mod tests {
         }
     }
 
-    fn loads_of(depths: &[AtomicU64]) -> DelegateLoads<'_> {
+    fn loads_of(stats: &StatsCell) -> DelegateLoads<'_> {
         DelegateLoads {
-            depths,
+            stats,
             samples: None,
         }
     }
 
-    fn depths(values: &[u64]) -> Vec<AtomicU64> {
-        values.iter().map(|&v| AtomicU64::new(v)).collect()
+    /// Counters whose delegate `i` has `values[i]` operations queued.
+    fn depths(values: &[u64]) -> StatsCell {
+        let stats = StatsCell::new(values.len());
+        for (i, &v) in values.iter().enumerate() {
+            stats.add_queued(i, v);
+        }
+        stats
     }
 
     #[test]
@@ -590,10 +601,10 @@ mod tests {
         let mut p = LeastLoaded;
         let d = depths(&[5, 2, 2]);
         assert_eq!(p.assign(SsId(1), &t, &loads_of(&d)), Executor::Delegate(1));
-        d[1].store(9, Ordering::Relaxed);
+        d.add_queued(1, 7);
         assert_eq!(p.assign(SsId(2), &t, &loads_of(&d)), Executor::Delegate(2));
-        d[2].store(9, Ordering::Relaxed);
-        d[0].store(0, Ordering::Relaxed);
+        d.add_queued(2, 7);
+        d.delegate(0).executed.store(5, Ordering::Relaxed);
         assert_eq!(p.assign(SsId(3), &t, &loads_of(&d)), Executor::Delegate(0));
     }
 
@@ -636,7 +647,7 @@ mod tests {
         buffers[1].lock().push((2, 1_000));
         buffers[1].lock().push((3, 1_000));
         let loads = DelegateLoads {
-            depths: &d,
+            stats: &d,
             samples: Some(&buffers),
         };
         p.begin_epoch(7);
@@ -696,7 +707,7 @@ mod tests {
         buffers[1].lock().push((2, 20));
         let d = depths(&[0, 0]);
         let loads = DelegateLoads {
-            depths: &d,
+            stats: &d,
             samples: Some(&buffers),
         };
         let mut seen = Vec::new();

@@ -429,11 +429,8 @@ fn execute_op(
         }
     });
     if let Some((router, deque)) = steal {
-        if router.cost_aware() {
-            if let Some(nanos) = elapsed {
-                router.observe_cost(ss.0, nanos);
-            }
-            router.note_op_done(idx);
+        if let Some(nanos) = elapsed {
+            router.observe_cost(ss.0, nanos); // no-op unless cost-aware
         }
         // Two harness gates bracket the owner's half of the quiescence
         // handshake: "ran" holds the op *complete but unfinished* (set
@@ -449,17 +446,16 @@ fn execute_op(
         }
         core.gate("done", idx as u32);
     }
-    // Depth was raised at submit; the Release pairs with assignment-time
-    // Relaxed reads (stale is fine) and keeps the counter exact for stats
-    // snapshots. Lane/deque entries additionally carry a count in their
-    // *domain's* `in_flight`, whose Release pairs with the barrier's
-    // Acquire drain load — so only the owning domain's barrier observes
-    // this op.
-    core.stats.queue_depths[idx].fetch_sub(1, Ordering::Release);
+    // Counted in this delegate's own block, which no other thread writes;
+    // the queue depth `queued − executed` drops with it. Lane/deque
+    // entries additionally carry a count in their *domain's* `in_flight`,
+    // whose Release pairs with the barrier's Acquire drain load (and so
+    // publishes this bump to it) — only the owning domain's barrier
+    // observes this op.
+    StatsCell::bump(&core.stats.delegate(idx).executed);
     if lane.counted() {
         d.settle(1);
     }
-    StatsCell::bump(&core.stats.delegate_executed[idx]);
 }
 
 /// One help-first step by the calling delegate thread: execute a runnable
@@ -1090,6 +1086,7 @@ fn try_steal(
     let keep = candidates.len() / 2;
     let chosen = candidates.split_off(keep);
     let serial = core.root.serial();
+    let stats = core.stats.delegate(me);
     let mut batch: Vec<(u64, Invocation)> = Vec::new();
     // Chaos `steal_no_repin`: skip phase 2 entirely — lift the chosen
     // batches straight out of the victim's deque without validating or
@@ -1100,18 +1097,17 @@ fn try_steal(
     if core.chaos_steal_no_repin() {
         let taken = shared.deques[victim].steal_keys_into(&chosen, &mut batch);
         if !batch.is_empty() {
-            core.stats.queue_depths[me].fetch_add(batch.len() as u64, Ordering::Relaxed);
-            core.stats.queue_depths[victim].fetch_sub(batch.len() as u64, Ordering::Relaxed);
+            core.stats.move_queued(victim, me, batch.len() as u64);
             shared.deques[me].extend_keyed(std::mem::take(&mut batch));
         }
         record_steal_events(core, serial, &taken, me, TraceKind::Steal);
         if taken.is_empty() {
             stale_at[victim] = Some(victim_pushes);
-            StatsCell::bump(&core.stats.steal_failures);
+            StatsCell::bump(&stats.steal_failures);
             return false;
         }
         stale_at[victim] = None;
-        StatsCell::bump(&core.stats.steals);
+        StatsCell::bump(&stats.steals);
         return true;
     }
     // Phase 2: validate pins and migrate under the keys' shard locks,
@@ -1123,10 +1119,9 @@ fn try_steal(
             if !batch.is_empty() {
                 // Depths are stats + victim-selection signals; `in_flight`
                 // (which the barrier's drain check reads) is untouched by
-                // steals, so the order of this transfer is not
-                // load-bearing.
-                core.stats.queue_depths[me].fetch_add(batch.len() as u64, Ordering::Relaxed);
-                core.stats.queue_depths[victim].fetch_sub(batch.len() as u64, Ordering::Relaxed);
+                // steals. Moved before the batch lands here, so the
+                // thief's depth never reads below what it then executes.
+                core.stats.move_queued(victim, me, batch.len() as u64);
                 shared.deques[me].extend_keyed(std::mem::take(&mut batch));
             }
             record_steal_events(core, serial, &taken, me, TraceKind::Steal);
@@ -1165,11 +1160,11 @@ fn try_steal(
         // the push count we scanned at so we do not rescan an unchanged
         // queue.
         stale_at[victim] = Some(victim_pushes);
-        StatsCell::bump(&core.stats.steal_failures);
+        StatsCell::bump(&stats.steal_failures);
         return false;
     }
     stale_at[victim] = None;
-    StatsCell::bump(&core.stats.steals);
+    StatsCell::bump(&stats.steals);
     true
 }
 
@@ -1207,16 +1202,18 @@ fn try_steal_cost_aware(
     core: &Core,
     stale_at: &mut [Option<[usize; ss_queue::PUSH_SHARDS]>],
 ) -> bool {
-    // Victim selection reads the router's per-delegate queued-cost
-    // summaries (maintained at submit/complete/steal time) instead of
-    // scanning deques: the heaviest peer whose summary exceeds ours.
-    let my_cost = router.queued_cost(me);
+    // Victim selection prices each delegate's queue depth
+    // (`queued − executed`, kept at submit, completion and steal time)
+    // instead of scanning deques: the heaviest peer whose price exceeds
+    // ours.
+    let stats = core.stats.delegate(me);
+    let my_cost = router.queued_cost(&core.stats, me);
     let mut victim: Option<(usize, u64, [usize; ss_queue::PUSH_SHARDS])> = None;
     for (j, d) in shared.deques.iter().enumerate() {
         if j == me || d.is_empty() {
             continue;
         }
-        let qc = router.queued_cost(j);
+        let qc = router.queued_cost(&core.stats, j);
         if qc <= my_cost {
             continue;
         }
@@ -1252,7 +1249,7 @@ fn try_steal_cost_aware(
     if !scan.busy.is_empty() {
         // Started sets with an operation in flight: the handshake fails
         // for them this attempt (the owner may quiesce them any moment).
-        core.stats
+        stats
             .quiesce_fail
             .fetch_add(scan.busy.len() as u64, Ordering::Relaxed);
     }
@@ -1311,7 +1308,7 @@ fn try_steal_cost_aware(
         if scan.busy.is_empty() {
             stale_at[victim] = Some(victim_pushes);
         }
-        StatsCell::bump(&core.stats.steal_failures);
+        StatsCell::bump(&stats.steal_failures);
         core.gate("nosteal", me as u32);
         return false;
     }
@@ -1325,7 +1322,6 @@ fn try_steal_cost_aware(
     let chosen: Vec<u64> = tail_keys.iter().chain(&fresh_keys).copied().collect();
     let mut taken_total = 0usize;
     let mut tails_taken = 0u64;
-    let mut moved_ops = 0u64;
     for_each_domain(core, &chosen, |d, keys| {
         let transfer = |valid: &[u64]| {
             let tail_req: Vec<u64> = valid
@@ -1354,9 +1350,7 @@ fn try_steal_cost_aware(
             #[cfg(not(feature = "chaos"))]
             let (mut taken, busy) = shared.deques[victim].steal_tail_into(&tail_req, &mut batch);
             if busy > 0 {
-                core.stats
-                    .quiesce_fail
-                    .fetch_add(busy as u64, Ordering::Relaxed);
+                stats.quiesce_fail.fetch_add(busy as u64, Ordering::Relaxed);
             }
             tails_taken += taken.len() as u64;
             record_steal_events(core, serial, &taken, me, TraceKind::OpSteal);
@@ -1372,9 +1366,7 @@ fn try_steal_cost_aware(
                 core.audit_handover(d, SsId(key), 1 + me);
             }
             if !batch.is_empty() {
-                moved_ops += batch.len() as u64;
-                core.stats.queue_depths[me].fetch_add(batch.len() as u64, Ordering::Relaxed);
-                core.stats.queue_depths[victim].fetch_sub(batch.len() as u64, Ordering::Relaxed);
+                core.stats.move_queued(victim, me, batch.len() as u64);
                 shared.deques[me].extend_keyed(std::mem::take(&mut batch));
             }
             taken
@@ -1395,18 +1387,15 @@ fn try_steal_cost_aware(
         // re-popped it between scan and migrate. That is a race lost,
         // not a futile deque — the sets are still queued and quiesce at
         // the owner's next finish, so no push-memo rate limit applies.
-        StatsCell::bump(&core.stats.steal_failures);
+        StatsCell::bump(&stats.steal_failures);
         core.gate("nosteal", me as u32);
         return false;
     }
-    router.transfer_queued(victim, me, moved_ops);
     if tails_taken > 0 {
-        core.stats
-            .op_steals
-            .fetch_add(tails_taken, Ordering::Relaxed);
+        stats.op_steals.fetch_add(tails_taken, Ordering::Relaxed);
     }
     stale_at[victim] = None;
-    StatsCell::bump(&core.stats.steals);
+    StatsCell::bump(&stats.steals);
     core.gate("stole", me as u32);
     true
 }

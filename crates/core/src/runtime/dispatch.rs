@@ -43,7 +43,7 @@ use std::sync::atomic::Ordering;
 use crate::error::{SsError, SsResult};
 use crate::invocation::{ExecCx, Invocation, TaskSlot};
 use crate::serializer::SsId;
-use crate::stats::StatsCell;
+use crate::stats::{Counters, StatsCell};
 use crate::trace::{TraceExecutor, TraceKind};
 
 use super::delegate::current_domain_id;
@@ -97,22 +97,21 @@ fn run_tag(base: u64, k: u64) -> u64 {
 }
 
 impl Runtime {
-    /// The load view handed to assignment policies: per-delegate depth
-    /// counters, plus the cost-sample buffers when the active policy
-    /// asked for runtime feedback.
+    /// The load view handed to assignment policies: per-delegate queue
+    /// depths, plus the cost-sample buffers when the active policy asked
+    /// for runtime feedback.
     pub(crate) fn loads(&self) -> DelegateLoads<'_> {
         DelegateLoads {
-            depths: &self.inner.core.stats.queue_depths,
+            stats: &self.inner.core.stats,
             samples: self.inner.core.cost_samples.as_deref(),
         }
     }
 
-    /// Records a routing decision's observability: the lock-free-hit
-    /// counter, and — for fresh pins — the pins counter and a
-    /// `TraceKind::Pin` event in the log matching the call site
-    /// (program-order log vs side-event buffer).
-    fn note_route(&self, route: &Route, key: SsId, origin: Origin) {
-        let stats = &self.inner.core.stats;
+    /// Records a routing decision's observability in the submitter's
+    /// counter block: the lock-free-hit counter, and — for fresh pins —
+    /// the pins counter and a `TraceKind::Pin` event in the log matching
+    /// the call site (program-order log vs side-event buffer).
+    fn note_route(&self, stats: &Counters, route: &Route, key: SsId, origin: Origin) {
         if route.fast_hit {
             StatsCell::bump(&stats.pin_fast_hits);
         }
@@ -156,10 +155,9 @@ impl Runtime {
 
     /// Counts submitted tasks against the inline/boxed storage split
     /// (`Stats::{tasks_inline,tasks_boxed}`): one `fetch_add` per kind.
-    fn note_tasks(&self, tasks: &[Option<TaskSlot>]) {
+    fn note_tasks(stats: &Counters, tasks: &[Option<TaskSlot>]) {
         let inline = tasks.iter().flatten().filter(|t| t.is_inline()).count() as u64;
         let boxed = tasks.len() as u64 - inline;
-        let stats = &self.inner.core.stats;
         if inline > 0 {
             stats.tasks_inline.fetch_add(inline, Ordering::Relaxed);
         }
@@ -169,20 +167,12 @@ impl Runtime {
     }
 
     /// Validates the calling context against `origin` and returns its
-    /// audit producer slot (0 = program thread, `1 + i` = delegate `i`)
-    /// with how many operations of a run of `n` may be pushed now.
+    /// writer slot (0 = program thread, `1 + i` = delegate `i`): the
+    /// counter block it bumps and its audit producer.
     ///
-    /// Program origin: the wrappers verified the program thread; what is
-    /// left is the fairness backpressure — a program-context submit
-    /// stalls while its domain sits at its queue cap and is then admitted
-    /// only as far as the cap has room, so one tenant cannot monopolize
-    /// the shared pool's queues however long its run is. Never applied to
-    /// nested submits: a delegate stalling mid-parent could be the very
-    /// delegate the drain needs, and parents settle only after their
-    /// nested submits return.
-    ///
-    /// Nested origin: the calling thread's identity is re-validated
-    /// against the runtime's thread-local delegate marker, so a smuggled
+    /// Program origin: the wrappers verified the program thread. Nested
+    /// origin: the calling thread's identity is re-validated against the
+    /// runtime's thread-local delegate marker, so a smuggled
     /// [`DelegateContext`](super::DelegateContext) cannot submit from a
     /// foreign thread; and the currently-executing operation's domain (a
     /// thread-local stamped by the delegate loop) must match this
@@ -190,19 +180,30 @@ impl Runtime {
     /// (or another tenant's) would count its child against the wrong
     /// domain's drain counter, letting the spawning domain's barrier
     /// close with related work still in flight — reject it.
-    fn admit(&self, origin: Origin, d: &Domain, n: usize) -> SsResult<(usize, usize)> {
-        if origin == Origin::Nested {
-            return match self.current_executor_slot() {
-                Some(slot) if slot >= 1 && current_domain_id() == d.id => Ok((slot, n)),
-                _ => Err(SsError::WrongContext),
-            };
+    fn producer(&self, origin: Origin, d: &Domain) -> SsResult<usize> {
+        if origin == Origin::Program {
+            return Ok(0);
         }
-        let Some(cap) = d.queue_cap else {
-            return Ok((0, n));
+        match self.current_executor_slot() {
+            Some(slot) if slot >= 1 && current_domain_id() == d.id => Ok(slot),
+            _ => Err(SsError::WrongContext),
+        }
+    }
+
+    /// How many operations of a run of `n` may be pushed now: the
+    /// fairness backpressure. A program-context submit stalls while its
+    /// domain sits at its queue cap and is then admitted only as far as
+    /// the cap has room, so one tenant cannot monopolize the shared pool's
+    /// queues however long its run is. Never applied to nested submits: a
+    /// delegate stalling mid-parent could be the very delegate the drain
+    /// needs, and parents settle only after their nested submits return.
+    fn admit(&self, origin: Origin, d: &Domain, n: usize) -> SsResult<usize> {
+        let (Origin::Program, Some(cap)) = (origin, d.queue_cap) else {
+            return Ok(n);
         };
         let mut queued = d.in_flight.load(Ordering::Relaxed);
         if queued >= cap {
-            StatsCell::bump(&self.inner.core.stats.starvation_stalls);
+            StatsCell::bump(&self.inner.core.stats.program().starvation_stalls);
             let backoff = ss_queue::Backoff::new();
             while queued >= cap {
                 self.check_live()?;
@@ -210,7 +211,7 @@ impl Runtime {
                 queued = d.in_flight.load(Ordering::Acquire);
             }
         }
-        Ok((0, n.min((cap - queued) as usize)))
+        Ok(n.min((cap - queued) as usize))
     }
 
     /// The lane a submission from `origin` travels on (see the module
@@ -255,16 +256,18 @@ impl Runtime {
         run: &mut [Option<TaskSlot>],
     ) -> Result<Executor, (SsError, usize)> {
         let d = self.domain();
-        if let Err(e) = self.check_live() {
-            return Err((e, run.len()));
-        }
-        self.note_tasks(run);
+        let producer = match self.check_live().and_then(|()| self.producer(origin, d)) {
+            Ok(producer) => producer,
+            Err(e) => return Err((e, run.len())),
+        };
+        let stats = self.inner.core.stats.at(producer);
+        Self::note_tasks(stats, run);
         let key = SsId(d.key(ss));
         let lane = self.lane(origin);
         let mut rest = run;
         loop {
-            let (producer, room) = match self.admit(origin, d, rest.len()) {
-                Ok(admitted) => admitted,
+            let room = match self.admit(origin, d, rest.len()) {
+                Ok(room) => room,
                 Err(e) => return Err((e, rest.len())),
             };
             let (run, later) = std::mem::take(&mut rest).split_at_mut(room);
@@ -277,7 +280,7 @@ impl Runtime {
             } else {
                 self.inner.router.route(d, key, &self.loads())
             };
-            self.note_route(&route, key, origin);
+            self.note_route(stats, &route, key, origin);
             match (route.executor, origin) {
                 (Executor::Delegate(i), _) => {
                     if lane != Lane::Deque {
@@ -286,7 +289,6 @@ impl Runtime {
                     let pushed = (n - lost) as u64;
                     if pushed > 0 {
                         self.inner.wakeups[i].notify();
-                        let stats = &self.inner.core.stats;
                         stats.delegations.fetch_add(pushed, Ordering::Relaxed);
                         if origin == Origin::Nested {
                             stats
@@ -328,13 +330,14 @@ impl Runtime {
     /// were **lost** (the consumer is gone: dropped unpushed, never to
     /// execute), with their reservations and tokens rolled back.
     ///
-    /// The counter order is load-bearing: the depth is raised before
-    /// publishing so a `LeastLoaded` assignment racing with this submit
-    /// sees the queue grow, and `in_flight` must be visible before the
-    /// entry exists, so the barrier's drain can never miss it. Audit
-    /// tokens are drawn immediately before the push, so per-producer
-    /// token order equals queue order. On the stealing transport this
-    /// whole function runs inside the set's shard critical section.
+    /// The counter order is load-bearing: `queued` is raised before
+    /// publishing, so a `LeastLoaded` assignment racing with this submit
+    /// sees the queue grow and the delegate's `executed` never overtakes
+    /// it; and `in_flight` must be visible before the entry exists, so
+    /// the barrier's drain can never miss it. Audit tokens are drawn
+    /// immediately before the push, so per-producer token order equals
+    /// queue order. On the stealing transport this whole function runs
+    /// inside the set's shard critical section.
     fn push(
         &self,
         d: &Domain,
@@ -347,7 +350,7 @@ impl Runtime {
         debug_assert!(i < self.inner.topology.n_delegates);
         let n = run.len();
         let core = &self.inner.core;
-        core.stats.queue_depths[i].fetch_add(n as u64, Ordering::Relaxed);
+        core.stats.add_queued(i, n as u64);
         if lane.counted() {
             d.in_flight.fetch_add(n as u64, Ordering::Relaxed);
         }
@@ -381,18 +384,12 @@ impl Runtime {
             (Channels::Spsc { injectors, .. }, _) => {
                 injectors[i].push_batch(invocations).unwrap_or(0)
             }
-            (Channels::Steal(shared), _) => {
-                let pushed = shared.deques[i].push_keyed_batch(key.0, invocations);
-                // Cost-aware stealing prices victims by these summaries;
-                // inert under every other policy.
-                self.inner.router.note_queued(i, pushed as u64);
-                pushed
-            }
+            (Channels::Steal(shared), _) => shared.deques[i].push_keyed_batch(key.0, invocations),
         };
         let lost = n - pushed;
         if lost > 0 {
             core.audit_unsubmit(d, key, base, lost);
-            core.stats.queue_depths[i].fetch_sub(lost as u64, Ordering::Relaxed);
+            core.stats.sub_queued(i, lost as u64);
             if lane.counted() {
                 d.in_flight.fetch_sub(lost as u64, Ordering::Relaxed);
             }
@@ -412,6 +409,7 @@ impl Runtime {
     ) -> Result<(), (SsError, usize)> {
         let n = run.len();
         let core = &self.inner.core;
+        let stats = core.stats.program();
         let cx = ExecCx {
             core,
             executor: TraceExecutor::Program,
@@ -433,7 +431,8 @@ impl Runtime {
             task.run(&cx);
             // SAFETY: program thread; fresh scoped borrow after user code.
             unsafe { d.epoch.get() }.executing_inline = false;
-            StatsCell::bump(&core.stats.inline_executions);
+            StatsCell::bump(&stats.inline_executions);
+            StatsCell::bump(&stats.executed);
             core.audit_exec(d, key, run_tag(base, k as u64), 0);
             d.submitted.fetch_add(1, Ordering::Relaxed);
             d.completed.fetch_add(1, Ordering::Relaxed);
@@ -482,7 +481,7 @@ impl Runtime {
     /// it is here.)
     pub(crate) fn sync_owner(&self, owner: Executor, ss: Option<SsId>) -> SsResult<Executor> {
         self.check_live()?;
-        let stats = &self.inner.core.stats;
+        let stats = self.inner.core.stats.program();
         if self.inner.core.chaos_skip_reclaim_fence() {
             // chaos weakening: claim the reclaim succeeded without
             // flushing anything. The auditor's access gate (which runs
@@ -575,11 +574,11 @@ impl Runtime {
     /// raised at submit and lowered (with Release) only after an
     /// operation's effects are complete, and a steal never touches it —
     /// so one Acquire load is a sound everything-executed check.
-    /// (Per-delegate depth counters would not be: a steal transfers depth
-    /// between two counters non-atomically with respect to a
-    /// multi-counter scan, which could read the victim after the transfer
-    /// and the thief before it and conclude quiescence with a stolen
-    /// batch still running.)
+    /// (The per-delegate depths `queued[i] − executed(1 + i)` would not
+    /// be: a steal moves `queued` between two counters non-atomically with
+    /// respect to a multi-counter scan, which could read the victim after
+    /// the transfer and the thief before it and conclude quiescence with a
+    /// stolen batch still running.)
     ///
     /// For the root without stealing and without nesting, `in_flight` is
     /// permanently zero and the drain is a single load. Errors only with
@@ -590,7 +589,7 @@ impl Runtime {
             // A token whose push fails (consumer gone) is signalled here
             // instead, so the wait pass below needs no list of who was
             // actually sent to.
-            let stats = &self.inner.core.stats;
+            let stats = self.inner.core.stats.program();
             let tokens = &self.inner.sync_tokens;
             for (i, token) in tokens.iter().enumerate() {
                 let sync = self.sync_object(i);
@@ -623,7 +622,8 @@ impl Runtime {
 
     /// Records reduction time (called by `Reducible`; Figure 5a component).
     pub(crate) fn add_reduction_time(&self, d: std::time::Duration) {
-        StatsCell::add_nanos(&self.inner.core.stats.reduction_nanos, d);
-        StatsCell::bump(&self.inner.core.stats.reductions);
+        let stats = self.inner.core.stats.program();
+        StatsCell::add_nanos(&stats.reduction_nanos, d);
+        StatsCell::bump(&stats.reductions);
     }
 }

@@ -111,16 +111,17 @@ impl Runtime {
         // delivered (audit records land before the drain counters/tokens
         // they are proven by), so the conservation check is exact.
         let audit_failure = self.inner.core.audit_end_epoch(d);
+        let stats = self.inner.core.stats.program();
         {
             // SAFETY: program thread; scoped.
             let epoch = unsafe { d.epoch.get() };
             epoch.in_isolation = false;
             if let Some(t0) = epoch.started.take() {
-                StatsCell::add_nanos(&self.inner.core.stats.isolation_nanos, t0.elapsed());
+                StatsCell::add_nanos(&stats.isolation_nanos, t0.elapsed());
             }
         }
         d.epochs.fetch_add(1, Ordering::Release);
-        StatsCell::bump(&self.inner.core.stats.isolation_epochs);
+        StatsCell::bump(&stats.isolation_epochs);
         if self.is_root() {
             self.inner.epoch_gen.fetch_add(1, Ordering::Release); // → even
             self.flush_side_trace();
@@ -150,12 +151,9 @@ impl Runtime {
         let super::Channels::Steal(shared) = &self.inner.channels else {
             return;
         };
-        let sessions = &self.inner.core.stats.sessions_active;
+        let sessions = &self.inner.core.stats.program().sessions_active;
         if sessions.load(Ordering::Acquire) == 0 {
             shared.reset_epoch();
-            // Queued-cost summaries restart with the drained queues
-            // (clears the drift the saturating arithmetic accrues).
-            self.inner.router.reset_queued_costs();
         }
     }
 

@@ -318,7 +318,7 @@ impl Core {
         if !d.audit_on.swap(false, Ordering::Relaxed) {
             return None;
         }
-        StatsCell::bump(&self.stats.epochs_audited);
+        StatsCell::bump(&self.stats.program().epochs_audited);
         a.close_domain(d.audit_serial())
     }
 

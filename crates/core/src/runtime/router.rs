@@ -52,13 +52,12 @@
 //! be blocked by — a shard writer. See `docs/ARCHITECTURE.md` for the
 //! full proof sketch tying these modes to the epoch-pinning invariant.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use ss_queue::CachePadded;
 
 use crate::serializer::SsId;
+use crate::stats::StatsCell;
 
 use super::assign::{static_executor, AssignTopology, CostBook, DelegateLoads, Scheduler};
 use super::domain::Domain;
@@ -96,31 +95,6 @@ fn decode(code: u32) -> Executor {
     }
 }
 
-/// Cost-aware steal state ([`crate::StealPolicy::CostAware`] only): the
-/// shared per-set cost model plus per-delegate queued-op counters.
-///
-/// The counters replace the thief's deque scans for victim selection:
-/// every publish bumps its executor's counter, every completed deque
-/// operation decrements it, and a migration moves the transferred count
-/// between victim and thief. Pricing happens at *read* time —
-/// [`Router::queued_cost`] multiplies the live count by the model's
-/// current typical operation cost — never at publish time. Charging
-/// estimated nanoseconds when the operation is queued looks more
-/// precise but is wrong under EWMA drift in either direction: a backlog
-/// charged at warm-up-cheap estimates prices below one typical
-/// operation once the model learns the real costs (so the imbalance
-/// bar blinds every thief to a deep queue — starvation), and a backlog
-/// charged expensive can't be drained back to zero by completions
-/// priced cheap. A count cannot drift: it reaches zero exactly when
-/// the queue does, and the nanosecond conversion is always as current
-/// as the model. All updates are relaxed and saturating, and the
-/// counters restart from zero at every epoch roll — they are a
-/// heuristic load signal, never a correctness input.
-struct CostState {
-    book: Arc<CostBook>,
-    queued: Box<[CachePadded<AtomicU64>]>,
-}
-
 /// The routing layer. Shared (`Arc`) between the runtime's `Inner` and
 /// the stealing-mode delegate threads; holds no reference back to the
 /// runtime, so worker threads keep nothing alive.
@@ -135,8 +109,9 @@ pub(crate) struct Router {
     /// mode: a steal must be able to override any policy's answer).
     always_pin: bool,
     scheduler: Mutex<Scheduler>,
-    /// `Some` only under [`crate::StealPolicy::CostAware`].
-    costs: Option<CostState>,
+    /// The shared per-set cost model, `Some` only under
+    /// [`crate::StealPolicy::CostAware`].
+    costs: Option<Arc<CostBook>>,
 }
 
 impl Router {
@@ -145,14 +120,8 @@ impl Router {
         topology: AssignTopology,
         static_assignment: bool,
         always_pin: bool,
-        cost_book: Option<Arc<CostBook>>,
+        costs: Option<Arc<CostBook>>,
     ) -> Router {
-        let costs = cost_book.map(|book| CostState {
-            book,
-            queued: (0..topology.n_delegates)
-                .map(|_| CachePadded::new(AtomicU64::new(0)))
-                .collect(),
-        });
         Router {
             topology,
             static_assignment,
@@ -173,8 +142,8 @@ impl Router {
 
     /// Folds one observed operation runtime into the shared cost model.
     pub(crate) fn observe_cost(&self, key: u64, nanos: u64) {
-        if let Some(c) = &self.costs {
-            c.book.observe(key, nanos);
+        if let Some(book) = &self.costs {
+            book.observe(key, nanos);
         }
     }
 
@@ -183,72 +152,34 @@ impl Router {
     pub(crate) fn cost_estimate(&self, key: u64) -> u64 {
         self.costs
             .as_ref()
-            .map_or(0, |c| c.book.estimate(key) as u64)
+            .map_or(0, |book| book.estimate(key) as u64)
     }
 
     /// Typical single-operation cost (ns): the imbalance unit thieves
     /// price steal decisions against.
     pub(crate) fn cost_typical(&self) -> u64 {
-        self.costs.as_ref().map_or(0, |c| c.book.typical() as u64)
-    }
-
-    /// Publish-side counter bump: `n` operations landed on delegate
-    /// `i`'s queue. Called inside the publish closures, so the counter
-    /// never lags the queue it describes by more than the ops currently
-    /// mid-publish.
-    pub(crate) fn note_queued(&self, i: usize, n: u64) {
-        if let Some(c) = &self.costs {
-            c.queued[i].fetch_add(n, Ordering::Relaxed);
-        }
-    }
-
-    /// Completion-side decrement: delegate `i` finished one queued
-    /// operation. Saturating — a counter can never wrap below zero.
-    pub(crate) fn note_op_done(&self, i: usize) {
-        if let Some(c) = &self.costs {
-            let _ = c.queued[i].fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
-                Some(v.saturating_sub(1))
-            });
-        }
-    }
-
-    /// Migration-side transfer: `ops` queued operations left delegate
-    /// `from` for delegate `to`. Clamped to what `from` is known to
-    /// hold, so concurrent completions can't push the victim negative
-    /// while over-crediting the thief.
-    pub(crate) fn transfer_queued(&self, from: usize, to: usize, ops: u64) {
-        if let Some(c) = &self.costs {
-            let moved = ops.min(c.queued[from].load(Ordering::Relaxed));
-            if moved == 0 {
-                return;
-            }
-            let _ = c.queued[from].fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
-                Some(v.saturating_sub(moved))
-            });
-            c.queued[to].fetch_add(moved, Ordering::Relaxed);
-        }
+        self.costs.as_ref().map_or(0, |book| book.typical() as u64)
     }
 
     /// Estimated queued cost (ns) on delegate `i` — the thief's victim
-    /// ranking, replacing the per-deque depth scans: the queued-op count
-    /// priced at the model's *current* typical operation cost (floored
-    /// at 1 ns so a queue is never free before the model has samples).
-    pub(crate) fn queued_cost(&self, i: usize) -> u64 {
-        self.costs.as_ref().map_or(0, |c| {
-            c.queued[i]
-                .load(Ordering::Relaxed)
-                .saturating_mul((c.book.typical() as u64).max(1))
+    /// price, in place of per-deque scans: the delegate's queue depth
+    /// (`queued − executed`, see [`StatsCell`]) priced at the model's
+    /// *current* typical operation cost, floored at 1 ns so a queue is
+    /// never free before the model has samples. Pricing at read time
+    /// rather than charging estimated nanoseconds at publish time keeps
+    /// the price honest under EWMA drift in either direction: a backlog
+    /// charged at warm-up-cheap estimates would price below one typical
+    /// operation once the model learns the real costs (so the imbalance
+    /// bar blinds every thief to a deep queue), and one charged expensive
+    /// could not be drained back to zero by completions priced cheap. A
+    /// depth cannot drift: it reaches zero exactly when the queue does,
+    /// whichever path executed the operations. 0 unless cost-aware.
+    pub(crate) fn queued_cost(&self, stats: &StatsCell, i: usize) -> u64 {
+        self.costs.as_ref().map_or(0, |book| {
+            stats
+                .queue_depth(i)
+                .saturating_mul((book.typical() as u64).max(1))
         })
-    }
-
-    /// Epoch roll: the counters restart from zero (drift amnesty — the
-    /// queues are drained, so zero is also the truth).
-    pub(crate) fn reset_queued_costs(&self) {
-        if let Some(c) = &self.costs {
-            for q in c.queued.iter() {
-                q.store(0, Ordering::Relaxed);
-            }
-        }
     }
 
     /// Consults the policy (under its mutex) for a first touch.
@@ -461,7 +392,7 @@ impl std::fmt::Debug for Router {
 
 #[cfg(test)]
 mod tests {
-    use std::sync::atomic::AtomicU64;
+    use std::sync::atomic::Ordering;
 
     use super::super::assign::{LeastLoaded, RoundRobinFirstTouch, StaticAssignment};
     use super::*;
@@ -474,13 +405,18 @@ mod tests {
         }
     }
 
-    fn depths(values: &[u64]) -> Vec<AtomicU64> {
-        values.iter().map(|&v| AtomicU64::new(v)).collect()
+    /// Counters whose delegate `i` has `values[i]` operations queued.
+    fn depths(values: &[u64]) -> StatsCell {
+        let stats = StatsCell::new(values.len());
+        for (i, &v) in values.iter().enumerate() {
+            stats.add_queued(i, v);
+        }
+        stats
     }
 
-    fn loads_of(depths: &[AtomicU64]) -> DelegateLoads<'_> {
+    fn loads_of(stats: &StatsCell) -> DelegateLoads<'_> {
         DelegateLoads {
-            depths,
+            stats,
             samples: None,
         }
     }
@@ -506,7 +442,7 @@ mod tests {
         let first = r.route(&e, SsId(7), &loads_of(&d));
         assert_eq!(first.executor, Executor::Delegate(0));
         assert!(first.fresh_pin);
-        d[0].store(100, std::sync::atomic::Ordering::Relaxed);
+        d.add_queued(0, 100);
         let again = r.route(&e, SsId(7), &loads_of(&d));
         assert_eq!(again.executor, Executor::Delegate(0));
         assert!(!again.fresh_pin);
@@ -527,14 +463,14 @@ mod tests {
             r.route(&e, SsId(7), &loads_of(&d)).executor,
             Executor::Delegate(1)
         );
-        d[1].store(50, std::sync::atomic::Ordering::Relaxed);
+        d.add_queued(1, 50);
         // Same epoch: stays.
         assert_eq!(
             r.route(&e, SsId(7), &loads_of(&d)).executor,
             Executor::Delegate(1)
         );
         // New epoch: free to move to the now-shallow delegate 0.
-        d[0].store(0, std::sync::atomic::Ordering::Relaxed);
+        d.delegate(0).executed.store(10, Ordering::Relaxed);
         e.epoch_serial.store(2, Ordering::Relaxed);
         let moved = r.route(&e, SsId(7), &loads_of(&d));
         assert_eq!(moved.executor, Executor::Delegate(0));
@@ -638,42 +574,39 @@ mod tests {
         }
     }
 
-    #[test]
-    fn queued_cost_summaries_track_publish_done_and_transfer() {
-        use super::super::assign::CostBook;
-        let book = Arc::new(CostBook::new());
-        book.observe(7, 2_000);
-        let r = Router::new(
+    fn cost_aware_router(book: &Arc<CostBook>) -> Router {
+        Router::new(
             Box::new(RoundRobinFirstTouch::default()),
             topo(2),
             false,
             true,
-            Some(Arc::clone(&book)),
-        );
+            Some(Arc::clone(book)),
+        )
+    }
+
+    #[test]
+    fn queued_cost_prices_the_queue_depth() {
+        let book = Arc::new(CostBook::new());
+        book.observe(7, 2_000);
+        let r = cost_aware_router(&book);
         assert!(r.cost_aware());
-        // One tracked set at 2µs → typical = 2000; pricing is count ×
+        // One tracked set at 2µs → typical = 2000; the price is depth ×
         // typical, at read time.
-        r.note_queued(0, 3);
-        r.note_queued(0, 1);
-        assert_eq!(r.queued_cost(0), 4 * 2_000);
-        assert_eq!(r.queued_cost(1), 0);
-        r.note_op_done(0);
-        assert_eq!(r.queued_cost(0), 3 * 2_000);
-        r.transfer_queued(0, 1, 2);
-        assert_eq!(r.queued_cost(0), 2_000);
-        assert_eq!(r.queued_cost(1), 2 * 2_000);
-        // A transfer larger than the victim's count clamps instead of
-        // wrapping; completions clamp at zero the same way.
-        r.transfer_queued(0, 1, 100);
-        assert_eq!(r.queued_cost(0), 0);
-        assert_eq!(r.queued_cost(1), 3 * 2_000);
-        r.note_op_done(1);
-        r.note_op_done(1);
-        r.note_op_done(1);
-        r.note_op_done(1);
-        assert_eq!(r.queued_cost(1), 0);
-        r.reset_queued_costs();
-        assert_eq!(r.queued_cost(0), 0);
+        let stats = depths(&[3, 0]);
+        stats.add_queued(0, 1);
+        assert_eq!(r.queued_cost(&stats, 0), 4 * 2_000);
+        assert_eq!(r.queued_cost(&stats, 1), 0);
+        // A completion, on whichever path the delegate ran it.
+        StatsCell::bump(&stats.delegate(0).executed);
+        assert_eq!(r.queued_cost(&stats, 0), 3 * 2_000);
+        // A steal moves depth, not executions.
+        stats.move_queued(0, 1, 2);
+        assert_eq!(r.queued_cost(&stats, 0), 2_000);
+        assert_eq!(r.queued_cost(&stats, 1), 2 * 2_000);
+        StatsCell::bump(&stats.delegate(0).executed);
+        stats.delegate(1).executed.store(2, Ordering::Relaxed);
+        assert_eq!(r.queued_cost(&stats, 0), 0);
+        assert_eq!(r.queued_cost(&stats, 1), 0);
     }
 
     #[test]
@@ -681,31 +614,22 @@ mod tests {
         // The starvation case read-time pricing exists for: a deep
         // backlog queued while the model thought operations cheap must
         // not price below one typical operation after the EWMA learns
-        // they are expensive — the summary is the thief's only view of
-        // the victim's remaining work, and the imbalance bar is one
-        // typical op. Charging estimated nanoseconds at publish time
-        // freezes the warm-up price; a count priced at read time tracks
-        // the model wherever it drifts.
-        use super::super::assign::CostBook;
+        // they are expensive — the depth is the thief's only view of the
+        // victim's remaining work, and the imbalance bar is one typical
+        // op. Charging estimated nanoseconds at publish time freezes the
+        // warm-up price; a depth priced at read time tracks the model
+        // wherever it drifts.
         let book = Arc::new(CostBook::new());
         book.observe(7, 1_000);
-        let r = Router::new(
-            Box::new(RoundRobinFirstTouch::default()),
-            topo(2),
-            false,
-            true,
-            Some(Arc::clone(&book)),
-        );
-        r.note_queued(0, 500); // queued while ops look like ~1µs
-        let warm_price = r.queued_cost(0);
+        let r = cost_aware_router(&book);
+        let stats = depths(&[500, 0]); // queued while ops look like ~1µs
+        let warm_price = r.queued_cost(&stats, 0);
         // The model learns the ops actually cost ~100µs each.
         for _ in 0..64 {
             book.observe(7, 100_000);
         }
-        for _ in 0..5 {
-            r.note_op_done(0);
-        }
-        let live_price = r.queued_cost(0);
+        stats.delegate(0).executed.store(5, Ordering::Relaxed);
+        let live_price = r.queued_cost(&stats, 0);
         let typical = (book.typical() as u64).max(1);
         assert_eq!(live_price, 495 * typical);
         assert!(
@@ -719,14 +643,10 @@ mod tests {
     fn cost_hooks_are_inert_without_a_book() {
         let r = router(Box::new(RoundRobinFirstTouch::default()), 2);
         assert!(!r.cost_aware());
-        r.note_queued(0, 5);
-        r.note_op_done(0);
-        r.transfer_queued(0, 1, 1);
-        assert_eq!(r.queued_cost(0), 0);
+        assert_eq!(r.queued_cost(&depths(&[5, 0]), 0), 0);
         assert_eq!(r.cost_estimate(7), 0);
         assert_eq!(r.cost_typical(), 0);
         r.observe_cost(7, 1_000);
-        r.reset_queued_costs();
     }
 
     #[test]

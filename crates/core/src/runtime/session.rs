@@ -121,7 +121,10 @@ impl Drop for Session {
         // reports `Terminated`), so unregister regardless.
         let _ = self.rt.barrier(d);
         core.sessions.lock().remove(&d.id);
-        core.stats.sessions_active.fetch_sub(1, Ordering::Release);
+        core.stats
+            .program()
+            .sessions_active
+            .fetch_sub(1, Ordering::Release);
     }
 }
 
@@ -163,7 +166,7 @@ impl Runtime {
             }
         }
         core.sessions.lock().insert(id, Arc::clone(&domain));
-        StatsCell::bump(&core.stats.sessions_active);
+        StatsCell::bump(&core.stats.program().sessions_active);
         Ok(Session {
             rt: Runtime {
                 inner: Arc::clone(&self.inner),

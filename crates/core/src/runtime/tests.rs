@@ -858,6 +858,53 @@ fn nested_delegation_onto_own_set_appends() {
     assert!(pos(2) < pos(3), "nested producer reordered: {got:?}");
 }
 
+/// The cost-aware thief prices a victim by its queue depth, and operations
+/// a delegate help-executes while it waits on a future leave that depth
+/// like any other: once the queue is empty its price reads 0 mid-epoch,
+/// not only after the epoch rolls over.
+#[test]
+fn help_executed_operations_leave_the_queue_price() {
+    const K: u64 = 8;
+    let rt = Runtime::builder()
+        .delegate_threads(2)
+        .stealing(StealPolicy::CostAware)
+        .assignment(Assignment::custom(|| Box::new(ByParity)))
+        .build()
+        .unwrap();
+    let a: Writable<u64, SequenceSerializer> = Writable::new(&rt, 0);
+    let b: Writable<u64, SequenceSerializer> = Writable::new(&rt, 0);
+    let (gate, entered) = (Arc::new(AtomicU64::new(0)), Arc::new(Mutex::new(None)));
+    rt.begin_isolation().unwrap();
+    // Delegate 1 is kept busy, so it cannot steal delegate 0's work.
+    submit(&rt, SsId(1), gated_task(&gate, &entered)).unwrap();
+    assert_eq!(wait_entered(&entered), "ss-delegate-1");
+    let (rt2, b2) = (rt.clone(), b.clone());
+    let parent = a
+        .delegate_in_with(SsId(2), move |_| {
+            rt2.delegate_scope(|cx| {
+                let futures: Vec<_> = (0..K)
+                    .map(|_| cx.delegate_in_with(&b2, SsId(4), |n| *n += 1).unwrap())
+                    .collect();
+                // Delegate 0 runs the K operations itself, help-first.
+                futures.into_iter().for_each(|f| f.wait().unwrap());
+            })
+            .unwrap()
+        })
+        .unwrap();
+    parent.wait().unwrap();
+    let price = || rt.inner.router.queued_cost(&rt.inner.core.stats, 0);
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+    while price() != 0 && std::time::Instant::now() < deadline {
+        std::thread::yield_now();
+    }
+    let (last_price, depths) = (price(), rt.stats().queue_depths);
+    gate.store(1, Ordering::Release);
+    rt.end_isolation().unwrap();
+    assert_eq!(last_price, 0, "drained delegate still priced as loaded");
+    assert_eq!(depths, vec![0, 1]);
+    assert_eq!(b.call(|n| *n).unwrap(), K);
+}
+
 /// `delegate_scope` is rejected off delegate threads: on the program
 /// thread, on foreign threads, and inside inline-executing operations.
 #[test]
@@ -1229,7 +1276,7 @@ fn capped_session_admits_a_long_run_only_up_to_its_cap() {
             .map(|k| {
                 let (h, peak) = ((*session).clone(), Arc::clone(&peak));
                 Some(TaskSlot::new(move |_| {
-                    let (d, stats) = (h.domain(), &h.inner.core.stats);
+                    let (d, stats) = (h.domain(), h.inner.core.stats.program());
                     // The first operation holds its queue until the program
                     // thread has filled the cap and stalled on it (or has
                     // overrun it, which the assertion below reports).

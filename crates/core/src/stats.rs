@@ -5,21 +5,36 @@
 //! counters and timers the `fig5a_breakdown` harness reads. Counters are
 //! plain relaxed atomics — they are statistics, not synchronization.
 //!
-//! The per-delegate arrays (`queue_depths`, `delegate_executed`) do double
-//! duty: they feed the [`Stats`] snapshot *and* the `LeastLoaded`
-//! delegate-assignment policy, which reads queue depths at first-touch
-//! pinning time. A depth is raised by the program thread at submit and
-//! lowered by the owning delegate after execution, so at any instant it
-//! counts enqueued-or-executing operations.
+//! **Single-writer counters.** Every counter lives in a per-writer
+//! [`Counters`] block, padded to lines of its own: block 0 is the program
+//! side (the root's and every session's program thread, which share it
+//! through `fetch_add`), block `1 + i` is delegate `i`. Each site bumps the
+//! block of the thread it runs on, so on the per-operation path a program
+//! thread and a delegate never write the same cache line — the other half
+//! of the FastForward discipline the ring slots already follow. The
+//! [`Stats`] snapshot sums the blocks.
+//!
+//! Queue depth is the one derived number: `queued[i] − executed(1 + i)`.
+//! `queued[i]` is raised by submitters before the push, lowered for a push
+//! that was lost, and moved from victim to thief by a steal; the delegate
+//! only ever bumps its own block's `executed`, after each operation. The
+//! difference counts enqueued-or-executing operations and feeds the
+//! [`Stats::queue_depths`] snapshot, the `LeastLoaded` assignment policy
+//! and the cost-aware thief's victim prices alike. Its two loads are not
+//! one atomic read, so a mid-epoch reading saturates at 0.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-/// Internal atomic counters owned by the runtime.
-#[derive(Debug)]
-pub(crate) struct StatsCell {
+use ss_queue::CachePadded;
+
+/// One writer's counters (see the module docs for who writes which block).
+#[derive(Debug, Default)]
+pub(crate) struct Counters {
     pub delegations: AtomicU64,
     pub inline_executions: AtomicU64,
+    /// Operations this writer executed (inline on the program side, or
+    /// popped by delegate `i`).
     pub executed: AtomicU64,
     pub sync_objects: AtomicU64,
     pub isolation_epochs: AtomicU64,
@@ -57,7 +72,8 @@ pub(crate) struct StatsCell {
     /// auditor.
     pub epochs_audited: AtomicU64,
     /// Live [`Session`](crate::Session) handles (gauge, not a counter):
-    /// raised by `Runtime::session`, lowered when the handle drops.
+    /// raised by `Runtime::session`, lowered when the handle drops, both
+    /// in the program block — the root epoch boundary reads it there.
     pub sessions_active: AtomicU64,
     /// Times a session submit had to stall because the session was at its
     /// per-session queue-depth cap (`RuntimeBuilder::session_queue_cap`).
@@ -75,51 +91,91 @@ pub(crate) struct StatsCell {
     /// future was dropped unresolved and the executor popped the
     /// operation after the cancel request landed.
     pub ops_cancelled: AtomicU64,
-    /// Per-delegate count of enqueued-or-executing operations.
-    pub queue_depths: Box<[AtomicU64]>,
-    /// Per-delegate count of completed operations.
-    pub delegate_executed: Box<[AtomicU64]>,
 }
 
-impl Default for StatsCell {
-    fn default() -> Self {
-        StatsCell::new(0)
-    }
+/// A writer's block: its own 128-byte lines, never shared with another
+/// writer's block or with a `queued` counter.
+type Block = CachePadded<Counters>;
+
+const _: () = assert!(std::mem::align_of::<Block>() == 128);
+
+/// Internal counters owned by the runtime: one [`Counters`] block per
+/// writer plus the per-delegate `queued` counters.
+#[derive(Debug)]
+pub(crate) struct StatsCell {
+    /// Block 0: program threads; block `1 + i`: delegate `i`.
+    blocks: Box<[Block]>,
+    /// Per-delegate operations ever queued (net of lost pushes and
+    /// steals); `queued[i] − executed(1 + i)` is delegate `i`'s depth.
+    queued: Box<[CachePadded<AtomicU64>]>,
 }
 
 impl StatsCell {
     /// Creates counters for a runtime with `n_delegates` delegate threads.
     pub fn new(n_delegates: usize) -> Self {
         StatsCell {
-            delegations: AtomicU64::new(0),
-            inline_executions: AtomicU64::new(0),
-            executed: AtomicU64::new(0),
-            sync_objects: AtomicU64::new(0),
-            isolation_epochs: AtomicU64::new(0),
-            isolation_nanos: AtomicU64::new(0),
-            reduction_nanos: AtomicU64::new(0),
-            reductions: AtomicU64::new(0),
-            pins: AtomicU64::new(0),
-            pin_fast_hits: AtomicU64::new(0),
-            nested_delegations: AtomicU64::new(0),
-            futures_resolved: AtomicU64::new(0),
-            tasks_inline: AtomicU64::new(0),
-            tasks_boxed: AtomicU64::new(0),
-            steals: AtomicU64::new(0),
-            steal_failures: AtomicU64::new(0),
-            op_steals: AtomicU64::new(0),
-            quiesce_fail: AtomicU64::new(0),
-            epochs_audited: AtomicU64::new(0),
-            sessions_active: AtomicU64::new(0),
-            starvation_stalls: AtomicU64::new(0),
-            memo_hits: AtomicU64::new(0),
-            memo_misses: AtomicU64::new(0),
-            memo_invalidations: AtomicU64::new(0),
-            ops_cancelled: AtomicU64::new(0),
-            queue_depths: (0..n_delegates).map(|_| AtomicU64::new(0)).collect(),
-            delegate_executed: (0..n_delegates).map(|_| AtomicU64::new(0)).collect(),
+            blocks: (0..=n_delegates).map(|_| Block::default()).collect(),
+            queued: (0..n_delegates).map(|_| Default::default()).collect(),
         }
     }
+
+    /// The block of writer `slot` (0 = program side, `1 + i` = delegate
+    /// `i` — the executor slots audit producers use too).
+    #[inline]
+    pub fn at(&self, slot: usize) -> &Counters {
+        &self.blocks[slot]
+    }
+
+    /// The program side's block.
+    #[inline]
+    pub fn program(&self) -> &Counters {
+        self.at(0)
+    }
+
+    /// Delegate `i`'s block.
+    #[inline]
+    pub fn delegate(&self, i: usize) -> &Counters {
+        self.at(1 + i)
+    }
+
+    /// Number of delegates with a queue.
+    pub fn delegates(&self) -> usize {
+        self.queued.len()
+    }
+
+    /// `n` operations are about to land on delegate `i`'s queue.
+    #[inline]
+    pub fn add_queued(&self, i: usize, n: u64) {
+        self.queued[i].fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// `n` operations counted by [`add_queued`](StatsCell::add_queued)
+    /// never landed (the consumer is gone).
+    #[inline]
+    pub fn sub_queued(&self, i: usize, n: u64) {
+        self.queued[i].fetch_sub(n, Ordering::Relaxed);
+    }
+
+    /// A steal moved `n` queued operations from delegate `from` to `to`.
+    /// Raised on the thief first, so its depth never reads below what it
+    /// is about to execute.
+    pub fn move_queued(&self, from: usize, to: usize, n: u64) {
+        self.add_queued(to, n);
+        self.sub_queued(from, n);
+    }
+
+    /// Delegate `i`'s enqueued-or-executing operations.
+    #[inline]
+    pub fn queue_depth(&self, i: usize) -> u64 {
+        // `executed` first: it never passes `queued`, which is raised
+        // before the push, so only a steal racing this read can take the
+        // difference below zero.
+        let executed = self.delegate(i).executed.load(Ordering::Relaxed);
+        self.queued[i]
+            .load(Ordering::Relaxed)
+            .saturating_sub(executed)
+    }
+
     #[inline]
     pub fn bump(counter: &AtomicU64) {
         counter.fetch_add(1, Ordering::Relaxed);
@@ -131,46 +187,47 @@ impl StatsCell {
     }
 
     pub fn snapshot(&self, since: Instant) -> Stats {
+        let sum = |f: fn(&Counters) -> &AtomicU64| -> u64 {
+            self.blocks
+                .iter()
+                .map(|b| f(b).load(Ordering::Relaxed))
+                .sum()
+        };
         let total = since.elapsed();
-        let isolation = Duration::from_nanos(self.isolation_nanos.load(Ordering::Relaxed));
-        let reduction = Duration::from_nanos(self.reduction_nanos.load(Ordering::Relaxed));
+        let isolation = Duration::from_nanos(sum(|c| &c.isolation_nanos));
+        let reduction = Duration::from_nanos(sum(|c| &c.reduction_nanos));
+        let n = self.delegates();
         Stats {
-            delegations: self.delegations.load(Ordering::Relaxed),
-            inline_executions: self.inline_executions.load(Ordering::Relaxed),
-            executed: self.executed.load(Ordering::Relaxed),
-            sync_objects: self.sync_objects.load(Ordering::Relaxed),
-            isolation_epochs: self.isolation_epochs.load(Ordering::Relaxed),
-            reductions: self.reductions.load(Ordering::Relaxed),
-            pins: self.pins.load(Ordering::Relaxed),
-            pin_fast_hits: self.pin_fast_hits.load(Ordering::Relaxed),
-            nested_delegations: self.nested_delegations.load(Ordering::Relaxed),
-            futures_resolved: self.futures_resolved.load(Ordering::Relaxed),
-            tasks_inline: self.tasks_inline.load(Ordering::Relaxed),
-            tasks_boxed: self.tasks_boxed.load(Ordering::Relaxed),
-            steals: self.steals.load(Ordering::Relaxed),
-            steal_failures: self.steal_failures.load(Ordering::Relaxed),
-            op_steals: self.op_steals.load(Ordering::Relaxed),
-            quiesce_fail: self.quiesce_fail.load(Ordering::Relaxed),
+            delegations: sum(|c| &c.delegations),
+            inline_executions: sum(|c| &c.inline_executions),
+            executed: sum(|c| &c.executed),
+            sync_objects: sum(|c| &c.sync_objects),
+            isolation_epochs: sum(|c| &c.isolation_epochs),
+            reductions: sum(|c| &c.reductions),
+            pins: sum(|c| &c.pins),
+            pin_fast_hits: sum(|c| &c.pin_fast_hits),
+            nested_delegations: sum(|c| &c.nested_delegations),
+            futures_resolved: sum(|c| &c.futures_resolved),
+            tasks_inline: sum(|c| &c.tasks_inline),
+            tasks_boxed: sum(|c| &c.tasks_boxed),
+            steals: sum(|c| &c.steals),
+            steal_failures: sum(|c| &c.steal_failures),
+            op_steals: sum(|c| &c.op_steals),
+            quiesce_fail: sum(|c| &c.quiesce_fail),
             // Patched in by Runtime::stats: the drain counter lives in the
             // root `Domain`, the auditor outside this cell (0 when off).
             in_flight: 0,
-            epochs_audited: self.epochs_audited.load(Ordering::Relaxed),
-            sessions_active: self.sessions_active.load(Ordering::Relaxed),
-            starvation_stalls: self.starvation_stalls.load(Ordering::Relaxed),
-            memo_hits: self.memo_hits.load(Ordering::Relaxed),
-            memo_misses: self.memo_misses.load(Ordering::Relaxed),
-            memo_invalidations: self.memo_invalidations.load(Ordering::Relaxed),
-            ops_cancelled: self.ops_cancelled.load(Ordering::Relaxed),
+            epochs_audited: sum(|c| &c.epochs_audited),
+            sessions_active: sum(|c| &c.sessions_active),
+            starvation_stalls: sum(|c| &c.starvation_stalls),
+            memo_hits: sum(|c| &c.memo_hits),
+            memo_misses: sum(|c| &c.memo_misses),
+            memo_invalidations: sum(|c| &c.memo_invalidations),
+            ops_cancelled: sum(|c| &c.ops_cancelled),
             audit_edges: 0,
-            queue_depths: self
-                .queue_depths
-                .iter()
-                .map(|d| d.load(Ordering::Relaxed))
-                .collect(),
-            delegate_executed: self
-                .delegate_executed
-                .iter()
-                .map(|d| d.load(Ordering::Relaxed))
+            queue_depths: (0..n).map(|i| self.queue_depth(i)).collect(),
+            delegate_executed: (0..n)
+                .map(|i| self.delegate(i).executed.load(Ordering::Relaxed))
                 .collect(),
             total,
             isolation,
@@ -260,14 +317,16 @@ pub struct Stats {
     /// race-free; a high ratio to [`op_steals`](Stats::op_steals) means
     /// tails are contended while their sets run.
     pub quiesce_fail: u64,
-    /// Delegated operations submitted but not yet fully executed on the
-    /// transports that track them individually (the stealing transport
-    /// and the nested-delegation injector lanes; the seed SPSC ring path
-    /// keeps this permanently zero — ring drains are proven by queue
-    /// tokens instead). Always 0 after `end_isolation` returns: the epoch
-    /// barrier waits for this exact counter to drain, which is also what
-    /// makes dropped futures leak-free — their operations still run and
-    /// still settle their cells before the counter reaches zero.
+    /// The **root** domain's delegated operations submitted but not yet
+    /// fully executed, on the lanes that track them individually (the
+    /// stealing transport's deques and the nested-delegation injector
+    /// lanes; the root's SPSC rings keep this permanently zero — ring
+    /// drains are proven by queue tokens instead). A session's count is
+    /// [`SessionStats::in_flight`](crate::SessionStats::in_flight). Always
+    /// 0 after the root's `end_isolation` returns: the epoch barrier waits
+    /// for this exact counter to drain, which is also what makes dropped
+    /// futures leak-free — their operations still run and still settle
+    /// their cells before the counter reaches zero.
     pub in_flight: u64,
     /// Isolation epochs the serializability auditor actually audited
     /// (certified serializable, or condemned). Equal to
@@ -364,10 +423,10 @@ mod tests {
 
     #[test]
     fn snapshot_decomposes_time() {
-        let cell = StatsCell::default();
+        let cell = StatsCell::new(0);
         let t0 = Instant::now();
-        StatsCell::add_nanos(&cell.isolation_nanos, Duration::from_millis(2));
-        StatsCell::add_nanos(&cell.reduction_nanos, Duration::from_millis(1));
+        StatsCell::add_nanos(&cell.program().isolation_nanos, Duration::from_millis(2));
+        StatsCell::add_nanos(&cell.program().reduction_nanos, Duration::from_millis(1));
         std::thread::sleep(Duration::from_millis(5));
         let s = cell.snapshot(t0);
         assert!(s.total >= Duration::from_millis(5));
@@ -380,10 +439,10 @@ mod tests {
 
     #[test]
     fn counters_accumulate() {
-        let cell = StatsCell::default();
-        StatsCell::bump(&cell.delegations);
-        StatsCell::bump(&cell.delegations);
-        StatsCell::bump(&cell.executed);
+        let cell = StatsCell::new(2);
+        StatsCell::bump(&cell.program().delegations);
+        StatsCell::bump(&cell.delegate(1).delegations);
+        StatsCell::bump(&cell.delegate(0).executed);
         let s = cell.snapshot(Instant::now());
         assert_eq!(s.delegations, 2);
         assert_eq!(s.executed, 1);
@@ -428,14 +487,50 @@ mod tests {
     }
 
     #[test]
-    fn per_delegate_arrays_are_sized_and_snapshotted() {
+    fn per_delegate_views_are_sized_and_snapshotted() {
         let cell = StatsCell::new(3);
-        cell.queue_depths[1].store(4, Ordering::Relaxed);
-        cell.delegate_executed[2].store(9, Ordering::Relaxed);
-        StatsCell::bump(&cell.pins);
+        cell.add_queued(1, 4);
+        cell.add_queued(2, 9);
+        cell.delegate(2).executed.store(9, Ordering::Relaxed);
+        StatsCell::bump(&cell.program().pins);
         let s = cell.snapshot(Instant::now());
         assert_eq!(s.queue_depths, vec![0, 4, 0]);
         assert_eq!(s.delegate_executed, vec![0, 0, 9]);
         assert_eq!(s.pins, 1);
+    }
+
+    #[test]
+    fn depth_is_queued_minus_executed_across_a_steal() {
+        let cell = StatsCell::new(2);
+        cell.add_queued(0, 10);
+        cell.sub_queued(0, 2); // a lost push
+        cell.delegate(0).executed.store(3, Ordering::Relaxed);
+        assert_eq!(cell.queue_depth(0), 5);
+        cell.move_queued(0, 1, 4);
+        assert_eq!((cell.queue_depth(0), cell.queue_depth(1)), (1, 4));
+        // A snapshot between the executor's bump and a steal's transfer
+        // would read below zero: it saturates.
+        cell.delegate(0).executed.store(5, Ordering::Relaxed);
+        assert_eq!(cell.queue_depth(0), 0);
+    }
+
+    #[test]
+    fn writer_blocks_and_queued_counters_never_share_a_line() {
+        let cell = StatsCell::new(3);
+        let line = |p: *const u8| p as usize / 128;
+        let mut spans: Vec<(usize, usize)> = Vec::new();
+        let span_of = |p: *const u8, len: usize| (line(p), line(p.wrapping_add(len - 1)));
+        for slot in 0..4 {
+            let b = cell.at(slot) as *const Counters as *const u8;
+            spans.push(span_of(b, std::mem::size_of::<Counters>()));
+        }
+        for q in cell.queued.iter() {
+            spans.push(span_of(&**q as *const AtomicU64 as *const u8, 8));
+        }
+        for (k, a) in spans.iter().enumerate() {
+            for b in &spans[k + 1..] {
+                assert!(a.1 < b.0 || b.1 < a.0, "lines {a:?} and {b:?} overlap");
+            }
+        }
     }
 }

@@ -68,9 +68,9 @@ use crate::error::{SsError, SsResult};
 use crate::fingerprint::MemoValue;
 use crate::future::SsFuture;
 use crate::invocation::{ExecCx, TaskSlot};
-use crate::runtime::{DelegateContext, Executor, Origin, Runtime};
+use crate::runtime::{Core, DelegateContext, Executor, Origin, Runtime};
 use crate::serializer::{ObjectSerializer, SerializeCx, Serializer, SsId};
-use crate::stats::StatsCell;
+use crate::stats::{Counters, StatsCell};
 use crate::trace::TraceKind;
 use crate::wrappers::panic_message;
 
@@ -180,6 +180,14 @@ impl Submitter<'_> {
             Submitter::Nested(_) => Origin::Nested,
         }
     }
+
+    /// The submitting thread's counter block.
+    fn stats(self, core: &Core) -> &Counters {
+        match self {
+            Submitter::Program => core.stats.program(),
+            Submitter::Nested(cx) => core.stats.delegate(cx.index()),
+        }
+    }
 }
 
 /// Where a delegated operation's result goes once it has run: the
@@ -226,7 +234,7 @@ impl<R: Send + 'static> Sink<R> for Cell<R> {
     fn resolve(self, out: R, cx: &ExecCx<'_>, object: Receiver<'_>) {
         let serial = self.0.tag();
         self.0.send(out);
-        StatsCell::bump(&cx.core.stats.futures_resolved);
+        StatsCell::bump(&cx.stats().futures_resolved);
         if cx.core.side_events.is_some() {
             cx.core.record_side(
                 serial,
@@ -808,7 +816,7 @@ impl<T: Send + 'static, S: Serializer<T>> Writable<T, S> {
                     if entry_gen == live_gen || core.chaos_stale_memo_serve() =>
                 {
                     drop(local);
-                    StatsCell::bump(&core.stats.memo_hits);
+                    StatsCell::bump(&by.stats(core).memo_hits);
                     core.audit_memo_hit(d, SsId(key), entry_gen, live_gen);
                     // `MemoHit` is a program-order, delegation-site record.
                     if matches!(by, Submitter::Program) && rt.trace_enabled() {
@@ -822,7 +830,7 @@ impl<T: Send + 'static, S: Serializer<T>> Writable<T, S> {
                     });
                 }
                 _ => {
-                    StatsCell::bump(&core.stats.memo_misses);
+                    StatsCell::bump(&by.stats(core).memo_misses);
                     generation = table.generation(key);
                 }
             }
@@ -837,7 +845,7 @@ impl<T: Send + 'static, S: Serializer<T>> Writable<T, S> {
         if memo.is_none() {
             // A non-memoized delegation mutates the set's object outside
             // the memo protocol: invalidate the set's cached results.
-            self.invalidate_memo(ss);
+            self.invalidate_memo(ss, by);
         }
         Ok(Prepared {
             ss,
@@ -852,10 +860,11 @@ impl<T: Send + 'static, S: Serializer<T>> Writable<T, S> {
     /// non-memoized mutation of the set's object commits — plain
     /// delegation (`prepare`) and mutating ownership reclaim (`access`).
     #[inline]
-    fn invalidate_memo(&self, ss: SsId) {
-        if let Some(memo) = &self.rt.inner.core.memo {
+    fn invalidate_memo(&self, ss: SsId, by: Submitter<'_>) {
+        let core = &self.rt.inner.core;
+        if let Some(memo) = &core.memo {
             memo.bump_generation(self.rt.domain().key(ss));
-            StatsCell::bump(&self.rt.inner.core.stats.memo_invalidations);
+            StatsCell::bump(&by.stats(core).memo_invalidations);
         }
     }
 
@@ -961,7 +970,7 @@ impl<T: Send + 'static, S: Serializer<T>> Writable<T, S> {
         Some(TaskSlot::new(move |cx: &ExecCx<'_>| {
             let core = cx.core;
             let out = if sink.cancelled() {
-                StatsCell::bump(&core.stats.ops_cancelled);
+                StatsCell::bump(&cx.stats().ops_cancelled);
                 None
             } else if core.poisoned.load(Ordering::Acquire) {
                 None
@@ -991,7 +1000,6 @@ impl<T: Send + 'static, S: Serializer<T>> Writable<T, S> {
                 }
                 None => drop(sink),
             }
-            StatsCell::bump(&core.stats.executed);
             shared.pending.fetch_sub(1, Ordering::Release);
         }))
     }
@@ -1175,7 +1183,7 @@ impl<T: Send + 'static, S: Serializer<T>> Writable<T, S> {
             // if the closure ends up not mutating the cached inputs).
             if mutate {
                 if let Some(ss) = tag {
-                    self.invalidate_memo(ss);
+                    self.invalidate_memo(ss, Submitter::Program);
                 }
             }
         }

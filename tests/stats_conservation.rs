@@ -1,0 +1,296 @@
+//! Conservation of the runtime's split counters. Each operation is
+//! counted by whichever thread handles it — the submitting program
+//! thread or delegate, the delegate that runs it, a thief that moves it —
+//! and the sums `Runtime::stats` reports must still balance.
+//!
+//! After `end_isolation`, over {root, sessions} × {SPSC, stealing
+//! `CostAware`} × {program, nested, inline, `delegate_with`,
+//! dropped-future cancel}:
+//!
+//! * `executed == delegations + inline_executions`;
+//! * `futures_resolved + ops_cancelled` equals the future submissions;
+//! * `Σ delegate_executed == delegations`;
+//! * every `queue_depths` entry is 0.
+//!
+//! Mid-epoch, with delegate 0 held by a blocker, its depth counts exactly
+//! the blocker and the operations queued behind it, and a whole-batch
+//! steal moves exactly the stolen batch to the thief. The delegate count
+//! comes from `SS_DELEGATES` (at least 2, so there is a thief), the
+//! session count from `SS_TEST_SESSIONS`.
+
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+use prometheus_rs::prelude::*;
+
+fn env(name: &str, fallback: usize) -> usize {
+    std::env::var(name)
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(fallback)
+}
+
+fn delegates() -> usize {
+    env("SS_DELEGATES", 2).max(2)
+}
+
+const TRANSPORTS: [StealPolicy; 2] = [StealPolicy::Off, StealPolicy::CostAware];
+
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Leg {
+    Program,
+    Nested,
+    Inline,
+    DelegateWith,
+    Cancel,
+}
+
+const LEGS: [Leg; 5] = [
+    Leg::Program,
+    Leg::Nested,
+    Leg::Inline,
+    Leg::DelegateWith,
+    Leg::Cancel,
+];
+
+const EPOCHS: usize = 3;
+const OBJECTS: u64 = 16;
+/// Operations each blocker holds behind it.
+const BEHIND: u64 = 6;
+
+type Obj = Writable<u64, SequenceSerializer>;
+
+fn build(stealing: StealPolicy, leg: Leg) -> Runtime {
+    let builder = Runtime::builder()
+        .delegate_threads(delegates())
+        .stealing(stealing);
+    // One virtual delegate in `1 + n` runs inline on the program thread.
+    let share = usize::from(leg == Leg::Inline);
+    builder.program_share(share).build().unwrap()
+}
+
+/// Opens its gate when dropped — also while a failed assertion unwinds,
+/// so held delegates finish and the runtime can join them.
+struct OpenOnDrop(Arc<AtomicBool>);
+
+impl Drop for OpenOnDrop {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::Release);
+    }
+}
+
+/// An operation that spins until `gate` opens.
+fn hold(gate: &Arc<AtomicBool>) -> impl FnOnce(&mut u64) + Send + 'static {
+    let gate = Arc::clone(gate);
+    move |_| {
+        while !gate.load(Ordering::Acquire) {
+            std::hint::spin_loop();
+        }
+    }
+}
+
+/// Runs `leg`'s epochs on `rt` (the root's handle or a session's) and
+/// returns how many future-returning operations it submitted.
+fn run_leg(rt: &Runtime, leg: Leg) -> u64 {
+    let objects: Vec<Obj> = (0..OBJECTS).map(|_| Writable::new(rt, 0)).collect();
+    let mut futures = 0;
+    for _ in 0..EPOCHS {
+        rt.begin_isolation().unwrap();
+        match leg {
+            Leg::Program => {
+                for w in &objects {
+                    for _ in 0..4 {
+                        w.delegate(|n| *n += 1).unwrap();
+                    }
+                }
+            }
+            Leg::Inline => {
+                for (k, w) in objects.iter().enumerate() {
+                    w.delegate_in(SsId(k as u64), |n| *n += 1).unwrap();
+                }
+            }
+            Leg::DelegateWith => {
+                let pending: Vec<_> = objects
+                    .iter()
+                    .map(|w| w.delegate_with(|n| *n += 1).unwrap())
+                    .collect();
+                futures += pending.len() as u64;
+                pending.into_iter().for_each(|f| f.wait().unwrap());
+            }
+            Leg::Nested => {
+                let (parent, children) = objects.split_first().unwrap();
+                let (rt2, children) = (rt.clone(), children.to_vec());
+                parent
+                    .delegate(move |_| {
+                        rt2.delegate_scope(|cx| {
+                            for c in &children {
+                                cx.delegate(c, |n| *n += 1).unwrap();
+                            }
+                            cx.delegate_with(&children[0], |n| *n).unwrap().wait()
+                        })
+                        .unwrap()
+                        .unwrap();
+                    })
+                    .unwrap();
+                futures += 1;
+            }
+            Leg::Cancel => {
+                // Futures dropped while their operations wait behind a
+                // blocker: whether each is cancelled or resolved depends
+                // on the race, never the sum.
+                let gate = OpenOnDrop(Arc::new(AtomicBool::new(false)));
+                objects[0].delegate(hold(&gate.0)).unwrap();
+                for _ in 0..BEHIND {
+                    drop(objects[0].delegate_with(|n| *n += 1).unwrap());
+                }
+                futures += BEHIND;
+                drop(gate);
+            }
+        }
+        rt.end_isolation().unwrap();
+    }
+    futures
+}
+
+fn assert_conserved(s: &Stats, futures: u64, label: &str) {
+    assert_eq!(
+        s.executed,
+        s.delegations + s.inline_executions,
+        "{label}: {s:?}"
+    );
+    assert_eq!(
+        s.futures_resolved + s.ops_cancelled,
+        futures,
+        "{label}: {s:?}"
+    );
+    assert_eq!(
+        s.delegate_executed.iter().sum::<u64>(),
+        s.delegations,
+        "{label}: {s:?}"
+    );
+    assert!(s.queue_depths.iter().all(|&d| d == 0), "{label}: {s:?}");
+}
+
+#[test]
+fn split_counters_balance_after_every_epoch() {
+    let sessions = env("SS_TEST_SESSIONS", 2);
+    for stealing in TRANSPORTS {
+        for leg in LEGS {
+            let rt = build(stealing, leg);
+            let futures = run_leg(&rt, leg);
+            let root = rt.stats();
+            assert_conserved(&root, futures, &format!("root {stealing:?} {leg:?}"));
+            match leg {
+                Leg::Inline => assert!(root.inline_executions > 0, "{root:?}"),
+                Leg::Nested => assert!(root.nested_delegations > 0, "{root:?}"),
+                _ => assert!(root.delegations > 0, "{root:?}"),
+            }
+
+            let rt = build(stealing, leg);
+            let futures: u64 = std::thread::scope(|scope| {
+                let tenants: Vec<_> = (0..sessions)
+                    .map(|_| {
+                        let rt = rt.clone();
+                        scope.spawn(move || run_leg(&rt.session().unwrap(), leg))
+                    })
+                    .collect();
+                tenants.into_iter().map(|t| t.join().unwrap()).sum()
+            });
+            let label = format!("{sessions} sessions {stealing:?} {leg:?}");
+            assert_conserved(&rt.stats(), futures, &label);
+        }
+    }
+}
+
+/// Pins every set to delegate 0.
+#[derive(Debug)]
+struct AllOnZero;
+
+impl DelegateAssignment for AllOnZero {
+    fn name(&self) -> &'static str {
+        "all-on-zero"
+    }
+    fn assign(&mut self, _: SsId, _: &AssignTopology, _: &DelegateLoads<'_>) -> Executor {
+        Executor::Delegate(0)
+    }
+}
+
+fn wait_for(what: &str, done: impl Fn() -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !done() {
+        assert!(Instant::now() < deadline, "timed out waiting for {what}");
+        std::thread::yield_now();
+    }
+}
+
+/// Holds delegate 0 behind a blocker with `BEHIND` gated operations of one
+/// set queued after it, and checks the depths `stats` reports.
+fn depths_behind_a_blocker(h: &Runtime, stats: impl Fn() -> Stats, stealing: StealPolicy) {
+    let (blocker, batch): (Obj, Obj) = (Writable::new(h, 0), Writable::new(h, 0));
+    let gate = OpenOnDrop(Arc::new(AtomicBool::new(false)));
+    let started = Arc::new(AtomicBool::new(false));
+    let batch_started = Arc::new(AtomicBool::new(false));
+    h.begin_isolation().unwrap();
+    let (s, held) = (Arc::clone(&started), hold(&gate.0));
+    blocker
+        .delegate(move |n| {
+            s.store(true, Ordering::Release);
+            held(n);
+        })
+        .unwrap();
+    wait_for("the blocker", || started.load(Ordering::Acquire));
+    for _ in 0..BEHIND {
+        let (s, held) = (Arc::clone(&batch_started), hold(&gate.0));
+        batch
+            .delegate(move |n| {
+                s.store(true, Ordering::Release);
+                held(n);
+            })
+            .unwrap();
+    }
+    let depths = if stealing == StealPolicy::Off {
+        // The blocker is executing, the batch queued behind it.
+        stats().queue_depths
+    } else {
+        // A thief takes the never-started batch whole and blocks on its
+        // first operation; the blocker's busy set stays behind.
+        wait_for("a thief", || batch_started.load(Ordering::Acquire));
+        let s = stats();
+        assert!(s.steals >= 1, "{s:?}");
+        s.queue_depths
+    };
+    let mut want = vec![0; delegates()];
+    match stealing {
+        StealPolicy::Off => want[0] = 1 + BEHIND,
+        _ => {
+            want[0] = 1;
+            let thief = (1..want.len()).find(|&j| depths[j] != 0).unwrap_or(1);
+            want[thief] = BEHIND;
+        }
+    }
+    assert_eq!(depths, want, "{stealing:?}");
+    drop(gate);
+    h.end_isolation().unwrap();
+    assert_eq!(batch.call(|n| *n).unwrap(), 0);
+    assert_conserved(&stats(), 0, &format!("{stealing:?} after the blocker"));
+}
+
+#[test]
+fn queue_depths_are_exact_mid_epoch_and_across_a_steal() {
+    for stealing in TRANSPORTS {
+        let build = || {
+            Runtime::builder()
+                .delegate_threads(delegates())
+                .stealing(stealing)
+                .assignment(Assignment::custom(|| Box::new(AllOnZero)))
+                .build()
+                .unwrap()
+        };
+        let rt = build();
+        depths_behind_a_blocker(&rt, || rt.stats(), stealing);
+        let rt = build();
+        let session = rt.session().unwrap();
+        depths_behind_a_blocker(&session, || rt.stats(), stealing);
+    }
+}
