@@ -153,12 +153,15 @@ pub enum StealPolicy {
     #[default]
     Off,
     /// An idle delegate (empty queue, nothing left to pop) steals from the
-    /// deepest peer queue whenever that queue has at least one entry.
+    /// deepest peer whenever that peer is deeper than itself. A depth
+    /// counts the operations queued on a delegate *and* the one it is
+    /// executing.
     WhenIdle,
-    /// An idle delegate steals only when the deepest peer queue holds at
-    /// least `depth` entries. Higher thresholds tolerate short bursts
-    /// (which the victim will drain quickly anyway) and reserve migration
-    /// for genuine skew; `Threshold(1)` behaves like
+    /// An idle delegate steals only from a peer at least `depth`
+    /// operations deeper than itself (depths as for
+    /// [`WhenIdle`](StealPolicy::WhenIdle)). Higher thresholds tolerate
+    /// short bursts (which the victim will drain quickly anyway) and
+    /// reserve migration for genuine skew; `Threshold(1)` behaves like
     /// [`StealPolicy::WhenIdle`].
     Threshold(usize),
     /// An idle delegate prices its steals with the runtime's cost model:
@@ -174,14 +177,39 @@ pub enum StealPolicy {
     CostAware,
 }
 
+/// A [`StealPolicy`] as the delegates' one thief reads it. Every policy
+/// steals the same way — victim by queue price, half the priced
+/// imbalance moved, most valuable batch first — and differs only here.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct StealPlan {
+    /// Price each queued operation by the shared cost model (its set's
+    /// estimate, in ns) rather than at 1. The runtime keeps a cost model
+    /// exactly when a plan asks for one.
+    pub(crate) cost_model: bool,
+    /// A steal must fix more than this many typical operations of
+    /// imbalance: with unit prices, `d − 1` is a victim depth of `d`.
+    pub(crate) bar_ops: u64,
+    /// The quiescent tails of started sets may move, not only fresh sets.
+    pub(crate) tails: bool,
+}
+
 impl StealPolicy {
-    /// The minimum victim-queue depth this policy requires before an idle
-    /// delegate attempts a steal; `None` when stealing is off.
-    pub fn min_victim_depth(&self) -> Option<usize> {
+    /// The thief's plan; `None` when stealing is off.
+    pub(crate) fn plan(self) -> Option<StealPlan> {
+        let unit = |depth: usize| StealPlan {
+            cost_model: false,
+            bar_ops: depth.max(1) as u64 - 1,
+            tails: false,
+        };
         match self {
             StealPolicy::Off => None,
-            StealPolicy::WhenIdle | StealPolicy::CostAware => Some(1),
-            StealPolicy::Threshold(d) => Some((*d).max(1)),
+            StealPolicy::WhenIdle => Some(unit(1)),
+            StealPolicy::Threshold(d) => Some(unit(d)),
+            StealPolicy::CostAware => Some(StealPlan {
+                cost_model: true,
+                bar_ops: 1,
+                tails: true,
+            }),
         }
     }
 }
@@ -354,9 +382,12 @@ impl RuntimeBuilder {
         self
     }
 
-    /// Lets idle delegates steal never-started serialization sets from a
-    /// loaded peer's queue. Default [`StealPolicy::Off`], which keeps the
-    /// paper's SPSC queues and routing unchanged.
+    /// Lets idle delegates steal queued work from a loaded peer: whole
+    /// never-started serialization sets under every policy, and under
+    /// [`StealPolicy::CostAware`] also the queued tails of started sets
+    /// once no operation of the set is in flight. Default
+    /// [`StealPolicy::Off`], which keeps the paper's SPSC queues and
+    /// routing unchanged.
     ///
     /// With stealing enabled the delegate queues become shared
     /// [`StealDeque`](ss_queue::StealDeque)s and every routing decision

@@ -43,7 +43,7 @@ use std::collections::HashMap;
 use parking_lot::Mutex;
 use ss_queue::StealDeque;
 
-use crate::config::StealPolicy;
+use crate::config::StealPlan;
 use crate::invocation::Invocation;
 use crate::serializer::SsId;
 use crate::stats::StatsCell;
@@ -387,13 +387,14 @@ struct BookShard {
     sum: f64,
 }
 
-/// The steal-pricing cost model behind [`StealPolicy::CostAware`]
-/// (crate::StealPolicy::CostAware): a shared, sharded table of per-set
-/// operation-cost EWMAs, fed by every delegate as it completes
-/// operations and read by thieves pricing victim queues and sizing
-/// steals. The same model [`EwmaCost`] keeps privately for first-touch
-/// *placement*, graduated to a concurrently-readable structure so steal
-/// decisions can price work without the routing policy mutex.
+/// The steal-pricing cost model behind
+/// [`StealPolicy::CostAware`](crate::StealPolicy::CostAware): a shared,
+/// sharded table of per-set operation-cost EWMAs, fed by every delegate
+/// as it completes operations and read by thieves pricing victim queues
+/// and sizing steals. The same model [`EwmaCost`] keeps privately for
+/// first-touch *placement*, graduated to a concurrently-readable
+/// structure so steal decisions can price work without the routing
+/// policy mutex.
 ///
 /// Same constants as [`EwmaCost`]: `EWMA_ALPHA` smoothing, the nominal
 /// default before any observation, and a bounded per-shard map (untracked
@@ -512,20 +513,20 @@ impl Scheduler {
 
 /// Everything the stealing mode shares between the program thread and the
 /// delegate threads: one [`StealDeque`] per delegate (replacing the SPSC
-/// channels) and the policy knob. Routing state — the sharded pin map
-/// and the assignment policy — lives in the shared
+/// channels) and the plan every thief steals by. Routing state — the
+/// sharded pin map and the assignment policy — lives in the shared
 /// [`Router`](super::Router), which thieves also hold; delegate-side
 /// trace events live in the runtime's shared `Core`.
 pub(crate) struct StealShared {
     pub(crate) deques: Box<[StealDeque<Invocation>]>,
-    pub(crate) policy: StealPolicy,
+    pub(crate) plan: StealPlan,
 }
 
 impl StealShared {
-    pub(crate) fn new(n_delegates: usize, policy: StealPolicy) -> Self {
+    pub(crate) fn new(n_delegates: usize, plan: StealPlan) -> Self {
         StealShared {
             deques: (0..n_delegates).map(|_| StealDeque::new()).collect(),
-            policy,
+            plan,
         }
     }
 

@@ -3,29 +3,34 @@
 //! **recursive delegation** (the paper's §4 future work) a safe public
 //! API.
 //!
-//! Each delegate thread owns one incoming queue and repeatedly reads
-//! invocation objects from it. While the queue is empty the thread follows
-//! the configured [`WaitPolicy`]: spin, spin-then-yield, or spin-then-park
-//! — plus the `force_sleep` override that
-//! [`Runtime::sleep`](super::Runtime::sleep) raises during long
-//! aggregation epochs.
+//! Each delegate thread runs one loop, [`delegate_loop`]: read an
+//! invocation object from its queue, execute it, settle it, repeat. While
+//! the queue is empty the thread follows the configured [`WaitPolicy`]:
+//! spin, spin-then-yield, or spin-then-park — plus the `force_sleep`
+//! override that [`Runtime::sleep`](super::Runtime::sleep) raises during
+//! long aggregation epochs.
 //!
-//! Two worker loops exist, matching the two transports:
+//! The loop is generic over the queue it drains, a [`Transport`], of which
+//! there are two:
 //!
-//! * [`delegate_main`] — the seed's loop over a FastForward SPSC consumer,
-//!   extended to drain the ring's multi-producer **injector lane** (where
-//!   nested delegations from other delegates land) whenever the ring runs
-//!   dry.
-//! * [`delegate_main_stealing`] — pops the delegate's own
-//!   [`StealDeque`](ss_queue::StealDeque) (which receives both program and
-//!   nested pushes) and, when it runs dry, attempts to steal never-started
-//!   serialization sets from the deepest peer queue ([`try_steal`]) before
-//!   falling back to the wait policy. A parked thief re-checks for steal
+//! * [`Ring`] — the seed's FastForward SPSC consumer, plus the ring's
+//!   multi-producer **injector lane** (where nested delegations from
+//!   other delegates land), drained whenever the ring runs dry. Its hooks
+//!   carry the consumer's temporal slip.
+//! * [`Deque`] — the delegate's own [`StealDeque`](ss_queue::StealDeque),
+//!   which receives both program and nested pushes. When it runs dry the
+//!   delegate turns thief ([`try_steal`]): one steal attempt for every
+//!   [`StealPolicy`](crate::StealPolicy), whose differences are a
+//!   [`StealPlan`](crate::config::StealPlan) of data. A parked thief re-checks for steal
 //!   opportunities on its bounded-wait wakeups (≤ 1 ms), so a victim that
 //!   becomes loaded while peers sleep is relieved within a millisecond
 //!   even if no push ever wakes them.
+//!
+//! A delegate blocked on a future helps through the same transport and
+//! the same execute-and-settle body ([`help_one`]).
 
 use std::cell::{Cell, RefCell};
+use std::cmp::Reverse;
 use std::collections::VecDeque;
 use std::marker::PhantomData;
 use std::sync::atomic::{fence, AtomicBool, Ordering};
@@ -33,12 +38,14 @@ use std::sync::Arc;
 
 use parking_lot::{Condvar, Mutex};
 use ss_queue::oneshot::WaitSignal;
-use ss_queue::{Consumer, Pop};
+use ss_queue::{Consumer, Pop, StealDeque, StealTag, PUSH_SHARDS};
 
 use crate::config::WaitPolicy;
 use crate::error::{SsError, SsResult};
 use crate::future::SsFuture;
-use crate::invocation::{ExecCx, Invocation, SyncToken, TaskSlot};
+#[cfg(test)]
+use crate::invocation::TaskSlot;
+use crate::invocation::{ExecCx, Invocation, SyncToken};
 use crate::serializer::{Serializer, SsId};
 use crate::stats::StatsCell;
 use crate::trace::{SideEvent, TraceExecutor, TraceKind};
@@ -70,6 +77,7 @@ pub(super) fn current_domain_id() -> u32 {
 /// submitter reads `sleeping` once per operation, so the channel gets a
 /// cache-line pair of its own rather than whatever neighbour the
 /// allocator gives an object of a few words.
+#[derive(Default)]
 #[repr(align(128))]
 pub(super) struct Wakeup {
     mutex: Mutex<()>,
@@ -82,14 +90,6 @@ pub(super) struct Wakeup {
 }
 
 impl Wakeup {
-    pub(super) fn new() -> Self {
-        Wakeup {
-            mutex: Mutex::new(()),
-            condvar: Condvar::new(),
-            sleeping: AtomicBool::new(false),
-        }
-    }
-
     /// Producer side: wake the delegate if it is (or is about to be) parked.
     pub(super) fn notify(&self) {
         // Pairs with the fence in `park_if_empty`. The preceding queue push
@@ -172,7 +172,7 @@ const SLIP_SPINS: u32 = 1024;
 const SLIP_IDLE_POLLS: u32 = 8;
 
 /// The ring consumer's slip state (see the section comment above).
-#[derive(Default)]
+#[derive(Default, Clone, Copy)]
 struct Slip {
     /// Ring operations popped since the last token or idle spell.
     streak: u32,
@@ -221,6 +221,254 @@ impl Slip {
 }
 
 // ----------------------------------------------------------------------
+// transports: what the one delegate loop needs from the queue it drains
+
+/// The queue a delegate drains, as [`delegate_loop`] sees it. Every method
+/// takes `&self` and runs on the owning delegate thread only, so a
+/// help-first wait can pop through the very transport the loop holds
+/// (`HelpState::source`) without aliasing a mutable borrow. The loop is
+/// monomorphised per transport: a hook left at its default compiles to
+/// nothing.
+trait Transport {
+    /// The runtime core this delegate executes against.
+    fn core(&self) -> &Core;
+    /// This delegate's index.
+    fn idx(&self) -> usize;
+    /// Pops the next entry with the lane it travelled on.
+    fn pop(&self) -> Pop<(Invocation, Lane)>;
+    /// Whether work is waiting: the park predicate, re-checked after the
+    /// sleeping flag is raised.
+    fn has_work(&self) -> bool;
+    /// Whether operations are timed for the steal cost model.
+    fn times_ops(&self) -> bool {
+        false
+    }
+    /// Slip hook: before each pop from the queue.
+    fn before_pop(&self) {}
+    /// Slip hook: an entry was popped from `lane`.
+    fn popped(&self, _lane: Lane) {}
+    /// Slip hook: a poll found the queue empty.
+    fn ran_dry(&self) {}
+    /// Slip hook: a token was popped (a program thread waits on us).
+    fn on_token(&self) {}
+    /// An operation of `set` ran and its audit record landed (`nanos`
+    /// times it when [`times_ops`](Transport::times_ops)); its counters
+    /// settle after this returns.
+    fn after_exec(&self, _set: u64, _nanos: Option<u64>) {}
+    /// The queue ran dry: look for work elsewhere. True if any arrived.
+    fn on_dry(&self) -> bool {
+        false
+    }
+}
+
+/// The ring transport: the FastForward SPSC consumer and its injector
+/// lane. Its slip hooks run the [`Slip`] above.
+struct Ring {
+    core: Arc<Core>,
+    idx: usize,
+    consumer: Consumer<Invocation>,
+    /// The root program thread's token for this delegate: pending while
+    /// it waits on us, which ends a slip.
+    sync: Arc<SyncToken>,
+    slip: Cell<Slip>,
+}
+
+impl Ring {
+    fn with_slip(&self, f: impl FnOnce(&mut Slip)) {
+        let mut slip = self.slip.get();
+        f(&mut slip);
+        self.slip.set(slip);
+    }
+}
+
+impl Transport for Ring {
+    fn core(&self) -> &Core {
+        &self.core
+    }
+
+    fn idx(&self) -> usize {
+        self.idx
+    }
+
+    fn pop(&self) -> Pop<(Invocation, Lane)> {
+        let dry = match self.consumer.try_pop() {
+            Pop::Value(inv) => return Pop::Value((inv, Lane::Ring)),
+            Pop::Empty => Pop::Empty,
+            Pop::Disconnected => Pop::Disconnected,
+        };
+        // Ring dry: drain the multi-producer injector lane, where nested
+        // delegations from other delegate threads land. Lane operations
+        // carry their own `in_flight` count (the transitive-drain signal
+        // the epoch barrier waits on), because ring tokens say nothing
+        // about the lane.
+        match self.consumer.try_pop_injected() {
+            Some(inv) => Pop::Value((inv, Lane::Injected)),
+            None => dry,
+        }
+    }
+
+    fn has_work(&self) -> bool {
+        self.consumer.has_pending() || self.consumer.has_injected()
+    }
+
+    fn before_pop(&self) {
+        self.with_slip(|slip| {
+            slip.before_pop(&self.consumer, &self.sync);
+        });
+    }
+
+    fn popped(&self, lane: Lane) {
+        if lane == Lane::Ring {
+            self.with_slip(Slip::popped);
+        }
+    }
+
+    fn ran_dry(&self) {
+        self.with_slip(Slip::ran_dry);
+    }
+
+    fn on_token(&self) {
+        self.with_slip(Slip::disarm);
+    }
+}
+
+/// The stealing transport: the delegate's own deque, and the thief for
+/// when it runs dry.
+struct Deque {
+    core: Arc<Core>,
+    idx: usize,
+    shared: Arc<StealShared>,
+    router: Arc<Router>,
+    /// Per-victim, per-push-shard counts at the last futile scan of that
+    /// victim (see [`try_steal`]).
+    stale_at: RefCell<Vec<Option<[usize; PUSH_SHARDS]>>>,
+}
+
+impl Deque {
+    fn own(&self) -> &StealDeque<Invocation> {
+        &self.shared.deques[self.idx]
+    }
+}
+
+impl Transport for Deque {
+    fn core(&self) -> &Core {
+        &self.core
+    }
+
+    fn idx(&self) -> usize {
+        self.idx
+    }
+
+    /// Popping marks the entry's set *started* (inside the deque's
+    /// critical section) and raises its in-flight count — the point of no
+    /// return for whole-set migration. A started set's queued tail stays
+    /// stealable under a tail plan once the count settles back to zero
+    /// (`after_exec`).
+    fn pop(&self) -> Pop<(Invocation, Lane)> {
+        let me = self.idx as u32;
+        // The "poll" gate lets the deterministic-schedule harness order
+        // this owner's next pop against a thief's scan. Gated on a script
+        // being armed so the hot path stays a plain pop; the empty check
+        // keeps a free-running owner from consuming script steps meant
+        // for a loop that still has work.
+        if self.core.test_gates.is_some() {
+            if self.own().is_empty() {
+                return Pop::Empty;
+            }
+            self.core.gate("poll", me);
+        }
+        match self.own().pop() {
+            Some((tag, inv)) => {
+                if let StealTag::Key(_) = tag {
+                    self.core.gate("popped", me);
+                }
+                Pop::Value((inv, Lane::Deque))
+            }
+            None => Pop::Empty,
+        }
+    }
+
+    fn has_work(&self) -> bool {
+        !self.own().is_empty()
+    }
+
+    fn times_ops(&self) -> bool {
+        self.router.cost_aware()
+    }
+
+    /// The owner's half of the quiescence handshake: a thief may migrate
+    /// the queued tail of a started set only after every popped operation
+    /// of the set has been finished here. Two harness gates bracket it:
+    /// "ran" holds the op *complete but unfinished* (set still busy to
+    /// thieves), "done" fires after `finish` (set quiescent if nothing
+    /// else is in flight) — so a script can force the owner/thief race to
+    /// either outcome by name.
+    fn after_exec(&self, set: u64, nanos: Option<u64>) {
+        if let Some(nanos) = nanos {
+            self.router.observe_cost(set, nanos); // no-op unless cost-aware
+        }
+        self.core.gate("ran", self.idx as u32);
+        // Only after the audit record is delivered may the set look
+        // quiescent to a thief's tail steal — so a stolen tail is provably
+        // ordered after every completed operation of the owner's prefix.
+        self.own().finish(set);
+        self.core.gate("done", self.idx as u32);
+    }
+
+    fn on_dry(&self) -> bool {
+        try_steal(self)
+    }
+}
+
+/// The queue a new delegate thread drains, as the runtime hands it over.
+pub(super) enum Queue {
+    /// The ring's consumer and the root program thread's token for it.
+    Ring(Consumer<Invocation>, Arc<SyncToken>),
+    /// The stealing deques (this delegate's is its index) and the router
+    /// a thief migrates through.
+    Deque(Arc<StealShared>, Arc<Router>),
+}
+
+/// Delegate `idx`'s thread body: [`delegate_loop`] over its queue's
+/// transport. The thread receives only the pieces it needs — deliberately
+/// *not* an `Arc` of the runtime's `Inner`, which would keep the runtime
+/// alive forever (threads are joined by `Inner::drop`).
+pub(super) fn run_delegate(
+    rt_id: u64,
+    idx: usize,
+    queue: Queue,
+    core: Arc<Core>,
+    wakeup: Arc<Wakeup>,
+    policy: WaitPolicy,
+    force_sleep: Arc<AtomicBool>,
+) {
+    DELEGATE_CTX.with(|c| c.set(Some((rt_id, idx as u32))));
+    match queue {
+        Queue::Ring(consumer, sync) => {
+            let ring = Ring {
+                core,
+                idx,
+                consumer,
+                sync,
+                slip: Cell::default(),
+            };
+            delegate_loop(rt_id, ring, &wakeup, policy, &force_sleep);
+        }
+        Queue::Deque(shared, router) => {
+            let deque = Deque {
+                core,
+                idx,
+                stale_at: RefCell::new(vec![None; shared.deques.len()]),
+                shared,
+                router,
+            };
+            delegate_loop(rt_id, deque, &wakeup, policy, &force_sleep);
+        }
+    }
+    DELEGATE_CTX.with(|c| c.set(None));
+}
+
+// ----------------------------------------------------------------------
 // help-first execution (futures on delegated operations)
 //
 // A delegate blocked in `SsFuture::wait` must not simply park: the
@@ -245,30 +493,6 @@ impl Slip {
 //   the deferred buffer (tokens included, in order) before popping
 //   anything new, so the contract holds exactly.
 
-/// An entry parked in the help-first deferred buffer (see the module
-/// comment above for the two reasons an entry gets deferred).
-struct DeferredEntry {
-    inv: Invocation,
-    /// Where the entry was popped from (decides which counters settle
-    /// after execution: see [`Lane::counted`]).
-    lane: Lane,
-}
-
-/// A ring entry deliberately held back by the chaos `reorder_drain`
-/// weakening, waiting for the next entry to overtake it.
-#[cfg(feature = "chaos")]
-type ChaosHold = (TaskSlot, SsId, u64, Option<Arc<Domain>>);
-
-/// Raw handles onto the queue the owning delegate thread pops from.
-/// Pointers into `delegate_main{,_stealing}`'s stack frame; valid for the
-/// lifetime of the installed [`HelpState`] (the loops uninstall before
-/// returning) and only ever dereferenced on the owning thread.
-#[derive(Clone, Copy)]
-enum SourcePtr {
-    Spsc(*const Consumer<Invocation>),
-    Steal(*const StealShared),
-}
-
 /// Per-delegate-thread help-first state, installed for the duration of
 /// the worker loop. Entirely thread-private — the deadlock detector sees
 /// other delegates' active stacks only through the snapshots they
@@ -276,15 +500,20 @@ enum SourcePtr {
 /// push/pop below costs no synchronization.
 struct HelpState {
     rt_id: u64,
-    idx: usize,
-    source: SourcePtr,
-    core: *const Core,
+    /// The worker loop's transport: a pointer into [`delegate_loop`]'s
+    /// stack frame, valid while this state is installed (the loop
+    /// uninstalls it before returning) and dereferenced only on the
+    /// owning thread. Type-erased because help is the cold path.
+    source: *const dyn Transport,
     /// Serialization sets whose operations are currently on this
     /// thread's call stack (outermost first). Grows past one element
     /// only when a help-executed operation itself blocks on a future.
     active: Vec<u64>,
-    /// Entries popped by the help loop that may not run yet.
-    deferred: VecDeque<DeferredEntry>,
+    /// Entries popped by the help loop that may not run yet (see the
+    /// section comment for the two reasons an entry gets deferred), each
+    /// with the lane it was popped from, which decides how it settles
+    /// ([`Lane::counted`]).
+    deferred: VecDeque<(Invocation, Lane)>,
 }
 
 thread_local! {
@@ -311,102 +540,60 @@ impl Drop for HelpInstall {
     }
 }
 
+/// Runs `f` on the calling thread's help state; `None` outside a
+/// delegate loop.
+fn with_help<R>(f: impl FnOnce(&mut HelpState) -> R) -> Option<R> {
+    HELP.with(|h| h.borrow_mut().as_mut().map(f))
+}
+
 /// True when `set` is on the calling thread's active-set stack (an
 /// operation of that set is currently on this call stack).
 fn active_contains(set: u64) -> bool {
-    HELP.with(|h| h.borrow().as_ref().is_some_and(|s| s.active.contains(&set)))
+    with_help(|s| s.active.contains(&set)) == Some(true)
 }
 
-/// A copy of the calling thread's active-set stack (registered alongside
-/// a blocked wait so the deadlock detector can read it).
-fn active_snapshot() -> Vec<u64> {
-    HELP.with(|h| {
-        h.borrow()
-            .as_ref()
-            .map(|s| s.active.clone())
-            .unwrap_or_default()
-    })
-}
-
-/// Pops the front of the deferred buffer (main-loop use: the active stack
-/// is empty at the loop's top level, so everything is runnable and tokens
-/// may be signaled).
-fn deferred_pop_front() -> Option<DeferredEntry> {
-    HELP.with(|h| h.borrow_mut().as_mut().and_then(|s| s.deferred.pop_front()))
-}
-
-fn deferred_push_back(entry: DeferredEntry) {
-    HELP.with(|h| {
-        if let Some(s) = h.borrow_mut().as_mut() {
-            s.deferred.push_back(entry);
-        }
-    });
-}
-
-/// Removes the first *runnable* deferred entry: an `Execute` whose set is
-/// not on the active stack (help-loop use). Same-set entries keep their
-/// relative order, so per-set FIFO survives the out-of-order removal of
-/// entries belonging to different sets.
-fn deferred_take_runnable() -> Option<DeferredEntry> {
-    HELP.with(|h| {
-        let mut b = h.borrow_mut();
-        let s = b.as_mut()?;
-        let pos = s.deferred.iter().position(
-            |d| matches!(&d.inv, Invocation::Execute { ss, .. } if !s.active.contains(&ss.0)),
-        )?;
-        s.deferred.remove(pos)
-    })
+/// Whether `inv` may run on a help-first stack: an operation whose set is
+/// not on it. Tokens never may.
+fn runnable(inv: &Invocation, active: &[u64]) -> bool {
+    matches!(inv, Invocation::Execute { ss, .. } if !active.contains(&ss.0))
 }
 
 /// Cap on each per-delegate cost-sample buffer: bounds memory if the
 /// policy goes a long time without an assignment to drain them at.
 const COST_SAMPLE_CAP: usize = 4096;
 
-/// Executes one `Execute` invocation with active-set tracking and
-/// origin-correct counter settlement. Shared by the worker loops and the
-/// help loop so every path maintains identical accounting. The task slot
-/// never unwinds (`Writable::package` traps panics), so the push/pop pair
-/// stays balanced.
+/// Executes one `Execute` invocation popped from `lane` and settles it —
+/// the one body behind the worker loop and help-first waits, so every
+/// path keeps identical accounting: active-set tracking, the domain
+/// marker, the audit record, cost samples, the transport's
+/// [`after_exec`](Transport::after_exec), then the counters. The task
+/// slot never unwinds (`Writable::package` traps panics), so the
+/// push/pop pair stays balanced.
 ///
 /// When the assignment policy asked for cost feedback
 /// (`Core::cost_samples` present), the operation's wall time is recorded
 /// into this delegate's sample buffer — an uncontended mutex push, off
-/// unless a cost-aware policy (e.g. `EwmaCost`) is active.
-///
-/// `steal` carries the stealing transport's router and the executing
-/// delegate's own deque. When present, the operation's wall time also
-/// feeds the router's shared steal-pricing cost model
-/// (`StealPolicy::CostAware` only), and — for deque-origin entries — the
-/// deque's per-key in-flight count is settled (`StealDeque::finish`)
-/// once the operation's effects and audit record are complete. That
-/// settle is the owner's half of the quiescence handshake: a thief may
-/// migrate the queued tail of a started set only after every popped
-/// operation of the set has been finished here.
-#[allow(clippy::too_many_arguments)]
-fn execute_op(
-    core: &Core,
-    idx: usize,
-    ss: SsId,
-    task: TaskSlot,
-    audit: u64,
-    session: Option<Arc<Domain>>,
-    lane: Lane,
-    steal: Option<(&Router, &ss_queue::StealDeque<Invocation>)>,
-) {
-    HELP.with(|h| {
-        if let Some(s) = h.borrow_mut().as_mut() {
-            s.active.push(ss.0);
-        }
-    });
+/// unless a cost-aware policy (e.g. `EwmaCost`) is active. A transport
+/// that [`times_ops`](Transport::times_ops) is handed the same time.
+fn execute_op<T: Transport + ?Sized>(t: &T, op: Invocation, lane: Lane) {
+    let Invocation::Execute {
+        task,
+        ss,
+        audit,
+        session,
+    } = op
+    else {
+        unreachable!("tokens are signaled, never executed");
+    };
+    let (core, idx) = (t.core(), t.idx());
+    with_help(|s| s.active.push(ss.0));
     let d: &Domain = session.as_deref().unwrap_or(&core.root);
     // Stamp the domain marker for the duration of the user code, so a
     // nested re-delegation from inside it can verify it targets the same
     // domain. Saved/restored, not set/cleared: help-first waits nest
     // executions of (possibly) different domains on one stack.
     let prev_domain = CURRENT_DOMAIN.with(|c| c.replace(d.id));
-    let want_timer =
-        core.cost_samples.is_some() || steal.is_some_and(|(router, _)| router.cost_aware());
-    let timer = want_timer.then(std::time::Instant::now);
+    let timer = (core.cost_samples.is_some() || t.times_ops()).then(std::time::Instant::now);
     task.run(&ExecCx {
         core,
         executor: TraceExecutor::Delegate(idx),
@@ -423,29 +610,8 @@ fn execute_op(
             buffer.push((ss.0, nanos));
         }
     }
-    HELP.with(|h| {
-        if let Some(s) = h.borrow_mut().as_mut() {
-            s.active.pop();
-        }
-    });
-    if let Some((router, deque)) = steal {
-        if let Some(nanos) = elapsed {
-            router.observe_cost(ss.0, nanos); // no-op unless cost-aware
-        }
-        // Two harness gates bracket the owner's half of the quiescence
-        // handshake: "ran" holds the op *complete but unfinished* (set
-        // still busy to thieves), "done" fires after `finish` (set
-        // quiescent if nothing else is in flight) — so a script can force
-        // the owner/thief race to either outcome by name.
-        core.gate("ran", idx as u32);
-        // Only after the audit record above is delivered may the set look
-        // quiescent to a thief's tail-steal — so a stolen tail is provably
-        // ordered after every completed operation of the owner's prefix.
-        if lane == Lane::Deque {
-            deque.finish(ss.0);
-        }
-        core.gate("done", idx as u32);
-    }
+    with_help(|s| s.active.pop());
+    t.after_exec(ss.0, elapsed);
     // Counted in this delegate's own block, which no other thread writes;
     // the queue depth `queued − executed` drops with it. Lane/deque
     // entries additionally carry a count in their *domain's* `in_flight`,
@@ -458,82 +624,40 @@ fn execute_op(
     }
 }
 
-/// One help-first step by the calling delegate thread: execute a runnable
-/// deferred entry, or pop entries from the own queue until one is
-/// runnable (deferring the rest). Returns whether an operation executed.
+/// One help-first step by the calling delegate thread: execute the first
+/// runnable deferred entry, or pop entries from the own queue until one
+/// is runnable (deferring the rest). Same-set entries keep their relative
+/// order, so per-set FIFO survives the out-of-order removal of entries
+/// belonging to different sets. Returns whether an operation executed.
 fn help_one(rt_id: u64) -> bool {
-    let Some((idx, source, core)) = HELP.with(|h| {
-        h.borrow()
-            .as_ref()
-            .filter(|s| s.rt_id == rt_id)
-            .map(|s| (s.idx, s.source, s.core))
-    }) else {
+    let Some(source) = with_help(|s| (s.rt_id == rt_id).then_some(s.source)).flatten() else {
         return false;
     };
-    // SAFETY: the pointers were installed by this thread's worker loop,
-    // which is still on the stack below us; dereferenced only here, on
-    // the owning thread.
-    let core = unsafe { &*core };
-    // Help-executed deque entries settle their per-key in-flight count
-    // here rather than through `execute_op`'s steal path: the helper has
-    // no router in hand, and cost observation is deliberately skipped for
-    // these nested executions (conservative — the model just sees fewer
-    // samples). The settle itself must still happen, or the set would
-    // never look quiescent again.
-    let finish_deque = |lane: Lane, set: u64| {
-        if lane == Lane::Deque {
-            if let SourcePtr::Steal(shared) = source {
-                // SAFETY: owning thread, worker frame alive (as above).
-                unsafe { &*shared }.deques[idx].finish(set);
+    // SAFETY: installed by this thread's worker loop, which is still on
+    // the stack below us; dereferenced only here, on the owning thread,
+    // and every transport method takes `&self`.
+    let t = unsafe { &*source };
+    let deferred = with_help(|s| {
+        let pos = s
+            .deferred
+            .iter()
+            .position(|(inv, _)| runnable(inv, &s.active))?;
+        s.deferred.remove(pos)
+    });
+    let (inv, lane) = match deferred.flatten() {
+        Some(entry) => entry,
+        None => loop {
+            let Pop::Value(entry) = t.pop() else {
+                return false;
+            };
+            if with_help(|s| runnable(&entry.0, &s.active)) == Some(true) {
+                break entry;
             }
-        }
+            with_help(|s| s.deferred.push_back(entry));
+        },
     };
-    if let Some(d) = deferred_take_runnable() {
-        let Invocation::Execute {
-            task,
-            ss,
-            audit,
-            session,
-        } = d.inv
-        else {
-            unreachable!("deferred_take_runnable only returns Execute entries");
-        };
-        execute_op(core, idx, ss, task, audit, session, d.lane, None);
-        finish_deque(d.lane, ss.0);
-        return true;
-    }
-    loop {
-        let popped = match source {
-            // SAFETY: as above — owning thread, frame alive.
-            SourcePtr::Spsc(consumer) => {
-                let consumer = unsafe { &*consumer };
-                match consumer.try_pop() {
-                    Pop::Value(inv) => Some((inv, Lane::Ring)),
-                    _ => consumer.try_pop_injected().map(|inv| (inv, Lane::Injected)),
-                }
-            }
-            SourcePtr::Steal(shared) => {
-                let shared = unsafe { &*shared };
-                shared.deques[idx].pop().map(|(_, inv)| (inv, Lane::Deque))
-            }
-        };
-        let Some((inv, lane)) = popped else {
-            return false;
-        };
-        match inv {
-            Invocation::Execute {
-                task,
-                ss,
-                audit,
-                session,
-            } if !active_contains(ss.0) => {
-                execute_op(core, idx, ss, task, audit, session, lane, None);
-                finish_deque(lane, ss.0);
-                return true;
-            }
-            inv => deferred_push_back(DeferredEntry { inv, lane }),
-        }
-    }
+    execute_op(t, inv, lane);
+    true
 }
 
 /// Outcome of one turn of a delegate-context future wait (see
@@ -584,7 +708,9 @@ pub(crate) fn future_wait_turn(
     }
     {
         let mut waits = rt.inner.core.future_waits.lock();
-        waits[me] = Some((set.0, signal.clone(), active_snapshot()));
+        // A snapshot of the active stack, for the deadlock detector.
+        let stack = with_help(|s| s.active.clone()).unwrap_or_default();
+        waits[me] = Some((set.0, signal.clone(), stack));
         if wait_cycle_closes(rt, me, set.0, &waits) {
             waits[me] = None;
             return WaitTurn::Deadlock;
@@ -656,494 +782,343 @@ fn wait_cycle_closes(
     false
 }
 
-/// Delegate thread main loop (§4): repeatedly read invocation objects from
-/// the communication queue and execute them.
-///
-/// The thread receives only the pieces it needs (consumer, wakeup,
-/// force-sleep flag, the shared [`Core`] for stats) — deliberately *not*
-/// an `Arc` of the runtime's `Inner`, which would keep the runtime alive
-/// forever (threads are joined by `Inner::drop`).
-#[allow(clippy::too_many_arguments)]
-pub(super) fn delegate_main(
+/// The delegate loop (§4), written once for both transports: read an
+/// invocation object, execute it, settle it, repeat; when the queue is
+/// empty, let the transport look elsewhere (a thief), then idle per the
+/// wait policy.
+fn delegate_loop<T: Transport + 'static>(
     rt_id: u64,
-    idx: u32,
-    consumer: Consumer<Invocation>,
-    wakeup: Arc<Wakeup>,
-    sync: Arc<SyncToken>,
+    t: T,
+    wakeup: &Wakeup,
     policy: WaitPolicy,
-    force_sleep: Arc<AtomicBool>,
-    core: Arc<Core>,
+    force_sleep: &AtomicBool,
 ) {
-    DELEGATE_CTX.with(|c| c.set(Some((rt_id, idx))));
     let _help = HelpInstall::new(HelpState {
         rt_id,
-        idx: idx as usize,
-        source: SourcePtr::Spsc(&consumer),
-        core: Arc::as_ptr(&core),
+        source: &t as &(dyn Transport + 'static),
         active: Vec::new(),
         deferred: VecDeque::new(),
     });
     let backoff = ss_queue::Backoff::new();
-    let mut slip = Slip::default();
-    // Chaos `reorder_drain`: at most one ring entry is held back so its
-    // successor overtakes it — an adjacent swap in the drain order. The
-    // hold is flushed before any token is signaled (and before the ring
-    // goes idle), so barrier drains still cover every operation; only the
-    // per-set FIFO order is weakened.
     #[cfg(feature = "chaos")]
-    let mut chaos_hold: Option<ChaosHold> = None;
-    #[cfg(feature = "chaos")]
-    macro_rules! chaos_flush {
-        () => {
-            if let Some((task, ss, audit, session)) = chaos_hold.take() {
-                execute_op(
-                    &core,
-                    idx as usize,
-                    ss,
-                    task,
-                    audit,
-                    session,
-                    Lane::Ring,
-                    None,
-                );
-            }
-        };
-    }
+    let mut hold: Option<Invocation> = None;
     loop {
         // Entries a nested future wait deferred come first: they were
         // popped before anything still queued, and the active stack is
         // empty at the loop's top level, so every entry is runnable and
         // tokens may finally be signaled (their "everything before me has
         // completed" contract now holds).
-        if let Some(d) = deferred_pop_front() {
-            backoff.reset();
-            match d.inv {
-                Invocation::Execute {
-                    task,
-                    ss,
-                    audit,
-                    session,
-                } => execute_op(&core, idx as usize, ss, task, audit, session, d.lane, None),
-                Invocation::Token { token, terminate } => {
-                    #[cfg(feature = "chaos")]
-                    chaos_flush!();
-                    slip.disarm();
-                    token.signal();
-                    if terminate {
-                        break;
+        let (inv, lane) = match with_help(|s| s.deferred.pop_front()).flatten() {
+            Some(entry) => entry,
+            None => {
+                t.before_pop();
+                match t.pop() {
+                    Pop::Value((inv, lane)) => {
+                        t.popped(lane);
+                        (inv, lane)
                     }
-                }
-            }
-            continue;
-        }
-        let _ = slip.before_pop(&consumer, &sync);
-        match consumer.try_pop() {
-            Pop::Value(inv) => {
-                backoff.reset();
-                match inv {
-                    Invocation::Execute {
-                        task,
-                        ss,
-                        audit,
-                        session,
-                    } => {
-                        slip.popped();
+                    dry => {
                         #[cfg(feature = "chaos")]
-                        let (task, ss, audit, session) = if core.chaos_reorder_drain() {
-                            match chaos_hold.take() {
-                                // A predecessor is parked: run the newer
-                                // entry now and let the older one fall
-                                // through below — the swap is complete.
-                                Some(held) => {
-                                    execute_op(
-                                        &core,
-                                        idx as usize,
-                                        ss,
-                                        task,
-                                        audit,
-                                        session,
-                                        Lane::Ring,
-                                        None,
-                                    );
-                                    held
-                                }
-                                None => {
-                                    chaos_hold = Some((task, ss, audit, session));
-                                    continue;
-                                }
-                            }
-                        } else {
-                            (task, ss, audit, session)
-                        };
-                        execute_op(
-                            &core,
-                            idx as usize,
-                            ss,
-                            task,
-                            audit,
-                            session,
-                            Lane::Ring,
-                            None,
-                        )
-                    }
-                    Invocation::Token { token, terminate } => {
-                        #[cfg(feature = "chaos")]
-                        chaos_flush!();
-                        slip.disarm();
-                        token.signal();
-                        if terminate {
+                        chaos_flush(&t, &mut hold);
+                        if let Pop::Disconnected = dry {
                             break;
                         }
-                    }
-                }
-            }
-            Pop::Disconnected => {
-                #[cfg(feature = "chaos")]
-                chaos_flush!();
-                break;
-            }
-            Pop::Empty => {
-                #[cfg(feature = "chaos")]
-                chaos_flush!();
-                // Ring dry: drain the multi-producer injector lane, where
-                // nested delegations from other delegate threads land.
-                // Lane operations carry their own `in_flight` count (the
-                // transitive-drain signal the epoch barrier waits on),
-                // because ring tokens say nothing about the lane.
-                if let Some(inv) = consumer.try_pop_injected() {
-                    backoff.reset();
-                    match inv {
-                        Invocation::Execute {
-                            task,
-                            ss,
-                            audit,
-                            session,
-                        } => execute_op(
-                            &core,
-                            idx as usize,
-                            ss,
-                            task,
-                            audit,
-                            session,
-                            Lane::Injected,
-                            None,
-                        ),
-                        Invocation::Token { token, terminate } => {
-                            slip.disarm();
-                            token.signal();
-                            if terminate {
-                                break;
-                            }
-                        }
-                    }
-                    continue;
-                }
-                slip.ran_dry();
-                let force = force_sleep.load(Ordering::Acquire);
-                match policy {
-                    WaitPolicy::Spin if !force => backoff.spin(),
-                    WaitPolicy::SpinYield if !force => backoff.snooze(),
-                    _ => {
-                        if force || backoff.is_completed() {
-                            wakeup.park_if_empty(|| {
-                                consumer.has_pending() || consumer.has_injected()
-                            });
+                        t.ran_dry();
+                        if t.on_dry() {
                             backoff.reset();
-                        } else {
-                            backoff.snooze();
+                            continue;
                         }
+                        let force = force_sleep.load(Ordering::Acquire);
+                        match policy {
+                            WaitPolicy::Spin if !force => backoff.spin(),
+                            WaitPolicy::SpinYield if !force => backoff.snooze(),
+                            _ if force || backoff.is_completed() => {
+                                // The bounded park (≤ 1 ms) doubles as a
+                                // thief's steal retry tick.
+                                wakeup.park_if_empty(|| t.has_work());
+                                backoff.reset();
+                            }
+                            _ => backoff.snooze(),
+                        }
+                        continue;
                     }
                 }
             }
-        }
-    }
-    DELEGATE_CTX.with(|c| c.set(None));
-}
-
-/// Delegate thread main loop for the stealing transport: drain the own
-/// deque FIFO; when it runs dry, try to steal a batch of never-started
-/// sets from the deepest peer; otherwise idle per the wait policy.
-#[allow(clippy::too_many_arguments)]
-pub(super) fn delegate_main_stealing(
-    rt_id: u64,
-    idx: u32,
-    shared: Arc<StealShared>,
-    router: Arc<Router>,
-    wakeup: Arc<Wakeup>,
-    policy: WaitPolicy,
-    force_sleep: Arc<AtomicBool>,
-    core: Arc<Core>,
-) {
-    DELEGATE_CTX.with(|c| c.set(Some((rt_id, idx))));
-    let me = idx as usize;
-    let _help = HelpInstall::new(HelpState {
-        rt_id,
-        idx: me,
-        source: SourcePtr::Steal(Arc::as_ptr(&shared)),
-        core: Arc::as_ptr(&core),
-        active: Vec::new(),
-        deferred: VecDeque::new(),
-    });
-    let deque = &shared.deques[me];
-    let backoff = ss_queue::Backoff::new();
-    // Per-victim, per-push-shard counts at the last *failed* steal: a
-    // victim none of whose shard counters moved since then has nothing
-    // new to offer, so skip the O(queue) scan entirely; if only some
-    // shards moved, scan just those (see `StealDeque::pushes_by_shard` —
-    // an unchanged shard saw neither a push nor a quiescence edge, so its
-    // keys' eligibility cannot have improved).
-    let mut stale_at: Vec<Option<[usize; ss_queue::PUSH_SHARDS]>> = vec![None; shared.deques.len()];
-    'main: loop {
-        // Deferred-first, as in `delegate_main`: entries a nested future
-        // wait parked were popped before anything still in the deque.
-        while let Some(d) = deferred_pop_front() {
-            backoff.reset();
-            match d.inv {
-                Invocation::Execute {
-                    task,
-                    ss,
-                    audit,
-                    session,
-                } => execute_op(
-                    &core,
-                    me,
-                    ss,
-                    task,
-                    audit,
-                    session,
-                    d.lane,
-                    Some((&router, deque)),
-                ),
-                Invocation::Token { token, terminate } => {
-                    token.signal();
-                    if terminate {
-                        break 'main;
-                    }
-                }
-            }
-        }
-        // Popping marks the entry's set *started* here (inside the deque's
-        // critical section) and raises its in-flight count — the point of
-        // no return for whole-set migration. The queued tail behind a
-        // started set stays stealable (CostAware only) once the count
-        // settles back to zero: see the quiescence handshake in
-        // `try_steal_cost_aware` / `execute_op`.
-        loop {
-            // The "poll" gate lets the deterministic-schedule harness
-            // order this owner's next pop against a thief's scan. Gated
-            // on a script being armed so the hot path stays a plain pop;
-            // the empty-check keeps a free-running owner from consuming
-            // script steps meant for a loop that still has work.
-            if core.test_gates.is_some() {
-                if deque.is_empty() {
+        };
+        backoff.reset();
+        match inv {
+            Invocation::Token { token, terminate } => {
+                #[cfg(feature = "chaos")]
+                chaos_flush(&t, &mut hold);
+                t.on_token();
+                token.signal();
+                if terminate {
                     break;
                 }
-                core.gate("poll", idx);
             }
-            let Some((_tag, inv)) = deque.pop() else {
-                break;
-            };
-            backoff.reset();
-            match inv {
-                Invocation::Execute {
-                    task,
-                    ss,
-                    audit,
-                    session,
-                } => {
-                    core.gate("popped", idx);
-                    // The Release inside pairs with the barrier's Acquire
-                    // load: `in_flight == 0` must imply every operation's
-                    // effects are visible to the program thread.
-                    execute_op(
-                        &core,
-                        me,
-                        ss,
-                        task,
-                        audit,
-                        session,
-                        Lane::Deque,
-                        Some((&router, deque)),
-                    );
-                    // A nested wait inside the op may have deferred
-                    // entries; surface them before draining further.
-                    if HELP.with(|h| h.borrow().as_ref().is_some_and(|s| !s.deferred.is_empty())) {
-                        continue 'main;
-                    }
-                }
-                Invocation::Token { token, terminate } => {
-                    token.signal();
-                    if terminate {
-                        break 'main;
-                    }
-                }
-            }
-        }
-        if try_steal(&shared, &router, me, &core, &mut stale_at) {
-            backoff.reset();
-            continue;
-        }
-        let force = force_sleep.load(Ordering::Acquire);
-        match policy {
-            WaitPolicy::Spin if !force => backoff.spin(),
-            WaitPolicy::SpinYield if !force => backoff.snooze(),
-            _ => {
-                if force || backoff.is_completed() {
-                    // The bounded park (≤ 1 ms) doubles as the steal
-                    // retry tick for delegates whose own queue stays
-                    // empty while a peer's grows.
-                    wakeup.park_if_empty(|| !deque.is_empty());
-                    backoff.reset();
-                } else {
-                    backoff.snooze();
-                }
+            op => {
+                #[cfg(feature = "chaos")]
+                let Some(op) = chaos_reorder(&t, &mut hold, lane, op) else {
+                    continue;
+                };
+                execute_op(&t, op, lane);
             }
         }
     }
-    DELEGATE_CTX.with(|c| c.set(None));
 }
 
-/// One steal attempt by delegate `me`: pick the deepest peer queue that
-/// clears the policy's depth bar, then migrate roughly half of its
-/// never-started, unfenced set batches into our own deque and rewrite
-/// their pins. Returns true if any work arrived.
-///
-/// The migration is **two-phase** against the sharded pin map:
-///
-/// 1. *Candidate selection* — `stealable_keys` lists the victim's
-///    eligible batches (one deque critical section, no routing locks),
-///    and the newest half are chosen, matching `steal_half_into`'s
-///    keep-the-oldest-for-the-owner heuristic.
-/// 2. *Validated migration* — [`Router::migrate_keys`] locks the chosen
-///    keys' shards (ascending shard order: concurrent thieves cannot
-///    deadlock), re-checks each key is still pinned to the victim
-///    (another thief may have won it meanwhile), and only then removes
-///    the batches, lands them here, and rewrites the pins — all inside
-///    those shard locks. A submit of an affected set serializes with the
-///    migration on its shard, so no operation can be routed to either
-///    queue mid-flight and a reclaim token can never chase a set to a
-///    queue it has already left; submits of unrelated sets proceed in
-///    parallel. `steal_keys_into` re-validates started/fence status
-///    under the deque lock, so a key the owner popped between the phases
-///    is skipped whole (and its pin left alone).
-fn try_steal(
-    shared: &StealShared,
-    router: &Router,
-    me: usize,
-    core: &Core,
-    stale_at: &mut [Option<[usize; ss_queue::PUSH_SHARDS]>],
-) -> bool {
-    if router.cost_aware() {
-        return try_steal_cost_aware(shared, router, me, core, stale_at);
+/// Chaos `reorder_drain`: at most one ring entry is held back so its
+/// successor overtakes it — an adjacent swap in the drain order. Returns
+/// the entry to run now, if any. The hold is flushed before any other
+/// lane's entry runs, before any token is signaled and when the queue
+/// goes idle, so barrier drains still cover every operation; only the
+/// per-set FIFO order is weakened.
+#[cfg(feature = "chaos")]
+fn chaos_reorder<T: Transport>(
+    t: &T,
+    hold: &mut Option<Invocation>,
+    lane: Lane,
+    op: Invocation,
+) -> Option<Invocation> {
+    if !t.core().chaos_reorder_drain() || lane != Lane::Ring {
+        chaos_flush(t, hold);
+        return Some(op);
     }
-    let Some(min_depth) = shared.policy.min_victim_depth() else {
-        return false;
-    };
-    // Victim selection is lock-free: scan the cache-padded length counters
-    // and take the deepest qualifying peer, skipping victims none of whose
-    // per-shard push counters moved since our last failed scan of them (a
-    // failed scan proves everything they held was started or fenced, and
-    // only new pushes — or, under CostAware, quiescence edges, which bump
-    // the key's shard counter too — can add stealable batches).
-    let mut victim: Option<(usize, usize, [usize; ss_queue::PUSH_SHARDS])> = None;
-    for (j, d) in shared.deques.iter().enumerate() {
-        if j == me {
+    match hold.take() {
+        // A predecessor is parked: run the newer entry now and hand back
+        // the older one — the swap is complete.
+        Some(held) => {
+            execute_op(t, op, Lane::Ring);
+            Some(held)
+        }
+        None => {
+            *hold = Some(op);
+            None
+        }
+    }
+}
+
+#[cfg(feature = "chaos")]
+fn chaos_flush<T: Transport>(t: &T, hold: &mut Option<Invocation>) {
+    if let Some(op) = hold.take() {
+        execute_op(t, op, Lane::Ring);
+    }
+}
+
+// ----------------------------------------------------------------------
+// the thief
+
+/// One steal attempt by a deque delegate that ran dry, under the plan its
+/// [`StealPolicy`](crate::StealPolicy) built. Written once for every
+/// policy: the plan prices the work (the router's cost model, or one
+/// unit per operation), sets the bar a steal must clear, and says
+/// whether the quiescent tails of started sets may move. Returns true if
+/// any work arrived.
+///
+/// 1. *Victim.* The peer whose queue price — its depth `queued −
+///    executed` times the typical operation's price — most exceeds ours,
+///    skipping peers none of whose push shards moved since a futile scan
+///    of them (`stale_at`). The imbalance must exceed `bar_ops` typical
+///    operations: a migration pays shard locks on both deques plus a pin
+///    rewrite.
+/// 2. *Candidates.* One advisory scan of the victim (only the push shards
+///    that moved since a futile scan) buckets its sets as fresh,
+///    quiescent tails or busy; tails and busy sets count under a tail
+///    plan only. Half the priced imbalance is chosen, so the pair
+///    converges instead of ping-ponging work: tails first (the sets the
+///    owner is demonstrably stuck behind), then fresh sets, each class
+///    most valuable first, so a cheap shallow batch cannot satisfy the
+///    target while the deep one the victim is drowning under stays put.
+/// 3. *Validated migration.* [`Router::migrate_keys`] locks the chosen
+///    keys' shards (ascending shard order: concurrent thieves cannot
+///    deadlock), re-checks each is still pinned to the victim, and only
+///    then removes the batches — the deque's removal re-checks started,
+///    fence and in-flight status under its lock, skipping whole a set the
+///    owner popped meanwhile — lands them here, hands their audit record
+///    over and rewrites their pins, all inside those shard locks. A
+///    submit of an affected set serializes with the migration on its
+///    shard, so no operation can be routed to either queue mid-flight and
+///    a reclaim token can never chase a set to a queue it has left.
+///
+/// A tail moves only through the quiescence handshake: every pop raises
+/// the set's in-flight count inside the deque lock, and the owner's
+/// `after_exec` settles it only after the operation's effects and audit
+/// record land — so a tail taken whole at count zero is ordered after
+/// the owner's entire prefix, exactly as on the owner
+/// (`docs/ARCHITECTURE.md`).
+fn try_steal(q: &Deque) -> bool {
+    let (core, router, me) = (&*q.core, &*q.router, q.idx);
+    let (deques, plan) = (&q.shared.deques, q.shared.plan);
+    let stats = core.stats.delegate(me);
+    let mut stale_at = q.stale_at.borrow_mut();
+    let my_price = router.queued_cost(&core.stats, me);
+    let mut victim: Option<(usize, u64, [usize; PUSH_SHARDS])> = None;
+    for (j, d) in deques.iter().enumerate() {
+        if j == me || d.is_empty() {
             continue;
         }
-        let len = d.len();
-        if len < min_depth {
+        let price = router.queued_cost(&core.stats, j);
+        if price <= my_price {
             continue;
         }
         let pushes = d.pushes_by_shard();
         if stale_at[j] == Some(pushes) {
             continue;
         }
-        if victim.is_none_or(|(_, best, _)| len > best) {
-            victim = Some((j, len, pushes));
+        if victim.is_none_or(|(_, best, _)| price > best) {
+            victim = Some((j, price, pushes));
         }
     }
-    let Some((victim, _, victim_pushes)) = victim else {
-        return false; // nothing met the bar — not an attempt, no failure
+    let Some((victim, victim_price, pushes)) = victim else {
+        return false; // nothing to take — not an attempt, no failure
     };
-
-    // Phase 1: list eligible batches; take the newest half (the owner
-    // reaches the oldest soonest). When a previous failed scan left a
-    // shard memo, only the shards whose push counters moved since are
-    // scanned — an unchanged shard's keys cannot have become eligible.
-    let mut candidates = match stale_at[victim] {
-        Some(memo) => {
-            let mut changed = [false; ss_queue::PUSH_SHARDS];
-            for (c, (now, then)) in changed
-                .iter_mut()
-                .zip(victim_pushes.iter().zip(memo.iter()))
-            {
-                *c = now != then;
-            }
-            shared.deques[victim].stealable_keys_in(&changed)
-        }
-        None => shared.deques[victim].stealable_keys(),
+    let imbalance = victim_price - my_price;
+    if imbalance <= plan.bar_ops.saturating_mul(router.cost_typical()) {
+        return false;
+    }
+    core.gate("scan", me as u32);
+    let shards = match stale_at[victim] {
+        Some(memo) => std::array::from_fn(|s| pushes[s] != memo[s]),
+        None => [true; PUSH_SHARDS],
     };
-    let keep = candidates.len() / 2;
-    let chosen = candidates.split_off(keep);
-    let serial = core.root.serial();
-    let stats = core.stats.delegate(me);
-    let mut batch: Vec<(u64, Invocation)> = Vec::new();
-    // Chaos `steal_no_repin`: skip phase 2 entirely — lift the chosen
-    // batches straight out of the victim's deque without validating or
-    // rewriting their pins. Later submits of a stolen set keep routing to
-    // the victim while its stolen prefix runs here: exactly the
-    // two-executor overlap the auditor must catch.
+    let mut scan = deques[victim].scan_candidates(&shards);
+    // Harness gate *after* the advisory scan completed: a script that
+    // wants the owner to re-pop between scan and migration must order
+    // the re-pop after this point, not after "scan" (which precedes the
+    // scan itself — releasing the owner there races it against the scan).
+    core.gate("scanned", me as u32);
+    if !plan.tails {
+        scan.tails.clear();
+        scan.busy.clear();
+    }
+    if !scan.busy.is_empty() {
+        // Started sets with an operation in flight: the handshake fails
+        // for them this attempt (the owner may quiesce them any moment).
+        stats
+            .quiesce_fail
+            .fetch_add(scan.busy.len() as u64, Ordering::Relaxed);
+    }
+    // Chaos `steal_mid_set`: the thief skips the quiescence check and
+    // rips tails of sets whose owner is mid-operation — the auditor must
+    // report the resulting two-executor overlap / order inversion.
     #[cfg(feature = "chaos")]
-    if core.chaos_steal_no_repin() {
-        let taken = shared.deques[victim].steal_keys_into(&chosen, &mut batch);
-        if !batch.is_empty() {
-            core.stats.move_queued(victim, me, batch.len() as u64);
-            shared.deques[me].extend_keyed(std::mem::take(&mut batch));
-        }
-        record_steal_events(core, serial, &taken, me, TraceKind::Steal);
-        if taken.is_empty() {
-            stale_at[victim] = Some(victim_pushes);
-            StatsCell::bump(&stats.steal_failures);
-            return false;
-        }
-        stale_at[victim] = None;
-        StatsCell::bump(&stats.steals);
-        return true;
+    let mid_set = core.chaos_steal_mid_set();
+    #[cfg(feature = "chaos")]
+    if mid_set {
+        scan.tails.append(&mut scan.busy);
     }
-    // Phase 2: validate pins and migrate under the keys' shard locks,
-    // domain by domain (see `for_each_domain`).
-    let mut taken_total = 0usize;
+    // Each candidate's price is snapshotted ONCE before sorting: the cost
+    // model is concurrently updated by executing delegates, so a sort key
+    // that re-reads the live estimate is not a total order — the stdlib
+    // sort detects the inconsistency and panics, killing the thief thread
+    // (and with it every operation queued behind it).
+    let target = (imbalance / 2).max(1);
+    let mut moved = 0u64;
+    let mut pick = |candidates: &[(u64, usize)]| {
+        let mut priced: Vec<(u64, u64)> = candidates
+            .iter()
+            .map(|&(key, n)| (key, router.cost_estimate(key).saturating_mul(n as u64)))
+            .collect();
+        priced.sort_by_key(|&(_, price)| Reverse(price));
+        let mut keys = Vec::new();
+        for (key, price) in priced {
+            if moved >= target {
+                break;
+            }
+            keys.push(key);
+            moved = moved.saturating_add(price);
+        }
+        keys
+    };
+    let tail_keys = pick(&scan.tails);
+    let fresh_keys = pick(&scan.fresh);
+    if tail_keys.is_empty() && fresh_keys.is_empty() {
+        // Busy sets are a *transient* obstacle — the owner is mid-
+        // operation and settles the in-flight mark at its next finish,
+        // which bumps no push counter. Rate-limiting on the push memo
+        // here would blacklist the victim until its next submit, i.e.
+        // potentially forever once the workload's publish phase is over.
+        // Only a deque with nothing stealable and nothing in flight is
+        // memoized as futile.
+        if scan.busy.is_empty() {
+            stale_at[victim] = Some(pushes);
+        }
+        StatsCell::bump(&stats.steal_failures);
+        core.gate("nosteal", me as u32);
+        return false;
+    }
+    // Harness gate between the advisory scan and the validated migration:
+    // a script can park the thief here and let the owner re-pop a chosen
+    // tail, forcing the re-validation branch (`steal_tail_into` finds the
+    // set busy again and skips it whole).
+    core.gate("migrate", me as u32);
+    let serial = core.root.serial();
+    let chosen: Vec<u64> = tail_keys.iter().chain(&fresh_keys).copied().collect();
+    let mut batch: Vec<(u64, Invocation)> = Vec::new();
+    let (mut taken_total, mut tails_taken) = (0usize, 0u64);
     for_each_domain(core, &chosen, |d, keys| {
+        // Chaos `steal_no_repin` moves the batches but leaves every pin on
+        // the victim; `cross_session_pin_leak` moves a tenant's batches
+        // but "publishes" the rewritten pin into the *root* namespace
+        // instead of the tenant's — the wrong-map write a buggy thief
+        // would make. Either way later submits of a stolen set keep
+        // routing to the victim while its stolen prefix runs here: a
+        // two-executor overlap that (the tenant's) auditor must catch.
+        #[cfg(feature = "chaos")]
+        let (no_repin, leak) = (
+            core.chaos_steal_no_repin(),
+            core.chaos_cross_session_pin_leak() && d.id != 0,
+        );
+        #[cfg(not(feature = "chaos"))]
+        let (no_repin, leak) = (false, false);
         let transfer = |valid: &[u64]| {
-            let taken = shared.deques[victim].steal_keys_into(valid, &mut batch);
+            let (tail_req, fresh_req): (Vec<u64>, Vec<u64>) =
+                valid.iter().copied().partition(|k| tail_keys.contains(k));
+            let from = &deques[victim];
+            // Re-entering the deque re-runs the quiescence check under
+            // the pin-shard locks a concurrent submit of these sets would
+            // need: a set the owner re-popped since the scan is skipped
+            // whole (counted as a failed handshake).
+            #[cfg(feature = "chaos")]
+            let (mut taken, busy) = if mid_set {
+                (from.steal_tail_unchecked_into(&tail_req, &mut batch), 0)
+            } else {
+                from.steal_tail_into(&tail_req, &mut batch)
+            };
+            #[cfg(not(feature = "chaos"))]
+            let (mut taken, busy) = from.steal_tail_into(&tail_req, &mut batch);
+            if busy > 0 {
+                stats.quiesce_fail.fetch_add(busy as u64, Ordering::Relaxed);
+            }
+            tails_taken += taken.len() as u64;
+            record_steal_events(core, serial, &taken, me, TraceKind::OpSteal);
+            let fresh = from.steal_keys_into(&fresh_req, &mut batch);
+            record_steal_events(core, serial, &fresh, me, TraceKind::Steal);
+            taken.extend_from_slice(&fresh);
+            // The audit handover must precede the pin rewrite (and so
+            // every future execution of these sets): any steal may be the
+            // middle link of a steal chain, where the set already
+            // executed on some delegate this epoch. Inert for sets that
+            // have not executed yet.
+            for &key in &taken {
+                core.audit_handover(d, SsId(key), 1 + me);
+            }
             if !batch.is_empty() {
                 // Depths are stats + victim-selection signals; `in_flight`
                 // (which the barrier's drain check reads) is untouched by
                 // steals. Moved before the batch lands here, so the
                 // thief's depth never reads below what it then executes.
                 core.stats.move_queued(victim, me, batch.len() as u64);
-                shared.deques[me].extend_keyed(std::mem::take(&mut batch));
+                deques[me].extend_keyed(std::mem::take(&mut batch));
             }
-            record_steal_events(core, serial, &taken, me, TraceKind::Steal);
             taken
         };
-        // Chaos `cross_session_pin_leak`: move a tenant's batches but
-        // "publish" the rewritten pin into the *root* namespace instead
-        // of the tenant's — the wrong-map write a buggy thief would make.
-        // The tenant's own pin still names the victim, so later submits
-        // of the set keep routing there while its stolen prefix runs
-        // here: a two-executor overlap confined to (and caught by) that
-        // tenant's audit domain.
-        #[cfg(feature = "chaos")]
-        let leak = core.chaos_cross_session_pin_leak() && d.id != 0;
-        #[cfg(not(feature = "chaos"))]
-        let leak = false;
         let taken = router.migrate_keys(
             d,
             keys,
             Executor::Delegate(victim),
             Executor::Delegate(me),
-            !leak,
+            !(no_repin || leak),
             transfer,
         );
         #[cfg(feature = "chaos")]
@@ -1155,238 +1130,11 @@ fn try_steal(
         taken_total += taken.len();
     });
     if taken_total == 0 {
-        // The victim looked deep but had nothing migratable (all started,
-        // fenced, drained, or re-pinned since the depth check). Remember
-        // the push count we scanned at so we do not rescan an unchanged
-        // queue.
-        stale_at[victim] = Some(victim_pushes);
-        StatsCell::bump(&stats.steal_failures);
-        return false;
-    }
-    stale_at[victim] = None;
-    StatsCell::bump(&stats.steals);
-    true
-}
-
-/// One cost-aware steal attempt by delegate `me` (`StealPolicy::CostAware`):
-/// pick the victim by *queued cost* rather than queue depth, price the
-/// migration against the cost model, and take both never-started sets and
-/// the **quiescent tails of started sets** until roughly half the cost
-/// imbalance has moved.
-///
-/// The tail steal relaxes the epoch-pinning invariant through a
-/// quiescence handshake, in three locks:
-///
-/// 1. *Owner side* — every pop raises the set's in-flight count inside
-///    the deque lock; `execute_op` settles it (`StealDeque::finish`)
-///    only after the operation's effects and audit record land.
-/// 2. *Thief side, scan* — `scan_candidates` (deque lock) classifies each
-///    queued set as fresh, quiescent tail, or busy; busy sets are counted
-///    in `Stats::quiesce_fail` and left alone.
-/// 3. *Thief side, migrate* — under the keys' pin-shard locks the deque
-///    is re-entered (`steal_tail_into`) and the quiescence check re-run;
-///    a set the owner re-popped meanwhile is skipped whole. Taken tails
-///    have their started marks cleared and their audit executor re-pointed
-///    (`Core::audit_handover`) *before* the pin rewrite publishes them,
-///    so no operation of the set can execute anywhere between the
-///    owner's completed prefix and the thief's stolen tail.
-///
-/// Per-set program order is preserved: the tail is the entire queued
-/// remainder, taken in FIFO order, and the handshake proves the prefix
-/// has fully executed — so the stolen tail is ordered after it exactly
-/// as on the owner.
-fn try_steal_cost_aware(
-    shared: &StealShared,
-    router: &Router,
-    me: usize,
-    core: &Core,
-    stale_at: &mut [Option<[usize; ss_queue::PUSH_SHARDS]>],
-) -> bool {
-    // Victim selection prices each delegate's queue depth
-    // (`queued − executed`, kept at submit, completion and steal time)
-    // instead of scanning deques: the heaviest peer whose price exceeds
-    // ours.
-    let stats = core.stats.delegate(me);
-    let my_cost = router.queued_cost(&core.stats, me);
-    let mut victim: Option<(usize, u64, [usize; ss_queue::PUSH_SHARDS])> = None;
-    for (j, d) in shared.deques.iter().enumerate() {
-        if j == me || d.is_empty() {
-            continue;
-        }
-        let qc = router.queued_cost(&core.stats, j);
-        if qc <= my_cost {
-            continue;
-        }
-        let pushes = d.pushes_by_shard();
-        if stale_at[j] == Some(pushes) {
-            continue;
-        }
-        if victim.is_none_or(|(_, best, _)| qc > best) {
-            victim = Some((j, qc, pushes));
-        }
-    }
-    let Some((victim, victim_cost, victim_pushes)) = victim else {
-        return false;
-    };
-    // Pricing: a migration pays shard locks on both deques plus a pin
-    // rewrite, so it must move at least one typical operation's worth of
-    // imbalance to be worth it. `max(1)` keeps the bar positive before
-    // the model has seen any sample.
-    let imbalance = victim_cost - my_cost;
-    if imbalance <= router.cost_typical().max(1) {
-        return false;
-    }
-    core.gate("scan", me as u32);
-    // Steal-half sizing in cost units: move half the imbalance, so the
-    // pair converges instead of ping-ponging work.
-    let target = imbalance / 2;
-    let scan = shared.deques[victim].scan_candidates();
-    // Harness gate *after* the advisory scan completed: a script that
-    // wants the owner to re-pop between scan and migration must order
-    // the re-pop after this point, not after "scan" (which precedes the
-    // scan itself — releasing the owner there races it against the scan).
-    core.gate("scanned", me as u32);
-    if !scan.busy.is_empty() {
-        // Started sets with an operation in flight: the handshake fails
-        // for them this attempt (the owner may quiesce them any moment).
-        stats
-            .quiesce_fail
-            .fetch_add(scan.busy.len() as u64, Ordering::Relaxed);
-    }
-    // Greedy selection, priced per set by the cost model. Quiescent
-    // tails first: they are the sets the owner is demonstrably stuck
-    // behind (it started them and still has their work queued). Within
-    // each class, most valuable first — the scan reports candidates in
-    // deque order, and taking them as found would let a cheap shallow
-    // tail satisfy the target while the deep tail the victim is
-    // actually drowning under stays put.
-    // Each candidate's price is snapshotted ONCE before sorting: the
-    // cost model is concurrently updated by executing delegates, so a
-    // sort key that re-reads the live estimate is not a total order —
-    // the stdlib sort detects the inconsistency and panics, killing the
-    // thief thread (and with it every operation queued behind it).
-    let price =
-        |&(key, n): &(u64, usize)| router.cost_estimate(key).max(1).saturating_mul(n as u64);
-    let mut tails: Vec<(u64, u64)> = scan.tails.iter().map(|c| (c.0, price(c))).collect();
-    tails.sort_by_key(|&(_, p)| std::cmp::Reverse(p));
-    let mut fresh: Vec<(u64, u64)> = scan.fresh.iter().map(|c| (c.0, price(c))).collect();
-    fresh.sort_by_key(|&(_, p)| std::cmp::Reverse(p));
-    let mut moved_est = 0u64;
-    let mut tail_keys: Vec<u64> = Vec::new();
-    let mut fresh_keys: Vec<u64> = Vec::new();
-    for &(key, p) in &tails {
-        if moved_est >= target {
-            break;
-        }
-        tail_keys.push(key);
-        moved_est = moved_est.saturating_add(p);
-    }
-    for &(key, p) in &fresh {
-        if moved_est >= target {
-            break;
-        }
-        fresh_keys.push(key);
-        moved_est = moved_est.saturating_add(p);
-    }
-    // Chaos `steal_mid_set`: the thief skips the quiescence check and
-    // rips tails of sets whose owner is mid-operation — the auditor must
-    // report the resulting two-executor overlap / order inversion.
-    #[cfg(feature = "chaos")]
-    let chaos_mid_set = core.chaos_steal_mid_set();
-    #[cfg(feature = "chaos")]
-    if chaos_mid_set {
-        tail_keys.extend(scan.busy.iter().map(|&(k, _)| k));
-    }
-    if tail_keys.is_empty() && fresh_keys.is_empty() {
-        // Busy sets are a *transient* obstacle — the owner is mid-
-        // operation and settles the in-flight mark at its next finish,
-        // which bumps no push counter. Rate-limiting on the push memo
-        // here would blacklist the victim until its next submit, i.e.
-        // potentially forever once the workload's publish phase is over.
-        // Only a deque with nothing stealable and nothing in flight is
-        // memoized as futile.
-        if scan.busy.is_empty() {
-            stale_at[victim] = Some(victim_pushes);
-        }
-        StatsCell::bump(&stats.steal_failures);
-        core.gate("nosteal", me as u32);
-        return false;
-    }
-    // Harness gate between the advisory scan and the validated migration:
-    // a script can park the thief here and let the owner re-pop a chosen
-    // tail, forcing the phase-2 re-validation branch (`steal_tail_into`
-    // finds the set busy again and skips it whole).
-    core.gate("migrate", me as u32);
-    let serial = core.root.serial();
-    let mut batch: Vec<(u64, Invocation)> = Vec::new();
-    let chosen: Vec<u64> = tail_keys.iter().chain(&fresh_keys).copied().collect();
-    let mut taken_total = 0usize;
-    let mut tails_taken = 0u64;
-    for_each_domain(core, &chosen, |d, keys| {
-        let transfer = |valid: &[u64]| {
-            let tail_req: Vec<u64> = valid
-                .iter()
-                .copied()
-                .filter(|k| tail_keys.contains(k))
-                .collect();
-            let fresh_req: Vec<u64> = valid
-                .iter()
-                .copied()
-                .filter(|k| !tail_keys.contains(k))
-                .collect();
-            // Re-entering the deque re-runs the quiescence check under
-            // the pin-shard locks a concurrent submit of these sets
-            // would need: a set the owner re-popped since the scan is
-            // skipped whole (counted as a failed handshake).
-            #[cfg(feature = "chaos")]
-            let (mut taken, busy) = if chaos_mid_set {
-                (
-                    shared.deques[victim].steal_tail_unchecked_into(&tail_req, &mut batch),
-                    0,
-                )
-            } else {
-                shared.deques[victim].steal_tail_into(&tail_req, &mut batch)
-            };
-            #[cfg(not(feature = "chaos"))]
-            let (mut taken, busy) = shared.deques[victim].steal_tail_into(&tail_req, &mut batch);
-            if busy > 0 {
-                stats.quiesce_fail.fetch_add(busy as u64, Ordering::Relaxed);
-            }
-            tails_taken += taken.len() as u64;
-            record_steal_events(core, serial, &taken, me, TraceKind::OpSteal);
-            let fresh_taken = shared.deques[victim].steal_keys_into(&fresh_req, &mut batch);
-            record_steal_events(core, serial, &fresh_taken, me, TraceKind::Steal);
-            taken.extend_from_slice(&fresh_taken);
-            // The audit handover must precede the pin rewrite (and so
-            // every future execution of these sets): any op-steal may be
-            // the middle link of a steal chain, where the set already
-            // executed on some delegate this epoch. Inert for sets that
-            // have not executed yet.
-            for &key in &taken {
-                core.audit_handover(d, SsId(key), 1 + me);
-            }
-            if !batch.is_empty() {
-                core.stats.move_queued(victim, me, batch.len() as u64);
-                shared.deques[me].extend_keyed(std::mem::take(&mut batch));
-            }
-            taken
-        };
-        taken_total += router
-            .migrate_keys(
-                d,
-                keys,
-                Executor::Delegate(victim),
-                Executor::Delegate(me),
-                true,
-                transfer,
-            )
-            .len();
-    });
-    if taken_total == 0 {
-        // Every chosen key failed phase-2 re-validation: the owner
-        // re-popped it between scan and migrate. That is a race lost,
-        // not a futile deque — the sets are still queued and quiesce at
-        // the owner's next finish, so no push-memo rate limit applies.
+        // Every chosen key failed the re-validation: the owner re-popped
+        // it, or another thief won it, between scan and migrate. That is
+        // a race lost, not a futile deque — the sets are still queued and
+        // quiesce at the owner's next finish, so no push-memo rate limit
+        // applies.
         StatsCell::bump(&stats.steal_failures);
         core.gate("nosteal", me as u32);
         return false;

@@ -23,8 +23,9 @@
 //! * With [`RuntimeBuilder::stealing`] enabled, the SPSC channels are
 //!   replaced by shared [`ss_queue::StealDeque`]s and idle delegates may
 //!   migrate **never-started** sets (whole batches, pins rewritten
-//!   atomically) off a loaded peer — `docs/ARCHITECTURE.md` holds the
-//!   steal-safety argument.
+//!   atomically) off a loaded peer — plus, under
+//!   [`StealPolicy::CostAware`], the queued tails of quiescent started
+//!   sets. `docs/ARCHITECTURE.md` holds the steal-safety argument.
 //! * **Recursive delegation** (the paper's §4 future work): a running
 //!   delegated operation may itself delegate via the scoped
 //!   [`DelegateContext`] handle ([`Runtime::delegate_scope`]). The
@@ -82,7 +83,7 @@ use parking_lot::Mutex;
 use ss_queue::slab::CellPool;
 use ss_queue::{Injector, Producer, SpscQueue};
 
-use delegate::{delegate_main, delegate_main_stealing, Wakeup, DELEGATE_CTX};
+use delegate::{run_delegate, Queue, Wakeup, DELEGATE_CTX};
 use domain::{key_domain, ROOT_SHARDS};
 
 use crate::audit::{AuditMode, AuditReport, AuditState};
@@ -442,7 +443,7 @@ impl Core {
 /// thread owns every producer handle; nested delegations from delegate
 /// contexts go through the rings' shared injector lanes); any other
 /// [`StealPolicy`] swaps in shared [`ss_queue::StealDeque`]s plus the
-/// routing lock that lets idle delegates migrate never-started sets —
+/// routing lock that lets idle delegates migrate queued sets —
 /// the deques are multi-producer already, so nested pushes join the
 /// program thread's under the same routing lock.
 pub(crate) enum Channels {
@@ -579,10 +580,12 @@ impl Runtime {
         // the static mapping.
         let static_assignment = matches!(b.assignment, crate::config::Assignment::Static)
             && steal_policy == StealPolicy::Off;
-        // CostAware stealing shares one cost model between every delegate
-        // (observers) and every thief (readers); other policies pay
-        // nothing for it.
-        let cost_book = matches!(steal_policy, StealPolicy::CostAware)
+        // A plan that prices by the cost model shares one between every
+        // delegate (observers) and every thief (readers); the others pay
+        // nothing for it and price each operation at 1.
+        let plan = steal_policy.plan();
+        let cost_book = plan
+            .is_some_and(|p| p.cost_model)
             .then(|| Arc::new(assign::CostBook::new()));
         let router = Arc::new(Router::new(
             policy,
@@ -614,7 +617,9 @@ impl Runtime {
         let force_sleep = Arc::new(AtomicBool::new(false));
 
         let mut consumers = Vec::with_capacity(n_delegates);
-        let channels = if steal_policy == StealPolicy::Off {
+        let channels = if let Some(plan) = plan {
+            Channels::Steal(Arc::new(StealShared::new(n_delegates, plan)))
+        } else {
             let mut producers = Vec::with_capacity(n_delegates);
             let mut injectors = Vec::with_capacity(n_delegates);
             for _ in 0..n_delegates {
@@ -627,11 +632,10 @@ impl Runtime {
                 producers: producers.into_boxed_slice(),
                 injectors: injectors.into_boxed_slice(),
             }
-        } else {
-            Channels::Steal(Arc::new(StealShared::new(n_delegates, steal_policy)))
         };
-        let wakeups: Box<[Arc<Wakeup>]> =
-            (0..n_delegates).map(|_| Arc::new(Wakeup::new())).collect();
+        let wakeups: Box<[Arc<Wakeup>]> = (0..n_delegates)
+            .map(|_| Arc::new(Wakeup::default()))
+            .collect();
 
         let inner = Arc::new(Inner {
             id,
@@ -656,60 +660,27 @@ impl Runtime {
         });
 
         let mut handles = inner.join_handles.lock();
-        match &inner.channels {
-            Channels::Spsc { .. } => {
-                for (idx, consumer) in consumers.into_iter().enumerate() {
-                    let wakeup = Arc::clone(&inner.wakeups[idx]);
-                    let sync = Arc::clone(&inner.sync_tokens[idx]);
-                    let force_sleep = Arc::clone(&inner.force_sleep);
-                    let core = Arc::clone(&inner.core);
-                    let policy = b.wait_policy;
-                    handles.push(
-                        std::thread::Builder::new()
-                            .name(format!("ss-delegate-{idx}"))
-                            .spawn(move || {
-                                delegate_main(
-                                    id,
-                                    idx as u32,
-                                    consumer,
-                                    wakeup,
-                                    sync,
-                                    policy,
-                                    force_sleep,
-                                    core,
-                                )
-                            })
-                            .expect("failed to spawn delegate thread"),
-                    );
+        let mut consumers = consumers.into_iter();
+        for idx in 0..n_delegates {
+            let queue = match &inner.channels {
+                Channels::Spsc { .. } => Queue::Ring(
+                    consumers.next().expect("one consumer per delegate"),
+                    Arc::clone(&inner.sync_tokens[idx]),
+                ),
+                Channels::Steal(shared) => {
+                    Queue::Deque(Arc::clone(shared), Arc::clone(&inner.router))
                 }
-            }
-            Channels::Steal(shared) => {
-                for idx in 0..n_delegates {
-                    let shared = Arc::clone(shared);
-                    let router = Arc::clone(&inner.router);
-                    let wakeup = Arc::clone(&inner.wakeups[idx]);
-                    let force_sleep = Arc::clone(&inner.force_sleep);
-                    let core = Arc::clone(&inner.core);
-                    let policy = b.wait_policy;
-                    handles.push(
-                        std::thread::Builder::new()
-                            .name(format!("ss-delegate-{idx}"))
-                            .spawn(move || {
-                                delegate_main_stealing(
-                                    id,
-                                    idx as u32,
-                                    shared,
-                                    router,
-                                    wakeup,
-                                    policy,
-                                    force_sleep,
-                                    core,
-                                )
-                            })
-                            .expect("failed to spawn delegate thread"),
-                    );
-                }
-            }
+            };
+            let core = Arc::clone(&inner.core);
+            let wakeup = Arc::clone(&inner.wakeups[idx]);
+            let force_sleep = Arc::clone(&inner.force_sleep);
+            let policy = b.wait_policy;
+            handles.push(
+                std::thread::Builder::new()
+                    .name(format!("ss-delegate-{idx}"))
+                    .spawn(move || run_delegate(id, idx, queue, core, wakeup, policy, force_sleep))
+                    .expect("failed to spawn delegate thread"),
+            );
         }
         drop(handles);
 

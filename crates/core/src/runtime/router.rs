@@ -133,7 +133,8 @@ impl Router {
     }
 
     // ------------------------------------------------------------------
-    // cost-aware steal state (no-ops unless built with a `CostBook`).
+    // steal prices: nanoseconds from the shared cost model when the plan
+    // keeps one (`CostAware`), one unit per operation otherwise.
 
     /// True when this router maintains the cost model (`CostAware`).
     pub(crate) fn cost_aware(&self) -> bool {
@@ -147,39 +148,38 @@ impl Router {
         }
     }
 
-    /// Estimated cost (ns) of one operation of `key` (0 when cost-aware
-    /// stealing is off — callers gate on [`Router::cost_aware`]).
+    /// Price of one operation of `key`: the model's estimate in ns,
+    /// floored at 1, or 1 without a model.
     pub(crate) fn cost_estimate(&self, key: u64) -> u64 {
         self.costs
             .as_ref()
-            .map_or(0, |book| book.estimate(key) as u64)
+            .map_or(1, |book| (book.estimate(key) as u64).max(1))
     }
 
-    /// Typical single-operation cost (ns): the imbalance unit thieves
-    /// price steal decisions against.
+    /// Price of one typical operation: the imbalance unit thieves price
+    /// steal decisions against (ns, floored at 1; 1 without a model).
     pub(crate) fn cost_typical(&self) -> u64 {
-        self.costs.as_ref().map_or(0, |book| book.typical() as u64)
+        self.costs
+            .as_ref()
+            .map_or(1, |book| (book.typical() as u64).max(1))
     }
 
-    /// Estimated queued cost (ns) on delegate `i` — the thief's victim
-    /// price, in place of per-deque scans: the delegate's queue depth
-    /// (`queued − executed`, see [`StatsCell`]) priced at the model's
-    /// *current* typical operation cost, floored at 1 ns so a queue is
-    /// never free before the model has samples. Pricing at read time
-    /// rather than charging estimated nanoseconds at publish time keeps
-    /// the price honest under EWMA drift in either direction: a backlog
-    /// charged at warm-up-cheap estimates would price below one typical
-    /// operation once the model learns the real costs (so the imbalance
-    /// bar blinds every thief to a deep queue), and one charged expensive
-    /// could not be drained back to zero by completions priced cheap. A
-    /// depth cannot drift: it reaches zero exactly when the queue does,
-    /// whichever path executed the operations. 0 unless cost-aware.
+    /// Price of delegate `i`'s queue — the thief's victim price, in place
+    /// of per-deque scans: the delegate's queue depth (`queued −
+    /// executed`, see [`StatsCell`]) times
+    /// [`cost_typical`](Router::cost_typical), so a queue is never free
+    /// before the model has samples; without a model the price is the
+    /// depth itself. Under the model, pricing at read time rather than
+    /// charging estimated nanoseconds at publish time keeps the price
+    /// honest under EWMA drift in either direction: a backlog charged at
+    /// warm-up-cheap estimates would price below one typical operation
+    /// once the model learns the real costs (so the imbalance bar blinds
+    /// every thief to a deep queue), and one charged expensive could not
+    /// be drained back to zero by completions priced cheap. A depth
+    /// cannot drift: it reaches zero exactly when the queue does,
+    /// whichever path executed the operations.
     pub(crate) fn queued_cost(&self, stats: &StatsCell, i: usize) -> u64 {
-        self.costs.as_ref().map_or(0, |book| {
-            stats
-                .queue_depth(i)
-                .saturating_mul((book.typical() as u64).max(1))
-        })
+        stats.queue_depth(i).saturating_mul(self.cost_typical())
     }
 
     /// Consults the policy (under its mutex) for a first touch.
@@ -640,13 +640,13 @@ mod tests {
     }
 
     #[test]
-    fn cost_hooks_are_inert_without_a_book() {
+    fn prices_are_unit_without_a_book() {
         let r = router(Box::new(RoundRobinFirstTouch::default()), 2);
         assert!(!r.cost_aware());
-        assert_eq!(r.queued_cost(&depths(&[5, 0]), 0), 0);
-        assert_eq!(r.cost_estimate(7), 0);
-        assert_eq!(r.cost_typical(), 0);
-        r.observe_cost(7, 1_000);
+        r.observe_cost(7, 1_000); // no model to feed
+        assert_eq!(r.queued_cost(&depths(&[5, 0]), 0), 5);
+        assert_eq!(r.cost_estimate(7), 1);
+        assert_eq!(r.cost_typical(), 1);
     }
 
     #[test]

@@ -750,6 +750,70 @@ fn stealing_results_match_off_for_all_policies() {
     }
 }
 
+/// The steal plan as data, granularity: `tests/interleave.rs`'s
+/// thief-wins script (the owner settles its first operation, then the
+/// thief scans) run under `WhenIdle`. The set is a quiescent *started*
+/// tail by then, which a whole-set plan may not move: the attempt ends in
+/// "nosteal" and nothing migrates.
+#[test]
+fn a_whole_set_plan_leaves_a_quiescent_started_tail() {
+    let rt = Runtime::builder()
+        .delegate_threads(2)
+        .assignment(Assignment::RoundRobinFirstTouch)
+        .stealing(StealPolicy::WhenIdle)
+        .test_schedule([
+            "poll@0",
+            "popped@0",
+            "done@0",
+            "scan@1",
+            "nosteal@1",
+            "poll@0",
+        ])
+        .build()
+        .unwrap();
+    let fold = |s: u64, x: u64| s.wrapping_mul(31).wrapping_add(x);
+    let w: Writable<u64, SequenceSerializer> = Writable::new(&rt, 0);
+    rt.isolated(|| {
+        w.delegate_iter((1..=3u64).map(|x| move |s: &mut u64| *s = fold(*s, x)))
+            .unwrap();
+    })
+    .unwrap();
+    assert_eq!(w.call(|s| *s).unwrap(), (1..=3u64).fold(0, fold));
+    assert_eq!(rt.test_gates_remaining(), Some(0), "script not followed");
+    let stats = rt.stats();
+    assert_eq!((stats.steals, stats.op_steals), (0, 0), "{stats:?}");
+}
+
+/// The steal plan as data, bar: under `Threshold(4)` a victim three
+/// operations deep is never robbed, and at four a steal lands. Delegate 0
+/// is held before its first pop until the thief has stolen, and the thief
+/// scans only past its bar. Which sets moved shows the depth it scanned
+/// at: half of four single-operation sets is the oldest two, where half of
+/// three (or fewer) would have been one, with delegate 0 released to
+/// start the next.
+#[test]
+fn a_threshold_plan_steals_only_past_its_bar() {
+    let rt = Runtime::builder()
+        .delegate_threads(2)
+        .assignment(Assignment::Static) // even sets pin to delegate 0
+        .stealing(StealPolicy::Threshold(4))
+        .test_schedule(["scan@1", "stole@1", "poll@0"])
+        .build()
+        .unwrap();
+    let log: Arc<Mutex<Vec<(u64, String)>>> = Arc::new(Mutex::new(Vec::new()));
+    rt.begin_isolation().unwrap();
+    for set in [0, 2, 4, 6] {
+        submit(&rt, SsId(set), record_thread(&log, set)).unwrap();
+    }
+    rt.end_isolation().unwrap();
+    assert_eq!(rt.test_gates_remaining(), Some(0), "script not followed");
+    assert_eq!(rt.stats().steals, 1);
+    let mut homes = log.lock().clone();
+    homes.sort();
+    let want = [(0, 1), (2, 1), (4, 0), (6, 0)].map(|(set, d)| (set, format!("ss-delegate-{d}")));
+    assert_eq!(homes, want);
+}
+
 // ----------------------------------------------------------------------
 // recursive delegation
 

@@ -15,14 +15,15 @@
 //!   entries sharing a key form one migration unit;
 //! * **epoch-aware steal filtering** — the deque remembers which keys the
 //!   owner has already popped since the last [`begin_epoch`]
-//!   ([`StealDeque::begin_epoch`]), and [`steal_half_into`]
-//!   ([`StealDeque::steal_half_into`]) refuses to migrate them. A key the
-//!   owner has *started* is burned onto the owner — the caller-side
-//!   pinning invariant, enforced at the queue — **until the key is
-//!   quiescent**: once every popped operation of the key has been
-//!   [`finish`](StealDeque::finish)ed, the key's queued *tail* may
-//!   migrate whole through the separate
-//!   [`steal_tail_into`](StealDeque::steal_tail_into) entry point (the
+//!   ([`StealDeque::begin_epoch`]). A thief lists candidates with one
+//!   scan ([`scan_candidates`](StealDeque::scan_candidates)) and removes
+//!   them through one removal loop, which re-checks eligibility under the
+//!   lock: [`steal_keys_into`](StealDeque::steal_keys_into) refuses keys
+//!   the owner has *started* — burned onto the owner, the caller-side
+//!   pinning invariant enforced at the queue — and
+//!   [`steal_tail_into`](StealDeque::steal_tail_into) takes a started
+//!   key's queued *tail* only once the key is **quiescent**, every popped
+//!   operation of it [`finish`](StealDeque::finish)ed (the
 //!   operation-granularity steal's quiescence handshake);
 //! * **scoped fences** — entries pushed with [`push_fence`]
 //!   ([`StealDeque::push_fence`]) carry a [`FenceScope`] naming the keys
@@ -41,7 +42,7 @@
 //! # Example
 //!
 //! ```
-//! use ss_queue::{StealDeque, StealTag};
+//! use ss_queue::{StealDeque, StealTag, PUSH_SHARDS};
 //!
 //! let q: StealDeque<&'static str> = StealDeque::new();
 //! q.push_keyed(7, "a1");
@@ -51,9 +52,13 @@
 //! // The owner pops FIFO and thereby *starts* key 7 …
 //! assert_eq!(q.pop(), Some((StealTag::Key(7), "a1")));
 //!
-//! // … so a thief can only migrate key 9, and takes its whole batch.
+//! // … so a thief's scan lists only key 9 as a fresh batch …
+//! let scan = q.scan_candidates(&[true; PUSH_SHARDS]);
+//! assert_eq!(scan.fresh, vec![(9, 1)]);
+//!
+//! // … and a whole-set steal takes key 9's batch and refuses key 7.
 //! let mut batch = Vec::new();
-//! q.steal_half_into(&mut batch);
+//! assert_eq!(q.steal_keys_into(&[7, 9], &mut batch), vec![9]);
 //! assert_eq!(batch, vec![(9, "b1")]);
 //!
 //! // Key 7's remaining entries stayed with the owner.
@@ -68,7 +73,7 @@ use std::collections::{HashMap, HashSet, VecDeque};
 use crate::{Backoff, CachePadded};
 
 /// Number of push-counter shards. The futile-scan rate-limit counter
-/// ([`StealDeque::pushes`]) is maintained per *tenant shard* — derived
+/// ([`StealDeque::pushes_by_shard`]) is maintained per *tenant shard* — derived
 /// from a key's high 16 bits, the runtime's session id — so one hot
 /// tenant's push churn cannot invalidate thieves' scan memos for every
 /// other tenant on the same deque.
@@ -119,6 +124,17 @@ enum Entry {
     Fence(FenceScope),
 }
 
+/// Which requested keys the removal loop may take (see `StealDeque::take`).
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Take {
+    /// Never-started, unfenced keys: a whole-set steal.
+    Fresh,
+    /// Started, quiescent, unfenced keys: a tail steal.
+    Tail,
+    /// Started keys, fenced or in flight alike (chaos only).
+    TailUnchecked,
+}
+
 struct State<T> {
     entries: VecDeque<(Entry, T)>,
     /// Keys the owner has popped since the last `begin_epoch` — these are
@@ -136,10 +152,8 @@ struct State<T> {
 impl<T> State<T> {
     /// Scans queued fences and returns the keys they freeze, or `None`
     /// when an `All` fence freezes the entire deque. The single
-    /// definition of fence semantics shared by every steal entry point
-    /// (`steal_half_into`, `stealable_keys`, `steal_keys_into`), so the
-    /// one-phase and two-phase protocols can never disagree about
-    /// eligibility.
+    /// definition of fence semantics, shared by the scan and the removal
+    /// loop, so listing and removing can never disagree about it.
     fn frozen_keys(&self) -> Option<HashSet<u64>> {
         let mut frozen: HashSet<u64> = HashSet::new();
         for (entry, _) in self.entries.iter() {
@@ -178,7 +192,7 @@ pub struct StealDeque<T> {
     locked: CachePadded<AtomicBool>,
     len: CachePadded<AtomicUsize>,
     /// Monotonic per-tenant-shard counts of keyed entries ever pushed,
-    /// plus quiescence edges (see [`pushes`](StealDeque::pushes) and
+    /// plus quiescence edges (see
     /// [`pushes_by_shard`](StealDeque::pushes_by_shard)).
     pushes: [CachePadded<AtomicUsize>; PUSH_SHARDS],
     state: UnsafeCell<State<T>>,
@@ -255,25 +269,17 @@ impl<T> StealDeque<T> {
         self.len() == 0
     }
 
-    /// Monotonic count of keyed entries ever pushed (including batch
-    /// re-insertions) plus quiescence edges, summed over all tenant
-    /// shards, lock-free. Thieves use it to rate-limit futile steal
-    /// scans: a failed steal means every queued batch was started or
-    /// fenced, and only a *new push*, a key *becoming quiescent* (its
-    /// tail just turned stealable), or an epoch roll can change that —
-    /// so a victim whose push count hasn't moved is not worth
-    /// re-scanning.
-    #[inline]
-    pub fn pushes(&self) -> usize {
-        self.pushes.iter().map(|p| p.load(Ordering::Acquire)).sum()
-    }
-
-    /// Per-tenant-shard form of [`pushes`](StealDeque::pushes): slot
-    /// [`push_shard_of`]`(key)` moves when an entry for `key` is pushed
-    /// or `key` becomes quiescent. A thief that memoizes this array
-    /// after a futile scan can re-scan only the shards that moved, so
-    /// one hot tenant's churn cannot starve steal scans targeting the
-    /// other tenants on the same deque.
+    /// Monotonic per-tenant-shard counts of keyed entries ever pushed
+    /// (including batch re-insertions) plus quiescence edges, lock-free:
+    /// slot [`push_shard_of`]`(key)` moves when an entry for `key` is
+    /// pushed or `key` becomes quiescent. Thieves use it to rate-limit
+    /// futile steal scans: a failed steal means every queued batch was
+    /// started or fenced, and only a *new push*, a key *becoming
+    /// quiescent* (its tail just turned stealable), or an epoch roll can
+    /// change that. A thief that memoizes this array after a futile scan
+    /// skips a victim none of whose shards moved and re-scans only the
+    /// shards that did, so one hot tenant's churn cannot starve steal
+    /// scans targeting the other tenants on the same deque.
     #[inline]
     pub fn pushes_by_shard(&self) -> [usize; PUSH_SHARDS] {
         std::array::from_fn(|i| self.pushes[i].load(Ordering::Acquire))
@@ -381,158 +387,24 @@ impl<T> StealDeque<T> {
         }
     }
 
-    /// Steals roughly half of the *eligible* batches into `out`,
-    /// preserving entry order; returns the number of entries taken.
+    /// One scan of the deque on a thief's behalf — the *candidate
+    /// selection* phase of the two-phase steal. Buckets every unfenced
+    /// queued key whose push shard (see [`push_shard_of`]) is marked in
+    /// `shards`: never-started batches (`fresh`) and quiescent started
+    /// tails (`tails`), each with its queued entry count for steal
+    /// sizing, in first-appearance order; `busy` lists started keys whose
+    /// queued tails are blocked by an in-flight operation. Unmarked
+    /// shards are the consumer side of the per-shard futile-scan memo
+    /// ([`pushes_by_shard`](StealDeque::pushes_by_shard)): a thief that
+    /// already proved a shard's keys unstealable skips them untouched.
     ///
-    /// A key is eligible when all three hold:
-    ///
-    /// 1. the owner has not popped it this epoch (never *started* here);
-    /// 2. no queued fence protects it (see [`FenceScope`]);
-    /// 3. it has at least one entry enqueued.
-    ///
-    /// Of the eligible keys (in order of first appearance), the newest
-    /// ⌈k/2⌉ are taken — the oldest batches stay with the owner, who will
-    /// reach them soonest. Every entry of a chosen key is removed (whole
-    /// batches migrate, never fragments), so per-key FIFO order survives
-    /// as long as the caller re-routes future pushes of the stolen keys to
-    /// the destination atomically with this call.
-    pub fn steal_half_into(&self, out: &mut Vec<(u64, T)>) -> usize {
-        let mut g = self.lock();
-        let state = g.state();
-
-        // Keys protected by a queued fence are frozen.
-        let Some(frozen) = state.frozen_keys() else {
-            return 0; // an `All` fence freezes everything
-        };
-
-        // Eligible keys in first-appearance order (set for membership,
-        // vec for order — the scan must stay O(entries) under this lock).
-        let mut eligible: Vec<u64> = Vec::new();
-        let mut seen: HashSet<u64> = HashSet::new();
-        for (entry, _) in state.entries.iter() {
-            if let Entry::Key(k) = entry {
-                if !frozen.contains(k) && !state.started.contains(k) && seen.insert(*k) {
-                    eligible.push(*k);
-                }
-            }
-        }
-        if eligible.is_empty() {
-            return 0;
-        }
-
-        // Take the newest half of the eligible batches.
-        let keep = eligible.len() / 2;
-        let chosen: HashSet<u64> = eligible.split_off(keep).into_iter().collect();
-
-        let mut taken = 0;
-        let entries = std::mem::take(&mut state.entries);
-        for (entry, value) in entries {
-            match entry {
-                Entry::Key(k) if chosen.contains(&k) => {
-                    out.push((k, value));
-                    taken += 1;
-                }
-                _ => state.entries.push_back((entry, value)),
-            }
-        }
-        self.len.fetch_sub(taken, Ordering::Release);
-        taken
-    }
-
-    /// Lists the keys currently eligible for stealing (same three rules
-    /// as [`steal_half_into`](StealDeque::steal_half_into)), in order of
-    /// first appearance — the *candidate-selection* phase of the two-phase
-    /// steal protocol the sharded routing layer uses. The answer is
-    /// advisory: eligibility can change the instant the deque lock drops
-    /// (the owner may start a key, a fence may arrive), so the caller
-    /// must re-validate via [`steal_keys_into`](StealDeque::steal_keys_into)
-    /// once it holds whatever locks make the migration atomic.
-    pub fn stealable_keys(&self) -> Vec<u64> {
-        self.stealable_keys_in(&[true; PUSH_SHARDS])
-    }
-
-    /// [`stealable_keys`](StealDeque::stealable_keys) restricted to keys
-    /// whose push shard (see [`push_shard_of`]) is marked in `shards` —
-    /// the consumer side of the per-shard futile-scan memo. A thief that
-    /// already proved a shard's keys unstealable (and has seen no push or
-    /// quiescence edge in that shard since) skips them without touching
-    /// them, so one hot tenant's push traffic no longer forces full-queue
-    /// rescans on every attempt.
-    pub fn stealable_keys_in(&self, shards: &[bool; PUSH_SHARDS]) -> Vec<u64> {
-        let mut g = self.lock();
-        let state = g.state();
-        let Some(frozen) = state.frozen_keys() else {
-            return Vec::new(); // an `All` fence freezes everything
-        };
-        let mut eligible: Vec<u64> = Vec::new();
-        let mut seen: HashSet<u64> = HashSet::new();
-        for (entry, _) in state.entries.iter() {
-            if let Entry::Key(k) = entry {
-                if shards[push_shard_of(*k)]
-                    && !frozen.contains(k)
-                    && !state.started.contains(k)
-                    && seen.insert(*k)
-                {
-                    eligible.push(*k);
-                }
-            }
-        }
-        eligible
-    }
-
-    /// Removes every entry of each *still-eligible* key in `keys` into
-    /// `out` (preserving entry order) and returns the keys actually
-    /// taken — the *removal* phase of the two-phase steal. A key that
-    /// became started, fenced, or empty since
-    /// [`stealable_keys`](StealDeque::stealable_keys) is skipped whole
-    /// (never fragmented), so the caller re-pins exactly the returned
-    /// keys. The caller must hold the locks that route new pushes of
-    /// these keys for the duration of the call *and* the re-pin, or
-    /// batch entries could be overtaken or stranded.
-    pub fn steal_keys_into(&self, keys: &[u64], out: &mut Vec<(u64, T)>) -> Vec<u64> {
-        let mut g = self.lock();
-        let state = g.state();
-        let Some(frozen) = state.frozen_keys() else {
-            return Vec::new(); // an `All` fence freezes everything
-        };
-        let wanted: HashSet<u64> = keys
-            .iter()
-            .copied()
-            .filter(|k| !frozen.contains(k) && !state.started.contains(k))
-            .collect();
-        if wanted.is_empty() {
-            return Vec::new();
-        }
-        let mut taken_keys: Vec<u64> = Vec::new();
-        let mut taken = 0;
-        let entries = std::mem::take(&mut state.entries);
-        for (entry, value) in entries {
-            match entry {
-                Entry::Key(k) if wanted.contains(&k) => {
-                    if !taken_keys.contains(&k) {
-                        taken_keys.push(k);
-                    }
-                    out.push((k, value));
-                    taken += 1;
-                }
-                _ => state.entries.push_back((entry, value)),
-            }
-        }
-        self.len.fetch_sub(taken, Ordering::Release);
-        taken_keys
-    }
-
-    /// One scan of the deque on the cost-aware thief's behalf, bucketing
-    /// every unfenced queued key: never-started batches (`fresh`) and
-    /// quiescent started tails (`tails`), each with its queued entry
-    /// count for steal-sizing, in first-appearance order; `busy` lists
-    /// started keys whose queued tails are blocked by an in-flight
-    /// operation. Advisory, like
-    /// [`stealable_keys`](StealDeque::stealable_keys): the caller must
-    /// re-validate under the migration locks via
+    /// The answer is advisory: eligibility can change the instant the
+    /// deque lock drops (the owner may start a key, a fence may arrive),
+    /// so the caller must re-validate through
     /// [`steal_keys_into`](StealDeque::steal_keys_into) /
-    /// [`steal_tail_into`](StealDeque::steal_tail_into).
-    pub fn scan_candidates(&self) -> StealScan {
+    /// [`steal_tail_into`](StealDeque::steal_tail_into) once it holds
+    /// whatever locks make the migration atomic.
+    pub fn scan_candidates(&self, shards: &[bool; PUSH_SHARDS]) -> StealScan {
         let mut g = self.lock();
         let state = g.state();
         let Some(frozen) = state.frozen_keys() else {
@@ -542,7 +414,7 @@ impl<T> StealDeque<T> {
         let mut counts: HashMap<u64, usize> = HashMap::new();
         for (entry, _) in state.entries.iter() {
             if let Entry::Key(k) = entry {
-                if !frozen.contains(k) {
+                if shards[push_shard_of(*k)] && !frozen.contains(k) {
                     let c = counts.entry(*k).or_insert(0);
                     if *c == 0 {
                         order.push(*k);
@@ -565,6 +437,18 @@ impl<T> StealDeque<T> {
         scan
     }
 
+    /// Removes every entry of each *still-eligible* never-started key in
+    /// `keys` into `out` (preserving entry order) and returns the keys
+    /// actually taken — the removal phase of a whole-set steal. A key
+    /// that became started, fenced, or empty since the scan is skipped
+    /// whole (never fragmented), so the caller re-pins exactly the
+    /// returned keys. The caller must hold the locks that route new
+    /// pushes of these keys for the duration of the call *and* the
+    /// re-pin, or batch entries could be overtaken or stranded.
+    pub fn steal_keys_into(&self, keys: &[u64], out: &mut Vec<(u64, T)>) -> Vec<u64> {
+        self.take(keys, out, Take::Fresh).0
+    }
+
     /// Removes the **entire queued remainder** of each still-quiescent
     /// started key in `keys` into `out` — the removal phase of an
     /// operation-granularity (tail) steal. Returns the keys actually
@@ -578,89 +462,81 @@ impl<T> StealDeque<T> {
     /// the call *and* the re-pin, exactly as for
     /// [`steal_keys_into`](StealDeque::steal_keys_into).
     pub fn steal_tail_into(&self, keys: &[u64], out: &mut Vec<(u64, T)>) -> (Vec<u64>, usize) {
-        let mut g = self.lock();
-        let state = g.state();
-        let Some(frozen) = state.frozen_keys() else {
-            return (Vec::new(), 0); // an `All` fence freezes everything
-        };
-        let mut busy = 0;
-        let mut wanted: HashSet<u64> = HashSet::new();
-        for k in keys {
-            if frozen.contains(k) || !state.started.contains(k) {
-                continue;
-            }
-            if state.in_flight.contains_key(k) {
-                busy += 1;
-                continue;
-            }
-            wanted.insert(*k);
-        }
-        if wanted.is_empty() {
-            return (Vec::new(), busy);
-        }
-        let mut taken_keys: Vec<u64> = Vec::new();
-        let mut taken = 0;
-        let entries = std::mem::take(&mut state.entries);
-        for (entry, value) in entries {
-            match entry {
-                Entry::Key(k) if wanted.contains(&k) => {
-                    if !taken_keys.contains(&k) {
-                        taken_keys.push(k);
-                    }
-                    out.push((k, value));
-                    taken += 1;
-                }
-                _ => state.entries.push_back((entry, value)),
-            }
-        }
-        // A stolen tail no longer belongs to this owner: clear the keys'
-        // started marks so a later re-migration back here is a fresh
-        // batch again (the thief's deque records its own started state).
-        for k in &taken_keys {
-            state.started.remove(k);
-        }
-        self.len.fetch_sub(taken, Ordering::Release);
-        (taken_keys, busy)
+        self.take(keys, out, Take::Tail)
     }
 
-    /// Removal phase of a tail steal **without the quiescence check**:
-    /// takes the queued remainder of each started key in `keys` even
-    /// while operations of the key are in flight on the owner.
+    /// Removal phase of a tail steal **without the quiescence check or
+    /// fences**: takes the queued remainder of each started key in `keys`
+    /// even while operations of the key are in flight on the owner.
     /// Deliberately unsound — exists only so the runtime's test-only
     /// `chaos` weakenings can prove the serializability auditor catches
     /// mid-set steals; never called by the real handshake.
     #[doc(hidden)]
     pub fn steal_tail_unchecked_into(&self, keys: &[u64], out: &mut Vec<(u64, T)>) -> Vec<u64> {
+        self.take(keys, out, Take::TailUnchecked).0
+    }
+
+    /// The one removal loop behind every steal: admits the requested
+    /// keys `take` allows (counting tails refused as busy), moves every
+    /// queued entry of an admitted key to `out` in queue order, and
+    /// returns the admitted keys that had entries, in first-appearance
+    /// order. A taken tail no longer belongs to this owner: its started
+    /// mark is cleared, so a later migration back here is a fresh batch
+    /// again (the thief's deque records its own started state).
+    fn take(&self, keys: &[u64], out: &mut Vec<(u64, T)>, take: Take) -> (Vec<u64>, usize) {
+        if keys.is_empty() {
+            return (Vec::new(), 0);
+        }
         let mut g = self.lock();
         let state = g.state();
+        let frozen = match take {
+            Take::TailUnchecked => HashSet::new(),
+            _ => match state.frozen_keys() {
+                Some(frozen) => frozen,
+                None => return (Vec::new(), 0), // an `All` fence freezes everything
+            },
+        };
+        let mut busy = 0;
         let wanted: HashSet<u64> = keys
             .iter()
             .copied()
-            .filter(|k| state.started.contains(k))
+            .filter(|k| {
+                let started = state.started.contains(k);
+                !frozen.contains(k)
+                    && match take {
+                        Take::Fresh => !started,
+                        Take::TailUnchecked => started,
+                        Take::Tail if started && state.in_flight.contains_key(k) => {
+                            busy += 1;
+                            false
+                        }
+                        Take::Tail => started,
+                    }
+            })
             .collect();
-        if wanted.is_empty() {
-            return Vec::new();
-        }
         let mut taken_keys: Vec<u64> = Vec::new();
-        let mut taken = 0;
-        let entries = std::mem::take(&mut state.entries);
-        for (entry, value) in entries {
+        if wanted.is_empty() {
+            return (taken_keys, busy);
+        }
+        let before = out.len();
+        for (entry, value) in std::mem::take(&mut state.entries) {
             match entry {
                 Entry::Key(k) if wanted.contains(&k) => {
                     if !taken_keys.contains(&k) {
                         taken_keys.push(k);
                     }
                     out.push((k, value));
-                    taken += 1;
                 }
                 _ => state.entries.push_back((entry, value)),
             }
         }
-        for k in &taken_keys {
-            state.started.remove(k);
+        if take != Take::Fresh {
+            for k in &taken_keys {
+                state.started.remove(k);
+            }
         }
-        self.len.fetch_sub(taken, Ordering::Release);
-        taken_keys
+        self.len.fetch_sub(out.len() - before, Ordering::Release);
+        (taken_keys, busy)
     }
 
     /// Clears the started-key set and in-flight counts for a new epoch.
@@ -718,6 +594,18 @@ impl<T> std::fmt::Debug for StealDeque<T> {
 mod tests {
     use super::*;
 
+    const ALL: [bool; PUSH_SHARDS] = [true; PUSH_SHARDS];
+
+    /// The never-started keys a thief's scan lists, in first-appearance
+    /// order.
+    fn fresh<T>(q: &StealDeque<T>) -> Vec<u64> {
+        q.scan_candidates(&ALL)
+            .fresh
+            .iter()
+            .map(|&(k, _)| k)
+            .collect()
+    }
+
     #[test]
     fn fifo_pop_order() {
         let q = StealDeque::new();
@@ -739,16 +627,16 @@ mod tests {
         for i in 0..12u64 {
             q.push_keyed(i % 3, i);
         }
+        let keys = fresh(&q);
+        assert_eq!(keys, vec![0, 1, 2]);
         let mut out = Vec::new();
-        let n = q.steal_half_into(&mut out);
-        assert!(n > 0);
-        let stolen_keys: HashSet<u64> = out.iter().map(|(k, _)| *k).collect();
+        assert_eq!(q.steal_keys_into(&keys[1..], &mut out), vec![1, 2]);
         // Every entry of a stolen key migrated…
-        for key in &stolen_keys {
-            let expected: Vec<u64> = (0..12).filter(|i| i % 3 == *key).collect();
+        for key in [1u64, 2] {
+            let expected: Vec<u64> = (0..12).filter(|i| i % 3 == key).collect();
             let got: Vec<u64> = out
                 .iter()
-                .filter(|(k, _)| k == key)
+                .filter(|(k, _)| *k == key)
                 .map(|(_, v)| *v)
                 .collect();
             assert_eq!(got, expected, "key {key} fragmented");
@@ -756,7 +644,7 @@ mod tests {
         // …and no entry of a kept key did.
         let mut rest = Vec::new();
         while let Some((StealTag::Key(k), v)) = q.pop() {
-            assert!(!stolen_keys.contains(&k));
+            assert_eq!(k, 0);
             rest.push(v);
         }
         assert_eq!(rest.len() + out.len(), 12);
@@ -768,11 +656,13 @@ mod tests {
         q.push_keyed(1, "hot-1");
         q.push_keyed(2, "cold-1");
         q.push_keyed(1, "hot-2");
-        // Owner starts key 1.
+        // Owner starts key 1: the scan no longer lists it as fresh, and a
+        // whole-set steal refuses it even when asked.
         assert_eq!(q.pop(), Some((StealTag::Key(1), "hot-1")));
         assert!(q.is_started(1));
+        assert_eq!(fresh(&q), vec![2]);
         let mut out = Vec::new();
-        q.steal_half_into(&mut out);
+        assert_eq!(q.steal_keys_into(&[1, 2], &mut out), vec![2]);
         assert_eq!(out, vec![(2, "cold-1")]);
         // The started key's tail stayed.
         assert_eq!(q.pop(), Some((StealTag::Key(1), "hot-2")));
@@ -784,20 +674,21 @@ mod tests {
         q.push_keyed(1, 10);
         q.push_keyed(2, 20);
         q.push_fence(FenceScope::Key(1), 0);
-        let mut out = Vec::new();
         // Key 1 is under reclaim: frozen. Key 2 is fair game.
-        assert_eq!(q.steal_half_into(&mut out), 1);
+        assert_eq!(fresh(&q), vec![2]);
+        let mut out = Vec::new();
+        assert_eq!(q.steal_keys_into(&[1, 2], &mut out), vec![2]);
         assert_eq!(out, vec![(2, 20)]);
         assert_eq!(q.pop(), Some((StealTag::Key(1), 10)));
         assert_eq!(q.pop(), Some((StealTag::Fence, 0)));
-        // Fence popped → protection lifted.
+        // Fence popped → protection lifted…
         q.push_keyed(1, 11);
         let mut out = Vec::new();
-        assert_eq!(q.steal_half_into(&mut out), 0); // …but key 1 is started now
+        assert!(q.steal_keys_into(&[1], &mut out).is_empty()); // …but key 1 is started now
         q.begin_epoch();
         q.push_keyed(1, 12);
-        let mut out = Vec::new();
-        assert_eq!(q.steal_half_into(&mut out), 2);
+        assert_eq!(q.steal_keys_into(&[1], &mut out), vec![1]);
+        assert_eq!(out, vec![(1, 11), (1, 12)]);
     }
 
     #[test]
@@ -807,17 +698,18 @@ mod tests {
         q.push_keyed(2, 20);
         q.push_fence(FenceScope::All, 0);
         let mut out = Vec::new();
-        assert_eq!(q.steal_half_into(&mut out), 0);
+        assert!(fresh(&q).is_empty());
+        assert!(q.steal_keys_into(&[1, 2], &mut out).is_empty());
         // Replace the All fence with an Open one: both keys are eligible
-        // again, and steal-half takes the newer of the two batches.
+        // again.
         let q = StealDeque::new();
         q.push_keyed(1, 10);
         q.push_keyed(2, 20);
         q.push_fence(FenceScope::Open, 0);
-        let mut out = Vec::new();
-        assert_eq!(q.steal_half_into(&mut out), 1);
+        assert_eq!(fresh(&q), vec![1, 2]);
+        assert_eq!(q.steal_keys_into(&[2], &mut out), vec![2]);
         assert_eq!(out, vec![(2, 20)]);
-        // The older batch and the fence stayed behind for the owner.
+        // The other batch and the fence stayed behind for the owner.
         assert_eq!(q.pop(), Some((StealTag::Key(1), 10)));
         assert_eq!(q.pop(), Some((StealTag::Fence, 0)));
     }
@@ -832,21 +724,8 @@ mod tests {
         assert!(!q.is_started(5));
         q.push_keyed(5, 2);
         let mut out = Vec::new();
-        assert_eq!(q.steal_half_into(&mut out), 1);
-    }
-
-    #[test]
-    fn steal_half_takes_newest_half_of_batches() {
-        let q = StealDeque::new();
-        for key in 0..4u64 {
-            q.push_keyed(key, key);
-        }
-        let mut out = Vec::new();
-        assert_eq!(q.steal_half_into(&mut out), 2);
-        // 4 eligible batches → the 2 newest (keys 2, 3) migrate.
-        assert_eq!(out, vec![(2, 2), (3, 3)]);
-        assert_eq!(q.pop(), Some((StealTag::Key(0), 0)));
-        assert_eq!(q.pop(), Some((StealTag::Key(1), 1)));
+        assert_eq!(q.steal_keys_into(&[5], &mut out), vec![5]);
+        assert_eq!(out, vec![(5, 2)]);
     }
 
     #[test]
@@ -855,7 +734,7 @@ mod tests {
         q.push_keyed(9, 1);
         q.push_keyed(9, 2);
         let mut out = Vec::new();
-        assert_eq!(q.steal_half_into(&mut out), 2);
+        assert_eq!(q.steal_keys_into(&fresh(&q), &mut out), vec![9]);
         assert_eq!(out, vec![(9, 1), (9, 2)]);
         assert!(q.is_empty());
     }
@@ -876,8 +755,8 @@ mod tests {
         for i in 0..12u64 {
             q.push_keyed(i % 4, i);
         }
-        let keys = q.stealable_keys();
-        assert_eq!(keys, vec![0, 1, 2, 3]);
+        let scan = q.scan_candidates(&ALL);
+        assert_eq!(scan.fresh, vec![(0, 3), (1, 3), (2, 3), (3, 3)]);
         let mut out = Vec::new();
         let taken = q.steal_keys_into(&[1, 3], &mut out);
         assert_eq!(taken, vec![1, 3]);
@@ -897,7 +776,7 @@ mod tests {
         q.push_keyed(1, 10);
         q.push_keyed(2, 20);
         q.push_keyed(3, 30);
-        let keys = q.stealable_keys();
+        let keys = fresh(&q);
         assert_eq!(keys, vec![1, 2, 3]);
         // Between the phases: the owner starts key 1, a reclaim fences key 2.
         assert_eq!(q.pop(), Some((StealTag::Key(1), 10)));
@@ -915,12 +794,15 @@ mod tests {
         let q = StealDeque::new();
         q.push_keyed(1, 10);
         q.push_fence(FenceScope::All, 0);
-        assert!(q.stealable_keys().is_empty());
+        assert!(fresh(&q).is_empty());
         let mut out = Vec::new();
         assert!(q.steal_keys_into(&[1], &mut out).is_empty());
         assert!(out.is_empty());
         let q2: StealDeque<u8> = StealDeque::new();
+        let scan = q2.scan_candidates(&ALL);
+        assert!(scan.fresh.is_empty() && scan.tails.is_empty() && scan.busy.is_empty());
         assert!(q2.steal_keys_into(&[], &mut Vec::new()).is_empty());
+        assert_eq!(q2.steal_tail_into(&[], &mut Vec::new()), (Vec::new(), 0));
     }
 
     #[test]
@@ -930,20 +812,12 @@ mod tests {
         // (the caller's shard lock orders later pushes behind the re-pin).
         let q = StealDeque::new();
         q.push_keyed(5, 1);
-        let keys = q.stealable_keys();
+        let keys = fresh(&q);
         q.push_keyed(5, 2);
         let mut out = Vec::new();
         assert_eq!(q.steal_keys_into(&keys, &mut out), vec![5]);
         assert_eq!(out, vec![(5, 1), (5, 2)]);
         assert!(q.is_empty());
-    }
-
-    #[test]
-    fn empty_steal_reports_zero() {
-        let q: StealDeque<u8> = StealDeque::new();
-        let mut out = Vec::new();
-        assert_eq!(q.steal_half_into(&mut out), 0);
-        assert!(out.is_empty());
     }
 
     #[test]
@@ -956,7 +830,7 @@ mod tests {
         // non-quiescent, so the tail stays put (handshake fails).
         assert_eq!(q.pop(), Some((StealTag::Key(7), 1)));
         assert!(!q.is_quiescent(7));
-        let scan = q.scan_candidates();
+        let scan = q.scan_candidates(&ALL);
         assert!(scan.fresh.is_empty());
         assert!(scan.tails.is_empty());
         assert_eq!(scan.busy, vec![(7, 2)]);
@@ -980,11 +854,14 @@ mod tests {
         q.pop();
         q.finish(7);
         assert!(q.is_quiescent(7));
-        let scan = q.scan_candidates();
+        let scan = q.scan_candidates(&ALL);
         assert_eq!(scan.tails, vec![(7, 3)]);
         assert!(scan.busy.is_empty());
-        // The quiescence handshake passes and the ENTIRE remainder moves.
+        // A whole-set steal still refuses the started key…
         let mut out = Vec::new();
+        assert!(q.steal_keys_into(&[7], &mut out).is_empty());
+        // …but the quiescence handshake passes and the ENTIRE remainder
+        // moves.
         let (taken, busy) = q.steal_tail_into(&[7], &mut out);
         assert_eq!(taken, vec![7]);
         assert_eq!(busy, 0);
@@ -1003,7 +880,7 @@ mod tests {
         q.finish(1);
         q.push_fence(FenceScope::Key(1), 0);
         // Quiescent but fenced: not listed, not taken.
-        assert!(q.scan_candidates().tails.is_empty());
+        assert!(q.scan_candidates(&ALL).tails.is_empty());
         let mut out = Vec::new();
         let (taken, busy) = q.steal_tail_into(&[1], &mut out);
         assert!(taken.is_empty());
@@ -1014,42 +891,36 @@ mod tests {
         q.begin_epoch();
         let (taken, _) = q.steal_tail_into(&[1], &mut out);
         assert!(taken.is_empty());
-        assert!(q.scan_candidates().fresh.is_empty());
+        assert!(fresh(&q).is_empty());
         // Drain the fence: the key is fresh-batch territory again.
         assert_eq!(q.pop(), Some((StealTag::Key(1), 11)));
         q.finish(1);
         assert_eq!(q.pop(), Some((StealTag::Fence, 0)));
         q.push_keyed(1, 12);
         // Started again by the pop above, but quiescent: a tail.
-        assert_eq!(q.scan_candidates().tails, vec![(1, 1)]);
+        assert_eq!(q.scan_candidates(&ALL).tails, vec![(1, 1)]);
     }
 
     #[test]
     fn scan_candidates_buckets_fresh_tails_and_busy() {
         let q = StealDeque::new();
-        q.push_keyed(1, 10); // fresh
+        q.push_keyed(1, 10); // fresh, then drained
         q.push_keyed(2, 20); // will become a quiescent tail
         q.push_keyed(2, 21);
         q.push_keyed(3, 30); // will stay busy
         q.push_keyed(3, 31);
-        // Start keys 2 and 3; finish only key 2's op.
-        while let Some((tag, _)) = q.pop() {
-            if tag == StealTag::Key(1) {
-                q.finish(1);
-                continue;
-            }
-            break; // popped 2's first op
+        // Run key 1's op and both of key 2's queued ops to completion.
+        for _ in 0..3 {
+            let (StealTag::Key(k), _) = q.pop().unwrap() else {
+                unreachable!("no fences pushed");
+            };
+            q.finish(k);
         }
-        // The pop loop above popped 1 then 2's first entry.
-        q.finish(2);
-        // Pop 2's second? No — pop FIFO gives 21 next; skip to key 3.
-        assert_eq!(q.pop(), Some((StealTag::Key(2), 21)));
-        q.finish(2);
+        // Key 3's first op is popped and still in flight.
         assert_eq!(q.pop(), Some((StealTag::Key(3), 30)));
-        // Key 3's op is still in flight.
         q.push_keyed(2, 22);
         q.push_keyed(4, 40);
-        let scan = q.scan_candidates();
+        let scan = q.scan_candidates(&ALL);
         assert_eq!(scan.fresh, vec![(4, 1)]);
         assert_eq!(scan.tails, vec![(2, 1)]);
         assert_eq!(scan.busy, vec![(3, 1)]);
@@ -1083,19 +954,20 @@ mod tests {
         let before = q.pushes_by_shard();
         q.push_keyed(hot | 5, 2);
         let after = q.pushes_by_shard();
-        // Only the hot tenant's shard moved; the sum view still moves too
-        // (back-compat for the global memo).
+        // Only the hot tenant's shard moved.
         assert_eq!(after[push_shard_of(hot)], before[push_shard_of(hot)] + 1);
         assert_eq!(after[push_shard_of(cold)], before[push_shard_of(cold)]);
-        assert_eq!(q.pushes(), after.iter().sum::<usize>());
         // A scan restricted to the changed shards skips the cold tenant's
         // (already proven futile) keys entirely.
-        let mut changed = [false; PUSH_SHARDS];
-        for (s, flag) in changed.iter_mut().enumerate() {
-            *flag = after[s] != before[s];
-        }
-        assert_eq!(q.stealable_keys_in(&changed), vec![hot, hot | 5]);
-        assert_eq!(q.stealable_keys(), vec![hot, cold, hot | 5]);
+        let changed: [bool; PUSH_SHARDS] = std::array::from_fn(|s| after[s] != before[s]);
+        let listed: Vec<u64> = q
+            .scan_candidates(&changed)
+            .fresh
+            .iter()
+            .map(|c| c.0)
+            .collect();
+        assert_eq!(listed, vec![hot, hot | 5]);
+        assert_eq!(fresh(&q), vec![hot, cold, hot | 5]);
     }
 
     #[test]
@@ -1127,8 +999,7 @@ mod tests {
         let after = q.pushes_by_shard();
         assert_eq!(after[push_shard_of(quiet)], before[push_shard_of(quiet)]);
         assert_eq!(after[push_shard_of(hot)], before[push_shard_of(hot)] + 10);
-        // The summed legacy view still counts everything.
-        assert_eq!(q.pushes(), 11);
+        assert_eq!(after.iter().sum::<usize>(), 11);
     }
 
     #[test]

@@ -23,7 +23,23 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use ss_queue::{Backoff, StealDeque, StealTag};
+use ss_queue::{Backoff, StealDeque, StealTag, PUSH_SHARDS};
+
+/// A thief's two-phase steal: scan for never-started batches, take the
+/// newest half of them (the owner reaches the oldest soonest), and remove
+/// those keys — re-validated under the deque lock, so a key the owner
+/// started in between is skipped whole. Returns the entries taken.
+fn steal_half(deque: &StealDeque<u64>, out: &mut Vec<(u64, u64)>) -> usize {
+    let mut keys: Vec<u64> = deque
+        .scan_candidates(&[true; PUSH_SHARDS])
+        .fresh
+        .iter()
+        .map(|&(k, _)| k)
+        .collect();
+    let newest = keys.split_off(keys.len() / 2);
+    deque.steal_keys_into(&newest, out);
+    out.len()
+}
 
 /// Tiny xorshift so the schedules are reproducible per seed without
 /// pulling the rand shim into ss-queue's dev-deps.
@@ -104,7 +120,7 @@ fn run_schedule(seed: u64) -> (Vec<(u64, u64)>, Vec<Vec<(u64, u64)>>) {
                 loop {
                     rng.jitter();
                     let mut out = Vec::new();
-                    let n = deque.steal_half_into(&mut out);
+                    let n = steal_half(&deque, &mut out);
                     if n > 0 {
                         consumed.fetch_add(n, Ordering::AcqRel);
                         batches.push(out);
@@ -260,7 +276,7 @@ fn stress_multi_producer_racing_thief() {
                     loop {
                         rng.jitter();
                         let mut out = Vec::new();
-                        let n = deque.steal_half_into(&mut out);
+                        let n = steal_half(&deque, &mut out);
                         if n > 0 {
                             consumed.fetch_add(n, Ordering::AcqRel);
                             batches.push(out);
@@ -358,7 +374,7 @@ fn stress_epoch_rollover_reopens_started_keys() {
         }
         assert!(matches!(deque.pop(), Some((StealTag::Key(1), _))));
         let mut out = Vec::new();
-        deque.steal_half_into(&mut out);
+        steal_half(&deque, &mut out);
         assert!(
             out.iter().all(|(k, _)| *k == 2),
             "started key stolen mid-epoch"
@@ -369,7 +385,7 @@ fn stress_epoch_rollover_reopens_started_keys() {
         // Fresh epoch: key 1 is stealable again.
         deque.push_keyed(1, 999);
         let mut out = Vec::new();
-        assert_eq!(deque.steal_half_into(&mut out), 1);
+        assert_eq!(steal_half(&deque, &mut out), 1);
         deque.begin_epoch();
     }
 }

@@ -440,6 +440,16 @@ mod chaos {
         let _ = rt.end_isolation();
     }
 
+    /// The schedule both mis-pinning legs run under (gate names are point
+    /// `@` delegate index; see `RuntimeBuilder::test_schedule`). Delegate
+    /// 1's first steal scan lifts the victim set's queued batch while
+    /// delegate 0 is held before its first pop ("poll@0"), and delegate 0
+    /// is released only once delegate 1 has started the set ("popped@1").
+    /// Delegate 1's next scan waits until delegate 0 has run one of the
+    /// set's later operations ("done@0"): by then the set has started on
+    /// both delegates, and a whole-set thief cannot lift the rest of it.
+    const TWO_EXECUTORS: [&str; 5] = ["scan@1", "popped@1", "poll@0", "done@0", "scan@1"];
+
     /// `cross_session_pin_leak` makes the thief migrate a session's set
     /// *without* rewriting the tenant's pin, re-pinning it into the root
     /// namespace instead (the wrong tenant). The session keeps routing
@@ -458,29 +468,19 @@ mod chaos {
                 cross_session_pin_leak: true,
                 ..Default::default()
             })
+            .test_schedule(TWO_EXECUTORS)
             .build()
             .unwrap();
         let session = rt.session().unwrap();
         // Session-qualified Static routing: the composite key's high bits
         // (the session id) are even, so key % 2 follows the raw set id —
-        // both the blocker set (0) and the victim set (2) pin to delegate
-        // 0, and delegate 1 sits idle, ready to steal.
-        let blocker: Writable<u64, SequenceSerializer> = Writable::new(&session, 0);
+        // the victim set (2) pins to delegate 0, and delegate 1 is the
+        // thief.
         let victim: Writable<u64, SequenceSerializer> = Writable::new(&session, 0);
         session.begin_isolation().unwrap();
-        blocker
-            .delegate_in(ss_core::SsId(0), |_| {
-                std::thread::sleep(Duration::from_millis(150))
-            })
-            .unwrap();
-        // The stolen prefix outlasts the blocker (8 x 30 ms > 150 ms), so
-        // the thief is still busy — not idle and lifting the post-steal
-        // batch as well — when delegate 0 gets to that batch.
         for _ in 0..8 {
             victim
-                .delegate_in(ss_core::SsId(2), |_| {
-                    std::thread::sleep(Duration::from_millis(30))
-                })
+                .delegate_in(ss_core::SsId(2), |s| *s = fold(*s, 1))
                 .unwrap();
         }
         // Wait for delegate 1 to lift the session's queued victim batch.
@@ -600,27 +600,16 @@ mod chaos {
                 steal_no_repin: true,
                 ..Default::default()
             })
+            .test_schedule(TWO_EXECUTORS)
             .build()
             .unwrap();
-        // Static with 2 delegates: set id % 2 picks the delegate, so both
-        // the blocker set (0) and the victim set (2) pin to delegate 0,
-        // and delegate 1 sits idle, ready to steal.
-        let blocker: Writable<u64, SequenceSerializer> = Writable::new(&rt, 0);
+        // Static with 2 delegates: set id % 2 picks the delegate, so the
+        // victim set (2) pins to delegate 0, and delegate 1 is the thief.
         let victim: Writable<u64, SequenceSerializer> = Writable::new(&rt, 0);
         rt.begin_isolation().unwrap();
-        blocker
-            .delegate_in(ss_core::SsId(0), |_| {
-                std::thread::sleep(Duration::from_millis(150))
-            })
-            .unwrap();
-        // The stolen prefix outlasts the blocker (8 x 30 ms > 150 ms), so
-        // the thief is still busy — not idle and lifting the post-steal
-        // batch as well — when delegate 0 gets to that batch.
         for _ in 0..8 {
             victim
-                .delegate_in(ss_core::SsId(2), |_| {
-                    std::thread::sleep(Duration::from_millis(30))
-                })
+                .delegate_in(ss_core::SsId(2), |s| *s = fold(*s, 1))
                 .unwrap();
         }
         // Wait for delegate 1 to lift the victim set's queued batch.
