@@ -1,6 +1,7 @@
 //! Runtime configuration: delegate-thread count, virtual delegates,
-//! assignment ratio, assignment policy, queue capacity, wait policy,
-//! execution mode.
+//! assignment ratio, assignment policy, queue capacity, execution mode.
+//! How an idle delegate waits is not configurable: it spins, yields, then
+//! parks until notified (`docs/POLICIES.md` says why).
 //!
 //! Mirrors the environment knobs of §4: "The number of delegate threads is
 //! one less than the number of processors by default, but may be configured
@@ -229,32 +230,15 @@ pub enum ExecutionMode {
     Serial,
 }
 
-/// What a delegate thread does while its queue is empty.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WaitPolicy {
-    /// Pure spin with `PAUSE`-style hints — the paper's choice for
-    /// performance runs ("blocking OS synchronization … would incur
-    /// prohibitive overheads").
-    Spin,
-    /// Spin briefly, then `yield_now`. Appropriate when threads are
-    /// oversubscribed on fewer cores (our evaluation host).
-    SpinYield,
-    /// Spin, yield, then park on a condition variable until the program
-    /// thread enqueues again. Cheapest when epochs are sparse; also what
-    /// `Runtime::sleep` forces during long aggregation epochs.
-    SpinPark,
-}
-
 /// Builder for [`Runtime`](crate::Runtime).
 ///
 /// ```
-/// use ss_core::{ExecutionMode, Runtime, WaitPolicy};
+/// use ss_core::{ExecutionMode, Runtime};
 /// let rt = Runtime::builder()
 ///     .delegate_threads(2)
 ///     .virtual_delegates(8)
 ///     .program_share(1) // 1 of 8 virtual delegates executes inline
 ///     .queue_capacity(1024)
-///     .wait_policy(WaitPolicy::SpinYield)
 ///     .mode(ExecutionMode::Parallel)
 ///     .build()
 ///     .unwrap();
@@ -266,7 +250,6 @@ pub struct RuntimeBuilder {
     pub(crate) virtual_delegates: Option<usize>,
     pub(crate) program_share: usize,
     pub(crate) queue_capacity: usize,
-    pub(crate) wait_policy: WaitPolicy,
     pub(crate) mode: ExecutionMode,
     pub(crate) dynamic_checks: bool,
     pub(crate) trace: bool,
@@ -290,7 +273,6 @@ impl Default for RuntimeBuilder {
             virtual_delegates: None,
             program_share: 0,
             queue_capacity: 512,
-            wait_policy: WaitPolicy::SpinPark,
             mode: ExecutionMode::Parallel,
             dynamic_checks: true,
             trace: false,
@@ -338,12 +320,6 @@ impl RuntimeBuilder {
     /// bursts of operations mapped to the same serialization set" (§4).
     pub fn queue_capacity(mut self, n: usize) -> Self {
         self.queue_capacity = n.max(2);
-        self
-    }
-
-    /// Idle behaviour of delegate threads. Default [`WaitPolicy::SpinPark`].
-    pub fn wait_policy(mut self, p: WaitPolicy) -> Self {
-        self.wait_policy = p;
         self
     }
 
@@ -545,7 +521,6 @@ mod tests {
         assert_eq!(b.program_share, 0);
         assert!(b.dynamic_checks);
         assert_eq!(b.mode, ExecutionMode::Parallel);
-        assert_eq!(b.wait_policy, WaitPolicy::SpinPark);
         assert!(matches!(b.assignment, Assignment::Static));
         assert_eq!(b.audit, AuditMode::Off);
     }

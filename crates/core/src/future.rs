@@ -30,7 +30,7 @@
 //!   every drain proof is untouched. A *memoized* operation that is
 //!   cancelled publishes nothing into the memo table.
 //! * **Deadlock-safety.** [`SsFuture::wait`] from the program context
-//!   blocks conventionally (delegates drain independently, and
+//!   simply waits for the cell to settle (delegates drain independently, and
 //!   program-owned operations execute inline at delegation time, so
 //!   their futures are born ready). From a *delegate* context, the
 //!   waiter executes **help-first** from its own queue — the
@@ -60,19 +60,12 @@
 //! assert_eq!(total, 24);
 //! ```
 
-use std::time::Duration;
-
 use ss_queue::oneshot::{OneshotPoll, OneshotReceiver};
 
 use crate::error::{SsError, SsResult};
-use crate::runtime::{future_wait_turn, Executor, Runtime, WaitTurn};
+use crate::runtime::{future_wait_turn, Executor, Runtime};
 use crate::serializer::{Serializer, SsId};
 use crate::wrappers::Writable;
-
-/// Bounded park used by every blocking wait loop: short enough that a
-/// lost wakeup costs latency, never liveness, and that the delegate-side
-/// loop re-runs help-first and cycle detection promptly.
-const WAIT_PARK: Duration = Duration::from_millis(1);
 
 /// A typed handle to the result of a delegated operation, returned by the
 /// `delegate_with` family ([`Writable::delegate_with`],
@@ -209,8 +202,9 @@ impl<R: Send + 'static> SsFuture<R> {
     /// Blocks until the operation completes and returns its result.
     ///
     /// Callable from any thread. On the program context (and foreign
-    /// threads) this parks until the owning delegate executes the
-    /// operation. On a **delegate context** the wait is help-first: while
+    /// threads) this spins, yields and then parks until the owning
+    /// delegate executes the operation. On a **delegate context** the
+    /// wait is help-first: while
     /// the future is pending the delegate executes work from its own
     /// queue, so waiting on an operation it (transitively) spawned into
     /// its own queue makes progress instead of deadlocking. A wait that
@@ -224,36 +218,16 @@ impl<R: Send + 'static> SsFuture<R> {
     /// [`SsError::Terminated`] when the runtime shut down before the
     /// operation could run.
     pub fn wait(mut self) -> SsResult<R> {
-        match std::mem::replace(&mut self.inner, FutureInner::Taken) {
-            FutureInner::Ready { value, .. } => {
-                Ok(value.expect("a born-ready future holds its value until waited"))
+        loop {
+            if let Some(v) = self.try_take()? {
+                return Ok(v);
             }
-            FutureInner::Taken => unreachable!("wait consumes the future"),
-            FutureInner::Cell(recv) => {
-                let signal = recv.signal();
-                loop {
-                    match recv.poll() {
-                        OneshotPoll::Ready(v) => return Ok(v),
-                        OneshotPoll::Closed => return Err(self.closed_error()),
-                        OneshotPoll::Pending => {}
-                    }
-                    let mut park = || recv.park_timeout(WAIT_PARK);
-                    match future_wait_turn(&self.rt, self.set, &signal, &mut park) {
-                        WaitTurn::Progress | WaitTurn::Waited => {}
-                        WaitTurn::NotDelegate => recv.park_timeout(WAIT_PARK),
-                        WaitTurn::Deadlock => {
-                            // The detector raced the resolution window once:
-                            // re-poll before surfacing the error.
-                            return match recv.poll() {
-                                OneshotPoll::Ready(v) => Ok(v),
-                                OneshotPoll::Closed => Err(self.closed_error()),
-                                OneshotPoll::Pending => {
-                                    Err(SsError::FutureDeadlock { set: self.set })
-                                }
-                            };
-                        }
-                    }
-                }
+            if let Err(deadlock) = self.block() {
+                // A rejected wait cancels nothing: the operation runs
+                // once the cycle unwinds.
+                let last = self.try_take()?;
+                self.inner = FutureInner::Taken;
+                return last.ok_or(deadlock);
             }
         }
     }
@@ -267,8 +241,8 @@ impl<R: Send + 'static> SsFuture<R> {
     /// when every remaining future is genuinely pending does the batch
     /// block on the first of them — help-first on a delegate context
     /// (one wait registration and one deadlock walk at a time, over
-    /// whichever constituent currently gates the batch), a bounded park
-    /// on the program context. Work executed while helping routinely
+    /// whichever constituent currently gates the batch), a plain wait for
+    /// its cell on the program context. Work executed while helping routinely
     /// resolves *other* constituents, so the next sweep collects them
     /// without ever blocking on each individually.
     ///
@@ -303,38 +277,28 @@ impl<R: Send + 'static> SsFuture<R> {
             }
             // Every remaining future is pending: block on the first.
             let i = blocker.expect("pending > 0 implies an unresolved future");
-            let verdict = {
-                let f = &futs[i];
-                let FutureInner::Cell(recv) = &f.inner else {
-                    unreachable!("try_take left only cell-backed futures pending")
-                };
-                let signal = recv.signal();
-                let mut park = || recv.park_timeout(WAIT_PARK);
-                match future_wait_turn(&f.rt, f.set, &signal, &mut park) {
-                    WaitTurn::NotDelegate => {
-                        recv.park_timeout(WAIT_PARK);
-                        None
-                    }
-                    WaitTurn::Progress | WaitTurn::Waited => None,
-                    WaitTurn::Deadlock => Some(f.set),
-                }
-            };
-            if let Some(set) = verdict {
-                // The detector raced the resolution window once: re-poll
-                // before surfacing the error.
-                match futs[i].try_take()? {
-                    Some(v) => {
-                        out[i] = Some(v);
-                        pending -= 1;
-                    }
-                    None => return Err(SsError::FutureDeadlock { set }),
-                }
+            if let Err(deadlock) = futs[i].block() {
+                out[i] = Some(futs[i].try_take()?.ok_or(deadlock)?);
+                pending -= 1;
             }
         }
         Ok(out
             .into_iter()
             .map(|v| v.expect("all futures resolved"))
             .collect())
+    }
+
+    /// One blocking turn on a pending future ([`future_wait_turn`]):
+    /// returns once it may have settled, `Err` when it never can. The
+    /// caller re-polls even then: the detector may have raced the
+    /// resolution window once.
+    fn block(&self) -> SsResult<()> {
+        let FutureInner::Cell(recv) = &self.inner else {
+            return Ok(());
+        };
+        future_wait_turn(&self.rt, self.set, &recv.signal())
+            .then_some(())
+            .ok_or(SsError::FutureDeadlock { set: self.set })
     }
 
     /// Non-blocking extraction: `Ok(Some(v))` when the future settled

@@ -26,11 +26,10 @@ use core::mem::{self, MaybeUninit};
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread::Thread;
 
 use ss_queue::oneshot::OneshotSender;
 
-use crate::runtime::{Core, Domain};
+use crate::runtime::{Core, Domain, Event};
 use crate::serializer::SsId;
 use crate::stats::Counters;
 use crate::trace::TraceExecutor;
@@ -266,15 +265,14 @@ impl std::fmt::Debug for Invocation {
     }
 }
 
-/// A one-shot completion flag the program thread can block on.
-///
-/// The program thread spins briefly (delegation queues drain in microseconds
-/// when the system is healthy) and then parks; the delegate unparks it on
-/// signal. Parking tolerates spurious wakeups by re-checking the flag —
-/// which is also what makes a token reusable: the root program thread
-/// keeps one per delegate and [`rearm`](SyncToken::rearm)s it before each
-/// push, and the previous use's `unpark`, should it land late, is just
-/// one more spurious wakeup.
+/// A one-shot completion flag the program thread can block on: its
+/// `done` flag is the predicate of the waiter's [`Event`], and `signal`
+/// notifies it — the waiter spins and yields while delegation queues
+/// drain in microseconds, and parks if they do not. Reusable: the root
+/// program thread keeps one per delegate and
+/// [`rearm`](SyncToken::rearm)s it before each push, and a previous use's
+/// `unpark`, should it land late, is one more spurious wake-up the event
+/// re-checks past.
 ///
 /// Aligned to a cache-line pair of its own: the flag is written by both
 /// threads once per epoch and spun on by the waiter, and as a heap object
@@ -284,26 +282,35 @@ impl std::fmt::Debug for Invocation {
 #[repr(align(128))]
 pub(crate) struct SyncToken {
     done: AtomicBool,
-    waiter: Thread,
+    waiter: Event,
 }
 
 impl SyncToken {
-    /// Creates a token whose `wait` will be called by the current thread.
+    /// A pending token nobody waits on: termination objects, whose
+    /// senders join the delegate threads instead.
     pub(crate) fn new() -> Arc<Self> {
         Arc::new(SyncToken {
             done: AtomicBool::new(false),
-            waiter: std::thread::current(),
+            waiter: Event::default(),
         })
     }
 
-    /// A token for [`rearm`](SyncToken::rearm)-and-reuse by the current
-    /// thread, born signalled: nobody waits on it until its first `rearm`
-    /// (which is what [`is_pending`](SyncToken::is_pending) reports).
-    pub(crate) fn idle() -> Arc<Self> {
+    /// A token for [`rearm`](SyncToken::rearm)-and-reuse, waited on
+    /// through `waiter`; born signalled: nobody waits on it until its
+    /// first `rearm` (which is what [`is_pending`](SyncToken::is_pending)
+    /// reports).
+    pub(crate) fn rearmable(waiter: Event) -> Arc<Self> {
         Arc::new(SyncToken {
             done: AtomicBool::new(true),
-            waiter: std::thread::current(),
+            waiter,
         })
+    }
+
+    /// A [`rearmable`](SyncToken::rearmable) token outside any scripted
+    /// schedule.
+    #[cfg(test)]
+    pub(crate) fn idle() -> Arc<Self> {
+        Self::rearmable(Event::default())
     }
 
     /// Readies a token whose previous `wait` has returned for another
@@ -316,22 +323,12 @@ impl SyncToken {
     /// Marks the token complete and wakes the waiter.
     pub(crate) fn signal(&self) {
         self.done.store(true, Ordering::Release);
-        self.waiter.unpark();
+        self.waiter.notify();
     }
 
-    /// Blocks until `signal` is called. Must only be invoked by the thread
-    /// that created the token.
+    /// Blocks until `signal` is called. One waiter at a time.
     pub(crate) fn wait(&self) {
-        debug_assert_eq!(std::thread::current().id(), self.waiter.id());
-        let mut spins = 0u32;
-        while !self.done.load(Ordering::Acquire) {
-            if spins < 64 {
-                core::hint::spin_loop();
-                spins += 1;
-            } else {
-                std::thread::park();
-            }
-        }
+        self.waiter.wait_until(|| self.done.load(Ordering::Acquire));
     }
 
     /// True from `rearm` until `signal`: the waiter has pushed the token,

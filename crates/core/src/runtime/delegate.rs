@@ -1,14 +1,13 @@
-//! The delegate context: worker threads, their wakeup channel and wait
-//! policy (§4) — and the scoped [`DelegateContext`] handle that makes
-//! **recursive delegation** (the paper's §4 future work) a safe public
-//! API.
+//! The delegate context: worker threads and how they idle (§4) — and the
+//! scoped [`DelegateContext`] handle that makes **recursive delegation**
+//! (the paper's §4 future work) a safe public API.
 //!
 //! Each delegate thread runs one loop, [`delegate_loop`]: read an
 //! invocation object from its queue, execute it, settle it, repeat. While
-//! the queue is empty the thread follows the configured [`WaitPolicy`]:
-//! spin, spin-then-yield, or spin-then-park — plus the `force_sleep`
-//! override that [`Runtime::sleep`](super::Runtime::sleep) raises during
-//! long aggregation epochs.
+//! the queue is empty the thread waits on its [`Event`] — spin, then
+//! yield, then park until a push notifies it — or, while
+//! [`Runtime::sleep`](super::Runtime::sleep) is in force during a long
+//! aggregation epoch, parks at once.
 //!
 //! The loop is generic over the queue it drains, a [`Transport`], of which
 //! there are two:
@@ -21,26 +20,25 @@
 //!   which receives both program and nested pushes. When it runs dry the
 //!   delegate turns thief ([`try_steal`]): one steal attempt for every
 //!   [`StealPolicy`](crate::StealPolicy), whose differences are a
-//!   [`StealPlan`](crate::config::StealPlan) of data. A parked thief re-checks for steal
-//!   opportunities on its bounded-wait wakeups (≤ 1 ms), so a victim that
-//!   becomes loaded while peers sleep is relieved within a millisecond
-//!   even if no push ever wakes them.
+//!   [`StealPlan`](crate::config::StealPlan) of data. The thief is part
+//!   of the idle predicate, so it tries at every step of the wait and
+//!   once more before parking; a push that takes a peer's queue past the
+//!   plan's bar wakes one parked thief.
 //!
 //! A delegate blocked on a future helps through the same transport and
-//! the same execute-and-settle body ([`help_one`]).
+//! the same execute-and-settle body ([`help_one`]), and waits on the same
+//! event, so a push to its own queue wakes it there too.
 
 use std::cell::{Cell, RefCell};
 use std::cmp::Reverse;
 use std::collections::VecDeque;
 use std::marker::PhantomData;
-use std::sync::atomic::{fence, AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use parking_lot::{Condvar, Mutex};
 use ss_queue::oneshot::WaitSignal;
-use ss_queue::{Consumer, Pop, StealDeque, StealTag, PUSH_SHARDS};
+use ss_queue::{Backoff, Consumer, Pop, StealDeque, StealTag, PUSH_SHARDS};
 
-use crate::config::WaitPolicy;
 use crate::error::{SsError, SsResult};
 use crate::future::SsFuture;
 #[cfg(test)]
@@ -53,7 +51,7 @@ use crate::wrappers::{Memo, NoMemo, Submitter, Void, Writable};
 
 use super::dispatch::Lane;
 use super::domain::{key_domain, Domain};
-use super::{Core, Executor, Router, Runtime, StealShared};
+use super::{Core, Event, Executor, Router, Runtime, StealShared};
 
 thread_local! {
     /// `(runtime id, delegate index)` for delegate threads; `None` elsewhere.
@@ -70,53 +68,6 @@ thread_local! {
 /// (0 when none, or a root operation, is running).
 pub(super) fn current_domain_id() -> u32 {
     CURRENT_DOMAIN.with(|c| c.get())
-}
-
-/// Sleep/wake channel for one delegate thread (used by the `SpinPark` wait
-/// policy and by [`Runtime::sleep`](super::Runtime::sleep)). Every
-/// submitter reads `sleeping` once per operation, so the channel gets a
-/// cache-line pair of its own rather than whatever neighbour the
-/// allocator gives an object of a few words.
-#[derive(Default)]
-#[repr(align(128))]
-pub(super) struct Wakeup {
-    mutex: Mutex<()>,
-    condvar: Condvar,
-    /// Set by the delegate *before* it re-checks its queue and parks; the
-    /// program thread checks it *after* publishing an invocation. SeqCst
-    /// fences on both sides close the store-buffer race (see `park_if_empty`
-    /// / `notify`).
-    sleeping: AtomicBool,
-}
-
-impl Wakeup {
-    /// Producer side: wake the delegate if it is (or is about to be) parked.
-    pub(super) fn notify(&self) {
-        // Pairs with the fence in `park_if_empty`. The preceding queue push
-        // used Release; the SeqCst fences on both sides forbid the
-        // store-buffer outcome where the delegate misses the new item *and*
-        // we miss `sleeping == true`.
-        fence(Ordering::SeqCst);
-        if self.sleeping.load(Ordering::Relaxed) {
-            let _g = self.mutex.lock();
-            self.condvar.notify_one();
-        }
-    }
-
-    /// Delegate side: park until notified, unless `queue_nonempty` observes
-    /// work after the sleeping flag is raised. A bounded wait is used as a
-    /// belt-and-suspenders guard so a missed wakeup degrades to latency,
-    /// never deadlock.
-    fn park_if_empty(&self, queue_nonempty: impl Fn() -> bool) {
-        let mut guard = self.mutex.lock();
-        self.sleeping.store(true, Ordering::Relaxed);
-        fence(Ordering::SeqCst);
-        if !queue_nonempty() {
-            self.condvar
-                .wait_for(&mut guard, std::time::Duration::from_millis(1));
-        }
-        self.sleeping.store(false, Ordering::Relaxed);
-    }
 }
 
 // ----------------------------------------------------------------------
@@ -145,7 +96,7 @@ impl Wakeup {
 //
 // * **Streams only.** The slip is armed once the delegate has drained
 //   `SLIP_ARM` ring operations in a row; a token, or an idle spell long
-//   enough to leave the backoff's first spin rounds, disarms it. Small
+//   enough to leave the wait's first spin rounds, disarms it. Small
 //   epochs and sparse operations (a `delegate_with` → `wait` round trip)
 //   never slip.
 // * **Never against a waiting program thread.** The root program thread
@@ -168,7 +119,7 @@ const SLIP_LEAD: usize = 64;
 /// Upper bound on one slip, in spin hints (a dozen microseconds).
 const SLIP_SPINS: u32 = 1024;
 /// Consecutive empty polls after which the delegate counts as idle, not
-/// as trailing a stream: the backoff's spin rounds, before it yields.
+/// as trailing a stream: the wait's spin rounds, before it yields.
 const SLIP_IDLE_POLLS: u32 = 8;
 
 /// The ring consumer's slip state (see the section comment above).
@@ -234,10 +185,13 @@ trait Transport {
     fn core(&self) -> &Core;
     /// This delegate's index.
     fn idx(&self) -> usize;
+    /// What this delegate waits on; every push to its queue notifies it.
+    fn event(&self) -> &Event;
     /// Pops the next entry with the lane it travelled on.
     fn pop(&self) -> Pop<(Invocation, Lane)>;
-    /// Whether work is waiting: the park predicate, re-checked after the
-    /// sleeping flag is raised.
+    /// Whether the own queue holds an entry: part of every wait's
+    /// predicate on this thread, re-checked after the sleeping flag is
+    /// raised.
     fn has_work(&self) -> bool;
     /// Whether operations are timed for the steal cost model.
     fn times_ops(&self) -> bool {
@@ -247,18 +201,17 @@ trait Transport {
     fn before_pop(&self) {}
     /// Slip hook: an entry was popped from `lane`.
     fn popped(&self, _lane: Lane) {}
-    /// Slip hook: a poll found the queue empty.
-    fn ran_dry(&self) {}
     /// Slip hook: a token was popped (a program thread waits on us).
     fn on_token(&self) {}
     /// An operation of `set` ran and its audit record landed (`nanos`
     /// times it when [`times_ops`](Transport::times_ops)); its counters
     /// settle after this returns.
     fn after_exec(&self, _set: u64, _nanos: Option<u64>) {}
-    /// The queue ran dry: look for work elsewhere. True if any arrived.
-    fn on_dry(&self) -> bool {
-        false
-    }
+    /// An idle poll found the queue empty: look for work elsewhere (the
+    /// thief), or count the idle spell (the slip). True if work arrived.
+    /// Called at every step of the idle wait and in its last re-check, so
+    /// whatever it reads is part of the idle predicate.
+    fn on_dry(&self) -> bool;
 }
 
 /// The ring transport: the FastForward SPSC consumer and its injector
@@ -266,6 +219,7 @@ trait Transport {
 struct Ring {
     core: Arc<Core>,
     idx: usize,
+    event: Arc<Event>,
     consumer: Consumer<Invocation>,
     /// The root program thread's token for this delegate: pending while
     /// it waits on us, which ends a slip.
@@ -288,6 +242,10 @@ impl Transport for Ring {
 
     fn idx(&self) -> usize {
         self.idx
+    }
+
+    fn event(&self) -> &Event {
+        &self.event
     }
 
     fn pop(&self) -> Pop<(Invocation, Lane)> {
@@ -323,8 +281,9 @@ impl Transport for Ring {
         }
     }
 
-    fn ran_dry(&self) {
+    fn on_dry(&self) -> bool {
         self.with_slip(Slip::ran_dry);
+        false
     }
 
     fn on_token(&self) {
@@ -337,6 +296,7 @@ impl Transport for Ring {
 struct Deque {
     core: Arc<Core>,
     idx: usize,
+    event: Arc<Event>,
     shared: Arc<StealShared>,
     router: Arc<Router>,
     /// Per-victim, per-push-shard counts at the last futile scan of that
@@ -357,6 +317,10 @@ impl Transport for Deque {
 
     fn idx(&self) -> usize {
         self.idx
+    }
+
+    fn event(&self) -> &Event {
+        &self.event
     }
 
     /// Popping marks the entry's set *started* (inside the deque's
@@ -415,6 +379,9 @@ impl Transport for Deque {
         self.core.gate("done", self.idx as u32);
     }
 
+    /// The thief. A push that takes a peer's queue price past the plan's
+    /// bar wakes one parked delegate (`Runtime::wake_thief`); the depths
+    /// it read there are the ones `try_steal` reads here.
     fn on_dry(&self) -> bool {
         try_steal(self)
     }
@@ -438,8 +405,7 @@ pub(super) fn run_delegate(
     idx: usize,
     queue: Queue,
     core: Arc<Core>,
-    wakeup: Arc<Wakeup>,
-    policy: WaitPolicy,
+    event: Arc<Event>,
     force_sleep: Arc<AtomicBool>,
 ) {
     DELEGATE_CTX.with(|c| c.set(Some((rt_id, idx as u32))));
@@ -448,21 +414,23 @@ pub(super) fn run_delegate(
             let ring = Ring {
                 core,
                 idx,
+                event,
                 consumer,
                 sync,
                 slip: Cell::default(),
             };
-            delegate_loop(rt_id, ring, &wakeup, policy, &force_sleep);
+            delegate_loop(rt_id, ring, &force_sleep);
         }
         Queue::Deque(shared, router) => {
             let deque = Deque {
                 core,
                 idx,
+                event,
                 stale_at: RefCell::new(vec![None; shared.deques.len()]),
                 shared,
                 router,
             };
-            delegate_loop(rt_id, deque, &wakeup, policy, &force_sleep);
+            delegate_loop(rt_id, deque, &force_sleep);
         }
     }
     DELEGATE_CTX.with(|c| c.set(None));
@@ -520,6 +488,7 @@ thread_local! {
     /// The owning delegate loop's help state; `None` on non-delegate
     /// threads and outside the loop.
     static HELP: RefCell<Option<HelpState>> = const { RefCell::new(None) };
+
 }
 
 /// Installs the thread's [`HelpState`] and removes it on drop, so a
@@ -544,6 +513,15 @@ impl Drop for HelpInstall {
 /// delegate loop.
 fn with_help<R>(f: impl FnOnce(&mut HelpState) -> R) -> Option<R> {
     HELP.with(|h| h.borrow_mut().as_mut().map(f))
+}
+
+/// The calling delegate's transport, when it runs `rt_id`'s loop.
+fn own_transport<'a>(rt_id: u64) -> Option<&'a dyn Transport> {
+    let source = with_help(|s| (s.rt_id == rt_id).then_some(s.source)).flatten()?;
+    // SAFETY: installed by this thread's worker loop, which is still on
+    // the stack below every caller; dereferenced only on the owning
+    // thread, and every transport method takes `&self`.
+    Some(unsafe { &*source })
 }
 
 /// True when `set` is on the calling thread's active-set stack (an
@@ -629,14 +607,7 @@ fn execute_op<T: Transport + ?Sized>(t: &T, op: Invocation, lane: Lane) {
 /// is runnable (deferring the rest). Same-set entries keep their relative
 /// order, so per-set FIFO survives the out-of-order removal of entries
 /// belonging to different sets. Returns whether an operation executed.
-fn help_one(rt_id: u64) -> bool {
-    let Some(source) = with_help(|s| (s.rt_id == rt_id).then_some(s.source)).flatten() else {
-        return false;
-    };
-    // SAFETY: installed by this thread's worker loop, which is still on
-    // the stack below us; dereferenced only here, on the owning thread,
-    // and every transport method takes `&self`.
-    let t = unsafe { &*source };
+fn help_one(t: &dyn Transport) -> bool {
     let deferred = with_help(|s| {
         let pos = s
             .deferred
@@ -660,39 +631,25 @@ fn help_one(rt_id: u64) -> bool {
     true
 }
 
-/// Outcome of one turn of a delegate-context future wait (see
-/// [`future_wait_turn`]).
-pub(crate) enum WaitTurn {
-    /// The calling thread is not a delegate of this runtime; the caller
-    /// should block conventionally.
-    NotDelegate,
-    /// A help-first step executed an operation; poll again.
-    Progress,
-    /// No local work; the waiter registered in the waits-for table and
-    /// parked briefly.
-    Waited,
-    /// The wait can never complete ([`SsError::FutureDeadlock`]).
-    Deadlock,
-}
-
-/// One turn of `SsFuture::wait` on a (potential) delegate thread:
-/// self-cycle rejection, then help-first, then a registered bounded park
-/// with waits-for cycle detection. `park` must be a bounded wait that
-/// returns early when `signal` settles (the future's receiver provides
-/// exactly that).
-pub(crate) fn future_wait_turn(
-    rt: &Runtime,
-    set: SsId,
-    signal: &WaitSignal,
-    park: &mut dyn FnMut(),
-) -> WaitTurn {
-    let me = DELEGATE_CTX.with(|c| match c.get() {
-        Some((id, idx)) if id == rt.inner.id => Some(idx as usize),
-        _ => None,
-    });
-    let Some(me) = me else {
-        return WaitTurn::NotDelegate;
+/// One turn of `SsFuture::wait` on the unsettled cell behind `signal`:
+/// returns `true` to poll the future again — its cell may have settled,
+/// or the waiter helped, or has work to help with — and `false` when the
+/// wait can never complete ([`SsError::FutureDeadlock`]).
+///
+/// Off this runtime's delegates, the calling thread waits on its own
+/// event until the cell settles. On one: self-cycle rejection, then
+/// help-first, then a registered wait with waits-for cycle detection —
+/// on the delegate's own event, with "own queue non-empty" beside "cell
+/// settled" in the predicate, so a push to its queue wakes it as surely
+/// as the settle does.
+pub(crate) fn future_wait_turn(rt: &Runtime, set: SsId, signal: &WaitSignal) -> bool {
+    let Some(t) = own_transport(rt.inner.id) else {
+        // The cell's settle unparks this thread; nobody else notifies.
+        let event = Event::default();
+        signal.waiting(|| event.wait_until(|| signal.is_settled()));
+        return true;
     };
+    let me = t.idx();
     // Operations are submitted under their domain's routing key, and
     // that is what the active stacks and queue entries carry — qualify the
     // set once here so every check below compares like with like.
@@ -701,29 +658,40 @@ pub(crate) fn future_wait_turn(
     // thread is currently executing, so per-set FIFO orders it after the
     // operation doing the waiting. Deterministic, no timing involved.
     if active_contains(set.0) {
-        return WaitTurn::Deadlock;
+        return false;
     }
-    if help_one(rt.inner.id) {
-        return WaitTurn::Progress;
+    if help_one(t) {
+        return true;
     }
-    {
-        let mut waits = rt.inner.core.future_waits.lock();
-        // A snapshot of the active stack, for the deadlock detector.
-        let stack = with_help(|s| s.active.clone()).unwrap_or_default();
-        waits[me] = Some((set.0, signal.clone(), stack));
-        if wait_cycle_closes(rt, me, set.0, &waits) {
-            waits[me] = None;
-            return WaitTurn::Deadlock;
+    let core = &rt.inner.core;
+    let mut waits = core.future_waits.lock();
+    // A snapshot of the active stack, for the deadlock detector.
+    let stack = with_help(|s| s.active.clone()).unwrap_or_default();
+    waits[me] = Some((set.0, signal.clone(), stack));
+    // An unknown walk stays in the ladder and walks again: parking on it
+    // could sleep through a cycle no other waiter will ever walk.
+    let backoff = Backoff::new();
+    let walk = loop {
+        let walk = wait_cycle(rt, me, set.0, &waits);
+        if walk.is_some() || signal.is_settled() || t.has_work() {
+            break walk;
         }
+        drop(waits);
+        backoff.snooze();
+        waits = core.future_waits.lock();
+    };
+    drop(waits);
+    if walk == Some(false) {
+        signal.waiting(|| t.event().wait_until(|| signal.is_settled() || t.has_work()));
     }
-    park();
-    rt.inner.core.future_waits.lock()[me] = None;
-    WaitTurn::Waited
+    core.future_waits.lock()[me] = None;
+    walk != Some(true)
 }
 
 /// Walks the waits-for graph from `first_set` and reports whether it
 /// closes back on delegate `me` — the only configuration no amount of
-/// helping or waiting can resolve.
+/// helping or waiting can resolve — or `None` when a pin read could not
+/// finish without waiting on a lock holder: *unknown*.
 ///
 /// A hop `set → delegate j` is a *stuck* edge only when **both** hold:
 ///
@@ -737,69 +705,65 @@ pub(crate) fn future_wait_turn(
 ///   closing the cycle — `me`'s stack cannot unwind until this very
 ///   wait resolves).
 ///
-/// Soundness of the positive answer: while the `future_waits` mutex is
-/// held, registered waiters cannot deregister (deregistration takes the
-/// mutex) and are parked or walking — not executing — so the active-set
+/// Soundness of a cycle: while the `future_waits` mutex is held,
+/// registered waiters cannot deregister (deregistration takes the mutex)
+/// and are parked or walking — not executing — so the active-set
 /// snapshots they registered are still their live stacks; started sets
 /// never migrate, so the pins along the chain are stable too. Every edge
 /// of a reported cycle is therefore simultaneously stuck, and no member
 /// can ever run. Chains that end anywhere else (a program-owned or
 /// unpinned set, a merely-queued operation, an unregistered — i.e.
-/// running — delegate, a settled future) return `false` and the waiter
-/// retries after a bounded park.
-fn wait_cycle_closes(
+/// running — delegate, a settled future) answer "no cycle", which stays
+/// true until the next registration: a cycle closes only when some
+/// delegate registers the wait that closes it, and that delegate walks
+/// it.
+fn wait_cycle(
     rt: &Runtime,
     me: usize,
     first_set: u64,
     waits: &[Option<super::FutureWait>],
-) -> bool {
+) -> Option<bool> {
     let mut set = first_set;
     // A simple cycle visits each delegate at most once; the hop cap
-    // bounds the walk without a visited set (longer chains revisit a
-    // delegate, whose wait entry would just be followed again — the cap
-    // cuts the walk with a conservative `false`).
+    // bounds the walk without a visited set (a longer chain revisits a
+    // delegate: it runs into a cycle without `me`, which that cycle's
+    // own closer reports).
     for _ in 0..=waits.len() {
         // Keys in the graph are namespace-qualified; resolve each hop in
         // the pin map its domain owns.
-        let Some(Executor::Delegate(j)) = rt.executor_of_key(set) else {
-            return false;
+        let Some(Executor::Delegate(j)) = rt.executor_of_key(set)? else {
+            return Some(false);
         };
         if j == me {
             // Closing hop: `me` is walking, so its live (thread-local)
             // stack is the authority.
-            return active_contains(set);
+            return Some(active_contains(set));
         }
         match &waits[j] {
             Some((next, sig, stack)) if !sig.is_settled() => {
                 if !stack.contains(&set) {
-                    return false; // queued at j, not stuck: j will help
+                    return Some(false); // queued at j, not stuck: j will help
                 }
                 set = *next;
             }
-            _ => return false, // j is running; its stack will unwind
+            _ => return Some(false), // j is running; its stack will unwind
         }
     }
-    false
+    Some(false)
 }
 
 /// The delegate loop (§4), written once for both transports: read an
 /// invocation object, execute it, settle it, repeat; when the queue is
-/// empty, let the transport look elsewhere (a thief), then idle per the
-/// wait policy.
-fn delegate_loop<T: Transport + 'static>(
-    rt_id: u64,
-    t: T,
-    wakeup: &Wakeup,
-    policy: WaitPolicy,
-    force_sleep: &AtomicBool,
-) {
+/// empty, wait on the delegate's event until it is not, letting the
+/// transport look elsewhere (a thief) at every step.
+fn delegate_loop<T: Transport + 'static>(rt_id: u64, t: T, force_sleep: &AtomicBool) {
     let _help = HelpInstall::new(HelpState {
         rt_id,
         source: &t as &(dyn Transport + 'static),
         active: Vec::new(),
         deferred: VecDeque::new(),
     });
-    let backoff = ss_queue::Backoff::new();
+    let idle = || t.has_work() || t.on_dry();
     #[cfg(feature = "chaos")]
     let mut hold: Option<Invocation> = None;
     loop {
@@ -823,29 +787,16 @@ fn delegate_loop<T: Transport + 'static>(
                         if let Pop::Disconnected = dry {
                             break;
                         }
-                        t.ran_dry();
-                        if t.on_dry() {
-                            backoff.reset();
-                            continue;
-                        }
-                        let force = force_sleep.load(Ordering::Acquire);
-                        match policy {
-                            WaitPolicy::Spin if !force => backoff.spin(),
-                            WaitPolicy::SpinYield if !force => backoff.snooze(),
-                            _ if force || backoff.is_completed() => {
-                                // The bounded park (≤ 1 ms) doubles as a
-                                // thief's steal retry tick.
-                                wakeup.park_if_empty(|| t.has_work());
-                                backoff.reset();
-                            }
-                            _ => backoff.snooze(),
+                        if force_sleep.load(Ordering::Acquire) {
+                            t.event().sleep(idle);
+                        } else {
+                            t.event().wait_until(idle);
                         }
                         continue;
                     }
                 }
             }
         };
-        backoff.reset();
         match inv {
             Invocation::Token { token, terminate } => {
                 #[cfg(feature = "chaos")]

@@ -38,7 +38,7 @@
 //! only on the first touch of a set in an epoch. Static assignment
 //! without stealing bypasses even that: the inline modulo.
 
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{fence, Ordering};
 
 use crate::error::{SsError, SsResult};
 use crate::invocation::{ExecCx, Invocation, TaskSlot};
@@ -49,7 +49,7 @@ use crate::trace::{TraceExecutor, TraceKind};
 use super::delegate::current_domain_id;
 use super::domain::Domain;
 use super::router::Route;
-use super::{Channels, DelegateLoads, Executor, Runtime};
+use super::{Channels, DelegateLoads, Executor, Runtime, StealShared};
 
 /// Which context a submission comes from.
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -132,10 +132,10 @@ impl Runtime {
 
     /// Cross-thread, read-only resolution of the executor that owns a
     /// routing key in the current epoch — the pin-lookup leg of the
-    /// future-wait deadlock detector. Conservative and **non-blocking**:
-    /// `None` whenever the answer is not already pinned *or* could not be
-    /// read without waiting on a shard writer (the detector then simply
-    /// retries later), so this never creates pins and never blocks a
+    /// future-wait deadlock detector. **Non-blocking**: `Some(None)` when
+    /// the key is not pinned, and `None` — *unknown* — when the answer
+    /// could not be read without waiting on a lock holder (the detector
+    /// then walks again), so this never creates pins and never blocks a
     /// routing operation. The caller may hold the `future_waits` mutex.
     ///
     /// `key` is **already domain-qualified**: waits-for entries store
@@ -144,13 +144,17 @@ impl Runtime {
     /// must consult the pin map the key actually lives in. Root sets may
     /// use raw ids whose high bits alias a tenant id; a miss in the
     /// tenant's map therefore falls through to the root's.
-    pub(crate) fn executor_of_key(&self, key: u64) -> Option<Executor> {
+    pub(crate) fn executor_of_key(&self, key: u64) -> Option<Option<Executor>> {
         let loads = self.loads();
         let core = &self.inner.core;
         let router = &self.inner.router;
-        core.session_of_key(key)
-            .and_then(|d| router.peek(&d, SsId(key), &loads))
-            .or_else(|| router.peek(&core.root, SsId(key), &loads))
+        match core
+            .session_of_key(key)
+            .map(|d| router.peek(&d, SsId(key), &loads))
+        {
+            Some(Some(None)) | None => router.peek(&core.root, SsId(key), &loads),
+            tenant => tenant.flatten(),
+        }
     }
 
     /// Counts submitted tasks against the inline/boxed storage split
@@ -204,12 +208,12 @@ impl Runtime {
         let mut queued = d.in_flight.load(Ordering::Relaxed);
         if queued >= cap {
             StatsCell::bump(&self.inner.core.stats.program().starvation_stalls);
-            let backoff = ss_queue::Backoff::new();
-            while queued >= cap {
-                self.check_live()?;
-                backoff.snooze();
+            // The release that takes the count below the cap notifies.
+            d.waiter.wait_until(|| {
                 queued = d.in_flight.load(Ordering::Acquire);
-            }
+                queued < cap || self.check_live().is_err()
+            });
+            self.check_live()?;
         }
         Ok(n.min((cap - queued) as usize))
     }
@@ -283,12 +287,13 @@ impl Runtime {
             self.note_route(stats, &route, key, origin);
             match (route.executor, origin) {
                 (Executor::Delegate(i), _) => {
-                    if lane != Lane::Deque {
-                        lost = self.push(d, key, producer, lane, i, run);
+                    match &self.inner.channels {
+                        Channels::Steal(shared) => self.wake_thief(shared, i),
+                        Channels::Spsc { .. } => lost = self.push(d, key, producer, lane, i, run),
                     }
                     let pushed = (n - lost) as u64;
                     if pushed > 0 {
-                        self.inner.wakeups[i].notify();
+                        self.inner.events[i].notify();
                         stats.delegations.fetch_add(pushed, Ordering::Relaxed);
                         if origin == Origin::Nested {
                             stats
@@ -323,6 +328,23 @@ impl Runtime {
             }
             rest = later;
         }
+    }
+
+    /// Stealing transport, after a push to delegate `i`: once `i`'s queue
+    /// price is past the thieves' bar, wakes one parked peer to come and
+    /// steal. A parked thief hears of nothing else but pushes to its own
+    /// queue; its re-check before parking reads the same depths, so
+    /// either it sees this push or this sees it asleep.
+    fn wake_thief(&self, shared: &StealShared, i: usize) {
+        // The bar in queue depth: a price and the bar are both that many
+        // typical operations, so the cost model's scale cancels out.
+        if self.inner.core.stats.queue_depth(i) <= shared.plan.bar_ops {
+            return;
+        }
+        let (events, n) = (&self.inner.events, self.inner.events.len());
+        fence(Ordering::SeqCst);
+        // One sleeper, the first after `i`: `any` stops at it.
+        (1..n).any(|k| events[(i + k) % n].wake_sleeper());
     }
 
     /// Reserve → audit token run → push, for a run of `n` bound for
@@ -391,7 +413,7 @@ impl Runtime {
             core.audit_unsubmit(d, key, base, lost);
             core.stats.sub_queued(i, lost as u64);
             if lane.counted() {
-                d.in_flight.fetch_sub(lost as u64, Ordering::Relaxed);
+                d.release(lost as u64);
             }
         }
         lost
@@ -535,7 +557,7 @@ impl Runtime {
         let Executor::Delegate(i) = executor else {
             return Ok(Executor::Program); // inline sets are always drained
         };
-        self.inner.wakeups[i].notify();
+        self.inner.events[i].notify();
         StatsCell::bump(&stats.sync_objects);
         self.inner.sync_tokens[i].wait();
         Ok(executor)
@@ -567,8 +589,9 @@ impl Runtime {
     ///   every ring-borne root operation finished) the counter can only
     ///   drain, and zero means the whole spawn tree has executed. A
     ///   session's entries are all counted, so for it the counter is the
-    ///   whole proof. No lost-wakeup window exists: the count is raised
-    ///   before the push, and the waiter spins (it never parks).
+    ///   whole proof. No wake-up is lost: the count is raised before the
+    ///   push, and the release that takes it to zero notifies the
+    ///   domain's waiter (`docs/ARCHITECTURE.md`, "Waiting and waking").
     ///
     /// The counter is deliberately a *single* atomic per domain: it is
     /// raised at submit and lowered (with Release) only after an
@@ -605,19 +628,17 @@ impl Runtime {
                         shared.deques[i].push_fence(ss_queue::FenceScope::Open, sync);
                     }
                 }
-                self.inner.wakeups[i].notify();
+                self.inner.events[i].notify();
                 StatsCell::bump(&stats.sync_objects);
             }
             for token in tokens.iter() {
                 token.wait();
             }
         }
-        let backoff = ss_queue::Backoff::new();
-        while d.in_flight.load(Ordering::Acquire) != 0 {
-            self.check_live()?;
-            backoff.snooze();
-        }
-        Ok(())
+        let drained = || d.in_flight.load(Ordering::Acquire) == 0;
+        d.waiter
+            .wait_until(|| drained() || self.check_live().is_err());
+        drained().then_some(()).ok_or(SsError::Terminated)
     }
 
     /// Records reduction time (called by `Reducible`; Figure 5a component).

@@ -26,7 +26,7 @@
 //!    by a ring token raises its domain's `in_flight` before the push and
 //!    the executing delegate lowers it *after* the operation's effects
 //!    (completion cell, audit record) are visible — so a domain's barrier
-//!    spins only on its own counter and never waits for another domain's
+//!    waits only on its own counter and never for another domain's
 //!    epoch.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -34,6 +34,8 @@ use std::thread::ThreadId;
 use std::time::Instant;
 
 use ss_queue::shardmap::ShardMap;
+
+use super::Event;
 
 use crate::cell::ProgramOnly;
 use crate::serializer::SsId;
@@ -126,11 +128,15 @@ pub(crate) struct Domain {
     /// [`RuntimeBuilder::session_queue_cap`](crate::RuntimeBuilder::session_queue_cap);
     /// always `None` for the root.
     pub(crate) queue_cap: Option<u64>,
+    /// What the barrier's drain and a capped submit wait on: notified by
+    /// the [`release`](Domain::release) that takes `in_flight` to zero or
+    /// below `queue_cap`, and by pool termination.
+    pub(crate) waiter: Event,
 }
 
 impl Domain {
     /// Creates a domain whose program thread is the calling thread.
-    pub(crate) fn new(id: u32, shards: usize, queue_cap: Option<u64>) -> Self {
+    pub(crate) fn new(id: u32, shards: usize, queue_cap: Option<u64>, waiter: Event) -> Self {
         Domain {
             id,
             program_thread: std::thread::current().id(),
@@ -149,6 +155,7 @@ impl Domain {
             trace_clock: AtomicU64::new(0),
             pins: ShardMap::new(shards),
             queue_cap,
+            waiter,
         }
     }
 
@@ -193,6 +200,19 @@ impl Domain {
     #[inline]
     pub(crate) fn settle(&self, n: u64) {
         self.completed.fetch_add(n, Ordering::Relaxed);
-        self.in_flight.fetch_sub(n, Ordering::Release);
+        self.release(n);
+    }
+
+    /// Lowers the drain counter by `n` — settled operations, or a push
+    /// rolled back — and notifies [`waiter`](Domain::waiter) when that
+    /// takes the counter to zero or from the queue cap to below it: the
+    /// two conditions anyone waits on.
+    #[inline]
+    pub(crate) fn release(&self, n: u64) {
+        let before = self.in_flight.fetch_sub(n, Ordering::Release);
+        let crossed = |line: u64| before - n < line && line <= before;
+        if crossed(1) || self.queue_cap.is_some_and(crossed) {
+            self.waiter.notify();
+        }
     }
 }

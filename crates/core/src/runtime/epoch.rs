@@ -23,8 +23,8 @@ use crate::trace::TraceKind;
 use super::Runtime;
 
 impl Runtime {
-    /// Begins an isolation epoch (Table 1 `begin_isolation`): wakes delegate
-    /// processor resources if necessary and enables delegation.
+    /// Begins an isolation epoch (Table 1 `begin_isolation`): ends a
+    /// [`sleep`](Runtime::sleep) and enables delegation.
     pub fn begin_isolation(&self) -> SsResult<()> {
         self.require_program_thread()?;
         self.check_live()?;
@@ -42,10 +42,9 @@ impl Runtime {
         if self.is_poisoned() {
             return Err(self.inner.core.poison_error());
         }
+        // A delegate that slept past the ladder is woken by the first push
+        // to its queue, like any parked delegate; nothing to notify here.
         self.inner.force_sleep.store(false, Ordering::Release);
-        for w in self.inner.wakeups.iter() {
-            w.notify();
-        }
         // SAFETY: program thread; scoped.
         let epoch = unsafe { d.epoch.get() };
         epoch.in_isolation = true;

@@ -7,6 +7,10 @@
 //! it is an ordered list of gate *names*, and every instrumented
 //! scheduling point in the delegate loop calls [`TestGates::hit`] with
 //! its name (`"popped@0"`, `"stole@1"`, … — point `@` delegate index).
+//! The wait primitive has two more: `sleep@…` between an event's last
+//! re-check and its park, and `wake@…` where a notify finds the waiter
+//! asleep — labelled with the delegate index, or `p` for the events a
+//! program thread waits on.
 //! A thread whose gate name is at the front of the script pops it and
 //! proceeds; a thread whose name appears *later* blocks until the
 //! earlier gates are consumed; a name absent from the remaining script

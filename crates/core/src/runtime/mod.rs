@@ -13,8 +13,8 @@
 //!   pool. Every path below is written once, over `&Domain`.
 //! * `N` **delegate threads** implement the *delegate context*. Each owns the
 //!   consumer side of a FastForward SPSC queue; the program thread owns all
-//!   producer sides. The worker loop and wakeup machinery live in
-//!   [`delegate`].
+//!   producer sides. The worker loop lives in [`delegate`]; every wait —
+//!   an idle delegate's, a barrier's, a future's — is one [`event`].
 //! * A delegated operation is packaged as an *invocation object* and routed
 //!   by the configured [`DelegateAssignment`] policy ([`assign`]); the
 //!   paper's **static delegate assignment** (serialization-set id modulo the
@@ -54,6 +54,7 @@ mod delegate;
 mod dispatch;
 mod domain;
 mod epoch;
+mod event;
 mod gates;
 mod router;
 mod session;
@@ -65,10 +66,11 @@ pub use assign::{
     RoundRobinFirstTouch, StaticAssignment,
 };
 pub(crate) use assign::{CostSamples, StealShared};
+pub(crate) use delegate::future_wait_turn;
 pub use delegate::DelegateContext;
-pub(crate) use delegate::{future_wait_turn, WaitTurn};
 pub(crate) use dispatch::Origin;
 pub(crate) use domain::Domain;
+pub(crate) use event::Event;
 pub(crate) use gates::TestGates;
 pub(crate) use router::Router;
 pub use session::{Session, SessionStats};
@@ -83,7 +85,7 @@ use parking_lot::Mutex;
 use ss_queue::slab::CellPool;
 use ss_queue::{Injector, Producer, SpscQueue};
 
-use delegate::{run_delegate, Queue, Wakeup, DELEGATE_CTX};
+use delegate::{run_delegate, Queue, DELEGATE_CTX};
 use domain::{key_domain, ROOT_SHARDS};
 
 use crate::audit::{AuditMode, AuditReport, AuditState};
@@ -469,7 +471,8 @@ pub(crate) struct Inner {
     /// reference back to this `Inner`.
     pub(crate) router: Arc<Router>,
     pub(crate) channels: Channels,
-    wakeups: Box<[Arc<Wakeup>]>,
+    /// Delegate `i`'s [`Event`]: every push to its queue notifies it.
+    events: Box<[Arc<Event>]>,
     /// One reusable synchronization token per delegate, waited on by the
     /// root program thread only (its epoch barrier uses all of them, a
     /// reclaim the owner's): created here, on that thread, and re-armed
@@ -600,7 +603,7 @@ impl Runtime {
             stats: StatsCell::new(n_delegates),
             poisoned: AtomicBool::new(false),
             panic_msg: Mutex::new(None),
-            root: Domain::new(0, ROOT_SHARDS, None),
+            root: Domain::new(0, ROOT_SHARDS, None, Event::scripted(&b.test_gates, "p")),
             side_events: b.trace.then(|| Mutex::new(Vec::new())),
             future_waits: Mutex::new((0..n_delegates).map(|_| None).collect()),
             cost_samples: wants_cost_feedback
@@ -633,8 +636,8 @@ impl Runtime {
                 injectors: injectors.into_boxed_slice(),
             }
         };
-        let wakeups: Box<[Arc<Wakeup>]> = (0..n_delegates)
-            .map(|_| Arc::new(Wakeup::default()))
+        let events: Box<[Arc<Event>]> = (0..n_delegates)
+            .map(|i| Arc::new(Event::scripted(&b.test_gates, &i.to_string())))
             .collect();
 
         let inner = Arc::new(Inner {
@@ -646,8 +649,10 @@ impl Runtime {
             steal_policy,
             router,
             channels,
-            wakeups,
-            sync_tokens: (0..n_delegates).map(|_| SyncToken::idle()).collect(),
+            events,
+            sync_tokens: (0..n_delegates)
+                .map(|_| SyncToken::rearmable(Event::scripted(&b.test_gates, "p")))
+                .collect(),
             join_handles: Mutex::new(Vec::new()),
             started_at: Instant::now(),
             terminated: AtomicBool::new(false),
@@ -672,13 +677,12 @@ impl Runtime {
                 }
             };
             let core = Arc::clone(&inner.core);
-            let wakeup = Arc::clone(&inner.wakeups[idx]);
+            let event = Arc::clone(&inner.events[idx]);
             let force_sleep = Arc::clone(&inner.force_sleep);
-            let policy = b.wait_policy;
             handles.push(
                 std::thread::Builder::new()
                     .name(format!("ss-delegate-{idx}"))
-                    .spawn(move || run_delegate(id, idx, queue, core, wakeup, policy, force_sleep))
+                    .spawn(move || run_delegate(id, idx, queue, core, event, force_sleep))
                     .expect("failed to spawn delegate thread"),
             );
         }
@@ -994,8 +998,9 @@ impl Runtime {
     // lifecycle
 
     /// Releases delegate processor resources during a long aggregation epoch
-    /// (Table 1 `sleep`): delegate threads park as soon as their queues are
-    /// empty, regardless of wait policy, until the next `begin_isolation`.
+    /// (Table 1 `sleep`): until the next `begin_isolation`, a delegate
+    /// whose queue is empty parks at once instead of spinning and yielding
+    /// first.
     pub fn sleep(&self) -> SsResult<()> {
         if !self.is_root() {
             // Pool-wide lifecycle stays with the root handle: one tenant
@@ -1051,7 +1056,14 @@ impl Inner {
                         shared.deques[i].push_fence(ss_queue::FenceScope::Open, terminate);
                     }
                 }
-                self.wakeups[i].notify();
+                self.events[i].notify();
+            }
+            // A session barrier or capped submit waiting on work that can
+            // no longer run must see the flag: it is part of both waits'
+            // predicates.
+            self.core.root.waiter.notify();
+            for d in self.core.sessions.lock().values() {
+                d.waiter.notify();
             }
         }
         let mut handles = self.join_handles.lock();

@@ -292,30 +292,32 @@ impl Router {
     /// Read-only, **non-blocking** pin resolution — the future-wait
     /// deadlock detector's view of the routing state. Never creates
     /// pins, never waits on a shard writer (lock-free probe, `try_lock`
-    /// overflow fallback), and answers `None` whenever the truth is not
-    /// observable without blocking; the detector treats `None` as
-    /// "helpable / no cycle" and retries after its bounded park, so a
-    /// conservative answer costs a millisecond, not a hang.
+    /// overflow fallback): `Some(None)` for an unpinned set, and `None`
+    /// whenever the truth is not observable without blocking. The
+    /// detector reads `None` as *unknown* and walks again, without
+    /// parking.
     pub(crate) fn peek(
         &self,
         d: &Domain,
         key: SsId,
         loads: &DelegateLoads<'_>,
-    ) -> Option<Executor> {
+    ) -> Option<Option<Executor>> {
         if self.topology.n_delegates == 0 {
-            return Some(Executor::Program);
+            return Some(Some(Executor::Program));
         }
         if self.static_assignment {
-            return Some(static_executor(key, &self.topology));
+            return Some(Some(static_executor(key, &self.topology)));
         }
         if self.pure && !self.always_pin {
             // Pure ⇒ side-effect-free recomputation, but the policy box
             // still sits behind the mutex; try_lock keeps the
             // non-blocking contract when a first touch is mid-flight.
             let mut scheduler = self.scheduler.try_lock()?;
-            return Some(scheduler.assign_raw(key, d.serial(), &self.topology, loads));
+            let executor = scheduler.assign_raw(key, d.serial(), &self.topology, loads);
+            return Some(Some(executor));
         }
-        d.pins.read_nonblocking(key.0, d.serial()).map(decode)
+        let pin = d.pins.read_nonblocking(key.0, d.serial())?;
+        Some(pin.map(decode))
     }
 
     /// Migrates `candidates` (keys of domain `d`) from executor `from` to
@@ -427,7 +429,7 @@ mod tests {
 
     /// A root-like domain whose current epoch serial is `serial`.
     fn epoch(serial: u64) -> Domain {
-        let e = Domain::new(0, 4, None);
+        let e = Domain::new(0, 4, None, Default::default());
         e.epoch_serial.store(serial, Ordering::Relaxed);
         e
     }
@@ -541,7 +543,7 @@ mod tests {
         }
         let pins: Vec<Executor> = [10u64, 11, 12]
             .iter()
-            .map(|&ss| r.peek(&e, SsId(ss), &loads_of(&d)).unwrap())
+            .map(|&ss| r.peek(&e, SsId(ss), &loads_of(&d)).flatten().unwrap())
             .collect();
         let victim = pins[0];
         let victims: Vec<u64> = [10u64, 11, 12]
@@ -566,11 +568,11 @@ mod tests {
         assert_eq!(taken, vec![victims[0]]);
         assert_eq!(
             r.peek(&e, SsId(victims[0]), &loads_of(&d)),
-            Some(Executor::Delegate(2))
+            Some(Some(Executor::Delegate(2)))
         );
         // Untaken keys keep their pins.
         for (&ss, &pin) in [10u64, 11, 12].iter().zip(&pins).skip(1) {
-            assert_eq!(r.peek(&e, SsId(ss), &loads_of(&d)), Some(pin));
+            assert_eq!(r.peek(&e, SsId(ss), &loads_of(&d)), Some(Some(pin)));
         }
     }
 

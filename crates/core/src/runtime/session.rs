@@ -14,7 +14,7 @@ use crate::error::{SsError, SsResult};
 use crate::stats::StatsCell;
 
 use super::domain::{Domain, SESSION_SHARDS};
-use super::Runtime;
+use super::{Event, Runtime};
 
 /// A point-in-time view of one session's activity (see
 /// [`Session::session_stats`]).
@@ -148,6 +148,7 @@ impl Runtime {
             id,
             SESSION_SHARDS,
             self.inner.session_queue_cap,
+            Event::scripted(&core.test_gates, "p"),
         ));
         // A capped session's program-submitted backlog never exceeds its
         // queue cap (`Runtime::admit` stalls the program context at the

@@ -1,5 +1,5 @@
 //! Runtime-level tests: epoch state machine, delegation, termination,
-//! wait policies, and the assignment layer's end-to-end behaviour.
+//! and the assignment layer's end-to-end behaviour.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -7,7 +7,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use super::*;
-use crate::config::{Assignment, WaitPolicy};
+use crate::config::Assignment;
 use crate::invocation::TaskSlot;
 
 /// Program-origin submit of a run of one.
@@ -194,29 +194,6 @@ fn many_runtimes_coexist() {
 }
 
 #[test]
-fn wait_policies_all_deliver() {
-    for policy in [
-        WaitPolicy::Spin,
-        WaitPolicy::SpinYield,
-        WaitPolicy::SpinPark,
-    ] {
-        let rt = Runtime::builder()
-            .delegate_threads(1)
-            .wait_policy(policy)
-            .build()
-            .unwrap();
-        let hits = Arc::new(AtomicU64::new(0));
-        rt.begin_isolation().unwrap();
-        for i in 0..50u64 {
-            submit(&rt, SsId(i), bump(&hits)).unwrap();
-        }
-        rt.end_isolation().unwrap();
-        assert_eq!(hits.load(Ordering::Relaxed), 50, "policy {policy:?}");
-        rt.shutdown().unwrap();
-    }
-}
-
-#[test]
 fn tiny_queue_applies_backpressure_without_deadlock() {
     let rt = Runtime::builder()
         .delegate_threads(1)
@@ -233,37 +210,30 @@ fn tiny_queue_applies_backpressure_without_deadlock() {
 }
 
 /// Streams long enough to arm the delegate's temporal slip, on a ring
-/// smaller than the slip's margin and on the default one, under every
-/// wait policy: per-set order holds, a mid-stream reclaim is answered
-/// (its token ends the slip), and the barrier drains the tail.
+/// smaller than the slip's margin and on the default one: per-set order
+/// holds, a mid-stream reclaim is answered (its token ends the slip), and
+/// the barrier drains the tail.
 #[test]
 fn a_slipping_delegate_keeps_order_and_answers_reclaims() {
-    for policy in [
-        WaitPolicy::Spin,
-        WaitPolicy::SpinYield,
-        WaitPolicy::SpinPark,
-    ] {
-        for capacity in [2, 512] {
-            let rt = Runtime::builder()
-                .delegate_threads(1)
-                .queue_capacity(capacity)
-                .wait_policy(policy)
-                .build()
-                .unwrap();
-            let log: crate::Writable<Vec<u32>, crate::SequenceSerializer> =
-                crate::Writable::new(&rt, Vec::new());
-            rt.begin_isolation().unwrap();
-            for i in 0..3000u32 {
-                log.delegate(move |v| v.push(i)).unwrap();
-                if i % 1000 == 999 {
-                    let seen = log.call_mut(|v| v.len()).unwrap();
-                    assert_eq!(seen, i as usize + 1, "{policy:?} cap {capacity}");
-                }
+    for capacity in [2, 512] {
+        let rt = Runtime::builder()
+            .delegate_threads(1)
+            .queue_capacity(capacity)
+            .build()
+            .unwrap();
+        let log: crate::Writable<Vec<u32>, crate::SequenceSerializer> =
+            crate::Writable::new(&rt, Vec::new());
+        rt.begin_isolation().unwrap();
+        for i in 0..3000u32 {
+            log.delegate(move |v| v.push(i)).unwrap();
+            if i % 1000 == 999 {
+                let seen = log.call_mut(|v| v.len()).unwrap();
+                assert_eq!(seen, i as usize + 1, "cap {capacity}");
             }
-            rt.end_isolation().unwrap();
-            let v = log.call(|v| v.clone()).unwrap();
-            assert!(v.iter().copied().eq(0..3000), "{policy:?} cap {capacity}");
         }
+        rt.end_isolation().unwrap();
+        let v = log.call(|v| v.clone()).unwrap();
+        assert!(v.iter().copied().eq(0..3000), "cap {capacity}");
     }
 }
 

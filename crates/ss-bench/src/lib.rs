@@ -14,7 +14,6 @@
 //! | `ablation_serializer` | §2.1 serializer granularity (matmul) |
 //! | `ablation_ratio`   | §4 program-thread assignment ratio |
 //! | `ablation_kmeans`  | §5.1 kmeans variants (paper vs reduction) |
-//! | `ablation_wait`    | §4 spin vs yield vs park wait policies |
 //! | `ablation_assignment` | delegate-assignment policies under skew (docs/POLICIES.md) |
 //! | `ablation_stealing` | work stealing between delegate queues (docs/POLICIES.md) |
 //!
@@ -107,7 +106,8 @@ pub fn machine_configs() -> Vec<MachineConfig> {
         .collect()
 }
 
-/// Simple fixed-width table printer (plain text, EXPERIMENTS.md-friendly).
+/// Simple fixed-width table printer (plain text, pastes into Markdown
+/// code blocks).
 pub struct Table {
     headers: Vec<String>,
     rows: Vec<Vec<String>>,

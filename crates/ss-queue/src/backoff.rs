@@ -6,8 +6,8 @@
 //! resources on multithreaded cores" (§4). [`Backoff`] reproduces that
 //! discipline: a few rounds of `spin_loop` hints with exponentially growing
 //! spin counts, after which the caller is advised to yield to the OS
-//! scheduler (important on machines with fewer cores than threads, such as
-//! the oversubscribed configurations in EXPERIMENTS.md).
+//! scheduler (important on machines with fewer cores than threads, where a
+//! spinning waiter holds the core the thread it waits for needs).
 
 /// Exponential spin-wait helper.
 ///
@@ -46,35 +46,25 @@ impl Backoff {
         self.step.set(0);
     }
 
-    /// Busy-spins for the current budget; never yields. Suitable for very
-    /// short expected waits (e.g. FastForward slot handoff).
-    #[inline]
-    pub fn spin(&self) {
-        let step = self.step.get().min(Self::SPIN_LIMIT);
-        for _ in 0..(1u32 << step) {
-            core::hint::spin_loop();
-        }
-        if self.step.get() <= Self::SPIN_LIMIT {
-            self.step.set(self.step.get() + 1);
-        }
-    }
-
     /// Spins while the budget is small, then yields to the OS scheduler.
     #[inline]
     pub fn snooze(&self) {
-        if self.step.get() <= Self::SPIN_LIMIT {
-            self.spin();
+        let step = self.step.get();
+        if step <= Self::SPIN_LIMIT {
+            for _ in 0..(1u32 << step) {
+                core::hint::spin_loop();
+            }
         } else {
             std::thread::yield_now();
-            if self.step.get() <= Self::YIELD_LIMIT {
-                self.step.set(self.step.get() + 1);
-            }
+        }
+        if step <= Self::YIELD_LIMIT {
+            self.step.set(step + 1);
         }
     }
 
-    /// True once spinning has been tried long enough that the caller should
-    /// consider parking the thread (the serialization-sets runtime parks
-    /// delegate threads during long aggregation epochs).
+    /// True once spinning and yielding have been tried long enough that the
+    /// caller should park the thread (every wait of the serialization-sets
+    /// runtime parks here, until notified).
     #[inline]
     pub fn is_completed(&self) -> bool {
         self.step.get() > Self::YIELD_LIMIT
@@ -112,12 +102,11 @@ mod tests {
     }
 
     #[test]
-    fn spin_saturates_instead_of_overflowing() {
+    fn snooze_saturates_instead_of_overflowing() {
         let b = Backoff::new();
         for _ in 0..1000 {
-            b.spin();
+            b.snooze(); // must not panic or overflow the shift
         }
-        // Must not panic or overflow the shift.
-        assert!(!b.is_completed()); // spin() alone never passes YIELD_LIMIT
+        assert!(b.is_completed());
     }
 }

@@ -16,12 +16,12 @@
 //!   any parked waiter, so a waiter behind a panicked or never-executed
 //!   operation unblocks with an error instead of hanging.
 //! * **Waiting composes with external work loops.** The receiver exposes
-//!   a non-consuming poll plus a bounded park
-//!   ([`OneshotReceiver::park_timeout`]); the caller owns the wait loop
-//!   and may interleave other work (the runtime's help-first execution)
-//!   between polls. A [`WaitSignal`] probe — non-generic, cloneable —
-//!   lets third parties (the runtime's deadlock detector) observe
-//!   settlement without access to the value.
+//!   a non-consuming poll, and a [`WaitSignal`] probe — non-generic,
+//!   cloneable — observes settlement without access to the value (the
+//!   runtime's deadlock detector reads it) and registers a waiter
+//!   ([`WaitSignal::waiting`]) that the settle unparks. The caller owns
+//!   the wait loop, parks without a timeout, and may interleave other
+//!   work (the runtime's help-first execution) between polls.
 //! * **Epoch awareness.** Every cell carries a `u64` tag; the runtime
 //!   stamps it with the isolation-epoch serial the operation was
 //!   delegated in, so diagnostics can relate a pending future to the
@@ -53,7 +53,6 @@ use core::ptr;
 use core::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 use std::thread::Thread;
-use std::time::Duration;
 
 /// Cell states (monotonic within one use: `EMPTY` → `READY`/`CLOSED`,
 /// `READY` → `TAKEN`; a pool [`reset`](Signal::reset) returns a quiescent
@@ -380,20 +379,6 @@ impl<T> OneshotReceiver<T> {
     pub fn request_cancel(&self) {
         self.signal.cancelled.store(true, Ordering::Release);
     }
-
-    /// Registers the current thread as the cell's waiter and parks for at
-    /// most `dur`, returning early if the cell settles first. Spurious
-    /// wakeups are possible; callers loop around
-    /// [`poll`](OneshotReceiver::poll). The bounded wait means a lost
-    /// wakeup degrades to latency, never deadlock.
-    pub fn park_timeout(&self, dur: Duration) {
-        let signal = &self.signal;
-        signal.with_waiter(|w| *w = Some(std::thread::current()));
-        if !signal.is_settled() {
-            std::thread::park_timeout(dur);
-        }
-        signal.with_waiter(|w| *w = None);
-    }
 }
 
 /// A non-generic, cloneable probe that observes whether a one-shot cell
@@ -412,6 +397,19 @@ impl WaitSignal {
     /// The tag the underlying cell currently carries.
     pub fn tag(&self) -> u64 {
         self.0.tag()
+    }
+
+    /// Runs `wait` with the calling thread registered as the cell's
+    /// waiter: settling the cell unparks it. `wait` may park with no
+    /// timeout provided it checks [`is_settled`](WaitSignal::is_settled)
+    /// before each park — the registration comes first, so a settle
+    /// either finds the waiter registered or is seen by that check.
+    pub fn waiting<R>(&self, wait: impl FnOnce() -> R) -> R {
+        let signal = &self.0;
+        signal.with_waiter(|w| *w = Some(std::thread::current()));
+        let out = wait();
+        signal.with_waiter(|w| *w = None);
+        out
     }
 }
 
@@ -518,24 +516,21 @@ mod tests {
     }
 
     #[test]
-    fn park_wakes_on_send() {
+    fn a_registered_waiter_is_unparked_by_the_send() {
         let (tx, rx) = oneshot::<u64>(9);
+        let probe = rx.signal();
         std::thread::scope(|s| {
             s.spawn(move || {
-                std::thread::sleep(Duration::from_millis(5));
+                std::thread::sleep(std::time::Duration::from_millis(5));
                 tx.send(11);
             });
-            loop {
-                match rx.poll() {
-                    OneshotPoll::Ready(v) => {
-                        assert_eq!(v, 11);
-                        break;
-                    }
-                    OneshotPoll::Pending => rx.park_timeout(Duration::from_millis(1)),
-                    OneshotPoll::Closed => panic!("sender vanished"),
+            probe.waiting(|| {
+                while !probe.is_settled() {
+                    std::thread::park();
                 }
-            }
+            });
         });
+        assert!(matches!(rx.poll(), OneshotPoll::Ready(11)));
     }
 
     #[test]

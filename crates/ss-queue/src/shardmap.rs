@@ -240,13 +240,14 @@ impl ShardMap {
     }
 
     /// Non-blocking read that also consults the overflow map when the
-    /// shard lock is free. Never waits: if a writer holds the shard,
-    /// returns `None` (callers treat that as "unknown, retry later").
-    /// This is the read the runtime's deadlock detector uses — it must
-    /// never be able to block (or be blocked by) a shard writer.
-    pub fn read_nonblocking(&self, key: u64, serial: u64) -> Option<u32> {
+    /// shard lock is free: `Some(value)` when the lookup completed
+    /// (`Some(None)` for an absent key), `None` when a writer held the
+    /// shard and the answer is unknown. This is the read the runtime's
+    /// deadlock detector uses — it must never be able to block (or be
+    /// blocked by) a shard writer.
+    pub fn read_nonblocking(&self, key: u64, serial: u64) -> Option<Option<u32>> {
         if let Some(v) = self.get(key, serial) {
-            return Some(v);
+            return Some(Some(v));
         }
         let shard = &self.shards[self.shard_index(key)];
         if !shard.try_lock() {
@@ -260,7 +261,7 @@ impl ShardMap {
             None
         };
         shard.unlock();
-        out
+        Some(out)
     }
 
     /// Locks the shard owning `key` and returns a write handle to it.
@@ -500,7 +501,7 @@ mod tests {
             // Lock-free read may miss (overflow), but a locked read and
             // the non-blocking read (uncontended here) must find it.
             assert_eq!(m.lock_key(key).get(key, 1), Some((key + 1) as u32));
-            assert_eq!(m.read_nonblocking(key, 1), Some((key + 1) as u32));
+            assert_eq!(m.read_nonblocking(key, 1), Some(Some((key + 1) as u32)));
         }
     }
 
@@ -510,7 +511,7 @@ mod tests {
         m.lock_key(EMPTY_KEY).set(EMPTY_KEY, 1, 7);
         assert_eq!(m.get(EMPTY_KEY, 1), None); // never lock-free
         assert_eq!(m.lock_key(EMPTY_KEY).get(EMPTY_KEY, 1), Some(7));
-        assert_eq!(m.read_nonblocking(EMPTY_KEY, 1), Some(7));
+        assert_eq!(m.read_nonblocking(EMPTY_KEY, 1), Some(Some(7)));
     }
 
     #[test]
@@ -550,8 +551,8 @@ mod tests {
         let t = std::thread::spawn(move || {
             // Fast-array hit still works lock-free under a held lock...
             assert_eq!(m2.get(1, 1), Some(5));
-            // ...and the overflow-consulting read returns (conservatively
-            // None for an absent key) instead of blocking.
+            // ...and the overflow-consulting read returns "unknown"
+            // instead of blocking.
             assert_eq!(m2.read_nonblocking(999, 1), None);
         });
         t.join().expect("reader must not block on the shard writer");
@@ -581,9 +582,9 @@ mod tests {
                             assert_eq!(got, want);
                             fast_hits.fetch_add(1, Ordering::Relaxed);
                         }
-                        // Non-blocking: a conservative `None` is allowed
-                        // only while another thread holds the shard, so a
-                        // retry must hit.
+                        // Non-blocking: "unknown" is allowed only while
+                        // another thread holds the shard, so a retry must
+                        // hit.
                         let deadline =
                             std::time::Instant::now() + std::time::Duration::from_secs(10);
                         let got = loop {
@@ -595,7 +596,7 @@ mod tests {
                                 None => panic!("key {key}: non-blocking read never hit"),
                             }
                         };
-                        assert_eq!(got, want);
+                        assert_eq!(got, Some(want));
                     }
                 });
             }

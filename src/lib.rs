@@ -55,7 +55,6 @@ pub mod prelude {
         Fingerprint, FnSerializer, LeastLoaded, MemoValue, NullSerializer, ObjectSerializer,
         ReadOnly, Reduce, Reducible, RoundRobinFirstTouch, Runtime, RuntimeBuilder,
         SequenceSerializer, Serializer, Session, SessionStats, SsError, SsFuture, SsId,
-        StaticAssignment, Stats, StealPolicy, TraceEvent, TraceExecutor, TraceKind, WaitPolicy,
-        Writable,
+        StaticAssignment, Stats, StealPolicy, TraceEvent, TraceExecutor, TraceKind, Writable,
     };
 }
