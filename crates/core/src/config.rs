@@ -1,15 +1,17 @@
-//! Runtime configuration: delegate-thread count, virtual delegates,
-//! assignment ratio, assignment policy, queue capacity, execution mode.
-//! How an idle delegate waits is not configurable: it spins, yields, then
-//! parks until notified (`docs/POLICIES.md` says why).
+//! Runtime configuration: delegate-thread count, assignment policy, queue
+//! capacity, execution mode. How an idle delegate waits is not
+//! configurable: it spins, yields, then parks until notified
+//! (`docs/POLICIES.md` says why).
 //!
 //! Mirrors the environment knobs of §4: "The number of delegate threads is
 //! one less than the number of processors by default, but may be configured
-//! to some other number"; "Virtual delegates allow runtime configuration of
-//! the assignment ratio of serialization sets assigned to the program thread
-//! and the delegate threads." The [`Assignment`] selector goes beyond the
-//! paper: it swaps the set→executor mapping itself (see
-//! [`DelegateAssignment`]).
+//! to some other number". The paper's other knob, virtual delegates with a
+//! static program-thread share ("the assignment ratio"), is not here: the
+//! program thread chooses by load which sets it runs — it takes a set that
+//! arrives fresh at a half-full ring (`docs/POLICIES.md`, "The program
+//! thread takes fresh sets at a half-full ring"). The [`Assignment`]
+//! selector goes beyond the paper: it swaps the set→executor mapping itself
+//! (see [`DelegateAssignment`]).
 
 use std::sync::Arc;
 
@@ -66,8 +68,8 @@ type PolicyFactory = Arc<dyn Fn() -> Box<dyn DelegateAssignment> + Send + Sync>;
 /// policies operate under).
 #[derive(Clone, Default)]
 pub enum Assignment {
-    /// The paper's static assignment: `SsId mod virtual_delegates` with a
-    /// program-thread share (§4). Zero-coordination; the default.
+    /// The paper's static assignment: `SsId mod delegate_threads` (§4).
+    /// Zero-coordination; the default.
     #[default]
     Static,
     /// First-touch round-robin over executors (immune to id aliasing).
@@ -236,8 +238,6 @@ pub enum ExecutionMode {
 /// use ss_core::{ExecutionMode, Runtime};
 /// let rt = Runtime::builder()
 ///     .delegate_threads(2)
-///     .virtual_delegates(8)
-///     .program_share(1) // 1 of 8 virtual delegates executes inline
 ///     .queue_capacity(1024)
 ///     .mode(ExecutionMode::Parallel)
 ///     .build()
@@ -247,8 +247,6 @@ pub enum ExecutionMode {
 #[derive(Debug, Clone)]
 pub struct RuntimeBuilder {
     pub(crate) delegate_threads: Option<usize>,
-    pub(crate) virtual_delegates: Option<usize>,
-    pub(crate) program_share: usize,
     pub(crate) queue_capacity: usize,
     pub(crate) mode: ExecutionMode,
     pub(crate) dynamic_checks: bool,
@@ -270,8 +268,6 @@ impl Default for RuntimeBuilder {
     fn default() -> Self {
         RuntimeBuilder {
             delegate_threads: None,
-            virtual_delegates: None,
-            program_share: 0,
             queue_capacity: 512,
             mode: ExecutionMode::Parallel,
             dynamic_checks: true,
@@ -299,25 +295,12 @@ impl RuntimeBuilder {
         self
     }
 
-    /// Number of *virtual* delegates the static assignment hashes sets onto
-    /// (§4). Must be ≥ `program_share`. Default: `program_share +
-    /// delegate_threads`.
-    pub fn virtual_delegates(mut self, n: usize) -> Self {
-        self.virtual_delegates = Some(n);
-        self
-    }
-
-    /// How many of the virtual delegates are executed by the program thread
-    /// itself (the paper's *assignment ratio*: "Prometheus uses the program
-    /// thread to execute some of the delegated methods"). Default 0.
-    pub fn program_share(mut self, n: usize) -> Self {
-        self.program_share = n;
-        self
-    }
-
     /// Capacity of each program→delegate communication queue (rounded up to
     /// a power of two). The queues "provide buffering to help tolerate
-    /// bursts of operations mapped to the same serialization set" (§4).
+    /// bursts of operations mapped to the same serialization set" (§4). It
+    /// also sets when the program thread runs a set itself: a set whose
+    /// first operation of the epoch finds its delegate's ring at least half
+    /// full runs on the program thread for the rest of the epoch.
     pub fn queue_capacity(mut self, n: usize) -> Self {
         self.queue_capacity = n.max(2);
         self
@@ -518,7 +501,7 @@ mod tests {
     #[test]
     fn defaults_are_sane() {
         let b = RuntimeBuilder::default();
-        assert_eq!(b.program_share, 0);
+        assert_eq!(b.queue_capacity, 512);
         assert!(b.dynamic_checks);
         assert_eq!(b.mode, ExecutionMode::Parallel);
         assert!(matches!(b.assignment, Assignment::Static));

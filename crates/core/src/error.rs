@@ -32,13 +32,13 @@ pub enum SsError {
     /// point.)
     NestedDelegation,
     /// A delegate context delegated into territory owned by the program
-    /// context: the target serialization set is assigned to the program
-    /// executor (`Some(set)` — program-share sets cannot receive nested
-    /// operations, because the program thread is not at a delegation
-    /// point), or the target object was claimed by a program-context
-    /// mutation this epoch (`None`).
+    /// context: the target object was claimed by a program-context
+    /// mutation this epoch (`set: None`). A *set* the program executor
+    /// owns accepts nested operations on `Lane::Program`, so the runtime
+    /// no longer reports `Some(set)`; the field stays for compatibility.
     NestedOnProgram {
-        /// The program-owned set, when the conflict is set-level.
+        /// The program-owned set, when the conflict is set-level (never,
+        /// since sets the program thread runs accept nested operations).
         set: Option<SsId>,
     },
     /// A delegation raced a program-context access (`call` / `call_mut`)
@@ -134,17 +134,18 @@ impl fmt::Display for SsError {
                 "delegation from inside an inline-executing delegated operation is not supported \
                  (use a delegate context: Runtime::delegate_scope)"
             ),
-            SsError::NestedOnProgram { set: Some(ss) } => write!(
-                f,
-                "nested delegation targeted serialization set {ss:?}, which is assigned to the \
-                 program context (program-share sets cannot receive operations from delegate \
-                 contexts)"
-            ),
-            SsError::NestedOnProgram { set: None } => write!(
-                f,
-                "nested delegation targeted an object claimed by a program-context mutation this \
-                 isolation epoch"
-            ),
+            SsError::NestedOnProgram { set } => match set {
+                Some(ss) => write!(
+                    f,
+                    "nested delegation targeted serialization set {ss:?}, which is assigned to \
+                     the program context"
+                ),
+                None => write!(
+                    f,
+                    "nested delegation targeted an object claimed by a program-context mutation \
+                     this isolation epoch"
+                ),
+            },
             SsError::AccessInProgress { instance } => write!(
                 f,
                 "delegation on object #{instance} raced a program-context access whose closure is \

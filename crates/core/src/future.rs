@@ -30,8 +30,9 @@
 //!   every drain proof is untouched. A *memoized* operation that is
 //!   cancelled publishes nothing into the memo table.
 //! * **Deadlock-safety.** [`SsFuture::wait`] from the program context
-//!   simply waits for the cell to settle (delegates drain independently, and
-//!   program-owned operations execute inline at delegation time, so
+//!   waits for the cell to settle, running `Lane::Program` meanwhile
+//!   (delegates drain independently, and program-context operations of a
+//!   set the program thread runs execute inline at delegation time, so
 //!   their futures are born ready). From a *delegate* context, the
 //!   waiter executes **help-first** from its own queue — the
 //!   nested-reclaim protocol scoped to futures — deferring entries of
@@ -185,9 +186,11 @@ impl<R: Send + 'static> SsFuture<R> {
         }
     }
 
-    /// True when the operation executed inline on the program thread
-    /// (program-share sets and zero-delegate runtimes) — such futures are
-    /// born ready.
+    /// True when the operation runs on the program thread (a set it took,
+    /// serial mode, zero-delegate runtimes) — delegated from the program
+    /// context, such futures are born ready; delegated from a delegate
+    /// context, the operation waits in `Lane::Program` for the program
+    /// thread.
     pub fn was_inline(&self) -> bool {
         self.executor == Executor::Program && !self.was_memo_hit()
     }
@@ -676,11 +679,7 @@ mod tests {
         // sets they are executing: a genuine waits-for cycle. The
         // detector must break it (at least one FutureDeadlock); nothing
         // may hang and the epoch must close cleanly.
-        let rt = Runtime::builder()
-            .delegate_threads(2)
-            .virtual_delegates(2)
-            .build()
-            .unwrap();
+        let rt = Runtime::builder().delegate_threads(2).build().unwrap();
         // SequenceSerializer: instance 0 → set 0 → delegate 0, instance
         // 1 → set 1 → delegate 1 under static assignment.
         let x: Writable<u64, SequenceSerializer> = Writable::new(&rt, 0);

@@ -266,10 +266,12 @@ impl std::fmt::Debug for Invocation {
 }
 
 /// A one-shot completion flag the program thread can block on: its
-/// `done` flag is the predicate of the waiter's [`Event`], and `signal`
-/// notifies it — the waiter spins and yields while delegation queues
-/// drain in microseconds, and parks if they do not. Reusable: the root
-/// program thread keeps one per delegate and
+/// `done` flag is part of the predicate of the waiter's [`Event`], and
+/// `signal` notifies it — the waiter spins and yields while delegation
+/// queues drain in microseconds, and parks if they do not. The root
+/// program thread's tokens share its domain's waiter, the one event all of
+/// its waits park on (so a push to `Lane::Program` wakes a token wait
+/// too). Reusable: the root program thread keeps one per delegate and
 /// [`rearm`](SyncToken::rearm)s it before each push, and a previous use's
 /// `unpark`, should it land late, is one more spurious wake-up the event
 /// re-checks past.
@@ -282,7 +284,7 @@ impl std::fmt::Debug for Invocation {
 #[repr(align(128))]
 pub(crate) struct SyncToken {
     done: AtomicBool,
-    waiter: Event,
+    waiter: Arc<Event>,
 }
 
 impl SyncToken {
@@ -291,15 +293,15 @@ impl SyncToken {
     pub(crate) fn new() -> Arc<Self> {
         Arc::new(SyncToken {
             done: AtomicBool::new(false),
-            waiter: Event::default(),
+            waiter: Arc::default(),
         })
     }
 
-    /// A token for [`rearm`](SyncToken::rearm)-and-reuse, waited on
-    /// through `waiter`; born signalled: nobody waits on it until its
+    /// A token for [`rearm`](SyncToken::rearm)-and-reuse, whose signal
+    /// notifies `waiter`; born signalled: nobody waits on it until its
     /// first `rearm` (which is what [`is_pending`](SyncToken::is_pending)
     /// reports).
-    pub(crate) fn rearmable(waiter: Event) -> Arc<Self> {
+    pub(crate) fn rearmable(waiter: Arc<Event>) -> Arc<Self> {
         Arc::new(SyncToken {
             done: AtomicBool::new(true),
             waiter,
@@ -310,7 +312,7 @@ impl SyncToken {
     /// schedule.
     #[cfg(test)]
     pub(crate) fn idle() -> Arc<Self> {
-        Self::rearmable(Event::default())
+        Self::rearmable(Arc::default())
     }
 
     /// Readies a token whose previous `wait` has returned for another
@@ -327,8 +329,9 @@ impl SyncToken {
     }
 
     /// Blocks until `signal` is called. One waiter at a time.
+    #[cfg(test)]
     pub(crate) fn wait(&self) {
-        self.waiter.wait_until(|| self.done.load(Ordering::Acquire));
+        self.waiter.wait_until(|| self.is_done());
     }
 
     /// True from `rearm` until `signal`: the waiter has pushed the token,
@@ -338,8 +341,7 @@ impl SyncToken {
         !self.done.load(Ordering::Relaxed)
     }
 
-    /// Non-blocking check (used by tests).
-    #[cfg(test)]
+    /// Whether `signal` has been called since the last `rearm`.
     pub(crate) fn is_done(&self) -> bool {
         self.done.load(Ordering::Acquire)
     }

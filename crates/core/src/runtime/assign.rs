@@ -1,11 +1,12 @@
 //! Delegate assignment: mapping serialization sets to executors.
 //!
-//! The paper uses **static assignment** — `SsId mod virtual_delegates`,
-//! with the first `program_share` virtual delegates executing inline on
-//! the program thread (§4). Static assignment is zero-coordination (any
-//! thread could compute it from the id alone) but trades away load
-//! balance: under a skewed set distribution a few delegates receive most
-//! of the work while others idle.
+//! The paper uses **static assignment** — `SsId mod delegates` (§4; its
+//! virtual delegates and program-thread share give way here to the
+//! program thread's load-chosen takes, `docs/POLICIES.md`). Static
+//! assignment is zero-coordination (any thread could compute it from the
+//! id alone) but trades away load balance: under a skewed set
+//! distribution a few delegates receive most of the work while others
+//! idle.
 //!
 //! This module makes the mapping a pluggable layer. A
 //! [`DelegateAssignment`] policy decides, at the *first* delegation of a
@@ -63,13 +64,9 @@ pub enum Executor {
 /// The executor topology a policy assigns over.
 #[derive(Debug, Clone, Copy)]
 pub struct AssignTopology {
-    /// Number of physical delegate threads (≥ 1 when a policy is
-    /// consulted; zero-delegate runtimes bypass assignment entirely).
+    /// Number of delegate threads (≥ 1 when a policy is consulted;
+    /// zero-delegate runtimes bypass assignment entirely).
     pub n_delegates: usize,
-    /// Virtual delegates used by static assignment (§4).
-    pub virtual_delegates: usize,
-    /// Virtual delegates executed inline by the program thread.
-    pub program_share: usize,
 }
 
 /// A per-delegate buffer of `(set id, observed runtime in nanoseconds)`
@@ -197,21 +194,15 @@ pub trait DelegateAssignment: Send + std::fmt::Debug + 'static {
     ) -> Executor;
 }
 
-/// The paper's static assignment: `v = ss mod virtual_delegates`; virtual
-/// delegates `< program_share` run inline, the rest map round-robin onto
-/// physical delegates (§4). Pure and zero-coordination.
+/// The paper's static assignment: `ss mod n_delegates` (§4). Pure and
+/// zero-coordination.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct StaticAssignment;
 
 /// Shared by [`StaticAssignment`] and the runtime's inline fast path: the
 /// exact seed routing function.
 pub(crate) fn static_executor(ss: SsId, topo: &AssignTopology) -> Executor {
-    let v = (ss.0 % topo.virtual_delegates as u64) as usize;
-    if v < topo.program_share {
-        Executor::Program
-    } else {
-        Executor::Delegate((v - topo.program_share) % topo.n_delegates)
-    }
+    Executor::Delegate((ss.0 % topo.n_delegates as u64) as usize)
 }
 
 impl DelegateAssignment for StaticAssignment {
@@ -229,9 +220,8 @@ impl DelegateAssignment for StaticAssignment {
 }
 
 /// First-touch round-robin: the `k`-th *distinct* set of the runtime's
-/// lifetime goes to executor `k mod (program_share + n_delegates)`, with
-/// the first `program_share` slots executing inline (preserving the
-/// paper's assignment-ratio knob). Immune to id-space aliasing.
+/// lifetime goes to delegate `k mod n_delegates`. Immune to id-space
+/// aliasing.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct RoundRobinFirstTouch {
     next: usize,
@@ -243,22 +233,16 @@ impl DelegateAssignment for RoundRobinFirstTouch {
     }
 
     fn assign(&mut self, _ss: SsId, topo: &AssignTopology, _: &DelegateLoads<'_>) -> Executor {
-        let slots = topo.program_share + topo.n_delegates;
-        let slot = self.next % slots;
-        self.next = (self.next + 1) % slots;
-        if slot < topo.program_share {
-            Executor::Program
-        } else {
-            Executor::Delegate(slot - topo.program_share)
-        }
+        let slot = self.next % topo.n_delegates;
+        self.next = (slot + 1) % topo.n_delegates;
+        Executor::Delegate(slot)
     }
 }
 
 /// Depth-aware first touch: a first-seen set is pinned to the delegate
 /// with the shallowest queue at that instant. Under skewed set
 /// distributions this keeps hot sets from stacking onto one delegate the
-/// way modulo hashing can. The program share is intentionally ignored —
-/// inline execution has no queue to measure.
+/// way modulo hashing can.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct LeastLoaded;
 
@@ -296,9 +280,6 @@ const EWMA_MAX_TRACKED_SETS: usize = 65_536;
 /// resets per epoch. Sets never seen before cost the running mean of all
 /// known sets (or a nominal 1 µs before any observation exists), which
 /// degrades gracefully to count-balanced placement.
-///
-/// The program share is intentionally ignored, like [`LeastLoaded`]:
-/// inline execution has no queue and no measured runtime.
 #[derive(Debug, Default)]
 pub struct EwmaCost {
     /// Per-set EWMA of observed runtimes, in nanoseconds. Bounded by
@@ -547,12 +528,8 @@ mod tests {
     use super::*;
     use std::sync::atomic::Ordering;
 
-    fn topo(n: usize, virt: usize, share: usize) -> AssignTopology {
-        AssignTopology {
-            n_delegates: n,
-            virtual_delegates: virt,
-            program_share: share,
-        }
+    fn topo(n: usize) -> AssignTopology {
+        AssignTopology { n_delegates: n }
     }
 
     fn loads_of(stats: &StatsCell) -> DelegateLoads<'_> {
@@ -573,32 +550,33 @@ mod tests {
 
     #[test]
     fn static_matches_paper_modulo() {
-        let t = topo(3, 4, 1);
+        let t = topo(3);
         let mut p = StaticAssignment;
         let d = depths(&[0, 0, 0]);
-        assert_eq!(p.assign(SsId(0), &t, &loads_of(&d)), Executor::Program);
-        assert_eq!(p.assign(SsId(4), &t, &loads_of(&d)), Executor::Program);
-        assert_eq!(p.assign(SsId(1), &t, &loads_of(&d)), Executor::Delegate(0));
-        assert_eq!(p.assign(SsId(2), &t, &loads_of(&d)), Executor::Delegate(1));
-        assert_eq!(p.assign(SsId(3), &t, &loads_of(&d)), Executor::Delegate(2));
-        assert_eq!(p.assign(SsId(5), &t, &loads_of(&d)), Executor::Delegate(0));
+        assert_eq!(p.assign(SsId(0), &t, &loads_of(&d)), Executor::Delegate(0));
+        assert_eq!(p.assign(SsId(4), &t, &loads_of(&d)), Executor::Delegate(1));
+        assert_eq!(p.assign(SsId(2), &t, &loads_of(&d)), Executor::Delegate(2));
+        assert_eq!(p.assign(SsId(5), &t, &loads_of(&d)), Executor::Delegate(2));
     }
 
     #[test]
     fn round_robin_cycles_executors_in_first_touch_order() {
-        let t = topo(2, 2, 1);
+        let t = topo(3);
         let mut p = RoundRobinFirstTouch::default();
-        let d = depths(&[0, 0]);
+        let d = depths(&[0, 0, 0]);
         // Ids are arbitrary — only touch order matters.
-        assert_eq!(p.assign(SsId(900), &t, &loads_of(&d)), Executor::Program);
-        assert_eq!(p.assign(SsId(17), &t, &loads_of(&d)), Executor::Delegate(0));
-        assert_eq!(p.assign(SsId(3), &t, &loads_of(&d)), Executor::Delegate(1));
-        assert_eq!(p.assign(SsId(42), &t, &loads_of(&d)), Executor::Program);
+        assert_eq!(
+            p.assign(SsId(900), &t, &loads_of(&d)),
+            Executor::Delegate(0)
+        );
+        assert_eq!(p.assign(SsId(17), &t, &loads_of(&d)), Executor::Delegate(1));
+        assert_eq!(p.assign(SsId(3), &t, &loads_of(&d)), Executor::Delegate(2));
+        assert_eq!(p.assign(SsId(42), &t, &loads_of(&d)), Executor::Delegate(0));
     }
 
     #[test]
     fn least_loaded_picks_shallowest_queue_with_stable_ties() {
-        let t = topo(3, 3, 0);
+        let t = topo(3);
         let mut p = LeastLoaded;
         let d = depths(&[5, 2, 2]);
         assert_eq!(p.assign(SsId(1), &t, &loads_of(&d)), Executor::Delegate(1));
@@ -626,7 +604,7 @@ mod tests {
                 Executor::Delegate(0)
             }
         }
-        let t = topo(1, 1, 0);
+        let t = topo(1);
         let d = depths(&[0]);
         let mut s = Scheduler::new(Box::<Counting>::default());
         s.assign_raw(SsId(1), 3, &t, &loads_of(&d));
@@ -639,7 +617,7 @@ mod tests {
 
     #[test]
     fn ewma_cost_balances_by_estimated_cost_not_count() {
-        let t = topo(2, 2, 0);
+        let t = topo(2);
         let d = depths(&[0, 0]);
         let buffers: Vec<Mutex<Vec<(u64, u64)>>> = (0..2).map(|_| Mutex::new(Vec::new())).collect();
         let mut p = EwmaCost::default();
@@ -669,7 +647,7 @@ mod tests {
         p.fold_sample(5, 2_000);
         // 1000 + 0.25 * (2000 - 1000) = 1250.
         assert_eq!(p.cost[&5], 1_250.0);
-        let t = topo(2, 2, 0);
+        let t = topo(2);
         let d = depths(&[0, 0]);
         let loads = loads_of(&d);
         p.begin_epoch(1);

@@ -636,44 +636,102 @@ fn help_one(t: &dyn Transport) -> bool {
 /// or the waiter helped, or has work to help with — and `false` when the
 /// wait can never complete ([`SsError::FutureDeadlock`]).
 ///
-/// Off this runtime's delegates, the calling thread waits on its own
-/// event until the cell settles. On one: self-cycle rejection, then
-/// help-first, then a registered wait with waits-for cycle detection —
-/// on the delegate's own event, with "own queue non-empty" beside "cell
-/// settled" in the predicate, so a push to its queue wakes it as surely
-/// as the settle does.
+/// Off this runtime's executors, the calling thread waits on its own
+/// event until the cell settles. On a delegate, or on a domain's program
+/// thread: self-cycle rejection, then help-first (from the own queue, or
+/// `Lane::Program`), then a wait — on the executor's own event, with
+/// "work arrived" beside "cell settled" in the predicate, so a push to its
+/// queue wakes it as surely as the settle does. A wait that can be part
+/// of a cycle — any delegate's, or the root program thread's inside an
+/// operation — registers first and walks the waits-for graph.
 pub(crate) fn future_wait_turn(rt: &Runtime, set: SsId, signal: &WaitSignal) -> bool {
-    let Some(t) = own_transport(rt.inner.id) else {
+    if let Some(t) = own_transport(rt.inner.id) {
+        // Operations are submitted under their domain's routing key, and
+        // that is what the active stacks and queue entries carry — qualify
+        // the set once here so every check below compares like with like.
+        let set = rt.domain().key(set);
+        let active = |s: u64| active_contains(s);
+        let stack = || with_help(|s| s.active.clone()).unwrap_or_default();
+        let help = || help_one(t);
+        let arrived = || t.has_work();
+        return blocked_turn(
+            rt,
+            t.idx(),
+            set,
+            signal,
+            active,
+            stack,
+            help,
+            arrived,
+            t.event(),
+        );
+    }
+    if !rt.is_program_thread() {
         // The cell's settle unparks this thread; nobody else notifies.
         let event = Event::default();
         signal.waiting(|| event.wait_until(|| signal.is_settled()));
         return true;
-    };
-    let me = t.idx();
-    // Operations are submitted under their domain's routing key, and
-    // that is what the active stacks and queue entries carry — qualify the
-    // set once here so every check below compares like with like.
-    let set = SsId(rt.domain().key(set));
+    }
+    let d = rt.domain();
+    let set = d.key(set);
+    // SAFETY (all three): the domain's program thread; scoped borrows.
+    let active = |s: u64| unsafe { d.epoch.get() }.active.contains(&s);
+    let stack = || unsafe { d.epoch.get() }.active.clone();
+    let at_top = unsafe { d.epoch.get() }.active.is_empty();
+    let help = || rt.program_help_one(d);
+    let arrived = || d.lane.has_arrivals();
+    if at_top || !rt.is_root() {
+        // No cycle runs through a program thread that runs no operation,
+        // and only the root's has a node in the graph.
+        if active(set) {
+            return false;
+        }
+        if help() {
+            return true;
+        }
+        signal.waiting(|| d.waiter.wait_until(|| signal.is_settled() || arrived()));
+        return true;
+    }
+    let me = rt.inner.topology.n_delegates;
+    blocked_turn(rt, me, set, signal, active, stack, help, arrived, &d.waiter)
+}
+
+/// One blocking turn of an executor that can be part of a waits-for
+/// cycle — node `me` of the graph (delegate `i`, or the root program
+/// thread after the delegates): self-cycle rejection, help-first, then a
+/// registered wait with cycle detection, parked on `event` until the cell
+/// settles or work `arrived`.
+#[allow(clippy::too_many_arguments)]
+fn blocked_turn(
+    rt: &Runtime,
+    me: usize,
+    set: u64,
+    signal: &WaitSignal,
+    active: impl Fn(u64) -> bool,
+    stack: impl FnOnce() -> Vec<u64>,
+    help: impl FnOnce() -> bool,
+    arrived: impl Fn() -> bool,
+    event: &Event,
+) -> bool {
     // Immediate self-cycle: the waited-on operation belongs to a set this
     // thread is currently executing, so per-set FIFO orders it after the
     // operation doing the waiting. Deterministic, no timing involved.
-    if active_contains(set.0) {
+    if active(set) {
         return false;
     }
-    if help_one(t) {
+    if help() {
         return true;
     }
     let core = &rt.inner.core;
     let mut waits = core.future_waits.lock();
     // A snapshot of the active stack, for the deadlock detector.
-    let stack = with_help(|s| s.active.clone()).unwrap_or_default();
-    waits[me] = Some((set.0, signal.clone(), stack));
+    waits[me] = Some((set, signal.clone(), stack()));
     // An unknown walk stays in the ladder and walks again: parking on it
     // could sleep through a cycle no other waiter will ever walk.
     let backoff = Backoff::new();
     let walk = loop {
-        let walk = wait_cycle(rt, me, set.0, &waits);
-        if walk.is_some() || signal.is_settled() || t.has_work() {
+        let walk = wait_cycle(rt, me, set, &waits, &active);
+        if walk.is_some() || signal.is_settled() || arrived() {
             break walk;
         }
         drop(waits);
@@ -682,18 +740,22 @@ pub(crate) fn future_wait_turn(rt: &Runtime, set: SsId, signal: &WaitSignal) -> 
     };
     drop(waits);
     if walk == Some(false) {
-        signal.waiting(|| t.event().wait_until(|| signal.is_settled() || t.has_work()));
+        signal.waiting(|| event.wait_until(|| signal.is_settled() || arrived()));
     }
     core.future_waits.lock()[me] = None;
     walk != Some(true)
 }
 
 /// Walks the waits-for graph from `first_set` and reports whether it
-/// closes back on delegate `me` — the only configuration no amount of
-/// helping or waiting can resolve — or `None` when a pin read could not
-/// finish without waiting on a lock holder: *unknown*.
+/// closes back on node `me` — the only configuration no amount of helping
+/// or waiting can resolve — or `None` when a pin read could not finish
+/// without waiting on a lock holder: *unknown*. `mine` is `me`'s live
+/// active stack. Nodes are the delegates and, after them, the root
+/// program thread, which owns the root sets pinned to the program
+/// executor (taken sets): it helps them from `Lane::Program` in every
+/// wait, exactly as a delegate helps its own queue.
 ///
-/// A hop `set → delegate j` is a *stuck* edge only when **both** hold:
+/// A hop `set → executor j` is a *stuck* edge only when **both** hold:
 ///
 /// * `set` is on `j`'s active-set stack — an operation of `set` is
 ///   (transitively) on `j`'s call stack, so per-set FIFO orders the
@@ -722,7 +784,9 @@ fn wait_cycle(
     me: usize,
     first_set: u64,
     waits: &[Option<super::FutureWait>],
+    mine: impl Fn(u64) -> bool,
 ) -> Option<bool> {
+    let program = waits.len() - 1;
     let mut set = first_set;
     // A simple cycle visits each delegate at most once; the hop cap
     // bounds the walk without a visited set (a longer chain revisits a
@@ -731,13 +795,15 @@ fn wait_cycle(
     for _ in 0..=waits.len() {
         // Keys in the graph are namespace-qualified; resolve each hop in
         // the pin map its domain owns.
-        let Some(Executor::Delegate(j)) = rt.executor_of_key(set)? else {
-            return Some(false);
+        let j = match rt.executor_of_key(set)? {
+            Some(Executor::Delegate(j)) => j,
+            Some(Executor::Program) if key_domain(set) == 0 => program,
+            _ => return Some(false),
         };
         if j == me {
-            // Closing hop: `me` is walking, so its live (thread-local)
-            // stack is the authority.
-            return Some(active_contains(set));
+            // Closing hop: `me` is walking, so its live stack is the
+            // authority.
+            return Some(mine(set));
         }
         match &waits[j] {
             Some((next, sig, stack)) if !sig.is_settled() => {
@@ -1155,11 +1221,13 @@ fn record_steal_events(core: &Core, serial: u64, sets: &[u64], thief: usize, kin
 /// operations (the paper's §4 future work).
 ///
 /// Obtained only inside [`Runtime::delegate_scope`], so a handle can
-/// exist exclusively on a delegate thread of its runtime, for the
-/// duration of the scope closure (it is `!Send`/`!Sync` and borrows the
-/// runtime handle, so it cannot escape to other threads; the submit path
-/// additionally re-validates the calling thread's identity). Nested
-/// delegations preserve every model guarantee:
+/// exist exclusively on a thread executing one of its runtime's
+/// operations — a delegate thread, or the program thread running an
+/// operation itself — for the duration of the scope closure (it is
+/// `!Send`/`!Sync` and borrows the runtime handle, so it cannot escape to
+/// other threads; the submit path additionally re-validates the calling
+/// thread's identity). Nested delegations preserve every model
+/// guarantee:
 ///
 /// * **Per-set program order.** A nested operation routes through the
 ///   same pin table the program thread uses, under the same lock; all
@@ -1174,9 +1242,11 @@ fn record_steal_events(core: &Core, serial: u64, sets: &[u64], thief: usize, kin
 ///   mid-epoch `call`/`call_mut` reclaim quiesces the runtime instead of
 ///   flushing one queue.
 ///
-/// Sets assigned to the *program* context cannot receive nested
-/// operations ([`SsError::NestedOnProgram`]): the program thread is not
-/// at a delegation point.
+/// A set the program thread runs this epoch — one it took, or one a
+/// custom policy assigns to it — receives nested operations on
+/// `Lane::Program`, which the program thread runs after each inline run and
+/// in every wait. Only an *object* claimed by a program-context mutation
+/// this epoch rejects them ([`SsError::NestedOnProgram`]).
 ///
 /// A nested delegation runs the same per-epoch state machine as the
 /// program thread's, so with `dynamic_checks` on it gets the same §3.3
@@ -1215,7 +1285,9 @@ fn record_steal_events(core: &Core, serial: u64, sets: &[u64], thief: usize, kin
 /// ```
 pub struct DelegateContext<'rt> {
     rt: &'rt Runtime,
-    index: usize,
+    /// Writer slot of the executing thread: 0 for a program thread,
+    /// `1 + i` for delegate `i`.
+    slot: usize,
     /// Pins the handle to the thread it was created on.
     _not_send: PhantomData<*mut ()>,
 }
@@ -1223,15 +1295,33 @@ pub struct DelegateContext<'rt> {
 impl std::fmt::Debug for DelegateContext<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DelegateContext")
-            .field("delegate", &self.index)
+            .field("executor", &self.executor())
             .finish()
     }
 }
 
 impl<'rt> DelegateContext<'rt> {
-    /// Index of the delegate thread this context runs on.
+    /// Index of the delegate thread this context runs on; on a program
+    /// thread, the runtime's delegate count (one past the last delegate).
     pub fn index(&self) -> usize {
-        self.index
+        match self.executor() {
+            Executor::Delegate(i) => i,
+            Executor::Program => self.rt.delegate_threads(),
+        }
+    }
+
+    /// The executor this context runs on: a delegate, or the program
+    /// thread running an operation itself.
+    pub fn executor(&self) -> Executor {
+        match self.slot {
+            0 => Executor::Program,
+            slot => Executor::Delegate(slot - 1),
+        }
+    }
+
+    /// Writer slot of the executing thread (its counter block).
+    pub(crate) fn slot(&self) -> usize {
+        self.slot
     }
 
     /// The runtime this context belongs to.
@@ -1448,26 +1538,31 @@ impl<'rt> DelegateContext<'rt> {
 }
 
 impl Runtime {
-    /// Runs `f` with the [`DelegateContext`] of the calling delegate
-    /// thread — the entry point for recursive delegation. Errors with
-    /// [`SsError::WrongContext`] unless the calling thread is a delegate
-    /// of *this* runtime currently executing a delegated operation (the
-    /// program thread, foreign threads, and inline-executing operations
-    /// all fail; inline execution additionally reports
-    /// [`SsError::NestedDelegation`] from `Writable::delegate` itself).
+    /// Runs `f` with the [`DelegateContext`] of the calling thread — the
+    /// entry point for recursive delegation. Works inside every operation,
+    /// whichever executor runs it: on a delegate of *this* runtime, and on
+    /// this handle's program thread while it executes an operation itself
+    /// (a set it took, or drained from `Lane::Program`). Errors with
+    /// [`SsError::WrongContext`] anywhere else — a program thread at a
+    /// delegation point, foreign threads. (The program-context
+    /// `Writable::delegate` inside an operation the program thread runs
+    /// still reports [`SsError::NestedDelegation`].)
     ///
     /// See [`DelegateContext`] for an example and the guarantees nested
     /// delegation preserves.
     pub fn delegate_scope<R>(&self, f: impl FnOnce(&DelegateContext<'_>) -> R) -> SsResult<R> {
-        let index = DELEGATE_CTX
-            .with(|c| match c.get() {
-                Some((rt, idx)) if rt == self.inner.id => Some(idx as usize),
+        let slot = if self.is_program_thread() {
+            self.executing_inline(self.domain()).then_some(0)
+        } else {
+            DELEGATE_CTX.with(|c| match c.get() {
+                Some((rt, idx)) if rt == self.inner.id => Some(1 + idx as usize),
                 _ => None,
             })
-            .ok_or(SsError::WrongContext)?;
+        }
+        .ok_or(SsError::WrongContext)?;
         let cx = DelegateContext {
             rt: self,
-            index,
+            slot,
             _not_send: PhantomData,
         };
         Ok(f(&cx))

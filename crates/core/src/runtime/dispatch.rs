@@ -17,34 +17,43 @@
 //!   submits, session program threads) uses the rings' multi-producer
 //!   injector lanes, which never block (a nested push must never wait on
 //!   a full ring, or two delegates pushing into each other's queues could
-//!   deadlock). With stealing on, everyone pushes into the shared deques
-//!   and the push happens *inside* [`Router::route_publish`]'s shard
-//!   critical section, so a concurrent steal (which locks the same shard
-//!   to rewrite the pin) can never observe or create a half-routed set.
+//!   deadlock). A nested submit into a set pinned to the program executor
+//!   uses the domain's `Lane::Program` ([`program`](super::program)). With
+//!   stealing on, everyone pushes into the shared deques and the push
+//!   happens *inside* [`Router::route_publish`]'s shard critical section,
+//!   so a concurrent steal (which locks the same shard to rewrite the pin)
+//!   can never observe or create a half-routed set.
+//! * **Route.** A root program-origin submit on the ring lane routes
+//!   through the program thread's record of the sets it has seen this
+//!   epoch; at a set's first sight a loaded ring makes it **take** the set
+//!   ([`program`](super::program)). Everyone else asks the router.
 //! * **Drain proof.** Ring entries are covered by barrier tokens and stay
 //!   uncounted. Lane and deque entries raise their domain's `in_flight`
 //!   *before* the push — a nested child is counted before its parent
 //!   completes — which is what lets the barrier wait for transitively
 //!   spawned work with a single drain loop and no lost-wakeup window.
 //! * **Program-routed sets** run inline for a program-origin submit and
-//!   are rejected ([`SsError::NestedOnProgram`]) for a nested one: the
-//!   program thread is not at a delegation point.
+//!   go to `Lane::Program` for a nested one.
 //! * **Backpressure** stalls only the program thread of a domain with a
-//!   queue cap.
+//!   queue cap; a full ring stalls the root program thread, which runs
+//!   `Lane::Program` while it waits.
 //!
 //! Routing is a lock-free pin-map read in the common re-delegate case
 //! (pins are immutable within an epoch when no thief can rewrite them),
 //! with the assignment policy consulted — under the set's shard lock —
 //! only on the first touch of a set in an epoch. Static assignment
-//! without stealing bypasses even that: the inline modulo.
+//! bypasses even that for pushes that cannot race a take: session submits
+//! and the root program thread's own.
 
 use std::sync::atomic::{fence, Ordering};
 
+use ss_queue::{Backoff, Full};
+
 use crate::error::{SsError, SsResult};
-use crate::invocation::{ExecCx, Invocation, TaskSlot};
+use crate::invocation::{Invocation, TaskSlot};
 use crate::serializer::SsId;
 use crate::stats::{Counters, StatsCell};
-use crate::trace::{TraceExecutor, TraceKind};
+use crate::trace::TraceKind;
 
 use super::delegate::current_domain_id;
 use super::domain::Domain;
@@ -71,7 +80,16 @@ pub(crate) enum Lane {
     Injected,
     /// A shared steal deque (stealing transport; all producers).
     Deque,
+    /// A domain's program-executor lane: nested submits into sets pinned
+    /// to the program thread, which runs them.
+    Program,
 }
+
+/// Audit producer of nested submits made by a program thread from inside
+/// an operation it runs: a producer of its own, as a delegate's nested
+/// submits are — no order is promised between them and the program
+/// thread's program-origin submits, on any executor.
+const PROGRAM_NESTED: usize = u16::MAX as usize - 1;
 
 impl Lane {
     /// Whether entries on this lane carry a count in their domain's
@@ -88,7 +106,7 @@ impl Lane {
 /// producer lives in the low 16 bits, so the k-th token is `base + k`
 /// shifted into the token field.
 #[inline]
-fn run_tag(base: u64, k: u64) -> u64 {
+pub(super) fn run_tag(base: u64, k: u64) -> u64 {
     if base == 0 {
         0
     } else {
@@ -183,12 +201,15 @@ impl Runtime {
     /// handle's. A session op re-delegating through a root-owned object
     /// (or another tenant's) would count its child against the wrong
     /// domain's drain counter, letting the spawning domain's barrier
-    /// close with related work still in flight — reject it.
+    /// close with related work still in flight — reject it. A domain's
+    /// program thread is a nested producer (slot 0) while it runs one of
+    /// the domain's operations, which are the only ones it runs.
     fn producer(&self, origin: Origin, d: &Domain) -> SsResult<usize> {
         if origin == Origin::Program {
             return Ok(0);
         }
         match self.current_executor_slot() {
+            Some(0) if self.executing_inline(d) => Ok(0),
             Some(slot) if slot >= 1 && current_domain_id() == d.id => Ok(slot),
             _ => Err(SsError::WrongContext),
         }
@@ -209,7 +230,7 @@ impl Runtime {
         if queued >= cap {
             StatsCell::bump(&self.inner.core.stats.program().starvation_stalls);
             // The release that takes the count below the cap notifies.
-            d.waiter.wait_until(|| {
+            self.program_wait(d, || {
                 queued = d.in_flight.load(Ordering::Acquire);
                 queued < cap || self.check_live().is_err()
             });
@@ -232,15 +253,18 @@ impl Runtime {
     /// serialization set — a single delegation is a run of one
     /// (`&mut [Some(task)]`), `delegate_iter` passes its whole `Vec`; the
     /// tasks are taken out of the slice as they are pushed (or run
-    /// inline), and whatever is left in it never executes. The router is
-    /// consulted once for the run, the accounting counters are raised
+    /// inline), and whatever is left in it never executes. The route is
+    /// resolved once for the run, the accounting counters are raised
     /// once by the run length, the invocations land through the
     /// transports' batch entry points (one critical section / one ring
-    /// sweep), and the owning delegate is woken once. A capped domain's
+    /// sweep), and the owning executor is woken once. A capped domain's
     /// program thread is the one exception: its run goes through all of
     /// that in pieces no larger than the room under the cap
     /// ([`admit`](Runtime::admit)), so its counted backlog never passes
     /// the cap.
+    ///
+    /// Every operation of the run counts in the submitter's
+    /// `delegations`, whichever executor runs it.
     ///
     /// The caller (a wrapper's phase 1) has verified the calling context
     /// for `origin`, that an isolation epoch is open, and — for nested
@@ -268,6 +292,10 @@ impl Runtime {
         Self::note_tasks(stats, run);
         let key = SsId(d.key(ss));
         let lane = self.lane(origin);
+        let audit_producer = match (origin, producer) {
+            (Origin::Nested, 0) => PROGRAM_NESTED,
+            _ => producer,
+        };
         let mut rest = run;
         loop {
             let room = match self.admit(origin, d, rest.len()) {
@@ -277,38 +305,30 @@ impl Runtime {
             let (run, later) = std::mem::take(&mut rest).split_at_mut(room);
             let n = run.len();
             let mut lost = 0;
-            let route = if lane == Lane::Deque {
-                self.inner.router.route_publish(d, key, &self.loads(), |i| {
-                    lost = self.push(d, key, producer, lane, i, run);
-                })
-            } else {
-                self.inner.router.route(d, key, &self.loads())
+            let route = match lane {
+                Lane::Deque => self.inner.router.route_publish(d, key, &self.loads(), |i| {
+                    let to = Executor::Delegate(i);
+                    lost = self.push(d, key, audit_producer, lane, to, run);
+                }),
+                Lane::Ring => self.route_ring(d, key, n),
+                _ => self.inner.router.route(d, key, &self.loads()),
             };
             self.note_route(stats, &route, key, origin);
-            match (route.executor, origin) {
+            let ran = match (route.executor, origin) {
                 (Executor::Delegate(i), _) => {
                     match &self.inner.channels {
                         Channels::Steal(shared) => self.wake_thief(shared, i),
-                        Channels::Spsc { .. } => lost = self.push(d, key, producer, lane, i, run),
+                        Channels::Spsc { .. } => {
+                            lost = self.push(d, key, audit_producer, lane, route.executor, run);
+                        }
                     }
-                    let pushed = (n - lost) as u64;
-                    if pushed > 0 {
+                    if n > lost {
                         self.inner.events[i].notify();
-                        stats.delegations.fetch_add(pushed, Ordering::Relaxed);
-                        if origin == Origin::Nested {
-                            stats
-                                .nested_delegations
-                                .fetch_add(pushed, Ordering::Relaxed);
-                        }
                         if lane.counted() {
-                            d.submitted.fetch_add(pushed, Ordering::Relaxed);
+                            d.submitted.fetch_add((n - lost) as u64, Ordering::Relaxed);
                         }
                     }
-                    if lost > 0 {
-                        // What did land still runs (a consumer disconnects
-                        // only after draining) and keeps its accounting.
-                        return Err((SsError::Terminated, lost + later.len()));
-                    }
+                    n - lost
                 }
                 (Executor::Program, Origin::Program) => {
                     // Runs after the shard lock dropped: no user code under
@@ -316,12 +336,25 @@ impl Runtime {
                     if let Err((e, unrun)) = self.run_inline(d, key, run) {
                         return Err((e, unrun + later.len()));
                     }
+                    n
                 }
-                // The pin stays recorded (it is what the policy answered);
-                // the run itself was never published.
                 (Executor::Program, Origin::Nested) => {
-                    return Err((SsError::NestedOnProgram { set: Some(ss) }, n + later.len()));
+                    lost = self.push(d, key, audit_producer, Lane::Program, route.executor, run);
+                    if n > lost {
+                        d.submitted.fetch_add((n - lost) as u64, Ordering::Relaxed);
+                        d.waiter.notify();
+                    }
+                    n - lost
                 }
+            } as u64;
+            stats.delegations.fetch_add(ran, Ordering::Relaxed);
+            if origin == Origin::Nested {
+                stats.nested_delegations.fetch_add(ran, Ordering::Relaxed);
+            }
+            if lost > 0 {
+                // What did land still runs (a consumer disconnects only
+                // after draining) and keeps its accounting.
+                return Err((SsError::Terminated, lost + later.len()));
             }
             if later.is_empty() {
                 return Ok(route.executor);
@@ -348,8 +381,8 @@ impl Runtime {
     }
 
     /// Reserve → audit token run → push, for a run of `n` bound for
-    /// delegate `i`'s queue on `lane`. Returns how many tasks of the run
-    /// were **lost** (the consumer is gone: dropped unpushed, never to
+    /// executor `to` on `lane`. Returns how many tasks of the run were
+    /// **lost** (the consumer is gone: dropped unpushed, never to
     /// execute), with their reservations and tokens rolled back.
     ///
     /// The counter order is load-bearing: `queued` is raised before
@@ -366,13 +399,15 @@ impl Runtime {
         key: SsId,
         producer: usize,
         lane: Lane,
-        i: usize,
+        to: Executor,
         run: &mut [Option<TaskSlot>],
     ) -> usize {
-        debug_assert!(i < self.inner.topology.n_delegates);
         let n = run.len();
         let core = &self.inner.core;
-        core.stats.add_queued(i, n as u64);
+        if let Executor::Delegate(i) = to {
+            debug_assert!(i < self.inner.topology.n_delegates);
+            core.stats.add_queued(i, n as u64);
+        }
         if lane.counted() {
             d.in_flight.fetch_add(n as u64, Ordering::Relaxed);
         }
@@ -390,28 +425,36 @@ impl Runtime {
                 session: self.session.clone(),
             }
         });
-        let pushed = match (&self.inner.channels, lane) {
-            (Channels::Spsc { producers, .. }, Lane::Ring) => {
-                // SAFETY: the ring lane is chosen only for the root
-                // program thread (`lane`), which owns the producers;
-                // wrappers verified the calling context.
-                let producer = unsafe { producers[i].get() };
-                // Spins while the ring is full; stops short only if the
-                // consumer disconnected.
-                match producer.push_batch(invocations) {
-                    Ok(pushed) | Err(pushed) => pushed,
+        let pushed = match (&self.inner.channels, lane, to) {
+            (_, Lane::Program, _) => d.lane.push(invocations),
+            (_, Lane::Ring, Executor::Delegate(i)) => {
+                let mut pushed = 0;
+                for inv in invocations {
+                    if self.push_ring(i, inv, pushed > 0).is_err() {
+                        break;
+                    }
+                    pushed += 1;
                 }
+                self.note_ring_fill(i, Some(pushed));
+                pushed
             }
             // The injector accepts or rejects a run whole (one lock).
-            (Channels::Spsc { injectors, .. }, _) => {
+            (Channels::Spsc { injectors, .. }, _, Executor::Delegate(i)) => {
                 injectors[i].push_batch(invocations).unwrap_or(0)
             }
-            (Channels::Steal(shared), _) => shared.deques[i].push_keyed_batch(key.0, invocations),
+            (Channels::Steal(shared), _, Executor::Delegate(i)) => {
+                shared.deques[i].push_keyed_batch(key.0, invocations)
+            }
+            (_, _, Executor::Program) => {
+                unreachable!("program-bound runs run inline or travel on its lane")
+            }
         };
         let lost = n - pushed;
         if lost > 0 {
             core.audit_unsubmit(d, key, base, lost);
-            core.stats.sub_queued(i, lost as u64);
+            if let Executor::Delegate(i) = to {
+                core.stats.sub_queued(i, lost as u64);
+            }
             if lane.counted() {
                 d.release(lost as u64);
             }
@@ -419,47 +462,38 @@ impl Runtime {
         lost
     }
 
-    /// Runs a program-bound run inline on the domain's program thread, in
-    /// order (program-share virtual delegates and zero-delegate
-    /// runtimes). On error the failed task and the rest of the run are
-    /// dropped unrun and counted, and their audit tokens rolled back.
-    fn run_inline(
-        &self,
-        d: &Domain,
-        key: SsId,
-        run: &mut [Option<TaskSlot>],
-    ) -> Result<(), (SsError, usize)> {
-        let n = run.len();
-        let core = &self.inner.core;
-        let stats = core.stats.program();
-        let cx = ExecCx {
-            core,
-            executor: TraceExecutor::Program,
+    /// Pushes one entry onto delegate `i`'s ring — the root program
+    /// thread's one producer path, for operations and tokens alike. While
+    /// the ring is full the program thread runs `Lane::Program` entries,
+    /// spins and yields; it never parks on a full ring, whose consumer is
+    /// awake with a ring of work — every earlier run notified it once it
+    /// had landed. Only a run that filled the ring itself (`unnotified`:
+    /// it has pushed entries nobody was told of) notifies first. Returns
+    /// the entry if the consumer disconnected.
+    fn push_ring(&self, i: usize, mut inv: Invocation, unnotified: bool) -> Result<(), Invocation> {
+        let Channels::Spsc { producers, .. } = &self.inner.channels else {
+            unreachable!("rings exist on the SPSC transport only");
         };
-        let base = core.audit_submit(d, key, 0, n);
-        for (k, task) in run.iter_mut().enumerate() {
-            let task = task.take().expect("run executed once");
-            {
-                // SAFETY: the domain's program thread (wrappers checked);
-                // scoped so the task below may legally re-enter the
-                // runtime.
-                let epoch = unsafe { d.epoch.get() };
-                if epoch.executing_inline {
-                    core.audit_unsubmit(d, key, base, n - k);
-                    return Err((SsError::NestedDelegation, n - k));
-                }
-                epoch.executing_inline = true;
+        let mut backoff = None;
+        loop {
+            // SAFETY: the root program thread (the ring lane is chosen for
+            // it alone); borrowed afresh around the lane's user code.
+            let ring = unsafe { producers[i].get() };
+            match ring.try_push(inv) {
+                Ok(()) => return Ok(()),
+                Err(Full(back)) if ring.is_disconnected() => return Err(back),
+                Err(Full(back)) => inv = back,
             }
-            task.run(&cx);
-            // SAFETY: program thread; fresh scoped borrow after user code.
-            unsafe { d.epoch.get() }.executing_inline = false;
-            StatsCell::bump(&stats.inline_executions);
-            StatsCell::bump(&stats.executed);
-            core.audit_exec(d, key, run_tag(base, k as u64), 0);
-            d.submitted.fetch_add(1, Ordering::Relaxed);
-            d.completed.fetch_add(1, Ordering::Relaxed);
+            let backoff = backoff.get_or_insert_with(|| {
+                if unnotified {
+                    self.inner.events[i].notify();
+                }
+                Backoff::new()
+            });
+            if !self.program_help_one(&self.inner.core.root) {
+                backoff.snooze();
+            }
         }
-        Ok(())
     }
 
     /// The synchronization object for delegate `i`'s queue: the root
@@ -542,12 +576,11 @@ impl Runtime {
                 }
                 owner
             }
-            (Channels::Spsc { producers, .. }, _) => {
+            (Channels::Spsc { .. }, _) => {
+                // Root program thread: reclaims are program-context only,
+                // and this is the root branch.
                 if let Executor::Delegate(i) = owner {
-                    // SAFETY: root program thread (reclaims are
-                    // program-context only, and this is the root branch).
-                    let producer = unsafe { producers[i].get() };
-                    if producer.push_blocking(self.sync_object(i)).is_err() {
+                    if self.push_ring(i, self.sync_object(i), false).is_err() {
                         return Err(SsError::Terminated);
                     }
                 }
@@ -555,11 +588,18 @@ impl Runtime {
             }
         };
         let Executor::Delegate(i) = executor else {
-            return Ok(Executor::Program); // inline sets are always drained
+            // A set the program thread ran has nothing queued outside
+            // `Lane::Program`, whose entries are nested — and a nested
+            // epoch took the barrier branch above.
+            return Ok(Executor::Program);
         };
         self.inner.events[i].notify();
         StatsCell::bump(&stats.sync_objects);
-        self.inner.sync_tokens[i].wait();
+        let token = &self.inner.sync_tokens[i];
+        self.program_wait(d, || token.is_done());
+        if let Channels::Spsc { .. } = &self.inner.channels {
+            self.note_ring_fill(i, None);
+        }
         Ok(executor)
     }
 
@@ -571,7 +611,8 @@ impl Runtime {
     ///
     /// * **Queue tokens** — the root only. Its program thread owns the
     ///   rings, whose entries are uncounted, so it sends a token to every
-    ///   queue first, then awaits them all (delegates drain in parallel):
+    ///   queue first, then awaits them all (delegates drain in parallel,
+    ///   and the program thread runs `Lane::Program` meanwhile):
     ///   FIFO ⇒ when a token pops, everything pushed before it on that
     ///   queue has completed. On the stealing transport the tokens are
     ///   `Open` fences — stealing stays *enabled* while the barrier
@@ -585,13 +626,15 @@ impl Runtime {
     ///   queues whose token has already popped (including its own
     ///   injector lane, which ring tokens do not cover at all). Every
     ///   such entry raised `in_flight` *before* it was pushed — a child
-    ///   before its parent completes — so once the tokens have popped (⇒
-    ///   every ring-borne root operation finished) the counter can only
-    ///   drain, and zero means the whole spawn tree has executed. A
-    ///   session's entries are all counted, so for it the counter is the
-    ///   whole proof. No wake-up is lost: the count is raised before the
-    ///   push, and the release that takes it to zero notifies the
-    ///   domain's waiter (`docs/ARCHITECTURE.md`, "Waiting and waking").
+    ///   before its parent completes — and so did every `Lane::Program`
+    ///   entry, which the waiting program thread runs itself. Once the
+    ///   tokens have popped (⇒ every ring-borne root operation finished)
+    ///   the counter can only drain, and zero means the whole spawn tree
+    ///   has executed. A session's entries are all counted, so for it the
+    ///   counter is the whole proof. No wake-up is lost: the count is
+    ///   raised before the push, and the release that takes it to zero,
+    ///   every token signal and every lane push notify the domain's waiter
+    ///   (`docs/ARCHITECTURE.md`, "Waiting and waking").
     ///
     /// The counter is deliberately a *single* atomic per domain: it is
     /// raised at submit and lowered (with Release) only after an
@@ -608,18 +651,17 @@ impl Runtime {
     /// [`SsError::Terminated`], when the pool was shut down under a
     /// waiting session.
     pub(crate) fn barrier(&self, d: &Domain) -> SsResult<()> {
-        if self.is_root() {
+        let tokens: &[_] = if self.is_root() {
             // A token whose push fails (consumer gone) is signalled here
-            // instead, so the wait pass below needs no list of who was
+            // instead, so the wait below needs no list of who was
             // actually sent to.
             let stats = self.inner.core.stats.program();
             let tokens = &self.inner.sync_tokens;
             for (i, token) in tokens.iter().enumerate() {
                 let sync = self.sync_object(i);
                 match &self.inner.channels {
-                    Channels::Spsc { producers, .. } => {
-                        // SAFETY: root program thread (callers checked).
-                        if unsafe { producers[i].get() }.push_blocking(sync).is_err() {
+                    Channels::Spsc { .. } => {
+                        if self.push_ring(i, sync, false).is_err() {
                             token.signal();
                             continue;
                         }
@@ -631,13 +673,17 @@ impl Runtime {
                 self.inner.events[i].notify();
                 StatsCell::bump(&stats.sync_objects);
             }
-            for token in tokens.iter() {
-                token.wait();
-            }
-        }
+            tokens
+        } else {
+            &[]
+        };
         let drained = || d.in_flight.load(Ordering::Acquire) == 0;
-        d.waiter
-            .wait_until(|| drained() || self.check_live().is_err());
+        self.program_wait(d, || {
+            (tokens.iter().all(|t| t.is_done()) && drained()) || self.check_live().is_err()
+        });
+        if let Channels::Spsc { .. } = &self.inner.channels {
+            (0..tokens.len()).for_each(|i| self.note_ring_fill(i, None));
+        }
         drained().then_some(()).ok_or(SsError::Terminated)
     }
 

@@ -32,7 +32,7 @@ impl Runtime {
         {
             // SAFETY: the domain's program thread (checked above); scoped.
             let epoch = unsafe { d.epoch.get() };
-            if epoch.executing_inline {
+            if !epoch.active.is_empty() {
                 return Err(SsError::WrongContext);
             }
             if epoch.in_isolation {
@@ -77,7 +77,7 @@ impl Runtime {
         {
             // SAFETY: program thread; scoped.
             let epoch = unsafe { d.epoch.get() };
-            if epoch.executing_inline {
+            if !epoch.active.is_empty() {
                 return Err(SsError::WrongContext);
             }
             if !epoch.in_isolation {
@@ -196,6 +196,6 @@ impl Runtime {
         let d = self.domain();
         // SAFETY: program thread (debug-asserted; all callers check).
         let e = unsafe { d.epoch.get() };
-        (e.in_isolation, d.serial(), e.executing_inline)
+        (e.in_isolation, d.serial(), !e.active.is_empty())
     }
 }

@@ -18,8 +18,11 @@
 //! * A delegated operation is packaged as an *invocation object* and routed
 //!   by the configured [`DelegateAssignment`] policy ([`assign`]); the
 //!   paper's **static delegate assignment** (serialization-set id modulo the
-//!   number of *virtual delegates*, with a program-thread share) is the
-//!   default and preserves the seed semantics bit-for-bit.
+//!   number of delegates) is the default.
+//! * The program thread is a **load-chosen executor** ([`program`]): a set
+//!   whose first operation of the epoch finds its delegate's ring at least
+//!   half full runs on the program thread for the rest of the epoch, and
+//!   nested submits into such a set reach it through `Lane::Program`.
 //! * With [`RuntimeBuilder::stealing`] enabled, the SPSC channels are
 //!   replaced by shared [`ss_queue::StealDeque`]s and idle delegates may
 //!   migrate **never-started** sets (whole batches, pins rewritten
@@ -56,6 +59,7 @@ mod domain;
 mod epoch;
 mod event;
 mod gates;
+mod program;
 mod router;
 mod session;
 #[cfg(test)]
@@ -125,10 +129,11 @@ pub(crate) struct Core {
     /// log; `None` when tracing is disabled.
     pub(crate) side_events: Option<Mutex<Vec<SideEvent>>>,
     /// Waits-for table for blocking [`SsFuture`](crate::SsFuture) waits
-    /// from delegate contexts: slot `i` holds one [`FutureWait`] while
-    /// delegate `i` is blocked with its help-first options exhausted. The
-    /// deadlock detector walks `set → pinned executor → that delegate's
-    /// wait` under this mutex; the pin resolution inside the walk is the
+    /// from executor contexts: slot `i` holds one [`FutureWait`] while
+    /// delegate `i` is blocked with its help-first options exhausted, and
+    /// the last slot the root program thread's, while it is blocked inside
+    /// an operation it runs. The deadlock detector walks `set → pinned
+    /// executor → that executor's wait` under this mutex; the pin resolution inside the walk is the
     /// router's strictly non-blocking `peek`, so no shard or scheduler
     /// lock is ever *waited on* while this mutex is held.
     pub(crate) future_waits: Mutex<Vec<Option<FutureWait>>>,
@@ -479,6 +484,14 @@ pub(crate) struct Inner {
     /// before every push, so neither allocates. Termination keeps its own
     /// tokens — it may run on whichever thread drops the last handle.
     sync_tokens: Box<[Arc<SyncToken>]>,
+    /// The root program thread's record of the sets it routed on the ring
+    /// lane this epoch and what it chose for each ([`program`]).
+    routes: ProgramOnly<program::RouteRecord>,
+    /// Per delegate, the operations the root program thread pushed on its
+    /// ring since the ring was last known empty (a barrier or a reclaim
+    /// of that ring): an upper bound on the ring's occupancy, kept without
+    /// reading a line the consumer writes ([`program`]).
+    ring_fill: ProgramOnly<Box<[usize]>>,
     join_handles: Mutex<Vec<JoinHandle<()>>>,
     started_at: Instant,
     terminated: AtomicBool,
@@ -523,8 +536,6 @@ impl std::fmt::Debug for Runtime {
         f.debug_struct("Runtime")
             .field("id", &self.inner.id)
             .field("delegates", &self.inner.topology.n_delegates)
-            .field("virtual_delegates", &self.inner.topology.virtual_delegates)
-            .field("program_share", &self.inner.topology.program_share)
             .field("assignment", &self.inner.assignment_name)
             .field("stealing", &self.inner.steal_policy)
             .field("mode", &self.inner.mode)
@@ -540,7 +551,7 @@ impl Runtime {
 
     /// Builds a runtime with all defaults: `available_parallelism() - 1`
     /// delegate threads (the paper's default of one less than the number of
-    /// processors), no program share, static assignment, parallel mode.
+    /// processors), static assignment, parallel mode.
     pub fn new() -> SsResult<Runtime> {
         Self::builder().build()
     }
@@ -554,17 +565,7 @@ impl Runtime {
                     .unwrap_or(1)
             }),
         };
-        let program_share = b.program_share;
-        let virtual_delegates = b
-            .virtual_delegates
-            .unwrap_or(program_share + n_delegates)
-            .max(1)
-            .max(program_share);
-        let topology = AssignTopology {
-            n_delegates,
-            virtual_delegates,
-            program_share,
-        };
+        let topology = AssignTopology { n_delegates };
 
         // Stealing needs at least two delegates (someone to steal *from*);
         // below that, fall back to the plain SPSC transport.
@@ -578,7 +579,9 @@ impl Runtime {
         let assignment_name = policy.name();
         let wants_cost_feedback = policy.wants_cost_feedback();
         // The seed fast path: static assignment without stealing routes
-        // through the inline modulo — no pins, no locks. Stealing always
+        // through the inline modulo — no pins, no locks — except where a
+        // take could race it (root nested submits, see `Router::route`).
+        // Stealing always
         // pins, even under static assignment, because a steal overrides
         // the static mapping.
         let static_assignment = matches!(b.assignment, crate::config::Assignment::Static)
@@ -605,7 +608,7 @@ impl Runtime {
             panic_msg: Mutex::new(None),
             root: Domain::new(0, ROOT_SHARDS, None, Event::scripted(&b.test_gates, "p")),
             side_events: b.trace.then(|| Mutex::new(Vec::new())),
-            future_waits: Mutex::new((0..n_delegates).map(|_| None).collect()),
+            future_waits: Mutex::new((0..=n_delegates).map(|_| None).collect()),
             cost_samples: wants_cost_feedback
                 .then(|| (0..n_delegates).map(|_| Mutex::new(Vec::new())).collect()),
             cell_pool: CellPool::new(),
@@ -651,8 +654,10 @@ impl Runtime {
             channels,
             events,
             sync_tokens: (0..n_delegates)
-                .map(|_| SyncToken::rearmable(Event::scripted(&b.test_gates, "p")))
+                .map(|_| SyncToken::rearmable(Arc::clone(&core.root.waiter)))
                 .collect(),
+            routes: ProgramOnly::new(program::RouteRecord::new()),
+            ring_fill: ProgramOnly::new(vec![0; n_delegates].into_boxed_slice()),
             join_handles: Mutex::new(Vec::new()),
             started_at: Instant::now(),
             terminated: AtomicBool::new(false),
@@ -697,19 +702,9 @@ impl Runtime {
     // ------------------------------------------------------------------
     // introspection
 
-    /// Number of physical delegate threads.
+    /// Number of delegate threads.
     pub fn delegate_threads(&self) -> usize {
         self.inner.topology.n_delegates
-    }
-
-    /// Number of virtual delegates used by static assignment.
-    pub fn virtual_delegates(&self) -> usize {
-        self.inner.topology.virtual_delegates
-    }
-
-    /// Virtual delegates executed inline by the program thread.
-    pub fn program_share(&self) -> usize {
-        self.inner.topology.program_share
     }
 
     /// Name of the active delegate-assignment policy (`"static"`,

@@ -101,7 +101,9 @@ fn decode(code: u32) -> Executor {
 pub(crate) struct Router {
     topology: AssignTopology,
     /// The seed fast path: `Assignment::Static` without stealing routes
-    /// through the inline modulo — no pins, no locks, no policy calls.
+    /// through the inline modulo — no pins, no locks, no policy calls —
+    /// wherever no take can race the answer: session submits and the root
+    /// program thread's own first sights.
     static_assignment: bool,
     /// Cached `policy.is_pure()`.
     pure: bool,
@@ -189,14 +191,31 @@ impl Router {
             .assign_raw(ss, serial, &self.topology, loads)
     }
 
+    /// The policy's answer for a set — the inline modulo under static
+    /// assignment, else the policy under its mutex.
+    fn answer(&self, key: SsId, serial: u64, loads: &DelegateLoads<'_>) -> Executor {
+        if self.static_assignment {
+            static_executor(key, &self.topology)
+        } else {
+            self.assign(key, serial, loads)
+        }
+    }
+
     /// Resolves `key` in domain `d`'s current epoch — the non-publishing
     /// resolution used by the non-stealing transports (SPSC rings and
     /// injector lanes), where a pin can never change within an epoch and
     /// the queue push therefore does not need to be atomic with the
     /// lookup.
     ///
-    /// Pure policies bypass the pin map entirely (recomputed per call,
-    /// matching the pre-router behaviour: no pin, no `Pin` trace).
+    /// Static assignment and other pure policies bypass the pin map in
+    /// session domains (recomputed per call: no pin, no `Pin` trace). In
+    /// the root domain they resolve through it like every policy: the
+    /// root program thread may have **taken** the set
+    /// ([`route_first_sight`](Router::route_first_sight)), and only the
+    /// pin says so. A first touch there pins the policy's answer under the
+    /// set's shard lock — the lock a take holds while it pins the program
+    /// executor — and reports no fresh pin, since the pin merely records
+    /// what the policy says anyway.
     pub(crate) fn route(&self, d: &Domain, key: SsId, loads: &DelegateLoads<'_>) -> Route {
         debug_assert!(!self.always_pin, "stealing submits must route_publish");
         if self.topology.n_delegates == 0 {
@@ -207,17 +226,11 @@ impl Router {
                 fast_hit: false,
             };
         }
-        if self.static_assignment {
-            return Route {
-                executor: static_executor(key, &self.topology),
-                fresh_pin: false,
-                fast_hit: false,
-            };
-        }
+        let pure = self.static_assignment || self.pure;
         let serial = d.serial();
-        if self.pure {
+        if pure && d.id != 0 {
             return Route {
-                executor: self.assign(key, serial, loads),
+                executor: self.answer(key, serial, loads),
                 fresh_pin: false,
                 fast_hit: false,
             };
@@ -231,7 +244,61 @@ impl Router {
         }
         let mut shard = d.pins.lock_key(key.0);
         let (code, fresh_pin) =
-            shard.get_or_insert_with(key.0, serial, || encode(self.assign(key, serial, loads)));
+            shard.get_or_insert_with(key.0, serial, || encode(self.answer(key, serial, loads)));
+        Route {
+            executor: decode(code),
+            fresh_pin: fresh_pin && !pure,
+            fast_hit: false,
+        }
+    }
+
+    /// The root program thread's first sight of `key` in an epoch, on the
+    /// ring lane: [`route`](Router::route), except that a first touch whose
+    /// answer is a delegate `loaded` calls busy is **taken** — pinned to the
+    /// program executor instead, under the set's shard lock, unless a
+    /// nested first touch pinned the set first (the one who comes first
+    /// owns it for the epoch). A take is a fresh pin. Static assignment and
+    /// pure policies push without a pin: a nested first touch pins the
+    /// same answer.
+    pub(crate) fn route_first_sight(
+        &self,
+        d: &Domain,
+        key: SsId,
+        loads: &DelegateLoads<'_>,
+        loaded: impl FnOnce(usize) -> bool,
+    ) -> Route {
+        if self.topology.n_delegates == 0 {
+            return self.route(d, key, loads);
+        }
+        let serial = d.serial();
+        let take = |executor| match executor {
+            Executor::Delegate(i) if loaded(i) => Executor::Program,
+            executor => executor,
+        };
+        let (code, fresh_pin) = if self.static_assignment || self.pure {
+            let answer = self.answer(key, serial, loads);
+            if take(answer) != Executor::Program {
+                return Route {
+                    executor: answer,
+                    fresh_pin: false,
+                    fast_hit: false,
+                };
+            }
+            let mut shard = d.pins.lock_key(key.0);
+            shard.get_or_insert_with(key.0, serial, || encode(Executor::Program))
+        } else {
+            if let Some(code) = d.pins.get(key.0, serial) {
+                return Route {
+                    executor: decode(code),
+                    fresh_pin: false,
+                    fast_hit: true,
+                };
+            }
+            let mut shard = d.pins.lock_key(key.0);
+            shard.get_or_insert_with(key.0, serial, || {
+                encode(take(self.assign(key, serial, loads)))
+            })
+        };
         Route {
             executor: decode(code),
             fresh_pin,
@@ -304,6 +371,13 @@ impl Router {
     ) -> Option<Option<Executor>> {
         if self.topology.n_delegates == 0 {
             return Some(Some(Executor::Program));
+        }
+        if (self.static_assignment || self.pure) && !self.always_pin && d.id == 0 {
+            // A root set may have been taken (or first touched by a
+            // nested submit): its pin wins over the policy's answer.
+            if let Some(code) = d.pins.read_nonblocking(key.0, d.serial())? {
+                return Some(Some(decode(code)));
+            }
         }
         if self.static_assignment {
             return Some(Some(static_executor(key, &self.topology)));
@@ -400,11 +474,7 @@ mod tests {
     use super::*;
 
     fn topo(n: usize) -> AssignTopology {
-        AssignTopology {
-            n_delegates: n,
-            virtual_delegates: n,
-            program_share: 0,
-        }
+        AssignTopology { n_delegates: n }
     }
 
     /// Counters whose delegate `i` has `values[i]` operations queued.
@@ -480,13 +550,59 @@ mod tests {
     }
 
     #[test]
-    fn pure_policies_bypass_the_pin_map() {
+    fn pure_policies_bypass_the_pin_map_in_sessions() {
         let d = depths(&[0, 0]);
         let r = router(Box::new(StaticAssignment), 2);
-        let e = epoch(1);
+        let session = Domain::new(1, 4, None, Default::default());
+        session.epoch_serial.store(1, Ordering::Relaxed);
         for ss in 0..10u64 {
-            let route = r.route(&e, SsId(ss), &loads_of(&d));
-            assert!(!route.fresh_pin && !route.fast_hit);
+            for _ in 0..2 {
+                let route = r.route(&session, SsId(ss), &loads_of(&d));
+                assert!(!route.fresh_pin && !route.fast_hit);
+            }
+        }
+    }
+
+    #[test]
+    fn a_take_and_a_nested_first_touch_serialize_on_the_pin() {
+        let d = depths(&[0, 0]);
+        for static_assignment in [true, false] {
+            let r = Router::new(
+                Box::new(StaticAssignment),
+                topo(2),
+                static_assignment,
+                false,
+                None,
+            );
+            let e = epoch(1);
+            // A loaded ring: the program thread takes set 3, with a pin.
+            let taken = r.route_first_sight(&e, SsId(3), &loads_of(&d), |_| true);
+            assert_eq!((taken.executor, taken.fresh_pin), (Executor::Program, true));
+            // A nested submit resolves through the pin, not the modulo.
+            assert_eq!(
+                r.route(&e, SsId(3), &loads_of(&d)).executor,
+                Executor::Program
+            );
+            assert_eq!(
+                r.peek(&e, SsId(3), &loads_of(&d)),
+                Some(Some(Executor::Program))
+            );
+            // A nested first touch comes first: the set stays on its
+            // delegate however loaded the ring is.
+            let nested = r.route(&e, SsId(4), &loads_of(&d));
+            assert_eq!(
+                (nested.executor, nested.fresh_pin),
+                (Executor::Delegate(0), false)
+            );
+            let late = r.route_first_sight(&e, SsId(4), &loads_of(&d), |_| true);
+            assert_eq!(late.executor, Executor::Delegate(0));
+            // An unloaded ring pushes without a pin.
+            let pushed = r.route_first_sight(&e, SsId(5), &loads_of(&d), |_| false);
+            assert_eq!(pushed.executor, Executor::Delegate(1));
+            assert_eq!(
+                r.peek(&e, SsId(5), &loads_of(&d)),
+                Some(Some(Executor::Delegate(1)))
+            );
         }
     }
 

@@ -34,19 +34,13 @@ fn bump(counter: &Arc<AtomicU64>) -> TaskSlot {
 
 #[test]
 fn executor_assignment_is_static_modulo() {
-    let rt = Runtime::builder()
-        .delegate_threads(3)
-        .virtual_delegates(4)
-        .program_share(1)
-        .build()
-        .unwrap();
-    // v = ss % 4; v == 0 → program; v in 1..4 → delegate (v-1) % 3.
-    assert_eq!(executor_for(&rt, SsId(0)), Executor::Program);
-    assert_eq!(executor_for(&rt, SsId(4)), Executor::Program);
-    assert_eq!(executor_for(&rt, SsId(1)), Executor::Delegate(0));
-    assert_eq!(executor_for(&rt, SsId(2)), Executor::Delegate(1));
-    assert_eq!(executor_for(&rt, SsId(3)), Executor::Delegate(2));
-    assert_eq!(executor_for(&rt, SsId(5)), Executor::Delegate(0));
+    let rt = Runtime::builder().delegate_threads(3).build().unwrap();
+    rt.begin_isolation().unwrap();
+    assert_eq!(executor_for(&rt, SsId(0)), Executor::Delegate(0));
+    assert_eq!(executor_for(&rt, SsId(4)), Executor::Delegate(1));
+    assert_eq!(executor_for(&rt, SsId(2)), Executor::Delegate(2));
+    assert_eq!(executor_for(&rt, SsId(5)), Executor::Delegate(2));
+    rt.end_isolation().unwrap();
 }
 
 #[test]
@@ -105,21 +99,43 @@ fn same_set_preserves_program_order() {
     assert_eq!(*log, (0..1000).collect::<Vec<_>>());
 }
 
+/// A task that spins until `gate` is raised.
+fn held(gate: &Arc<AtomicU64>) -> TaskSlot {
+    let g = Arc::clone(gate);
+    TaskSlot::new(move |_| {
+        while g.load(Ordering::Acquire) == 0 {
+            std::hint::spin_loop();
+        }
+    })
+}
+
 #[test]
-fn inline_sets_execute_immediately() {
+fn taken_sets_execute_immediately() {
     let rt = Runtime::builder()
         .delegate_threads(1)
-        .virtual_delegates(2)
-        .program_share(2)
+        .queue_capacity(2)
         .build()
         .unwrap();
-    let hits = Arc::new(AtomicU64::new(0));
+    let (gate, hits) = (Arc::new(AtomicU64::new(0)), Arc::new(AtomicU64::new(0)));
     rt.begin_isolation().unwrap();
-    submit(&rt, SsId(0), bump(&hits)).unwrap();
-    // Inline execution is synchronous: visible before end_isolation.
+    // Delegate 0 is held on set 0's first operation with a second queued
+    // behind it: its two-slot ring is at least half full.
+    submit(&rt, SsId(0), held(&gate)).unwrap();
+    submit(&rt, SsId(0), TaskSlot::new(|_| {})).unwrap();
+    // Set 1 arrives fresh: the program thread takes it, and runs it
+    // synchronously — visible before end_isolation.
+    assert_eq!(
+        submit(&rt, SsId(1), bump(&hits)).unwrap(),
+        Executor::Program
+    );
     assert_eq!(hits.load(Ordering::Relaxed), 1);
+    // Set 0 was pushed this epoch: it is never taken, however full the
+    // ring.
+    assert_eq!(submit(&rt, SsId(0), bump(&hits)), Ok(Executor::Delegate(0)));
+    gate.store(1, Ordering::Release);
     rt.end_isolation().unwrap();
-    assert_eq!(rt.stats().inline_executions, 1);
+    let s = rt.stats();
+    assert_eq!((s.inline_executions, s.delegations, s.executed), (1, 4, 4));
 }
 
 #[test]
@@ -390,7 +406,10 @@ fn queue_depths_return_to_zero_after_barrier() {
         "{:?}",
         s.queue_depths
     );
-    assert_eq!(s.delegate_executed.iter().sum::<u64>(), s.delegations);
+    assert_eq!(
+        s.delegate_executed.iter().sum::<u64>() + s.inline_executions,
+        s.delegations
+    );
 }
 
 #[test]
@@ -939,10 +958,12 @@ fn help_executed_operations_leave_the_queue_price() {
     assert_eq!(b.call(|n| *n).unwrap(), K);
 }
 
-/// `delegate_scope` is rejected off delegate threads: on the program
-/// thread, on foreign threads, and inside inline-executing operations.
+/// `delegate_scope` is rejected off the executors: on the program thread
+/// at a delegation point and on foreign threads. Inside an operation the
+/// program thread runs itself, it opens the program thread's delegate
+/// context (writer slot 0).
 #[test]
-fn delegate_scope_requires_a_delegate_context() {
+fn delegate_scope_works_inside_every_operation_and_nowhere_else() {
     let rt = Runtime::builder().delegate_threads(1).build().unwrap();
     assert_eq!(
         rt.delegate_scope(|_| ()).unwrap_err(),
@@ -957,13 +978,8 @@ fn delegate_scope_requires_a_delegate_context() {
     })
     .join()
     .unwrap();
-    // Inline execution (program-share set) is not a delegate context.
-    let rt = Runtime::builder()
-        .delegate_threads(1)
-        .virtual_delegates(2)
-        .program_share(2)
-        .build()
-        .unwrap();
+    // Zero delegates: the program thread runs every operation.
+    let rt = Runtime::builder().delegate_threads(0).build().unwrap();
     let seen = Arc::new(Mutex::new(None));
     let (rt3, seen2) = (rt.clone(), Arc::clone(&seen));
     rt.begin_isolation().unwrap();
@@ -971,22 +987,38 @@ fn delegate_scope_requires_a_delegate_context() {
         &rt,
         SsId(0),
         TaskSlot::new(move |_| {
-            *seen2.lock() = Some(rt3.delegate_scope(|_| ()).unwrap_err());
+            *seen2.lock() = Some(rt3.delegate_scope(|cx| cx.executor()));
         }),
     )
     .unwrap();
     rt.end_isolation().unwrap();
-    assert_eq!(seen.lock().take(), Some(SsError::WrongContext));
+    assert_eq!(seen.lock().take(), Some(Ok(Executor::Program)));
 }
 
-/// Nested delegation into a program-share set is rejected — the program
-/// thread is not at a delegation point.
+/// Sets 0 → the program executor, everything else → delegate 0.
+#[derive(Debug)]
+struct ZeroOnProgram;
+
+impl DelegateAssignment for ZeroOnProgram {
+    fn name(&self) -> &'static str {
+        "zero-on-program"
+    }
+    fn assign(&mut self, ss: SsId, _: &AssignTopology, _: &DelegateLoads<'_>) -> Executor {
+        if ss.0 == 0 {
+            Executor::Program
+        } else {
+            Executor::Delegate(0)
+        }
+    }
+}
+
+/// Nested delegation into a set the program thread owns travels on
+/// `Lane::Program` and runs there — counted, and drained by the barrier.
 #[test]
-fn nested_delegation_onto_program_set_rejected() {
+fn nested_delegation_onto_a_program_set_runs_on_the_program_lane() {
     let rt = Runtime::builder()
         .delegate_threads(2)
-        .virtual_delegates(3)
-        .program_share(1)
+        .assignment(Assignment::custom(|| Box::new(ZeroOnProgram)))
         .build()
         .unwrap();
     let child: Writable<u64, crate::NullSerializer> = Writable::new(&rt, 0);
@@ -994,21 +1026,23 @@ fn nested_delegation_onto_program_set_rejected() {
     let seen = Arc::new(Mutex::new(None));
     rt.begin_isolation().unwrap();
     let (rt2, child2, seen2) = (rt.clone(), child.clone(), Arc::clone(&seen));
-    // Set 1 → delegate 0; set 0 → program (v = ss % 3 < 1).
     parent
         .delegate_in(1u64, move |_| {
-            let err = rt2
-                .delegate_scope(|cx| cx.delegate_in(&child2, 0u64, |n| *n += 1).unwrap_err())
+            let sent = rt2
+                .delegate_scope(|cx| cx.delegate_in(&child2, 0u64, |n| *n += 1))
                 .unwrap();
-            *seen2.lock() = Some(err);
+            *seen2.lock() = Some(sent);
         })
         .unwrap();
     rt.end_isolation().unwrap();
+    assert_eq!(seen.lock().take(), Some(Ok(())));
+    assert_eq!(child.call(|n| *n).unwrap(), 1);
+    let s = rt.stats();
     assert_eq!(
-        seen.lock().take(),
-        Some(SsError::NestedOnProgram { set: Some(SsId(0)) })
+        (s.inline_executions, s.nested_delegations, s.delegations),
+        (1, 1, 2)
     );
-    assert_eq!(child.call(|n| *n).unwrap(), 0);
+    assert_eq!(s.in_flight, 0);
 }
 
 /// Re-entrant delegation from inside an object's own access closure is
@@ -1259,7 +1293,7 @@ fn one_submit_path_conserves_operations_in_every_cell() {
                     assert_eq!(d.submitted.load(Ordering::Relaxed), counted, "{cell}");
                     assert_eq!(d.completed.load(Ordering::Relaxed), counted, "{cell}");
                     assert_eq!(
-                        stats.delegate_executed.iter().sum::<u64>(),
+                        stats.delegate_executed.iter().sum::<u64>() + stats.inline_executions,
                         ops + parents,
                         "{cell}"
                     );

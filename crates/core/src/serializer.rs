@@ -24,7 +24,7 @@
 /// All delegated operations with equal `SsId` (within a runtime) execute in
 /// program order on the same executor; distinct ids may execute
 /// concurrently. The id also drives static delegate assignment:
-/// `executor = id mod virtual_delegates` (§4).
+/// `executor = id mod delegates` (§4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SsId(pub u64);
 
@@ -83,7 +83,7 @@ impl<T: ?Sized> Serializer<T> for ObjectSerializer {
 
 /// The paper's *sequence* serializer: serializes on the instance number of
 /// the object. Instance numbers are small and dense, which makes the static
-/// `id mod virtual_delegates` assignment spread consecutive objects
+/// `id mod delegates` assignment spread consecutive objects
 /// round-robin across delegates (the behaviour `reverse_index` relies on).
 #[derive(Debug, Default, Clone, Copy)]
 pub struct SequenceSerializer;

@@ -241,10 +241,16 @@ impl StatsCell {
 /// [`Runtime::stats`](crate::Runtime::stats)).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Stats {
-    /// Operations sent to delegate threads.
+    /// Operations submitted through the `delegate*` family — from the
+    /// program context or a delegate context — whichever executor ran
+    /// them: after `end_isolation`, `executed == delegations`.
     pub delegations: u64,
-    /// Operations executed inline on the program thread (program-share
-    /// virtual delegates, serial mode, or zero-delegate runtimes).
+    /// The subset of [`delegations`](Stats::delegations) the program
+    /// thread ran itself: sets it took at a half-full ring, their nested
+    /// operations from `Lane::Program`, serial mode and zero-delegate
+    /// runtimes. With [`delegate_executed`](Stats::delegate_executed)
+    /// they partition the delegations:
+    /// `Σ delegate_executed + inline_executions == delegations`.
     pub inline_executions: u64,
     /// Operations whose execution has completed (on any executor).
     pub executed: u64,
@@ -255,17 +261,19 @@ pub struct Stats {
     /// Reducible reductions performed.
     pub reductions: u64,
     /// First-touch assignment pins created by non-static delegate
-    /// assignment policies (0 under the default static assignment; always
+    /// assignment policies, plus one per set the program thread takes
+    /// (under the default static assignment only the takes; always
     /// counted when stealing is enabled, since stealing requires pinning
     /// even under static assignment).
     pub pins: u64,
     /// Routing resolutions answered by the sharded pin map's lock-free
     /// fast path: a re-delegation to an already-pinned set on a
     /// non-stealing transport, resolved with no lock and no
-    /// read-modify-write. 0 under pure policies (which bypass the pin
-    /// map) and on the stealing transport (whose submits always take the
-    /// set's shard lock so the queue publish is atomic with the pin
-    /// resolution).
+    /// read-modify-write. The root program thread's ring submits resolve
+    /// through its own record of the epoch's sets instead, so these are
+    /// nested and session submits. 0 on the stealing transport (whose
+    /// submits always take the set's shard lock so the queue publish is
+    /// atomic with the pin resolution).
     pub pin_fast_hits: u64,
     /// Operations delegated from *delegate* contexts — the recursive
     /// delegation path ([`Runtime::delegate_scope`](crate::Runtime::delegate_scope)).

@@ -20,8 +20,8 @@ use crate::serializer::SsId;
 /// Which executor a traced operation was assigned to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceExecutor {
-    /// Inline on the program thread (program-share virtual delegates, serial
-    /// mode, or zero-delegate runtimes).
+    /// On the program thread (a set it took, serial mode, zero-delegate
+    /// runtimes, or a set a custom policy assigns to it).
     Program,
     /// Delegate thread with this index.
     Delegate(usize),

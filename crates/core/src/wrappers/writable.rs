@@ -185,7 +185,7 @@ impl Submitter<'_> {
     fn stats(self, core: &Core) -> &Counters {
         match self {
             Submitter::Program => core.stats.program(),
-            Submitter::Nested(cx) => core.stats.delegate(cx.index()),
+            Submitter::Nested(cx) => core.stats.at(cx.slot()),
         }
     }
 }
@@ -703,7 +703,7 @@ impl<T: Send + 'static, S: Serializer<T>> Writable<T, S> {
     /// * an object claimed by a program-context mutation this epoch
     ///   (privately-writable with no set tag) rejects it
     ///   ([`SsError::NestedOnProgram`]) — the program thread owns the
-    ///   value and is not at a delegation point;
+    ///   value itself, outside any serialization set;
     /// * the domain's nested-epoch flag is raised *before* `pending`, so a
     ///   program-context access under the same mutex either sees the work
     ///   coming (and quiesces) or strictly precedes it (and `accessing` /

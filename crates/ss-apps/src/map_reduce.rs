@@ -149,8 +149,8 @@ pub fn cp(input: &[Vec<u64>], threads: usize) -> Partial {
 /// Serialization-sets implementation: delegate one future-returning map
 /// operation per shard, then reduce by waiting the futures in shard order
 /// — all inside a single isolation epoch. Works unchanged on every
-/// runtime shape (serial mode and program-share sets execute inline and
-/// hand back ready futures).
+/// runtime shape (serial mode and sets the program thread takes execute
+/// inline and hand back ready futures).
 pub fn ss(input: &[Vec<u64>], rt: &Runtime) -> Partial {
     let shards: Vec<Writable<Vec<u64>, SequenceSerializer>> =
         input.iter().map(|s| Writable::new(rt, s.clone())).collect();
@@ -241,10 +241,10 @@ mod tests {
             .build()
             .unwrap();
         assert_eq!(ss(&data, &rt), expect);
+        // A four-slot ring: the program thread takes sets and runs them.
         let rt = Runtime::builder()
             .delegate_threads(2)
-            .program_share(1)
-            .virtual_delegates(5)
+            .queue_capacity(4)
             .build()
             .unwrap();
         assert_eq!(ss(&data, &rt), expect);

@@ -17,14 +17,12 @@
 //!   executor, so the grandchild arrival order is the `(j, k)` order the
 //!   sequential oracle uses.
 //!
-//! The `ss` implementation degrades gracefully on runtimes that cannot
-//! host nested contexts (serial mode, zero delegates, inline program-share
-//! execution, or program-owned target sets): a delegation the delegate
-//! context cannot perform is recorded in an **overflow list** the program
-//! thread drains in follow-up epochs. The final state is identical, and on
-//! ordinary parallel runtimes the overflow stays empty.
+//! Every executor hosts a delegate context — a delegate thread, or the
+//! program thread running an operation itself (serial mode, zero
+//! delegates, a set it took) — so the kernel runs unchanged on every
+//! runtime shape.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use ss_core::{Runtime, SequenceSerializer, Writable};
 use ss_workloads::rng::rng;
@@ -180,13 +178,6 @@ pub fn cp(seeds: &[u64], shape: Shape, threads: usize) -> Output {
     out
 }
 
-/// A delegation the delegate context could not perform (inline execution,
-/// or a program-owned target set), deferred to the program thread.
-enum Job {
-    Child { i: usize, j: usize },
-    Grand { i: usize, j: usize, k: usize },
-}
-
 /// Everything the delegated closures need, in one `Arc`.
 struct Cx {
     rt: Runtime,
@@ -194,7 +185,6 @@ struct Cx {
     shape: Shape,
     children: Vec<Writable<Vec<u64>, SequenceSerializer>>,
     grands: Vec<Writable<u64, SequenceSerializer>>,
-    overflow: Mutex<Vec<Job>>,
 }
 
 fn run_child(cx: &Arc<Cx>, v: &mut Vec<u64>, i: usize, j: usize) {
@@ -205,29 +195,24 @@ fn run_child(cx: &Arc<Cx>, v: &mut Vec<u64>, i: usize, j: usize) {
 }
 
 fn dispatch_child(cx: &Arc<Cx>, i: usize, j: usize) {
-    let attempted = cx.rt.delegate_scope(|scope| {
-        let cx2 = Arc::clone(cx);
-        scope.delegate(&cx.children[i], move |v| run_child(&cx2, v, i, j))
-    });
-    if !matches!(attempted, Ok(Ok(()))) {
-        cx.overflow.lock().unwrap().push(Job::Child { i, j });
-    }
+    let cx2 = Arc::clone(cx);
+    cx.rt
+        .delegate_scope(|scope| scope.delegate(&cx.children[i], move |v| run_child(&cx2, v, i, j)))
+        .expect("an operation runs in a delegate context")
+        .expect("delegate child");
 }
 
 fn dispatch_grand(cx: &Arc<Cx>, i: usize, j: usize, k: usize) {
     let val = grand_val(cx.seeds[i], j, k);
-    let attempted = cx
-        .rt
-        .delegate_scope(|scope| scope.delegate(&cx.grands[i], move |g| *g = fold_grand(*g, val)));
-    if !matches!(attempted, Ok(Ok(()))) {
-        cx.overflow.lock().unwrap().push(Job::Grand { i, j, k });
-    }
+    cx.rt
+        .delegate_scope(|scope| scope.delegate(&cx.grands[i], move |g| *g = fold_grand(*g, val)))
+        .expect("an operation runs in a delegate context")
+        .expect("delegate grandchild");
 }
 
 /// Serialization-sets implementation: roots delegated by the program
 /// thread; children and grandchildren delegated recursively from the
-/// delegate contexts (overflowing to the program thread only where the
-/// runtime cannot host them — see the module docs).
+/// contexts the operations run in.
 pub fn ss(seeds: &[u64], shape: Shape, rt: &Runtime) -> Output {
     let shards: Vec<Writable<u64, SequenceSerializer>> =
         (0..A_SHARDS).map(|_| Writable::new(rt, 0)).collect();
@@ -239,7 +224,6 @@ pub fn ss(seeds: &[u64], shape: Shape, rt: &Runtime) -> Output {
             .map(|_| Writable::new(rt, Vec::new()))
             .collect(),
         grands: (0..seeds.len()).map(|_| Writable::new(rt, 0)).collect(),
-        overflow: Mutex::new(Vec::new()),
     });
 
     rt.begin_isolation().expect("begin_isolation");
@@ -255,34 +239,6 @@ pub fn ss(seeds: &[u64], shape: Shape, rt: &Runtime) -> Output {
             .expect("delegate root");
     }
     rt.end_isolation().expect("end_isolation");
-
-    // Drain deferred delegations (epochs nest the expansion: a drained
-    // child may defer its grandchildren into the next round). Empty on
-    // runtimes with real delegate contexts.
-    loop {
-        let batch = std::mem::take(&mut *cx.overflow.lock().unwrap());
-        if batch.is_empty() {
-            break;
-        }
-        rt.begin_isolation().expect("begin_isolation (overflow)");
-        for job in batch {
-            match job {
-                Job::Child { i, j } => {
-                    let cx2 = Arc::clone(&cx);
-                    cx.children[i]
-                        .delegate(move |v| run_child(&cx2, v, i, j))
-                        .expect("delegate overflow child");
-                }
-                Job::Grand { i, j, k } => {
-                    let val = grand_val(cx.seeds[i], j, k);
-                    cx.grands[i]
-                        .delegate(move |g| *g = fold_grand(*g, val))
-                        .expect("delegate overflow grand");
-                }
-            }
-        }
-        rt.end_isolation().expect("end_isolation (overflow)");
-    }
 
     Output {
         shards: shards.iter().map(|w| w.call(|s| *s).unwrap()).collect(),
@@ -367,7 +323,7 @@ mod tests {
     }
 
     #[test]
-    fn ss_agrees_across_runtime_shapes_including_inline_fallback() {
+    fn ss_agrees_across_runtime_shapes_including_program_executed_roots() {
         let (seeds, shape) = small();
         let expected = seq(&seeds, shape);
         for delegates in [0, 1, 2, 4] {
@@ -377,8 +333,8 @@ mod tests {
                 .unwrap();
             assert_eq!(ss(&seeds, shape, &rt), expected, "delegates = {delegates}");
         }
-        // Serial debug mode and program-share routing both exercise the
-        // overflow path.
+        // Serial debug mode runs every level on the program thread; a
+        // four-slot ring makes it take roots and nest from them.
         let rt = Runtime::builder()
             .mode(ss_core::ExecutionMode::Serial)
             .build()
@@ -386,8 +342,7 @@ mod tests {
         assert_eq!(ss(&seeds, shape, &rt), expected);
         let rt = Runtime::builder()
             .delegate_threads(2)
-            .program_share(1)
-            .virtual_delegates(5)
+            .queue_capacity(4)
             .build()
             .unwrap();
         assert_eq!(ss(&seeds, shape, &rt), expected);

@@ -1,6 +1,6 @@
 //! Ablation: delegate-assignment policy under skewed set distributions.
 //!
-//! The paper's static assignment (`SsId mod virtual_delegates`) is
+//! The paper's static assignment (`SsId mod delegates`) is
 //! zero-coordination but load-blind: when the set *popularity* is skewed
 //! (heavy-tailed workloads — word frequencies, link popularity) or the id
 //! space aliases badly under the modulus, a few delegates absorb most of

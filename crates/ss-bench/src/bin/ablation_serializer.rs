@@ -80,7 +80,7 @@ fn main() {
             best = best.min(t0.elapsed());
             got = matmul::fingerprint(&out);
         }
-        let delegations = rt.stats().delegations + rt.stats().inline_executions;
+        let delegations = rt.stats().delegations;
         table.row(vec![
             name.into(),
             fmt_dur(best),

@@ -17,7 +17,7 @@
 //! arrival the owner "starts" every set within its first few pops and
 //! correctly keeps them — the pinning invariant, working as designed.
 //!
-//! Three workload shapes over 64 sets, all with ≥ 4 virtual delegates:
+//! Three workload shapes over 64 sets, all with ≥ 4 delegates:
 //!
 //! * `uniform` — equal popularity, interleaved arrival, ids spread across
 //!   all queues: the overhead control. Nothing is ever stealable, so any

@@ -12,7 +12,6 @@
 //! | `fig5b_input_scaling` | Figure 5b — speedup vs input size (S/M/L) |
 //! | `fig6_scaling`     | Figure 6 — speedup vs delegate-thread count |
 //! | `ablation_serializer` | §2.1 serializer granularity (matmul) |
-//! | `ablation_ratio`   | §4 program-thread assignment ratio |
 //! | `ablation_kmeans`  | §5.1 kmeans variants (paper vs reduction) |
 //! | `ablation_assignment` | delegate-assignment policies under skew (docs/POLICIES.md) |
 //! | `ablation_stealing` | work stealing between delegate queues (docs/POLICIES.md) |

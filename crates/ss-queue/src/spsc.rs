@@ -214,38 +214,31 @@ impl<T> Producer<T> {
         }
     }
 
-    /// Enqueues a whole batch in one sweep, spinning (then yielding)
-    /// whenever the ring is momentarily full — the producer-side batch
-    /// entry point for the runtime's `delegate_iter` submission. The
-    /// consumer sees items exactly as if they had been pushed one by one;
-    /// the batch shape lets the *caller* amortize its per-operation work
-    /// (routing, accounting, the consumer wakeup) over the run.
-    ///
-    /// Returns `Ok(n)` with the number of items enqueued. If the consumer
-    /// disconnects mid-batch, returns `Err(pushed)` with the count that
-    /// made it in before the failure; the remaining items are dropped.
-    pub fn push_batch<I: IntoIterator<Item = T>>(&self, items: I) -> Result<usize, usize> {
-        let backoff = Backoff::new();
-        let mut pushed = 0;
-        for item in items {
-            let mut value = item;
-            loop {
-                match self.try_push(value) {
-                    Ok(()) => {
-                        pushed += 1;
-                        break;
-                    }
-                    Err(Full(v)) => {
-                        if !self.shared.consumer_alive.load(Ordering::Acquire) {
-                            return Err(pushed);
-                        }
-                        value = v;
-                        backoff.snooze();
-                    }
-                }
-            }
-        }
-        Ok(pushed)
+    /// True if the ring has room for `n` more values — an O(1) probe of
+    /// the one slot the `n`-th value would land in. The consumer empties
+    /// slots in order and only this handle fills them, so that slot being
+    /// empty means every slot before it is. `false` when `n` exceeds the
+    /// capacity.
+    #[inline]
+    pub fn has_room(&self, n: usize) -> bool {
+        let q = &*self.shared;
+        (1..=q.capacity()).contains(&n)
+            && !q.slots[self.head.get().wrapping_add(n - 1) & q.mask]
+                .full
+                .load(Ordering::Acquire)
+    }
+
+    /// True if at least `n` values sit in the ring (`1 <= n <= capacity`)
+    /// — an O(1) occupancy probe of the slot `n` behind the head: the
+    /// occupied slots are the ones just behind it, so that slot is full
+    /// exactly when the `n - 1` after it are too.
+    #[inline]
+    pub fn holds_at_least(&self, n: usize) -> bool {
+        let q = &*self.shared;
+        debug_assert!((1..=q.capacity()).contains(&n));
+        q.slots[self.head.get().wrapping_sub(n) & q.mask]
+            .full
+            .load(Ordering::Acquire)
     }
 
     /// True if the consumer handle has been dropped.
@@ -674,49 +667,27 @@ mod tests {
     }
 
     #[test]
-    fn push_batch_preserves_fifo_and_wraps() {
-        let (tx, rx) = SpscQueue::with_capacity(4);
-        tx.try_push(0).unwrap();
-        assert_eq!(rx.try_pop().value(), Some(0));
-        // Batch larger than the remaining contiguous space still lands in
-        // order (the consumer drains concurrently in real use; here we
-        // interleave manually).
-        assert_eq!(tx.push_batch(1..=4), Ok(4));
-        for i in 1..=4 {
+    fn room_and_occupancy_probes_track_the_ring() {
+        let (tx, rx) = SpscQueue::with_capacity(8);
+        assert!(tx.has_room(8) && !tx.has_room(9) && !tx.has_room(0));
+        assert!(!tx.holds_at_least(1));
+        for i in 0..4 {
+            tx.try_push(i).unwrap();
+        }
+        assert!(tx.holds_at_least(4) && !tx.holds_at_least(5));
+        assert!(tx.has_room(4) && !tx.has_room(5));
+        // The consumer frees slots in order; the probes follow it across
+        // the wrap.
+        for i in 0..3 {
             assert_eq!(rx.try_pop().value(), Some(i));
         }
-        assert!(matches!(rx.try_pop(), Pop::Empty));
-    }
-
-    #[test]
-    fn push_batch_reports_consumer_disconnect() {
-        let (tx, rx) = SpscQueue::with_capacity(2);
-        drop(rx);
-        // Ring fills (2 slots), then the full-ring wait observes the dead
-        // consumer and reports how many made it in.
-        assert_eq!(tx.push_batch(0..10), Err(2));
-    }
-
-    #[test]
-    fn push_batch_concurrent_with_consumer() {
-        const N: u64 = 50_000;
-        let (tx, rx) = SpscQueue::with_capacity(64);
-        std::thread::scope(|s| {
-            s.spawn(move || {
-                for chunk in 0..(N / 100) {
-                    let base = chunk * 100;
-                    assert_eq!(tx.push_batch(base..base + 100), Ok(100));
-                }
-            });
-            s.spawn(move || {
-                let mut expected = 0;
-                while let Some(v) = rx.pop_blocking() {
-                    assert_eq!(v, expected);
-                    expected += 1;
-                }
-                assert_eq!(expected, N);
-            });
-        });
+        for i in 4..10 {
+            tx.try_push(i).unwrap();
+        }
+        assert!(tx.holds_at_least(7) && !tx.holds_at_least(8));
+        assert!(tx.has_room(1) && !tx.has_room(2));
+        tx.try_push(10).unwrap();
+        assert!(!tx.has_room(1) && tx.holds_at_least(8));
     }
 
     #[test]

@@ -27,9 +27,9 @@ fn main() {
     // One program context + delegate threads (defaults to cores - 1).
     let rt = Runtime::new().expect("runtime");
     println!(
-        "runtime: {} delegate thread(s), {} virtual delegate(s)",
+        "runtime: {} delegate thread(s), {} assignment",
         rt.delegate_threads(),
-        rt.virtual_delegates()
+        rt.assignment_name()
     );
 
     // Eight accounts, each its own serialization set (sequence serializer).
@@ -82,9 +82,10 @@ fn main() {
 
     let stats = rt.stats();
     println!(
-        "stats: {} delegations, {} executed, {} epoch(s), {:.1}% of time in isolation",
+        "stats: {} delegations ({} run by the program thread), {} epoch(s), \
+         {:.1}% of time in isolation",
         stats.delegations,
-        stats.executed,
+        stats.inline_executions,
         stats.isolation_epochs,
         100.0 * stats.isolation_fraction()
     );

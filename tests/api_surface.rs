@@ -156,8 +156,7 @@ fn method_pointer_style_delegation() {
 
 /// Recursive delegation (§4's future work, now implemented): a delegated
 /// operation delegates further operations through the scoped
-/// [`DelegateContext`] handle; sets owned by the program context reject
-/// nested operations.
+/// [`DelegateContext`] handle.
 #[test]
 fn recursive_delegation_via_delegate_scope() {
     let rt = Runtime::builder().delegate_threads(2).build().unwrap();

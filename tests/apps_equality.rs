@@ -11,10 +11,10 @@ fn runtimes() -> Vec<Runtime> {
     vec![
         Runtime::builder().delegate_threads(1).build().unwrap(),
         Runtime::builder().delegate_threads(3).build().unwrap(),
+        // A four-slot ring: the program thread takes sets and runs them.
         Runtime::builder()
             .delegate_threads(2)
-            .program_share(1)
-            .virtual_delegates(5)
+            .queue_capacity(4)
             .build()
             .unwrap(),
         Runtime::builder()
@@ -180,9 +180,10 @@ fn matmul_equality_all_serializers() {
 
 #[test]
 fn nested_fanout_equality() {
-    // The recursive-delegation kernel: depth-3 fan-out delegated from
-    // delegate contexts, with an overflow fallback on runtimes that cannot
-    // host nested contexts (serial mode and program-share routing below).
+    // The recursive-delegation kernel: depth-3 fan-out delegated from the
+    // context each operation runs in — a delegate's, or the program
+    // thread's (serial mode, and the four-slot ring below, where the
+    // program thread takes sets).
     let shape = nested::shape(ss_workloads::scale::Scale::S);
     let seeds = nested::seeds(shape.roots, 77);
     let expect = nested::seq(&seeds, shape);
@@ -255,8 +256,7 @@ fn audited_runtimes() -> Vec<Runtime> {
             .unwrap(),
         Runtime::builder()
             .delegate_threads(2)
-            .program_share(1)
-            .virtual_delegates(5)
+            .queue_capacity(4)
             .audit(AuditMode::Full)
             .build()
             .unwrap(),

@@ -114,9 +114,9 @@ fn steal_policy_of(idx: usize) -> StealPolicy {
 
 /// Runs the program through the runtime with the auditor fully on.
 ///
-/// Delegates are ≥ 1 and `program_share` is 0 so that `MutateNested` ops
-/// always run in a real delegate context (the inline-execution fallback
-/// rejects nested delegation; its oracle lives in oracle.rs/nested.rs).
+/// Delegates are ≥ 1 so that `MutateNested` parents mostly run on a
+/// delegate; one the program thread takes runs with its own delegate
+/// context, which nests the same way.
 fn run_audited(
     k: usize,
     ops: &[Op],

@@ -24,7 +24,7 @@
 //!
 //! Setup shared by all three: one serialization set with a batch of three
 //! operations, pinned to delegate 0 by first-touch round-robin
-//! (program_share 0 ⇒ the first distinct set lands on delegate 0);
+//! (the first distinct set lands on delegate 0);
 //! delegate 1 is the thief. With an untrained cost model every queued
 //! operation prices at the default estimate, so three queued operations
 //! clear the one-typical-op steal bar and the thief reaches its "scan"

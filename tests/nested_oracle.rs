@@ -203,11 +203,13 @@ fn run_parallel(
     delegates: usize,
     assignment: Assignment,
     stealing: StealPolicy,
+    ring: usize,
 ) -> Outcome {
     let rt = Runtime::builder()
         .delegate_threads(delegates)
         .assignment(assignment)
         .stealing(stealing)
+        .queue_capacity(ring)
         .build()
         .unwrap();
     let n_roots = roots_in(ops);
@@ -381,9 +383,15 @@ fn run_parallel(
 
 type AssignmentFactory = fn() -> Assignment;
 
-/// Every `Assignment × StealPolicy` combination as
-/// `(assignment label, steal label, assignment, policy)`.
-fn all_shapes() -> Vec<(&'static str, &'static str, Assignment, StealPolicy)> {
+/// The default ring, and a four-slot one that fills within a few
+/// operations, so the program thread takes lane sets, runs their roots
+/// and nests from them (the SPSC transport only: the deques never take).
+const RINGS: [usize; 2] = [512, 4];
+
+/// Every `Assignment × StealPolicy` combination, plus a four-slot ring for
+/// each assignment on the SPSC transport, as `(assignment label, steal
+/// label, assignment, policy, ring capacity)`.
+fn all_shapes() -> Vec<(&'static str, &'static str, Assignment, StealPolicy, usize)> {
     let assignments: [(&'static str, AssignmentFactory); 4] = [
         ("static", || Assignment::Static),
         ("round-robin", || Assignment::RoundRobinFirstTouch),
@@ -391,15 +399,16 @@ fn all_shapes() -> Vec<(&'static str, &'static str, Assignment, StealPolicy)> {
         ("ewma-cost", || Assignment::EwmaCost),
     ];
     let steals = [
-        ("off", StealPolicy::Off),
-        ("when-idle", StealPolicy::WhenIdle),
-        ("threshold-2", StealPolicy::Threshold(2)),
-        ("cost-aware", StealPolicy::CostAware),
+        ("off", StealPolicy::Off, RINGS[0]),
+        ("off/ring-4", StealPolicy::Off, RINGS[1]),
+        ("when-idle", StealPolicy::WhenIdle, RINGS[0]),
+        ("threshold-2", StealPolicy::Threshold(2), RINGS[0]),
+        ("cost-aware", StealPolicy::CostAware, RINGS[0]),
     ];
     let mut shapes = Vec::new();
     for (an, af) in &assignments {
-        for (sn, sp) in &steals {
-            shapes.push((*an, *sn, af(), *sp));
+        for (sn, sp, ring) in &steals {
+            shapes.push((*an, *sn, af(), *sp, *ring));
         }
     }
     shapes
@@ -417,8 +426,8 @@ proptest! {
         delegates in 1usize..4,
     ) {
         let expected = interpret(&ops);
-        for (a_label, s_label, assignment, stealing) in all_shapes() {
-            let actual = run_parallel(&ops, delegates, assignment, stealing);
+        for (a_label, s_label, assignment, stealing, ring) in all_shapes() {
+            let actual = run_parallel(&ops, delegates, assignment, stealing, ring);
             prop_assert_eq!(
                 &actual, &expected,
                 "{}+{} with {} delegates diverged from the oracle", a_label, s_label, delegates
@@ -432,8 +441,8 @@ proptest! {
     fn repeated_nested_runs_are_identical(
         ops in proptest::collection::vec(op_strategy(), 0..30),
     ) {
-        let a = run_parallel(&ops, 2, Assignment::Static, StealPolicy::WhenIdle);
-        let b = run_parallel(&ops, 2, Assignment::Static, StealPolicy::WhenIdle);
+        let a = run_parallel(&ops, 2, Assignment::Static, StealPolicy::WhenIdle, RINGS[0]);
+        let b = run_parallel(&ops, 2, Assignment::Static, StealPolicy::WhenIdle, RINGS[0]);
         prop_assert_eq!(a, b);
     }
 }
@@ -489,8 +498,8 @@ fn fixed_deep_program_all_shapes() {
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(2usize);
-    for (a_label, s_label, assignment, stealing) in all_shapes() {
-        let actual = run_parallel(&ops, delegates, assignment, stealing);
+    for (a_label, s_label, assignment, stealing, ring) in all_shapes() {
+        let actual = run_parallel(&ops, delegates, assignment, stealing, ring);
         assert_eq!(actual, expected, "{a_label}+{s_label} diverged");
     }
 }
@@ -522,8 +531,8 @@ fn fixed_future_program_all_shapes() {
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(2usize);
-    for (a_label, s_label, assignment, stealing) in all_shapes() {
-        let actual = run_parallel(&ops, delegates, assignment, stealing);
+    for (a_label, s_label, assignment, stealing, ring) in all_shapes() {
+        let actual = run_parallel(&ops, delegates, assignment, stealing, ring);
         assert_eq!(actual, expected, "{a_label}+{s_label} diverged");
     }
 }
@@ -540,11 +549,12 @@ fn own_set_wait_deadlock_is_deterministic_all_shapes() {
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(2usize);
-    for (a_label, s_label, assignment, stealing) in all_shapes() {
+    for (a_label, s_label, assignment, stealing, ring) in all_shapes() {
         let rt = Runtime::builder()
             .delegate_threads(delegates)
             .assignment(assignment)
             .stealing(stealing)
+            .queue_capacity(ring)
             .build()
             .unwrap();
         let w: Writable<u64, SequenceSerializer> = Writable::new(&rt, 0);
@@ -585,11 +595,12 @@ fn own_set_wait_deadlock_is_deterministic_all_shapes() {
 /// deadlock.
 #[test]
 fn own_spawn_tree_wait_completes_all_shapes() {
-    for (a_label, s_label, assignment, stealing) in all_shapes() {
+    for (a_label, s_label, assignment, stealing, ring) in all_shapes() {
         let rt = Runtime::builder()
             .delegate_threads(1)
             .assignment(assignment)
             .stealing(stealing)
+            .queue_capacity(ring)
             .build()
             .unwrap();
         let parent: Writable<u64, SequenceSerializer> = Writable::new(&rt, 0);

@@ -97,14 +97,13 @@ fn run_parallel(
     k: usize,
     ops: &[Op],
     delegates: usize,
-    program_share: usize,
+    ring: usize,
     assignment: Assignment,
     stealing: StealPolicy,
 ) -> (Vec<u64>, u64, Vec<u64>) {
     let rt = Runtime::builder()
         .delegate_threads(delegates)
-        .program_share(program_share)
-        .virtual_delegates(program_share + delegates.max(1) + 1)
+        .queue_capacity(ring)
         .assignment(assignment)
         .stealing(stealing)
         .build()
@@ -178,7 +177,9 @@ proptest! {
         k in 1usize..6,
         ops in proptest::collection::vec(op_strategy(5), 0..120),
         delegates in 0usize..4,
-        program_share in 0usize..2,
+        // A four-slot ring fills within a few operations, so the program
+        // thread takes sets and runs them itself.
+        ring in prop_oneof![Just(4usize), Just(512)],
         assignment_idx in 0usize..4,
         steal_idx in 0usize..4,
     ) {
@@ -197,7 +198,7 @@ proptest! {
             k,
             &ops,
             delegates,
-            program_share,
+            ring,
             assignment_of(assignment_idx),
             steal_policy_of(steal_idx),
         );
@@ -208,8 +209,8 @@ proptest! {
     fn repeated_runs_are_identical(
         ops in proptest::collection::vec(op_strategy(3), 0..60),
     ) {
-        let a = run_parallel(3, &ops, 2, 0, Assignment::Static, StealPolicy::Off);
-        let b = run_parallel(3, &ops, 2, 0, Assignment::Static, StealPolicy::Off);
+        let a = run_parallel(3, &ops, 2, 4, Assignment::Static, StealPolicy::Off);
+        let b = run_parallel(3, &ops, 2, 4, Assignment::Static, StealPolicy::Off);
         prop_assert_eq!(a, b);
     }
 }

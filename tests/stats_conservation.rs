@@ -7,9 +7,11 @@
 //! `CostAware`} × {program, nested, inline, `delegate_with`,
 //! dropped-future cancel}:
 //!
-//! * `executed == delegations + inline_executions`;
+//! * `executed == delegations` — every operation submitted through
+//!   `delegate*` counts as a delegation, whichever executor ran it;
 //! * `futures_resolved + ops_cancelled` equals the future submissions;
-//! * `Σ delegate_executed == delegations`;
+//! * `Σ delegate_executed + inline_executions == delegations` — the
+//!   program thread's executions are the rest;
 //! * every `queue_depths` entry is 0.
 //!
 //! Mid-epoch, with delegate 0 held by a blocker, its depth counts exactly
@@ -61,13 +63,35 @@ const BEHIND: u64 = 6;
 
 type Obj = Writable<u64, SequenceSerializer>;
 
+/// Assigns even sets to the program executor, odd ones to delegate 0 —
+/// the inline leg's policy, on every domain and transport.
+#[derive(Debug)]
+struct EvenOnProgram;
+
+impl DelegateAssignment for EvenOnProgram {
+    fn name(&self) -> &'static str {
+        "even-on-program"
+    }
+    fn assign(&mut self, ss: SsId, _: &AssignTopology, _: &DelegateLoads<'_>) -> Executor {
+        if ss.0.is_multiple_of(2) {
+            Executor::Program
+        } else {
+            Executor::Delegate(0)
+        }
+    }
+}
+
 fn build(stealing: StealPolicy, leg: Leg) -> Runtime {
     let builder = Runtime::builder()
         .delegate_threads(delegates())
         .stealing(stealing);
-    // One virtual delegate in `1 + n` runs inline on the program thread.
-    let share = usize::from(leg == Leg::Inline);
-    builder.program_share(share).build().unwrap()
+    if leg == Leg::Inline {
+        builder.assignment(Assignment::custom(|| Box::new(EvenOnProgram)))
+    } else {
+        builder
+    }
+    .build()
+    .unwrap()
 }
 
 /// Opens its gate when dropped — also while a failed assertion unwinds,
@@ -154,18 +178,14 @@ fn run_leg(rt: &Runtime, leg: Leg) -> u64 {
 }
 
 fn assert_conserved(s: &Stats, futures: u64, label: &str) {
-    assert_eq!(
-        s.executed,
-        s.delegations + s.inline_executions,
-        "{label}: {s:?}"
-    );
+    assert_eq!(s.executed, s.delegations, "{label}: {s:?}");
     assert_eq!(
         s.futures_resolved + s.ops_cancelled,
         futures,
         "{label}: {s:?}"
     );
     assert_eq!(
-        s.delegate_executed.iter().sum::<u64>(),
+        s.delegate_executed.iter().sum::<u64>() + s.inline_executions,
         s.delegations,
         "{label}: {s:?}"
     );

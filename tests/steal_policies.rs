@@ -123,11 +123,12 @@ fn nested_kernel_identical_under_every_steal_policy() {
     }
 }
 
-/// A runtime with a program share keeps inline sets inline (they are
-/// pinned to the program executor, which thieves never touch) while
-/// delegate-bound sets remain stealable — results still sequential.
+/// The stealing transport never lets the program thread take a set, even
+/// with a queue capacity at which the SPSC transport takes most of them:
+/// every set stays delegate-bound and stealable — results still
+/// sequential.
 #[test]
-fn stealing_respects_program_share() {
+fn stealing_transport_never_takes() {
     let spec = registry()
         .into_iter()
         .find(|s| s.name == "histogram")
@@ -136,11 +137,11 @@ fn stealing_respects_program_share() {
     let expect = bench.run_seq();
     let rt = Runtime::builder()
         .delegate_threads(2)
-        .program_share(1)
-        .virtual_delegates(5)
+        .queue_capacity(4)
         .stealing(StealPolicy::WhenIdle)
         .build()
         .unwrap();
     assert_eq!(bench.run_ss(&rt), expect);
+    assert_eq!(rt.stats().inline_executions, 0);
     rt.shutdown().unwrap();
 }
