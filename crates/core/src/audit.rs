@@ -39,7 +39,7 @@
 //!
 //! A legal run trips none of these (the oracle suite in
 //! `tests/audit_oracle.rs` asserts zero false positives across every
-//! program shape × assignment × steal policy); the `chaos` feature weakens
+//! program shape × steal policy); the `chaos` feature weakens
 //! the runtime in three distinct ways that each MUST trip one.
 
 use std::collections::HashMap;

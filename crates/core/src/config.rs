@@ -1,7 +1,8 @@
-//! Runtime configuration: delegate-thread count, assignment policy, queue
-//! capacity, execution mode. How an idle delegate waits is not
+//! Runtime configuration: delegate-thread count, queue capacity, stealing,
+//! auditing, memoization, tracing. How an idle delegate waits is not
 //! configurable: it spins, yields, then parks until notified
-//! (`docs/POLICIES.md` says why).
+//! (`docs/POLICIES.md` says why), and neither is placement: a set runs on
+//! delegate `SsId mod delegates`, the paper's static assignment.
 //!
 //! Mirrors the environment knobs of §4: "The number of delegate threads is
 //! one less than the number of processors by default, but may be configured
@@ -9,16 +10,11 @@
 //! static program-thread share ("the assignment ratio"), is not here: the
 //! program thread chooses by load which sets it runs — it takes a set that
 //! arrives fresh at a half-full ring (`docs/POLICIES.md`, "The program
-//! thread takes fresh sets at a half-full ring"). The [`Assignment`]
-//! selector goes beyond the paper: it swaps the set→executor mapping itself
-//! (see [`DelegateAssignment`]).
+//! thread takes fresh sets at a half-full ring").
 
 use std::sync::Arc;
 
 use crate::audit::AuditMode;
-use crate::runtime::{
-    DelegateAssignment, EwmaCost, LeastLoaded, RoundRobinFirstTouch, StaticAssignment,
-};
 
 /// Deliberate runtime weakenings used to prove the serializability auditor
 /// has teeth (compiled only with the `chaos` feature; see
@@ -57,72 +53,6 @@ pub struct ChaosKnobs {
     /// both generations, so a stale serve is reported as
     /// `AuditViolation::StaleMemoServe`.
     pub stale_memo_serve: bool,
-}
-
-/// Factory closure for custom assignment policies (kept in an `Arc` so
-/// builders stay cloneable).
-type PolicyFactory = Arc<dyn Fn() -> Box<dyn DelegateAssignment> + Send + Sync>;
-
-/// Which delegate-assignment policy the runtime routes serialization sets
-/// with (see [`DelegateAssignment`] for the epoch-stability contract all
-/// policies operate under).
-#[derive(Clone, Default)]
-pub enum Assignment {
-    /// The paper's static assignment: `SsId mod delegate_threads` (§4).
-    /// Zero-coordination; the default.
-    #[default]
-    Static,
-    /// First-touch round-robin over executors (immune to id aliasing).
-    RoundRobinFirstTouch,
-    /// First-touch pinning to the delegate with the shallowest queue.
-    LeastLoaded,
-    /// First-touch pinning to the delegate with the least *estimated
-    /// committed cost*, where per-set costs are EWMAs of observed
-    /// operation runtimes fed back from the delegate threads (see
-    /// [`EwmaCost`]). Enables per-operation runtime measurement.
-    EwmaCost,
-    /// A user-supplied policy, built fresh for each runtime.
-    Custom(PolicyFactory),
-}
-
-impl Assignment {
-    /// Wraps a policy constructor as a custom assignment selector.
-    ///
-    /// ```
-    /// use ss_core::{Assignment, Runtime, StaticAssignment};
-    /// let rt = Runtime::builder()
-    ///     .delegate_threads(1)
-    ///     .assignment(Assignment::custom(|| Box::new(StaticAssignment)))
-    ///     .build()
-    ///     .unwrap();
-    /// assert_eq!(rt.assignment_name(), "static");
-    /// ```
-    pub fn custom(f: impl Fn() -> Box<dyn DelegateAssignment> + Send + Sync + 'static) -> Self {
-        Assignment::Custom(Arc::new(f))
-    }
-
-    /// Builds the policy instance for a new runtime.
-    pub(crate) fn instantiate(&self) -> Box<dyn DelegateAssignment> {
-        match self {
-            Assignment::Static => Box::new(StaticAssignment),
-            Assignment::RoundRobinFirstTouch => Box::new(RoundRobinFirstTouch::default()),
-            Assignment::LeastLoaded => Box::new(LeastLoaded),
-            Assignment::EwmaCost => Box::new(EwmaCost::default()),
-            Assignment::Custom(f) => f(),
-        }
-    }
-}
-
-impl std::fmt::Debug for Assignment {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Assignment::Static => f.write_str("Static"),
-            Assignment::RoundRobinFirstTouch => f.write_str("RoundRobinFirstTouch"),
-            Assignment::LeastLoaded => f.write_str("LeastLoaded"),
-            Assignment::EwmaCost => f.write_str("EwmaCost"),
-            Assignment::Custom(_) => f.write_str("Custom(..)"),
-        }
-    }
 }
 
 /// When idle delegates may steal queued serialization sets from a loaded
@@ -217,29 +147,13 @@ impl StealPolicy {
     }
 }
 
-/// How delegated operations are executed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExecutionMode {
-    /// Real delegate threads; operations in different serialization sets run
-    /// concurrently.
-    Parallel,
-    /// The paper's *debug build* (§3.3): no threads are spawned, every
-    /// delegated operation executes inline on the program thread, in exactly
-    /// the deterministic order the parallel execution is required to be
-    /// indistinguishable from. All dynamic checks (serializer consistency,
-    /// state machine, context) still run, so "all development and debugging
-    /// is done on a sequential program".
-    Serial,
-}
-
 /// Builder for [`Runtime`](crate::Runtime).
 ///
 /// ```
-/// use ss_core::{ExecutionMode, Runtime};
+/// use ss_core::Runtime;
 /// let rt = Runtime::builder()
 ///     .delegate_threads(2)
 ///     .queue_capacity(1024)
-///     .mode(ExecutionMode::Parallel)
 ///     .build()
 ///     .unwrap();
 /// assert_eq!(rt.delegate_threads(), 2);
@@ -248,10 +162,8 @@ pub enum ExecutionMode {
 pub struct RuntimeBuilder {
     pub(crate) delegate_threads: Option<usize>,
     pub(crate) queue_capacity: usize,
-    pub(crate) mode: ExecutionMode,
     pub(crate) dynamic_checks: bool,
     pub(crate) trace: bool,
-    pub(crate) assignment: Assignment,
     pub(crate) stealing: StealPolicy,
     pub(crate) audit: AuditMode,
     pub(crate) session_queue_cap: Option<u64>,
@@ -269,10 +181,8 @@ impl Default for RuntimeBuilder {
         RuntimeBuilder {
             delegate_threads: None,
             queue_capacity: 512,
-            mode: ExecutionMode::Parallel,
             dynamic_checks: true,
             trace: false,
-            assignment: Assignment::Static,
             stealing: StealPolicy::Off,
             audit: AuditMode::Off,
             session_queue_cap: None,
@@ -287,9 +197,12 @@ impl Default for RuntimeBuilder {
 impl RuntimeBuilder {
     /// Number of delegate threads. Default: `available_parallelism() - 1`
     /// (at least 1), the paper's default of "one less than the number of
-    /// processors". `0` is allowed and makes every set execute inline on the
-    /// program thread (equivalent to [`ExecutionMode::Serial`] but with the
-    /// parallel bookkeeping paths).
+    /// processors". `0` is the paper's *debug build* (§3.3): no threads are
+    /// spawned, and every delegated operation executes inline on the
+    /// program thread, in exactly the deterministic order the parallel
+    /// execution is required to be indistinguishable from. All dynamic
+    /// checks (serializer consistency, state machine, context) still run,
+    /// so "all development and debugging is done on a sequential program".
     pub fn delegate_threads(mut self, n: usize) -> Self {
         self.delegate_threads = Some(n);
         self
@@ -306,38 +219,12 @@ impl RuntimeBuilder {
         self
     }
 
-    /// Parallel or sequential-debug execution. Default parallel.
-    pub fn mode(mut self, m: ExecutionMode) -> Self {
-        self.mode = m;
-        self
-    }
-
     /// Enables/disables the dynamic protocol checks (serializer consistency,
     /// state machine). The paper disables them for performance measurements
     /// (§5); the checks that guard memory safety in Rust are *not* affected
     /// by this switch — only the purely diagnostic ones are.
     pub fn dynamic_checks(mut self, on: bool) -> Self {
         self.dynamic_checks = on;
-        self
-    }
-
-    /// Selects the delegate-assignment policy routing serialization sets
-    /// to executors. Default [`Assignment::Static`] — the paper's
-    /// behaviour, preserved bit-for-bit. All policies pin a set to its
-    /// first-touch executor for the remainder of the isolation epoch, so
-    /// same-set program order holds under every policy.
-    ///
-    /// ```
-    /// use ss_core::{Assignment, Runtime};
-    /// let rt = Runtime::builder()
-    ///     .delegate_threads(2)
-    ///     .assignment(Assignment::LeastLoaded)
-    ///     .build()
-    ///     .unwrap();
-    /// assert_eq!(rt.assignment_name(), "least-loaded");
-    /// ```
-    pub fn assignment(mut self, a: Assignment) -> Self {
-        self.assignment = a;
         self
     }
 
@@ -503,22 +390,8 @@ mod tests {
         let b = RuntimeBuilder::default();
         assert_eq!(b.queue_capacity, 512);
         assert!(b.dynamic_checks);
-        assert_eq!(b.mode, ExecutionMode::Parallel);
-        assert!(matches!(b.assignment, Assignment::Static));
+        assert_eq!(b.delegate_threads, None);
         assert_eq!(b.audit, AuditMode::Off);
-    }
-
-    #[test]
-    fn assignment_selector_instantiates_named_policies() {
-        assert_eq!(Assignment::Static.instantiate().name(), "static");
-        assert_eq!(
-            Assignment::RoundRobinFirstTouch.instantiate().name(),
-            "round-robin"
-        );
-        assert_eq!(Assignment::LeastLoaded.instantiate().name(), "least-loaded");
-        assert_eq!(Assignment::EwmaCost.instantiate().name(), "ewma-cost");
-        assert_eq!(format!("{:?}", Assignment::LeastLoaded), "LeastLoaded");
-        assert_eq!(format!("{:?}", Assignment::EwmaCost), "EwmaCost");
     }
 
     #[test]

@@ -187,7 +187,7 @@ impl<R: Send + 'static> SsFuture<R> {
     }
 
     /// True when the operation runs on the program thread (a set it took,
-    /// serial mode, zero-delegate runtimes) — delegated from the program
+    /// or any set of a runtime without delegates) — delegated from the program
     /// context, such futures are born ready; delegated from a delegate
     /// context, the operation waits in `Lane::Program` for the program
     /// thread.

@@ -33,7 +33,7 @@
 //! | `delegate(ss, &T::method, args…)` | [`Writable::delegate_in`]                |
 //! | `doall`                           | [`doall`]                                |
 //! | object / sequence / null serializer | [`ObjectSerializer`] / [`SequenceSerializer`] / [`NullSerializer`] |
-//! | debug build (sequential simulation) | [`ExecutionMode::Serial`]              |
+//! | debug build (sequential simulation) | [`delegate_threads(0)`](RuntimeBuilder::delegate_threads) |
 //!
 //! ## Example: Figure 1's first isolation epoch
 //!
@@ -80,14 +80,11 @@ mod wrappers;
 pub use audit::{AuditMode, AuditReport, AuditViolation};
 #[cfg(feature = "chaos")]
 pub use config::ChaosKnobs;
-pub use config::{Assignment, ExecutionMode, RuntimeBuilder, StealPolicy};
+pub use config::{RuntimeBuilder, StealPolicy};
 pub use error::{SsError, SsResult};
 pub use fingerprint::{fingerprint_of, Fingerprint, MemoValue};
 pub use future::SsFuture;
-pub use runtime::{
-    AssignTopology, DelegateAssignment, DelegateContext, DelegateLoads, EwmaCost, Executor,
-    LeastLoaded, RoundRobinFirstTouch, Runtime, Session, SessionStats, StaticAssignment,
-};
+pub use runtime::{DelegateContext, Executor, Runtime, Session, SessionStats};
 pub use serializer::{
     FnSerializer, NullSerializer, ObjectSerializer, SequenceSerializer, SerializeCx, Serializer,
     SsId,

@@ -536,23 +536,14 @@ fn runnable(inv: &Invocation, active: &[u64]) -> bool {
     matches!(inv, Invocation::Execute { ss, .. } if !active.contains(&ss.0))
 }
 
-/// Cap on each per-delegate cost-sample buffer: bounds memory if the
-/// policy goes a long time without an assignment to drain them at.
-const COST_SAMPLE_CAP: usize = 4096;
-
 /// Executes one `Execute` invocation popped from `lane` and settles it —
 /// the one body behind the worker loop and help-first waits, so every
 /// path keeps identical accounting: active-set tracking, the domain
-/// marker, the audit record, cost samples, the transport's
-/// [`after_exec`](Transport::after_exec), then the counters. The task
-/// slot never unwinds (`Writable::package` traps panics), so the
-/// push/pop pair stays balanced.
-///
-/// When the assignment policy asked for cost feedback
-/// (`Core::cost_samples` present), the operation's wall time is recorded
-/// into this delegate's sample buffer — an uncontended mutex push, off
-/// unless a cost-aware policy (e.g. `EwmaCost`) is active. A transport
-/// that [`times_ops`](Transport::times_ops) is handed the same time.
+/// marker, the audit record, the transport's
+/// [`after_exec`](Transport::after_exec) — handed the operation's wall
+/// time when the transport [`times_ops`](Transport::times_ops) — then the
+/// counters. The task slot never unwinds (`Writable::package` traps
+/// panics), so the push/pop pair stays balanced.
 fn execute_op<T: Transport + ?Sized>(t: &T, op: Invocation, lane: Lane) {
     let Invocation::Execute {
         task,
@@ -571,7 +562,7 @@ fn execute_op<T: Transport + ?Sized>(t: &T, op: Invocation, lane: Lane) {
     // domain. Saved/restored, not set/cleared: help-first waits nest
     // executions of (possibly) different domains on one stack.
     let prev_domain = CURRENT_DOMAIN.with(|c| c.replace(d.id));
-    let timer = (core.cost_samples.is_some() || t.times_ops()).then(std::time::Instant::now);
+    let timer = t.times_ops().then(std::time::Instant::now);
     task.run(&ExecCx {
         core,
         executor: TraceExecutor::Delegate(idx),
@@ -582,12 +573,6 @@ fn execute_op<T: Transport + ?Sized>(t: &T, op: Invocation, lane: Lane) {
     // epoch has been delivered by the time the auditor closes it.
     core.audit_exec(d, ss, audit, 1 + idx);
     let elapsed = timer.map(|t0| t0.elapsed().as_nanos() as u64);
-    if let (Some(buffers), Some(nanos)) = (&core.cost_samples, elapsed) {
-        let mut buffer = buffers[idx].lock();
-        if buffer.len() < COST_SAMPLE_CAP {
-            buffer.push((ss.0, nanos));
-        }
-    }
     with_help(|s| s.active.pop());
     t.after_exec(ss.0, elapsed);
     // Counted in this delegate's own block, which no other thread writes;
@@ -692,7 +677,7 @@ pub(crate) fn future_wait_turn(rt: &Runtime, set: SsId, signal: &WaitSignal) -> 
         signal.waiting(|| d.waiter.wait_until(|| signal.is_settled() || arrived()));
         return true;
     }
-    let me = rt.inner.topology.n_delegates;
+    let me = rt.inner.n_delegates;
     blocked_turn(rt, me, set, signal, active, stack, help, arrived, &d.waiter)
 }
 
@@ -1242,8 +1227,8 @@ fn record_steal_events(core: &Core, serial: u64, sets: &[u64], thief: usize, kin
 ///   mid-epoch `call`/`call_mut` reclaim quiesces the runtime instead of
 ///   flushing one queue.
 ///
-/// A set the program thread runs this epoch — one it took, or one a
-/// custom policy assigns to it — receives nested operations on
+/// A set the program thread runs this epoch — one it took, or any set of
+/// a runtime without delegates — receives nested operations on
 /// `Lane::Program`, which the program thread runs after each inline run and
 /// in every wait. Only an *object* claimed by a program-context mutation
 /// this epoch rejects them ([`SsError::NestedOnProgram`]).

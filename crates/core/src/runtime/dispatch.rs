@@ -38,12 +38,12 @@
 //!   queue cap; a full ring stalls the root program thread, which runs
 //!   `Lane::Program` while it waits.
 //!
-//! Routing is a lock-free pin-map read in the common re-delegate case
-//! (pins are immutable within an epoch when no thief can rewrite them),
-//! with the assignment policy consulted — under the set's shard lock —
-//! only on the first touch of a set in an epoch. Static assignment
-//! bypasses even that for pushes that cannot race a take: session submits
-//! and the root program thread's own.
+//! Routing is the paper's static assignment, `SsId mod delegates`,
+//! recomputed wherever no take or steal can override it: session submits
+//! and the root program thread's own pushes. Root nested submits read the
+//! root's pin map — lock-free in the common re-delegate case (pins are
+//! immutable within an epoch when no thief can rewrite them), under the
+//! set's shard lock on the first touch of a set in an epoch.
 
 use std::sync::atomic::{fence, Ordering};
 
@@ -58,7 +58,7 @@ use crate::trace::TraceKind;
 use super::delegate::current_domain_id;
 use super::domain::Domain;
 use super::router::Route;
-use super::{Channels, DelegateLoads, Executor, Runtime, StealShared};
+use super::{Channels, Executor, Runtime, StealShared};
 
 /// Which context a submission comes from.
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -115,16 +115,6 @@ pub(super) fn run_tag(base: u64, k: u64) -> u64 {
 }
 
 impl Runtime {
-    /// The load view handed to assignment policies: per-delegate queue
-    /// depths, plus the cost-sample buffers when the active policy asked
-    /// for runtime feedback.
-    pub(crate) fn loads(&self) -> DelegateLoads<'_> {
-        DelegateLoads {
-            stats: &self.inner.core.stats,
-            samples: self.inner.core.cost_samples.as_deref(),
-        }
-    }
-
     /// Records a routing decision's observability in the submitter's
     /// counter block: the lock-free-hit counter, and — for fresh pins —
     /// the pins counter and a `TraceKind::Pin` event in the log matching
@@ -163,14 +153,10 @@ impl Runtime {
     /// use raw ids whose high bits alias a tenant id; a miss in the
     /// tenant's map therefore falls through to the root's.
     pub(crate) fn executor_of_key(&self, key: u64) -> Option<Option<Executor>> {
-        let loads = self.loads();
         let core = &self.inner.core;
         let router = &self.inner.router;
-        match core
-            .session_of_key(key)
-            .map(|d| router.peek(&d, SsId(key), &loads))
-        {
-            Some(Some(None)) | None => router.peek(&core.root, SsId(key), &loads),
+        match core.session_of_key(key).map(|d| router.peek(&d, SsId(key))) {
+            Some(Some(None)) | None => router.peek(&core.root, SsId(key)),
             tenant => tenant.flatten(),
         }
     }
@@ -306,12 +292,12 @@ impl Runtime {
             let n = run.len();
             let mut lost = 0;
             let route = match lane {
-                Lane::Deque => self.inner.router.route_publish(d, key, &self.loads(), |i| {
+                Lane::Deque => self.inner.router.route_publish(d, key, |i| {
                     let to = Executor::Delegate(i);
                     lost = self.push(d, key, audit_producer, lane, to, run);
                 }),
                 Lane::Ring => self.route_ring(d, key, n),
-                _ => self.inner.router.route(d, key, &self.loads()),
+                _ => self.inner.router.route(d, key),
             };
             self.note_route(stats, &route, key, origin);
             let ran = match (route.executor, origin) {
@@ -331,8 +317,6 @@ impl Runtime {
                     n - lost
                 }
                 (Executor::Program, Origin::Program) => {
-                    // Runs after the shard lock dropped: no user code under
-                    // a routing lock.
                     if let Err((e, unrun)) = self.run_inline(d, key, run) {
                         return Err((e, unrun + later.len()));
                     }
@@ -386,9 +370,8 @@ impl Runtime {
     /// execute), with their reservations and tokens rolled back.
     ///
     /// The counter order is load-bearing: `queued` is raised before
-    /// publishing, so a `LeastLoaded` assignment racing with this submit
-    /// sees the queue grow and the delegate's `executed` never overtakes
-    /// it; and `in_flight` must be visible before the entry exists, so
+    /// publishing, so a thief pricing this queue sees it grow and the
+    /// delegate's `executed` never overtakes it; and `in_flight` must be visible before the entry exists, so
     /// the barrier's drain can never miss it. Audit tokens are drawn
     /// immediately before the push, so per-producer token order equals
     /// queue order. On the stealing transport this whole function runs
@@ -405,7 +388,7 @@ impl Runtime {
         let n = run.len();
         let core = &self.inner.core;
         if let Executor::Delegate(i) = to {
-            debug_assert!(i < self.inner.topology.n_delegates);
+            debug_assert!(i < self.inner.n_delegates);
             core.stats.add_queued(i, n as u64);
         }
         if lane.counted() {

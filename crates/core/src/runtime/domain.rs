@@ -179,8 +179,9 @@ impl Domain {
     /// pin-map, deque, audit and memo keys alike, so every layer
     /// distinguishes tenant A's set 7 from tenant B's. The root keeps the
     /// raw id; a tenant puts its id in the high 16 bits over the id folded
-    /// to 48 bits (identity below 2^48 — every object-address- or
-    /// sequence-derived id). A fold collision merely merges two sets'
+    /// to 48 bits (identity below 2^48 — every sequence-derived id, and
+    /// every object-serializer id, whose address mix permutes the low 48
+    /// bits and leaves the high ones alone). A fold collision merely merges two sets'
     /// routing granularity — they co-pin and co-steal, a scheduling
     /// restriction, never an ordering violation.
     #[inline]

@@ -5,7 +5,7 @@
 //! partitioned, potentially-independent operations are delegated). All
 //! epoch control is restricted to the program thread; `end_isolation`
 //! synchronizes with every delegate queue, which is what makes it safe to
-//! clear the assignment pin table and touch writable objects again.
+//! clear the epoch's pins and touch writable objects again.
 //!
 //! The state machine is written once over a [`Domain`](super::Domain):
 //! the root runtime's handle drives domain 0, a session's handle its own.

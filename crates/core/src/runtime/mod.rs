@@ -1,5 +1,5 @@
 //! The serialization-sets runtime: program context, delegate contexts,
-//! epochs, pluggable delegate assignment, synchronization and termination.
+//! epochs, delegate assignment, synchronization and termination.
 //!
 //! Architecture (mirroring §4 of the paper):
 //!
@@ -16,9 +16,8 @@
 //!   producer sides. The worker loop lives in [`delegate`]; every wait —
 //!   an idle delegate's, a barrier's, a future's — is one [`event`].
 //! * A delegated operation is packaged as an *invocation object* and routed
-//!   by the configured [`DelegateAssignment`] policy ([`assign`]); the
-//!   paper's **static delegate assignment** (serialization-set id modulo the
-//!   number of delegates) is the default.
+//!   by the paper's **static delegate assignment** (serialization-set id
+//!   modulo the number of delegates; [`assign`], [`router`]).
 //! * The program thread is a **load-chosen executor** ([`program`]): a set
 //!   whose first operation of the epoch finds its delegate's ring at least
 //!   half full runs on the program thread for the rest of the epoch, and
@@ -65,11 +64,8 @@ mod session;
 #[cfg(test)]
 mod tests;
 
-pub use assign::{
-    AssignTopology, DelegateAssignment, DelegateLoads, EwmaCost, Executor, LeastLoaded,
-    RoundRobinFirstTouch, StaticAssignment,
-};
-pub(crate) use assign::{CostSamples, StealShared};
+pub use assign::Executor;
+pub(crate) use assign::StealShared;
 pub(crate) use delegate::future_wait_turn;
 pub use delegate::DelegateContext;
 pub(crate) use dispatch::Origin;
@@ -96,7 +92,7 @@ use crate::audit::{AuditMode, AuditReport, AuditState};
 use crate::cell::ProgramOnly;
 #[cfg(feature = "chaos")]
 use crate::config::ChaosKnobs;
-use crate::config::{ExecutionMode, RuntimeBuilder, StealPolicy};
+use crate::config::{RuntimeBuilder, StealPolicy};
 use crate::error::{SsError, SsResult};
 use crate::invocation::{Invocation, SyncToken};
 use crate::serializer::SsId;
@@ -133,15 +129,11 @@ pub(crate) struct Core {
     /// delegate `i` is blocked with its help-first options exhausted, and
     /// the last slot the root program thread's, while it is blocked inside
     /// an operation it runs. The deadlock detector walks `set → pinned
-    /// executor → that executor's wait` under this mutex; the pin resolution inside the walk is the
-    /// router's strictly non-blocking `peek`, so no shard or scheduler
-    /// lock is ever *waited on* while this mutex is held.
+    /// executor → that executor's wait` under this mutex; the pin
+    /// resolution inside the walk is the router's strictly non-blocking
+    /// `peek`, so no shard lock is ever *waited on* while this mutex is
+    /// held.
     pub(crate) future_waits: Mutex<Vec<Option<FutureWait>>>,
-    /// Per-delegate `(set, observed runtime ns)` sample buffers, present
-    /// only when the assignment policy asked for cost feedback
-    /// ([`DelegateAssignment::wants_cost_feedback`]); drained by the
-    /// policy at assignment time.
-    pub(crate) cost_samples: Option<Box<CostSamples>>,
     /// Pool of one-shot completion cells for the `delegate_with` family.
     /// Recycled at `end_isolation` — the barrier's drain is exactly the
     /// quiescence point the pool's reuse contract requires (see
@@ -463,14 +455,12 @@ pub(crate) enum Channels {
 
 pub(crate) struct Inner {
     id: u64,
-    mode: ExecutionMode,
     dynamic_checks: bool,
-    topology: AssignTopology,
-    assignment_name: &'static str,
-    /// Effective steal policy (normalized: `Off` unless ≥ 2 delegates in
-    /// parallel mode — with fewer there is no one to steal from).
+    n_delegates: usize,
+    /// Effective steal policy (normalized: `Off` unless ≥ 2 delegates —
+    /// with fewer there is no one to steal from).
     steal_policy: StealPolicy,
-    /// The routing layer: the assignment policy, resolving against each
+    /// The routing layer: static placement, resolving against each
     /// domain's pin map. Shared (`Arc`) with the stealing-mode delegate
     /// threads, which rewrite pins when they migrate batches; holds no
     /// reference back to this `Inner`.
@@ -535,10 +525,8 @@ impl std::fmt::Debug for Runtime {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Runtime")
             .field("id", &self.inner.id)
-            .field("delegates", &self.inner.topology.n_delegates)
-            .field("assignment", &self.inner.assignment_name)
+            .field("delegates", &self.inner.n_delegates)
             .field("stealing", &self.inner.steal_policy)
-            .field("mode", &self.inner.mode)
             .finish()
     }
 }
@@ -551,21 +539,17 @@ impl Runtime {
 
     /// Builds a runtime with all defaults: `available_parallelism() - 1`
     /// delegate threads (the paper's default of one less than the number of
-    /// processors), static assignment, parallel mode.
+    /// processors), static assignment, no stealing.
     pub fn new() -> SsResult<Runtime> {
         Self::builder().build()
     }
 
     pub(crate) fn from_builder(b: RuntimeBuilder) -> SsResult<Runtime> {
-        let n_delegates = match b.mode {
-            ExecutionMode::Serial => 0,
-            ExecutionMode::Parallel => b.delegate_threads.unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|n| n.get().saturating_sub(1).max(1))
-                    .unwrap_or(1)
-            }),
-        };
-        let topology = AssignTopology { n_delegates };
+        let n_delegates = b.delegate_threads.unwrap_or_else(|| {
+            std::thread::available_parallelism()
+                .map(|n| n.get().saturating_sub(1).max(1))
+                .unwrap_or(1)
+        });
 
         // Stealing needs at least two delegates (someone to steal *from*);
         // below that, fall back to the plain SPSC transport.
@@ -575,17 +559,6 @@ impl Runtime {
             StealPolicy::Off
         };
 
-        let policy = b.assignment.instantiate();
-        let assignment_name = policy.name();
-        let wants_cost_feedback = policy.wants_cost_feedback();
-        // The seed fast path: static assignment without stealing routes
-        // through the inline modulo — no pins, no locks — except where a
-        // take could race it (root nested submits, see `Router::route`).
-        // Stealing always
-        // pins, even under static assignment, because a steal overrides
-        // the static mapping.
-        let static_assignment = matches!(b.assignment, crate::config::Assignment::Static)
-            && steal_policy == StealPolicy::Off;
         // A plan that prices by the cost model shares one between every
         // delegate (observers) and every thief (readers); the others pay
         // nothing for it and price each operation at 1.
@@ -593,10 +566,9 @@ impl Runtime {
         let cost_book = plan
             .is_some_and(|p| p.cost_model)
             .then(|| Arc::new(assign::CostBook::new()));
+        // Stealing always pins: a steal overrides the modulo.
         let router = Arc::new(Router::new(
-            policy,
-            topology,
-            static_assignment,
+            n_delegates,
             steal_policy != StealPolicy::Off,
             cost_book,
         ));
@@ -609,8 +581,6 @@ impl Runtime {
             root: Domain::new(0, ROOT_SHARDS, None, Event::scripted(&b.test_gates, "p")),
             side_events: b.trace.then(|| Mutex::new(Vec::new())),
             future_waits: Mutex::new((0..=n_delegates).map(|_| None).collect()),
-            cost_samples: wants_cost_feedback
-                .then(|| (0..n_delegates).map(|_| Mutex::new(Vec::new())).collect()),
             cell_pool: CellPool::new(),
             audit: (b.audit != AuditMode::Off).then(|| AuditState::new(b.audit)),
             sessions: Mutex::new(HashMap::new()),
@@ -645,10 +615,8 @@ impl Runtime {
 
         let inner = Arc::new(Inner {
             id,
-            mode: b.mode,
             dynamic_checks: b.dynamic_checks,
-            topology,
-            assignment_name,
+            n_delegates,
             steal_policy,
             router,
             channels,
@@ -704,18 +672,7 @@ impl Runtime {
 
     /// Number of delegate threads.
     pub fn delegate_threads(&self) -> usize {
-        self.inner.topology.n_delegates
-    }
-
-    /// Name of the active delegate-assignment policy (`"static"`,
-    /// `"round-robin"`, `"least-loaded"`, or a custom policy's name).
-    pub fn assignment_name(&self) -> &'static str {
-        self.inner.assignment_name
-    }
-
-    /// Execution mode (parallel or sequential debug).
-    pub fn mode(&self) -> ExecutionMode {
-        self.inner.mode
+        self.inner.n_delegates
     }
 
     /// The effective work-stealing policy. May differ from the builder's
@@ -946,7 +903,7 @@ impl Runtime {
 
     /// Total executor slots: program + delegates.
     pub(crate) fn executor_slots(&self) -> usize {
-        1 + self.inner.topology.n_delegates
+        1 + self.inner.n_delegates
     }
 
     /// Public form of the executor identity: `Some(0)` on the program
@@ -1032,7 +989,7 @@ impl Inner {
     /// exclusive access to the producers.
     fn terminate_and_join(&self) {
         if !self.terminated.swap(true, Ordering::AcqRel) {
-            for i in 0..self.topology.n_delegates {
+            for i in 0..self.n_delegates {
                 let terminate = Invocation::Token {
                     token: SyncToken::new(),
                     terminate: true,

@@ -31,8 +31,9 @@
 //! the lane — runs with the program thread's own delegate context (writer
 //! slot 0), so `delegate_scope` behaves the same on every executor. Only
 //! the root domain on the SPSC transport takes; session program threads and
-//! the deque transport never do, but every domain has a lane, for sets a
-//! custom policy assigns to the program executor.
+//! the deque transport never do, but every domain has a lane: on a runtime
+//! with no delegates every set runs on the program thread, and nested
+//! submits from its operations travel there.
 
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
@@ -229,7 +230,7 @@ impl Runtime {
         let route = self
             .inner
             .router
-            .route_first_sight(d, key, &self.loads(), |i| self.ring_loaded(i, n));
+            .route_first_sight(d, key, |i| self.ring_loaded(i, n));
         unsafe { self.inner.routes.get() }.insert(key.0, serial, route.executor);
         route
     }

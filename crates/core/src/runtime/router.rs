@@ -4,23 +4,23 @@
 //! program thread delegating, a delegate context delegating recursively,
 //! a future-returning delegation on either, a thief migrating batches, a
 //! reclaim placing its fence token, the future-wait deadlock detector
-//! resolving pins — goes through this [`Router`]. It owns the
-//! **assignment policy** ([`Scheduler`]), behind a mutex that is held only
-//! while a policy actually runs (first touch of a set in an epoch, or a
-//! pure-policy recomputation) — never on the hot path of a set that is
-//! already pinned — and resolves every key against the **sharded pin map**
-//! ([`ss_queue::shardmap::ShardMap`]) of the [`Domain`] it is handed: the
-//! epoch-stamped set→executor pins, with per-shard locks for writers and
-//! lock-free reads for the re-delegate-to-a-pinned-set case. Pin maps are
-//! per domain because a shard's serial gate wipes the whole shard on
-//! mismatch: two domains' interleaved epochs sharing one map would erase
-//! each other's live pins.
+//! resolving pins — goes through this [`Router`]. Its one placement rule
+//! is the paper's static assignment, `SsId mod delegates`
+//! ([`static_executor`]), which any thread computes from the id alone.
+//! Pins exist only where something overrides that rule for an epoch — a
+//! set the root program thread **took** ([`Router::route_first_sight`]),
+//! a set a thief **stole** — and live in the **sharded pin map**
+//! ([`ss_queue::shardmap::ShardMap`]) of the [`Domain`] the router is
+//! handed: epoch-stamped set→executor pins, with per-shard locks for
+//! writers and lock-free reads for the re-delegate-to-a-pinned-set case.
+//! Pin maps are per domain because a shard's serial gate wipes the whole
+//! shard on mismatch: two domains' interleaved epochs sharing one map
+//! would erase each other's live pins.
 //!
 //! # The sharded-pin protocol
 //!
-//! What the old design guarded with one global mutex (the scheduler
-//! mutex on the non-stealing transports, the routing lock on the
-//! stealing one) decomposes into three access modes:
+//! What the old design guarded with one global routing lock decomposes
+//! into three access modes:
 //!
 //! 1. **Lock-free resolution** ([`Router::route`]) — non-stealing
 //!    transports only. Sound because without stealing a pin, once
@@ -29,7 +29,7 @@
 //!    shard map's release/acquire slot protocol) and the lazy epoch
 //!    reset (ordered by the per-shard epoch stamp). A hit costs no lock
 //!    and no read-modify-write; a miss falls back to the shard lock and
-//!    consults the policy there.
+//!    pins the modulo there.
 //! 2. **Shard-locked resolve-and-publish** ([`Router::route_publish`])
 //!    — the stealing transport. The pin lookup/insert and the queue
 //!    push happen in one critical section *of the set's shard*, so a
@@ -54,12 +54,10 @@
 
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-
 use crate::serializer::SsId;
 use crate::stats::StatsCell;
 
-use super::assign::{static_executor, AssignTopology, CostBook, DelegateLoads, Scheduler};
+use super::assign::{static_executor, CostBook};
 use super::domain::Domain;
 use super::Executor;
 
@@ -72,6 +70,17 @@ pub(crate) struct Route {
     /// True when the resolution came from the lock-free fast path
     /// (`Stats::pin_fast_hits`).
     pub(crate) fast_hit: bool,
+}
+
+impl Route {
+    /// A resolution that read no pin and created none.
+    fn computed(executor: Executor) -> Route {
+        Route {
+            executor,
+            fresh_pin: false,
+            fast_hit: false,
+        }
+    }
 }
 
 /// Executor ⇄ non-zero `u32` packing for the pin map.
@@ -99,18 +108,12 @@ fn decode(code: u32) -> Executor {
 /// the stealing-mode delegate threads; holds no reference back to the
 /// runtime, so worker threads keep nothing alive.
 pub(crate) struct Router {
-    topology: AssignTopology,
-    /// The seed fast path: `Assignment::Static` without stealing routes
-    /// through the inline modulo — no pins, no locks, no policy calls —
-    /// wherever no take can race the answer: session submits and the root
-    /// program thread's own first sights.
-    static_assignment: bool,
-    /// Cached `policy.is_pure()`.
-    pure: bool,
-    /// True when pins are authoritative even for pure policies (stealing
-    /// mode: a steal must be able to override any policy's answer).
+    /// The modulus of static placement; 0 runs every set on the program
+    /// thread.
+    n_delegates: usize,
+    /// True when pins are authoritative for every set (stealing mode: a
+    /// steal must be able to override the modulo for the epoch).
     always_pin: bool,
-    scheduler: Mutex<Scheduler>,
     /// The shared per-set cost model, `Some` only under
     /// [`crate::StealPolicy::CostAware`].
     costs: Option<Arc<CostBook>>,
@@ -118,18 +121,13 @@ pub(crate) struct Router {
 
 impl Router {
     pub(crate) fn new(
-        policy: Box<dyn super::DelegateAssignment>,
-        topology: AssignTopology,
-        static_assignment: bool,
+        n_delegates: usize,
         always_pin: bool,
         costs: Option<Arc<CostBook>>,
     ) -> Router {
         Router {
-            topology,
-            static_assignment,
-            pure: policy.is_pure(),
+            n_delegates,
             always_pin,
-            scheduler: Mutex::new(Scheduler::new(policy)),
             costs,
         }
     }
@@ -184,57 +182,31 @@ impl Router {
         stats.queue_depth(i).saturating_mul(self.cost_typical())
     }
 
-    /// Consults the policy (under its mutex) for a first touch.
-    fn assign(&self, ss: SsId, serial: u64, loads: &DelegateLoads<'_>) -> Executor {
-        self.scheduler
-            .lock()
-            .assign_raw(ss, serial, &self.topology, loads)
-    }
-
-    /// The policy's answer for a set — the inline modulo under static
-    /// assignment, else the policy under its mutex.
-    fn answer(&self, key: SsId, serial: u64, loads: &DelegateLoads<'_>) -> Executor {
-        if self.static_assignment {
-            static_executor(key, &self.topology)
-        } else {
-            self.assign(key, serial, loads)
-        }
-    }
-
     /// Resolves `key` in domain `d`'s current epoch — the non-publishing
     /// resolution used by the non-stealing transports (SPSC rings and
     /// injector lanes), where a pin can never change within an epoch and
     /// the queue push therefore does not need to be atomic with the
     /// lookup.
     ///
-    /// Static assignment and other pure policies bypass the pin map in
-    /// session domains (recomputed per call: no pin, no `Pin` trace). In
-    /// the root domain they resolve through it like every policy: the
-    /// root program thread may have **taken** the set
-    /// ([`route_first_sight`](Router::route_first_sight)), and only the
-    /// pin says so. A first touch there pins the policy's answer under the
-    /// set's shard lock — the lock a take holds while it pins the program
+    /// Session domains recompute the modulo on every call (no pin, no
+    /// `Pin` trace): nothing overrides it there. The root resolves through
+    /// its pin map, because the root program thread may have **taken** the
+    /// set ([`route_first_sight`](Router::route_first_sight)) and only the
+    /// pin says so. A first touch there pins the modulo under the set's
+    /// shard lock — the lock a take holds while it pins the program
     /// executor — and reports no fresh pin, since the pin merely records
-    /// what the policy says anyway.
-    pub(crate) fn route(&self, d: &Domain, key: SsId, loads: &DelegateLoads<'_>) -> Route {
+    /// what the modulo says anyway.
+    pub(crate) fn route(&self, d: &Domain, key: SsId) -> Route {
         debug_assert!(!self.always_pin, "stealing submits must route_publish");
-        if self.topology.n_delegates == 0 {
-            // Serial mode / zero-delegate runtimes: everything runs inline.
-            return Route {
-                executor: Executor::Program,
-                fresh_pin: false,
-                fast_hit: false,
-            };
+        if self.n_delegates == 0 {
+            // Zero-delegate runtimes: everything runs inline.
+            return Route::computed(Executor::Program);
         }
-        let pure = self.static_assignment || self.pure;
+        let home = static_executor(key, self.n_delegates);
+        if d.id != 0 {
+            return Route::computed(home);
+        }
         let serial = d.serial();
-        if pure && d.id != 0 {
-            return Route {
-                executor: self.answer(key, serial, loads),
-                fresh_pin: false,
-                fast_hit: false,
-            };
-        }
         if let Some(code) = d.pins.get(key.0, serial) {
             return Route {
                 executor: decode(code),
@@ -243,62 +215,33 @@ impl Router {
             };
         }
         let mut shard = d.pins.lock_key(key.0);
-        let (code, fresh_pin) =
-            shard.get_or_insert_with(key.0, serial, || encode(self.answer(key, serial, loads)));
-        Route {
-            executor: decode(code),
-            fresh_pin: fresh_pin && !pure,
-            fast_hit: false,
-        }
+        let (code, _) = shard.get_or_insert_with(key.0, serial, || encode(home));
+        Route::computed(decode(code))
     }
 
     /// The root program thread's first sight of `key` in an epoch, on the
-    /// ring lane: [`route`](Router::route), except that a first touch whose
-    /// answer is a delegate `loaded` calls busy is **taken** — pinned to the
-    /// program executor instead, under the set's shard lock, unless a
-    /// nested first touch pinned the set first (the one who comes first
-    /// owns it for the epoch). A take is a fresh pin. Static assignment and
-    /// pure policies push without a pin: a nested first touch pins the
-    /// same answer.
+    /// ring lane: the modulo, unless its delegate is one `loaded` calls
+    /// busy — then the set is **taken**: pinned to the program executor
+    /// under the set's shard lock, unless a nested first touch pinned the
+    /// set first (the one who comes first owns it for the epoch). A take
+    /// is a fresh pin; a push leaves no pin, since a nested first touch
+    /// pins the same modulo.
     pub(crate) fn route_first_sight(
         &self,
         d: &Domain,
         key: SsId,
-        loads: &DelegateLoads<'_>,
         loaded: impl FnOnce(usize) -> bool,
     ) -> Route {
-        if self.topology.n_delegates == 0 {
-            return self.route(d, key, loads);
+        if self.n_delegates == 0 {
+            return self.route(d, key);
         }
-        let serial = d.serial();
-        let take = |executor| match executor {
-            Executor::Delegate(i) if loaded(i) => Executor::Program,
-            executor => executor,
-        };
-        let (code, fresh_pin) = if self.static_assignment || self.pure {
-            let answer = self.answer(key, serial, loads);
-            if take(answer) != Executor::Program {
-                return Route {
-                    executor: answer,
-                    fresh_pin: false,
-                    fast_hit: false,
-                };
-            }
-            let mut shard = d.pins.lock_key(key.0);
-            shard.get_or_insert_with(key.0, serial, || encode(Executor::Program))
-        } else {
-            if let Some(code) = d.pins.get(key.0, serial) {
-                return Route {
-                    executor: decode(code),
-                    fresh_pin: false,
-                    fast_hit: true,
-                };
-            }
-            let mut shard = d.pins.lock_key(key.0);
-            shard.get_or_insert_with(key.0, serial, || {
-                encode(take(self.assign(key, serial, loads)))
-            })
-        };
+        let home = static_executor(key, self.n_delegates);
+        if matches!(home, Executor::Delegate(i) if !loaded(i)) {
+            return Route::computed(home);
+        }
+        let mut shard = d.pins.lock_key(key.0);
+        let (code, fresh_pin) =
+            shard.get_or_insert_with(key.0, d.serial(), || encode(Executor::Program));
         Route {
             executor: decode(code),
             fresh_pin,
@@ -306,32 +249,29 @@ impl Router {
         }
     }
 
-    /// Resolves `key` and, if it routes to delegate `i`, runs
-    /// `publish(i)` (the queue push plus its accounting) inside the set's
-    /// shard critical section — the stealing transport's submit. Holding
-    /// the shard lock across the push is what keeps a concurrent steal
-    /// (which locks the same shard of the same domain's map) from
-    /// migrating the set mid-publish; see the module docs, mode 2.
-    ///
-    /// Program-routed sets skip `publish` (no queue; the caller runs the
-    /// task inline *after* the lock drops — no user code under a shard
-    /// lock). Stealing always pins, even under pure policies: a steal
-    /// must be able to override the policy's answer for the epoch.
+    /// Resolves `key` and runs `publish(i)` for its delegate `i` (the
+    /// queue push plus its accounting) inside the set's shard critical
+    /// section — the stealing transport's submit. Holding the shard lock
+    /// across the push is what keeps a concurrent steal (which locks the
+    /// same shard of the same domain's map) from migrating the set
+    /// mid-publish; see the module docs, mode 2. Stealing always pins: a
+    /// steal must be able to override the modulo for the epoch. Every pin
+    /// on this transport names a delegate — it never takes.
     pub(crate) fn route_publish(
         &self,
         d: &Domain,
         key: SsId,
-        loads: &DelegateLoads<'_>,
         publish: impl FnOnce(usize),
     ) -> Route {
-        let serial = d.serial();
         let mut shard = d.pins.lock_key(key.0);
-        let (code, fresh_pin) =
-            shard.get_or_insert_with(key.0, serial, || encode(self.assign(key, serial, loads)));
+        let (code, fresh_pin) = shard.get_or_insert_with(key.0, d.serial(), || {
+            encode(static_executor(key, self.n_delegates))
+        });
         let executor = decode(code);
-        if let Executor::Delegate(i) = executor {
-            publish(i);
-        }
+        let Executor::Delegate(i) = executor else {
+            unreachable!("the stealing transport pins delegates only");
+        };
+        publish(i);
         Route {
             executor,
             fresh_pin,
@@ -363,35 +303,22 @@ impl Router {
     /// whenever the truth is not observable without blocking. The
     /// detector reads `None` as *unknown* and walks again, without
     /// parking.
-    pub(crate) fn peek(
-        &self,
-        d: &Domain,
-        key: SsId,
-        loads: &DelegateLoads<'_>,
-    ) -> Option<Option<Executor>> {
-        if self.topology.n_delegates == 0 {
+    pub(crate) fn peek(&self, d: &Domain, key: SsId) -> Option<Option<Executor>> {
+        if self.n_delegates == 0 {
             return Some(Some(Executor::Program));
         }
-        if (self.static_assignment || self.pure) && !self.always_pin && d.id == 0 {
+        if self.always_pin {
+            let pin = d.pins.read_nonblocking(key.0, d.serial())?;
+            return Some(pin.map(decode));
+        }
+        if d.id == 0 {
             // A root set may have been taken (or first touched by a
-            // nested submit): its pin wins over the policy's answer.
+            // nested submit): its pin wins over the modulo.
             if let Some(code) = d.pins.read_nonblocking(key.0, d.serial())? {
                 return Some(Some(decode(code)));
             }
         }
-        if self.static_assignment {
-            return Some(Some(static_executor(key, &self.topology)));
-        }
-        if self.pure && !self.always_pin {
-            // Pure ⇒ side-effect-free recomputation, but the policy box
-            // still sits behind the mutex; try_lock keeps the
-            // non-blocking contract when a first touch is mid-flight.
-            let mut scheduler = self.scheduler.try_lock()?;
-            let executor = scheduler.assign_raw(key, d.serial(), &self.topology, loads);
-            return Some(Some(executor));
-        }
-        let pin = d.pins.read_nonblocking(key.0, d.serial())?;
-        Some(pin.map(decode))
+        Some(Some(static_executor(key, self.n_delegates)))
     }
 
     /// Migrates `candidates` (keys of domain `d`) from executor `from` to
@@ -459,8 +386,7 @@ impl Router {
 impl std::fmt::Debug for Router {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Router")
-            .field("static_assignment", &self.static_assignment)
-            .field("pure", &self.pure)
+            .field("n_delegates", &self.n_delegates)
             .field("always_pin", &self.always_pin)
             .finish()
     }
@@ -470,12 +396,7 @@ impl std::fmt::Debug for Router {
 mod tests {
     use std::sync::atomic::Ordering;
 
-    use super::super::assign::{LeastLoaded, RoundRobinFirstTouch, StaticAssignment};
     use super::*;
-
-    fn topo(n: usize) -> AssignTopology {
-        AssignTopology { n_delegates: n }
-    }
 
     /// Counters whose delegate `i` has `values[i]` operations queued.
     fn depths(values: &[u64]) -> StatsCell {
@@ -486,15 +407,8 @@ mod tests {
         stats
     }
 
-    fn loads_of(stats: &StatsCell) -> DelegateLoads<'_> {
-        DelegateLoads {
-            stats,
-            samples: None,
-        }
-    }
-
-    fn router(policy: Box<dyn super::super::DelegateAssignment>, n: usize) -> Router {
-        Router::new(policy, topo(n), false, false, None)
+    fn router(n: usize) -> Router {
+        Router::new(n, false, None)
     }
 
     /// A root-like domain whose current epoch serial is `serial`.
@@ -505,201 +419,111 @@ mod tests {
     }
 
     #[test]
-    fn pins_are_epoch_stable_for_stateful_policies() {
-        // LeastLoaded would migrate a set as depths change; the pin map
-        // must hold it on its first-touch executor within one epoch.
-        let d = depths(&[0, 4]);
-        let r = router(Box::new(LeastLoaded), 2);
+    fn root_routes_pin_the_modulo_for_the_epoch() {
+        let r = router(2);
         let e = epoch(1);
-        let first = r.route(&e, SsId(7), &loads_of(&d));
-        assert_eq!(first.executor, Executor::Delegate(0));
-        assert!(first.fresh_pin);
-        d.add_queued(0, 100);
-        let again = r.route(&e, SsId(7), &loads_of(&d));
-        assert_eq!(again.executor, Executor::Delegate(0));
-        assert!(!again.fresh_pin);
+        let first = r.route(&e, SsId(7));
+        assert_eq!(first.executor, Executor::Delegate(1));
+        assert!(!first.fresh_pin && !first.fast_hit);
+        let again = r.route(&e, SsId(7));
+        assert_eq!(again.executor, Executor::Delegate(1));
         assert!(again.fast_hit, "second resolution must be lock-free");
-        // A *different* set may go elsewhere.
-        assert_eq!(
-            r.route(&e, SsId(8), &loads_of(&d)).executor,
-            Executor::Delegate(1)
-        );
-    }
-
-    #[test]
-    fn repins_only_at_epoch_boundary() {
-        let d = depths(&[10, 0]);
-        let r = router(Box::new(LeastLoaded), 2);
-        let e = epoch(1);
-        assert_eq!(
-            r.route(&e, SsId(7), &loads_of(&d)).executor,
-            Executor::Delegate(1)
-        );
-        d.add_queued(1, 50);
-        // Same epoch: stays.
-        assert_eq!(
-            r.route(&e, SsId(7), &loads_of(&d)).executor,
-            Executor::Delegate(1)
-        );
-        // New epoch: free to move to the now-shallow delegate 0.
-        d.delegate(0).executed.store(10, Ordering::Relaxed);
+        // A new epoch forgets the pin: the first touch locks again.
         e.epoch_serial.store(2, Ordering::Relaxed);
-        let moved = r.route(&e, SsId(7), &loads_of(&d));
-        assert_eq!(moved.executor, Executor::Delegate(0));
-        assert!(moved.fresh_pin);
+        assert!(!r.route(&e, SsId(7)).fast_hit);
     }
 
     #[test]
-    fn pure_policies_bypass_the_pin_map_in_sessions() {
-        let d = depths(&[0, 0]);
-        let r = router(Box::new(StaticAssignment), 2);
+    fn sessions_compute_the_modulo_without_pins() {
+        let r = router(2);
         let session = Domain::new(1, 4, None, Default::default());
         session.epoch_serial.store(1, Ordering::Relaxed);
         for ss in 0..10u64 {
             for _ in 0..2 {
-                let route = r.route(&session, SsId(ss), &loads_of(&d));
+                let route = r.route(&session, SsId(ss));
+                assert_eq!(route.executor, Executor::Delegate(ss as usize % 2));
                 assert!(!route.fresh_pin && !route.fast_hit);
             }
         }
     }
 
     #[test]
-    fn a_take_and_a_nested_first_touch_serialize_on_the_pin() {
-        let d = depths(&[0, 0]);
-        for static_assignment in [true, false] {
-            let r = Router::new(
-                Box::new(StaticAssignment),
-                topo(2),
-                static_assignment,
-                false,
-                None,
-            );
-            let e = epoch(1);
-            // A loaded ring: the program thread takes set 3, with a pin.
-            let taken = r.route_first_sight(&e, SsId(3), &loads_of(&d), |_| true);
-            assert_eq!((taken.executor, taken.fresh_pin), (Executor::Program, true));
-            // A nested submit resolves through the pin, not the modulo.
-            assert_eq!(
-                r.route(&e, SsId(3), &loads_of(&d)).executor,
-                Executor::Program
-            );
-            assert_eq!(
-                r.peek(&e, SsId(3), &loads_of(&d)),
-                Some(Some(Executor::Program))
-            );
-            // A nested first touch comes first: the set stays on its
-            // delegate however loaded the ring is.
-            let nested = r.route(&e, SsId(4), &loads_of(&d));
-            assert_eq!(
-                (nested.executor, nested.fresh_pin),
-                (Executor::Delegate(0), false)
-            );
-            let late = r.route_first_sight(&e, SsId(4), &loads_of(&d), |_| true);
-            assert_eq!(late.executor, Executor::Delegate(0));
-            // An unloaded ring pushes without a pin.
-            let pushed = r.route_first_sight(&e, SsId(5), &loads_of(&d), |_| false);
-            assert_eq!(pushed.executor, Executor::Delegate(1));
-            assert_eq!(
-                r.peek(&e, SsId(5), &loads_of(&d)),
-                Some(Some(Executor::Delegate(1)))
-            );
-        }
+    fn zero_delegates_run_everything_on_the_program_thread() {
+        let r = router(0);
+        let e = epoch(1);
+        assert_eq!(r.route(&e, SsId(3)).executor, Executor::Program);
+        let first = r.route_first_sight(&e, SsId(3), |_| unreachable!());
+        assert_eq!(first.executor, Executor::Program);
+        assert_eq!(r.peek(&e, SsId(3)), Some(Some(Executor::Program)));
     }
 
     #[test]
-    fn round_robin_is_epoch_stable_through_the_router() {
-        let d = depths(&[0, 0, 0]);
-        let r = router(Box::new(RoundRobinFirstTouch::default()), 3);
-        let e = epoch(3);
-        let first = r.route(&e, SsId(5), &loads_of(&d)).executor;
-        for _ in 0..5 {
-            r.route(&e, SsId(1), &loads_of(&d));
-            r.route(&e, SsId(2), &loads_of(&d));
-            assert_eq!(r.route(&e, SsId(5), &loads_of(&d)).executor, first);
-        }
+    fn a_take_and_a_nested_first_touch_serialize_on_the_pin() {
+        let r = router(2);
+        let e = epoch(1);
+        // A loaded ring: the program thread takes set 3, with a pin.
+        let taken = r.route_first_sight(&e, SsId(3), |_| true);
+        assert_eq!((taken.executor, taken.fresh_pin), (Executor::Program, true));
+        // A nested submit resolves through the pin, not the modulo.
+        assert_eq!(r.route(&e, SsId(3)).executor, Executor::Program);
+        assert_eq!(r.peek(&e, SsId(3)), Some(Some(Executor::Program)));
+        // A nested first touch comes first: the set stays on its
+        // delegate however loaded the ring is.
+        let nested = r.route(&e, SsId(4));
+        assert_eq!(
+            (nested.executor, nested.fresh_pin),
+            (Executor::Delegate(0), false)
+        );
+        let late = r.route_first_sight(&e, SsId(4), |_| true);
+        assert_eq!(late.executor, Executor::Delegate(0));
+        // An unloaded ring pushes without a pin.
+        let pushed = r.route_first_sight(&e, SsId(5), |_| false);
+        assert_eq!(pushed.executor, Executor::Delegate(1));
+        assert_eq!(r.peek(&e, SsId(5)), Some(Some(Executor::Delegate(1))));
     }
 
     #[test]
     fn route_publish_runs_the_publish_under_the_pin() {
-        let d = depths(&[0, 0]);
-        let r = Router::new(
-            Box::new(RoundRobinFirstTouch::default()),
-            topo(2),
-            false,
-            true,
-            None,
-        );
+        let r = Router::new(2, true, None);
         let e = epoch(1);
         let mut published = None;
-        let route = r.route_publish(&e, SsId(3), &loads_of(&d), |i| published = Some(i));
-        assert_eq!(published.map(Executor::Delegate), Some(route.executor));
+        let route = r.route_publish(&e, SsId(3), |i| published = Some(i));
+        assert_eq!(published, Some(1));
+        assert_eq!(route.executor, Executor::Delegate(1));
         assert!(route.fresh_pin);
         // Second publish reuses the pin.
         let mut again = None;
-        let route2 = r.route_publish(&e, SsId(3), &loads_of(&d), |i| again = Some(i));
+        let route2 = r.route_publish(&e, SsId(3), |i| again = Some(i));
         assert!(!route2.fresh_pin);
-        assert_eq!(again.map(Executor::Delegate), Some(route.executor));
+        assert_eq!(again, Some(1));
+        // Stealing pins are authoritative: an unpinned set peeks as such.
+        assert_eq!(r.peek(&e, SsId(4)), Some(None));
     }
 
     #[test]
     fn migrate_rewrites_only_taken_keys_still_pinned_to_victim() {
-        let d = depths(&[0, 0, 0]);
-        let r = Router::new(
-            Box::new(RoundRobinFirstTouch::default()),
-            topo(3),
-            false,
-            true,
-            None,
-        );
+        let r = Router::new(3, true, None);
         let e = epoch(1);
-        // Pin three sets to whatever the policy says, then force them
-        // all onto delegate 0 by routing with a fresh map state.
-        for ss in [10u64, 11, 12] {
-            r.route_publish(&e, SsId(ss), &loads_of(&d), |_| {});
+        // Sets 10 and 13 pin to delegate 1, set 11 to delegate 2.
+        for ss in [10u64, 11, 13] {
+            r.route_publish(&e, SsId(ss), |_| {});
         }
-        let pins: Vec<Executor> = [10u64, 11, 12]
-            .iter()
-            .map(|&ss| r.peek(&e, SsId(ss), &loads_of(&d)).flatten().unwrap())
-            .collect();
-        let victim = pins[0];
-        let victims: Vec<u64> = [10u64, 11, 12]
-            .iter()
-            .zip(&pins)
-            .filter(|(_, &p)| p == victim)
-            .map(|(&ss, _)| ss)
-            .collect();
+        let (victim, thief) = (Executor::Delegate(1), Executor::Delegate(2));
         // Ask to migrate all three candidates; transfer only takes the
         // first valid one.
-        let taken = r.migrate_keys(
-            &e,
-            &[10, 11, 12],
-            victim,
-            Executor::Delegate(2),
-            true,
-            |valid| {
-                assert_eq!(valid, victims.as_slice());
-                vec![valid[0]]
-            },
-        );
-        assert_eq!(taken, vec![victims[0]]);
-        assert_eq!(
-            r.peek(&e, SsId(victims[0]), &loads_of(&d)),
-            Some(Some(Executor::Delegate(2)))
-        );
+        let taken = r.migrate_keys(&e, &[10, 11, 13], victim, thief, true, |valid| {
+            assert_eq!(valid, &[10, 13]);
+            vec![valid[0]]
+        });
+        assert_eq!(taken, vec![10]);
+        assert_eq!(r.peek(&e, SsId(10)), Some(Some(thief)));
         // Untaken keys keep their pins.
-        for (&ss, &pin) in [10u64, 11, 12].iter().zip(&pins).skip(1) {
-            assert_eq!(r.peek(&e, SsId(ss), &loads_of(&d)), Some(Some(pin)));
-        }
+        assert_eq!(r.peek(&e, SsId(13)), Some(Some(victim)));
+        assert_eq!(r.peek(&e, SsId(11)), Some(Some(thief)));
     }
 
     fn cost_aware_router(book: &Arc<CostBook>) -> Router {
-        Router::new(
-            Box::new(RoundRobinFirstTouch::default()),
-            topo(2),
-            false,
-            true,
-            Some(Arc::clone(book)),
-        )
+        Router::new(2, true, Some(Arc::clone(book)))
     }
 
     #[test]
@@ -759,7 +583,7 @@ mod tests {
 
     #[test]
     fn prices_are_unit_without_a_book() {
-        let r = router(Box::new(RoundRobinFirstTouch::default()), 2);
+        let r = router(2);
         assert!(!r.cost_aware());
         r.observe_cost(7, 1_000); // no model to feed
         assert_eq!(r.queued_cost(&depths(&[5, 0]), 0), 5);
@@ -768,60 +592,38 @@ mod tests {
     }
 
     #[test]
-    fn peek_never_blocks_while_a_first_touch_is_stuck_in_the_policy() {
-        // A policy that blocks inside assign() holds the scheduler mutex
-        // and a shard lock; a concurrent peek must still return (with a
-        // conservative answer), never wait. This is the deadlock
+    fn peek_never_blocks_while_a_thread_holds_the_shard_lock() {
+        // A thread holding a set's shard lock — a first touch, a take, a
+        // steal's migration — must never make a concurrent peek wait: it
+        // returns a conservative answer instead. This is the deadlock
         // detector's liveness contract.
-        use std::sync::atomic::{AtomicBool, Ordering};
-        use std::sync::Arc;
+        use std::sync::atomic::AtomicBool;
+        use std::sync::Barrier;
 
-        #[derive(Debug)]
-        struct Stuck {
-            entered: Arc<AtomicBool>,
-            release: Arc<AtomicBool>,
+        for always_pin in [false, true] {
+            let r = Router::new(2, always_pin, None);
+            let e = epoch(1);
+            let held = Barrier::new(2);
+            let release = AtomicBool::new(false);
+            std::thread::scope(|scope| {
+                scope.spawn(|| {
+                    let _shard = e.pins.lock_key(1);
+                    held.wait();
+                    while !release.load(Ordering::Acquire) {
+                        std::hint::spin_loop();
+                    }
+                });
+                held.wait();
+                // Set 1's shard is held. Peeks — same set, different set,
+                // any shard — must all return promptly.
+                let peeker = scope.spawn(|| {
+                    for ss in 0..200u64 {
+                        let _ = r.peek(&e, SsId(ss));
+                    }
+                });
+                peeker.join().expect("peek blocked behind a shard writer");
+                release.store(true, Ordering::Release);
+            });
         }
-        impl super::super::DelegateAssignment for Stuck {
-            fn name(&self) -> &'static str {
-                "stuck"
-            }
-            fn assign(&mut self, _: SsId, _: &AssignTopology, _: &DelegateLoads<'_>) -> Executor {
-                self.entered.store(true, Ordering::Release);
-                while !self.release.load(Ordering::Acquire) {
-                    std::hint::spin_loop();
-                }
-                Executor::Delegate(0)
-            }
-        }
-
-        let entered = Arc::new(AtomicBool::new(false));
-        let release = Arc::new(AtomicBool::new(false));
-        let r = Arc::new(router(
-            Box::new(Stuck {
-                entered: Arc::clone(&entered),
-                release: Arc::clone(&release),
-            }),
-            2,
-        ));
-        let e = Arc::new(epoch(1));
-        let (r2, e2) = (Arc::clone(&r), Arc::clone(&e));
-        let blocker = std::thread::spawn(move || {
-            let d = depths(&[0, 0]);
-            r2.route(&e2, SsId(1), &loads_of(&d));
-        });
-        while !entered.load(Ordering::Acquire) {
-            std::hint::spin_loop();
-        }
-        // The first touch of set 1 is wedged inside the policy. Peeks —
-        // same set, different set, any shard — must all return promptly.
-        let d = depths(&[0, 0]);
-        let peeker = std::thread::spawn(move || {
-            for ss in 0..200u64 {
-                let _ = r.peek(&e, SsId(ss), &loads_of(&d));
-            }
-        });
-        peeker.join().expect("peek blocked behind a shard writer");
-        release.store(true, Ordering::Release);
-        blocker.join().unwrap();
     }
 }

@@ -13,7 +13,8 @@
 //! * internal serializers are types implementing [`Serializer`], selected as
 //!   the `S` parameter of `Writable<T, S>`:
 //!   [`ObjectSerializer`] (the paper's *object* serializer — the address of
-//!   the object), [`SequenceSerializer`] (the paper's *sequence* serializer —
+//!   the object, mixed so that aligned addresses spread under modulo),
+//!   [`SequenceSerializer`] (the paper's *sequence* serializer —
 //!   the instance number), and [`FnSerializer`] for ad-hoc logic that may
 //!   inspect the object itself;
 //! * the external form is `Writable::delegate_in(ss, …)`, paired with
@@ -23,8 +24,11 @@
 ///
 /// All delegated operations with equal `SsId` (within a runtime) execute in
 /// program order on the same executor; distinct ids may execute
-/// concurrently. The id also drives static delegate assignment:
-/// `executor = id mod delegates` (§4).
+/// concurrently. The id also drives placement, which is the paper's static
+/// delegate assignment and nothing else: `executor = id mod delegates`
+/// (§4). An id space whose ids share low bits therefore shares delegates;
+/// the built-in serializers produce ids that do not ([`ObjectSerializer`]
+/// mixes its addresses, [`SequenceSerializer`] counts).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SsId(pub u64);
 
@@ -71,14 +75,39 @@ pub trait Serializer<T: ?Sized>: Send + Sync + 'static {
 
 /// The paper's *object* serializer: serializes on the address of the object,
 /// so every distinct object forms its own serialization set.
+///
+/// The id is a **bijective mix** of the address's low 48 bits, with the
+/// high bits unchanged. Raw addresses are aligned, so
+/// under `id mod delegates` they would stack every object on the delegates
+/// their alignment selects — 64 objects on 2 delegates all land on one.
+/// The mix keeps distinct objects in distinct sets (it is one-to-one), and
+/// an address below 2^48 — every user-space address — stays below 2^48,
+/// where a session's routing key keeps it whole.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct ObjectSerializer;
 
 impl<T: ?Sized> Serializer<T> for ObjectSerializer {
     #[inline]
     fn serialize(&self, _obj: &T, cx: SerializeCx) -> Option<SsId> {
-        Some(SsId(cx.address as u64))
+        Some(SsId(mix_address(cx.address as u64)))
     }
+}
+
+/// Low 48 bits of an address: the part [`mix_address`] permutes.
+const ADDRESS_MASK: u64 = (1 << 48) - 1;
+
+/// A bijection of the low 48 bits of `address` that leaves the high bits
+/// alone: xor-shift, multiply by an odd constant modulo 2^48, xor-shift.
+/// Each step is invertible on 48-bit words, and the multiply carries every
+/// low bit into the high ones, which the second shift folds back down, so
+/// the residues modulo small numbers no longer follow the alignment.
+#[inline]
+fn mix_address(address: u64) -> u64 {
+    let mut x = address & ADDRESS_MASK;
+    x ^= x >> 24;
+    x = x.wrapping_mul(0x9E37_79B9_7F4B) & ADDRESS_MASK;
+    x ^= x >> 24;
+    (address & !ADDRESS_MASK) | x
 }
 
 /// The paper's *sequence* serializer: serializes on the instance number of
@@ -166,13 +195,35 @@ mod tests {
     }
 
     #[test]
-    fn object_serializer_uses_address() {
+    fn object_serializer_is_a_bijection_of_the_address() {
         let s = ObjectSerializer;
-        assert_eq!(s.serialize(&1u32, cx(0xdead, 5)), Some(SsId(0xdead)));
-        assert_ne!(
-            s.serialize(&1u32, cx(0x1000, 5)),
-            s.serialize(&1u32, cx(0x2000, 5))
-        );
+        let id = |address: usize| s.serialize(&1u32, cx(address, 5)).unwrap().0;
+        // The same address, the same set; the instance number plays no part.
+        assert_eq!(id(0xdead), s.serialize(&1u32, cx(0xdead, 9)).unwrap().0);
+        // Distinct addresses, distinct sets.
+        let mut ids: Vec<u64> = (0..4096usize).map(|k| id(0x1000 + 8 * k)).collect();
+        ids.sort_unstable();
+        ids.dedup();
+        assert_eq!(ids.len(), 4096);
+        // The high 16 bits pass through; the low 48 stay below 2^48.
+        let high = (0xabcdu64 << 48) | 0x1234_5678;
+        assert_eq!(mix_address(high) >> 48, 0xabcd);
+        assert_ne!(mix_address(high), high);
+        assert!(id(0x7fff_ffff_f000) < 1 << 48);
+        // Aligned objects spread under `id mod n`: 256 addresses at each
+        // stride put at most 1.5x the mean in any bucket for every n in
+        // 2..=8 (raw addresses put all of them in even buckets at n = 2).
+        let base = 0x7f3a_5c00_0000usize;
+        for stride in [16, 48, 64, 80, 4096] {
+            for n in 2..=8u64 {
+                let mut buckets = vec![0u32; n as usize];
+                for k in 0..256 {
+                    buckets[(id(base + stride * k) % n) as usize] += 1;
+                }
+                let worst = *buckets.iter().max().unwrap() as f64 / (256.0 / n as f64);
+                assert!(worst <= 1.5, "stride {stride}, n {n}: {buckets:?}");
+            }
+        }
     }
 
     #[test]

@@ -19,8 +19,7 @@
 //! that was lost, and moved from victim to thief by a steal; the delegate
 //! only ever bumps its own block's `executed`, after each operation. The
 //! difference counts enqueued-or-executing operations and feeds the
-//! [`Stats::queue_depths`] snapshot, the `LeastLoaded` assignment policy
-//! and the cost-aware thief's victim prices alike. Its two loads are not
+//! [`Stats::queue_depths`] snapshot and the thief's victim prices alike. Its two loads are not
 //! one atomic read, so a mid-epoch reading saturates at 0.
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -41,7 +40,8 @@ pub(crate) struct Counters {
     pub isolation_nanos: AtomicU64,
     pub reduction_nanos: AtomicU64,
     pub reductions: AtomicU64,
-    /// First-touch assignment pins created by non-static policies.
+    /// Pins that override static placement: takes, stealing-mode first
+    /// touches.
     pub pins: AtomicU64,
     /// Routing resolutions answered by the pin map's lock-free fast
     /// path (already-pinned sets on the non-stealing transports).
@@ -247,8 +247,8 @@ pub struct Stats {
     pub delegations: u64,
     /// The subset of [`delegations`](Stats::delegations) the program
     /// thread ran itself: sets it took at a half-full ring, their nested
-    /// operations from `Lane::Program`, serial mode and zero-delegate
-    /// runtimes. With [`delegate_executed`](Stats::delegate_executed)
+    /// operations from `Lane::Program`, and every operation of a runtime
+    /// without delegates. With [`delegate_executed`](Stats::delegate_executed)
     /// they partition the delegations:
     /// `Σ delegate_executed + inline_executions == delegations`.
     pub inline_executions: u64,
@@ -260,11 +260,10 @@ pub struct Stats {
     pub isolation_epochs: u64,
     /// Reducible reductions performed.
     pub reductions: u64,
-    /// First-touch assignment pins created by non-static delegate
-    /// assignment policies, plus one per set the program thread takes
-    /// (under the default static assignment only the takes; always
-    /// counted when stealing is enabled, since stealing requires pinning
-    /// even under static assignment).
+    /// Epoch pins created at a set's first touch: one per set the program
+    /// thread takes, and — when stealing is enabled, since a steal must be
+    /// able to override static placement — one per set routed. Static
+    /// placement itself pins nothing.
     pub pins: u64,
     /// Routing resolutions answered by the sharded pin map's lock-free
     /// fast path: a re-delegation to an already-pinned set on a
@@ -385,8 +384,7 @@ pub struct Stats {
     /// queue.
     pub queue_depths: Vec<u64>,
     /// Per-delegate count of completed delegated operations; the spread
-    /// across delegates is the load-balance signal the
-    /// `ablation_assignment` bench reports.
+    /// across delegates is the load-balance signal.
     pub delegate_executed: Vec<u64>,
     /// Wall-clock time since the runtime was created.
     pub total: Duration,

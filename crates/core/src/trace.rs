@@ -12,16 +12,16 @@
 //! did this operation land in, which executor owns it, where did the program
 //! context block to reclaim ownership, and what did each epoch look like.
 //!
-//! Works in both `Parallel` and `Serial` modes; in `Serial` mode the trace
-//! *is* the simulated parallel execution.
+//! Works with any number of delegates; with `delegate_threads(0)` (the
+//! debug build) the trace *is* the simulated parallel execution.
 
 use crate::serializer::SsId;
 
 /// Which executor a traced operation was assigned to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceExecutor {
-    /// On the program thread (a set it took, serial mode, zero-delegate
-    /// runtimes, or a set a custom policy assigns to it).
+    /// On the program thread (a set it took, or any set of a runtime
+    /// without delegates).
     Program,
     /// Delegate thread with this index.
     Delegate(usize),
@@ -34,9 +34,10 @@ pub enum TraceKind {
     BeginIsolation,
     /// `end_isolation` — barrier with all delegates, epoch closed.
     EndIsolation,
-    /// A serialization set was pinned to its executor for the epoch by a
-    /// non-static delegate-assignment policy (first touch of the set).
-    /// Static assignment emits no pin events — the mapping is pure.
+    /// A serialization set was pinned to its executor for the epoch at its
+    /// first touch: the program thread took it, or stealing is enabled
+    /// (which pins every set so a steal can move it). Static placement
+    /// emits no pin events — the mapping is pure.
     Pin,
     /// An idle delegate stole a never-started serialization set from a
     /// peer's queue; `set` is the migrated set and `executor` the thief it

@@ -233,7 +233,7 @@ fn serial_and_parallel_traces_have_identical_shape() {
             .collect()
     }
     let serial = Runtime::builder()
-        .mode(ss_core::ExecutionMode::Serial)
+        .delegate_threads(0)
         .trace(true)
         .build()
         .unwrap();

@@ -236,11 +236,6 @@ mod tests {
                 .unwrap();
             assert_eq!(ss(&data, &rt), expect, "delegates = {delegates}");
         }
-        let rt = Runtime::builder()
-            .mode(ss_core::ExecutionMode::Serial)
-            .build()
-            .unwrap();
-        assert_eq!(ss(&data, &rt), expect);
         // A four-slot ring: the program thread takes sets and runs them.
         let rt = Runtime::builder()
             .delegate_threads(2)

@@ -333,13 +333,9 @@ mod tests {
                 .unwrap();
             assert_eq!(ss(&seeds, shape, &rt), expected, "delegates = {delegates}");
         }
-        // Serial debug mode runs every level on the program thread; a
-        // four-slot ring makes it take roots and nest from them.
-        let rt = Runtime::builder()
-            .mode(ss_core::ExecutionMode::Serial)
-            .build()
-            .unwrap();
-        assert_eq!(ss(&seeds, shape, &rt), expected);
+        // Zero delegates (the loop's first shape) run every level on the
+        // program thread; a four-slot ring makes it take roots and nest
+        // from them.
         let rt = Runtime::builder()
             .delegate_threads(2)
             .queue_capacity(4)

@@ -1,23 +1,25 @@
-//! The non-static routing trajectory: what one routing decision costs
-//! when every set actually goes through the sharded pin map.
+//! The routing trajectory: what one routing decision costs on the
+//! default runtime, on the program thread's path and on the nested path
+//! through the sharded pin map.
 //!
-//! The routing layer keeps its set→executor pins in a sharded,
-//! epoch-stamped map (`ss_queue::shardmap`): per-shard locks for writers,
-//! lock-free resolution for the common re-delegate-to-a-pinned-set case.
-//! This bin tracks that path at 2/4/8 delegates over the two delegation
-//! shapes that stress routing differently:
+//! Placement is static (`SsId mod delegates`); the routing layer keeps
+//! pins only where something may override that (a set the program thread
+//! takes, a steal) in a sharded, epoch-stamped map
+//! (`ss_queue::shardmap`): per-shard locks for writers, lock-free
+//! resolution for the common re-delegate-to-a-pinned-set case. This bin
+//! tracks both paths at 2/4/8 delegates:
 //!
 //! * `flat` — the program thread delegates every operation top-level.
-//!   Routing is single-producer; what shows is the lock-free fast path
-//!   (no mutex acquisition, no read-modify-write per re-delegation).
+//!   Routing is the program thread's own: its epoch record of the sets it
+//!   has seen, and the modulo at each set's first sight — no pin, no lock.
 //! * `nested` — the program thread delegates only roots; every child and
-//!   grandchild is routed *from a delegate context*, so up to
-//!   `delegates + 1` threads hit the routing layer concurrently.
+//!   grandchild is routed *from a delegate context* through the root's pin
+//!   map (a take could have pinned any set), so up to `delegates + 1`
+//!   threads hit the routing layer concurrently: a shard lock at each
+//!   set's first touch, lock-free reads after it.
 //!
-//! Assignment is `RoundRobinFirstTouch` (non-pure, so every set actually
-//! routes through the pin map; the static default would bypass it) and
-//! stealing is off (isolating the pin-map path; the stealing transport
-//! additionally benefits from shard-local publish critical sections).
+//! Stealing is off (isolating these paths; the stealing transport pins
+//! every set and publishes inside the shard's critical section).
 //!
 //! Output: a table plus `bench ablation_routing/<shape>-<n>d/sharded
 //! median_ns=<n>` lines that `scripts/record_baseline.sh` folds into
@@ -28,7 +30,7 @@
 use std::sync::Arc;
 
 use ss_bench::*;
-use ss_core::{Assignment, Runtime, SequenceSerializer, Writable};
+use ss_core::{Runtime, SequenceSerializer, Writable};
 
 fn work(seed: u64, rounds: u32) -> u64 {
     let mut x = seed | 1;
@@ -142,8 +144,8 @@ fn main() {
         ss_workloads::scale::Scale::L => 16,
     };
     println!(
-        "Ablation: non-static routing through the sharded pin map \
-         (host threads: {})\n",
+        "Ablation: routing on the program thread and through the sharded \
+         pin map (host threads: {})\n",
         host_threads()
     );
 
@@ -159,7 +161,6 @@ fn main() {
                 let rt = Runtime::builder()
                     .delegate_threads(delegates)
                     .queue_capacity(8192)
-                    .assignment(Assignment::RoundRobinFirstTouch)
                     .build()
                     .unwrap();
                 fp = run(&rt, shape);
@@ -198,9 +199,10 @@ fn main() {
         println!("{line}");
     }
     println!(
-        "\nExpected: `flat` isolates the lock-free fast path (lock-free\n\
-         hits ≈ re-delegations); `nested` adds routing contention from\n\
-         every delegate context, which the per-shard locks bound. On a\n\
+        "\nExpected: `flat` routes on the program thread alone (no pins,\n\
+         no lock-free hits); `nested` adds routing contention from every\n\
+         delegate context (lock-free hits ≈ nested re-delegations), which\n\
+         the per-shard locks bound. On a\n\
          1-2 CPU container the higher delegate counts are oversubscribed\n\
          — see docs/POLICIES.md for the recorded numbers."
     );

@@ -13,7 +13,6 @@
 //! | `fig6_scaling`     | Figure 6 — speedup vs delegate-thread count |
 //! | `ablation_serializer` | §2.1 serializer granularity (matmul) |
 //! | `ablation_kmeans`  | §5.1 kmeans variants (paper vs reduction) |
-//! | `ablation_assignment` | delegate-assignment policies under skew (docs/POLICIES.md) |
 //! | `ablation_stealing` | work stealing between delegate queues (docs/POLICIES.md) |
 //!
 //! Environment knobs (all optional): `SS_BENCH_SCALE` (`S`/`M`/`L`, default

@@ -27,9 +27,8 @@ fn main() {
     // One program context + delegate threads (defaults to cores - 1).
     let rt = Runtime::new().expect("runtime");
     println!(
-        "runtime: {} delegate thread(s), {} assignment",
-        rt.delegate_threads(),
-        rt.assignment_name()
+        "runtime: {} delegate thread(s), static assignment",
+        rt.delegate_threads()
     );
 
     // Eight accounts, each its own serialization set (sequence serializer).

@@ -2,7 +2,7 @@
 //! pattern (§2.2/§5.1) and the sequential-debug mode (§3.3).
 //!
 //! The same serialization-sets code runs twice: once on a parallel runtime
-//! and once in `ExecutionMode::Serial` — the paper's "debug version that
+//! and once with `delegate_threads(0)` — the paper's "debug version that
 //! simulates a parallel execution" — and the outputs are verified identical,
 //! which is exactly the development workflow the paper advocates.
 //!
@@ -28,7 +28,7 @@ fn main() {
     // Debug first, like the paper says: "all development and debugging is
     // done on a sequential execution of the program."
     let serial_rt = Runtime::builder()
-        .mode(ExecutionMode::Serial)
+        .delegate_threads(0)
         .build()
         .expect("serial runtime");
     let t0 = Instant::now();

@@ -3,6 +3,9 @@
 # up to the first `mod tests {` of each file under <crate>/src, excluding
 # `tests.rs`. Usage: scripts/loc.sh [crate-dir ...] (default: every crate
 # under crates/). Add -v as the first argument for a per-file breakdown.
+# The last line counts the public `RuntimeBuilder` setters (the builder
+# knobs), leaving out `build`, `#[doc(hidden)]` items and
+# `cfg(feature = "chaos")` items.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -35,3 +38,14 @@ for crate in "${crates[@]}"; do
     total=$((total + sum))
 done
 printf '%6d  total\n' "$total"
+
+knobs=$(awk '/^impl RuntimeBuilder \{/ { inside = 1; next }
+             inside && /^\}/ { inside = 0 }
+             !inside { next }
+             /#\[doc\(hidden\)\]|#\[cfg\(feature = "chaos"\)\]/ { skip = 1 }
+             /^[[:space:]]*pub fn / {
+                 if (!skip && $0 !~ /pub fn build\(/) n++
+                 skip = 0
+             }
+             END { print n + 0 }' crates/core/src/config.rs)
+printf '%6d  builder knobs\n' "$knobs"

@@ -50,11 +50,10 @@ pub mod prelude {
         ReducibleStats, ReducibleVec,
     };
     pub use ss_core::{
-        doall, fingerprint_of, AssignTopology, Assignment, AuditMode, AuditReport, AuditViolation,
-        DelegateAssignment, DelegateContext, DelegateLoads, EwmaCost, ExecutionMode, Executor,
-        Fingerprint, FnSerializer, LeastLoaded, MemoValue, NullSerializer, ObjectSerializer,
-        ReadOnly, Reduce, Reducible, RoundRobinFirstTouch, Runtime, RuntimeBuilder,
-        SequenceSerializer, Serializer, Session, SessionStats, SsError, SsFuture, SsId,
-        StaticAssignment, Stats, StealPolicy, TraceEvent, TraceExecutor, TraceKind, Writable,
+        doall, fingerprint_of, AuditMode, AuditReport, AuditViolation, DelegateContext, Executor,
+        Fingerprint, FnSerializer, MemoValue, NullSerializer, ObjectSerializer, ReadOnly, Reduce,
+        Reducible, Runtime, RuntimeBuilder, SequenceSerializer, Serializer, Session, SessionStats,
+        SsError, SsFuture, SsId, Stats, StealPolicy, TraceEvent, TraceExecutor, TraceKind,
+        Writable,
     };
 }

@@ -17,23 +17,9 @@ fn runtimes() -> Vec<Runtime> {
             .queue_capacity(4)
             .build()
             .unwrap(),
-        Runtime::builder()
-            .mode(ExecutionMode::Serial)
-            .build()
-            .unwrap(),
-        // Non-default delegate-assignment policies must be observationally
-        // identical: assignment only moves sets between executors, never
-        // across epoch boundaries or within-set order.
-        Runtime::builder()
-            .delegate_threads(2)
-            .assignment(Assignment::RoundRobinFirstTouch)
-            .build()
-            .unwrap(),
-        Runtime::builder()
-            .delegate_threads(2)
-            .assignment(Assignment::LeastLoaded)
-            .build()
-            .unwrap(),
+        // The debug build: every set on the program thread.
+        Runtime::builder().delegate_threads(0).build().unwrap(),
+        Runtime::builder().delegate_threads(2).build().unwrap(),
     ]
 }
 
@@ -262,7 +248,6 @@ fn audited_runtimes() -> Vec<Runtime> {
             .unwrap(),
         Runtime::builder()
             .delegate_threads(2)
-            .assignment(Assignment::LeastLoaded)
             .audit(AuditMode::Full)
             .build()
             .unwrap(),

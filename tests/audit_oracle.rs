@@ -4,7 +4,7 @@
 //! programs over every shape the runtime supports — flat delegations,
 //! `delegate_iter` batches, future-returning `delegate_with`, and nested
 //! delegation from delegate contexts — and runs each under
-//! [`AuditMode::Full`] across the full `Assignment × StealPolicy` grid.
+//! [`AuditMode::Full`] under every `StealPolicy`.
 //! Every epoch must certify (an `SsError::SerializabilityViolation` would
 //! fail the unwraps) and the result must still match the sequential
 //! interpreter.
@@ -91,15 +91,6 @@ fn interpret(k: usize, ops: &[Op]) -> (Vec<u64>, Vec<u64>, Vec<u64>, Vec<u64>) {
     (objects, children, read_log, future_log)
 }
 
-fn assignment_of(idx: usize) -> Assignment {
-    match idx % 4 {
-        0 => Assignment::Static,
-        1 => Assignment::RoundRobinFirstTouch,
-        2 => Assignment::LeastLoaded,
-        _ => Assignment::EwmaCost,
-    }
-}
-
 fn steal_policy_of(idx: usize) -> StealPolicy {
     match idx % 4 {
         0 => StealPolicy::Off,
@@ -121,12 +112,10 @@ fn run_audited(
     k: usize,
     ops: &[Op],
     delegates: usize,
-    assignment: Assignment,
     stealing: StealPolicy,
 ) -> (Vec<u64>, Vec<u64>, Vec<u64>, Vec<u64>) {
     let rt = Runtime::builder()
         .delegate_threads(delegates.max(1))
-        .assignment(assignment)
         .stealing(stealing)
         .audit(AuditMode::Full)
         .build()
@@ -207,14 +196,13 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Zero false positives: fully audited runs over every program shape
-    /// and every `Assignment × StealPolicy` cell certify *and* match the
+    /// and every `StealPolicy` certify *and* match the
     /// sequential interpreter.
     #[test]
     fn fully_audited_runs_certify_and_match_oracle(
         k in 1usize..5,
         ops in proptest::collection::vec(op_strategy(4), 0..100),
         delegates in 1usize..4,
-        assignment_idx in 0usize..4,
         steal_idx in 0usize..4,
     ) {
         let ops: Vec<Op> = ops
@@ -233,7 +221,6 @@ proptest! {
             k,
             &ops,
             delegates,
-            assignment_of(assignment_idx),
             steal_policy_of(steal_idx),
         );
         prop_assert_eq!(&actual, &expected);
@@ -257,7 +244,7 @@ proptest! {
                 other => other,
             })
             .collect();
-        let full = run_audited(3, &ops, 2, Assignment::Static, StealPolicy::Off);
+        let full = run_audited(3, &ops, 2, StealPolicy::Off);
         prop_assert_eq!(&full, &interpret(3, &ops));
     }
 }
@@ -461,7 +448,6 @@ mod chaos {
     fn cross_session_pin_leak_is_caught_by_the_sessions_auditor() {
         let rt = Runtime::builder()
             .delegate_threads(2)
-            .assignment(Assignment::Static)
             .stealing(StealPolicy::WhenIdle)
             .audit(AuditMode::Full)
             .chaos(ChaosKnobs {
@@ -533,7 +519,6 @@ mod chaos {
     fn steal_mid_set_is_caught_by_the_auditor() {
         let rt = Runtime::builder()
             .delegate_threads(2)
-            .assignment(Assignment::Static)
             .stealing(StealPolicy::CostAware)
             .audit(AuditMode::Full)
             .chaos(ChaosKnobs {
@@ -593,7 +578,6 @@ mod chaos {
     fn steal_no_repin_is_caught_as_two_executors() {
         let rt = Runtime::builder()
             .delegate_threads(2)
-            .assignment(Assignment::Static)
             .stealing(StealPolicy::WhenIdle)
             .audit(AuditMode::Full)
             .chaos(ChaosKnobs {

@@ -23,9 +23,9 @@
 //! `test_gates_remaining`.
 //!
 //! Setup shared by all three: one serialization set with a batch of three
-//! operations, pinned to delegate 0 by first-touch round-robin
-//! (the first distinct set lands on delegate 0);
-//! delegate 1 is the thief. With an untrained cost model every queued
+//! operations, on delegate 0 by static assignment (the runtime's first
+//! object has sequence number 0, and 0 mod 2 is 0); delegate 1 is the
+//! thief. With an untrained cost model every queued
 //! operation prices at the default estimate, so three queued operations
 //! clear the one-typical-op steal bar and the thief reaches its "scan"
 //! gate deterministically.
@@ -44,7 +44,6 @@ fn expected() -> u64 {
 fn harness(script: &[&str]) -> Runtime {
     Runtime::builder()
         .delegate_threads(2)
-        .assignment(Assignment::RoundRobinFirstTouch)
         .stealing(StealPolicy::CostAware)
         .test_schedule(script.iter().copied())
         .build()

@@ -6,7 +6,7 @@
 //! rate (empty rounds are clean re-submissions — the 100%-hit case; dense
 //! rounds force invalidation every epoch). Each program runs twice — once
 //! through `delegate_memo` and once through plain `delegate_with` — under
-//! every `Assignment × StealPolicy × AuditMode` cell. Results must be
+//! every `StealPolicy × AuditMode` cell. Results must be
 //! bit-identical to each other and to a sequential interpreter: a memo hit
 //! that serves anything but exactly what re-execution would have produced
 //! is a correctness bug, not a performance bug.
@@ -32,15 +32,6 @@ fn fold(s: u64, x: u64) -> u64 {
 /// generation, so a hit implies the state is unchanged since publish).
 fn query(s: u64, x: u64) -> u64 {
     s.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(17) ^ x
-}
-
-fn assignment_of(idx: usize) -> Assignment {
-    match idx % 4 {
-        0 => Assignment::Static,
-        1 => Assignment::RoundRobinFirstTouch,
-        2 => Assignment::LeastLoaded,
-        _ => Assignment::EwmaCost,
-    }
 }
 
 fn steal_policy_of(idx: usize) -> StealPolicy {
@@ -85,20 +76,17 @@ fn interpret(
 /// epoch: mutations first, then the (re-)submitted query batch. With
 /// `memoized` the queries go through `delegate_memo`; otherwise through
 /// `delegate_with`. Query results are logged in submission order.
-#[allow(clippy::too_many_arguments)]
 fn run(
     k: usize,
     queries: &[(usize, u64)],
     rounds: &[Vec<(usize, u64)>],
     memoized: bool,
     delegates: usize,
-    assignment: Assignment,
     stealing: StealPolicy,
     audit: AuditMode,
 ) -> (Vec<u64>, Vec<u64>, Stats) {
     let rt = Runtime::builder()
         .delegate_threads(delegates)
-        .assignment(assignment)
         .stealing(stealing)
         .audit(audit)
         .memo_capacity(256)
@@ -153,7 +141,6 @@ proptest! {
             1..6,
         ),
         delegates in 0usize..4,
-        assignment_idx in 0usize..4,
         steal_idx in 0usize..4,
         audit_idx in 0usize..3,
     ) {
@@ -167,13 +154,11 @@ proptest! {
         let (exp_finals, exp_log) = interpret(k, &queries, &rounds);
         let (memo_finals, memo_log, memo_stats) = run(
             k, &queries, &rounds, true, delegates,
-            assignment_of(assignment_idx), steal_policy_of(steal_idx),
-            audit_mode_of(audit_idx),
+            steal_policy_of(steal_idx), audit_mode_of(audit_idx),
         );
         let (plain_finals, plain_log, plain_stats) = run(
             k, &queries, &rounds, false, delegates,
-            assignment_of(assignment_idx), steal_policy_of(steal_idx),
-            audit_mode_of(audit_idx),
+            steal_policy_of(steal_idx), audit_mode_of(audit_idx),
         );
 
         prop_assert_eq!(&memo_finals, &exp_finals);

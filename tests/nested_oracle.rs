@@ -3,7 +3,7 @@
 //! mid-epoch reclaims, reducible bumps and epoch boundaries) must produce
 //! bit-identical results — including per-set operation order — to a
 //! trivial depth-first sequential interpreter, under every
-//! `Assignment × StealPolicy` combination.
+//! `StealPolicy` and ring capacity.
 //!
 //! Determinism discipline (what makes the oracle well-defined): every
 //! object has exactly one *producer context* —
@@ -28,7 +28,7 @@
 //! the waiting delegate), and returns the fold through its own future,
 //! which the program context waits on mid-epoch. Both wait directions —
 //! delegate-context and program-context — are therefore oracle-checked
-//! under every `Assignment × StealPolicy`. Determinism: each future-child
+//! under every `StealPolicy`. Determinism: each future-child
 //! object has a single producer (its root's delegate context) and futures
 //! are waited in submission order, so the folds are the depth-first
 //! sequential folds regardless of scheduling.
@@ -198,16 +198,9 @@ impl Reduce for Acc {
 
 /// Runs the same program through the runtime with real recursive
 /// delegation.
-fn run_parallel(
-    ops: &[Op],
-    delegates: usize,
-    assignment: Assignment,
-    stealing: StealPolicy,
-    ring: usize,
-) -> Outcome {
+fn run_parallel(ops: &[Op], delegates: usize, stealing: StealPolicy, ring: usize) -> Outcome {
     let rt = Runtime::builder()
         .delegate_threads(delegates)
-        .assignment(assignment)
         .stealing(stealing)
         .queue_capacity(ring)
         .build()
@@ -381,44 +374,27 @@ fn run_parallel(
     }
 }
 
-type AssignmentFactory = fn() -> Assignment;
-
 /// The default ring, and a four-slot one that fills within a few
 /// operations, so the program thread takes lane sets, runs their roots
 /// and nests from them (the SPSC transport only: the deques never take).
 const RINGS: [usize; 2] = [512, 4];
 
-/// Every `Assignment × StealPolicy` combination, plus a four-slot ring for
-/// each assignment on the SPSC transport, as `(assignment label, steal
-/// label, assignment, policy, ring capacity)`.
-fn all_shapes() -> Vec<(&'static str, &'static str, Assignment, StealPolicy, usize)> {
-    let assignments: [(&'static str, AssignmentFactory); 4] = [
-        ("static", || Assignment::Static),
-        ("round-robin", || Assignment::RoundRobinFirstTouch),
-        ("least-loaded", || Assignment::LeastLoaded),
-        ("ewma-cost", || Assignment::EwmaCost),
-    ];
-    let steals = [
+/// Every `StealPolicy`, plus a four-slot ring on the SPSC transport, as
+/// `(label, policy, ring capacity)`.
+fn all_shapes() -> [(&'static str, StealPolicy, usize); 5] {
+    [
         ("off", StealPolicy::Off, RINGS[0]),
         ("off/ring-4", StealPolicy::Off, RINGS[1]),
         ("when-idle", StealPolicy::WhenIdle, RINGS[0]),
         ("threshold-2", StealPolicy::Threshold(2), RINGS[0]),
         ("cost-aware", StealPolicy::CostAware, RINGS[0]),
-    ];
-    let mut shapes = Vec::new();
-    for (an, af) in &assignments {
-        for (sn, sp, ring) in &steals {
-            shapes.push((*an, *sn, af(), *sp, *ring));
-        }
-    }
-    shapes
+    ]
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(14))]
 
-    /// The headline property: every Assignment × StealPolicy combination
-    /// executes random nested programs bit-identically to the depth-first
+    /// The headline property: every shape executes random nested programs bit-identically to the depth-first
     /// sequential oracle.
     #[test]
     fn nested_execution_matches_sequential_oracle(
@@ -426,11 +402,11 @@ proptest! {
         delegates in 1usize..4,
     ) {
         let expected = interpret(&ops);
-        for (a_label, s_label, assignment, stealing, ring) in all_shapes() {
-            let actual = run_parallel(&ops, delegates, assignment, stealing, ring);
+        for (label, stealing, ring) in all_shapes() {
+            let actual = run_parallel(&ops, delegates, stealing, ring);
             prop_assert_eq!(
                 &actual, &expected,
-                "{}+{} with {} delegates diverged from the oracle", a_label, s_label, delegates
+                "{} with {} delegates diverged from the oracle", label, delegates
             );
         }
     }
@@ -441,15 +417,15 @@ proptest! {
     fn repeated_nested_runs_are_identical(
         ops in proptest::collection::vec(op_strategy(), 0..30),
     ) {
-        let a = run_parallel(&ops, 2, Assignment::Static, StealPolicy::WhenIdle, RINGS[0]);
-        let b = run_parallel(&ops, 2, Assignment::Static, StealPolicy::WhenIdle, RINGS[0]);
+        let a = run_parallel(&ops, 2, StealPolicy::WhenIdle, RINGS[0]);
+        let b = run_parallel(&ops, 2, StealPolicy::WhenIdle, RINGS[0]);
         prop_assert_eq!(a, b);
     }
 }
 
 /// Deterministic (non-proptest) spot check kept cheap enough for `--test-
 /// threads` sweeps: a fixed deep program over every shape, so CI matrix
-/// legs with different thread counts still cover all nine combinations.
+/// legs with different thread counts still cover every shape.
 #[test]
 fn fixed_deep_program_all_shapes() {
     let ops = vec![
@@ -498,9 +474,9 @@ fn fixed_deep_program_all_shapes() {
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(2usize);
-    for (a_label, s_label, assignment, stealing, ring) in all_shapes() {
-        let actual = run_parallel(&ops, delegates, assignment, stealing, ring);
-        assert_eq!(actual, expected, "{a_label}+{s_label} diverged");
+    for (label, stealing, ring) in all_shapes() {
+        let actual = run_parallel(&ops, delegates, stealing, ring);
+        assert_eq!(actual, expected, "{label} diverged");
     }
 }
 
@@ -508,7 +484,7 @@ fn fixed_deep_program_all_shapes() {
 /// future-returning and classic nested roots, mid-epoch reclaims and an
 /// epoch boundary, so delegate-context waits (help-first), program-context
 /// waits and the barrier's future-settlement guarantee are all exercised
-/// under every `Assignment × StealPolicy`.
+/// under every `StealPolicy`.
 #[test]
 fn fixed_future_program_all_shapes() {
     let ops = vec![
@@ -531,16 +507,16 @@ fn fixed_future_program_all_shapes() {
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(2usize);
-    for (a_label, s_label, assignment, stealing, ring) in all_shapes() {
-        let actual = run_parallel(&ops, delegates, assignment, stealing, ring);
-        assert_eq!(actual, expected, "{a_label}+{s_label} diverged");
+    for (label, stealing, ring) in all_shapes() {
+        let actual = run_parallel(&ops, delegates, stealing, ring);
+        assert_eq!(actual, expected, "{label} diverged");
     }
 }
 
 /// A delegate waiting on an operation in its *own* serialization set can
 /// never complete (per-set FIFO orders the operation after the waiter);
 /// the runtime must reject the wait with `SsError::FutureDeadlock` —
-/// deterministically, under every `Assignment × StealPolicy` — and stay
+/// deterministically, under every `StealPolicy` — and stay
 /// healthy afterwards (the rejected operation still runs).
 #[test]
 fn own_set_wait_deadlock_is_deterministic_all_shapes() {
@@ -549,10 +525,9 @@ fn own_set_wait_deadlock_is_deterministic_all_shapes() {
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(2usize);
-    for (a_label, s_label, assignment, stealing, ring) in all_shapes() {
+    for (label, stealing, ring) in all_shapes() {
         let rt = Runtime::builder()
             .delegate_threads(delegates)
-            .assignment(assignment)
             .stealing(stealing)
             .queue_capacity(ring)
             .build()
@@ -579,13 +554,13 @@ fn own_set_wait_deadlock_is_deterministic_all_shapes() {
             .lock()
             .unwrap()
             .take()
-            .unwrap_or_else(|| panic!("{a_label}+{s_label}: wait never ran"));
+            .unwrap_or_else(|| panic!("{label}: wait never ran"));
         assert!(
             matches!(err, SsError::FutureDeadlock { .. }),
-            "{a_label}+{s_label}: expected FutureDeadlock, got {err:?}"
+            "{label}: expected FutureDeadlock, got {err:?}"
         );
-        assert_eq!(w.call(|n| *n).unwrap(), 1, "{a_label}+{s_label}");
-        assert!(!rt.is_poisoned(), "{a_label}+{s_label}");
+        assert_eq!(w.call(|n| *n).unwrap(), 1, "{label}");
+        assert!(!rt.is_poisoned(), "{label}");
     }
 }
 
@@ -595,10 +570,9 @@ fn own_set_wait_deadlock_is_deterministic_all_shapes() {
 /// deadlock.
 #[test]
 fn own_spawn_tree_wait_completes_all_shapes() {
-    for (a_label, s_label, assignment, stealing, ring) in all_shapes() {
+    for (label, stealing, ring) in all_shapes() {
         let rt = Runtime::builder()
             .delegate_threads(1)
-            .assignment(assignment)
             .stealing(stealing)
             .queue_capacity(ring)
             .build()
@@ -617,8 +591,8 @@ fn own_spawn_tree_wait_completes_all_shapes() {
                 *n
             })
             .unwrap();
-        assert_eq!(fut.wait().unwrap(), 42, "{a_label}+{s_label}");
+        assert_eq!(fut.wait().unwrap(), 42, "{label}");
         rt.end_isolation().unwrap();
-        assert_eq!(parent.call(|n| *n).unwrap(), 42, "{a_label}+{s_label}");
+        assert_eq!(parent.call(|n| *n).unwrap(), 42, "{label}");
     }
 }

@@ -66,20 +66,8 @@ fn interpret(k: usize, ops: &[Op]) -> (Vec<u64>, u64, Vec<u64>) {
     (objects, counter, read_log)
 }
 
-/// The `Assignment × StealPolicy` grid the oracle sweeps (proptest picks
-/// indices into these, so every generated program can run under every
-/// combination — including the cost-aware `EwmaCost`, whose placement
-/// depends on measured runtimes and so is the policy most in need of an
-/// order oracle).
-fn assignment_of(idx: usize) -> Assignment {
-    match idx % 4 {
-        0 => Assignment::Static,
-        1 => Assignment::RoundRobinFirstTouch,
-        2 => Assignment::LeastLoaded,
-        _ => Assignment::EwmaCost,
-    }
-}
-
+/// The `StealPolicy` axis the oracle sweeps (proptest picks an index, so
+/// every generated program can run under every policy).
 fn steal_policy_of(idx: usize) -> StealPolicy {
     match idx % 4 {
         0 => StealPolicy::Off,
@@ -98,13 +86,11 @@ fn run_parallel(
     ops: &[Op],
     delegates: usize,
     ring: usize,
-    assignment: Assignment,
     stealing: StealPolicy,
 ) -> (Vec<u64>, u64, Vec<u64>) {
     let rt = Runtime::builder()
         .delegate_threads(delegates)
         .queue_capacity(ring)
-        .assignment(assignment)
         .stealing(stealing)
         .build()
         .unwrap();
@@ -180,7 +166,6 @@ proptest! {
         // A four-slot ring fills within a few operations, so the program
         // thread takes sets and runs them itself.
         ring in prop_oneof![Just(4usize), Just(512)],
-        assignment_idx in 0usize..4,
         steal_idx in 0usize..4,
     ) {
         // Ops reference objects 0..5; clamp to k.
@@ -199,7 +184,6 @@ proptest! {
             &ops,
             delegates,
             ring,
-            assignment_of(assignment_idx),
             steal_policy_of(steal_idx),
         );
         prop_assert_eq!(&actual, &expected);
@@ -209,8 +193,8 @@ proptest! {
     fn repeated_runs_are_identical(
         ops in proptest::collection::vec(op_strategy(3), 0..60),
     ) {
-        let a = run_parallel(3, &ops, 2, 4, Assignment::Static, StealPolicy::Off);
-        let b = run_parallel(3, &ops, 2, 4, Assignment::Static, StealPolicy::Off);
+        let a = run_parallel(3, &ops, 2, 4, StealPolicy::Off);
+        let b = run_parallel(3, &ops, 2, 4, StealPolicy::Off);
         prop_assert_eq!(a, b);
     }
 }

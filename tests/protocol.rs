@@ -86,10 +86,7 @@ fn serial_mode_equals_parallel_mode() {
         rt.end_isolation().unwrap();
         acc.call(|n| *n).unwrap()
     }
-    let serial = Runtime::builder()
-        .mode(ExecutionMode::Serial)
-        .build()
-        .unwrap();
+    let serial = Runtime::builder().delegate_threads(0).build().unwrap();
     let parallel = Runtime::builder().delegate_threads(3).build().unwrap();
     assert_eq!(run(&serial), run(&parallel));
     assert_eq!(serial.stats().inline_executions, 500);
@@ -240,4 +237,88 @@ fn stats_expose_figure5a_components() {
     assert!(s.reductions >= 1);
     let parts = s.isolation_fraction() + s.aggregation_fraction() + s.reduction_fraction();
     assert!((parts - 1.0).abs() < 1e-6, "fractions sum to {parts}");
+}
+
+/// Same-set program order: operations delegated into one serialization set
+/// execute in delegation order, even while other sets churn around them.
+#[test]
+fn same_set_program_order_under_churn() {
+    for delegates in [1, 2, 4] {
+        let rt = Runtime::builder()
+            .delegate_threads(delegates)
+            .build()
+            .unwrap();
+        let hot: Writable<Vec<u64>, NullSerializer> = Writable::new(&rt, Vec::new());
+        let noise: Vec<Writable<u64, SequenceSerializer>> =
+            (0..8).map(|_| Writable::new(&rt, 0)).collect();
+        rt.begin_isolation().unwrap();
+        for i in 0..2_000u64 {
+            hot.delegate_in(7u64, move |v| v.push(i)).unwrap();
+            // Interleave traffic on other sets so queues stay busy.
+            noise[(i % 8) as usize].delegate(|n| *n += 1).unwrap();
+        }
+        rt.end_isolation().unwrap();
+        let got = hot.call(|v| v.clone()).unwrap();
+        assert_eq!(
+            got,
+            (0..2_000).collect::<Vec<_>>(),
+            "{delegates} delegates reordered a set"
+        );
+    }
+}
+
+/// A skewed set distribution (most operations in a handful of hot sets)
+/// produces the sequential result.
+#[test]
+fn skewed_sets_match_the_sequential_result() {
+    let target = |i: u64| match i % 16 {
+        0..=7 => 0,
+        8..=11 => 1,
+        12..=13 => 2,
+        _ => (i % 16) as usize,
+    };
+    let rt = Runtime::builder().delegate_threads(3).build().unwrap();
+    let objs: Vec<Writable<Vec<u64>, SequenceSerializer>> =
+        (0..16).map(|_| Writable::new(&rt, Vec::new())).collect();
+    rt.begin_isolation().unwrap();
+    for i in 0..4_000u64 {
+        // Zipf-ish skew: ~half the traffic on object 0, tail spread out.
+        objs[target(i)].delegate(move |v| v.push(i * i)).unwrap();
+    }
+    rt.end_isolation().unwrap();
+    let mut expect = vec![Vec::new(); 16];
+    for i in 0..4_000u64 {
+        expect[target(i)].push(i * i);
+    }
+    let got: Vec<Vec<u64>> = objs
+        .iter()
+        .map(|o| o.call(|v| v.clone()).unwrap())
+        .collect();
+    assert_eq!(got, expect);
+}
+
+/// Reductions and mid-epoch ownership reclaims (the protocol paths that
+/// interact with queue state) keep every operation.
+#[test]
+fn reclaims_and_reductions_keep_every_operation() {
+    let rt = Runtime::builder().delegate_threads(2).build().unwrap();
+    let w: Writable<Vec<u64>, SequenceSerializer> = Writable::new(&rt, Vec::new());
+    let counter = ReducibleCounter::new(&rt);
+    rt.begin_isolation().unwrap();
+    for i in 0..500u64 {
+        let c = counter.clone();
+        w.delegate(move |v| {
+            v.push(i);
+            c.add(1).unwrap();
+        })
+        .unwrap();
+    }
+    // Mid-epoch dependent read: reclaim must drain exactly this set's
+    // executor queue.
+    let len = w.call(|v| v.len()).unwrap();
+    assert_eq!(len, 500, "work lost before reclaim");
+    w.delegate(|v| v.push(999)).unwrap();
+    rt.end_isolation().unwrap();
+    assert_eq!(w.call(|v| v.len()).unwrap(), 501);
+    assert_eq!(counter.get().unwrap(), 500);
 }

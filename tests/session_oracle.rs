@@ -8,8 +8,7 @@
 //! while every other session runs concurrently over the *same* delegate
 //! threads. Each session's final object states, read log and future log
 //! must equal its own sequential interpretation, including per-set
-//! operation order, under every `Assignment × StealPolicy × AuditMode`
-//! combination.
+//! operation order, under every `StealPolicy × AuditMode` combination.
 //!
 //! What this proves that oracle.rs cannot: tenants never observe each
 //! other. A cross-tenant pin collision, a shared epoch stamp, a drain
@@ -93,15 +92,6 @@ fn interpret(k: usize, ops: &[Op]) -> Observed {
         }
     }
     (objects, children, read_log, future_log)
-}
-
-fn assignment_of(idx: usize) -> Assignment {
-    match idx % 4 {
-        0 => Assignment::Static,
-        1 => Assignment::RoundRobinFirstTouch,
-        2 => Assignment::LeastLoaded,
-        _ => Assignment::EwmaCost,
-    }
 }
 
 fn steal_policy_of(idx: usize) -> StealPolicy {
@@ -218,7 +208,6 @@ fn run_sessions(
     k: usize,
     programs: &[Vec<Op>],
     delegates: usize,
-    assignment: Assignment,
     stealing: StealPolicy,
     audit: AuditMode,
 ) -> Vec<Observed> {
@@ -226,7 +215,6 @@ fn run_sessions(
     // (the inline fallback rejects nested delegation; covered elsewhere).
     let rt = Runtime::builder()
         .delegate_threads(delegates.max(1))
-        .assignment(assignment)
         .stealing(stealing)
         .audit(audit)
         .build()
@@ -274,7 +262,7 @@ proptest! {
 
     /// The tentpole oracle: up to three concurrent sessions, each with an
     /// independent random program, swept over the full
-    /// `Assignment × StealPolicy × AuditMode` grid. Every session must
+    /// `StealPolicy × AuditMode` grid. Every session must
     /// match its own interpreter exactly.
     #[test]
     fn concurrent_sessions_each_match_their_sequential_oracle(
@@ -284,7 +272,6 @@ proptest! {
             1..4,
         ),
         delegates in 1usize..4,
-        assignment_idx in 0usize..4,
         steal_idx in 0usize..4,
         audit_idx in 0usize..3,
     ) {
@@ -296,7 +283,6 @@ proptest! {
             k,
             &programs,
             delegates,
-            assignment_of(assignment_idx),
             steal_policy_of(steal_idx),
             audit_mode_of(audit_idx),
         );

@@ -4,8 +4,8 @@
 //! and the sums `Runtime::stats` reports must still balance.
 //!
 //! After `end_isolation`, over {root, sessions} × {SPSC, stealing
-//! `CostAware`} × {program, nested, inline, `delegate_with`,
-//! dropped-future cancel}:
+//! `CostAware`} × {program, nested, inline (the root program thread's
+//! takes), `delegate_with`, dropped-future cancel}:
 //!
 //! * `executed == delegations` — every operation submitted through
 //!   `delegate*` counts as a delegation, whichever executor ran it;
@@ -14,13 +14,13 @@
 //!   program thread's executions are the rest;
 //! * every `queue_depths` entry is 0.
 //!
-//! Mid-epoch, with delegate 0 held by a blocker, its depth counts exactly
+//! Mid-epoch, with a delegate held by a blocker, its depth counts exactly
 //! the blocker and the operations queued behind it, and a whole-batch
 //! steal moves exactly the stolen batch to the thief. The delegate count
 //! comes from `SS_DELEGATES` (at least 2, so there is a thief), the
 //! session count from `SS_TEST_SESSIONS`.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -63,30 +63,14 @@ const BEHIND: u64 = 6;
 
 type Obj = Writable<u64, SequenceSerializer>;
 
-/// Assigns even sets to the program executor, odd ones to delegate 0 —
-/// the inline leg's policy, on every domain and transport.
-#[derive(Debug)]
-struct EvenOnProgram;
-
-impl DelegateAssignment for EvenOnProgram {
-    fn name(&self) -> &'static str {
-        "even-on-program"
-    }
-    fn assign(&mut self, ss: SsId, _: &AssignTopology, _: &DelegateLoads<'_>) -> Executor {
-        if ss.0.is_multiple_of(2) {
-            Executor::Program
-        } else {
-            Executor::Delegate(0)
-        }
-    }
-}
-
 fn build(stealing: StealPolicy, leg: Leg) -> Runtime {
     let builder = Runtime::builder()
         .delegate_threads(delegates())
         .stealing(stealing);
     if leg == Leg::Inline {
-        builder.assignment(Assignment::custom(|| Box::new(EvenOnProgram)))
+        // The take harness: a four-slot ring half full behind a held
+        // delegate makes the root program thread take fresh sets.
+        builder.queue_capacity(4)
     } else {
         builder
     }
@@ -130,9 +114,20 @@ fn run_leg(rt: &Runtime, leg: Leg) -> u64 {
                 }
             }
             Leg::Inline => {
-                for (k, w) in objects.iter().enumerate() {
-                    w.delegate_in(SsId(k as u64), |n| *n += 1).unwrap();
+                // Sets `k · delegates` share a delegate with set 0, which a
+                // blocker holds with two more operations queued behind it:
+                // on the root's rings every later set is taken and runs on
+                // the program thread; elsewhere they queue behind it.
+                let gate = OpenOnDrop(Arc::new(AtomicBool::new(false)));
+                let stride = delegates() as u64;
+                objects[0].delegate_in(SsId(0), hold(&gate.0)).unwrap();
+                for _ in 0..2 {
+                    objects[0].delegate_in(SsId(0), |n| *n += 1).unwrap();
                 }
+                for (k, w) in objects.iter().enumerate().skip(1) {
+                    w.delegate_in(SsId(k as u64 * stride), |n| *n += 1).unwrap();
+                }
+                drop(gate);
             }
             Leg::DelegateWith => {
                 let pending: Vec<_> = objects
@@ -202,7 +197,10 @@ fn split_counters_balance_after_every_epoch() {
             let root = rt.stats();
             assert_conserved(&root, futures, &format!("root {stealing:?} {leg:?}"));
             match leg {
-                Leg::Inline => assert!(root.inline_executions > 0, "{root:?}"),
+                // Only the root's rings take.
+                Leg::Inline if stealing == StealPolicy::Off => {
+                    assert!(root.inline_executions > 0, "{root:?}")
+                }
                 Leg::Nested => assert!(root.nested_delegations > 0, "{root:?}"),
                 _ => assert!(root.delegations > 0, "{root:?}"),
             }
@@ -223,19 +221,6 @@ fn split_counters_balance_after_every_epoch() {
     }
 }
 
-/// Pins every set to delegate 0.
-#[derive(Debug)]
-struct AllOnZero;
-
-impl DelegateAssignment for AllOnZero {
-    fn name(&self) -> &'static str {
-        "all-on-zero"
-    }
-    fn assign(&mut self, _: SsId, _: &AssignTopology, _: &DelegateLoads<'_>) -> Executor {
-        Executor::Delegate(0)
-    }
-}
-
 fn wait_for(what: &str, done: impl Fn() -> bool) {
     let deadline = Instant::now() + Duration::from_secs(10);
     while !done() {
@@ -244,26 +229,32 @@ fn wait_for(what: &str, done: impl Fn() -> bool) {
     }
 }
 
-/// Holds delegate 0 behind a blocker with `BEHIND` gated operations of one
-/// set queued after it, and checks the depths `stats` reports.
+/// Holds a delegate behind a blocker with `BEHIND` gated operations of one
+/// set queued after it — sets 0 and `delegates` share a delegate in every
+/// domain — and checks the depths `stats` reports.
 fn depths_behind_a_blocker(h: &Runtime, stats: impl Fn() -> Stats, stealing: StealPolicy) {
     let (blocker, batch): (Obj, Obj) = (Writable::new(h, 0), Writable::new(h, 0));
     let gate = OpenOnDrop(Arc::new(AtomicBool::new(false)));
-    let started = Arc::new(AtomicBool::new(false));
+    // The blocker's delegate, plus one; 0 until it starts.
+    let started = Arc::new(AtomicUsize::new(0));
     let batch_started = Arc::new(AtomicBool::new(false));
     h.begin_isolation().unwrap();
     let (s, held) = (Arc::clone(&started), hold(&gate.0));
     blocker
-        .delegate(move |n| {
-            s.store(true, Ordering::Release);
+        .delegate_in(SsId(0), move |n| {
+            let name = std::thread::current().name().map(str::to_owned);
+            let idx: Option<usize> =
+                name.and_then(|n| n.strip_prefix("ss-delegate-")?.parse().ok());
+            s.store(1 + idx.expect("a delegate thread"), Ordering::Release);
             held(n);
         })
         .unwrap();
-    wait_for("the blocker", || started.load(Ordering::Acquire));
+    wait_for("the blocker", || started.load(Ordering::Acquire) > 0);
+    let home = started.load(Ordering::Acquire) - 1;
     for _ in 0..BEHIND {
         let (s, held) = (Arc::clone(&batch_started), hold(&gate.0));
         batch
-            .delegate(move |n| {
+            .delegate_in(SsId(delegates() as u64), move |n| {
                 s.store(true, Ordering::Release);
                 held(n);
             })
@@ -282,10 +273,12 @@ fn depths_behind_a_blocker(h: &Runtime, stats: impl Fn() -> Stats, stealing: Ste
     };
     let mut want = vec![0; delegates()];
     match stealing {
-        StealPolicy::Off => want[0] = 1 + BEHIND,
+        StealPolicy::Off => want[home] = 1 + BEHIND,
         _ => {
-            want[0] = 1;
-            let thief = (1..want.len()).find(|&j| depths[j] != 0).unwrap_or(1);
+            want[home] = 1;
+            let thief = (0..want.len())
+                .find(|&j| j != home && depths[j] != 0)
+                .unwrap_or((home + 1) % want.len());
             want[thief] = BEHIND;
         }
     }
@@ -303,7 +296,6 @@ fn queue_depths_are_exact_mid_epoch_and_across_a_steal() {
             Runtime::builder()
                 .delegate_threads(delegates())
                 .stealing(stealing)
-                .assignment(Assignment::custom(|| Box::new(AllOnZero)))
                 .build()
                 .unwrap()
         };

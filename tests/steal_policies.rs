@@ -2,11 +2,10 @@
 //! whole-program results must be identical to `StealPolicy::Off` (and
 //! therefore to the sequential oracle), across every registry kernel —
 //! including `nested_fanout`, whose operations are delegated recursively
-//! from delegate contexts — and under every assignment policy. Depth
-//! policies migrate only never-started sets, whole and re-pinned
-//! atomically; `CostAware` additionally migrates the queued tails of
-//! *started* sets after a quiescence handshake that proves the owner's
-//! prefix has fully executed. Either way, same-set program order — and
+//! from delegate contexts. Depth policies migrate only never-started
+//! sets, whole and re-pinned atomically; `CostAware` additionally migrates
+//! the queued tails of *started* sets after a quiescence handshake that
+//! proves the owner's prefix has fully executed. Either way, same-set program order — and
 //! with it the output — cannot depend on who executed what.
 
 use prometheus_rs::prelude::*;
@@ -48,18 +47,12 @@ fn all_kernels_identical_under_every_steal_policy() {
     }
 }
 
-/// Stealing composes with every assignment policy: the pin table the
-/// thieves rewrite is the same one first-touch assignment fills, so any
-/// (assignment × stealing) pair must still be observationally sequential.
+/// Stealing composes with the one assignment policy, static placement, at
+/// two delegates: the pin table the thieves rewrite is the one every
+/// stealing-mode first touch fills with the modulo, so every steal policy
+/// must still be observationally sequential.
 #[test]
 fn stealing_composes_with_assignment_policies() {
-    type AssignmentFactory = fn() -> Assignment;
-    let assignments: Vec<(&str, AssignmentFactory)> = vec![
-        ("static", || Assignment::Static),
-        ("round-robin", || Assignment::RoundRobinFirstTouch),
-        ("least-loaded", || Assignment::LeastLoaded),
-        ("ewma-cost", || Assignment::EwmaCost),
-    ];
     // word_count exercises reducibles + skewed (Zipf) set popularity —
     // the stealing-relevant kernel shape.
     let spec = registry()
@@ -68,21 +61,18 @@ fn stealing_composes_with_assignment_policies() {
         .expect("word_count registered");
     let bench = (spec.make)(Scale::S);
     let expect = bench.run_seq();
-    for (a_label, make_assignment) in &assignments {
-        for (s_label, policy) in steal_policies() {
-            let rt = Runtime::builder()
-                .delegate_threads(2)
-                .assignment(make_assignment())
-                .stealing(policy)
-                .build()
-                .unwrap();
-            assert_eq!(
-                bench.run_ss(&rt),
-                expect,
-                "word_count diverged under {a_label} + {s_label}"
-            );
-            rt.shutdown().unwrap();
-        }
+    for (label, policy) in steal_policies() {
+        let rt = Runtime::builder()
+            .delegate_threads(2)
+            .stealing(policy)
+            .build()
+            .unwrap();
+        assert_eq!(
+            bench.run_ss(&rt),
+            expect,
+            "word_count diverged under {label}"
+        );
+        rt.shutdown().unwrap();
     }
 }
 

@@ -481,7 +481,7 @@ fn dropped_futures_leak_nothing_under_nesting() {
 /// The routing-contention axis: many delegates hammer the routing layer
 /// concurrently — nested delegations and future waits from every
 /// delegate context at once, the exact shape that used to serialize on
-/// the global scheduler mutex — while the trace log records every
+/// one global routing lock — while the trace log records every
 /// routing decision and every execution. Pin stability is then checked
 /// *from the trace*: within one epoch no serialization set may be
 /// observed executing on two executors, and without stealing no set may
@@ -496,9 +496,10 @@ fn routing_contention_preserves_pin_stability() {
     const EPOCHS: u64 = 3;
     for policy in [StealPolicy::Off, StealPolicy::WhenIdle] {
         let rt = Runtime::builder()
+            // Root nested submits route through the pin map (a take could
+            // have pinned any set), under each set's shard lock at first
+            // touch.
             .delegate_threads(delegates_from_env(8))
-            // Non-pure policy: every set routes through the pin map.
-            .assignment(Assignment::LeastLoaded)
             .stealing(policy)
             .trace(true)
             .build()
@@ -649,11 +650,10 @@ fn cost_aware_op_steals_spread_a_zipf_stall_tail() {
         ("when-idle", StealPolicy::WhenIdle),
         ("cost-aware", StealPolicy::CostAware),
     ] {
-        // Exactly 2 delegates: Static assignment pins both SsId(0) and
+        // Exactly 2 delegates: static assignment pins both SsId(0) and
         // SsId(2) to delegate 0 (id % 2), leaving delegate 1 the thief.
         let rt = Runtime::builder()
             .delegate_threads(2)
-            .assignment(Assignment::Static)
             .stealing(policy)
             .trace(true)
             .build()
@@ -842,11 +842,7 @@ fn one_tenants_barrier_never_stalls_anothers_stream() {
     // always even), so SsId(0) pins to delegate 0 and SsId(1) to delegate
     // 1 — the blocker and the streamer never share an executor FIFO, and
     // any stall the streamer sees must come from barrier coupling.
-    let rt = Runtime::builder()
-        .delegate_threads(2)
-        .assignment(Assignment::Static)
-        .build()
-        .unwrap();
+    let rt = Runtime::builder().delegate_threads(2).build().unwrap();
 
     let blocker_in_barrier = AtomicBool::new(false);
     let blocker_done = AtomicBool::new(false);
