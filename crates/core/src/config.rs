@@ -40,7 +40,7 @@ pub struct ChaosKnobs {
     /// [`steal_no_repin`](ChaosKnobs::steal_no_repin) that the
     /// per-session auditor must catch.
     pub cross_session_pin_leak: bool,
-    /// Cost-aware thieves skip the quiescence handshake: the queued tail
+    /// Thieves skip the quiescence handshake: the queued tail
     /// of a *started* set migrates while the owner may still be executing
     /// an operation of the set, so the same set can run on two delegates
     /// at once and the stolen tail can overtake the owner's in-flight
@@ -53,98 +53,6 @@ pub struct ChaosKnobs {
     /// both generations, so a stale serve is reported as
     /// `AuditViolation::StaleMemoServe`.
     pub stale_memo_serve: bool,
-}
-
-/// When idle delegates may steal queued serialization sets from a loaded
-/// peer (see [`RuntimeBuilder::stealing`]).
-///
-/// Under [`WhenIdle`](StealPolicy::WhenIdle) and
-/// [`Threshold`](StealPolicy::Threshold), stealing migrates **whole
-/// sets** and only sets that have not started executing on their current
-/// delegate this epoch. [`CostAware`](StealPolicy::CostAware) also
-/// migrates the queued **tail of a started set**, but only after a
-/// quiescence handshake proves no operation of the set is in flight on
-/// the owner. Either way the migration rewrites the set's pin atomically
-/// with moving its queued operations, so same-set program order is
-/// preserved under every policy (the full argument lives in
-/// `docs/ARCHITECTURE.md`). Results are therefore identical to
-/// [`StealPolicy::Off`] — stealing is a pure scheduling choice.
-///
-/// ```
-/// use ss_core::{Runtime, StealPolicy};
-/// let rt = Runtime::builder()
-///     .delegate_threads(4)
-///     .stealing(StealPolicy::WhenIdle)
-///     .build()
-///     .unwrap();
-/// assert_eq!(rt.steal_policy(), StealPolicy::WhenIdle);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum StealPolicy {
-    /// No stealing. Delegate queues stay FastForward SPSC channels — the
-    /// seed behaviour, bit for bit. The default.
-    #[default]
-    Off,
-    /// An idle delegate (empty queue, nothing left to pop) steals from the
-    /// deepest peer whenever that peer is deeper than itself. A depth
-    /// counts the operations queued on a delegate *and* the one it is
-    /// executing.
-    WhenIdle,
-    /// An idle delegate steals only from a peer at least `depth`
-    /// operations deeper than itself (depths as for
-    /// [`WhenIdle`](StealPolicy::WhenIdle)). Higher thresholds tolerate
-    /// short bursts (which the victim will drain quickly anyway) and
-    /// reserve migration for genuine skew; `Threshold(1)` behaves like
-    /// [`StealPolicy::WhenIdle`].
-    Threshold(usize),
-    /// An idle delegate prices its steals with the runtime's cost model:
-    /// per-set operation costs (EWMAs of observed runtimes, fed back from
-    /// the delegate threads) price every queued batch, the victim is the
-    /// peer with the largest estimated queued cost, and the steal moves
-    /// roughly half the cost imbalance rather than half the batch count.
-    /// Uniquely among the policies, started sets' queued *tails* are also
-    /// eligible — after a quiescence handshake proves no operation of the
-    /// set is in flight on the owner (operation-granularity stealing; see
-    /// `docs/POLICIES.md` and the `Stats::op_steals` /
-    /// `Stats::quiesce_fail` counters).
-    CostAware,
-}
-
-/// A [`StealPolicy`] as the delegates' one thief reads it. Every policy
-/// steals the same way — victim by queue price, half the priced
-/// imbalance moved, most valuable batch first — and differs only here.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct StealPlan {
-    /// Price each queued operation by the shared cost model (its set's
-    /// estimate, in ns) rather than at 1. The runtime keeps a cost model
-    /// exactly when a plan asks for one.
-    pub(crate) cost_model: bool,
-    /// A steal must fix more than this many typical operations of
-    /// imbalance: with unit prices, `d − 1` is a victim depth of `d`.
-    pub(crate) bar_ops: u64,
-    /// The quiescent tails of started sets may move, not only fresh sets.
-    pub(crate) tails: bool,
-}
-
-impl StealPolicy {
-    /// The thief's plan; `None` when stealing is off.
-    pub(crate) fn plan(self) -> Option<StealPlan> {
-        let unit = |depth: usize| StealPlan {
-            cost_model: false,
-            bar_ops: depth.max(1) as u64 - 1,
-            tails: false,
-        };
-        match self {
-            StealPolicy::Off => None,
-            StealPolicy::WhenIdle => Some(unit(1)),
-            StealPolicy::Threshold(d) => Some(unit(d)),
-            StealPolicy::CostAware => Some(StealPlan {
-                cost_model: true,
-                bar_ops: 1,
-                tails: true,
-            }),
-        }
-    }
 }
 
 /// Builder for [`Runtime`](crate::Runtime).
@@ -162,9 +70,8 @@ impl StealPolicy {
 pub struct RuntimeBuilder {
     pub(crate) delegate_threads: Option<usize>,
     pub(crate) queue_capacity: usize,
-    pub(crate) dynamic_checks: bool,
     pub(crate) trace: bool,
-    pub(crate) stealing: StealPolicy,
+    pub(crate) stealing: bool,
     pub(crate) audit: AuditMode,
     pub(crate) session_queue_cap: Option<u64>,
     pub(crate) memo_capacity: Option<usize>,
@@ -181,9 +88,8 @@ impl Default for RuntimeBuilder {
         RuntimeBuilder {
             delegate_threads: None,
             queue_capacity: 512,
-            dynamic_checks: true,
             trace: false,
-            stealing: StealPolicy::Off,
+            stealing: false,
             audit: AuditMode::Off,
             session_queue_cap: None,
             memo_capacity: None,
@@ -219,45 +125,42 @@ impl RuntimeBuilder {
         self
     }
 
-    /// Enables/disables the dynamic protocol checks (serializer consistency,
-    /// state machine). The paper disables them for performance measurements
-    /// (§5); the checks that guard memory safety in Rust are *not* affected
-    /// by this switch — only the purely diagnostic ones are.
-    pub fn dynamic_checks(mut self, on: bool) -> Self {
-        self.dynamic_checks = on;
-        self
-    }
-
-    /// Lets idle delegates steal queued work from a loaded peer: whole
-    /// never-started serialization sets under every policy, and under
-    /// [`StealPolicy::CostAware`] also the queued tails of started sets
-    /// once no operation of the set is in flight. Default
-    /// [`StealPolicy::Off`], which keeps the paper's SPSC queues and
-    /// routing unchanged.
+    /// Lets an idle delegate steal queued work from a loaded peer. Default
+    /// off, which keeps the paper's SPSC queues and routing unchanged.
     ///
-    /// With stealing enabled the delegate queues become shared
+    /// A delegate whose queue runs dry takes half the depth imbalance
+    /// (`queued − executed`, at least two operations of it) from the
+    /// deepest peer: first the queued tails of started sets that a
+    /// quiescence handshake proves have no operation in flight on the
+    /// owner, then never-started sets. Each migration rewrites the set's
+    /// pin atomically with moving its queued operations, so same-set
+    /// program order holds and results are identical to a runtime without
+    /// stealing (the argument is in `docs/ARCHITECTURE.md`).
+    ///
+    /// With stealing on, the delegate queues become shared
     /// [`StealDeque`](ss_queue::StealDeque)s and every routing decision
     /// goes through a pinned set table, so per-delegation overhead is
-    /// higher; the win is load balance under skewed set popularity (see
-    /// the `ablation_stealing` bench and `docs/POLICIES.md`). Runtimes
-    /// with fewer than two delegate threads have no one to steal from and
-    /// fall back to [`StealPolicy::Off`].
+    /// higher; the win is load balance when a few sets carry most of the
+    /// work (see the `ablation_opsteal` bench and `docs/POLICIES.md`).
+    /// Runtimes with fewer than two delegate threads have no one to steal
+    /// from and run without stealing.
     ///
     /// ```
-    /// use ss_core::{Runtime, StealPolicy, Writable};
+    /// use ss_core::{Runtime, Writable};
     /// let rt = Runtime::builder()
     ///     .delegate_threads(2)
-    ///     .stealing(StealPolicy::Threshold(4))
+    ///     .stealing(true)
     ///     .build()
     ///     .unwrap();
+    /// assert!(rt.stealing());
     /// let w: Writable<u64> = Writable::new(&rt, 0);
     /// rt.isolated(|| {
     ///     for _ in 0..10 { w.delegate(|n| *n += 1).unwrap(); }
     /// }).unwrap();
-    /// assert_eq!(w.call(|n| *n).unwrap(), 10); // results identical to Off
+    /// assert_eq!(w.call(|n| *n).unwrap(), 10); // identical without stealing
     /// ```
-    pub fn stealing(mut self, policy: StealPolicy) -> Self {
-        self.stealing = policy;
+    pub fn stealing(mut self, on: bool) -> Self {
+        self.stealing = on;
         self
     }
 
@@ -389,7 +292,7 @@ mod tests {
     fn defaults_are_sane() {
         let b = RuntimeBuilder::default();
         assert_eq!(b.queue_capacity, 512);
-        assert!(b.dynamic_checks);
+        assert!(!b.stealing);
         assert_eq!(b.delegate_threads, None);
         assert_eq!(b.audit, AuditMode::Off);
     }

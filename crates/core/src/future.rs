@@ -396,7 +396,6 @@ mod tests {
     use std::sync::{Arc, Barrier, Mutex};
 
     use super::*;
-    use crate::config::StealPolicy;
     use crate::serializer::SequenceSerializer;
     use crate::trace::TraceKind;
 
@@ -425,10 +424,10 @@ mod tests {
     fn futures_are_ready_after_end_isolation() {
         // Drain-safety: the epoch barrier implies every future of the
         // epoch is resolved, on both transports.
-        for policy in [StealPolicy::Off, StealPolicy::WhenIdle] {
+        for stealing in [false, true] {
             let rt = Runtime::builder()
                 .delegate_threads(2)
-                .stealing(policy)
+                .stealing(stealing)
                 .build()
                 .unwrap();
             let objs: Vec<Writable<u64, SequenceSerializer>> =
@@ -440,10 +439,13 @@ mod tests {
                 .collect();
             rt.end_isolation().unwrap();
             for (i, f) in futs.into_iter().enumerate() {
-                assert!(f.is_ready(), "{policy:?}: future {i} pending after barrier");
+                assert!(
+                    f.is_ready(),
+                    "stealing {stealing}: future {i} pending after barrier"
+                );
                 assert_eq!(f.wait().unwrap(), i as u64 * 10);
             }
-            assert_eq!(rt.stats().in_flight, 0, "{policy:?}");
+            assert_eq!(rt.stats().in_flight, 0, "stealing {stealing}");
         }
     }
 
@@ -454,10 +456,10 @@ mod tests {
         // counts it) or was skipped as cancelled (ops_cancelled counts
         // it) — never lost, never double-counted — and every drain
         // counter still returns to zero at the barrier.
-        for policy in [StealPolicy::Off, StealPolicy::WhenIdle] {
+        for stealing in [false, true] {
             let rt = Runtime::builder()
                 .delegate_threads(2)
-                .stealing(policy)
+                .stealing(stealing)
                 .build()
                 .unwrap();
             let w: Writable<u64, SequenceSerializer> = Writable::new(&rt, 0);
@@ -471,18 +473,21 @@ mod tests {
             rt.end_isolation().unwrap();
             let stats = rt.stats();
             let value = w.call(|n| *n).unwrap();
-            assert_eq!(value, stats.futures_resolved, "{policy:?}");
+            assert_eq!(value, stats.futures_resolved, "stealing {stealing}");
             assert_eq!(
                 stats.futures_resolved + stats.ops_cancelled,
                 100,
-                "{policy:?}"
+                "stealing {stealing}"
             );
             assert_eq!(
                 stats.executed, 100,
-                "{policy:?}: cancelled ops still settle"
+                "stealing {stealing}: cancelled ops still settle"
             );
-            assert_eq!(stats.in_flight, 0, "{policy:?}");
-            assert!(stats.queue_depths.iter().all(|&d| d == 0), "{policy:?}");
+            assert_eq!(stats.in_flight, 0, "stealing {stealing}");
+            assert!(
+                stats.queue_depths.iter().all(|&d| d == 0),
+                "stealing {stealing}"
+            );
         }
     }
 

@@ -84,6 +84,9 @@ struct TaskVTable {
     drop: unsafe fn(*mut u8),
     /// Whether the capture is stored inline (false: boxed fallback).
     inline: bool,
+    /// Whether a future awaits the operation's result (a slipping
+    /// delegate pops such an entry at once).
+    awaited: bool,
 }
 
 type BoxedTask = Box<dyn FnOnce(&ExecCx<'_>) + Send>;
@@ -126,14 +129,25 @@ impl<F: FnOnce(&ExecCx<'_>)> InlineTask<F> {
         call: call_inline::<F>,
         drop: drop_inline::<F>,
         inline: true,
+        awaited: false,
+    };
+    const AWAITED_VTABLE: TaskVTable = TaskVTable {
+        awaited: true,
+        ..Self::VTABLE
     };
 }
 
-static BOXED_VTABLE: TaskVTable = TaskVTable {
-    call: call_boxed,
-    drop: drop_boxed,
-    inline: false,
-};
+const fn boxed_vtable(awaited: bool) -> TaskVTable {
+    TaskVTable {
+        call: call_boxed,
+        drop: drop_boxed,
+        inline: false,
+        awaited,
+    }
+}
+
+/// The boxed fallback's vtables, indexed by `awaited`.
+static BOXED_VTABLES: [TaskVTable; 2] = [boxed_vtable(false), boxed_vtable(true)];
 
 /// A packaged delegated operation: a fixed 3-word buffer that stores small
 /// closures by value and falls back to boxing only for large captures,
@@ -158,9 +172,19 @@ pub(crate) struct TaskSlot {
 unsafe impl Send for TaskSlot {}
 
 impl TaskSlot {
-    /// Packages `f`, storing it inline when it fits the buffer and is no
-    /// more aligned than a word; otherwise boxes it.
+    /// Packages `f`, an operation no future awaits.
+    #[cfg(test)]
     pub(crate) fn new<F: FnOnce(&ExecCx<'_>) + Send + 'static>(f: F) -> Self {
+        Self::with_awaited(f, false)
+    }
+
+    /// Packages `f`, storing it inline when it fits the buffer and is no
+    /// more aligned than a word; otherwise boxes it. `awaited`: a future
+    /// waits on its result.
+    pub(crate) fn with_awaited<F: FnOnce(&ExecCx<'_>) + Send + 'static>(
+        f: F,
+        awaited: bool,
+    ) -> Self {
         let mut data = MaybeUninit::<[usize; TASK_INLINE_WORDS]>::uninit();
         if mem::size_of::<F>() <= TASK_INLINE_BYTES
             && mem::align_of::<F>() <= mem::align_of::<usize>()
@@ -170,7 +194,11 @@ impl TaskSlot {
             unsafe { (data.as_mut_ptr() as *mut F).write(f) };
             TaskSlot {
                 data,
-                vtable: &InlineTask::<F>::VTABLE,
+                vtable: if awaited {
+                    &InlineTask::<F>::AWAITED_VTABLE
+                } else {
+                    &InlineTask::<F>::VTABLE
+                },
             }
         } else {
             let boxed: BoxedTask = Box::new(f);
@@ -179,7 +207,7 @@ impl TaskSlot {
             unsafe { (data.as_mut_ptr() as *mut BoxedTask).write(boxed) };
             TaskSlot {
                 data,
-                vtable: &BOXED_VTABLE,
+                vtable: &BOXED_VTABLES[awaited as usize],
             }
         }
     }
@@ -242,6 +270,15 @@ pub(crate) enum Invocation {
 }
 
 impl Invocation {
+    /// Whether someone waits on this entry: a future on an operation's
+    /// result, a program thread on a token.
+    pub(crate) fn awaited(&self) -> bool {
+        match self {
+            Invocation::Execute { task, .. } => task.vtable.awaited,
+            Invocation::Token { .. } => true,
+        }
+    }
+
     /// A synchronization object signalling `token`.
     pub(crate) fn sync(token: &Arc<SyncToken>) -> Self {
         Invocation::Token {
@@ -299,8 +336,7 @@ impl SyncToken {
 
     /// A token for [`rearm`](SyncToken::rearm)-and-reuse, whose signal
     /// notifies `waiter`; born signalled: nobody waits on it until its
-    /// first `rearm` (which is what [`is_pending`](SyncToken::is_pending)
-    /// reports).
+    /// first `rearm`.
     pub(crate) fn rearmable(waiter: Arc<Event>) -> Arc<Self> {
         Arc::new(SyncToken {
             done: AtomicBool::new(true),
@@ -334,13 +370,6 @@ impl SyncToken {
         self.waiter.wait_until(|| self.is_done());
     }
 
-    /// True from `rearm` until `signal`: the waiter has pushed the token,
-    /// or is about to, and will block on it. A hint for the signalling
-    /// side (a slipping delegate stops slipping); it orders nothing.
-    pub(crate) fn is_pending(&self) -> bool {
-        !self.done.load(Ordering::Relaxed)
-    }
-
     /// Whether `signal` has been called since the last `rearm`.
     pub(crate) fn is_done(&self) -> bool {
         self.done.load(Ordering::Acquire)
@@ -367,14 +396,14 @@ mod tests {
     }
 
     #[test]
-    fn a_reusable_token_is_pending_from_rearm_to_signal() {
+    fn a_reusable_token_is_undone_from_rearm_to_signal() {
         let token = SyncToken::idle();
-        assert!(!token.is_pending());
+        assert!(token.is_done());
         token.wait(); // born signalled: must not block
         token.rearm();
-        assert!(token.is_pending());
+        assert!(!token.is_done());
         token.signal();
-        assert!(!token.is_pending());
+        assert!(token.is_done());
         token.wait();
     }
 

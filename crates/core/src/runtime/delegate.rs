@@ -18,12 +18,10 @@
 //!   carry the consumer's temporal slip.
 //! * [`Deque`] — the delegate's own [`StealDeque`](ss_queue::StealDeque),
 //!   which receives both program and nested pushes. When it runs dry the
-//!   delegate turns thief ([`try_steal`]): one steal attempt for every
-//!   [`StealPolicy`](crate::StealPolicy), whose differences are a
-//!   [`StealPlan`](crate::config::StealPlan) of data. The thief is part
-//!   of the idle predicate, so it tries at every step of the wait and
-//!   once more before parking; a push that takes a peer's queue past the
-//!   plan's bar wakes one parked thief.
+//!   delegate turns thief ([`try_steal`]). The thief is part of the idle
+//!   predicate, so it tries at every step of the wait and once more
+//!   before parking; a push that takes a peer's queue past the steal bar
+//!   wakes one parked thief.
 //!
 //! A delegate blocked on a future helps through the same transport and
 //! the same execute-and-settle body ([`help_one`]), and waits on the same
@@ -43,12 +41,13 @@ use crate::error::{SsError, SsResult};
 use crate::future::SsFuture;
 #[cfg(test)]
 use crate::invocation::TaskSlot;
-use crate::invocation::{ExecCx, Invocation, SyncToken};
+use crate::invocation::{ExecCx, Invocation};
 use crate::serializer::{Serializer, SsId};
 use crate::stats::StatsCell;
 use crate::trace::{SideEvent, TraceExecutor, TraceKind};
 use crate::wrappers::{Memo, NoMemo, Submitter, Void, Writable};
 
+use super::assign::STEAL_BAR;
 use super::dispatch::Lane;
 use super::domain::{key_domain, Domain};
 use super::{Core, Event, Executor, Router, Runtime, StealShared};
@@ -94,33 +93,42 @@ pub(super) fn current_domain_id() -> u32 {
 // until `SLIP_LEAD` entries are there. Three rules keep the wait off
 // every path where somebody is waiting for the delegate:
 //
-// * **Streams only.** The slip is armed once the delegate has drained
-//   `SLIP_ARM` ring operations in a row; a token, or an idle spell long
-//   enough to leave the wait's first spin rounds, disarms it. Small
-//   epochs and sparse operations (a `delegate_with` → `wait` round trip)
-//   never slip.
-// * **Never against a waiting program thread.** The root program thread
-//   re-arms its per-delegate `SyncToken` before it pushes it (barrier,
-//   ownership reclaim); a slip ends the moment that token is pending, so
-//   the tail of an epoch is drained at once.
+// * **Streams and plain bursts only.** The slip is armed once the
+//   delegate has drained `SLIP_ARM` ring operations in a row; a token, a
+//   slip ended by a waiting thread (below), or an idle spell long enough
+//   to leave the wait's spin hints, disarms it. Unarmed, it still holds an entry that no future awaits
+//   (a plain `delegate`): an epoch of a few such operations per set, too
+//   short to be a stream, is then published whole before the delegate
+//   drains it, instead of running at whichever of the two speeds it
+//   happened to start in. An awaited entry (`delegate_with`,
+//   `delegate_memo`) is popped at once, so a lone `delegate_with` →
+//   `wait` round trip never slips.
+// * **Never against a waiting thread.** A thread blocked on delegate
+//   progress — a program thread's barrier, ownership reclaim or
+//   admission wait (`Runtime::program_wait`), any thread's future wait
+//   ([`future_wait_turn`]) — is counted in `Core::waiters` for the
+//   length of the wait, and a slip ends the moment that count is not
+//   zero, so the tail of an epoch is drained at once.
 // * **Bounded.** `SLIP_SPINS` spin hints end a slip whatever happens — a
-//   producer that stopped without pushing a token (a program-thread
-//   future wait) is kept waiting for microseconds, not more.
+//   producer that delegates a few operations and then goes on with
+//   sequential work is kept waiting for microseconds, not more.
 //
 // Nothing is reordered: a slip only delays popping an entry that is
 // already in the ring.
 
-/// Ring operations a delegate must drain in a row before it slips.
+/// Ring operations a delegate must drain in a row before it slips on an
+/// awaited entry.
 const SLIP_ARM: u32 = 64;
 /// The lead a slipping delegate lets its producer rebuild: four objects'
 /// worth of a 16-operations-per-object stream, an eighth of the default
-/// ring.
+/// ring. A smaller ring caps it at a quarter ring, short of the half-full
+/// ring at which the program thread takes a set itself.
 const SLIP_LEAD: usize = 64;
 /// Upper bound on one slip, in spin hints (a dozen microseconds).
 const SLIP_SPINS: u32 = 1024;
 /// Consecutive empty polls after which the delegate counts as idle, not
-/// as trailing a stream: the wait's spin rounds, before it yields.
-const SLIP_IDLE_POLLS: u32 = 8;
+/// as trailing a stream: the wait's spin hints, before it yields.
+const SLIP_IDLE_POLLS: u32 = 128;
 
 /// The ring consumer's slip state (see the section comment above).
 #[derive(Default, Clone, Copy)]
@@ -152,18 +160,29 @@ impl Slip {
     }
 
     /// Called before each ring pop. If the delegate has just caught up
-    /// with a streaming producer (armed, last poll empty, an entry there
-    /// now), lets the producer get `SLIP_LEAD` entries ahead, unless
-    /// `sync` — the program thread's token for this delegate — is pending.
-    /// Returns the spin hints spent.
-    fn before_pop(&mut self, consumer: &Consumer<Invocation>, sync: &SyncToken) -> u32 {
-        if self.dry == 0 || self.streak < SLIP_ARM || !consumer.has_pending() {
+    /// with its producer (last poll empty, an entry there now) and the
+    /// slip is armed or the entry is not awaited, lets the producer get
+    /// `SLIP_LEAD` entries (at most a quarter ring) ahead, unless
+    /// `waiting` — some thread waits on delegate progress, which also
+    /// disarms. Returns the spin hints spent.
+    fn before_pop(&mut self, consumer: &Consumer<Invocation>, waiting: impl Fn() -> bool) -> u32 {
+        if self.dry == 0 || !consumer.has_pending() {
+            return 0;
+        }
+        // SAFETY: `Invocation::awaited` reads the entry and pops nothing.
+        if self.streak < SLIP_ARM && unsafe { consumer.head_is(Invocation::awaited) } {
             return 0;
         }
         self.dry = 0;
-        let lead = SLIP_LEAD.min(consumer.capacity());
+        let lead = SLIP_LEAD.min(consumer.capacity() / 4).max(1);
         let mut spins = 0;
-        while spins < SLIP_SPINS && !consumer.has_lead(lead) && !sync.is_pending() {
+        while spins < SLIP_SPINS && !consumer.has_lead(lead) {
+            if waiting() {
+                // Somebody waits on this delegate, as at a token: disarm,
+                // so a run of round trips slips once, not every time.
+                self.streak = 0;
+                break;
+            }
             core::hint::spin_loop();
             spins += 1;
         }
@@ -193,20 +212,15 @@ trait Transport {
     /// predicate on this thread, re-checked after the sleeping flag is
     /// raised.
     fn has_work(&self) -> bool;
-    /// Whether operations are timed for the steal cost model.
-    fn times_ops(&self) -> bool {
-        false
-    }
     /// Slip hook: before each pop from the queue.
     fn before_pop(&self) {}
     /// Slip hook: an entry was popped from `lane`.
     fn popped(&self, _lane: Lane) {}
     /// Slip hook: a token was popped (a program thread waits on us).
     fn on_token(&self) {}
-    /// An operation of `set` ran and its audit record landed (`nanos`
-    /// times it when [`times_ops`](Transport::times_ops)); its counters
-    /// settle after this returns.
-    fn after_exec(&self, _set: u64, _nanos: Option<u64>) {}
+    /// An operation of `set` ran and its audit record landed; its
+    /// counters settle after this returns.
+    fn after_exec(&self, _set: u64) {}
     /// An idle poll found the queue empty: look for work elsewhere (the
     /// thief), or count the idle spell (the slip). True if work arrived.
     /// Called at every step of the idle wait and in its last re-check, so
@@ -221,9 +235,6 @@ struct Ring {
     idx: usize,
     event: Arc<Event>,
     consumer: Consumer<Invocation>,
-    /// The root program thread's token for this delegate: pending while
-    /// it waits on us, which ends a slip.
-    sync: Arc<SyncToken>,
     slip: Cell<Slip>,
 }
 
@@ -271,7 +282,7 @@ impl Transport for Ring {
 
     fn before_pop(&self) {
         self.with_slip(|slip| {
-            slip.before_pop(&self.consumer, &self.sync);
+            slip.before_pop(&self.consumer, || self.core.anyone_waits());
         });
     }
 
@@ -326,8 +337,7 @@ impl Transport for Deque {
     /// Popping marks the entry's set *started* (inside the deque's
     /// critical section) and raises its in-flight count — the point of no
     /// return for whole-set migration. A started set's queued tail stays
-    /// stealable under a tail plan once the count settles back to zero
-    /// (`after_exec`).
+    /// stealable once the count settles back to zero (`after_exec`).
     fn pop(&self) -> Pop<(Invocation, Lane)> {
         let me = self.idx as u32;
         // The "poll" gate lets the deterministic-schedule harness order
@@ -356,10 +366,6 @@ impl Transport for Deque {
         !self.own().is_empty()
     }
 
-    fn times_ops(&self) -> bool {
-        self.router.cost_aware()
-    }
-
     /// The owner's half of the quiescence handshake: a thief may migrate
     /// the queued tail of a started set only after every popped operation
     /// of the set has been finished here. Two harness gates bracket it:
@@ -367,10 +373,7 @@ impl Transport for Deque {
     /// thieves), "done" fires after `finish` (set quiescent if nothing
     /// else is in flight) — so a script can force the owner/thief race to
     /// either outcome by name.
-    fn after_exec(&self, set: u64, nanos: Option<u64>) {
-        if let Some(nanos) = nanos {
-            self.router.observe_cost(set, nanos); // no-op unless cost-aware
-        }
+    fn after_exec(&self, set: u64) {
         self.core.gate("ran", self.idx as u32);
         // Only after the audit record is delivered may the set look
         // quiescent to a thief's tail steal — so a stolen tail is provably
@@ -379,7 +382,7 @@ impl Transport for Deque {
         self.core.gate("done", self.idx as u32);
     }
 
-    /// The thief. A push that takes a peer's queue price past the plan's
+    /// The thief. A push that takes a peer's queue depth past the steal
     /// bar wakes one parked delegate (`Runtime::wake_thief`); the depths
     /// it read there are the ones `try_steal` reads here.
     fn on_dry(&self) -> bool {
@@ -389,8 +392,8 @@ impl Transport for Deque {
 
 /// The queue a new delegate thread drains, as the runtime hands it over.
 pub(super) enum Queue {
-    /// The ring's consumer and the root program thread's token for it.
-    Ring(Consumer<Invocation>, Arc<SyncToken>),
+    /// The ring's consumer.
+    Ring(Consumer<Invocation>),
     /// The stealing deques (this delegate's is its index) and the router
     /// a thief migrates through.
     Deque(Arc<StealShared>, Arc<Router>),
@@ -410,13 +413,12 @@ pub(super) fn run_delegate(
 ) {
     DELEGATE_CTX.with(|c| c.set(Some((rt_id, idx as u32))));
     match queue {
-        Queue::Ring(consumer, sync) => {
+        Queue::Ring(consumer) => {
             let ring = Ring {
                 core,
                 idx,
                 event,
                 consumer,
-                sync,
                 slip: Cell::default(),
             };
             delegate_loop(rt_id, ring, &force_sleep);
@@ -540,10 +542,9 @@ fn runnable(inv: &Invocation, active: &[u64]) -> bool {
 /// the one body behind the worker loop and help-first waits, so every
 /// path keeps identical accounting: active-set tracking, the domain
 /// marker, the audit record, the transport's
-/// [`after_exec`](Transport::after_exec) — handed the operation's wall
-/// time when the transport [`times_ops`](Transport::times_ops) — then the
-/// counters. The task slot never unwinds (`Writable::package` traps
-/// panics), so the push/pop pair stays balanced.
+/// [`after_exec`](Transport::after_exec), then the counters. The task
+/// slot never unwinds (`Writable::package` traps panics), so the push/pop
+/// pair stays balanced.
 fn execute_op<T: Transport + ?Sized>(t: &T, op: Invocation, lane: Lane) {
     let Invocation::Execute {
         task,
@@ -562,7 +563,6 @@ fn execute_op<T: Transport + ?Sized>(t: &T, op: Invocation, lane: Lane) {
     // domain. Saved/restored, not set/cleared: help-first waits nest
     // executions of (possibly) different domains on one stack.
     let prev_domain = CURRENT_DOMAIN.with(|c| c.replace(d.id));
-    let timer = t.times_ops().then(std::time::Instant::now);
     task.run(&ExecCx {
         core,
         executor: TraceExecutor::Delegate(idx),
@@ -572,9 +572,8 @@ fn execute_op<T: Transport + ?Sized>(t: &T, op: Invocation, lane: Lane) {
     // domain barrier's token/`in_flight` drain proves every record of the
     // epoch has been delivered by the time the auditor closes it.
     core.audit_exec(d, ss, audit, 1 + idx);
-    let elapsed = timer.map(|t0| t0.elapsed().as_nanos() as u64);
     with_help(|s| s.active.pop());
-    t.after_exec(ss.0, elapsed);
+    t.after_exec(ss.0);
     // Counted in this delegate's own block, which no other thread writes;
     // the queue depth `queued − executed` drops with it. Lane/deque
     // entries additionally carry a count in their *domain's* `in_flight`,
@@ -628,8 +627,15 @@ fn help_one(t: &dyn Transport) -> bool {
 /// "work arrived" beside "cell settled" in the predicate, so a push to its
 /// queue wakes it as surely as the settle does. A wait that can be part
 /// of a cycle — any delegate's, or the root program thread's inside an
-/// operation — registers first and walks the waits-for graph.
+/// operation — registers first and walks the waits-for graph. The
+/// waiter is counted in `Core::waiters` throughout, so no delegate slips
+/// while it waits.
 pub(crate) fn future_wait_turn(rt: &Runtime, set: SsId, signal: &WaitSignal) -> bool {
+    rt.inner.core.waiting(|| wait_turn(rt, set, signal))
+}
+
+/// The body of [`future_wait_turn`].
+fn wait_turn(rt: &Runtime, set: SsId, signal: &WaitSignal) -> bool {
     if let Some(t) = own_transport(rt.inner.id) {
         // Operations are submitted under their domain's routing key, and
         // that is what the active stacks and queue entries carry — qualify
@@ -755,8 +761,9 @@ fn blocked_turn(
 /// Soundness of a cycle: while the `future_waits` mutex is held,
 /// registered waiters cannot deregister (deregistration takes the mutex)
 /// and are parked or walking — not executing — so the active-set
-/// snapshots they registered are still their live stacks; started sets
-/// never migrate, so the pins along the chain are stable too. Every edge
+/// snapshots they registered are still their live stacks; a set on such
+/// a stack has an operation in flight, so not even its queued tail can
+/// migrate, and the pins along the chain are stable too. Every edge
 /// of a reported cycle is therefore simultaneously stuck, and no member
 /// can ever run. Chains that end anywhere else (a program-owned or
 /// unpinned set, a merely-queued operation, an unregistered — i.e.
@@ -910,27 +917,20 @@ fn chaos_flush<T: Transport>(t: &T, hold: &mut Option<Invocation>) {
 // ----------------------------------------------------------------------
 // the thief
 
-/// One steal attempt by a deque delegate that ran dry, under the plan its
-/// [`StealPolicy`](crate::StealPolicy) built. Written once for every
-/// policy: the plan prices the work (the router's cost model, or one
-/// unit per operation), sets the bar a steal must clear, and says
-/// whether the quiescent tails of started sets may move. Returns true if
+/// One steal attempt by a deque delegate that ran dry. Returns true if
 /// any work arrived.
 ///
-/// 1. *Victim.* The peer whose queue price — its depth `queued −
-///    executed` times the typical operation's price — most exceeds ours,
-///    skipping peers none of whose push shards moved since a futile scan
-///    of them (`stale_at`). The imbalance must exceed `bar_ops` typical
-///    operations: a migration pays shard locks on both deques plus a pin
-///    rewrite.
+/// 1. *Victim.* The peer whose depth — `queued − executed`, see
+///    [`StatsCell`] — most exceeds ours, skipping peers none of whose push
+///    shards moved since a futile scan of them (`stale_at`). The
+///    imbalance must exceed [`STEAL_BAR`].
 /// 2. *Candidates.* One advisory scan of the victim (only the push shards
 ///    that moved since a futile scan) buckets its sets as fresh,
-///    quiescent tails or busy; tails and busy sets count under a tail
-///    plan only. Half the priced imbalance is chosen, so the pair
+///    quiescent tails or busy. Half the imbalance is chosen, so the pair
 ///    converges instead of ping-ponging work: tails first (the sets the
 ///    owner is demonstrably stuck behind), then fresh sets, each class
-///    most valuable first, so a cheap shallow batch cannot satisfy the
-///    target while the deep one the victim is drowning under stays put.
+///    deepest first, so a shallow batch cannot satisfy the target while
+///    the deep one the victim is drowning under stays put.
 /// 3. *Validated migration.* [`Router::migrate_keys`] locks the chosen
 ///    keys' shards (ascending shard order: concurrent thieves cannot
 ///    deadlock), re-checks each is still pinned to the victim, and only
@@ -950,32 +950,32 @@ fn chaos_flush<T: Transport>(t: &T, hold: &mut Option<Invocation>) {
 /// (`docs/ARCHITECTURE.md`).
 fn try_steal(q: &Deque) -> bool {
     let (core, router, me) = (&*q.core, &*q.router, q.idx);
-    let (deques, plan) = (&q.shared.deques, q.shared.plan);
+    let deques = &q.shared.deques;
     let stats = core.stats.delegate(me);
     let mut stale_at = q.stale_at.borrow_mut();
-    let my_price = router.queued_cost(&core.stats, me);
+    let my_depth = core.stats.queue_depth(me);
     let mut victim: Option<(usize, u64, [usize; PUSH_SHARDS])> = None;
     for (j, d) in deques.iter().enumerate() {
         if j == me || d.is_empty() {
             continue;
         }
-        let price = router.queued_cost(&core.stats, j);
-        if price <= my_price {
+        let depth = core.stats.queue_depth(j);
+        if depth <= my_depth {
             continue;
         }
         let pushes = d.pushes_by_shard();
         if stale_at[j] == Some(pushes) {
             continue;
         }
-        if victim.is_none_or(|(_, best, _)| price > best) {
-            victim = Some((j, price, pushes));
+        if victim.is_none_or(|(_, best, _)| depth > best) {
+            victim = Some((j, depth, pushes));
         }
     }
-    let Some((victim, victim_price, pushes)) = victim else {
+    let Some((victim, victim_depth, pushes)) = victim else {
         return false; // nothing to take — not an attempt, no failure
     };
-    let imbalance = victim_price - my_price;
-    if imbalance <= plan.bar_ops.saturating_mul(router.cost_typical()) {
+    let imbalance = victim_depth - my_depth;
+    if imbalance <= STEAL_BAR {
         return false;
     }
     core.gate("scan", me as u32);
@@ -989,10 +989,6 @@ fn try_steal(q: &Deque) -> bool {
     // the re-pop after this point, not after "scan" (which precedes the
     // scan itself — releasing the owner there races it against the scan).
     core.gate("scanned", me as u32);
-    if !plan.tails {
-        scan.tails.clear();
-        scan.busy.clear();
-    }
     if !scan.busy.is_empty() {
         // Started sets with an operation in flight: the handshake fails
         // for them this attempt (the owner may quiesce them any moment).
@@ -1009,31 +1005,22 @@ fn try_steal(q: &Deque) -> bool {
     if mid_set {
         scan.tails.append(&mut scan.busy);
     }
-    // Each candidate's price is snapshotted ONCE before sorting: the cost
-    // model is concurrently updated by executing delegates, so a sort key
-    // that re-reads the live estimate is not a total order — the stdlib
-    // sort detects the inconsistency and panics, killing the thief thread
-    // (and with it every operation queued behind it).
-    let target = (imbalance / 2).max(1);
+    let target = imbalance / 2;
     let mut moved = 0u64;
-    let mut pick = |candidates: &[(u64, usize)]| {
-        let mut priced: Vec<(u64, u64)> = candidates
-            .iter()
-            .map(|&(key, n)| (key, router.cost_estimate(key).saturating_mul(n as u64)))
-            .collect();
-        priced.sort_by_key(|&(_, price)| Reverse(price));
+    let mut pick = |candidates: &mut Vec<(u64, usize)>| {
+        candidates.sort_by_key(|&(_, n)| Reverse(n));
         let mut keys = Vec::new();
-        for (key, price) in priced {
+        for &(key, n) in candidates.iter() {
             if moved >= target {
                 break;
             }
             keys.push(key);
-            moved = moved.saturating_add(price);
+            moved += n as u64;
         }
         keys
     };
-    let tail_keys = pick(&scan.tails);
-    let fresh_keys = pick(&scan.fresh);
+    let tail_keys = pick(&mut scan.tails);
+    let fresh_keys = pick(&mut scan.fresh);
     if tail_keys.is_empty() && fresh_keys.is_empty() {
         // Busy sets are a *transient* obstacle — the owner is mid-
         // operation and settles the in-flight mark at its next finish,
@@ -1234,11 +1221,11 @@ fn record_steal_events(core: &Core, serial: u64, sets: &[u64], thief: usize, kin
 /// this epoch rejects them ([`SsError::NestedOnProgram`]).
 ///
 /// A nested delegation runs the same per-epoch state machine as the
-/// program thread's, so with `dynamic_checks` on it gets the same §3.3
-/// consistency check: re-delegating an object already tagged this epoch
-/// reports [`SsError::InconsistentSerializer`] when the external set
-/// supplied — or, once the object's earlier operations have completed,
-/// its recomputed internal serializer — disagrees with the tag.
+/// program thread's, so it gets the same §3.3 consistency check:
+/// re-delegating an object already tagged this epoch reports
+/// [`SsError::InconsistentSerializer`] when the external set supplied —
+/// or, once the object's earlier operations have completed, its
+/// recomputed internal serializer — disagrees with the tag.
 ///
 /// ```
 /// use ss_core::{Runtime, SequenceSerializer, Writable};
@@ -1568,6 +1555,16 @@ mod tests {
         }
     }
 
+    /// An operation a future awaits (`delegate_with`'s kind).
+    fn awaited_op() -> Invocation {
+        Invocation::Execute {
+            task: TaskSlot::with_awaited(|_| {}, true),
+            ss: SsId(1),
+            audit: 0,
+            session: None,
+        }
+    }
+
     /// A slip state that has just caught up with a stream of `n` pops.
     fn caught_up_after(n: u32) -> Slip {
         let mut slip = Slip::default();
@@ -1576,51 +1573,60 @@ mod tests {
         slip
     }
 
+    const NOBODY: fn() -> bool = || false;
+
     #[test]
-    fn only_an_armed_delegate_that_just_caught_up_slips() {
+    fn an_awaited_entry_slips_only_when_armed() {
         let (tx, rx) = SpscQueue::with_capacity(512);
-        let sync = SyncToken::idle();
         // Nothing in the ring: nothing to hold back.
-        assert_eq!(caught_up_after(SLIP_ARM).before_pop(&rx, &sync), 0);
-        tx.try_push(op()).unwrap();
-        // A short streak is a small epoch, not a stream.
-        assert_eq!(caught_up_after(SLIP_ARM - 1).before_pop(&rx, &sync), 0);
+        assert_eq!(caught_up_after(SLIP_ARM).before_pop(&rx, NOBODY), 0);
+        tx.try_push(awaited_op()).unwrap();
+        // A short streak is a small epoch or a round trip, not a stream.
+        assert_eq!(caught_up_after(SLIP_ARM - 1).before_pop(&rx, NOBODY), 0);
         // Mid-stream (the last poll found an entry): pop on.
         let mut streaming = caught_up_after(SLIP_ARM);
         streaming.popped();
-        assert_eq!(streaming.before_pop(&rx, &sync), 0);
+        assert_eq!(streaming.before_pop(&rx, NOBODY), 0);
         // Caught up, armed, one entry, a producer that has stopped: the
         // slip runs out its bound, once.
         let mut slip = caught_up_after(SLIP_ARM);
-        assert_eq!(slip.before_pop(&rx, &sync), SLIP_SPINS);
-        assert_eq!(slip.before_pop(&rx, &sync), 0);
+        assert_eq!(slip.before_pop(&rx, NOBODY), SLIP_SPINS);
+        assert_eq!(slip.before_pop(&rx, NOBODY), 0);
     }
 
     #[test]
-    fn a_slip_ends_at_the_lead_or_at_a_pending_token() {
+    fn a_plain_entry_slips_after_any_catch_up() {
         let (tx, rx) = SpscQueue::with_capacity(512);
-        let sync = SyncToken::idle();
+        tx.try_push(op()).unwrap();
+        // Fresh from idle, no streak: the burst is held all the same.
+        assert_eq!(caught_up_after(0).before_pop(&rx, NOBODY), SLIP_SPINS);
+        // But not mid-burst.
+        let mut popping = caught_up_after(0);
+        popping.popped();
+        assert_eq!(popping.before_pop(&rx, NOBODY), 0);
+    }
+
+    #[test]
+    fn a_slip_ends_at_the_lead_or_when_a_thread_waits() {
+        let (tx, rx) = SpscQueue::with_capacity(512);
         (0..SLIP_LEAD).for_each(|_| tx.try_push(op()).unwrap());
         // The producer is already the whole margin ahead.
-        assert_eq!(caught_up_after(SLIP_ARM).before_pop(&rx, &sync), 0);
+        assert_eq!(caught_up_after(0).before_pop(&rx, NOBODY), 0);
         assert!(matches!(rx.try_pop(), Pop::Value(_)));
-        // One short of it — but the program thread has re-armed its
-        // token (it is at a barrier or a reclaim): drain at once.
-        sync.rearm();
-        assert_eq!(caught_up_after(SLIP_ARM).before_pop(&rx, &sync), 0);
-        sync.signal();
-        assert_eq!(caught_up_after(SLIP_ARM).before_pop(&rx, &sync), SLIP_SPINS);
+        // One short of it — but a thread waits on delegate progress (a
+        // barrier, a reclaim, a future): drain at once.
+        assert_eq!(caught_up_after(0).before_pop(&rx, || true), 0);
+        assert_eq!(caught_up_after(0).before_pop(&rx, NOBODY), SLIP_SPINS);
     }
 
     #[test]
     fn tokens_and_idle_spells_disarm() {
         let (tx, rx) = SpscQueue::with_capacity(8);
-        let sync = SyncToken::idle();
-        tx.try_push(op()).unwrap();
+        tx.try_push(awaited_op()).unwrap();
         let mut slip = caught_up_after(4 * SLIP_ARM);
         slip.disarm();
         slip.ran_dry();
-        assert_eq!(slip.before_pop(&rx, &sync), 0);
+        assert_eq!(slip.before_pop(&rx, NOBODY), 0);
         // An idle spell (the backoff left its spin rounds) ends the streak;
         // a shorter one does not.
         let mut slip = caught_up_after(4 * SLIP_ARM);
@@ -1628,10 +1634,14 @@ mod tests {
         assert!(slip.streak >= SLIP_ARM);
         slip.ran_dry();
         assert_eq!(slip.streak, 0);
-        assert_eq!(slip.before_pop(&rx, &sync), 0);
-        // The margin is capped by the ring: a tiny ring still slips, and
-        // stops as soon as it is full.
-        (0..7).for_each(|_| tx.try_push(op()).unwrap());
-        assert_eq!(caught_up_after(SLIP_ARM).before_pop(&rx, &sync), 0);
+        assert_eq!(slip.before_pop(&rx, NOBODY), 0);
+        // The margin is capped at a quarter ring: a tiny ring still slips,
+        // and stops as soon as two of its eight slots are full.
+        assert_eq!(
+            caught_up_after(SLIP_ARM).before_pop(&rx, NOBODY),
+            SLIP_SPINS
+        );
+        tx.try_push(op()).unwrap();
+        assert_eq!(caught_up_after(SLIP_ARM).before_pop(&rx, NOBODY), 0);
     }
 }

@@ -55,10 +55,11 @@ use crate::serializer::SsId;
 use crate::stats::{Counters, StatsCell};
 use crate::trace::TraceKind;
 
+use super::assign::STEAL_BAR;
 use super::delegate::current_domain_id;
 use super::domain::Domain;
 use super::router::Route;
-use super::{Channels, Executor, Runtime, StealShared};
+use super::{Channels, Executor, Runtime};
 
 /// Which context a submission comes from.
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -303,7 +304,7 @@ impl Runtime {
             let ran = match (route.executor, origin) {
                 (Executor::Delegate(i), _) => {
                     match &self.inner.channels {
-                        Channels::Steal(shared) => self.wake_thief(shared, i),
+                        Channels::Steal(_) => self.wake_thief(i),
                         Channels::Spsc { .. } => {
                             lost = self.push(d, key, audit_producer, lane, route.executor, run);
                         }
@@ -348,14 +349,12 @@ impl Runtime {
     }
 
     /// Stealing transport, after a push to delegate `i`: once `i`'s queue
-    /// price is past the thieves' bar, wakes one parked peer to come and
+    /// depth is past the steal bar, wakes one parked peer to come and
     /// steal. A parked thief hears of nothing else but pushes to its own
     /// queue; its re-check before parking reads the same depths, so
     /// either it sees this push or this sees it asleep.
-    fn wake_thief(&self, shared: &StealShared, i: usize) {
-        // The bar in queue depth: a price and the bar are both that many
-        // typical operations, so the cost model's scale cancels out.
-        if self.inner.core.stats.queue_depth(i) <= shared.plan.bar_ops {
+    fn wake_thief(&self, i: usize) {
+        if self.inner.core.stats.queue_depth(i) <= STEAL_BAR {
             return;
         }
         let (events, n) = (&self.inner.events, self.inner.events.len());
@@ -370,9 +369,10 @@ impl Runtime {
     /// execute), with their reservations and tokens rolled back.
     ///
     /// The counter order is load-bearing: `queued` is raised before
-    /// publishing, so a thief pricing this queue sees it grow and the
-    /// delegate's `executed` never overtakes it; and `in_flight` must be visible before the entry exists, so
-    /// the barrier's drain can never miss it. Audit tokens are drawn
+    /// publishing, so a thief reading this queue's depth sees it grow and
+    /// the delegate's `executed` never overtakes it; and `in_flight` must
+    /// be visible before the entry exists, so the barrier's drain can
+    /// never miss it. Audit tokens are drawn
     /// immediately before the push, so per-producer token order equals
     /// queue order. On the stealing transport this whole function runs
     /// inside the set's shard critical section.

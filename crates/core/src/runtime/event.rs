@@ -5,8 +5,12 @@
 //! [`Event`]: a delegate on its queue, the program thread on a
 //! synchronization token or on its domain's drain counter, any thread on
 //! a future. [`wait_until`](Event::wait_until) checks its predicate at
-//! every step of the [`Backoff`] ladder — the paper's spin loop, then
-//! `yield_now` — and only then parks, with no timeout. Whoever makes the
+//! every spin hint for `SPIN_HINTS` hints — the paper's spin loop — then
+//! at each of `YIELDS` `yield_now`s, and only then parks, with no
+//! timeout. Polling at every hint, not at the steps of a doubling
+//! backoff, makes how soon a waiter notices its condition independent of
+//! how long it has already waited: with doubling rounds a round trip ran
+//! at whichever of two speeds its wake-up fell into. Whoever makes the
 //! predicate true calls [`notify`](Event::notify). Nothing is polled on a
 //! timer, so a missing notify is a hang rather than a millisecond of
 //! latency; the argument that none is missing is in
@@ -17,9 +21,14 @@ use std::sync::Arc;
 use std::thread::Thread;
 
 use parking_lot::Mutex;
-use ss_queue::Backoff;
 
 use super::TestGates;
+
+/// Spin hints a waiter polls through before it yields: the budget of
+/// seven doubling backoff rounds (1 + 2 + … + 64).
+const SPIN_HINTS: u32 = 127;
+/// `yield_now`s after the spin hints, before the waiter parks.
+const YIELDS: u32 = 4;
 
 /// A sleep/wake channel for one waiting thread at a time. Every
 /// submitter reads `sleeping` once per push, so the event gets a
@@ -54,17 +63,25 @@ impl Event {
         }
     }
 
-    /// Returns once `pred` holds: the backoff ladder first, checking
-    /// `pred` at each step, then [`sleep`](Event::sleep) until notified,
-    /// re-checking after every wake-up (spurious ones included).
+    /// Returns once `pred` holds: `pred` checked at every one of
+    /// `SPIN_HINTS` spin hints and `YIELDS` yields, then
+    /// [`sleep`](Event::sleep) until notified, re-checking after every
+    /// wake-up (spurious ones included).
     pub(crate) fn wait_until(&self, mut pred: impl FnMut() -> bool) {
-        let backoff = Backoff::new();
-        while !pred() {
-            if backoff.is_completed() {
-                self.sleep(&mut pred);
-            } else {
-                backoff.snooze();
+        for _ in 0..SPIN_HINTS {
+            if pred() {
+                return;
             }
+            core::hint::spin_loop();
+        }
+        for _ in 0..YIELDS {
+            if pred() {
+                return;
+            }
+            std::thread::yield_now();
+        }
+        while !pred() {
+            self.sleep(&mut pred);
         }
     }
 

@@ -22,12 +22,12 @@
 //!   whose first operation of the epoch finds its delegate's ring at least
 //!   half full runs on the program thread for the rest of the epoch, and
 //!   nested submits into such a set reach it through `Lane::Program`.
-//! * With [`RuntimeBuilder::stealing`] enabled, the SPSC channels are
-//!   replaced by shared [`ss_queue::StealDeque`]s and idle delegates may
-//!   migrate **never-started** sets (whole batches, pins rewritten
-//!   atomically) off a loaded peer — plus, under
-//!   [`StealPolicy::CostAware`], the queued tails of quiescent started
-//!   sets. `docs/ARCHITECTURE.md` holds the steal-safety argument.
+//! * With [`RuntimeBuilder::stealing`] on, the SPSC channels are replaced
+//!   by shared [`ss_queue::StealDeque`]s and an idle delegate migrates
+//!   half the depth imbalance off the deepest peer: the queued tails of
+//!   quiescent started sets, then never-started sets (whole batches, pins
+//!   rewritten atomically). `docs/ARCHITECTURE.md` holds the steal-safety
+//!   argument.
 //! * **Recursive delegation** (the paper's §4 future work): a running
 //!   delegated operation may itself delegate via the scoped
 //!   [`DelegateContext`] handle ([`Runtime::delegate_scope`]). The
@@ -83,7 +83,7 @@ use std::time::Instant;
 
 use parking_lot::Mutex;
 use ss_queue::slab::CellPool;
-use ss_queue::{Injector, Producer, SpscQueue};
+use ss_queue::{CachePadded, Injector, Producer, SpscQueue};
 
 use delegate::{run_delegate, Queue, DELEGATE_CTX};
 use domain::{key_domain, ROOT_SHARDS};
@@ -92,7 +92,7 @@ use crate::audit::{AuditMode, AuditReport, AuditState};
 use crate::cell::ProgramOnly;
 #[cfg(feature = "chaos")]
 use crate::config::ChaosKnobs;
-use crate::config::{RuntimeBuilder, StealPolicy};
+use crate::config::RuntimeBuilder;
 use crate::error::{SsError, SsResult};
 use crate::invocation::{Invocation, SyncToken};
 use crate::serializer::SsId;
@@ -134,6 +134,10 @@ pub(crate) struct Core {
     /// `peek`, so no shard lock is ever *waited on* while this mutex is
     /// held.
     pub(crate) future_waits: Mutex<Vec<Option<FutureWait>>>,
+    /// Threads blocked on delegate progress right now (see
+    /// [`waiting`](Core::waiting)): while any is, no ring delegate slips.
+    /// A line of its own, because slipping delegates poll it.
+    waiters: CachePadded<AtomicU32>,
     /// Pool of one-shot completion cells for the `delegate_with` family.
     /// Recycled at `end_isolation` — the barrier's drain is exactly the
     /// quiescence point the pool's reuse contract requires (see
@@ -180,6 +184,20 @@ pub(crate) struct Core {
 pub(crate) type FutureWait = (u64, ss_queue::oneshot::WaitSignal, Vec<u64>);
 
 impl Core {
+    /// Runs `wait` — a wait on delegate progress — counted in `waiters`.
+    pub(crate) fn waiting<R>(&self, wait: impl FnOnce() -> R) -> R {
+        self.waiters.fetch_add(1, Ordering::Relaxed);
+        let out = wait();
+        self.waiters.fetch_sub(1, Ordering::Relaxed);
+        out
+    }
+
+    /// Whether some thread waits on delegate progress: a slipping
+    /// delegate stops slipping. A hint; it orders nothing.
+    pub(crate) fn anyone_waits(&self) -> bool {
+        self.waiters.load(Ordering::Relaxed) != 0
+    }
+
     /// Records the first delegated panic; later ones are dropped (the run is
     /// already non-deterministic at that point).
     pub(crate) fn poison(&self, msg: String) {
@@ -368,7 +386,7 @@ impl Core {
         self.chaos.steal_no_repin
     }
 
-    /// Whether cost-aware thieves deliberately skip the quiescence
+    /// Whether thieves deliberately skip the quiescence
     /// handshake and steal started sets' tails mid-execution.
     #[cfg(feature = "chaos")]
     #[inline(always)]
@@ -438,11 +456,11 @@ impl Core {
 
 /// The program→delegate transport, chosen at build time.
 ///
-/// `Off` stealing keeps the paper's FastForward SPSC channels (program
+/// Without stealing, the paper's FastForward SPSC channels (program
 /// thread owns every producer handle; nested delegations from delegate
-/// contexts go through the rings' shared injector lanes); any other
-/// [`StealPolicy`] swaps in shared [`ss_queue::StealDeque`]s plus the
-/// routing lock that lets idle delegates migrate queued sets —
+/// contexts go through the rings' shared injector lanes); stealing swaps
+/// in shared [`ss_queue::StealDeque`]s plus the routing lock that lets
+/// idle delegates migrate queued sets —
 /// the deques are multi-producer already, so nested pushes join the
 /// program thread's under the same routing lock.
 pub(crate) enum Channels {
@@ -455,11 +473,7 @@ pub(crate) enum Channels {
 
 pub(crate) struct Inner {
     id: u64,
-    dynamic_checks: bool,
     n_delegates: usize,
-    /// Effective steal policy (normalized: `Off` unless ≥ 2 delegates —
-    /// with fewer there is no one to steal from).
-    steal_policy: StealPolicy,
     /// The routing layer: static placement, resolving against each
     /// domain's pin map. Shared (`Arc`) with the stealing-mode delegate
     /// threads, which rewrite pins when they migrate batches; holds no
@@ -526,7 +540,7 @@ impl std::fmt::Debug for Runtime {
         f.debug_struct("Runtime")
             .field("id", &self.inner.id)
             .field("delegates", &self.inner.n_delegates)
-            .field("stealing", &self.inner.steal_policy)
+            .field("stealing", &self.stealing())
             .finish()
     }
 }
@@ -553,25 +567,9 @@ impl Runtime {
 
         // Stealing needs at least two delegates (someone to steal *from*);
         // below that, fall back to the plain SPSC transport.
-        let steal_policy = if n_delegates >= 2 {
-            b.stealing
-        } else {
-            StealPolicy::Off
-        };
-
-        // A plan that prices by the cost model shares one between every
-        // delegate (observers) and every thief (readers); the others pay
-        // nothing for it and price each operation at 1.
-        let plan = steal_policy.plan();
-        let cost_book = plan
-            .is_some_and(|p| p.cost_model)
-            .then(|| Arc::new(assign::CostBook::new()));
+        let stealing = b.stealing && n_delegates >= 2;
         // Stealing always pins: a steal overrides the modulo.
-        let router = Arc::new(Router::new(
-            n_delegates,
-            steal_policy != StealPolicy::Off,
-            cost_book,
-        ));
+        let router = Arc::new(Router::new(n_delegates, stealing));
 
         let id = NEXT_RUNTIME_ID.fetch_add(1, Ordering::Relaxed);
         let core = Arc::new(Core {
@@ -581,6 +579,7 @@ impl Runtime {
             root: Domain::new(0, ROOT_SHARDS, None, Event::scripted(&b.test_gates, "p")),
             side_events: b.trace.then(|| Mutex::new(Vec::new())),
             future_waits: Mutex::new((0..=n_delegates).map(|_| None).collect()),
+            waiters: CachePadded::default(),
             cell_pool: CellPool::new(),
             audit: (b.audit != AuditMode::Off).then(|| AuditState::new(b.audit)),
             sessions: Mutex::new(HashMap::new()),
@@ -593,8 +592,8 @@ impl Runtime {
         let force_sleep = Arc::new(AtomicBool::new(false));
 
         let mut consumers = Vec::with_capacity(n_delegates);
-        let channels = if let Some(plan) = plan {
-            Channels::Steal(Arc::new(StealShared::new(n_delegates, plan)))
+        let channels = if stealing {
+            Channels::Steal(Arc::new(StealShared::new(n_delegates)))
         } else {
             let mut producers = Vec::with_capacity(n_delegates);
             let mut injectors = Vec::with_capacity(n_delegates);
@@ -615,9 +614,7 @@ impl Runtime {
 
         let inner = Arc::new(Inner {
             id,
-            dynamic_checks: b.dynamic_checks,
             n_delegates,
-            steal_policy,
             router,
             channels,
             events,
@@ -641,10 +638,9 @@ impl Runtime {
         let mut consumers = consumers.into_iter();
         for idx in 0..n_delegates {
             let queue = match &inner.channels {
-                Channels::Spsc { .. } => Queue::Ring(
-                    consumers.next().expect("one consumer per delegate"),
-                    Arc::clone(&inner.sync_tokens[idx]),
-                ),
+                Channels::Spsc { .. } => {
+                    Queue::Ring(consumers.next().expect("one consumer per delegate"))
+                }
                 Channels::Steal(shared) => {
                     Queue::Deque(Arc::clone(shared), Arc::clone(&inner.router))
                 }
@@ -675,21 +671,16 @@ impl Runtime {
         self.inner.n_delegates
     }
 
-    /// The effective work-stealing policy. May differ from the builder's
-    /// request: runtimes with fewer than two delegate threads normalize to
-    /// [`StealPolicy::Off`] (there is no one to steal from).
-    pub fn steal_policy(&self) -> StealPolicy {
-        self.inner.steal_policy
+    /// Whether idle delegates steal. May differ from the builder's
+    /// request: runtimes with fewer than two delegate threads run without
+    /// stealing (there is no one to steal from).
+    pub fn stealing(&self) -> bool {
+        matches!(self.inner.channels, Channels::Steal(_))
     }
 
     /// True once a delegated operation has panicked.
     pub fn is_poisoned(&self) -> bool {
         self.inner.core.poisoned.load(Ordering::Acquire)
-    }
-
-    /// Whether the diagnostic dynamic checks are enabled.
-    pub fn dynamic_checks(&self) -> bool {
-        self.inner.dynamic_checks
     }
 
     /// Instrumentation snapshot (Figure 5a components, operation counts and

@@ -377,14 +377,15 @@ impl Runtime {
     /// The program thread's wait: returns once `done` holds, running
     /// `Lane::Program` entries meanwhile. Parks on the domain's waiter,
     /// which every notifier of `done` and every lane push notifies.
+    /// Counted in `Core::waiters`, so no delegate slips meanwhile.
     pub(crate) fn program_wait(&self, d: &Domain, mut done: impl FnMut() -> bool) {
-        loop {
+        self.inner.core.waiting(|| loop {
             self.drain_program_lane(d);
             if done() {
                 return;
             }
             d.waiter.wait_until(|| done() || d.lane.has_arrivals());
-        }
+        })
     }
 }
 

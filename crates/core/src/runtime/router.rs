@@ -52,12 +52,9 @@
 //! be blocked by — a shard writer. See `docs/ARCHITECTURE.md` for the
 //! full proof sketch tying these modes to the epoch-pinning invariant.
 
-use std::sync::Arc;
-
 use crate::serializer::SsId;
-use crate::stats::StatsCell;
 
-use super::assign::{static_executor, CostBook};
+use super::assign::static_executor;
 use super::domain::Domain;
 use super::Executor;
 
@@ -114,72 +111,14 @@ pub(crate) struct Router {
     /// True when pins are authoritative for every set (stealing mode: a
     /// steal must be able to override the modulo for the epoch).
     always_pin: bool,
-    /// The shared per-set cost model, `Some` only under
-    /// [`crate::StealPolicy::CostAware`].
-    costs: Option<Arc<CostBook>>,
 }
 
 impl Router {
-    pub(crate) fn new(
-        n_delegates: usize,
-        always_pin: bool,
-        costs: Option<Arc<CostBook>>,
-    ) -> Router {
+    pub(crate) fn new(n_delegates: usize, always_pin: bool) -> Router {
         Router {
             n_delegates,
             always_pin,
-            costs,
         }
-    }
-
-    // ------------------------------------------------------------------
-    // steal prices: nanoseconds from the shared cost model when the plan
-    // keeps one (`CostAware`), one unit per operation otherwise.
-
-    /// True when this router maintains the cost model (`CostAware`).
-    pub(crate) fn cost_aware(&self) -> bool {
-        self.costs.is_some()
-    }
-
-    /// Folds one observed operation runtime into the shared cost model.
-    pub(crate) fn observe_cost(&self, key: u64, nanos: u64) {
-        if let Some(book) = &self.costs {
-            book.observe(key, nanos);
-        }
-    }
-
-    /// Price of one operation of `key`: the model's estimate in ns,
-    /// floored at 1, or 1 without a model.
-    pub(crate) fn cost_estimate(&self, key: u64) -> u64 {
-        self.costs
-            .as_ref()
-            .map_or(1, |book| (book.estimate(key) as u64).max(1))
-    }
-
-    /// Price of one typical operation: the imbalance unit thieves price
-    /// steal decisions against (ns, floored at 1; 1 without a model).
-    pub(crate) fn cost_typical(&self) -> u64 {
-        self.costs
-            .as_ref()
-            .map_or(1, |book| (book.typical() as u64).max(1))
-    }
-
-    /// Price of delegate `i`'s queue — the thief's victim price, in place
-    /// of per-deque scans: the delegate's queue depth (`queued −
-    /// executed`, see [`StatsCell`]) times
-    /// [`cost_typical`](Router::cost_typical), so a queue is never free
-    /// before the model has samples; without a model the price is the
-    /// depth itself. Under the model, pricing at read time rather than
-    /// charging estimated nanoseconds at publish time keeps the price
-    /// honest under EWMA drift in either direction: a backlog charged at
-    /// warm-up-cheap estimates would price below one typical operation
-    /// once the model learns the real costs (so the imbalance bar blinds
-    /// every thief to a deep queue), and one charged expensive could not
-    /// be drained back to zero by completions priced cheap. A depth
-    /// cannot drift: it reaches zero exactly when the queue does,
-    /// whichever path executed the operations.
-    pub(crate) fn queued_cost(&self, stats: &StatsCell, i: usize) -> u64 {
-        stats.queue_depth(i).saturating_mul(self.cost_typical())
     }
 
     /// Resolves `key` in domain `d`'s current epoch — the non-publishing
@@ -398,17 +337,8 @@ mod tests {
 
     use super::*;
 
-    /// Counters whose delegate `i` has `values[i]` operations queued.
-    fn depths(values: &[u64]) -> StatsCell {
-        let stats = StatsCell::new(values.len());
-        for (i, &v) in values.iter().enumerate() {
-            stats.add_queued(i, v);
-        }
-        stats
-    }
-
     fn router(n: usize) -> Router {
-        Router::new(n, false, None)
+        Router::new(n, false)
     }
 
     /// A root-like domain whose current epoch serial is `serial`.
@@ -484,7 +414,7 @@ mod tests {
 
     #[test]
     fn route_publish_runs_the_publish_under_the_pin() {
-        let r = Router::new(2, true, None);
+        let r = Router::new(2, true);
         let e = epoch(1);
         let mut published = None;
         let route = r.route_publish(&e, SsId(3), |i| published = Some(i));
@@ -502,7 +432,7 @@ mod tests {
 
     #[test]
     fn migrate_rewrites_only_taken_keys_still_pinned_to_victim() {
-        let r = Router::new(3, true, None);
+        let r = Router::new(3, true);
         let e = epoch(1);
         // Sets 10 and 13 pin to delegate 1, set 11 to delegate 2.
         for ss in [10u64, 11, 13] {
@@ -522,75 +452,6 @@ mod tests {
         assert_eq!(r.peek(&e, SsId(11)), Some(Some(thief)));
     }
 
-    fn cost_aware_router(book: &Arc<CostBook>) -> Router {
-        Router::new(2, true, Some(Arc::clone(book)))
-    }
-
-    #[test]
-    fn queued_cost_prices_the_queue_depth() {
-        let book = Arc::new(CostBook::new());
-        book.observe(7, 2_000);
-        let r = cost_aware_router(&book);
-        assert!(r.cost_aware());
-        // One tracked set at 2µs → typical = 2000; the price is depth ×
-        // typical, at read time.
-        let stats = depths(&[3, 0]);
-        stats.add_queued(0, 1);
-        assert_eq!(r.queued_cost(&stats, 0), 4 * 2_000);
-        assert_eq!(r.queued_cost(&stats, 1), 0);
-        // A completion, on whichever path the delegate ran it.
-        StatsCell::bump(&stats.delegate(0).executed);
-        assert_eq!(r.queued_cost(&stats, 0), 3 * 2_000);
-        // A steal moves depth, not executions.
-        stats.move_queued(0, 1, 2);
-        assert_eq!(r.queued_cost(&stats, 0), 2_000);
-        assert_eq!(r.queued_cost(&stats, 1), 2 * 2_000);
-        StatsCell::bump(&stats.delegate(0).executed);
-        stats.delegate(1).executed.store(2, Ordering::Relaxed);
-        assert_eq!(r.queued_cost(&stats, 0), 0);
-        assert_eq!(r.queued_cost(&stats, 1), 0);
-    }
-
-    #[test]
-    fn queued_cost_reprices_with_the_live_model() {
-        // The starvation case read-time pricing exists for: a deep
-        // backlog queued while the model thought operations cheap must
-        // not price below one typical operation after the EWMA learns
-        // they are expensive — the depth is the thief's only view of the
-        // victim's remaining work, and the imbalance bar is one typical
-        // op. Charging estimated nanoseconds at publish time freezes the
-        // warm-up price; a depth priced at read time tracks the model
-        // wherever it drifts.
-        let book = Arc::new(CostBook::new());
-        book.observe(7, 1_000);
-        let r = cost_aware_router(&book);
-        let stats = depths(&[500, 0]); // queued while ops look like ~1µs
-        let warm_price = r.queued_cost(&stats, 0);
-        // The model learns the ops actually cost ~100µs each.
-        for _ in 0..64 {
-            book.observe(7, 100_000);
-        }
-        stats.delegate(0).executed.store(5, Ordering::Relaxed);
-        let live_price = r.queued_cost(&stats, 0);
-        let typical = (book.typical() as u64).max(1);
-        assert_eq!(live_price, 495 * typical);
-        assert!(
-            live_price > warm_price && live_price > 100 * typical,
-            "backlog stuck at its warm-up price: {live_price} \
-             (warm {warm_price}, typical {typical})"
-        );
-    }
-
-    #[test]
-    fn prices_are_unit_without_a_book() {
-        let r = router(2);
-        assert!(!r.cost_aware());
-        r.observe_cost(7, 1_000); // no model to feed
-        assert_eq!(r.queued_cost(&depths(&[5, 0]), 0), 5);
-        assert_eq!(r.cost_estimate(7), 1);
-        assert_eq!(r.cost_typical(), 1);
-    }
-
     #[test]
     fn peek_never_blocks_while_a_thread_holds_the_shard_lock() {
         // A thread holding a set's shard lock — a first touch, a take, a
@@ -601,7 +462,7 @@ mod tests {
         use std::sync::Barrier;
 
         for always_pin in [false, true] {
-            let r = Router::new(2, always_pin, None);
+            let r = Router::new(2, always_pin);
             let e = epoch(1);
             let held = Barrier::new(2);
             let release = AtomicBool::new(false);

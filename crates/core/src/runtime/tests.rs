@@ -223,7 +223,7 @@ fn tiny_queue_applies_backpressure_without_deadlock() {
 
 /// Streams long enough to arm the delegate's temporal slip, on a ring
 /// smaller than the slip's margin and on the default one: per-set order
-/// holds, a mid-stream reclaim is answered (its token ends the slip), and
+/// holds, a mid-stream reclaim is answered (its wait ends the slip), and
 /// the barrier drains the tail.
 #[test]
 fn a_slipping_delegate_keeps_order_and_answers_reclaims() {
@@ -314,7 +314,7 @@ fn pins_counter_tracks_first_touches() {
     // Stealing pins every set at its first touch, so a steal can move it.
     let rt = Runtime::builder()
         .delegate_threads(2)
-        .stealing(StealPolicy::WhenIdle)
+        .stealing(true)
         .build()
         .unwrap();
     rt.begin_isolation().unwrap();
@@ -360,8 +360,6 @@ fn queue_depths_return_to_zero_after_barrier() {
 // ----------------------------------------------------------------------
 // work stealing
 
-use crate::config::StealPolicy;
-
 /// Name of the delegate thread an operation executes on ("ss-delegate-N"),
 /// recorded so tests can assert placement without capturing the runtime
 /// inside a task (which would let a delegate thread join itself on drop).
@@ -401,16 +399,16 @@ fn wait_entered(entered: &Arc<Mutex<Option<String>>>) -> String {
 fn stealing_normalizes_off_below_two_delegates() {
     let rt = Runtime::builder()
         .delegate_threads(1)
-        .stealing(StealPolicy::WhenIdle)
+        .stealing(true)
         .build()
         .unwrap();
-    assert_eq!(rt.steal_policy(), StealPolicy::Off);
+    assert!(!rt.stealing());
     let rt = Runtime::builder()
         .delegate_threads(2)
-        .stealing(StealPolicy::WhenIdle)
+        .stealing(true)
         .build()
         .unwrap();
-    assert_eq!(rt.steal_policy(), StealPolicy::WhenIdle);
+    assert!(rt.stealing());
 }
 
 #[test]
@@ -422,12 +420,12 @@ fn idle_delegate_steals_from_skewed_queue() {
     // aims the backlog at that delegate instead of hard-coding a winner.
     let rt = Runtime::builder()
         .delegate_threads(2)
-        .stealing(StealPolicy::WhenIdle)
+        .stealing(true)
         .build()
         .unwrap();
     let gate = Arc::new(AtomicU64::new(0));
     let entered = Arc::new(Mutex::new(None));
-    let log: Arc<Mutex<Vec<(u64, String)>>> = Arc::new(Mutex::new(Vec::new()));
+    let log: Arc<Mutex<Vec<(u64, u64, String)>>> = Arc::new(Mutex::new(Vec::new()));
     rt.begin_isolation().unwrap();
     submit(&rt, SsId(1), gated_task(&gate, &entered)).unwrap();
     let blocked = wait_entered(&entered);
@@ -437,8 +435,13 @@ fn idle_delegate_steals_from_skewed_queue() {
     let base: u64 = if blocked == "ss-delegate-0" { 100 } else { 101 };
     for s in 0..32u64 {
         let set = base + 2 * s;
-        for _ in 0..4 {
-            submit(&rt, SsId(set), record_thread(&log, set)).unwrap();
+        for op in 0..4 {
+            let log = Arc::clone(&log);
+            let task = TaskSlot::new(move |_| {
+                let name = std::thread::current().name().unwrap_or("?").to_string();
+                log.lock().push((set, op, name));
+            });
+            submit(&rt, SsId(set), task).unwrap();
         }
     }
     // Give the free delegate time to steal while the other is gated.
@@ -450,28 +453,30 @@ fn idle_delegate_steals_from_skewed_queue() {
     assert!(stats.steals > 0, "no steals happened: {stats:?}");
     let log = log.lock();
     assert_eq!(log.len(), 32 * 4);
-    // Same-set FIFO placement: every operation of one set ran on one
-    // executor (the log records per-op thread names).
-    let mut homes: std::collections::HashMap<u64, &str> = std::collections::HashMap::new();
-    for (set, name) in log.iter() {
-        let home = homes.entry(*set).or_insert(name);
-        assert_eq!(*home, name, "set {set} executed on two delegates");
+    // Same-set program order, wherever each part of a set ran (a started
+    // set's quiescent tail may move too): the log is in execution order.
+    let mut next: std::collections::HashMap<u64, u64> = std::collections::HashMap::new();
+    for (set, op, _) in log.iter() {
+        let want = next.entry(*set).or_insert(0);
+        assert_eq!(op, want, "set {set} ran out of program order");
+        *want += 1;
     }
     // And the free delegate really did take some of the work.
     assert!(
-        log.iter().any(|(_, name)| *name != blocked),
+        log.iter().any(|(_, _, name)| *name != blocked),
         "the idle delegate never executed anything"
     );
 }
 
 #[test]
-fn started_sets_never_migrate() {
+fn a_started_set_never_migrates_mid_operation() {
     // A set *starts* on whichever delegate pops (or steals, then pops)
-    // its first operation; from then on the rest of the set's operations
-    // must execute there, even with an idle thief circling.
+    // its first operation. While an operation of it runs there, an idle
+    // thief circling its queued tail must leave the tail alone: nothing
+    // of the set runs anywhere until the running operation returns.
     let rt = Runtime::builder()
         .delegate_threads(2)
-        .stealing(StealPolicy::WhenIdle)
+        .stealing(true)
         .build()
         .unwrap();
     let gate = Arc::new(AtomicU64::new(0));
@@ -485,13 +490,13 @@ fn started_sets_never_migrate() {
         submit(&rt, SsId(7), record_thread(&log, 7)).unwrap();
     }
     std::thread::sleep(std::time::Duration::from_millis(30));
+    assert!(log.lock().is_empty(), "tail ran beside a running operation");
+    let mid = rt.stats();
     gate.store(1, Ordering::Release);
     rt.end_isolation().unwrap();
-    let log = log.lock();
-    assert_eq!(log.len(), 16);
-    for (_, name) in log.iter() {
-        assert_eq!(name, &home, "started set migrated");
-    }
+    assert_eq!(log.lock().len(), 16);
+    assert!(home.starts_with("ss-delegate-"));
+    assert_eq!(mid.op_steals, 0, "tail moved mid-operation: {mid:?}");
 }
 
 #[test]
@@ -501,7 +506,7 @@ fn steal_failures_are_counted() {
     // fail, and the failures must be counted.
     let rt = Runtime::builder()
         .delegate_threads(2)
-        .stealing(StealPolicy::WhenIdle)
+        .stealing(true)
         .build()
         .unwrap();
     let gate = Arc::new(AtomicU64::new(0));
@@ -520,8 +525,8 @@ fn steal_failures_are_counted() {
         }),
     )
     .unwrap();
-    // Wait until set 2 has *started* on its executor — from here on it can
-    // never migrate, so the queued tail below is permanently unstealable.
+    // Wait until set 2 has *started* on its executor — while that
+    // operation runs, the queued tail below is unstealable.
     while entered.load(Ordering::Acquire) == 0 {
         std::hint::spin_loop();
     }
@@ -529,13 +534,14 @@ fn steal_failures_are_counted() {
         submit(&rt, SsId(2), TaskSlot::new(|_| {})).unwrap();
     }
     std::thread::sleep(std::time::Duration::from_millis(30));
+    let stats = rt.stats();
     gate.store(1, Ordering::Release);
     rt.end_isolation().unwrap();
-    let stats = rt.stats();
     // The gate op itself may have been stolen before anyone started the
-    // set (a legal race); after `entered`, nothing more can move.
+    // set (a legal race); while it runs, nothing more can move.
     assert!(stats.steals <= 1, "started set migrated: {stats:?}");
     assert!(stats.steal_failures > 0, "no failed attempts: {stats:?}");
+    assert!(stats.quiesce_fail > 0, "no failed handshakes: {stats:?}");
 }
 
 #[test]
@@ -546,7 +552,7 @@ fn reclaim_follows_a_stolen_set() {
     // assert on the observed count).
     let rt = Runtime::builder()
         .delegate_threads(2)
-        .stealing(StealPolicy::WhenIdle)
+        .stealing(true)
         .build()
         .unwrap();
     let gate = Arc::new(AtomicU64::new(0));
@@ -577,17 +583,12 @@ fn reclaim_follows_a_stolen_set() {
 }
 
 #[test]
-fn stealing_results_match_off_for_all_policies() {
+fn stealing_results_match_off() {
     let mut reference: Option<Vec<Vec<u64>>> = None;
-    for policy in [
-        StealPolicy::Off,
-        StealPolicy::WhenIdle,
-        StealPolicy::Threshold(2),
-        StealPolicy::Threshold(16),
-    ] {
+    for stealing in [false, true] {
         let rt = Runtime::builder()
             .delegate_threads(3)
-            .stealing(policy)
+            .stealing(stealing)
             .build()
             .unwrap();
         let cells: Vec<crate::Writable<Vec<u64>, crate::SequenceSerializer>> = (0..16)
@@ -610,72 +611,50 @@ fn stealing_results_match_off_for_all_policies() {
             .collect();
         match &reference {
             None => reference = Some(out),
-            Some(r) => assert_eq!(r, &out, "{policy:?} diverged from Off"),
+            Some(r) => assert_eq!(r, &out, "stealing diverged from off"),
         }
     }
 }
 
-/// The steal plan as data, granularity: `tests/interleave.rs`'s
-/// thief-wins script (the owner settles its first operation, then the
-/// thief scans) run under `WhenIdle`. The set is a quiescent *started*
-/// tail by then, which a whole-set plan may not move: the attempt ends in
-/// "nosteal" and nothing migrates.
+/// A steal moves half the depth imbalance. Delegate 0 is held before its
+/// first pop until the thief has stolen, and the thief is held inside an
+/// operation of its own until four single-operation sets are queued on
+/// delegate 0. Half of four is the oldest two, sets 0 and 2. The oldest
+/// set on each side then holds its delegate, so the picture is read
+/// before anyone can run dry and steal again: the thief runs set 0 with
+/// set 2 queued behind it, delegate 0 runs set 4 with set 6 behind it.
 #[test]
-fn a_whole_set_plan_leaves_a_quiescent_started_tail() {
+fn a_steal_moves_half_the_imbalance() {
     let rt = Runtime::builder()
         .delegate_threads(2)
-        .stealing(StealPolicy::WhenIdle)
-        .test_schedule([
-            "poll@0",
-            "popped@0",
-            "done@0",
-            "scan@1",
-            "nosteal@1",
-            "poll@0",
-        ])
-        .build()
-        .unwrap();
-    let fold = |s: u64, x: u64| s.wrapping_mul(31).wrapping_add(x);
-    let w: Writable<u64, SequenceSerializer> = Writable::new(&rt, 0);
-    rt.isolated(|| {
-        w.delegate_iter((1..=3u64).map(|x| move |s: &mut u64| *s = fold(*s, x)))
-            .unwrap();
-    })
-    .unwrap();
-    assert_eq!(w.call(|s| *s).unwrap(), (1..=3u64).fold(0, fold));
-    assert_eq!(rt.test_gates_remaining(), Some(0), "script not followed");
-    let stats = rt.stats();
-    assert_eq!((stats.steals, stats.op_steals), (0, 0), "{stats:?}");
-}
-
-/// The steal plan as data, bar: under `Threshold(4)` a victim three
-/// operations deep is never robbed, and at four a steal lands. Delegate 0
-/// is held before its first pop until the thief has stolen, and the thief
-/// scans only past its bar. Which sets moved shows the depth it scanned
-/// at: half of four single-operation sets is the oldest two, where half of
-/// three (or fewer) would have been one, with delegate 0 released to
-/// start the next.
-#[test]
-fn a_threshold_plan_steals_only_past_its_bar() {
-    let rt = Runtime::builder()
-        .delegate_threads(2)
-        // Even sets pin to delegate 0.
-        .stealing(StealPolicy::Threshold(4))
+        // Even sets pin to delegate 0, odd ones to delegate 1.
+        .stealing(true)
         .test_schedule(["scan@1", "stole@1", "poll@0"])
         .build()
         .unwrap();
-    let log: Arc<Mutex<Vec<(u64, String)>>> = Arc::new(Mutex::new(Vec::new()));
+    let cell = || Arc::new(Mutex::new(None));
+    let (gate, entered) = (Arc::new(AtomicU64::new(0)), cell());
+    let hold = Arc::new(AtomicU64::new(0));
+    let (at_0, at_4) = (cell(), cell());
     rt.begin_isolation().unwrap();
-    for set in [0, 2, 4, 6] {
-        submit(&rt, SsId(set), record_thread(&log, set)).unwrap();
-    }
+    // One operation deep, delegate 1's queue is within the bar: nobody
+    // steals it, and it runs on its home.
+    submit(&rt, SsId(1), gated_task(&gate, &entered)).unwrap();
+    assert_eq!(wait_entered(&entered), "ss-delegate-1");
+    submit(&rt, SsId(0), gated_task(&hold, &at_0)).unwrap();
+    submit(&rt, SsId(2), TaskSlot::new(|_| {})).unwrap();
+    submit(&rt, SsId(4), gated_task(&hold, &at_4)).unwrap();
+    submit(&rt, SsId(6), TaskSlot::new(|_| {})).unwrap();
+    gate.store(1, Ordering::Release);
+    let homes = (wait_entered(&at_0), wait_entered(&at_4));
+    let mid = rt.stats();
+    hold.store(1, Ordering::Release);
     rt.end_isolation().unwrap();
     assert_eq!(rt.test_gates_remaining(), Some(0), "script not followed");
-    assert_eq!(rt.stats().steals, 1);
-    let mut homes = log.lock().clone();
-    homes.sort();
-    let want = [(0, 1), (2, 1), (4, 0), (6, 0)].map(|(set, d)| (set, format!("ss-delegate-{d}")));
-    assert_eq!(homes, want);
+    assert_eq!(mid.steals, 1, "{mid:?}");
+    assert_eq!(homes.0, "ss-delegate-1");
+    assert_eq!(homes.1, "ss-delegate-0");
+    assert_eq!(mid.queue_depths, vec![2, 2], "{mid:?}");
 }
 
 // ----------------------------------------------------------------------
@@ -723,10 +702,10 @@ fn nested_delegation_from_delegate_context_works() {
 /// the previous level's delegate context, under both transports.
 #[test]
 fn nested_depth_three_chain_under_both_transports() {
-    for policy in [StealPolicy::Off, StealPolicy::WhenIdle] {
+    for stealing in [false, true] {
         let rt = Runtime::builder()
             .delegate_threads(3)
-            .stealing(policy)
+            .stealing(stealing)
             .build()
             .unwrap();
         let a: Writable<Vec<u64>, SequenceSerializer> = Writable::new(&rt, Vec::new());
@@ -751,10 +730,10 @@ fn nested_depth_three_chain_under_both_transports() {
         })
         .unwrap();
         rt.end_isolation().unwrap();
-        assert_eq!(a.call(|v| v.clone()).unwrap(), vec![0], "{policy:?}");
-        assert_eq!(b.call(|v| v.clone()).unwrap(), vec![1], "{policy:?}");
-        assert_eq!(c.call(|v| v.clone()).unwrap(), vec![2], "{policy:?}");
-        assert_eq!(rt.stats().nested_delegations, 2, "{policy:?}");
+        assert_eq!(a.call(|v| v.clone()).unwrap(), vec![0], "{stealing}");
+        assert_eq!(b.call(|v| v.clone()).unwrap(), vec![1], "{stealing}");
+        assert_eq!(c.call(|v| v.clone()).unwrap(), vec![2], "{stealing}");
+        assert_eq!(rt.stats().nested_delegations, 2, "{stealing}");
     }
 }
 
@@ -786,16 +765,16 @@ fn nested_delegation_onto_own_set_appends() {
     assert!(pos(2) < pos(3), "nested producer reordered: {got:?}");
 }
 
-/// The cost-aware thief prices a victim by its queue depth, and operations
-/// a delegate help-executes while it waits on a future leave that depth
-/// like any other: once the queue is empty its price reads 0 mid-epoch,
-/// not only after the epoch rolls over.
+/// A thief picks its victim by queue depth, and operations a delegate
+/// help-executes while it waits on a future leave that depth like any
+/// other: once the queue is empty its depth reads 0 mid-epoch, not only
+/// after the epoch rolls over.
 #[test]
-fn help_executed_operations_leave_the_queue_price() {
+fn help_executed_operations_leave_the_queue_depth() {
     const K: u64 = 8;
     let rt = Runtime::builder()
         .delegate_threads(2)
-        .stealing(StealPolicy::CostAware)
+        .stealing(true)
         .build()
         .unwrap();
     let a: Writable<u64, SequenceSerializer> = Writable::new(&rt, 0);
@@ -819,15 +798,15 @@ fn help_executed_operations_leave_the_queue_price() {
         })
         .unwrap();
     parent.wait().unwrap();
-    let price = || rt.inner.router.queued_cost(&rt.inner.core.stats, 0);
+    let depth = || rt.inner.core.stats.queue_depth(0);
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-    while price() != 0 && std::time::Instant::now() < deadline {
+    while depth() != 0 && std::time::Instant::now() < deadline {
         std::thread::yield_now();
     }
-    let (last_price, depths) = (price(), rt.stats().queue_depths);
+    let (last_depth, depths) = (depth(), rt.stats().queue_depths);
     gate.store(1, Ordering::Release);
     rt.end_isolation().unwrap();
-    assert_eq!(last_price, 0, "drained delegate still priced as loaded");
+    assert_eq!(last_depth, 0, "drained delegate still reads as loaded");
     assert_eq!(depths, vec![0, 1]);
     assert_eq!(b.call(|n| *n).unwrap(), K);
 }
@@ -983,7 +962,7 @@ fn nested_trace_events_are_recorded() {
 fn steal_trace_events_are_recorded() {
     let rt = Runtime::builder()
         .delegate_threads(2)
-        .stealing(StealPolicy::WhenIdle)
+        .stealing(true)
         .trace(true)
         .build()
         .unwrap();
@@ -1040,10 +1019,10 @@ fn one_submit_path_conserves_operations_in_every_cell() {
     const RUNS: usize = 12;
     for origin in [Origin::Program, Origin::Nested] {
         for tenant in [false, true] {
-            for stealing in [StealPolicy::Off, StealPolicy::WhenIdle] {
+            for stealing in [false, true] {
                 for len in [1usize, 5] {
                     let cell = format!(
-                        "{} / {} / {stealing:?} / run of {len}",
+                        "{} / {} / stealing {stealing} / run of {len}",
                         if origin == Origin::Program {
                             "program"
                         } else {
@@ -1097,7 +1076,7 @@ fn one_submit_path_conserves_operations_in_every_cell() {
                     };
                     // Only the root's program thread pushes on the
                     // (uncounted) rings; every other lane counts.
-                    let ring = !tenant && stealing == StealPolicy::Off;
+                    let ring = !tenant && !stealing;
                     let counted = match origin {
                         Origin::Program if ring => 0,
                         Origin::Program => ops,
@@ -1154,7 +1133,7 @@ fn one_submit_path_conserves_operations_in_every_cell() {
 fn capped_session_admits_a_long_run_only_up_to_its_cap() {
     const CAP: u64 = 4;
     const RUN: u64 = 40;
-    for stealing in [StealPolicy::Off, StealPolicy::WhenIdle] {
+    for stealing in [false, true] {
         let rt = Runtime::builder()
             .delegate_threads(2)
             .stealing(stealing)
@@ -1186,9 +1165,13 @@ fn capped_session_admits_a_long_run_only_up_to_its_cap() {
         session.submit(Origin::Program, SsId(1), &mut run).unwrap();
         session.end_isolation().unwrap();
 
-        assert_eq!(peak.load(Ordering::Relaxed), CAP, "{stealing:?}");
-        assert!(rt.stats().starvation_stalls >= 1, "{stealing:?}");
-        assert_eq!(session.session_stats().completed, RUN, "{stealing:?}");
+        assert_eq!(peak.load(Ordering::Relaxed), CAP, "stealing {stealing}");
+        assert!(rt.stats().starvation_stalls >= 1, "stealing {stealing}");
+        assert_eq!(
+            session.session_stats().completed,
+            RUN,
+            "stealing {stealing}"
+        );
     }
 }
 

@@ -19,8 +19,9 @@
 //! that was lost, and moved from victim to thief by a steal; the delegate
 //! only ever bumps its own block's `executed`, after each operation. The
 //! difference counts enqueued-or-executing operations and feeds the
-//! [`Stats::queue_depths`] snapshot and the thief's victim prices alike. Its two loads are not
-//! one atomic read, so a mid-epoch reading saturates at 0.
+//! [`Stats::queue_depths`] snapshot and the thief's victim choice alike.
+//! Its two loads are not one atomic read, so a mid-epoch reading
+//! saturates at 0.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -63,7 +64,7 @@ pub(crate) struct Counters {
     /// Steal attempts that found no eligible batch on the chosen victim.
     pub steal_failures: AtomicU64,
     /// Successful operation-granularity steals: queued tails of *started*
-    /// sets migrated after a quiescence handshake (`StealPolicy::CostAware`).
+    /// sets migrated after a quiescence handshake.
     pub op_steals: AtomicU64,
     /// Quiescence handshakes that failed: a thief selected a started set's
     /// tail but the owner still had an operation of the set in flight.
@@ -301,21 +302,22 @@ pub struct Stats {
     /// word (`delegate_with`) take the inline path; a memoized miss
     /// always boxes.
     pub tasks_boxed: u64,
-    /// Successful steals: whole-batch migrations of never-started sets
-    /// from a loaded delegate to an idle one. 0 when
-    /// [`StealPolicy::Off`](crate::StealPolicy::Off) (the default).
+    /// Successful steals: attempts that migrated queued batches (whole
+    /// never-started sets, quiescent tails of started ones, or both) from
+    /// a loaded delegate to an idle one. 0 without
+    /// [`stealing`](crate::RuntimeBuilder::stealing) (the default).
     pub steals: u64,
     /// Steal attempts that found no eligible batch (every queued set on
-    /// the chosen victim had already started, was fenced, or the queue
-    /// drained between the depth check and the steal). A high
-    /// failure-to-success ratio means the threshold is too low for the
-    /// workload's set structure.
+    /// the chosen victim had an operation in flight or was fenced, or the
+    /// queue drained between the depth check and the steal). A high
+    /// failure-to-success ratio means the workload's queued sets are
+    /// mostly mid-operation when thieves look.
     pub steal_failures: u64,
     /// Successful operation-granularity steals: the queued tail of a
     /// *started* set migrated to an idle delegate after the quiescence
-    /// handshake certified no operation of the set was in flight. Only
-    /// [`StealPolicy::CostAware`](crate::StealPolicy::CostAware) performs
-    /// these; every other policy keeps this at 0.
+    /// handshake certified no operation of the set was in flight. A thief
+    /// takes these before any never-started set: they are what the owner
+    /// is demonstrably stuck behind. 0 without stealing.
     pub op_steals: u64,
     /// Quiescence handshakes that failed: the thief picked a started
     /// set's queued tail, but under the shard + deque locks an operation

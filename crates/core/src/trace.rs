@@ -48,9 +48,8 @@ pub enum TraceKind {
     Steal,
     /// An idle delegate stole the queued *tail* of a **started**
     /// serialization set after a quiescence handshake certified no
-    /// operation of the set was in flight on the owner
-    /// ([`StealPolicy::CostAware`](crate::StealPolicy::CostAware) only);
-    /// `set` is the migrated set and `executor` the thief it re-pins to.
+    /// operation of the set was in flight on the owner; `set` is the
+    /// migrated set and `executor` the thief it re-pins to.
     /// Folded like [`Steal`](TraceKind::Steal) events.
     OpSteal,
     /// An operation was delegated.

@@ -22,9 +22,9 @@
 //! because, at any instant, exactly one executor may touch the value:
 //!
 //! 1. All delegations of an object within an epoch carry the same
-//!    serialization set (enforced *before* enqueueing — even with diagnostics
-//!    disabled, the first tag of the epoch is authoritative), and one set maps
-//!    to one executor whose queue executes serially in FIFO order. With
+//!    serialization set (enforced *before* enqueueing — the first tag of the
+//!    epoch is authoritative), and one set maps to one executor whose queue
+//!    executes serially in FIFO order. With
 //!    recursive delegation, operations may be *submitted* by multiple
 //!    producers (program thread and delegate contexts), but the per-epoch
 //!    state machine lives under a mutex, so tagging and state transitions are
@@ -195,6 +195,9 @@ impl Submitter<'_> {
 /// a delegation differ in after [`Writable::prepare`]. Captured by value
 /// in the invocation closure and dispatched statically.
 pub(crate) trait Sink<R>: Send + 'static {
+    /// Whether a future waits on what this sink delivers (a slipping
+    /// delegate pops such an operation at once).
+    const AWAITED: bool = true;
     /// Whether the delegator abandoned the result before the operation
     /// was popped (drop-to-cancel): the body is then skipped.
     fn cancelled(&self) -> bool;
@@ -210,6 +213,7 @@ pub(crate) trait Sink<R>: Send + 'static {
 pub(crate) struct Void;
 
 impl Sink<()> for Void {
+    const AWAITED: bool = false;
     #[inline]
     fn cancelled(&self) -> bool {
         false
@@ -767,12 +771,11 @@ impl<T: Send + 'static, S: Serializer<T>> Writable<T, S> {
         }
         // What the serializers say now: the external set when one was
         // supplied, else the internal serializer — which needs `&T`, so it
-        // is consulted only while no delegated operation is in flight (and
-        // not at all for a tagged object with diagnostics off).
+        // is consulted only while no delegated operation is in flight.
         let idle = self.shared.pending.load(Ordering::Acquire) == 0;
         let computed = match external {
             Some(e) => Some(e),
-            None if idle && (tag.is_none() || rt.dynamic_checks()) => {
+            None if idle => {
                 // SAFETY: `pending == 0` and `accessing == false`, both read
                 // under the state mutex, which every delegation's `pending`
                 // raise and every program access's `accessing` claim also
@@ -786,10 +789,10 @@ impl<T: Send + 'static, S: Serializer<T>> Writable<T, S> {
         let ss = match tag {
             // Already tagged this epoch. The first tag is authoritative for
             // routing (this keeps executor exclusivity even when a buggy
-            // serializer would disagree); with diagnostics on, consistency
-            // is also verified as in §3.3.
+            // serializer would disagree); consistency is verified as in
+            // §3.3.
             Some(tag) => {
-                if let Some(got) = computed.filter(|&got| got != tag && rt.dynamic_checks()) {
+                if let Some(got) = computed.filter(|&got| got != tag) {
                     return Err(SsError::InconsistentSerializer {
                         instance,
                         tagged: tag,
@@ -967,7 +970,7 @@ impl<T: Send + 'static, S: Serializer<T>> Writable<T, S> {
         K: Sink<R>,
     {
         let shared = Arc::clone(&self.shared);
-        Some(TaskSlot::new(move |cx: &ExecCx<'_>| {
+        let run = move |cx: &ExecCx<'_>| {
             let core = cx.core;
             let out = if sink.cancelled() {
                 StatsCell::bump(&cx.stats().ops_cancelled);
@@ -1001,7 +1004,8 @@ impl<T: Send + 'static, S: Serializer<T>> Writable<T, S> {
                 None => drop(sink),
             }
             shared.pending.fetch_sub(1, Ordering::Release);
-        }))
+        };
+        Some(TaskSlot::with_awaited(run, K::AWAITED))
     }
 
     /// Packages a whole `delegate_iter` run of void operations.
@@ -1392,23 +1396,6 @@ mod tests {
                 got: SsId(2),
             }
         );
-        rt.end_isolation().unwrap();
-        assert_eq!(w.call(|n| *n).unwrap(), 2);
-    }
-
-    #[test]
-    fn inconsistent_serializer_ignored_when_checks_off_but_still_safe() {
-        let rt = Runtime::builder()
-            .delegate_threads(2)
-            .dynamic_checks(false)
-            .build()
-            .unwrap();
-        let w: Writable<u64, NullSerializer> = Writable::new(&rt, 0);
-        rt.begin_isolation().unwrap();
-        w.delegate_in(1u64, |n| *n += 1).unwrap();
-        // Checks off: no error, but routing sticks to the first tag so the
-        // object still has a single owner.
-        w.delegate_in(2u64, |n| *n += 1).unwrap();
         rt.end_isolation().unwrap();
         assert_eq!(w.call(|n| *n).unwrap(), 2);
     }

@@ -36,7 +36,7 @@
 use std::sync::Arc;
 
 use ss_bench::*;
-use ss_core::{Runtime, SequenceSerializer, StealPolicy, Writable};
+use ss_core::{Runtime, SequenceSerializer, Writable};
 
 const DELEGATES: usize = 4;
 
@@ -224,7 +224,6 @@ fn main() {
                 let rt = Runtime::builder()
                     .delegate_threads(DELEGATES)
                     .queue_capacity(8192)
-                    .stealing(StealPolicy::Off)
                     .build()
                     .unwrap();
                 fp = match strategy {

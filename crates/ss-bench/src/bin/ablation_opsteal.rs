@@ -1,44 +1,41 @@
-//! Ablation: set-granularity vs op-granularity (cost-aware) stealing.
+//! Ablation: work stealing between delegate queues, off vs on.
 //!
-//! The serialization effect this prices: set-granularity stealing
-//! (`WhenIdle`, PR 2) migrates only **never-started** sets, so its window
-//! closes the moment the owner pops a set's first operation. Workloads
-//! whose sets *start early and deepen later* — a cheap first operation
-//! followed by a streamed tail, the natural shape of per-connection /
-//! per-file processing — leave every set started on one hot delegate with
-//! a deep queued tail that `WhenIdle` may not touch. `CostAware` lifts
-//! the restriction: a thief migrates the *queued tail* of a started set
-//! after a quiescence handshake, priced and sized by the shared EWMA
-//! cost model (`docs/ARCHITECTURE.md`, op-granularity section).
+//! The serialization effect this prices (Niethammer et al.): static
+//! assignment can pile most of an epoch's work onto one delegate while
+//! the others idle, and delegates may not execute operations outside
+//! their own queue. With stealing on, an idle delegate takes half the
+//! depth imbalance off the deepest peer — first the queued tails of
+//! started sets (after a quiescence handshake proves no operation of the
+//! set is in flight on the owner), then never-started sets
+//! (`docs/ARCHITECTURE.md`, "Work stealing").
 //!
-//! Three shapes, each run under `off` / `when-idle` / `cost-aware`:
+//! Four shapes, each run with stealing `off` and on (`steal`):
 //!
-//! * `uniform` — interleaved arrival, ids spread across all queues,
-//!   pure CPU: the overhead control. Nothing is ever worth stealing,
-//!   so any gap vs `off` is the price of cost bookkeeping.
+//! * `uniform` — interleaved arrival, ids spread across both queues,
+//!   pure CPU: the overhead control. Nothing is worth stealing, so any
+//!   gap vs `off` is the price of the stealing transport.
 //! * `zipf-skew` — Zipf-popular sets, ids aliased onto delegate 0, every
 //!   set *started* via a streamed warm-up before its body queues. Pure
-//!   CPU work: on a 1-CPU container the op-granularity win shows up as
-//!   load spread (max/mean → 1), on real cores as wall time.
-//! * `zipf-stall` — same started-hot-queue shape, but operations stall
-//!   (sleep, modelling IO-ish latency). The tails are pure overlap
-//!   opportunity: `off` and `when-idle` serialize them on the owner
-//!   (nothing eligible — every set started), `cost-aware` spreads them
-//!   across all delegates and wins wall clock on any host.
+//!   CPU work: only a started set's tail can move.
+//! * `zipf-stall` — the same started hot queue, but every operation
+//!   stalls (sleep, modelling IO-ish latency): the tails are pure overlap
+//!   opportunity, a wall-clock win on any host.
+//! * `hot-stall` — the only shape with unequal per-operation costs:
+//!   batched Zipf arrival onto delegate 0, and only the hottest set
+//!   stalls. Under `off` every other set is trapped behind the stalls;
+//!   a thief pulls the ready sets out and overlaps them with the stalls.
 //!
 //! Output: a table plus `bench ablation_opsteal/<shape>/<policy>
 //! median_ns=<n>` lines that `scripts/record_baseline.sh` folds into
 //! `BENCH_baseline.json`. Two gates: identical result fingerprints per
-//! shape across all three policies (stealing granularity must be a pure
-//! scheduling choice), and `cost-aware` ≥ 1.15x over `when-idle` on
-//! `zipf-stall` — the headline number the op-granularity machinery is
-//! accepted against (expected ≈ 2–3x; sleep overlap needs no cores).
+//! shape with stealing off and on (stealing must be a pure scheduling
+//! choice), and `steal` ≥ 1.15x over `off` on `zipf-stall`.
 
 use ss_bench::*;
-use ss_core::{NullSerializer, Runtime, StealPolicy, Writable};
+use ss_core::{NullSerializer, Runtime, Writable};
 use ss_workloads::rng::{rng, Zipf};
 
-const DELEGATES: usize = 4;
+const DELEGATES: usize = 2;
 
 /// CPU component of one operation.
 fn work(seed: u64, rounds: u32) -> u64 {
@@ -57,17 +54,18 @@ struct Shape {
     id_stride: usize,
     /// Body schedule: op i → set index (the warm-up prefix is implicit).
     schedule: Vec<usize>,
-    /// Whether to *start* every set before its body queues, putting
-    /// set-granularity stealing out of its window: delegates 1..n are
-    /// first occupied with a stall filler each (an idle thief could
-    /// otherwise race the owner for the warm-up ops), then one cheap op
-    /// per set is delegated and **waited** — at most one set is ever
-    /// fresh at an instant, and once its future resolves the set is
-    /// started wherever it ran.
+    /// Whether to *start* every set before its body queues, so only
+    /// tails can move: delegates 1..n are first occupied with a stall
+    /// filler each (an idle thief could otherwise race the owner for the
+    /// warm-up ops), then one cheap op per set is delegated and
+    /// **waited** — at most one set is ever fresh at an instant, and once
+    /// its future resolves the set is started wherever it ran.
     warm_start: bool,
-    /// CPU rounds per body op (0 = stall instead).
+    /// CPU rounds per body op of a set that does not stall.
     rounds: u32,
-    /// Stall length per body op when `rounds == 0`, microseconds.
+    /// Sets whose body ops stall (sleep) instead of computing.
+    stall_sets: Vec<usize>,
+    /// Stall length per op, microseconds.
     stall_us: u64,
 }
 
@@ -78,6 +76,15 @@ fn shapes(ops: usize) -> Vec<Shape> {
     // explicit warm-up — the anti-batched shape.
     let zipf = Zipf::new(16, 1.1);
     let zipf_interleaved: Vec<usize> = (0..ops).map(|_| zipf.sample(&mut r)).collect();
+    // Batched arrival: per-set op counts drawn from a Zipf over 64 sets,
+    // each set's operations emitted contiguously, hottest set first.
+    let mut r = rng(0x57EA_1157, 0);
+    let zipf = Zipf::new(64, 1.1);
+    let mut counts = [0usize; 64];
+    for _ in 0..ops {
+        counts[zipf.sample(&mut r)] += 1;
+    }
+    let zipf_batched: Vec<usize> = (0..64).flat_map(|s| vec![s; counts[s]]).collect();
     vec![
         Shape {
             name: "uniform",
@@ -86,6 +93,7 @@ fn shapes(ops: usize) -> Vec<Shape> {
             schedule: (0..ops).map(|i| i % 64).collect(),
             warm_start: false,
             rounds: 2_000,
+            stall_sets: vec![],
             stall_us: 0,
         },
         Shape {
@@ -95,6 +103,7 @@ fn shapes(ops: usize) -> Vec<Shape> {
             schedule: zipf_interleaved,
             warm_start: true,
             rounds: 2_000,
+            stall_sets: vec![],
             stall_us: 0,
         },
         Shape {
@@ -107,6 +116,18 @@ fn shapes(ops: usize) -> Vec<Shape> {
             schedule: (0..16 * 32).map(|i| i % 16).collect(),
             warm_start: true,
             rounds: 0,
+            stall_sets: (0..16).collect(),
+            stall_us: 100,
+        },
+        Shape {
+            name: "hot-stall",
+            sets: 64,
+            id_stride: DELEGATES,
+            schedule: zipf_batched,
+            warm_start: false,
+            rounds: 16_000,
+            // Rank 0 is the Zipf head (~25% of all ops at s = 1.1).
+            stall_sets: vec![0],
             stall_us: 100,
         },
     ]
@@ -136,8 +157,8 @@ fn run(rt: &Runtime, shape: &Shape) -> (u64, f64, u64, u64) {
         }
         // One waited cheap op per set: when the future resolves the set
         // is *started* (wherever it ran), and waiting keeps at most one
-        // set fresh at any instant — a lucky set-granularity thief can
-        // re-place single sets one at a time, never sweep half the pool.
+        // set fresh at any instant — a lucky thief can re-place single
+        // fresh sets one at a time, never sweep half the pool.
         for (s, cell) in cells.iter().enumerate() {
             cell.delegate_in_with((s * shape.id_stride) as u64, |acc| {
                 *acc = acc.wrapping_add(1);
@@ -150,9 +171,10 @@ fn run(rt: &Runtime, shape: &Shape) -> (u64, f64, u64, u64) {
     for (i, &s) in shape.schedule.iter().enumerate() {
         let seed = i as u64;
         let rounds = shape.rounds;
+        let stalls = shape.stall_sets.contains(&s);
         cells[s]
             .delegate_in((s * shape.id_stride) as u64, move |acc| {
-                if rounds == 0 {
+                if stalls {
                     std::thread::sleep(stall);
                     *acc = acc.wrapping_add(seed);
                 } else {
@@ -187,17 +209,12 @@ fn main() {
         ss_workloads::scale::Scale::L => 64_000,
     };
     println!(
-        "Ablation: set-granularity vs op-granularity stealing \
-         ({DELEGATES} delegates, {ops} CPU ops/run, host threads: {})\n",
+        "Ablation: work stealing off vs on \
+         ({DELEGATES} delegates, {ops} ops/run, host threads: {})\n",
         host_threads()
     );
 
-    let policies: [(&str, StealPolicy); 3] = [
-        ("off", StealPolicy::Off),
-        ("when-idle", StealPolicy::WhenIdle),
-        ("cost-aware", StealPolicy::CostAware),
-    ];
-
+    let policies = [("off", false), ("steal", true)];
     let mut table = Table::new(&[
         "shape",
         "policy",
@@ -209,10 +226,10 @@ fn main() {
     ]);
     let mut gate: Vec<(String, u64)> = Vec::new();
     let mut bench_lines: Vec<String> = Vec::new();
-    let mut stall_times: Vec<(&str, std::time::Duration)> = Vec::new();
+    let mut stall_times = Vec::new();
     for shape in shapes(ops) {
         let mut off_time = None;
-        for (name, policy) in &policies {
+        for (name, stealing) in policies {
             let mut spread = 1.0;
             let mut steals = 0;
             let mut op_steals = 0;
@@ -220,8 +237,8 @@ fn main() {
             let (t, _) = measure(reps, || {
                 let rt = Runtime::builder()
                     .delegate_threads(DELEGATES)
-                    .queue_capacity(8192)
-                    .stealing(*policy)
+                    .queue_capacity(8192) // keep SPSC backpressure out of the comparison
+                    .stealing(stealing)
                     .build()
                     .unwrap();
                 let (f, s, st, ost) = run(&rt, &shape);
@@ -249,54 +266,39 @@ fn main() {
                 t.as_nanos()
             ));
             if shape.name == "zipf-stall" {
-                stall_times.push((name, t));
+                stall_times.push(t);
             }
         }
     }
     println!("{}", table.render());
 
-    // Correctness gate: stealing granularity must be observationally free.
+    // Correctness gate: stealing must be observationally free.
     for chunk in gate.chunks(policies.len()) {
         let first = chunk[0].1;
         for (label, fp) in chunk {
             assert_eq!(*fp, first, "{label} fingerprint diverged");
         }
     }
-    println!("All policies produced identical fingerprints per shape.\n");
+    println!("Stealing off and on produced identical fingerprints per shape.\n");
     for line in &bench_lines {
         println!("{line}");
     }
 
-    // Acceptance gate: the op-granularity machinery earns its complexity
-    // on the shape it was built for. Sleep overlap does not need extra
-    // cores, so this holds on any host; the expected ratio is ≈ 2–3x,
-    // leaving the 1.15x bar a wide noise margin.
-    let when_idle = stall_times
-        .iter()
-        .find(|(n, _)| *n == "when-idle")
-        .expect("zipf-stall when-idle leg missing")
-        .1;
-    let cost_aware = stall_times
-        .iter()
-        .find(|(n, _)| *n == "cost-aware")
-        .expect("zipf-stall cost-aware leg missing")
-        .1;
-    let ratio = when_idle.as_secs_f64() / cost_aware.as_secs_f64();
-    println!(
-        "\nzipf-stall: cost-aware {ratio:.2}x over when-idle \
-         (acceptance bar: ≥ 1.15x)."
-    );
+    // Acceptance gate: stealing earns its transport on the shape it was
+    // built for. Sleep overlap does not need extra cores, so this holds
+    // on any host; the 1.15x bar leaves a wide noise margin.
+    let (off, steal) = (stall_times[0], stall_times[1]);
+    let ratio = off.as_secs_f64() / steal.as_secs_f64();
+    println!("\nzipf-stall: steal {ratio:.2}x over off (acceptance bar: ≥ 1.15x).");
     assert!(
         ratio >= 1.15,
-        "op-granularity stealing under-delivered on zipf-stall: \
-         {ratio:.2}x < 1.15x (when-idle {when_idle:?}, cost-aware {cost_aware:?})"
+        "stealing under-delivered on zipf-stall: {ratio:.2}x < 1.15x \
+         (off {off:?}, steal {steal:?})"
     );
     println!(
-        "Expected: `uniform` ties (cost bookkeeping is the only cost);\n\
-         `zipf-skew` recovers load spread on started sets `when-idle`\n\
-         cannot touch (max/mean → ~1; wall time too on multi-core hosts);\n\
-         `zipf-stall` converts the recovered spread into wall clock on\n\
-         any host — started stall tails overlap only under op-granularity\n\
-         stealing. Guidance: docs/POLICIES.md."
+        "Expected: `uniform` ties (the stealing transport is the only\n\
+         cost); `zipf-skew` and `zipf-stall` spread the started hot\n\
+         queue's tails (max/mean → ~1), `zipf-stall` and `hot-stall` win\n\
+         wall clock on any host. Guidance: docs/POLICIES.md."
     );
 }

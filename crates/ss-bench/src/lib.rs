@@ -13,7 +13,7 @@
 //! | `fig6_scaling`     | Figure 6 — speedup vs delegate-thread count |
 //! | `ablation_serializer` | §2.1 serializer granularity (matmul) |
 //! | `ablation_kmeans`  | §5.1 kmeans variants (paper vs reduction) |
-//! | `ablation_stealing` | work stealing between delegate queues (docs/POLICIES.md) |
+//! | `ablation_opsteal` | work stealing between delegate queues, off vs on (docs/POLICIES.md) |
 //!
 //! Environment knobs (all optional): `SS_BENCH_SCALE` (`S`/`M`/`L`, default
 //! `S`), `SS_BENCH_REPS` (repetitions per measurement, default 3),

@@ -63,8 +63,7 @@ impl Backoff {
     }
 
     /// True once spinning and yielding have been tried long enough that the
-    /// caller should park the thread (every wait of the serialization-sets
-    /// runtime parks here, until notified).
+    /// caller should park the thread.
     #[inline]
     pub fn is_completed(&self) -> bool {
         self.step.get() > Self::YIELD_LIMIT

@@ -429,6 +429,22 @@ impl<T> Consumer<T> {
         self.shared.lane.len.load(Ordering::Acquire) > 0
     }
 
+    /// True if the ring's next value — the one [`try_pop`](Consumer::try_pop)
+    /// would return — exists and satisfies `pred`; it stays in place.
+    ///
+    /// # Safety
+    /// `pred` must not pop from this consumer: the value it is handed
+    /// lives in the slot a pop would empty.
+    #[inline]
+    pub unsafe fn head_is(&self, pred: fn(&T) -> bool) -> bool {
+        let q = &*self.shared;
+        let slot = &q.slots[self.tail.get() & q.mask];
+        // SAFETY: `full == true` observed with Acquire, so the producer's
+        // initialization happens-before this read; only this handle
+        // empties the slot, and the caller guarantees `pred` does not.
+        slot.full.load(Ordering::Acquire) && pred(unsafe { (*slot.value.get()).assume_init_ref() })
+    }
+
     /// True if a value is immediately available, without consuming it.
     /// (Consumer-side peek; the slot cannot be emptied by anyone else.)
     #[inline]

@@ -53,7 +53,6 @@ pub mod prelude {
         doall, fingerprint_of, AuditMode, AuditReport, AuditViolation, DelegateContext, Executor,
         Fingerprint, FnSerializer, MemoValue, NullSerializer, ObjectSerializer, ReadOnly, Reduce,
         Reducible, Runtime, RuntimeBuilder, SequenceSerializer, Serializer, Session, SessionStats,
-        SsError, SsFuture, SsId, Stats, StealPolicy, TraceEvent, TraceExecutor, TraceKind,
-        Writable,
+        SsError, SsFuture, SsId, Stats, TraceEvent, TraceExecutor, TraceKind, Writable,
     };
 }

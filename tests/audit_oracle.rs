@@ -4,7 +4,7 @@
 //! programs over every shape the runtime supports — flat delegations,
 //! `delegate_iter` batches, future-returning `delegate_with`, and nested
 //! delegation from delegate contexts — and runs each under
-//! [`AuditMode::Full`] under every `StealPolicy`.
+//! [`AuditMode::Full`] with stealing off and on.
 //! Every epoch must certify (an `SsError::SerializabilityViolation` would
 //! fail the unwraps) and the result must still match the sequential
 //! interpreter.
@@ -91,18 +91,6 @@ fn interpret(k: usize, ops: &[Op]) -> (Vec<u64>, Vec<u64>, Vec<u64>, Vec<u64>) {
     (objects, children, read_log, future_log)
 }
 
-fn steal_policy_of(idx: usize) -> StealPolicy {
-    match idx % 4 {
-        0 => StealPolicy::Off,
-        1 => StealPolicy::WhenIdle,
-        2 => StealPolicy::Threshold(2),
-        // The auditor must certify op-granularity (quiescent-tail) steals
-        // too: every handover the thief performs is checked against the
-        // per-operation logical-order tokens.
-        _ => StealPolicy::CostAware,
-    }
-}
-
 /// Runs the program through the runtime with the auditor fully on.
 ///
 /// Delegates are ≥ 1 so that `MutateNested` parents mostly run on a
@@ -112,7 +100,7 @@ fn run_audited(
     k: usize,
     ops: &[Op],
     delegates: usize,
-    stealing: StealPolicy,
+    stealing: bool,
 ) -> (Vec<u64>, Vec<u64>, Vec<u64>, Vec<u64>) {
     let rt = Runtime::builder()
         .delegate_threads(delegates.max(1))
@@ -196,14 +184,16 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Zero false positives: fully audited runs over every program shape
-    /// and every `StealPolicy` certify *and* match the
-    /// sequential interpreter.
+    /// with stealing off and on certify *and* match the sequential
+    /// interpreter. The auditor must certify op-granularity
+    /// (quiescent-tail) steals too: every handover the thief performs is
+    /// checked against the per-operation logical-order tokens.
     #[test]
     fn fully_audited_runs_certify_and_match_oracle(
         k in 1usize..5,
         ops in proptest::collection::vec(op_strategy(4), 0..100),
         delegates in 1usize..4,
-        steal_idx in 0usize..4,
+        stealing in any::<bool>(),
     ) {
         let ops: Vec<Op> = ops
             .into_iter()
@@ -221,7 +211,7 @@ proptest! {
             k,
             &ops,
             delegates,
-            steal_policy_of(steal_idx),
+            stealing,
         );
         prop_assert_eq!(&actual, &expected);
     }
@@ -244,7 +234,7 @@ proptest! {
                 other => other,
             })
             .collect();
-        let full = run_audited(3, &ops, 2, StealPolicy::Off);
+        let full = run_audited(3, &ops, 2, false);
         prop_assert_eq!(&full, &interpret(3, &ops));
     }
 }
@@ -433,8 +423,8 @@ mod chaos {
     /// delegate 0 is held before its first pop ("poll@0"), and delegate 0
     /// is released only once delegate 1 has started the set ("popped@1").
     /// Delegate 1's next scan waits until delegate 0 has run one of the
-    /// set's later operations ("done@0"): by then the set has started on
-    /// both delegates, and a whole-set thief cannot lift the rest of it.
+    /// set's later operations ("done@0"): by then the set has run on both
+    /// delegates.
     const TWO_EXECUTORS: [&str; 5] = ["scan@1", "popped@1", "poll@0", "done@0", "scan@1"];
 
     /// `cross_session_pin_leak` makes the thief migrate a session's set
@@ -448,7 +438,7 @@ mod chaos {
     fn cross_session_pin_leak_is_caught_by_the_sessions_auditor() {
         let rt = Runtime::builder()
             .delegate_threads(2)
-            .stealing(StealPolicy::WhenIdle)
+            .stealing(true)
             .audit(AuditMode::Full)
             .chaos(ChaosKnobs {
                 cross_session_pin_leak: true,
@@ -507,7 +497,7 @@ mod chaos {
         }
     }
 
-    /// `steal_mid_set` makes a cost-aware thief skip the quiescence
+    /// `steal_mid_set` makes the thief skip the quiescence
     /// handshake: it rips the queued tail of a started set while the owner
     /// is still *inside* an operation of that set. The owner's eventual
     /// execution record and the thief's stolen-tail records then disagree
@@ -519,7 +509,7 @@ mod chaos {
     fn steal_mid_set_is_caught_by_the_auditor() {
         let rt = Runtime::builder()
             .delegate_threads(2)
-            .stealing(StealPolicy::CostAware)
+            .stealing(true)
             .audit(AuditMode::Full)
             .chaos(ChaosKnobs {
                 steal_mid_set: true,
@@ -578,7 +568,7 @@ mod chaos {
     fn steal_no_repin_is_caught_as_two_executors() {
         let rt = Runtime::builder()
             .delegate_threads(2)
-            .stealing(StealPolicy::WhenIdle)
+            .stealing(true)
             .audit(AuditMode::Full)
             .chaos(ChaosKnobs {
                 steal_no_repin: true,

@@ -1,7 +1,7 @@
 //! Deterministic-schedule proofs for the op-granularity steal handshake.
 //!
 //! The quiescence handshake between an owner draining a started set and a
-//! cost-aware thief eyeing its queued tail has three outcomes, all
+//! thief eyeing its queued tail has three outcomes, all
 //! timing-dependent under free-running threads:
 //!
 //! 1. **Owner wins** — the thief scans while an operation of the set is
@@ -25,10 +25,9 @@
 //! Setup shared by all three: one serialization set with a batch of three
 //! operations, on delegate 0 by static assignment (the runtime's first
 //! object has sequence number 0, and 0 mod 2 is 0); delegate 1 is the
-//! thief. With an untrained cost model every queued
-//! operation prices at the default estimate, so three queued operations
-//! clear the one-typical-op steal bar and the thief reaches its "scan"
-//! gate deterministically.
+//! thief. Three queued operations clear the steal bar (an imbalance of
+//! more than one operation), so the thief reaches its "scan" gate
+//! deterministically.
 
 use prometheus_rs::prelude::*;
 
@@ -44,7 +43,7 @@ fn expected() -> u64 {
 fn harness(script: &[&str]) -> Runtime {
     Runtime::builder()
         .delegate_threads(2)
-        .stealing(StealPolicy::CostAware)
+        .stealing(true)
         .test_schedule(script.iter().copied())
         .build()
         .unwrap()

@@ -6,7 +6,7 @@
 //! rate (empty rounds are clean re-submissions — the 100%-hit case; dense
 //! rounds force invalidation every epoch). Each program runs twice — once
 //! through `delegate_memo` and once through plain `delegate_with` — under
-//! every `StealPolicy × AuditMode` cell. Results must be
+//! every stealing × `AuditMode` cell. Results must be
 //! bit-identical to each other and to a sequential interpreter: a memo hit
 //! that serves anything but exactly what re-execution would have produced
 //! is a correctness bug, not a performance bug.
@@ -32,15 +32,6 @@ fn fold(s: u64, x: u64) -> u64 {
 /// generation, so a hit implies the state is unchanged since publish).
 fn query(s: u64, x: u64) -> u64 {
     s.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(17) ^ x
-}
-
-fn steal_policy_of(idx: usize) -> StealPolicy {
-    match idx % 4 {
-        0 => StealPolicy::Off,
-        1 => StealPolicy::WhenIdle,
-        2 => StealPolicy::Threshold(2),
-        _ => StealPolicy::CostAware,
-    }
 }
 
 fn audit_mode_of(idx: usize) -> AuditMode {
@@ -82,7 +73,7 @@ fn run(
     rounds: &[Vec<(usize, u64)>],
     memoized: bool,
     delegates: usize,
-    stealing: StealPolicy,
+    stealing: bool,
     audit: AuditMode,
 ) -> (Vec<u64>, Vec<u64>, Stats) {
     let rt = Runtime::builder()
@@ -141,7 +132,7 @@ proptest! {
             1..6,
         ),
         delegates in 0usize..4,
-        steal_idx in 0usize..4,
+        stealing in any::<bool>(),
         audit_idx in 0usize..3,
     ) {
         let queries: Vec<(usize, u64)> =
@@ -154,11 +145,11 @@ proptest! {
         let (exp_finals, exp_log) = interpret(k, &queries, &rounds);
         let (memo_finals, memo_log, memo_stats) = run(
             k, &queries, &rounds, true, delegates,
-            steal_policy_of(steal_idx), audit_mode_of(audit_idx),
+            stealing, audit_mode_of(audit_idx),
         );
         let (plain_finals, plain_log, plain_stats) = run(
             k, &queries, &rounds, false, delegates,
-            steal_policy_of(steal_idx), audit_mode_of(audit_idx),
+            stealing, audit_mode_of(audit_idx),
         );
 
         prop_assert_eq!(&memo_finals, &exp_finals);
@@ -337,10 +328,10 @@ fn run_nested(
 /// over the SPSC and the stealing transport, internal and external set.
 #[test]
 fn nested_memo_misses_hits_invalidates_and_matches_unmemoized() {
-    for stealing in [StealPolicy::Off, StealPolicy::WhenIdle] {
+    for stealing in [false, true] {
         for in_session in [false, true] {
             for set in [None, Some(SsId(1000))] {
-                let leg = format!("stealing {stealing:?}, session {in_session}, set {set:?}");
+                let leg = format!("stealing {stealing}, session {in_session}, set {set:?}");
                 let run_arm = |memoized: bool| {
                     let rt = Runtime::builder()
                         .delegate_threads(2)

@@ -2,8 +2,8 @@
 //! nested-delegation programs (delegation depth ≤ 3, mixed delegations,
 //! mid-epoch reclaims, reducible bumps and epoch boundaries) must produce
 //! bit-identical results — including per-set operation order — to a
-//! trivial depth-first sequential interpreter, under every
-//! `StealPolicy` and ring capacity.
+//! trivial depth-first sequential interpreter, with stealing off and on
+//! and at every ring capacity.
 //!
 //! Determinism discipline (what makes the oracle well-defined): every
 //! object has exactly one *producer context* —
@@ -28,7 +28,7 @@
 //! the waiting delegate), and returns the fold through its own future,
 //! which the program context waits on mid-epoch. Both wait directions —
 //! delegate-context and program-context — are therefore oracle-checked
-//! under every `StealPolicy`. Determinism: each future-child
+//! with stealing off and on. Determinism: each future-child
 //! object has a single producer (its root's delegate context) and futures
 //! are waited in submission order, so the folds are the depth-first
 //! sequential folds regardless of scheduling.
@@ -198,7 +198,7 @@ impl Reduce for Acc {
 
 /// Runs the same program through the runtime with real recursive
 /// delegation.
-fn run_parallel(ops: &[Op], delegates: usize, stealing: StealPolicy, ring: usize) -> Outcome {
+fn run_parallel(ops: &[Op], delegates: usize, stealing: bool, ring: usize) -> Outcome {
     let rt = Runtime::builder()
         .delegate_threads(delegates)
         .stealing(stealing)
@@ -379,15 +379,13 @@ fn run_parallel(ops: &[Op], delegates: usize, stealing: StealPolicy, ring: usize
 /// and nests from them (the SPSC transport only: the deques never take).
 const RINGS: [usize; 2] = [512, 4];
 
-/// Every `StealPolicy`, plus a four-slot ring on the SPSC transport, as
-/// `(label, policy, ring capacity)`.
-fn all_shapes() -> [(&'static str, StealPolicy, usize); 5] {
+/// Stealing off and on, plus a four-slot ring on the SPSC transport, as
+/// `(label, stealing, ring capacity)`.
+fn all_shapes() -> [(&'static str, bool, usize); 3] {
     [
-        ("off", StealPolicy::Off, RINGS[0]),
-        ("off/ring-4", StealPolicy::Off, RINGS[1]),
-        ("when-idle", StealPolicy::WhenIdle, RINGS[0]),
-        ("threshold-2", StealPolicy::Threshold(2), RINGS[0]),
-        ("cost-aware", StealPolicy::CostAware, RINGS[0]),
+        ("off", false, RINGS[0]),
+        ("off/ring-4", false, RINGS[1]),
+        ("steal", true, RINGS[0]),
     ]
 }
 
@@ -417,8 +415,8 @@ proptest! {
     fn repeated_nested_runs_are_identical(
         ops in proptest::collection::vec(op_strategy(), 0..30),
     ) {
-        let a = run_parallel(&ops, 2, StealPolicy::WhenIdle, RINGS[0]);
-        let b = run_parallel(&ops, 2, StealPolicy::WhenIdle, RINGS[0]);
+        let a = run_parallel(&ops, 2, true, RINGS[0]);
+        let b = run_parallel(&ops, 2, true, RINGS[0]);
         prop_assert_eq!(a, b);
     }
 }
@@ -484,7 +482,7 @@ fn fixed_deep_program_all_shapes() {
 /// future-returning and classic nested roots, mid-epoch reclaims and an
 /// epoch boundary, so delegate-context waits (help-first), program-context
 /// waits and the barrier's future-settlement guarantee are all exercised
-/// under every `StealPolicy`.
+/// with stealing off and on.
 #[test]
 fn fixed_future_program_all_shapes() {
     let ops = vec![
@@ -516,7 +514,7 @@ fn fixed_future_program_all_shapes() {
 /// A delegate waiting on an operation in its *own* serialization set can
 /// never complete (per-set FIFO orders the operation after the waiter);
 /// the runtime must reject the wait with `SsError::FutureDeadlock` —
-/// deterministically, under every `StealPolicy` — and stay
+/// deterministically, with stealing off and on — and stay
 /// healthy afterwards (the rejected operation still runs).
 #[test]
 fn own_set_wait_deadlock_is_deterministic_all_shapes() {

@@ -66,27 +66,13 @@ fn interpret(k: usize, ops: &[Op]) -> (Vec<u64>, u64, Vec<u64>) {
     (objects, counter, read_log)
 }
 
-/// The `StealPolicy` axis the oracle sweeps (proptest picks an index, so
-/// every generated program can run under every policy).
-fn steal_policy_of(idx: usize) -> StealPolicy {
-    match idx % 4 {
-        0 => StealPolicy::Off,
-        1 => StealPolicy::WhenIdle,
-        2 => StealPolicy::Threshold(2),
-        // Op-granularity leg: cost-aware thieves may take the queued tail
-        // of a *started* set after the quiescence handshake — the order
-        // oracle must not be able to tell.
-        _ => StealPolicy::CostAware,
-    }
-}
-
 /// Runs the same program through the serialization-sets runtime.
 fn run_parallel(
     k: usize,
     ops: &[Op],
     delegates: usize,
     ring: usize,
-    stealing: StealPolicy,
+    stealing: bool,
 ) -> (Vec<u64>, u64, Vec<u64>) {
     let rt = Runtime::builder()
         .delegate_threads(delegates)
@@ -166,7 +152,10 @@ proptest! {
         // A four-slot ring fills within a few operations, so the program
         // thread takes sets and runs them itself.
         ring in prop_oneof![Just(4usize), Just(512)],
-        steal_idx in 0usize..4,
+        // Stealing on: thieves may also take the queued tail of a
+        // *started* set after the quiescence handshake — the order oracle
+        // must not be able to tell.
+        stealing in any::<bool>(),
     ) {
         // Ops reference objects 0..5; clamp to k.
         let ops: Vec<Op> = ops
@@ -184,7 +173,7 @@ proptest! {
             &ops,
             delegates,
             ring,
-            steal_policy_of(steal_idx),
+            stealing,
         );
         prop_assert_eq!(&actual, &expected);
     }
@@ -193,8 +182,8 @@ proptest! {
     fn repeated_runs_are_identical(
         ops in proptest::collection::vec(op_strategy(3), 0..60),
     ) {
-        let a = run_parallel(3, &ops, 2, 4, StealPolicy::Off);
-        let b = run_parallel(3, &ops, 2, 4, StealPolicy::Off);
+        let a = run_parallel(3, &ops, 2, 4, false);
+        let b = run_parallel(3, &ops, 2, 4, false);
         prop_assert_eq!(a, b);
     }
 }

@@ -8,7 +8,7 @@
 //! while every other session runs concurrently over the *same* delegate
 //! threads. Each session's final object states, read log and future log
 //! must equal its own sequential interpretation, including per-set
-//! operation order, under every `StealPolicy × AuditMode` combination.
+//! operation order, with stealing off and on under every `AuditMode`.
 //!
 //! What this proves that oracle.rs cannot: tenants never observe each
 //! other. A cross-tenant pin collision, a shared epoch stamp, a drain
@@ -92,17 +92,6 @@ fn interpret(k: usize, ops: &[Op]) -> Observed {
         }
     }
     (objects, children, read_log, future_log)
-}
-
-fn steal_policy_of(idx: usize) -> StealPolicy {
-    match idx % 4 {
-        0 => StealPolicy::Off,
-        1 => StealPolicy::WhenIdle,
-        2 => StealPolicy::Threshold(2),
-        // Cost-aware thieves op-steal quiescent tails of started sets —
-        // including across tenants' namespaced keys.
-        _ => StealPolicy::CostAware,
-    }
 }
 
 fn audit_mode_of(idx: usize) -> AuditMode {
@@ -208,7 +197,7 @@ fn run_sessions(
     k: usize,
     programs: &[Vec<Op>],
     delegates: usize,
-    stealing: StealPolicy,
+    stealing: bool,
     audit: AuditMode,
 ) -> Vec<Observed> {
     // Delegates ≥ 1 so MutateNested always has a real delegate context
@@ -262,7 +251,7 @@ proptest! {
 
     /// The tentpole oracle: up to three concurrent sessions, each with an
     /// independent random program, swept over the full
-    /// `StealPolicy × AuditMode` grid. Every session must
+    /// stealing × `AuditMode` grid. Every session must
     /// match its own interpreter exactly.
     #[test]
     fn concurrent_sessions_each_match_their_sequential_oracle(
@@ -272,7 +261,7 @@ proptest! {
             1..4,
         ),
         delegates in 1usize..4,
-        steal_idx in 0usize..4,
+        stealing in any::<bool>(),
         audit_idx in 0usize..3,
     ) {
         let programs: Vec<Vec<Op>> =
@@ -283,7 +272,7 @@ proptest! {
             k,
             &programs,
             delegates,
-            steal_policy_of(steal_idx),
+            stealing,
             audit_mode_of(audit_idx),
         );
         prop_assert_eq!(&actual, &expected);
@@ -298,7 +287,7 @@ proptest! {
         root_ops in proptest::collection::vec(op_strategy(3), 0..50),
         session_ops in proptest::collection::vec(op_strategy(3), 0..50),
         delegates in 1usize..4,
-        steal_idx in 0usize..4,
+        stealing in any::<bool>(),
     ) {
         let k = 3;
         let root_ops = clamp(k, root_ops);
@@ -306,7 +295,7 @@ proptest! {
 
         let rt = Runtime::builder()
             .delegate_threads(delegates)
-            .stealing(steal_policy_of(steal_idx))
+            .stealing(stealing)
             .audit(AuditMode::Full)
             .build()
             .unwrap();
@@ -400,7 +389,7 @@ fn session_matrix_smoke() {
 
     let rt = Runtime::builder()
         .delegate_threads(delegates)
-        .stealing(StealPolicy::WhenIdle)
+        .stealing(true)
         .audit(AuditMode::Full)
         .build()
         .unwrap();

@@ -3,9 +3,9 @@
 //! thread or delegate, the delegate that runs it, a thief that moves it —
 //! and the sums `Runtime::stats` reports must still balance.
 //!
-//! After `end_isolation`, over {root, sessions} × {SPSC, stealing
-//! `CostAware`} × {program, nested, inline (the root program thread's
-//! takes), `delegate_with`, dropped-future cancel}:
+//! After `end_isolation`, over {root, sessions} × {SPSC, stealing} ×
+//! {program, nested, inline (the root program thread's takes),
+//! `delegate_with`, dropped-future cancel}:
 //!
 //! * `executed == delegations` — every operation submitted through
 //!   `delegate*` counts as a delegation, whichever executor ran it;
@@ -37,7 +37,8 @@ fn delegates() -> usize {
     env("SS_DELEGATES", 2).max(2)
 }
 
-const TRANSPORTS: [StealPolicy; 2] = [StealPolicy::Off, StealPolicy::CostAware];
+/// Stealing off (the SPSC rings) and on (the steal deques).
+const TRANSPORTS: [bool; 2] = [false, true];
 
 #[derive(Clone, Copy, Debug, PartialEq)]
 enum Leg {
@@ -63,7 +64,7 @@ const BEHIND: u64 = 6;
 
 type Obj = Writable<u64, SequenceSerializer>;
 
-fn build(stealing: StealPolicy, leg: Leg) -> Runtime {
+fn build(stealing: bool, leg: Leg) -> Runtime {
     let builder = Runtime::builder()
         .delegate_threads(delegates())
         .stealing(stealing);
@@ -195,10 +196,10 @@ fn split_counters_balance_after_every_epoch() {
             let rt = build(stealing, leg);
             let futures = run_leg(&rt, leg);
             let root = rt.stats();
-            assert_conserved(&root, futures, &format!("root {stealing:?} {leg:?}"));
+            assert_conserved(&root, futures, &format!("root stealing {stealing} {leg:?}"));
             match leg {
                 // Only the root's rings take.
-                Leg::Inline if stealing == StealPolicy::Off => {
+                Leg::Inline if !stealing => {
                     assert!(root.inline_executions > 0, "{root:?}")
                 }
                 Leg::Nested => assert!(root.nested_delegations > 0, "{root:?}"),
@@ -215,7 +216,7 @@ fn split_counters_balance_after_every_epoch() {
                     .collect();
                 tenants.into_iter().map(|t| t.join().unwrap()).sum()
             });
-            let label = format!("{sessions} sessions {stealing:?} {leg:?}");
+            let label = format!("{sessions} sessions stealing {stealing} {leg:?}");
             assert_conserved(&rt.stats(), futures, &label);
         }
     }
@@ -232,7 +233,7 @@ fn wait_for(what: &str, done: impl Fn() -> bool) {
 /// Holds a delegate behind a blocker with `BEHIND` gated operations of one
 /// set queued after it — sets 0 and `delegates` share a delegate in every
 /// domain — and checks the depths `stats` reports.
-fn depths_behind_a_blocker(h: &Runtime, stats: impl Fn() -> Stats, stealing: StealPolicy) {
+fn depths_behind_a_blocker(h: &Runtime, stats: impl Fn() -> Stats, stealing: bool) {
     let (blocker, batch): (Obj, Obj) = (Writable::new(h, 0), Writable::new(h, 0));
     let gate = OpenOnDrop(Arc::new(AtomicBool::new(false)));
     // The blocker's delegate, plus one; 0 until it starts.
@@ -260,7 +261,7 @@ fn depths_behind_a_blocker(h: &Runtime, stats: impl Fn() -> Stats, stealing: Ste
             })
             .unwrap();
     }
-    let depths = if stealing == StealPolicy::Off {
+    let depths = if !stealing {
         // The blocker is executing, the batch queued behind it.
         stats().queue_depths
     } else {
@@ -272,21 +273,24 @@ fn depths_behind_a_blocker(h: &Runtime, stats: impl Fn() -> Stats, stealing: Ste
         s.queue_depths
     };
     let mut want = vec![0; delegates()];
-    match stealing {
-        StealPolicy::Off => want[home] = 1 + BEHIND,
-        _ => {
-            want[home] = 1;
-            let thief = (0..want.len())
-                .find(|&j| j != home && depths[j] != 0)
-                .unwrap_or((home + 1) % want.len());
-            want[thief] = BEHIND;
-        }
+    if stealing {
+        want[home] = 1;
+        let thief = (0..want.len())
+            .find(|&j| j != home && depths[j] != 0)
+            .unwrap_or((home + 1) % want.len());
+        want[thief] = BEHIND;
+    } else {
+        want[home] = 1 + BEHIND;
     }
-    assert_eq!(depths, want, "{stealing:?}");
+    assert_eq!(depths, want, "stealing {stealing}");
     drop(gate);
     h.end_isolation().unwrap();
     assert_eq!(batch.call(|n| *n).unwrap(), 0);
-    assert_conserved(&stats(), 0, &format!("{stealing:?} after the blocker"));
+    assert_conserved(
+        &stats(),
+        0,
+        &format!("stealing {stealing} after the blocker"),
+    );
 }
 
 #[test]

@@ -179,10 +179,10 @@ fn nested_depth_axis_is_correct_under_oversubscription() {
     const ROOTS: u64 = 64;
     const FAN: u64 = 3;
     for depth in [1usize, 2, 3] {
-        for policy in [StealPolicy::Off, StealPolicy::WhenIdle] {
+        for stealing in [false, true] {
             let rt = Runtime::builder()
                 .delegate_threads(delegates_from_env(8))
-                .stealing(policy)
+                .stealing(stealing)
                 .build()
                 .unwrap();
             // One accumulator per (root, level) so every object keeps a
@@ -210,7 +210,7 @@ fn nested_depth_axis_is_correct_under_oversubscription() {
                     assert_eq!(
                         cell.call(|n| *n).unwrap(),
                         expect,
-                        "depth {depth}, level {l}, policy {policy:?}"
+                        "depth {depth}, level {l}, stealing {stealing}"
                     );
                 }
             }
@@ -257,10 +257,10 @@ fn barrier_under_load_waits_for_late_spawned_children() {
     const ROOTS: usize = 24;
     const KIDS: u64 = 4;
     const GRANDS: u64 = 2;
-    for policy in [StealPolicy::Off, StealPolicy::WhenIdle] {
+    for stealing in [false, true] {
         let rt = Runtime::builder()
             .delegate_threads(delegates_from_env(4))
-            .stealing(policy)
+            .stealing(stealing)
             .build()
             .unwrap();
         let roots: Vec<Writable<u64, SequenceSerializer>> =
@@ -316,12 +316,16 @@ fn barrier_under_load_waits_for_late_spawned_children() {
         assert_eq!(
             hits.load(Ordering::Relaxed),
             expect_grands,
-            "policy {policy:?}: barrier returned before transitive children"
+            "stealing {stealing}: barrier returned before transitive children"
         );
         for i in 0..ROOTS {
-            assert_eq!(roots[i].call(|n| *n).unwrap(), 1, "{policy:?}");
-            assert_eq!(kids[i].call(|n| *n).unwrap(), KIDS, "{policy:?}");
-            assert_eq!(grands[i].call(|n| *n).unwrap(), KIDS * GRANDS, "{policy:?}");
+            assert_eq!(roots[i].call(|n| *n).unwrap(), 1, "stealing {stealing}");
+            assert_eq!(kids[i].call(|n| *n).unwrap(), KIDS, "stealing {stealing}");
+            assert_eq!(
+                grands[i].call(|n| *n).unwrap(),
+                KIDS * GRANDS,
+                "stealing {stealing}"
+            );
         }
     }
 }
@@ -334,10 +338,10 @@ fn barrier_under_load_waits_for_late_spawned_children() {
 fn many_pending_futures_across_epoch_boundaries() {
     const OBJS: usize = 32;
     const EPOCHS: u64 = 20;
-    for policy in [StealPolicy::Off, StealPolicy::WhenIdle] {
+    for stealing in [false, true] {
         let rt = Runtime::builder()
             .delegate_threads(delegates_from_env(8))
-            .stealing(policy)
+            .stealing(stealing)
             .build()
             .unwrap();
         let objs: Vec<Writable<u64, SequenceSerializer>> =
@@ -349,8 +353,11 @@ fn many_pending_futures_across_epoch_boundaries() {
             // Waited-across-the-boundary futures from the previous epoch
             // must already be resolved (the barrier settles every cell).
             for f in carried.drain(..) {
-                assert!(f.is_ready(), "{policy:?}: future crossed epoch pending");
-                assert_eq!(f.wait().unwrap() % 1000, epoch - 1, "{policy:?}");
+                assert!(
+                    f.is_ready(),
+                    "stealing {stealing}: future crossed epoch pending"
+                );
+                assert_eq!(f.wait().unwrap() % 1000, epoch - 1, "stealing {stealing}");
             }
             for (i, o) in objs.iter().enumerate() {
                 let fut = o
@@ -369,7 +376,7 @@ fn many_pending_futures_across_epoch_boundaries() {
                         assert_eq!(
                             fut.wait().unwrap(),
                             (i as u64) * 1_000_000 + (epoch + 1) * 1000 + epoch,
-                            "{policy:?}"
+                            "stealing {stealing}"
                         );
                     }
                     _ => parked.push(fut),
@@ -379,11 +386,15 @@ fn many_pending_futures_across_epoch_boundaries() {
             parked.clear(); // settled by the barrier; dropping cancels nothing
         }
         for o in &objs {
-            assert_eq!(o.call(|n| *n).unwrap(), EPOCHS, "{policy:?}");
+            assert_eq!(o.call(|n| *n).unwrap(), EPOCHS, "stealing {stealing}");
         }
         let stats = rt.stats();
-        assert_eq!(stats.futures_resolved, EPOCHS * OBJS as u64, "{policy:?}");
-        assert_eq!(stats.in_flight, 0, "{policy:?}");
+        assert_eq!(
+            stats.futures_resolved,
+            EPOCHS * OBJS as u64,
+            "stealing {stealing}"
+        );
+        assert_eq!(stats.in_flight, 0, "stealing {stealing}");
     }
 }
 
@@ -400,10 +411,10 @@ fn many_pending_futures_across_epoch_boundaries() {
 fn dropped_futures_leak_nothing_under_nesting() {
     const ROOTS: u64 = 48;
     const KIDS: u64 = 3;
-    for policy in [StealPolicy::Off, StealPolicy::WhenIdle] {
+    for stealing in [false, true] {
         let rt = Runtime::builder()
             .delegate_threads(delegates_from_env(4))
-            .stealing(policy)
+            .stealing(stealing)
             .build()
             .unwrap();
         let roots: Vec<Writable<u64, SequenceSerializer>> =
@@ -441,10 +452,10 @@ fn dropped_futures_leak_nothing_under_nesting() {
         for i in 0..ROOTS as usize {
             let r = roots[i].call(|n| *n).unwrap();
             let k = kids[i].call(|n| *n).unwrap();
-            assert!(r <= 1, "{policy:?}: root {i} ran {r} times");
+            assert!(r <= 1, "stealing {stealing}: root {i} ran {r} times");
             assert!(
                 k <= KIDS * r,
-                "{policy:?}: kid {i} has {k} increments under {r} root runs"
+                "stealing {stealing}: kid {i} has {k} increments under {r} root runs"
             );
             roots_run += r;
             kids_run += k;
@@ -457,22 +468,22 @@ fn dropped_futures_leak_nothing_under_nesting() {
         assert_eq!(
             stats.futures_resolved + stats.ops_cancelled,
             submitted,
-            "{policy:?}: a dropped future lost its completion"
+            "stealing {stealing}: a dropped future lost its completion"
         );
         // Each resolved op incremented its object exactly once; a
         // cancelled op incremented nothing (skipped whole, not half-run).
         assert_eq!(
             roots_run + kids_run,
             stats.futures_resolved,
-            "{policy:?}: increments must match resolutions exactly"
+            "stealing {stealing}: increments must match resolutions exactly"
         );
         assert_eq!(
             stats.in_flight, 0,
-            "{policy:?}: dropped futures leaked in_flight"
+            "stealing {stealing}: dropped futures leaked in_flight"
         );
         assert!(
             stats.queue_depths.iter().all(|&d| d == 0),
-            "{policy:?}: residual queue depth {:?}",
+            "stealing {stealing}: residual queue depth {:?}",
             stats.queue_depths
         );
     }
@@ -484,9 +495,9 @@ fn dropped_futures_leak_nothing_under_nesting() {
 /// one global routing lock — while the trace log records every
 /// routing decision and every execution. Pin stability is then checked
 /// *from the trace*: within one epoch no serialization set may be
-/// observed executing on two executors, and without stealing no set may
-/// even be *routed* to two executors (with stealing, routing may move a
-/// never-started set, but only with a recorded `Steal` event).
+/// observed on more executors, executing or routed, than its recorded
+/// steal events allow: one without stealing, and with stealing one more
+/// per `Steal` (a never-started set) or `OpSteal` (a quiescent tail).
 #[test]
 fn routing_contention_preserves_pin_stability() {
     use std::collections::{HashMap, HashSet};
@@ -494,13 +505,13 @@ fn routing_contention_preserves_pin_stability() {
     const ROOTS: usize = 16;
     const KIDS: u64 = 3;
     const EPOCHS: u64 = 3;
-    for policy in [StealPolicy::Off, StealPolicy::WhenIdle] {
+    for stealing in [false, true] {
         let rt = Runtime::builder()
             // Root nested submits route through the pin map (a take could
             // have pinned any set), under each set's shard lock at first
             // touch.
             .delegate_threads(delegates_from_env(8))
-            .stealing(policy)
+            .stealing(stealing)
             .trace(true)
             .build()
             .unwrap();
@@ -554,17 +565,20 @@ fn routing_contention_preserves_pin_stability() {
         }
         // Every kid cell received KIDS increments per epoch.
         for kid in &kids {
-            assert_eq!(kid.call(|k| *k).unwrap(), KIDS * EPOCHS, "{policy:?}");
+            assert_eq!(
+                kid.call(|k| *k).unwrap(),
+                KIDS * EPOCHS,
+                "stealing {stealing}"
+            );
         }
 
         let trace = rt.take_trace().unwrap();
-        // Execution-side invariant (both policies): a set's operations
-        // execute on exactly one executor per epoch. Every operation in
-        // this test is future-returning, so `FutureResolve` events — which
-        // record the *executing* context — cover every execution.
+        // Execution side: every operation in this test is
+        // future-returning, so `FutureResolve` events — which record the
+        // *executing* context — cover every execution.
         let mut executed_on: HashMap<(u64, u64), HashSet<usize>> = HashMap::new();
-        // Routing-side invariant: who each set was routed to, and how
-        // many recorded steals could legitimately have moved it.
+        // Routing side: who each set was routed to. Both are bounded by
+        // how many recorded steals could legitimately have moved the set.
         let mut routed_to: HashMap<(u64, u64), HashSet<usize>> = HashMap::new();
         let mut steals: HashMap<(u64, u64), usize> = HashMap::new();
         for e in &trace {
@@ -578,28 +592,26 @@ fn routing_contention_preserves_pin_stability() {
                 TraceKind::Pin | TraceKind::Delegate | TraceKind::NestedDelegate => {
                     routed_to.entry((e.epoch, set.0)).or_default().insert(d);
                 }
-                TraceKind::Steal => {
+                TraceKind::Steal | TraceKind::OpSteal => {
                     *steals.entry((e.epoch, set.0)).or_default() += 1;
                 }
                 _ => {}
             }
         }
-        assert!(!executed_on.is_empty(), "{policy:?}: no executions traced");
-        for ((epoch, set), executors) in &executed_on {
-            assert_eq!(
-                executors.len(),
-                1,
-                "{policy:?}: set {set} executed on {executors:?} within epoch {epoch}"
-            );
-        }
-        for ((epoch, set), executors) in &routed_to {
-            let allowed = 1 + steals.get(&(*epoch, *set)).copied().unwrap_or(0);
-            assert!(
-                executors.len() <= allowed,
-                "{policy:?}: set {set} routed to {executors:?} in epoch {epoch} \
-                 with only {} recorded steal(s)",
-                allowed - 1
-            );
+        assert!(
+            !executed_on.is_empty(),
+            "stealing {stealing}: no executions traced"
+        );
+        for (what, seen) in [("executed on", &executed_on), ("routed to", &routed_to)] {
+            for ((epoch, set), executors) in seen {
+                let allowed = 1 + steals.get(&(*epoch, *set)).copied().unwrap_or(0);
+                assert!(
+                    executors.len() <= allowed,
+                    "stealing {stealing}: set {set} {what} {executors:?} in epoch {epoch} \
+                     with only {} recorded steal(s)",
+                    allowed - 1
+                );
+            }
         }
     }
 }
@@ -607,27 +619,22 @@ fn routing_contention_preserves_pin_stability() {
 /// The op-granularity payoff case, stated as a falsifiable comparison:
 /// a *zipf-stall* shape — one cold set of long stall operations and one
 /// hot set with a deep tail of medium operations, both co-located on one
-/// delegate — is the shape whole-set stealing cannot balance. `WhenIdle`
-/// may grab an entire set at an arrival boundary (while it is still
-/// fresh), but once a set has started, its queued tail is untouchable;
-/// with 4 cold + 64 hot operations the thief's possible totals are
-/// exactly {0, 4, 64, 68} of 70, so the executed-op spread is ≥ 58 no
-/// matter how the races fall. Cost-aware op-granularity stealing
-/// migrates quiescent tails mid-set (in either direction), so the
-/// spread lands strictly below that floor.
+/// delegate and both started before their bodies queue. Without stealing
+/// every operation runs on that delegate, so the executed-op spread is
+/// all 70 of them. With stealing on, the thief migrates quiescent tails
+/// mid-set (in either direction), so the spread lands strictly below.
 ///
-/// Asserts, with the same workload under both policies:
+/// Asserts, with the same workload off and on:
 ///
-/// * `WhenIdle` performs zero op-granularity steals (structurally — the
-///   policy cannot touch started sets) and its spread stays ≥ 58;
-/// * `CostAware` performs at least one quiescent-tail steal and strictly
-///   improves the spread;
-/// * the PR-5 trace-log audit, extended with `OpSteal` events, certifies
-///   that within each epoch no set executed on more executors than its
+/// * off performs no steals at all;
+/// * on performs at least one quiescent-tail steal and strictly improves
+///   the spread;
+/// * the trace-log audit, including `OpSteal` events, certifies that
+///   within each epoch no set executed on more executors than its
 ///   recorded steal events allow — op-granularity migration is visible,
 ///   never silent.
 #[test]
-fn cost_aware_op_steals_spread_a_zipf_stall_tail() {
+fn op_steals_spread_a_zipf_stall_tail() {
     use std::collections::{HashMap, HashSet};
 
     const STALLS: u64 = 4; // cold set: few long operations
@@ -646,15 +653,12 @@ fn cost_aware_op_steals_spread_a_zipf_stall_tail() {
         .unwrap_or(1)
         >= 3;
     let mut spreads: HashMap<&'static str, u64> = HashMap::new();
-    for (label, policy) in [
-        ("when-idle", StealPolicy::WhenIdle),
-        ("cost-aware", StealPolicy::CostAware),
-    ] {
+    for (label, stealing) in [("off", false), ("steal", true)] {
         // Exactly 2 delegates: static assignment pins both SsId(0) and
         // SsId(2) to delegate 0 (id % 2), leaving delegate 1 the thief.
         let rt = Runtime::builder()
             .delegate_threads(2)
-            .stealing(policy)
+            .stealing(stealing)
             .trace(true)
             .build()
             .unwrap();
@@ -711,21 +715,18 @@ fn cost_aware_op_steals_spread_a_zipf_stall_tail() {
         assert_eq!(hot.call(|n| *n).unwrap(), 1 + TAIL);
 
         let stats = rt.stats();
-        match label {
-            "when-idle" => {
-                assert_eq!(
-                    stats.op_steals, 0,
-                    "depth-based policy migrated a started set's tail: {stats:?}"
-                );
-            }
-            _ if parallel_enough => {
-                assert!(
-                    stats.op_steals >= 1,
-                    "cost-aware thief never took a quiescent tail: {stats:?}"
-                );
-            }
-            _ => {} // thief may never have been scheduled concurrently
-        }
+        if !stealing {
+            assert_eq!(
+                (stats.steals, stats.op_steals),
+                (0, 0),
+                "a runtime without stealing stole: {stats:?}"
+            );
+        } else if parallel_enough {
+            assert!(
+                stats.op_steals >= 1,
+                "the thief never took a quiescent tail: {stats:?}"
+            );
+        } // else the thief may never have been scheduled concurrently
         let executed = &stats.delegate_executed;
         spreads.insert(
             label,
@@ -766,7 +767,7 @@ fn cost_aware_op_steals_spread_a_zipf_stall_tail() {
     }
     if parallel_enough {
         assert!(
-            spreads["cost-aware"] < spreads["when-idle"],
+            spreads["steal"] < spreads["off"],
             "op-granularity stealing did not improve the executed spread: {spreads:?}"
         );
     }
@@ -941,10 +942,10 @@ fn runtime_handles_survive_wrapper_lifetimes() {
 fn cell_pool_recycles_dropped_futures_across_epochs() {
     const OBJS: usize = 24;
     const EPOCHS: u64 = 12;
-    for policy in [StealPolicy::Off, StealPolicy::WhenIdle] {
+    for stealing in [false, true] {
         let rt = Runtime::builder()
             .delegate_threads(delegates_from_env(4))
-            .stealing(policy)
+            .stealing(stealing)
             .build()
             .unwrap();
         let objs: Vec<Writable<u64, SequenceSerializer>> =
@@ -969,11 +970,11 @@ fn cell_pool_recycles_dropped_futures_across_epochs() {
             rt.cell_pool_stats();
         assert_eq!(
             in_flight_after_warmup, 0,
-            "{policy:?}: cells still in flight after warmup drain"
+            "stealing {stealing}: cells still in flight after warmup drain"
         );
         assert_eq!(
             free_after_warmup as u64, created_after_warmup,
-            "{policy:?}: every created cell must be back on the free list"
+            "stealing {stealing}: every created cell must be back on the free list"
         );
 
         // Cells released mid-epoch (carried futures dropped after the
@@ -988,7 +989,10 @@ fn cell_pool_recycles_dropped_futures_across_epochs() {
             // Futures carried across the boundary were settled by the
             // barrier; their cells stayed in flight until dropped here.
             for f in carried.drain(..) {
-                assert!(f.is_ready(), "{policy:?}: future crossed epoch pending");
+                assert!(
+                    f.is_ready(),
+                    "stealing {stealing}: future crossed epoch pending"
+                );
                 f.wait().unwrap();
             }
             // Parked futures from the previous epoch are settled too, but
@@ -1008,7 +1012,7 @@ fn cell_pool_recycles_dropped_futures_across_epochs() {
                 // then waited, a third carried and dropped unpolled.
                 match i % 3 {
                     0 => {
-                        assert_eq!(fut.wait().unwrap(), epoch + 1, "{policy:?}");
+                        assert_eq!(fut.wait().unwrap(), epoch + 1, "stealing {stealing}");
                     }
                     1 => carried.push(fut),
                     _ => parked.push(fut),
@@ -1024,23 +1028,23 @@ fn cell_pool_recycles_dropped_futures_across_epochs() {
             assert_eq!(
                 in_flight,
                 carried.len() + parked.len(),
-                "{policy:?}: epoch {epoch}: only held futures may keep cells"
+                "stealing {stealing}: epoch {epoch}: only held futures may keep cells"
             );
             assert_eq!(
                 free + in_flight,
                 created as usize,
-                "{policy:?}: epoch {epoch}: pool lost or duplicated a cell"
+                "stealing {stealing}: epoch {epoch}: pool lost or duplicated a cell"
             );
             if epoch <= 2 {
                 created_steady = created;
                 assert!(
                     created >= created_after_warmup,
-                    "{policy:?}: created count went backwards"
+                    "stealing {stealing}: created count went backwards"
                 );
             } else {
                 assert_eq!(
                     created, created_steady,
-                    "{policy:?}: epoch {epoch}: pool allocated new cells instead of reusing"
+                    "stealing {stealing}: epoch {epoch}: pool allocated new cells instead of reusing"
                 );
             }
         }
@@ -1054,15 +1058,21 @@ fn cell_pool_recycles_dropped_futures_across_epochs() {
         rt.end_isolation().unwrap();
 
         for o in &objs {
-            assert_eq!(o.call(|n| *n).unwrap(), EPOCHS, "{policy:?}");
+            assert_eq!(o.call(|n| *n).unwrap(), EPOCHS, "stealing {stealing}");
         }
         let stats = rt.stats();
-        assert_eq!(stats.in_flight, 0, "{policy:?}: runtime leaked in_flight");
+        assert_eq!(
+            stats.in_flight, 0,
+            "stealing {stealing}: runtime leaked in_flight"
+        );
         let (free, in_flight, created) = rt.cell_pool_stats();
-        assert_eq!(in_flight, 0, "{policy:?}: cells leaked after final drain");
+        assert_eq!(
+            in_flight, 0,
+            "stealing {stealing}: cells leaked after final drain"
+        );
         assert_eq!(
             free as u64, created,
-            "{policy:?}: final free-list does not account for every cell"
+            "stealing {stealing}: final free-list does not account for every cell"
         );
     }
 }

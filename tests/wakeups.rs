@@ -180,8 +180,9 @@ fn a_help_first_wait_hears_a_push_to_its_own_queue_before_it_parks() {
 /// found nothing; a batch lands on delegate 0 — held at its `poll@0` gate
 /// so it cannot drain the batch itself — and the push wakes delegate 1,
 /// whose steal must land. Delegate 0 stays held until delegate 1 has run
-/// a stolen operation (`done@1`): the set has then started there, so
-/// delegate 0's own idle steal cannot take it back. The epoch stays open
+/// all four of the set's operations (`done@1`, the last one submitted
+/// after the batch), so delegate 0's own idle steal finds nothing to take
+/// back — not even a quiescent tail. The epoch stays open
 /// until the set's last operation has run: the barrier notifies every
 /// delegate, and must not be what wakes the thief.
 #[test]
@@ -189,8 +190,10 @@ fn a_parked_thief_hears_a_push_past_the_bar_and_steals() {
     watchdog(|| {
         let rt = Runtime::builder()
             .delegate_threads(2)
-            .stealing(StealPolicy::WhenIdle)
-            .test_schedule(["wake@1", "sleep@1", "stole@1", "done@1", "poll@0"])
+            .stealing(true)
+            .test_schedule([
+                "wake@1", "sleep@1", "stole@1", "done@1", "done@1", "done@1", "done@1", "poll@0",
+            ])
             .build()
             .unwrap();
         let w: Writable<u64, SequenceSerializer> = Writable::new(&rt, 0);
