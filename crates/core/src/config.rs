@@ -8,9 +8,10 @@
 //! one less than the number of processors by default, but may be configured
 //! to some other number". The paper's other knob, virtual delegates with a
 //! static program-thread share ("the assignment ratio"), is not here: the
-//! program thread chooses by load which sets it runs — it takes a set that
-//! arrives fresh at a half-full ring (`docs/POLICIES.md`, "The program
-//! thread takes fresh sets at a half-full ring").
+//! program thread runs sets where it would otherwise wait — it retracts
+//! fresh runs from the unclaimed end of its delegate's ring at the
+//! barrier and at a full ring (`docs/POLICIES.md`, "The program thread
+//! retracts fresh tails at its waits").
 
 use std::sync::Arc;
 

@@ -186,8 +186,9 @@ impl<R: Send + 'static> SsFuture<R> {
         }
     }
 
-    /// True when the operation runs on the program thread (a set it took,
-    /// or any set of a runtime without delegates) — delegated from the program
+    /// True when the operation runs on the program thread (a set it
+    /// retracted earlier in the epoch, or any set of a runtime without
+    /// delegates) — delegated from the program
     /// context, such futures are born ready; delegated from a delegate
     /// context, the operation waits in `Lane::Program` for the program
     /// thread.

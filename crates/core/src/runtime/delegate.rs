@@ -114,16 +114,20 @@ pub(super) fn current_domain_id() -> u32 {
 //   sequential work is kept waiting for microseconds, not more.
 //
 // Nothing is reordered: a slip only delays popping an entry that is
-// already in the ring.
+// already in the ring. It claims no more than a pop would — half what it
+// sees when it reads whether a future awaits the head entry — so the
+// entries it lets its producer push stay retractable (`program.rs`).
 
 /// Ring operations a delegate must drain in a row before it slips on an
 /// awaited entry.
 const SLIP_ARM: u32 = 64;
 /// The lead a slipping delegate lets its producer rebuild: four objects'
 /// worth of a 16-operations-per-object stream, an eighth of the default
-/// ring. A smaller ring caps it at a quarter ring, short of the half-full
-/// ring at which the program thread takes a set itself.
-const SLIP_LEAD: usize = 64;
+/// ring, and the largest batch the ring's consumer claims
+/// ([`ss_queue::MAX_CLAIM`]), so a delegate that has slipped claims half
+/// of it and leaves the rest retractable. A smaller ring caps it at a
+/// quarter ring.
+const SLIP_LEAD: usize = ss_queue::MAX_CLAIM;
 /// Upper bound on one slip, in spin hints (a dozen microseconds).
 const SLIP_SPINS: u32 = 1024;
 /// Consecutive empty polls after which the delegate counts as idle, not
@@ -244,6 +248,21 @@ impl Ring {
         f(&mut slip);
         self.slip.set(slip);
     }
+
+    /// Under an armed test script, makes the consumer's next batch claim
+    /// here, between two `claim@i` gates, so a script can order a whole
+    /// claim before or after a whole retraction (`retract@p`, likewise
+    /// hit on both sides of the hold).
+    fn gate_claim(&self) {
+        if self.core.test_gates.is_some()
+            && !self.consumer.holds_claim()
+            && self.consumer.has_pending()
+        {
+            self.core.gate("claim", self.idx);
+            self.consumer.claim();
+            self.core.gate("claim", self.idx);
+        }
+    }
 }
 
 impl Transport for Ring {
@@ -260,6 +279,7 @@ impl Transport for Ring {
     }
 
     fn pop(&self) -> Pop<(Invocation, Lane)> {
+        self.gate_claim();
         let dry = match self.consumer.try_pop() {
             Pop::Value(inv) => return Pop::Value((inv, Lane::Ring)),
             Pop::Empty => Pop::Empty,
@@ -281,6 +301,7 @@ impl Transport for Ring {
     }
 
     fn before_pop(&self) {
+        self.gate_claim();
         self.with_slip(|slip| {
             slip.before_pop(&self.consumer, || self.core.anyone_waits());
         });
@@ -1214,8 +1235,8 @@ fn record_steal_events(core: &Core, serial: u64, sets: &[u64], thief: usize, kin
 ///   mid-epoch `call`/`call_mut` reclaim quiesces the runtime instead of
 ///   flushing one queue.
 ///
-/// A set the program thread runs this epoch — one it took, or any set of
-/// a runtime without delegates — receives nested operations on
+/// A set the program thread runs this epoch — one it retracted, or any
+/// set of a runtime without delegates — receives nested operations on
 /// `Lane::Program`, which the program thread runs after each inline run and
 /// in every wait. Only an *object* claimed by a program-context mutation
 /// this epoch rejects them ([`SsError::NestedOnProgram`]).
@@ -1514,7 +1535,7 @@ impl Runtime {
     /// entry point for recursive delegation. Works inside every operation,
     /// whichever executor runs it: on a delegate of *this* runtime, and on
     /// this handle's program thread while it executes an operation itself
-    /// (a set it took, or drained from `Lane::Program`). Errors with
+    /// (a set it retracted, or drained from `Lane::Program`). Errors with
     /// [`SsError::WrongContext`] anywhere else — a program thread at a
     /// delegation point, foreign threads. (The program-context
     /// `Writable::delegate` inside an operation the program thread runs

@@ -25,8 +25,9 @@
 //!   can never observe or create a half-routed set.
 //! * **Route.** A root program-origin submit on the ring lane routes
 //!   through the program thread's record of the sets it has seen this
-//!   epoch; at a set's first sight a loaded ring makes it **take** the set
-//!   ([`program`](super::program)). Everyone else asks the router.
+//!   epoch — static placement at a set's first sight, the program executor
+//!   once it has **retracted** the set ([`program`](super::program)).
+//!   Everyone else asks the router.
 //! * **Drain proof.** Ring entries are covered by barrier tokens and stay
 //!   uncounted. Lane and deque entries raise their domain's `in_flight`
 //!   *before* the push — a nested child is counted before its parent
@@ -36,18 +37,19 @@
 //!   go to `Lane::Program` for a nested one.
 //! * **Backpressure** stalls only the program thread of a domain with a
 //!   queue cap; a full ring stalls the root program thread, which runs
-//!   `Lane::Program` while it waits.
+//!   `Lane::Program` while it waits and retracts once its spin phase is
+//!   spent.
 //!
 //! Routing is the paper's static assignment, `SsId mod delegates`,
-//! recomputed wherever no take or steal can override it: session submits
-//! and the root program thread's own pushes. Root nested submits read the
+//! recomputed wherever no retraction or steal can override it: session
+//! submits and the root program thread's own pushes. Root nested submits read the
 //! root's pin map — lock-free in the common re-delegate case (pins are
 //! immutable within an epoch when no thief can rewrite them), under the
 //! set's shard lock on the first touch of a set in an epoch.
 
 use std::sync::atomic::{fence, Ordering};
 
-use ss_queue::{Backoff, Full};
+use ss_queue::Full;
 
 use crate::error::{SsError, SsResult};
 use crate::invocation::{Invocation, TaskSlot};
@@ -58,6 +60,7 @@ use crate::trace::TraceKind;
 use super::assign::STEAL_BAR;
 use super::delegate::current_domain_id;
 use super::domain::Domain;
+use super::event::SPIN_HINTS;
 use super::router::Route;
 use super::{Channels, Executor, Runtime};
 
@@ -297,7 +300,7 @@ impl Runtime {
                     let to = Executor::Delegate(i);
                     lost = self.push(d, key, audit_producer, lane, to, run);
                 }),
-                Lane::Ring => self.route_ring(d, key, n),
+                Lane::Ring => self.route_ring(d, key),
                 _ => self.inner.router.route(d, key),
             };
             self.note_route(stats, &route, key, origin);
@@ -418,7 +421,6 @@ impl Runtime {
                     }
                     pushed += 1;
                 }
-                self.note_ring_fill(i, Some(pushed));
                 pushed
             }
             // The injector accepts or rejects a run whole (one lock).
@@ -447,17 +449,24 @@ impl Runtime {
 
     /// Pushes one entry onto delegate `i`'s ring — the root program
     /// thread's one producer path, for operations and tokens alike. While
-    /// the ring is full the program thread runs `Lane::Program` entries,
-    /// spins and yields; it never parks on a full ring, whose consumer is
-    /// awake with a ring of work — every earlier run notified it once it
-    /// had landed. Only a run that filled the ring itself (`unnotified`:
-    /// it has pushed entries nobody was told of) notifies first. Returns
-    /// the entry if the consumer disconnected.
+    /// the ring is full the program thread runs `Lane::Program` entries
+    /// and spins; once a spin phase is spent it retracts fresh runs from
+    /// the ring's unclaimed end — never those of the set it is pushing —
+    /// and runs them, or yields when there are none. It never parks on a
+    /// full ring, whose consumer is awake with a ring of work — every
+    /// earlier run notified it once it had landed. Only a run that filled
+    /// the ring itself (`unnotified`: it has pushed entries nobody was
+    /// told of) notifies first. Returns the entry if the consumer
+    /// disconnected.
     fn push_ring(&self, i: usize, mut inv: Invocation, unnotified: bool) -> Result<(), Invocation> {
         let Channels::Spsc { producers, .. } = &self.inner.channels else {
             unreachable!("rings exist on the SPSC transport only");
         };
-        let mut backoff = None;
+        let pushing = match &inv {
+            Invocation::Execute { ss, .. } => Some(ss.0),
+            Invocation::Token { .. } => None,
+        };
+        let mut spins = None;
         loop {
             // SAFETY: the root program thread (the ring lane is chosen for
             // it alone); borrowed afresh around the lane's user code.
@@ -467,14 +476,23 @@ impl Runtime {
                 Err(Full(back)) if ring.is_disconnected() => return Err(back),
                 Err(Full(back)) => inv = back,
             }
-            let backoff = backoff.get_or_insert_with(|| {
+            let spins = spins.get_or_insert_with(|| {
                 if unnotified {
                     self.inner.events[i].notify();
                 }
-                Backoff::new()
+                0
             });
-            if !self.program_help_one(&self.inner.core.root) {
-                backoff.snooze();
+            if self.program_help_one(&self.inner.core.root) {
+                continue;
+            }
+            *spins += 1;
+            if *spins < SPIN_HINTS {
+                core::hint::spin_loop();
+            } else {
+                *spins = 0;
+                if !self.retract(i, pushing) {
+                    std::thread::yield_now();
+                }
             }
         }
     }
@@ -580,9 +598,6 @@ impl Runtime {
         StatsCell::bump(&stats.sync_objects);
         let token = &self.inner.sync_tokens[i];
         self.program_wait(d, || token.is_done());
-        if let Channels::Spsc { .. } = &self.inner.channels {
-            self.note_ring_fill(i, None);
-        }
         Ok(executor)
     }
 
@@ -593,9 +608,12 @@ impl Runtime {
     /// Two proofs, chosen by what covers the domain's entries:
     ///
     /// * **Queue tokens** — the root only. Its program thread owns the
-    ///   rings, whose entries are uncounted, so it sends a token to every
-    ///   queue first, then awaits them all (delegates drain in parallel,
-    ///   and the program thread runs `Lane::Program` meanwhile):
+    ///   rings, whose entries are uncounted. It first waits, retracting,
+    ///   until the delegates have claimed every ring entry
+    ///   ([`retract_before_tokens`](Runtime::retract_before_tokens)), so a
+    ///   token is never taken back; then it sends a token to every queue
+    ///   and awaits them all (delegates drain in parallel, and the program
+    ///   thread runs `Lane::Program` meanwhile):
     ///   FIFO ⇒ when a token pops, everything pushed before it on that
     ///   queue has completed. On the stealing transport the tokens are
     ///   `Open` fences — stealing stays *enabled* while the barrier
@@ -635,6 +653,7 @@ impl Runtime {
     /// waiting session.
     pub(crate) fn barrier(&self, d: &Domain) -> SsResult<()> {
         let tokens: &[_] = if self.is_root() {
+            self.retract_before_tokens(d);
             // A token whose push fails (consumer gone) is signalled here
             // instead, so the wait below needs no list of who was
             // actually sent to.
@@ -664,9 +683,6 @@ impl Runtime {
         self.program_wait(d, || {
             (tokens.iter().all(|t| t.is_done()) && drained()) || self.check_live().is_err()
         });
-        if let Channels::Spsc { .. } = &self.inner.channels {
-            (0..tokens.len()).for_each(|i| self.note_ring_fill(i, None));
-        }
         drained().then_some(()).ok_or(SsError::Terminated)
     }
 

@@ -26,9 +26,28 @@ use super::TestGates;
 
 /// Spin hints a waiter polls through before it yields: the budget of
 /// seven doubling backoff rounds (1 + 2 + … + 64).
-const SPIN_HINTS: u32 = 127;
+pub(crate) const SPIN_HINTS: u32 = 127;
 /// `yield_now`s after the spin hints, before the waiter parks.
 const YIELDS: u32 = 4;
+
+/// The spin phase of every wait: true as soon as `pred` holds, checked at
+/// every one of `SPIN_HINTS` spin hints and `YIELDS` yields; false once
+/// they are spent, where [`Event::wait_until`] would park.
+pub(crate) fn spin_until(mut pred: impl FnMut() -> bool) -> bool {
+    for _ in 0..SPIN_HINTS {
+        if pred() {
+            return true;
+        }
+        core::hint::spin_loop();
+    }
+    for _ in 0..YIELDS {
+        if pred() {
+            return true;
+        }
+        std::thread::yield_now();
+    }
+    pred()
+}
 
 /// A sleep/wake channel for one waiting thread at a time. Every
 /// submitter reads `sleeping` once per push, so the event gets a
@@ -68,17 +87,8 @@ impl Event {
     /// [`sleep`](Event::sleep) until notified, re-checking after every
     /// wake-up (spurious ones included).
     pub(crate) fn wait_until(&self, mut pred: impl FnMut() -> bool) {
-        for _ in 0..SPIN_HINTS {
-            if pred() {
-                return;
-            }
-            core::hint::spin_loop();
-        }
-        for _ in 0..YIELDS {
-            if pred() {
-                return;
-            }
-            std::thread::yield_now();
+        if spin_until(&mut pred) {
+            return;
         }
         while !pred() {
             self.sleep(&mut pred);

@@ -395,12 +395,13 @@ impl Core {
     }
 
     /// Deterministic-schedule harness gate: blocks at scheduling point
-    /// `point` on delegate `idx` until the armed script reaches it
-    /// (no-op when no script is armed — the usual case).
+    /// `point` of executor `who` — a delegate index, or `p` for the
+    /// program thread — until the armed script reaches it (no-op when no
+    /// script is armed — the usual case).
     #[inline]
-    pub(crate) fn gate(&self, point: &str, idx: u32) {
+    pub(crate) fn gate(&self, point: &str, who: impl std::fmt::Display) {
         if let Some(g) = &self.test_gates {
-            g.hit(&format!("{point}@{idx}"));
+            g.hit(&format!("{point}@{who}"));
         }
     }
 
@@ -489,13 +490,12 @@ pub(crate) struct Inner {
     /// tokens — it may run on whichever thread drops the last handle.
     sync_tokens: Box<[Arc<SyncToken>]>,
     /// The root program thread's record of the sets it routed on the ring
-    /// lane this epoch and what it chose for each ([`program`]).
+    /// lane this epoch: each one's executor and first ring index
+    /// ([`program`]).
     routes: ProgramOnly<program::RouteRecord>,
-    /// Per delegate, the operations the root program thread pushed on its
-    /// ring since the ring was last known empty (a barrier or a reclaim
-    /// of that ring): an upper bound on the ring's occupancy, kept without
-    /// reading a line the consumer writes ([`program`]).
-    ring_fill: ProgramOnly<Box<[usize]>>,
+    /// The operations a tail retraction took back, reused so a
+    /// retraction never allocates: a ring's worth of capacity.
+    retracted: ProgramOnly<Vec<Invocation>>,
     join_handles: Mutex<Vec<JoinHandle<()>>>,
     started_at: Instant,
     terminated: AtomicBool,
@@ -592,6 +592,7 @@ impl Runtime {
         let force_sleep = Arc::new(AtomicBool::new(false));
 
         let mut consumers = Vec::with_capacity(n_delegates);
+        let mut ring_capacity = 0;
         let channels = if stealing {
             Channels::Steal(Arc::new(StealShared::new(n_delegates)))
         } else {
@@ -599,6 +600,7 @@ impl Runtime {
             let mut injectors = Vec::with_capacity(n_delegates);
             for _ in 0..n_delegates {
                 let (tx, rx) = SpscQueue::with_capacity(b.queue_capacity);
+                ring_capacity = tx.capacity();
                 injectors.push(tx.injector());
                 producers.push(ProgramOnly::new(tx));
                 consumers.push(rx);
@@ -622,7 +624,7 @@ impl Runtime {
                 .map(|_| SyncToken::rearmable(Arc::clone(&core.root.waiter)))
                 .collect(),
             routes: ProgramOnly::new(program::RouteRecord::new()),
-            ring_fill: ProgramOnly::new(vec![0; n_delegates].into_boxed_slice()),
+            retracted: ProgramOnly::new(Vec::with_capacity(ring_capacity)),
             join_handles: Mutex::new(Vec::new()),
             started_at: Instant::now(),
             terminated: AtomicBool::new(false),

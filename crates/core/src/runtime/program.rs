@@ -1,44 +1,53 @@
-//! The program executor: the root program thread as a load-chosen
-//! executor, and the lane that feeds it.
+//! The program executor: the root program thread's **tail retraction**,
+//! and the lane that feeds it.
 //!
 //! The paper's Prometheus "uses the program thread to execute some of the
 //! delegated methods" (§4) through a static ratio. Here the program thread
-//! chooses by load instead, once per set per epoch, at the set's **first
-//! sight** on the ring lane: if the ring of the delegate the set routes to
-//! cannot take the run, or is at least half full, the program thread
-//! **takes** the set — it runs the set's operations inline for the rest of
-//! the epoch. Otherwise the set is pushed as usual and cannot be taken
-//! until the next epoch. Three pieces make that sound:
+//! executes where it would otherwise wait: at the epoch barrier and at a
+//! full ring, once its spin phase is spent, it pops whole *fresh* runs back
+//! off the unclaimed end of a ring it feeds and runs them inline
+//! ([`Runtime::retract`]) — Chase–Lev's owner pop, inverted: the single
+//! producer pops from the end it pushes to while the delegate claims from
+//! the other. An epoch the delegates drain within the spin phase never
+//! retracts. Four pieces make that sound:
 //!
+//! * **The claim** (`ss_queue`'s claim protocol): the delegate pops only
+//!   below an index it has claimed, and a retraction holds the ring with a
+//!   limit it publishes — a Dekker pair, so a held value is one the
+//!   delegate has not claimed and never will.
 //! * **The record** ([`RouteRecord`]): the program thread's epoch-local
-//!   memory of every set it routed on the ring lane and what it chose. A
-//!   set it has pushed is never taken in the same epoch, so no set runs on
-//!   a delegate and then on the program thread within one epoch (the
-//!   auditor's `TwoExecutors`). Fresh means untouched this epoch, not
-//!   merely drained.
-//! * **Program pins.** A take publishes a `Program` pin under the set's
-//!   shard lock ([`Router::route_first_sight`](super::Router)), and every
-//!   nested submit in the root domain resolves through the same pin map,
-//!   so a take and a nested first touch of one set serialize on that lock:
-//!   whichever comes first owns the set for the epoch.
+//!   memory of every set it routed on the ring lane — its executor and the
+//!   ring index of its first push this epoch. A set is retractable only if
+//!   its first entry, and so every entry, lies in the held run, and its
+//!   entries form one run there: then no operation of the set has been
+//!   claimed, so none has run on its delegate this epoch (the auditor's
+//!   `TwoExecutors`). The set a full-ring wait is pushing is never
+//!   retracted.
+//! * **Program pins.** A retraction pins each set it takes to the program
+//!   executor under the set's shard lock
+//!   ([`Router::pin_program`](super::Router)), while it still holds the
+//!   ring, and every nested submit in the root domain resolves through the
+//!   same pin map: a retraction and a nested first touch of one set
+//!   serialize on that lock, and whoever comes first owns the set for the
+//!   epoch. A set a delegate nested into first ends the retraction there.
 //! * **`Lane::Program`** ([`ProgramLane`]): a nested submit that finds a
 //!   `Program` pin lands here — counted in the domain's `in_flight` before
 //!   the push, with a notify of the domain's waiter after it — and the
 //!   program thread runs it after each inline run and in every wait it
 //!   makes (full ring, synchronization token, barrier, future).
 //!
-//! Every operation the program thread runs — taken inline or drained from
-//! the lane — runs with the program thread's own delegate context (writer
-//! slot 0), so `delegate_scope` behaves the same on every executor. Only
-//! the root domain on the SPSC transport takes; session program threads and
-//! the deque transport never do, but every domain has a lane: on a runtime
-//! with no delegates every set runs on the program thread, and nested
-//! submits from its operations travel there.
+//! Every operation the program thread runs — retracted, routed to it, or
+//! drained from the lane — runs with the program thread's own delegate
+//! context (writer slot 0), so `delegate_scope` behaves the same on every
+//! executor. Only the root domain on the SPSC transport retracts; session
+//! program threads and the deque transport never do, but every domain has
+//! a lane: on a runtime with no delegates every set runs on the program
+//! thread, and nested submits from its operations travel there.
 
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
 
-use ss_queue::{Consumer, Injector, SpscQueue};
+use ss_queue::{Consumer, Injector, Retraction, SpscQueue};
 
 use crate::cell::ProgramOnly;
 use crate::error::SsError;
@@ -48,19 +57,22 @@ use crate::stats::StatsCell;
 use crate::trace::TraceExecutor;
 
 use super::domain::Domain;
+use super::event::spin_until;
 use super::router::Route;
 use super::{Channels, Executor, Runtime};
 
 // ----------------------------------------------------------------------
 // the record
 
-/// One record slot: a set key and `serial << 16 | choice`, where choice 0
-/// is the program executor and `1 + i` delegate `i`. Serials start at 1, so
-/// a zero tag is a slot never written.
+/// One record slot: a set key, `serial << 16 | choice`, where choice 0
+/// is the program executor and `1 + i` delegate `i`, and the ring index of
+/// the set's first push this epoch. Serials start at 1, so a zero tag is a
+/// slot never written.
 #[derive(Clone, Copy, Default)]
 struct Entry {
     key: u64,
     tag: u64,
+    first: u64,
 }
 
 impl Entry {
@@ -81,7 +93,8 @@ impl Entry {
 const RECORD_SLOTS: usize = 64;
 
 /// The program thread's epoch-local record of the sets it has routed on
-/// the ring lane, with the choice it made for each (see the module docs).
+/// the ring lane: each set's executor, and where its first push landed
+/// (see the module docs).
 ///
 /// An open-addressing table whose entries are stamped with the epoch
 /// serial: an entry of an earlier epoch reads as a free slot, so a new
@@ -124,21 +137,60 @@ impl RouteRecord {
         }
     }
 
-    /// The choice recorded for `key` in epoch `serial`, if any.
+    /// The executor recorded for `key` in epoch `serial`, if any.
     #[inline]
     pub(crate) fn get(&mut self, key: u64, serial: u64) -> Option<Executor> {
+        self.entry(key, serial).map(Entry::executor)
+    }
+
+    /// The executor and first ring index recorded for `key` in epoch
+    /// `serial`, if any.
+    pub(crate) fn first(&mut self, key: u64, serial: u64) -> Option<(Executor, u64)> {
+        self.entry(key, serial).map(|e| (e.executor(), e.first))
+    }
+
+    #[inline]
+    fn entry(&mut self, key: u64, serial: u64) -> Option<Entry> {
         if self.last.key == key && self.last.serial() == serial {
-            return Some(self.last.executor());
+            return Some(self.last);
         }
         let e = self.slots[self.find(key, serial)];
         (e.serial() == serial && e.key == key).then(|| {
             self.last = e;
-            e.executor()
+            e
         })
     }
 
-    /// Records the choice for a set first seen in epoch `serial`.
-    pub(crate) fn insert(&mut self, key: u64, serial: u64, executor: Executor) {
+    /// Rewrites the entry of `key`, recorded in epoch `serial`.
+    fn update(&mut self, key: u64, serial: u64, f: impl FnOnce(&mut Entry)) {
+        let i = self.find(key, serial);
+        if self.slots[i].serial() == serial && self.slots[i].key == key {
+            f(&mut self.slots[i]);
+            if self.last.key == key {
+                self.last = self.slots[i];
+            }
+        }
+    }
+
+    /// Records that the program thread retracted `key`: it is the program
+    /// executor's for the rest of epoch `serial`.
+    pub(crate) fn retracted(&mut self, key: u64, serial: u64) {
+        self.update(key, serial, |e| e.tag &= !0xFFFF);
+    }
+
+    /// Moves the first index of `key` from `from` to `to` — a set whose
+    /// first push had not landed when a retraction moved the head back.
+    fn rebase(&mut self, key: u64, serial: u64, from: u64, to: u64) {
+        self.update(key, serial, |e| {
+            if e.first == from {
+                e.first = to;
+            }
+        });
+    }
+
+    /// Records the executor of a set first seen in epoch `serial`, and the
+    /// ring index its first push lands at (0 for the program executor).
+    pub(crate) fn insert(&mut self, key: u64, serial: u64, executor: Executor, first: u64) {
         if self.live_serial != serial {
             (self.live, self.live_serial) = (0, serial);
         }
@@ -155,6 +207,7 @@ impl RouteRecord {
         let e = Entry {
             key,
             tag: serial << 16 | choice,
+            first,
         };
         let i = self.find(key, serial);
         self.slots[i] = e;
@@ -212,70 +265,159 @@ impl ProgramLane {
 
 impl Runtime {
     /// The route of a root program-origin submit on the ring lane: the
-    /// record's answer for a set already routed this epoch, else the
-    /// first-sight decision — which takes the set when its delegate's ring
-    /// is loaded for a run of `n` — recorded for the rest of the epoch.
-    pub(super) fn route_ring(&self, d: &Domain, key: SsId, n: usize) -> Route {
+    /// record's answer for a set already routed this epoch, else static
+    /// placement, recorded for the rest of the epoch with the ring index
+    /// the set's first push lands at.
+    pub(super) fn route_ring(&self, d: &Domain, key: SsId) -> Route {
         // Only this thread writes the serial.
         let serial = d.epoch_serial.load(Ordering::Relaxed);
         // SAFETY: the root program thread (the ring lane's only user);
         // scoped borrows, with no user code in between.
-        if let Some(executor) = unsafe { self.inner.routes.get() }.get(key.0, serial) {
-            return Route {
-                executor,
-                fresh_pin: false,
-                fast_hit: false,
+        let routes = unsafe { self.inner.routes.get() };
+        let executor = routes.get(key.0, serial).unwrap_or_else(|| {
+            let executor = self.inner.router.home(key);
+            let first = match (executor, &self.inner.channels) {
+                (Executor::Delegate(i), Channels::Spsc { producers, .. }) => {
+                    unsafe { producers[i].get() }.head()
+                }
+                _ => 0,
             };
+            routes.insert(key.0, serial, executor, first);
+            executor
+        });
+        Route {
+            executor,
+            fresh_pin: false,
+            fast_hit: false,
         }
-        let route = self
-            .inner
-            .router
-            .route_first_sight(d, key, |i| self.ring_loaded(i, n));
-        unsafe { self.inner.routes.get() }.insert(key.0, serial, route.executor);
-        route
     }
 
-    /// Whether delegate `i`'s ring is too loaded to push a fresh set's run
-    /// of `n` onto: it cannot take the run (a run longer than the ring: it
-    /// is not empty), or it is at least half full. O(1) probes of ring
-    /// slots, which read lines the consumer writes — so they are skipped
-    /// while `ring_fill`, the program thread's own bound on the ring's
-    /// occupancy, says the ring cannot be that full, and a probe that
-    /// finds the ring less than half full tightens the bound (a quarter
-    /// ring, when the slot a quarter back is free: a delegate trailing
-    /// its producer by a slip's lead costs a probe per quarter ring, not
-    /// per set). Root program thread only.
-    fn ring_loaded(&self, i: usize, n: usize) -> bool {
+    /// **Tail retraction** on delegate `i`'s ring (module docs): holds the
+    /// ring, takes the whole fresh runs at its unclaimed end — at least
+    /// half the held values where the runs allow — and runs them inline,
+    /// in push order. `pushing` is the set a full-ring wait is pushing,
+    /// which is never taken. Returns whether anything ran. Root program
+    /// thread only, outside any operation it runs.
+    pub(super) fn retract(&self, i: usize, pushing: Option<u64>) -> bool {
         let Channels::Spsc { producers, .. } = &self.inner.channels else {
             return false;
         };
-        // SAFETY: root program thread (first sights happen on the ring
-        // lane only); scoped borrows.
-        let ring = unsafe { producers[i].get() };
-        let fill = &mut unsafe { self.inner.ring_fill.get() }[i];
-        let cap = ring.capacity();
-        let (half, quarter, n) = ((cap / 2).max(1), cap / 4, n.min(cap));
-        if *fill < half && *fill + n <= cap {
+        let (core, d) = (&*self.inner.core, &self.inner.core.root);
+        if self.executing_inline(d) {
             return false;
         }
-        if !ring.has_room(n) || ring.holds_at_least(half) {
-            return true;
+        let serial = d.epoch_serial.load(Ordering::Relaxed);
+        // SAFETY (all three): the root program thread, the rings' only
+        // producer; the buffer is moved out, so the operations below may
+        // re-enter the runtime, and the other borrows end before them.
+        let mut taken = std::mem::take(unsafe { self.inner.retracted.get() });
+        {
+            let ring = unsafe { producers[i].get() };
+            let routes = unsafe { self.inner.routes.get() };
+            core.gate("retract", "p");
+            if let Some(held) = ring.retract(ring.head().saturating_sub(ring.capacity() as u64)) {
+                let (cut, end) = (self.cut(&held, d, i, serial, pushing, routes), held.end());
+                held.pop_from(cut, &mut taken);
+                if let Some(key) = pushing {
+                    routes.rebase(key, serial, end, cut);
+                }
+            }
+            core.gate("retract", "p");
         }
-        *fill = if quarter > 0 && !ring.holds_at_least(quarter) {
-            quarter - 1
-        } else {
-            half - 1
-        };
-        false
+        let took = !taken.is_empty();
+        if took {
+            core.stats.sub_queued(i, taken.len() as u64);
+        }
+        for inv in taken.drain(..) {
+            let Invocation::Execute {
+                task, ss, audit, ..
+            } = inv
+            else {
+                unreachable!("a retraction takes operations only");
+            };
+            // Accepted on the uncounted ring lane: nothing to settle.
+            self.run_on_program(d, ss, task, audit);
+        }
+        // SAFETY: as above; no other borrow of the buffer is live.
+        *unsafe { self.inner.retracted.get() } = taken;
+        if took {
+            self.drain_program_lane(d);
+        }
+        took
     }
 
-    /// Notes `n` operations pushed on delegate `i`'s ring, or — `None` —
-    /// that the ring was drained (its token popped, with nothing pushed
-    /// after it). Root program thread only.
-    pub(super) fn note_ring_fill(&self, i: usize, n: Option<usize>) {
-        // SAFETY: root program thread (the rings' only producer); scoped.
-        let fill = &mut unsafe { self.inner.ring_fill.get() }[i];
-        *fill = n.map_or(0, |n| *fill + n);
+    /// Where a retraction of `held` cuts: walking back from the end, run
+    /// by run, while the cut is above half the held values. A run is
+    /// taken when it is the whole of its set's pushes this epoch — the
+    /// set's recorded first index is the run's start — its set is not
+    /// `pushing`, and the set's program pin holds; the walk stops at the
+    /// first run that is not.
+    fn cut(
+        &self,
+        held: &Retraction<'_, Invocation>,
+        d: &Domain,
+        i: usize,
+        serial: u64,
+        pushing: Option<u64>,
+        routes: &mut RouteRecord,
+    ) -> u64 {
+        let key_at = |j: u64| match held.get(j) {
+            Invocation::Execute { ss, .. } => Some(ss.0),
+            Invocation::Token { .. } => None,
+        };
+        let (start, end) = (held.start(), held.end());
+        let half = end - (end - start).div_ceil(2);
+        let mut cut = end;
+        while cut > half {
+            let Some(key) = key_at(cut - 1).filter(|&k| Some(k) != pushing) else {
+                break;
+            };
+            let mut run = cut - 1;
+            while run > start && key_at(run - 1) == Some(key) {
+                run -= 1;
+            }
+            if routes.first(key, serial) != Some((Executor::Delegate(i), run))
+                || !self.inner.router.pin_program(d, SsId(key))
+            {
+                break;
+            }
+            routes.retracted(key, serial);
+            cut = run;
+        }
+        cut
+    }
+
+    /// The barrier's first phase on the root's rings, before it pushes its
+    /// tokens: waits until the delegates have claimed every entry pushed
+    /// this epoch, and where the wait would park — its spin phase spent —
+    /// retracts instead. Returns once everything is claimed, or when a
+    /// retraction found nothing to take; the tokens' wait parks then.
+    pub(super) fn retract_before_tokens(&self, d: &Domain) {
+        let Channels::Spsc { producers, .. } = &self.inner.channels else {
+            return;
+        };
+        // SAFETY: the root program thread; each borrow ends in the call.
+        let claimed = || {
+            producers
+                .iter()
+                .all(|p| unsafe { p.get() }.unclaimed() == 0)
+        };
+        self.inner.core.waiting(|| loop {
+            self.drain_program_lane(d);
+            if spin_until(|| claimed() || d.lane.has_arrivals()) {
+                if claimed() {
+                    return;
+                }
+                continue;
+            }
+            let mut took = false;
+            for i in 0..producers.len() {
+                took |= self.retract(i, None);
+            }
+            if !took {
+                return;
+            }
+        })
     }
 
     /// True while the domain's program thread is running an operation
@@ -396,16 +538,37 @@ mod tests {
     #[test]
     fn the_record_forgets_an_epoch_by_its_serial() {
         let mut r = RouteRecord::new();
-        r.insert(7, 1, Executor::Program);
-        r.insert(8, 1, Executor::Delegate(3));
+        r.insert(7, 1, Executor::Program, 0);
+        r.insert(8, 1, Executor::Delegate(3), 40);
         assert_eq!(r.get(7, 1), Some(Executor::Program));
-        assert_eq!(r.get(8, 1), Some(Executor::Delegate(3)));
+        assert_eq!(r.first(8, 1), Some((Executor::Delegate(3), 40)));
         assert_eq!(r.get(9, 1), None);
         // A new epoch starts empty, and reuses the slots.
         assert_eq!(r.get(7, 2), None);
-        r.insert(7, 2, Executor::Delegate(0));
+        r.insert(7, 2, Executor::Delegate(0), 50);
         assert_eq!(r.get(7, 2), Some(Executor::Delegate(0)));
         assert_eq!(r.get(8, 2), None);
+    }
+
+    #[test]
+    fn a_retraction_rewrites_the_record() {
+        let mut r = RouteRecord::new();
+        r.insert(7, 1, Executor::Delegate(1), 10);
+        r.insert(8, 1, Executor::Delegate(1), 12);
+        // Through the cached last answer and through the table alike.
+        r.retracted(8, 1);
+        assert_eq!(r.first(8, 1), Some((Executor::Program, 12)));
+        r.retracted(7, 1);
+        assert_eq!(r.first(7, 1), Some((Executor::Program, 10)));
+        // A rebase moves only a first index that is where it is expected.
+        r.insert(9, 1, Executor::Delegate(0), 20);
+        r.rebase(9, 1, 19, 4);
+        assert_eq!(r.first(9, 1), Some((Executor::Delegate(0), 20)));
+        r.rebase(9, 1, 20, 4);
+        assert_eq!(r.first(9, 1), Some((Executor::Delegate(0), 4)));
+        // Another epoch's entry is never rewritten.
+        r.retracted(9, 2);
+        assert_eq!(r.get(9, 1), Some(Executor::Delegate(0)));
     }
 
     #[test]
@@ -419,7 +582,7 @@ mod tests {
                     Executor::Delegate((key % 5) as usize)
                 };
                 assert_eq!(r.get(key * 64, serial), None);
-                r.insert(key * 64, serial, choice);
+                r.insert(key * 64, serial, choice, key);
             }
             for key in 0..1000u64 {
                 let want = if key % 3 == 0 {

@@ -8,7 +8,7 @@
 //! is the paper's static assignment, `SsId mod delegates`
 //! ([`static_executor`]), which any thread computes from the id alone.
 //! Pins exist only where something overrides that rule for an epoch — a
-//! set the root program thread **took** ([`Router::route_first_sight`]),
+//! set the root program thread **retracted** ([`Router::pin_program`]),
 //! a set a thief **stole** — and live in the **sharded pin map**
 //! ([`ss_queue::shardmap::ShardMap`]) of the [`Domain`] the router is
 //! handed: epoch-stamped set→executor pins, with per-shard locks for
@@ -129,20 +129,18 @@ impl Router {
     ///
     /// Session domains recompute the modulo on every call (no pin, no
     /// `Pin` trace): nothing overrides it there. The root resolves through
-    /// its pin map, because the root program thread may have **taken** the
-    /// set ([`route_first_sight`](Router::route_first_sight)) and only the
-    /// pin says so. A first touch there pins the modulo under the set's
-    /// shard lock — the lock a take holds while it pins the program
+    /// its pin map, because the root program thread may have **retracted**
+    /// the set ([`pin_program`](Router::pin_program)) and only the pin
+    /// says so. A first touch there pins the modulo under the set's shard
+    /// lock — the lock a retraction holds while it pins the program
     /// executor — and reports no fresh pin, since the pin merely records
     /// what the modulo says anyway.
     pub(crate) fn route(&self, d: &Domain, key: SsId) -> Route {
         debug_assert!(!self.always_pin, "stealing submits must route_publish");
-        if self.n_delegates == 0 {
-            // Zero-delegate runtimes: everything runs inline.
-            return Route::computed(Executor::Program);
-        }
-        let home = static_executor(key, self.n_delegates);
-        if d.id != 0 {
+        let home = self.home(key);
+        if self.n_delegates == 0 || d.id != 0 {
+            // Sessions recompute the modulo; zero-delegate runtimes run
+            // everything inline.
             return Route::computed(home);
         }
         let serial = d.serial();
@@ -158,34 +156,26 @@ impl Router {
         Route::computed(decode(code))
     }
 
-    /// The root program thread's first sight of `key` in an epoch, on the
-    /// ring lane: the modulo, unless its delegate is one `loaded` calls
-    /// busy — then the set is **taken**: pinned to the program executor
-    /// under the set's shard lock, unless a nested first touch pinned the
-    /// set first (the one who comes first owns it for the epoch). A take
-    /// is a fresh pin; a push leaves no pin, since a nested first touch
-    /// pins the same modulo.
-    pub(crate) fn route_first_sight(
-        &self,
-        d: &Domain,
-        key: SsId,
-        loaded: impl FnOnce(usize) -> bool,
-    ) -> Route {
+    /// The executor static placement gives `key`: the modulo, or the
+    /// program thread on a runtime with no delegates. The root program
+    /// thread's first sight of a set on the ring lane reads it without a
+    /// pin: a nested first touch pins the same modulo.
+    pub(crate) fn home(&self, key: SsId) -> Executor {
         if self.n_delegates == 0 {
-            return self.route(d, key);
+            Executor::Program
+        } else {
+            static_executor(key, self.n_delegates)
         }
-        let home = static_executor(key, self.n_delegates);
-        if matches!(home, Executor::Delegate(i) if !loaded(i)) {
-            return Route::computed(home);
-        }
+    }
+
+    /// Pins `key` to the program executor for the epoch, under the set's
+    /// shard lock — a tail retraction's pin — unless a nested first touch
+    /// pinned it to its delegate first: whoever comes first owns the set
+    /// for the epoch. Returns whether the set is the program thread's.
+    pub(crate) fn pin_program(&self, d: &Domain, key: SsId) -> bool {
         let mut shard = d.pins.lock_key(key.0);
-        let (code, fresh_pin) =
-            shard.get_or_insert_with(key.0, d.serial(), || encode(Executor::Program));
-        Route {
-            executor: decode(code),
-            fresh_pin,
-            fast_hit: false,
-        }
+        let (code, _) = shard.get_or_insert_with(key.0, d.serial(), || encode(Executor::Program));
+        decode(code) == Executor::Program
     }
 
     /// Resolves `key` and runs `publish(i)` for its delegate `i` (the
@@ -195,7 +185,7 @@ impl Router {
     /// same shard of the same domain's map) from migrating the set
     /// mid-publish; see the module docs, mode 2. Stealing always pins: a
     /// steal must be able to override the modulo for the epoch. Every pin
-    /// on this transport names a delegate — it never takes.
+    /// on this transport names a delegate — it never retracts.
     pub(crate) fn route_publish(
         &self,
         d: &Domain,
@@ -251,7 +241,7 @@ impl Router {
             return Some(pin.map(decode));
         }
         if d.id == 0 {
-            // A root set may have been taken (or first touched by a
+            // A root set may have been retracted (or first touched by a
             // nested submit): its pin wins over the modulo.
             if let Some(code) = d.pins.read_nonblocking(key.0, d.serial())? {
                 return Some(Some(decode(code)));
@@ -382,34 +372,31 @@ mod tests {
         let r = router(0);
         let e = epoch(1);
         assert_eq!(r.route(&e, SsId(3)).executor, Executor::Program);
-        let first = r.route_first_sight(&e, SsId(3), |_| unreachable!());
-        assert_eq!(first.executor, Executor::Program);
+        assert_eq!(r.home(SsId(3)), Executor::Program);
         assert_eq!(r.peek(&e, SsId(3)), Some(Some(Executor::Program)));
     }
 
     #[test]
-    fn a_take_and_a_nested_first_touch_serialize_on_the_pin() {
+    fn a_retraction_and_a_nested_first_touch_serialize_on_the_pin() {
         let r = router(2);
         let e = epoch(1);
-        // A loaded ring: the program thread takes set 3, with a pin.
-        let taken = r.route_first_sight(&e, SsId(3), |_| true);
-        assert_eq!((taken.executor, taken.fresh_pin), (Executor::Program, true));
-        // A nested submit resolves through the pin, not the modulo.
+        // A first sight reads the modulo and leaves no pin.
+        assert_eq!(r.home(SsId(3)), Executor::Delegate(1));
+        assert_eq!(r.peek(&e, SsId(3)), Some(Some(Executor::Delegate(1))));
+        // A retraction pins set 3 to the program thread; a nested submit
+        // resolves through the pin, not the modulo.
+        assert!(r.pin_program(&e, SsId(3)));
         assert_eq!(r.route(&e, SsId(3)).executor, Executor::Program);
         assert_eq!(r.peek(&e, SsId(3)), Some(Some(Executor::Program)));
-        // A nested first touch comes first: the set stays on its
-        // delegate however loaded the ring is.
+        assert!(r.pin_program(&e, SsId(3)), "the pin is the program's");
+        // A nested first touch comes first: the set stays on its delegate.
         let nested = r.route(&e, SsId(4));
         assert_eq!(
             (nested.executor, nested.fresh_pin),
             (Executor::Delegate(0), false)
         );
-        let late = r.route_first_sight(&e, SsId(4), |_| true);
-        assert_eq!(late.executor, Executor::Delegate(0));
-        // An unloaded ring pushes without a pin.
-        let pushed = r.route_first_sight(&e, SsId(5), |_| false);
-        assert_eq!(pushed.executor, Executor::Delegate(1));
-        assert_eq!(r.peek(&e, SsId(5)), Some(Some(Executor::Delegate(1))));
+        assert!(!r.pin_program(&e, SsId(4)));
+        assert_eq!(r.route(&e, SsId(4)).executor, Executor::Delegate(0));
     }
 
     #[test]
@@ -454,8 +441,8 @@ mod tests {
 
     #[test]
     fn peek_never_blocks_while_a_thread_holds_the_shard_lock() {
-        // A thread holding a set's shard lock — a first touch, a take, a
-        // steal's migration — must never make a concurrent peek wait: it
+        // A thread holding a set's shard lock — a first touch, a
+        // retraction's pin, a steal's migration — must never make a concurrent peek wait: it
         // returns a conservative answer instead. This is the deadlock
         // detector's liveness contract.
         use std::sync::atomic::AtomicBool;

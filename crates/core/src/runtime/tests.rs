@@ -95,43 +95,48 @@ fn same_set_preserves_program_order() {
     assert_eq!(*log, (0..1000).collect::<Vec<_>>());
 }
 
-/// A task that spins until `gate` is raised.
-fn held(gate: &Arc<AtomicU64>) -> TaskSlot {
-    let g = Arc::clone(gate);
-    TaskSlot::new(move |_| {
-        while g.load(Ordering::Acquire) == 0 {
-            std::hint::spin_loop();
-        }
-    })
-}
-
 #[test]
-fn taken_sets_execute_immediately() {
+fn a_full_ring_retracts_the_fresh_run_at_its_end() {
     let rt = Runtime::builder()
         .delegate_threads(1)
         .queue_capacity(2)
         .build()
         .unwrap();
     let (gate, hits) = (Arc::new(AtomicU64::new(0)), Arc::new(AtomicU64::new(0)));
+    let started = Arc::new(AtomicU64::new(0));
     rt.begin_isolation().unwrap();
-    // Delegate 0 is held on set 0's first operation with a second queued
-    // behind it: its two-slot ring is at least half full.
-    submit(&rt, SsId(0), held(&gate)).unwrap();
-    submit(&rt, SsId(0), TaskSlot::new(|_| {})).unwrap();
-    // Set 1 arrives fresh: the program thread takes it, and runs it
-    // synchronously — visible before end_isolation.
-    assert_eq!(
-        submit(&rt, SsId(1), bump(&hits)).unwrap(),
-        Executor::Program
-    );
-    assert_eq!(hits.load(Ordering::Relaxed), 1);
-    // Set 0 was pushed this epoch: it is never taken, however full the
-    // ring.
+    // Delegate 0 is held on set 0's first operation, which it claimed
+    // alone before anything was pushed behind it.
+    let (s, g) = (Arc::clone(&started), Arc::clone(&gate));
+    let blocker = TaskSlot::new(move |_| {
+        s.store(1, Ordering::Release);
+        while g.load(Ordering::Acquire) == 0 {
+            std::hint::spin_loop();
+        }
+    });
+    submit(&rt, SsId(0), blocker).unwrap();
+    while started.load(Ordering::Acquire) == 0 {
+        std::hint::spin_loop();
+    }
+    // Two fresh sets fill its two-slot ring...
+    for set in [1, 2] {
+        assert_eq!(
+            submit(&rt, SsId(set), bump(&hits)),
+            Ok(Executor::Delegate(0))
+        );
+    }
+    assert_eq!(hits.load(Ordering::Relaxed), 0);
+    // ...and set 0's next operation finds it full. The wait retracts the
+    // run at the unclaimed end — set 2's, half the held values — and runs
+    // it at once; set 0, claimed from, is never retracted.
     assert_eq!(submit(&rt, SsId(0), bump(&hits)), Ok(Executor::Delegate(0)));
+    assert_eq!(hits.load(Ordering::Relaxed), 1);
+    assert_eq!(rt.stats().inline_executions, 1);
     gate.store(1, Ordering::Release);
     rt.end_isolation().unwrap();
     let s = rt.stats();
-    assert_eq!((s.inline_executions, s.delegations, s.executed), (1, 4, 4));
+    assert_eq!((s.delegations, s.executed), (4, 4));
+    assert_eq!(hits.load(Ordering::Relaxed), 3);
 }
 
 #[test]
@@ -284,13 +289,18 @@ fn static_placement_preserves_same_set_program_order() {
 }
 
 /// Objects under the default object serializer spread over the delegates:
-/// 64 fresh objects, one operation each, in one epoch (below half a ring,
-/// so the program thread takes none). Raw addresses, aligned, would all
-/// land on the delegates their alignment selects.
+/// 64 fresh objects, one operation each, in one epoch. Placement is read
+/// off the trace's delegation sites, since the barrier may retract some
+/// of each ring and run it on the program thread. Raw addresses, aligned,
+/// would all land on the delegates their alignment selects.
 #[test]
 fn object_sets_spread_over_every_delegate() {
     for n in [2, 4] {
-        let rt = Runtime::builder().delegate_threads(n).build().unwrap();
+        let rt = Runtime::builder()
+            .delegate_threads(n)
+            .trace(true)
+            .build()
+            .unwrap();
         let objects: Vec<crate::Writable<u64>> =
             (0..64).map(|_| crate::Writable::new(&rt, 0)).collect();
         rt.isolated(|| {
@@ -299,13 +309,14 @@ fn object_sets_spread_over_every_delegate() {
             }
         })
         .unwrap();
-        let s = rt.stats();
-        assert_eq!(s.inline_executions, 0, "{n} delegates: {s:?}");
-        assert!(
-            s.delegate_executed.iter().all(|&e| e > 0),
-            "{n} delegates: {:?}",
-            s.delegate_executed
-        );
+        let mut placed = vec![0; n];
+        for e in rt.take_trace().unwrap() {
+            if let (TraceKind::Delegate, Some(TraceExecutor::Delegate(i))) = (e.kind, e.executor) {
+                placed[i] += 1;
+            }
+        }
+        assert_eq!(placed.iter().sum::<u64>(), 64, "{n} delegates");
+        assert!(placed.iter().all(|&p| p > 0), "{n} delegates: {placed:?}");
     }
 }
 

@@ -41,8 +41,7 @@ pub(crate) struct Counters {
     pub isolation_nanos: AtomicU64,
     pub reduction_nanos: AtomicU64,
     pub reductions: AtomicU64,
-    /// Pins that override static placement: takes, stealing-mode first
-    /// touches.
+    /// Pins that override static placement: stealing-mode first touches.
     pub pins: AtomicU64,
     /// Routing resolutions answered by the pin map's lock-free fast
     /// path (already-pinned sets on the non-stealing transports).
@@ -247,7 +246,7 @@ pub struct Stats {
     /// them: after `end_isolation`, `executed == delegations`.
     pub delegations: u64,
     /// The subset of [`delegations`](Stats::delegations) the program
-    /// thread ran itself: sets it took at a half-full ring, their nested
+    /// thread ran itself: sets it retracted from its rings, their nested
     /// operations from `Lane::Program`, and every operation of a runtime
     /// without delegates. With [`delegate_executed`](Stats::delegate_executed)
     /// they partition the delegations:
@@ -261,10 +260,11 @@ pub struct Stats {
     pub isolation_epochs: u64,
     /// Reducible reductions performed.
     pub reductions: u64,
-    /// Epoch pins created at a set's first touch: one per set the program
-    /// thread takes, and — when stealing is enabled, since a steal must be
-    /// able to override static placement — one per set routed. Static
-    /// placement itself pins nothing.
+    /// Epoch pins created at a set's first touch when stealing is enabled
+    /// — a steal must be able to override static placement — one per set
+    /// routed. Static placement itself pins nothing, and the program pin a
+    /// tail retraction publishes is not counted here (its operations are,
+    /// in [`inline_executions`](Stats::inline_executions)).
     pub pins: u64,
     /// Routing resolutions answered by the sharded pin map's lock-free
     /// fast path: a re-delegation to an already-pinned set on a

@@ -20,7 +20,7 @@ use crate::serializer::SsId;
 /// Which executor a traced operation was assigned to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceExecutor {
-    /// On the program thread (a set it took, or any set of a runtime
+    /// On the program thread (a set it retracted, or any set of a runtime
     /// without delegates).
     Program,
     /// Delegate thread with this index.
@@ -35,9 +35,10 @@ pub enum TraceKind {
     /// `end_isolation` — barrier with all delegates, epoch closed.
     EndIsolation,
     /// A serialization set was pinned to its executor for the epoch at its
-    /// first touch: the program thread took it, or stealing is enabled
-    /// (which pins every set so a steal can move it). Static placement
-    /// emits no pin events — the mapping is pure.
+    /// first touch, with stealing enabled (which pins every set so a steal
+    /// can move it). Static placement emits no pin events — the mapping is
+    /// pure — and neither does a tail retraction, whose operations keep
+    /// the `Delegate` events of their delegation sites.
     Pin,
     /// An idle delegate stole a never-started serialization set from a
     /// peer's queue; `set` is the migrated set and `executor` the thief it

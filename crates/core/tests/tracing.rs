@@ -14,9 +14,13 @@ impl Reduce for Acc {
 
 #[test]
 fn trace_records_model_operations_in_program_order() {
+    // The delegate's first claim waits until the program thread parks in
+    // its reclaim: both operations are still pending when `call` checks,
+    // so the reclaim always sends its token and logs `Reclaim`.
     let rt = Runtime::builder()
         .delegate_threads(1)
         .trace(true)
+        .test_schedule(["sleep@p", "claim@0"])
         .build()
         .unwrap();
     let w: Writable<u64, SequenceSerializer> = Writable::new(&rt, 0);
@@ -35,6 +39,7 @@ fn trace_records_model_operations_in_program_order() {
     let total = acc.view(|a| a.0).unwrap(); // triggers the reduction
     assert_eq!(total, 1);
 
+    assert_eq!(rt.test_gates_remaining(), Some(0), "script not followed");
     let trace = rt.take_trace().unwrap();
     let kinds: Vec<TraceKind> = trace.iter().map(|e| e.kind).collect();
     assert_eq!(

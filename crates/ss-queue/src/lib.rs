@@ -12,10 +12,13 @@
 //!
 //! Two queue implementations are provided:
 //!
-//! * [`SpscQueue`] — FastForward-style: *no shared head/tail indices at all*.
+//! * [`SpscQueue`] — FastForward-style: *no shared head/tail indices*.
 //!   Each slot carries its own full/empty flag; the producer and consumer
 //!   keep purely thread-local cursors, so in steady state they touch disjoint
-//!   cache lines and never contend on index words. Every ring also carries a
+//!   cache lines and never contend on index words. The one shared index
+//!   pair is for **tail retraction** ([`Producer::retract`]): the consumer
+//!   publishes a claim once per batch of pops, and the producer, at its
+//!   waits, may take values back past it. Every ring also carries a
 //!   multi-producer **injector lane** ([`Producer::injector`] →
 //!   [`Injector`]): an unbounded spinlocked FIFO that turns the pair into an
 //!   MPSC queue when extra producers (the runtime's recursive-delegation
@@ -81,7 +84,7 @@ mod spsc;
 pub use backoff::Backoff;
 pub use deque::{push_shard_of, FenceScope, StealDeque, StealScan, StealTag, PUSH_SHARDS};
 pub use pad::CachePadded;
-pub use spsc::{Consumer, Injector, Producer, SpscQueue};
+pub use spsc::{Consumer, Injector, Producer, Retraction, SpscQueue, MAX_CLAIM};
 
 /// Error returned by `try_push` when the ring is full; carries the rejected
 /// value so the caller can retry without cloning.

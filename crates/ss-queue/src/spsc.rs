@@ -26,14 +26,48 @@
 //! each other's full queues would deadlock (each is the only thread that
 //! could drain the other). An unbounded side lane makes the nested push
 //! wait-free with respect to the consumer.
+//!
+//! # Tail retraction: the claim protocol
+//!
+//! The producer may take values back off the end it pushes to
+//! ([`Producer::retract`]) — Chase–Lev's owner pop, inverted: here the
+//! single producer pops from its own end while the consumer takes from the
+//! other. The two ends meet at one shared index pair, each on a line of
+//! its own:
+//!
+//! * **`claim`**, written by the consumer. The consumer pops an index only
+//!   below its claim. When it reaches its claim it claims a batch — half
+//!   the visible lead, at least 1 and at most [`MAX_CLAIM`] — by storing
+//!   the new claim, issuing a `SeqCst` fence and reading `limit`. Inside a
+//!   claimed batch popping is FastForward's plain slot protocol, so the
+//!   fence is paid once per batch.
+//! * **`limit`**, written by the producer. A retraction stores the index it
+//!   holds the ring at, issues a `SeqCst` fence and reads `claim`. It owns
+//!   every index at or past both; a claim that reads a held `limit` backs
+//!   off to it. The hold ends when the retraction is released.
+//!
+//! The two store–fence–load sequences are a Dekker pair: of the two loads
+//! at least one sees the other side's store, so either the producer
+//! retracts past the consumer's new claim, or the consumer's claim stops
+//! at the limit, or both back off. Never do both sides own one index. A
+//! claim is a reservation of indices, not a count of values: a slot below
+//! the claim is popped only once its flag says it is full.
 
 use core::cell::{Cell, UnsafeCell};
 use core::mem::MaybeUninit;
-use core::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use core::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use crate::{Backoff, Full, Pop};
+use crate::{Backoff, CachePadded, Full, Pop};
+
+/// The largest batch a consumer claims at once: the runtime's temporal
+/// slip lead, so a consumer that has let its producer get a slip ahead
+/// claims half of it.
+pub const MAX_CLAIM: usize = 64;
+
+/// `limit` while no retraction holds the ring.
+const UNHELD: u64 = u64::MAX;
 
 /// One ring slot: the `full` flag doubles as the synchronization variable
 /// (FastForward uses the data word itself; we need a separate flag to support
@@ -90,6 +124,11 @@ impl<T> Lane<T> {
 pub struct SpscQueue<T> {
     slots: Box<[Slot<T>]>,
     mask: usize,
+    /// The consumer's claim: the index below which it may pop (module
+    /// docs, "Tail retraction").
+    claim: CachePadded<AtomicU64>,
+    /// The index a retraction holds the ring at, or `UNHELD`.
+    limit: CachePadded<AtomicU64>,
     lane: Lane<T>,
     producer_alive: AtomicBool,
     consumer_alive: AtomicBool,
@@ -98,8 +137,10 @@ pub struct SpscQueue<T> {
 // SAFETY: slots are only accessed according to the SPSC protocol — the
 // producer writes a slot only while `full == false` and the consumer reads it
 // only while `full == true`, with Release/Acquire edges on `full` ordering
-// the payload accesses. The injector lane is only touched under its spinlock
-// (`Lane::with`). Values of `T` move between threads, hence `T: Send`.
+// the payload accesses; a retraction touches full slots only at or past the
+// consumer's claim, which the consumer never pops (the claim protocol). The
+// injector lane is only touched under its spinlock (`Lane::with`). Values
+// of `T` move between threads, hence `T: Send`.
 unsafe impl<T: Send> Send for SpscQueue<T> {}
 unsafe impl<T: Send> Sync for SpscQueue<T> {}
 
@@ -118,6 +159,8 @@ impl<T> SpscQueue<T> {
         let shared = Arc::new(SpscQueue {
             slots,
             mask: cap - 1,
+            claim: CachePadded::new(AtomicU64::new(0)),
+            limit: CachePadded::new(AtomicU64::new(UNHELD)),
             lane: Lane::new(),
             producer_alive: AtomicBool::new(true),
             consumer_alive: AtomicBool::new(true),
@@ -130,6 +173,7 @@ impl<T> SpscQueue<T> {
             Consumer {
                 shared,
                 tail: Cell::new(0),
+                claimed: Cell::new(0),
             },
         )
     }
@@ -138,6 +182,12 @@ impl<T> SpscQueue<T> {
     #[inline]
     pub fn capacity(&self) -> usize {
         self.slots.len()
+    }
+
+    /// The slot of ring index `index`.
+    #[inline]
+    fn slot(&self, index: u64) -> &Slot<T> {
+        &self.slots[index as usize & self.mask]
     }
 
     /// Approximate number of occupied slots (O(capacity) scan; diagnostic
@@ -168,7 +218,9 @@ impl<T> Drop for SpscQueue<T> {
 /// Sending half of an [`SpscQueue`]; owned by exactly one thread.
 pub struct Producer<T> {
     shared: Arc<SpscQueue<T>>,
-    head: Cell<usize>,
+    /// The ring index the next push lands at. Indices count every push
+    /// and never wrap in practice (64 bits); a slot is `index & mask`.
+    head: Cell<u64>,
 }
 
 // The `Cell` cursor makes `Producer` `!Sync`, which is exactly the
@@ -180,9 +232,7 @@ impl<T> Producer<T> {
     /// [`Full`] if the ring has no free slot.
     #[inline]
     pub fn try_push(&self, value: T) -> Result<(), Full<T>> {
-        let q = &*self.shared;
-        let idx = self.head.get() & q.mask;
-        let slot = &q.slots[idx];
+        let slot = self.shared.slot(self.head.get());
         if slot.full.load(Ordering::Acquire) {
             return Err(Full(value));
         }
@@ -190,7 +240,7 @@ impl<T> Producer<T> {
         // else touches the payload until we publish it below.
         unsafe { (*slot.value.get()).write(value) };
         slot.full.store(true, Ordering::Release);
-        self.head.set(self.head.get().wrapping_add(1));
+        self.head.set(self.head.get() + 1);
         Ok(())
     }
 
@@ -214,31 +264,50 @@ impl<T> Producer<T> {
         }
     }
 
-    /// True if the ring has room for `n` more values — an O(1) probe of
-    /// the one slot the `n`-th value would land in. The consumer empties
-    /// slots in order and only this handle fills them, so that slot being
-    /// empty means every slot before it is. `false` when `n` exceeds the
-    /// capacity.
+    /// The ring index the next push lands at: the count of values ever
+    /// pushed, less those retracted.
     #[inline]
-    pub fn has_room(&self, n: usize) -> bool {
-        let q = &*self.shared;
-        (1..=q.capacity()).contains(&n)
-            && !q.slots[self.head.get().wrapping_add(n - 1) & q.mask]
-                .full
-                .load(Ordering::Acquire)
+    pub fn head(&self) -> u64 {
+        self.head.get()
     }
 
-    /// True if at least `n` values sit in the ring (`1 <= n <= capacity`)
-    /// — an O(1) occupancy probe of the slot `n` behind the head: the
-    /// occupied slots are the ones just behind it, so that slot is full
-    /// exactly when the `n - 1` after it are too.
+    /// How many pushed values lie at or past the consumer's claim: the
+    /// ones a retraction could still take back. Reads the line the
+    /// consumer claims on, so it is for waits, not for every push.
     #[inline]
-    pub fn holds_at_least(&self, n: usize) -> bool {
-        let q = &*self.shared;
-        debug_assert!((1..=q.capacity()).contains(&n));
-        q.slots[self.head.get().wrapping_sub(n) & q.mask]
-            .full
-            .load(Ordering::Acquire)
+    pub fn unclaimed(&self) -> u64 {
+        let claim = self.shared.claim.load(Ordering::Relaxed);
+        self.head.get().saturating_sub(claim)
+    }
+
+    /// Holds the ring at index `from` for a retraction (module docs, "Tail
+    /// retraction"): stores the limit, fences, and reads the consumer's
+    /// claim. The hold owns every value at or past both; `None`, with the
+    /// hold released, when there is none. While the returned
+    /// [`Retraction`] lives the consumer claims nothing past `from`, and —
+    /// it borrows the producer mutably — nothing is pushed and no second
+    /// hold is taken.
+    pub fn retract(&mut self, from: u64) -> Option<Retraction<'_, T>> {
+        let held = self.hold(from);
+        (held.start < held.end()).then_some(held)
+    }
+
+    /// [`retract`](Producer::retract)'s side of the Dekker pair: the store
+    /// and the fence, then [`read_claim`](Producer::read_claim). The
+    /// claim's own fence orders the other side; the release of the hold
+    /// (`Retraction`'s drop) pairs with the claim's Acquire load.
+    fn hold(&mut self, from: u64) -> Retraction<'_, T> {
+        self.shared.limit.store(from, Ordering::Relaxed);
+        fence(Ordering::SeqCst);
+        self.read_claim(from)
+    }
+
+    fn read_claim(&mut self, from: u64) -> Retraction<'_, T> {
+        let claim = self.shared.claim.load(Ordering::Relaxed);
+        Retraction {
+            producer: self,
+            start: from.max(claim),
+        }
     }
 
     /// True if the consumer handle has been dropped.
@@ -266,6 +335,63 @@ impl<T> Producer<T> {
 impl<T> Drop for Producer<T> {
     fn drop(&mut self) {
         self.shared.producer_alive.store(false, Ordering::Release);
+    }
+}
+
+/// A producer's hold on the unclaimed end of its ring, from
+/// [`Producer::retract`]: the values from [`start`](Retraction::start) to
+/// the producer's head are the producer's until the hold is released —
+/// by [`pop_from`](Retraction::pop_from), or by dropping it.
+pub struct Retraction<'a, T> {
+    producer: &'a mut Producer<T>,
+    /// At or past both the hold's `from` and the consumer's claim.
+    start: u64,
+}
+
+impl<T> Retraction<'_, T> {
+    /// The first index the hold owns.
+    #[inline]
+    pub fn start(&self) -> u64 {
+        self.start
+    }
+
+    /// One past the last held index: the producer's head.
+    #[inline]
+    pub fn end(&self) -> u64 {
+        self.producer.head.get()
+    }
+
+    /// The held value at `index` (`start <= index < end`).
+    #[inline]
+    pub fn get(&self, index: u64) -> &T {
+        assert!((self.start..self.end()).contains(&index), "index not held");
+        // SAFETY: a pushed slot the consumer has not claimed: full, and
+        // read by nobody but this hold until it is released.
+        unsafe { (*self.producer.shared.slot(index).value.get()).assume_init_ref() }
+    }
+
+    /// Takes back the values from `cut` (`start <= cut <= end`) to the
+    /// head into `out`, oldest first, moves the head back to `cut` and
+    /// releases the hold.
+    pub fn pop_from(self, cut: u64, out: &mut Vec<T>) {
+        let end = self.end();
+        assert!((self.start..=end).contains(&cut), "cut outside the hold");
+        out.reserve((end - cut) as usize);
+        for index in cut..end {
+            let slot = self.producer.shared.slot(index);
+            // SAFETY: as in `get`; the flag is cleared after the move, and
+            // the release below publishes both before the consumer can
+            // claim the index again.
+            out.push(unsafe { (*slot.value.get()).assume_init_read() });
+            slot.full.store(false, Ordering::Relaxed);
+        }
+        self.producer.head.set(cut);
+    }
+}
+
+impl<T> Drop for Retraction<'_, T> {
+    fn drop(&mut self) {
+        self.producer.shared.limit.store(UNHELD, Ordering::Release);
     }
 }
 
@@ -351,40 +477,106 @@ impl<T> Injector<T> {
 /// Receiving half of an [`SpscQueue`]; owned by exactly one thread.
 pub struct Consumer<T> {
     shared: Arc<SpscQueue<T>>,
-    tail: Cell<usize>,
+    /// The ring index the next pop takes.
+    tail: Cell<u64>,
+    /// This handle's copy of its published claim; never below `tail`.
+    claimed: Cell<u64>,
 }
 
 unsafe impl<T: Send> Send for Consumer<T> {}
 
 impl<T> Consumer<T> {
+    /// Pops the value at `tail`, if it is claimed and there.
     #[inline]
-    fn take_slot(&self, idx: usize) -> T {
-        let slot = &self.shared.slots[idx];
-        // SAFETY: caller observed `full == true` with Acquire, so the
-        // producer's initialization happens-before this read, and the
-        // producer will not rewrite the slot until we clear `full`.
+    fn take_next(&self) -> Option<T> {
+        let slot = self.shared.slot(self.tail.get());
+        if !self.claim() || !slot.full.load(Ordering::Acquire) {
+            return None;
+        }
+        // SAFETY: `full == true` observed with Acquire, so the producer's
+        // initialization happens-before this read; the index is claimed, so
+        // no retraction moves it, and the producer will not rewrite the
+        // slot until we clear `full`.
         let value = unsafe { (*slot.value.get()).assume_init_read() };
         slot.full.store(false, Ordering::Release);
-        self.tail.set(self.tail.get().wrapping_add(1));
-        value
+        self.tail.set(self.tail.get() + 1);
+        Some(value)
+    }
+
+    /// Whether the next index is claimed (module docs, "Tail
+    /// retraction"). At the end of its claim the consumer claims a batch
+    /// of half the visible lead, at least 1 and at most [`MAX_CLAIM`]:
+    /// one `SeqCst` fence against the producer's `limit`. False when
+    /// nothing is visible to claim, or a retraction holds the ring at
+    /// the tail.
+    #[inline]
+    pub fn claim(&self) -> bool {
+        self.tail.get() < self.claimed.get() || self.claim_batch()
+    }
+
+    /// Whether the next index was claimed before this call: a pop takes
+    /// it without touching `claim` or `limit`.
+    #[inline]
+    pub fn holds_claim(&self) -> bool {
+        self.tail.get() < self.claimed.get()
+    }
+
+    fn claim_batch(&self) -> bool {
+        let lead = self.visible_lead();
+        if lead == 0 {
+            return false;
+        }
+        let want = self.tail.get() + (lead / 2).clamp(1, MAX_CLAIM) as u64;
+        self.publish_claim(want);
+        fence(Ordering::SeqCst);
+        self.check_limit(want)
+    }
+
+    /// A lower bound on the values waiting from the tail, by doubling
+    /// probes up to twice [`MAX_CLAIM`]: full slots are contiguous from
+    /// the tail, so the `n`-th being full means the ones before it are.
+    fn visible_lead(&self) -> usize {
+        let cap = self.capacity().min(2 * MAX_CLAIM);
+        let mut lead = 0;
+        while lead < cap && self.has_lead((2 * lead).clamp(1, cap)) {
+            lead = (2 * lead).clamp(1, cap);
+        }
+        lead
+    }
+
+    fn publish_claim(&self, want: u64) {
+        self.shared.claim.store(want, Ordering::Relaxed);
+    }
+
+    /// The claim's read of `limit`: backs off to a held limit (never
+    /// below the tail). The Acquire pairs with a retraction's release, so
+    /// what it moved or cleared is visible before any claimed slot is
+    /// read.
+    fn check_limit(&self, want: u64) -> bool {
+        let tail = self.tail.get();
+        let limit = self.shared.limit.load(Ordering::Acquire);
+        let got = if limit < want {
+            let got = limit.max(tail);
+            self.shared.claim.store(got, Ordering::Relaxed);
+            got
+        } else {
+            want
+        };
+        self.claimed.set(got);
+        got > tail
     }
 
     /// Attempts to dequeue without blocking.
     #[inline]
     pub fn try_pop(&self) -> Pop<T> {
-        let q = &*self.shared;
-        let idx = self.tail.get() & q.mask;
-        if q.slots[idx].full.load(Ordering::Acquire) {
-            return Pop::Value(self.take_slot(idx));
+        if let Some(v) = self.take_next() {
+            return Pop::Value(v);
         }
-        if !q.producer_alive.load(Ordering::Acquire) {
+        if !self.shared.producer_alive.load(Ordering::Acquire) {
             // The producer may have pushed and then disconnected between our
             // two loads; the Acquire on `producer_alive` makes that final
             // push visible, so re-check before declaring the stream over.
-            if q.slots[idx].full.load(Ordering::Acquire) {
-                return Pop::Value(self.take_slot(idx));
-            }
-            return Pop::Disconnected;
+            return self.take_next().map_or(Pop::Disconnected, Pop::Value);
         }
         Pop::Empty
     }
@@ -430,19 +622,22 @@ impl<T> Consumer<T> {
     }
 
     /// True if the ring's next value — the one [`try_pop`](Consumer::try_pop)
-    /// would return — exists and satisfies `pred`; it stays in place.
+    /// would return — exists and satisfies `pred`; it stays in place, but
+    /// claimed, so no retraction moves it while `pred` reads it.
     ///
     /// # Safety
     /// `pred` must not pop from this consumer: the value it is handed
     /// lives in the slot a pop would empty.
     #[inline]
     pub unsafe fn head_is(&self, pred: fn(&T) -> bool) -> bool {
-        let q = &*self.shared;
-        let slot = &q.slots[self.tail.get() & q.mask];
+        let slot = self.shared.slot(self.tail.get());
         // SAFETY: `full == true` observed with Acquire, so the producer's
-        // initialization happens-before this read; only this handle
-        // empties the slot, and the caller guarantees `pred` does not.
-        slot.full.load(Ordering::Acquire) && pred(unsafe { (*slot.value.get()).assume_init_ref() })
+        // initialization happens-before this read; the index is claimed,
+        // only this handle empties the slot, and the caller guarantees
+        // `pred` does not.
+        self.claim()
+            && slot.full.load(Ordering::Acquire)
+            && pred(unsafe { (*slot.value.get()).assume_init_ref() })
     }
 
     /// True if a value is immediately available, without consuming it.
@@ -461,8 +656,8 @@ impl<T> Consumer<T> {
     #[inline]
     pub fn has_lead(&self, n: usize) -> bool {
         debug_assert!((1..=self.capacity()).contains(&n));
-        let q = &*self.shared;
-        q.slots[self.tail.get().wrapping_add(n - 1) & q.mask]
+        self.shared
+            .slot(self.tail.get() + n as u64 - 1)
             .full
             .load(Ordering::Acquire)
     }
@@ -682,28 +877,136 @@ mod tests {
         }
     }
 
+    /// Pushes `values` and returns the pair.
+    fn ring_of(
+        cap: usize,
+        values: impl IntoIterator<Item = u32>,
+    ) -> (Producer<u32>, Consumer<u32>) {
+        let (tx, rx) = SpscQueue::with_capacity(cap);
+        for v in values {
+            tx.try_push(v).unwrap();
+        }
+        (tx, rx)
+    }
+
+    fn drain(rx: &Consumer<u32>) -> Vec<u32> {
+        std::iter::from_fn(|| rx.try_pop().value()).collect()
+    }
+
     #[test]
-    fn room_and_occupancy_probes_track_the_ring() {
-        let (tx, rx) = SpscQueue::with_capacity(8);
-        assert!(tx.has_room(8) && !tx.has_room(9) && !tx.has_room(0));
-        assert!(!tx.holds_at_least(1));
-        for i in 0..4 {
-            tx.try_push(i).unwrap();
+    fn a_claim_takes_half_the_visible_lead() {
+        let (tx, rx) = ring_of(512, 0..300);
+        assert!(rx.claim());
+        // 256 visible by doubling probes, capped at twice the claim bound:
+        // the batch is the bound.
+        assert_eq!(rx.claimed.get(), MAX_CLAIM as u64);
+        assert_eq!(tx.unclaimed(), 300 - MAX_CLAIM as u64);
+        let (tx, rx) = ring_of(8, 0..3);
+        assert!(rx.claim() && rx.holds_claim());
+        assert_eq!((rx.claimed.get(), tx.unclaimed()), (1, 2));
+        let (_tx, rx) = ring_of(8, []);
+        assert!(!rx.claim() && !rx.holds_claim());
+    }
+
+    #[test]
+    fn the_retraction_wins() {
+        let (mut tx, rx) = ring_of(8, 0..8);
+        let held = tx.retract(0).expect("nothing claimed");
+        assert_eq!((held.start(), held.end(), *held.get(5)), (0, 8, 5));
+        // The consumer's claim reads the held limit and backs off to it.
+        assert!(!rx.claim());
+        assert!(matches!(rx.try_pop(), Pop::Empty));
+        let mut back = Vec::new();
+        held.pop_from(4, &mut back);
+        assert_eq!(back, [4, 5, 6, 7]);
+        // Released: the consumer claims the rest, and the producer pushes
+        // into the slots it took back.
+        tx.try_push(40).unwrap();
+        assert_eq!(drain(&rx), [0, 1, 2, 3, 40]);
+    }
+
+    #[test]
+    fn the_claim_wins() {
+        let (mut tx, rx) = ring_of(8, 0..8);
+        assert!(rx.claim());
+        assert_eq!(rx.claimed.get(), 4);
+        let held = tx.retract(0).expect("four unclaimed");
+        assert_eq!(held.start(), 4);
+        let mut back = Vec::new();
+        held.pop_from(6, &mut back);
+        assert_eq!(back, [6, 7]);
+        assert_eq!(drain(&rx), [0, 1, 2, 3, 4, 5]);
+        // Everything pushed is claimed: nothing to hold.
+        assert!(tx.retract(0).is_none());
+        assert_eq!(tx.shared.limit.load(Ordering::Relaxed), UNHELD);
+    }
+
+    #[test]
+    fn both_back_off() {
+        let (mut tx, rx) = ring_of(8, 0..8);
+        // Both stores land before either load: each side sees the other.
+        rx.publish_claim(4);
+        let held = tx.hold(2);
+        fence(Ordering::SeqCst);
+        assert!(rx.check_limit(4));
+        // The producer owns from the consumer's claim, the consumer stops
+        // at the limit; [2, 4) belongs to neither until the release.
+        assert_eq!((held.start(), rx.claimed.get()), (4, 2));
+        let mut back = Vec::new();
+        held.pop_from(4, &mut back);
+        assert_eq!(back, [4, 5, 6, 7]);
+        assert_eq!(drain(&rx), [0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn a_retraction_wraps_around_the_ring() {
+        let (mut tx, rx) = ring_of(8, 0..2);
+        assert_eq!(drain(&rx), [0, 1]);
+        // Indices 2 … 9 fill slots 2 … 7, 0, 1.
+        for v in 2..10 {
+            tx.try_push(v).unwrap();
         }
-        assert!(tx.holds_at_least(4) && !tx.holds_at_least(5));
-        assert!(tx.has_room(4) && !tx.has_room(5));
-        // The consumer frees slots in order; the probes follow it across
-        // the wrap.
-        for i in 0..3 {
-            assert_eq!(rx.try_pop().value(), Some(i));
+        assert_eq!(rx.try_pop().value(), Some(2));
+        // The consumer claimed [2, 6); the hold's run, slots 6, 7, 0, 1,
+        // crosses the end of the slot array.
+        let held = tx.retract(0).unwrap();
+        assert_eq!((held.start(), held.end(), *held.get(8)), (6, 10, 8));
+        let mut back = Vec::new();
+        held.pop_from(7, &mut back);
+        assert_eq!(back, [7, 8, 9]);
+        for v in 100..104 {
+            tx.try_push(v).unwrap();
         }
-        for i in 4..10 {
-            tx.try_push(i).unwrap();
-        }
-        assert!(tx.holds_at_least(7) && !tx.holds_at_least(8));
-        assert!(tx.has_room(1) && !tx.has_room(2));
-        tx.try_push(10).unwrap();
-        assert!(!tx.has_room(1) && tx.holds_at_least(8));
+        assert!(matches!(tx.try_push(0), Err(Full(0))));
+        assert_eq!(drain(&rx), [3, 4, 5, 6, 100, 101, 102, 103]);
+        assert_eq!(tx.shared.occupied_slots(), 0);
+    }
+
+    #[test]
+    fn a_retraction_finds_the_consumer_past_its_limit() {
+        let (mut tx, rx) = ring_of(16, 0..12);
+        assert!(rx.claim());
+        assert_eq!(rx.claimed.get(), 4);
+        assert_eq!(rx.try_pop().value(), Some(0));
+        // Held at 1, but the consumer has claimed up to 4: the hold owns
+        // only what lies past the claim.
+        let held = tx.retract(1).unwrap();
+        assert_eq!(held.start(), 4);
+        // Its next claim reads a limit below its tail and claims nothing.
+        assert_eq!(drain(&rx), [1, 2, 3]);
+        assert!(!rx.claim());
+        let mut back = Vec::new();
+        held.pop_from(8, &mut back);
+        assert_eq!(back, [8, 9, 10, 11]);
+        assert_eq!(drain(&rx), [4, 5, 6, 7]);
+    }
+
+    #[test]
+    fn a_dropped_hold_releases_the_ring_untouched() {
+        let (mut tx, rx) = ring_of(8, 0..4);
+        drop(tx.retract(0).unwrap());
+        assert_eq!(tx.head(), 4);
+        assert_eq!(drain(&rx), [0, 1, 2, 3]);
     }
 
     #[test]

@@ -11,7 +11,8 @@ fn runtimes() -> Vec<Runtime> {
     vec![
         Runtime::builder().delegate_threads(1).build().unwrap(),
         Runtime::builder().delegate_threads(3).build().unwrap(),
-        // A four-slot ring: the program thread takes sets and runs them.
+        // A four-slot ring: the program thread retracts sets and runs
+        // them.
         Runtime::builder()
             .delegate_threads(2)
             .queue_capacity(4)
@@ -169,7 +170,7 @@ fn nested_fanout_equality() {
     // The recursive-delegation kernel: depth-3 fan-out delegated from the
     // context each operation runs in — a delegate's, or the program
     // thread's (serial mode, and the four-slot ring below, where the
-    // program thread takes sets).
+    // program thread retracts sets).
     let shape = nested::shape(ss_workloads::scale::Scale::S);
     let seeds = nested::seeds(shape.roots, 77);
     let expect = nested::seq(&seeds, shape);

@@ -94,7 +94,7 @@ fn interpret(k: usize, ops: &[Op]) -> (Vec<u64>, Vec<u64>, Vec<u64>, Vec<u64>) {
 /// Runs the program through the runtime with the auditor fully on.
 ///
 /// Delegates are ≥ 1 so that `MutateNested` parents mostly run on a
-/// delegate; one the program thread takes runs with its own delegate
+/// delegate; one the program thread retracts runs with its own delegate
 /// context, which nests the same way.
 fn run_audited(
     k: usize,
@@ -322,6 +322,76 @@ fn access_gate_waits_for_the_audit_record_session() {
         .unwrap();
     let session = rt.session().unwrap();
     reclaim_right_after_pending_drops(&session);
+}
+
+/// Epochs in which the program thread retracts fresh sets at the barrier
+/// and a delegate then nests into one of them certify under
+/// `AuditMode::Full`, and match the sequential result. The one delegate is
+/// held in a blocker, claimed alone, while `t`'s run and `u` are pushed
+/// behind it; the barrier retracts both, `u`'s operation releases the
+/// blocker, and the blocker nests into `t` — now the program executor's,
+/// so the nested folds ride `Lane::Program` to the program thread.
+#[test]
+fn retracted_sets_with_nested_submits_certify() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
+
+    const EPOCHS: u64 = 25;
+    let rt = Runtime::builder()
+        .delegate_threads(1)
+        .queue_capacity(8)
+        .audit(AuditMode::Full)
+        .build()
+        .unwrap();
+    let [b, t, u]: [Writable<u64, SequenceSerializer>; 3] = [(); 3].map(|()| Writable::new(&rt, 0));
+    let mut want = 0;
+    for e in 0..EPOCHS {
+        rt.begin_isolation().unwrap();
+        let [started, gate] = [(); 2].map(|()| Arc::new(AtomicBool::new(false)));
+        let (s, g, rt2, t2) = (
+            Arc::clone(&started),
+            Arc::clone(&gate),
+            rt.clone(),
+            t.clone(),
+        );
+        b.delegate(move |_| {
+            s.store(true, Ordering::Release);
+            while !g.load(Ordering::Acquire) {
+                std::hint::spin_loop();
+            }
+            rt2.delegate_scope(|cx| {
+                for k in 0..2 {
+                    cx.delegate(&t2, move |v| *v = fold(*v, mix(e + k)))
+                        .unwrap();
+                }
+            })
+            .unwrap();
+        })
+        .unwrap();
+        while !started.load(Ordering::Acquire) {
+            std::hint::spin_loop();
+        }
+        t.delegate_iter((0..3).map(|k| move |v: &mut u64| *v = fold(*v, e * 3 + k)))
+            .unwrap();
+        u.delegate(move |v| {
+            *v += 1;
+            gate.store(true, Ordering::Release);
+        })
+        .unwrap();
+        rt.end_isolation().unwrap();
+        want = (0..3).fold(want, |v, k| fold(v, e * 3 + k));
+        want = (0..2).fold(want, |v, k| fold(v, mix(e + k)));
+    }
+    let s = rt.stats();
+    assert_eq!(s.epochs_audited, EPOCHS);
+    // `t`'s three and `u`'s one retracted, the two nested folds drained
+    // from the program thread's lane.
+    assert_eq!(s.inline_executions, 6 * EPOCHS, "{s:?}");
+    assert_eq!(s.nested_delegations, 2 * EPOCHS);
+    assert_eq!(
+        (t.call(|v| *v).unwrap(), u.call(|v| *v).unwrap()),
+        (want, EPOCHS)
+    );
 }
 
 // ----------------------------------------------------------------------

@@ -1,4 +1,5 @@
-//! Deterministic-schedule proofs for the op-granularity steal handshake.
+//! Deterministic-schedule proofs for the op-granularity steal handshake,
+//! and for the ring's claim/retract race.
 //!
 //! The quiescence handshake between an owner draining a started set and a
 //! thief eyeing its queued tail has three outcomes, all
@@ -28,6 +29,16 @@
 //! thief. Three queued operations clear the steal bar (an imbalance of
 //! more than one operation), so the thief reaches its "scan" gate
 //! deterministically.
+//!
+//! The claim/retract race is the ring transport's: at the barrier the
+//! program thread retracts fresh runs from the unclaimed end of its
+//! delegate's ring while the delegate claims a batch from the other end.
+//! `claim@0` brackets a whole batch claim and `retract@p` a whole hold, so
+//! a script orders one before the other; the Dekker interleavings inside
+//! them are the queue's own unit tests (`ss_queue`'s `spsc` module).
+
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex};
 
 use prometheus_rs::prelude::*;
 
@@ -147,4 +158,121 @@ fn migration_revalidates_quiescence_under_the_locks() {
         "re-popped set passed the shard-locked revalidation: {stats:?}"
     );
     rt.shutdown().unwrap();
+}
+
+// ----------------------------------------------------------------------
+// the claim/retract race on the ring
+
+/// Fresh single-operation sets pushed behind the blocker.
+const FRESH: usize = 8;
+
+type Obj = Writable<u64, SequenceSerializer>;
+
+fn on_delegate() -> bool {
+    std::thread::current()
+        .name()
+        .is_some_and(|n| n.starts_with("ss-delegate-"))
+}
+
+/// One delegate on a ring, held in a blocker — claimed alone, the first
+/// two `claim@0` hits of every script — while [`FRESH`] fresh sets are
+/// pushed behind it, then released at the barrier. Set 1's operation
+/// holds its delegate until set `1 + release`'s has run. Returns, per set,
+/// whether it ran on the delegate, and the runtime.
+fn race(script: &[&str], release: usize) -> (Vec<bool>, Runtime) {
+    let rt = Runtime::builder()
+        .delegate_threads(1)
+        .test_schedule(script.iter().copied())
+        .build()
+        .unwrap();
+    let blocker: Obj = Writable::new(&rt, 0);
+    let sets: Vec<Obj> = (0..FRESH).map(|_| Writable::new(&rt, 0)).collect();
+    let ran_on: Arc<Mutex<Vec<Option<bool>>>> = Arc::new(Mutex::new(vec![None; FRESH]));
+    let [started, gate, released] = [(); 3].map(|()| Arc::new(AtomicBool::new(false)));
+    rt.begin_isolation().unwrap();
+    let (s, g) = (Arc::clone(&started), Arc::clone(&gate));
+    blocker
+        .delegate(move |_| {
+            s.store(true, Ordering::Release);
+            while !g.load(Ordering::Acquire) {
+                std::hint::spin_loop();
+            }
+        })
+        .unwrap();
+    while !started.load(Ordering::Acquire) {
+        std::hint::spin_loop();
+    }
+    for (k, w) in sets.iter().enumerate() {
+        let (log, released) = (Arc::clone(&ran_on), Arc::clone(&released));
+        w.delegate(move |n| {
+            *n += 1;
+            log.lock().unwrap()[k] = Some(on_delegate());
+            if k == release {
+                released.store(true, Ordering::Release);
+            }
+            while k == 0 && !released.load(Ordering::Acquire) {
+                std::hint::spin_loop();
+            }
+        })
+        .unwrap();
+    }
+    gate.store(true, Ordering::Release);
+    rt.end_isolation().unwrap();
+    assert!(sets.iter().all(|w| w.call(|n| *n).unwrap() == 1));
+    assert_eq!(
+        rt.test_gates_remaining(),
+        Some(0),
+        "script not fully consumed: the forced interleaving was not followed"
+    );
+    let ran_on = ran_on
+        .lock()
+        .unwrap()
+        .iter()
+        .map(|r| r.expect("ran"))
+        .collect();
+    (ran_on, rt)
+}
+
+/// The claim wins: released from its blocker, the delegate claims half of
+/// the eight it sees — sets 1 to 4 — before the barrier holds the ring.
+/// The retraction starts at the claim and takes half of what is left, the
+/// last two sets. Set 1's operation stalls its delegate until the last set
+/// has run, so nothing else is claimed before the retraction.
+#[test]
+fn the_claim_wins_and_the_retraction_takes_past_it() {
+    let script = [
+        "claim@0",
+        "claim@0",
+        "claim@0",
+        "claim@0",
+        "retract@p",
+        "retract@p",
+    ];
+    let (on_delegate, rt) = race(&script, FRESH - 1);
+    assert!(on_delegate[..4].iter().all(|&d| d), "{on_delegate:?}");
+    assert!(on_delegate[6..].iter().all(|&d| !d), "{on_delegate:?}");
+    assert!(rt.stats().inline_executions >= 2);
+}
+
+/// The retraction wins: the delegate's claim waits until the barrier has
+/// held the ring, taken the last four sets and released it; the claim
+/// then covers half of what is left from the front, sets 1 and 2. Set 1
+/// stalls its delegate until the next retraction, ordered after that
+/// claim, has taken set 4.
+#[test]
+fn the_retraction_wins_and_the_claim_takes_what_is_left() {
+    let script = [
+        "claim@0",
+        "claim@0",
+        "retract@p",
+        "retract@p",
+        "claim@0",
+        "claim@0",
+        "retract@p",
+        "retract@p",
+    ];
+    let (on_delegate, rt) = race(&script, 3);
+    assert!(on_delegate[..2].iter().all(|&d| d), "{on_delegate:?}");
+    assert!(on_delegate[3..].iter().all(|&d| !d), "{on_delegate:?}");
+    assert!(rt.stats().inline_executions >= 5);
 }

@@ -375,8 +375,8 @@ fn run_parallel(ops: &[Op], delegates: usize, stealing: bool, ring: usize) -> Ou
 }
 
 /// The default ring, and a four-slot one that fills within a few
-/// operations, so the program thread takes lane sets, runs their roots
-/// and nests from them (the SPSC transport only: the deques never take).
+/// operations, so the program thread retracts sets, runs their roots and
+/// nests from them (the SPSC transport only: the deques never retract).
 const RINGS: [usize; 2] = [512, 4];
 
 /// Stealing off and on, plus a four-slot ring on the SPSC transport, as

@@ -150,7 +150,7 @@ proptest! {
         ops in proptest::collection::vec(op_strategy(5), 0..120),
         delegates in 0usize..4,
         // A four-slot ring fills within a few operations, so the program
-        // thread takes sets and runs them itself.
+        // thread retracts sets and runs them itself.
         ring in prop_oneof![Just(4usize), Just(512)],
         // Stealing on: thieves may also take the queued tail of a
         // *started* set after the quiescence handshake — the order oracle

@@ -1,14 +1,16 @@
-//! The program thread as a load-chosen executor: a set whose first
-//! operation of an epoch finds its delegate's ring at least half full runs
-//! on the program thread for the rest of the epoch (a *take*), and nested
-//! submits into a taken set reach it through `Lane::Program`.
+//! The program thread as an executor by tail retraction: where the root
+//! program thread would otherwise wait — at the epoch barrier, at a full
+//! ring — it pops whole fresh runs back off the unclaimed end of its
+//! delegate's ring and runs them itself, for the rest of the epoch; nested
+//! submits into a retracted set reach it through `Lane::Program`.
 //!
-//! Takes are made deterministic with a four-slot ring and one delegate
-//! held inside an operation while the ring fills: a blocker on set B is
-//! running, two more B operations are queued behind it (half the ring),
-//! and every set seen for the first time after that is taken. Every
-//! scenario runs under a 5 s watchdog, so a program thread that stops
-//! serving `Lane::Program` in one of its waits fails instead of hanging.
+//! Retractions are made deterministic with one delegate held inside a
+//! blocker operation: a held delegate claims nothing more, so every entry
+//! pushed behind the blocker is unclaimed when the program thread's spin
+//! phase runs out. Each scenario's blocker is running before anything is
+//! pushed behind it, so its own claim covers it alone. Every scenario runs
+//! under a 5 s watchdog, so a program thread that stops serving
+//! `Lane::Program` in one of its waits fails instead of hanging.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
@@ -65,6 +67,13 @@ impl Gate {
     fn new() -> Self {
         Gate(Arc::new(AtomicBool::new(false)))
     }
+
+    /// A handle that opens the gate from wherever it is dropped — inside a
+    /// retracted operation, which is how a scenario releases its blocker
+    /// from the program thread's barrier.
+    fn opener(&self) -> Gate {
+        Gate(Arc::clone(&self.0))
+    }
 }
 
 impl Drop for Gate {
@@ -74,10 +83,10 @@ impl Drop for Gate {
 }
 
 /// Holds the one delegate inside an operation on `b` until `gate` opens,
-/// running `then` after it, with two more operations of `b` queued behind
-/// it: the four-slot ring is half full, so every set the program thread
-/// sees for the first time from here on is taken.
-fn hold_half_full(b: &Obj, gate: &Gate, then: impl FnOnce() + Send + 'static) {
+/// running `then` after it. Returns once the blocker runs: its claim
+/// covered it alone, so whatever is pushed from here on stays unclaimed
+/// until the gate opens.
+fn hold(b: &Obj, gate: &Gate, then: impl FnOnce() + Send + 'static) {
     let started = Arc::new(AtomicBool::new(false));
     let (s, g) = (Arc::clone(&started), Arc::clone(&gate.0));
     b.delegate(move |_| {
@@ -87,79 +96,144 @@ fn hold_half_full(b: &Obj, gate: &Gate, then: impl FnOnce() + Send + 'static) {
     })
     .unwrap();
     until(&started);
-    for _ in 0..2 {
-        b.delegate(|n| *n += 1).unwrap();
-    }
+}
+
+fn delegate_thread() -> bool {
+    std::thread::current()
+        .name()
+        .is_some_and(|n| n.starts_with("ss-delegate-"))
 }
 
 #[test]
-fn a_fresh_set_at_a_half_full_ring_runs_on_the_program_thread() {
+fn a_fresh_run_at_the_barrier_is_retracted() {
     watchdog(|| {
         let rt = runtime(Runtime::builder().trace(true));
         let (b, t): (Obj, Obj) = (Writable::new(&rt, 0), Writable::new(&rt, 0));
-        let ran = Arc::new(AtomicU64::new(0));
+        let on_program = Arc::new(AtomicU64::new(0));
         rt.begin_isolation().unwrap();
         let gate = Gate::new();
-        hold_half_full(&b, &gate, || {});
-        for _ in 0..3 {
-            let r = Arc::clone(&ran);
+        hold(&b, &gate, || {});
+        for k in 0..3 {
+            let (seen, opener) = (Arc::clone(&on_program), (k == 2).then(|| gate.opener()));
             t.delegate(move |n| {
                 *n += 1;
-                r.fetch_add(1, Ordering::Relaxed);
+                seen.fetch_add(u64::from(!delegate_thread()), Ordering::Relaxed);
+                // The last one lets the blocker finish.
+                drop(opener);
             })
             .unwrap();
         }
-        // Run synchronously, with the delegate still held.
-        assert_eq!(ran.load(Ordering::Relaxed), 3);
-        drop(gate);
+        // The delegate is held: only the barrier's retraction can run `t`.
         rt.end_isolation().unwrap();
-        assert_eq!((t.call(|n| *n).unwrap(), b.call(|n| *n).unwrap()), (3, 2));
+        assert_eq!(on_program.load(Ordering::Relaxed), 3);
+        assert_eq!((t.call(|n| *n).unwrap(), b.call(|n| *n).unwrap()), (3, 0));
         let s = rt.stats();
-        assert_eq!((s.inline_executions, s.delegations, s.executed), (3, 6, 6));
-        assert_eq!(s.delegate_executed, vec![3]);
-        let inline: Vec<_> = rt
-            .take_trace()
-            .unwrap()
-            .into_iter()
-            .filter(|e| e.kind == TraceKind::InlineExecute)
-            .collect();
-        assert_eq!(inline.len(), 3);
-        assert!(inline
-            .iter()
-            .all(|e| e.object == Some(t.instance()) && e.executor == Some(TraceExecutor::Program)));
+        assert_eq!((s.inline_executions, s.delegations, s.executed), (3, 4, 4));
+        assert_eq!(s.delegate_executed, vec![1]);
+        // The log keeps the delegation sites: a retraction adds no event.
+        let kinds: Vec<_> = rt.take_trace().unwrap().iter().map(|e| e.kind).collect();
+        assert_eq!(
+            kinds.iter().filter(|&&k| k == TraceKind::Delegate).count(),
+            4
+        );
+        assert!(!kinds.contains(&TraceKind::InlineExecute));
+        drop(gate);
     });
 }
 
 #[test]
-fn a_set_pushed_this_epoch_is_never_taken() {
+fn a_run_that_straddles_the_claim_point_is_never_retracted() {
     watchdog(|| {
         let rt = runtime(Runtime::builder().audit(AuditMode::Full));
-        let (a, b, t): (Obj, Obj, Obj) = (
-            Writable::new(&rt, 0),
-            Writable::new(&rt, 0),
-            Writable::new(&rt, 0),
-        );
+        let (a, t): (Obj, Obj) = (Writable::new(&rt, 0), Writable::new(&rt, 0));
+        let a_off_delegate = Arc::new(AtomicU64::new(0));
         const EPOCHS: u64 = 20;
         for _ in 0..EPOCHS {
             rt.begin_isolation().unwrap();
-            // `a` arrives at an empty ring and is pushed...
-            a.delegate(|n| *n += 1).unwrap();
+            // `a`'s first operation is the blocker, claimed alone; its two
+            // more stay unclaimed behind it — a run whose set has been
+            // claimed from. The fresh `t` behind them is retracted, and
+            // lets the blocker go.
             let gate = Gate::new();
-            hold_half_full(&b, &gate, || {});
-            // ...so its operations keep going to the delegate, behind a
-            // ring at least half full, while a fresh set is taken.
-            a.delegate(|n| *n += 1).unwrap();
-            t.delegate(|n| *n += 1).unwrap();
-            a.delegate(|n| *n += 1).unwrap();
-            drop(gate);
+            hold(&a, &gate, || {});
+            for _ in 0..2 {
+                let off = Arc::clone(&a_off_delegate);
+                a.delegate(move |n| {
+                    *n += 1;
+                    off.fetch_add(u64::from(!delegate_thread()), Ordering::Relaxed);
+                })
+                .unwrap();
+            }
+            let opener = gate.opener();
+            t.delegate(move |n| {
+                *n += 1;
+                drop(opener);
+            })
+            .unwrap();
             // The auditor certifies the epoch: no set ran on two executors.
             rt.end_isolation().unwrap();
         }
         let s = rt.stats();
         assert_eq!(s.epochs_audited, EPOCHS);
         assert_eq!(s.inline_executions, EPOCHS);
-        assert_eq!(a.call(|n| *n).unwrap(), 3 * EPOCHS);
+        assert_eq!(a_off_delegate.load(Ordering::Relaxed), 0);
+        assert_eq!(a.call(|n| *n).unwrap(), 2 * EPOCHS);
         assert_eq!(t.call(|n| *n).unwrap(), EPOCHS);
+    });
+}
+
+#[test]
+fn a_set_a_delegate_nested_into_first_is_never_retracted() {
+    watchdog(|| {
+        let rt = runtime(
+            Runtime::builder()
+                .audit(AuditMode::Full)
+                .test_schedule(["retract@p", "retract@p"]),
+        );
+        let (b, t): (Obj, Obj) = (Writable::new(&rt, 0), Writable::new(&rt, 0));
+        let t_off_delegate = Arc::new(AtomicU64::new(0));
+        let nested = Arc::new(AtomicBool::new(false));
+        rt.begin_isolation().unwrap();
+        let gate = Gate::new();
+        let (rt2, t2, n2) = (rt.clone(), t.clone(), Arc::clone(&nested));
+        let started = Arc::new(AtomicBool::new(false));
+        let (s, g) = (Arc::clone(&started), Arc::clone(&gate.0));
+        // The blocker nests into `t` first: `t` is its delegate's for the
+        // epoch before the program thread has pushed any of it.
+        b.delegate(move |_| {
+            s.store(true, Ordering::Release);
+            rt2.delegate_scope(|cx| cx.delegate(&t2, |n| *n += 10))
+                .unwrap()
+                .unwrap();
+            n2.store(true, Ordering::Release);
+            until(&g);
+        })
+        .unwrap();
+        until(&started);
+        until(&nested);
+        for _ in 0..2 {
+            let off = Arc::clone(&t_off_delegate);
+            t.delegate(move |n| {
+                *n += 1;
+                off.fetch_add(u64::from(!delegate_thread()), Ordering::Relaxed);
+            })
+            .unwrap();
+        }
+        // The barrier tries to retract `t`, finds its pin, and leaves it;
+        // then it waits on its token, and the gate opens a while later.
+        let opener = gate.opener();
+        let release = std::thread::spawn(move || {
+            std::thread::sleep(SETTLE);
+            drop(opener);
+        });
+        rt.end_isolation().unwrap();
+        release.join().unwrap();
+        assert_eq!(rt.test_gates_remaining(), Some(0), "no retraction tried");
+        assert_eq!(t_off_delegate.load(Ordering::Relaxed), 0);
+        assert_eq!(t.call(|n| *n).unwrap(), 12);
+        let s = rt.stats();
+        assert_eq!((s.inline_executions, s.epochs_audited), (0, 1));
+        drop(gate);
     });
 }
 
@@ -180,8 +254,8 @@ fn a_delegate_nests_into_a_set_the_program_took() {
             Arc::clone(&sent),
         );
         // Once released, the blocker nests three folds into `t`, which
-        // the program thread has taken by then.
-        hold_half_full(&b, &gate, move || {
+        // the program thread has retracted by then.
+        hold(&b, &gate, move || {
             let out = rt2.delegate_scope(|cx| {
                 for k in 1..=3u64 {
                     let ran = Arc::clone(&ran2);
@@ -194,9 +268,12 @@ fn a_delegate_nests_into_a_set_the_program_took() {
             });
             *sent2.lock().unwrap() = Some(out);
         });
-        t.delegate(|n| *n = 9).unwrap();
-        assert_eq!(t.pending_operations(), 0, "the take ran synchronously");
-        drop(gate);
+        let opener = gate.opener();
+        t.delegate(move |n| {
+            *n = 9;
+            drop(opener);
+        })
+        .unwrap();
         rt.end_isolation().unwrap();
         assert_eq!(sent.lock().unwrap().take(), Some(Ok(Ok(()))));
         // The oracle: the program's operation, then the nested ones in
@@ -208,6 +285,7 @@ fn a_delegate_nests_into_a_set_the_program_took() {
         assert_eq!(s.in_flight, 0);
         assert_eq!((s.inline_executions, s.nested_delegations), (4, 3));
         assert_eq!(s.epochs_audited, 1);
+        drop(gate);
     });
 }
 
@@ -223,8 +301,9 @@ fn delegate_scope_inside_a_taken_operation_succeeds() {
         let seen = Arc::new(Mutex::new(None));
         rt.begin_isolation().unwrap();
         let gate = Gate::new();
-        hold_half_full(&b, &gate, || {});
-        let (rt2, child2, seen2) = (rt.clone(), child.clone(), Arc::clone(&seen));
+        hold(&b, &gate, || {});
+        let (rt2, child2, seen2, opener) =
+            (rt.clone(), child.clone(), Arc::clone(&seen), gate.opener());
         t.delegate(move |n| {
             *n += 1;
             let out = rt2.delegate_scope(|cx| {
@@ -232,15 +311,15 @@ fn delegate_scope_inside_a_taken_operation_succeeds() {
                     .map(|sent| (cx.executor(), sent))
             });
             *seen2.lock().unwrap() = Some(out);
+            drop(opener);
         })
         .unwrap();
+        rt.end_isolation().unwrap();
         assert_eq!(
             seen.lock().unwrap().take(),
             Some(Ok(Ok((Executor::Program, 4)))),
-            "the taken operation ran with the program thread's delegate context"
+            "the retracted operation ran with the program thread's delegate context"
         );
-        drop(gate);
-        rt.end_isolation().unwrap();
         assert_eq!(
             (t.call(|n| *n).unwrap(), child.call(|n| *n).unwrap()),
             (1, 10)
@@ -248,11 +327,12 @@ fn delegate_scope_inside_a_taken_operation_succeeds() {
         let s = rt.stats();
         assert_eq!(s.executed, s.delegations);
         assert_eq!(s.nested_delegations, 4);
+        drop(gate);
     });
 }
 
 /// A delegate's future waits on operations that only the program thread
-/// can run — nested into a set it took — while the program thread is
+/// can run — nested into a set it retracted — while the program thread is
 /// stuck first on a full ring, then at the barrier. The first waiter spins
 /// on its future without helping, so its ring stays full: only the
 /// program thread's full-ring wait running `Lane::Program` lets it finish.
@@ -264,14 +344,26 @@ fn lane_program_is_served_at_a_full_ring_and_at_the_barrier() {
     watchdog(|| {
         let rt = runtime(Runtime::builder().test_schedule(["wake@p", "sleep@p"]));
         let (b, t): (Obj, Obj) = (Writable::new(&rt, 0), Writable::new(&rt, 0));
+        let fill: Vec<Obj> = (0..4).map(|_| Writable::new(&rt, 0)).collect();
         let at_barrier = Arc::new(AtomicBool::new(false));
         let results = Arc::new(Mutex::new(Vec::new()));
+        let t_off_program = Arc::new(AtomicU64::new(0));
         rt.begin_isolation().unwrap();
         let gate = Gate::new();
-        let (rt2, t2, r2) = (rt.clone(), t.clone(), Arc::clone(&results));
-        hold_half_full(&b, &gate, move || {
+        let (rt2, t2, r2, off2) = (
+            rt.clone(),
+            t.clone(),
+            Arc::clone(&results),
+            Arc::clone(&t_off_program),
+        );
+        hold(&b, &gate, move || {
             let fut = rt2
-                .delegate_scope(|cx| cx.delegate_with(&t2, |n| *n + 1))
+                .delegate_scope(|cx| {
+                    cx.delegate_with(&t2, move |n| {
+                        off2.fetch_add(u64::from(delegate_thread()), Ordering::Relaxed);
+                        *n + 1
+                    })
+                })
                 .unwrap()
                 .unwrap();
             while !fut.is_ready() {
@@ -279,25 +371,38 @@ fn lane_program_is_served_at_a_full_ring_and_at_the_barrier() {
             }
             r2.lock().unwrap().push(fut.wait().unwrap());
         });
-        // Taken: the set is the program thread's for the epoch.
+        // Three fresh sets and `t` fill the four-slot ring; the fourth
+        // fresh set finds it full, and the wait retracts the runs at its
+        // end: `t`'s, then the third's.
+        for w in &fill[..3] {
+            w.delegate(|n| *n += 1).unwrap();
+        }
         t.delegate(|n| *n = 10).unwrap();
+        fill[3].delegate(|n| *n += 1).unwrap();
+        assert_eq!(t.pending_operations(), 0, "retracted at the full ring");
         drop(gate);
         // Two more fill the ring behind the blocker; the third must wait
         // for a slot, which frees only once the blocker's future resolves.
         for _ in 0..3 {
             b.delegate(|n| *n += 1).unwrap();
         }
-        let (rt3, t3, r3, flag) = (
+        let (rt3, t3, r3, flag, off3) = (
             rt.clone(),
             t.clone(),
             Arc::clone(&results),
             Arc::clone(&at_barrier),
+            Arc::clone(&t_off_program),
         );
         b.delegate(move |_| {
             until(&flag);
             std::thread::sleep(SETTLE);
             let fut = rt3
-                .delegate_scope(|cx| cx.delegate_with(&t3, |n| *n + 2))
+                .delegate_scope(|cx| {
+                    cx.delegate_with(&t3, move |n| {
+                        off3.fetch_add(u64::from(delegate_thread()), Ordering::Relaxed);
+                        *n + 2
+                    })
+                })
                 .unwrap()
                 .unwrap();
             r3.lock().unwrap().push(fut.wait().unwrap());
@@ -306,8 +411,10 @@ fn lane_program_is_served_at_a_full_ring_and_at_the_barrier() {
         at_barrier.store(true, Ordering::Release);
         rt.end_isolation().unwrap();
         assert_eq!(*results.lock().unwrap(), vec![11, 12]);
-        assert_eq!((t.call(|n| *n).unwrap(), b.call(|n| *n).unwrap()), (10, 5));
-        assert_eq!(rt.stats().inline_executions, 3);
+        assert_eq!(t_off_program.load(Ordering::Relaxed), 0);
+        assert_eq!((t.call(|n| *n).unwrap(), b.call(|n| *n).unwrap()), (10, 3));
+        assert!(fill.iter().all(|w| w.call(|n| *n).unwrap() == 1));
+        assert!(rt.stats().inline_executions >= 4, "{:?}", rt.stats());
         assert_eq!(rt.test_gates_remaining(), Some(0), "script not followed");
     });
 }

@@ -2,6 +2,9 @@
 //! scenario, the epoch state machine, the §3.3 error checks, panic
 //! poisoning and cross-epoch ownership transfer.
 
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+
 use prometheus_rs::prelude::*;
 
 #[test]
@@ -139,6 +142,8 @@ fn wrong_context_operations_are_rejected() {
     rt.begin_isolation().unwrap();
     let w2 = w.clone();
     let obs = observed.clone();
+    let ran = Arc::new(AtomicBool::new(false));
+    let ran2 = Arc::clone(&ran);
     // Delegated operations may not delegate, call, or switch epochs.
     w.delegate(move |_| {
         let errs = [
@@ -147,6 +152,7 @@ fn wrong_context_operations_are_rejected() {
             w2.call_mut(|n| *n += 1).unwrap_err(),
             w2.runtime().begin_isolation().unwrap_err(),
         ];
+        ran2.store(true, Ordering::Release);
         // Reporting through another writable would be a protocol violation
         // itself; stash errors via a plain channel-free trick: panic-free
         // assertion inside the task.
@@ -154,6 +160,12 @@ fn wrong_context_operations_are_rejected() {
         drop(obs); // silence capture warning; the assert above is the check
     })
     .unwrap();
+    // The operation runs on its delegate: were the barrier to find it
+    // still unclaimed, the program thread would retract it and run it
+    // itself, where `delegate` reports `NestedDelegation` instead.
+    while !ran.load(Ordering::Acquire) {
+        std::hint::spin_loop();
+    }
     rt.end_isolation().unwrap();
 }
 

@@ -69,8 +69,8 @@ fn build(stealing: bool, leg: Leg) -> Runtime {
         .delegate_threads(delegates())
         .stealing(stealing);
     if leg == Leg::Inline {
-        // The take harness: a four-slot ring half full behind a held
-        // delegate makes the root program thread take fresh sets.
+        // The retraction harness: a four-slot ring filled behind a held
+        // delegate makes the root program thread retract fresh sets.
         builder.queue_capacity(4)
     } else {
         builder
@@ -117,11 +117,21 @@ fn run_leg(rt: &Runtime, leg: Leg) -> u64 {
             Leg::Inline => {
                 // Sets `k · delegates` share a delegate with set 0, which a
                 // blocker holds with two more operations queued behind it:
-                // on the root's rings every later set is taken and runs on
-                // the program thread; elsewhere they queue behind it.
+                // on the root's rings the program thread retracts later
+                // sets from the full ring and runs them; elsewhere they
+                // queue behind it. The blocker must be running before the
+                // ring fills, or it could be retracted too.
                 let gate = OpenOnDrop(Arc::new(AtomicBool::new(false)));
                 let stride = delegates() as u64;
-                objects[0].delegate_in(SsId(0), hold(&gate.0)).unwrap();
+                let started = Arc::new(AtomicBool::new(false));
+                let (s, held) = (Arc::clone(&started), hold(&gate.0));
+                objects[0]
+                    .delegate_in(SsId(0), move |n| {
+                        s.store(true, Ordering::Release);
+                        held(n);
+                    })
+                    .unwrap();
+                wait_for("the blocker", || started.load(Ordering::Acquire));
                 for _ in 0..2 {
                     objects[0].delegate_in(SsId(0), |n| *n += 1).unwrap();
                 }

@@ -507,9 +507,9 @@ fn routing_contention_preserves_pin_stability() {
     const EPOCHS: u64 = 3;
     for stealing in [false, true] {
         let rt = Runtime::builder()
-            // Root nested submits route through the pin map (a take could
-            // have pinned any set), under each set's shard lock at first
-            // touch.
+            // Root nested submits route through the pin map (a retraction
+            // could have pinned any set), under each set's shard lock at
+            // first touch.
             .delegate_threads(delegates_from_env(8))
             .stealing(stealing)
             .trace(true)
