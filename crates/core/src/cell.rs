@@ -8,7 +8,7 @@ use core::cell::UnsafeCell;
 /// The serialization-sets runtime funnels all epoch control, delegation and
 /// ownership reclamation through the single program thread (the paper's
 /// *program context*), so per-object epoch state needs no atomics. Every
-/// access site first verifies `thread::current().id() == program_thread`
+/// access site first verifies that the calling thread is `program_thread`
 /// (or holds `&mut`-equivalent exclusivity), which makes the raw access
 /// data-race free.
 pub(crate) struct ProgramOnly<T>(UnsafeCell<T>);

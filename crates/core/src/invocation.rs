@@ -44,17 +44,8 @@ pub(crate) struct ExecCx<'a> {
     pub(crate) core: &'a Core,
     /// Who is executing (what a `FutureResolve` trace event reports).
     pub(crate) executor: TraceExecutor,
-}
-
-impl ExecCx<'_> {
     /// The executing thread's counter block.
-    #[inline]
-    pub(crate) fn stats(&self) -> &Counters {
-        match self.executor {
-            TraceExecutor::Program => self.core.stats.program(),
-            TraceExecutor::Delegate(i) => self.core.stats.delegate(i),
-        }
-    }
+    pub(crate) stats: &'a Counters,
 }
 
 /// Words in the [`TaskSlot`] inline buffer. Three words fit the common
@@ -456,6 +447,7 @@ mod tests {
         f(&ExecCx {
             core: &rt.inner.core,
             executor: TraceExecutor::Program,
+            stats: rt.program_stats(),
         });
     }
 

@@ -43,7 +43,7 @@ use crate::future::SsFuture;
 use crate::invocation::TaskSlot;
 use crate::invocation::{ExecCx, Invocation};
 use crate::serializer::{Serializer, SsId};
-use crate::stats::StatsCell;
+use crate::stats::Counters;
 use crate::trace::{SideEvent, TraceExecutor, TraceKind};
 use crate::wrappers::{Memo, NoMemo, Submitter, Void, Writable};
 
@@ -584,9 +584,11 @@ fn execute_op<T: Transport + ?Sized>(t: &T, op: Invocation, lane: Lane) {
     // domain. Saved/restored, not set/cleared: help-first waits nest
     // executions of (possibly) different domains on one stack.
     let prev_domain = CURRENT_DOMAIN.with(|c| c.replace(d.id));
+    let stats = core.stats.delegate(idx);
     task.run(&ExecCx {
         core,
         executor: TraceExecutor::Delegate(idx),
+        stats,
     });
     CURRENT_DOMAIN.with(|c| c.set(prev_domain));
     // Audit record lands *before* the drain counters settle below, so the
@@ -595,13 +597,13 @@ fn execute_op<T: Transport + ?Sized>(t: &T, op: Invocation, lane: Lane) {
     core.audit_exec(d, ss, audit, 1 + idx);
     with_help(|s| s.active.pop());
     t.after_exec(ss.0);
-    // Counted in this delegate's own block, which no other thread writes;
-    // the queue depth `queued − executed` drops with it. Lane/deque
+    // Counted in this delegate's own block, which no other thread writes
+    // (a load and a store); the queue depth drops with it. Lane/deque
     // entries additionally carry a count in their *domain's* `in_flight`,
     // whose Release pairs with the barrier's Acquire drain load (and so
     // publishes this bump to it) — only the owning domain's barrier
     // observes this op.
-    StatsCell::bump(&core.stats.delegate(idx).executed);
+    stats.bump(|c| &c.executed);
     if lane.counted() {
         d.settle(1);
     }
@@ -941,10 +943,11 @@ fn chaos_flush<T: Transport>(t: &T, hold: &mut Option<Invocation>) {
 /// One steal attempt by a deque delegate that ran dry. Returns true if
 /// any work arrived.
 ///
-/// 1. *Victim.* The peer whose depth — `queued − executed`, see
-///    [`StatsCell`] — most exceeds ours, skipping peers none of whose push
-///    shards moved since a futile scan of them (`stale_at`). The
-///    imbalance must exceed [`STEAL_BAR`].
+/// 1. *Victim.* The peer whose queue depth
+///    ([`StatsCell::queue_depth`](crate::stats::StatsCell::queue_depth))
+///    most exceeds ours, skipping peers none of whose push shards moved
+///    since a futile scan of them (`stale_at`). The imbalance must exceed
+///    [`STEAL_BAR`].
 /// 2. *Candidates.* One advisory scan of the victim (only the push shards
 ///    that moved since a futile scan) buckets its sets as fresh,
 ///    quiescent tails or busy. Half the imbalance is chosen, so the pair
@@ -1013,9 +1016,7 @@ fn try_steal(q: &Deque) -> bool {
     if !scan.busy.is_empty() {
         // Started sets with an operation in flight: the handshake fails
         // for them this attempt (the owner may quiesce them any moment).
-        stats
-            .quiesce_fail
-            .fetch_add(scan.busy.len() as u64, Ordering::Relaxed);
+        stats.add(|c| &c.quiesce_fail, scan.busy.len() as u64);
     }
     // Chaos `steal_mid_set`: the thief skips the quiescence check and
     // rips tails of sets whose owner is mid-operation — the auditor must
@@ -1053,7 +1054,7 @@ fn try_steal(q: &Deque) -> bool {
         if scan.busy.is_empty() {
             stale_at[victim] = Some(pushes);
         }
-        StatsCell::bump(&stats.steal_failures);
+        stats.bump(|c| &c.steal_failures);
         core.gate("nosteal", me as u32);
         return false;
     }
@@ -1098,7 +1099,7 @@ fn try_steal(q: &Deque) -> bool {
             #[cfg(not(feature = "chaos"))]
             let (mut taken, busy) = from.steal_tail_into(&tail_req, &mut batch);
             if busy > 0 {
-                stats.quiesce_fail.fetch_add(busy as u64, Ordering::Relaxed);
+                stats.add(|c| &c.quiesce_fail, busy as u64);
             }
             tails_taken += taken.len() as u64;
             record_steal_events(core, serial, &taken, me, TraceKind::OpSteal);
@@ -1145,15 +1146,15 @@ fn try_steal(q: &Deque) -> bool {
         // a race lost, not a futile deque — the sets are still queued and
         // quiesce at the owner's next finish, so no push-memo rate limit
         // applies.
-        StatsCell::bump(&stats.steal_failures);
+        stats.bump(|c| &c.steal_failures);
         core.gate("nosteal", me as u32);
         return false;
     }
     if tails_taken > 0 {
-        stats.op_steals.fetch_add(tails_taken, Ordering::Relaxed);
+        stats.add(|c| &c.op_steals, tails_taken);
     }
     stale_at[victim] = None;
-    StatsCell::bump(&stats.steals);
+    stats.bump(|c| &c.steals);
     core.gate("stole", me as u32);
     true
 }
@@ -1312,9 +1313,13 @@ impl<'rt> DelegateContext<'rt> {
         }
     }
 
-    /// Writer slot of the executing thread (its counter block).
-    pub(crate) fn slot(&self) -> usize {
-        self.slot
+    /// The executing thread's counter block.
+    pub(crate) fn stats(&self) -> &'rt Counters {
+        self.rt
+            .inner
+            .core
+            .stats
+            .writer(self.slot, self.rt.is_root())
     }
 
     /// The runtime this context belongs to.

@@ -54,7 +54,7 @@ use ss_queue::Full;
 use crate::error::{SsError, SsResult};
 use crate::invocation::{Invocation, TaskSlot};
 use crate::serializer::SsId;
-use crate::stats::{Counters, StatsCell};
+use crate::stats::Counters;
 use crate::trace::TraceKind;
 
 use super::assign::STEAL_BAR;
@@ -125,10 +125,10 @@ impl Runtime {
     /// the call site (program-order log vs side-event buffer).
     fn note_route(&self, stats: &Counters, route: &Route, key: SsId, origin: Origin) {
         if route.fast_hit {
-            StatsCell::bump(&stats.pin_fast_hits);
+            stats.bump(|c| &c.pin_fast_hits);
         }
         if route.fresh_pin {
-            StatsCell::bump(&stats.pins);
+            stats.bump(|c| &c.pins);
             match origin {
                 Origin::Program => {
                     if self.trace_enabled() {
@@ -166,15 +166,15 @@ impl Runtime {
     }
 
     /// Counts submitted tasks against the inline/boxed storage split
-    /// (`Stats::{tasks_inline,tasks_boxed}`): one `fetch_add` per kind.
+    /// (`Stats::{tasks_inline,tasks_boxed}`): one add per kind.
     fn note_tasks(stats: &Counters, tasks: &[Option<TaskSlot>]) {
         let inline = tasks.iter().flatten().filter(|t| t.is_inline()).count() as u64;
         let boxed = tasks.len() as u64 - inline;
         if inline > 0 {
-            stats.tasks_inline.fetch_add(inline, Ordering::Relaxed);
+            stats.add(|c| &c.tasks_inline, inline);
         }
         if boxed > 0 {
-            stats.tasks_boxed.fetch_add(boxed, Ordering::Relaxed);
+            stats.add(|c| &c.tasks_boxed, boxed);
         }
     }
 
@@ -218,7 +218,7 @@ impl Runtime {
         };
         let mut queued = d.in_flight.load(Ordering::Relaxed);
         if queued >= cap {
-            StatsCell::bump(&self.inner.core.stats.program().starvation_stalls);
+            self.program_stats().bump(|c| &c.starvation_stalls);
             // The release that takes the count below the cap notifies.
             self.program_wait(d, || {
                 queued = d.in_flight.load(Ordering::Acquire);
@@ -278,7 +278,7 @@ impl Runtime {
             Ok(producer) => producer,
             Err(e) => return Err((e, run.len())),
         };
-        let stats = self.inner.core.stats.at(producer);
+        let stats = self.inner.core.stats.writer(producer, self.is_root());
         Self::note_tasks(stats, run);
         let key = SsId(d.key(ss));
         let lane = self.lane(origin);
@@ -335,9 +335,9 @@ impl Runtime {
                     n - lost
                 }
             } as u64;
-            stats.delegations.fetch_add(ran, Ordering::Relaxed);
+            stats.add(|c| &c.delegations, ran);
             if origin == Origin::Nested {
-                stats.nested_delegations.fetch_add(ran, Ordering::Relaxed);
+                stats.add(|c| &c.nested_delegations, ran);
             }
             if lost > 0 {
                 // What did land still runs (a consumer disconnects only
@@ -371,9 +371,11 @@ impl Runtime {
     /// **lost** (the consumer is gone: dropped unpushed, never to
     /// execute), with their reservations and tokens rolled back.
     ///
-    /// The counter order is load-bearing: `queued` is raised before
-    /// publishing, so a thief reading this queue's depth sees it grow and
-    /// the delegate's `executed` never overtakes it; and `in_flight` must
+    /// The counter order is load-bearing: the queue count (`ring_queued`
+    /// on the ring lane, whose one writer is the root program thread, else
+    /// `queued`) is raised before publishing, so a thief reading this
+    /// queue's depth sees it grow and the delegate's `executed` never
+    /// overtakes it; and `in_flight` must
     /// be visible before the entry exists, so the barrier's drain can
     /// never miss it. Audit tokens are drawn
     /// immediately before the push, so per-producer token order equals
@@ -390,10 +392,18 @@ impl Runtime {
     ) -> usize {
         let n = run.len();
         let core = &self.inner.core;
-        if let Executor::Delegate(i) = to {
-            debug_assert!(i < self.inner.n_delegates);
-            core.stats.add_queued(i, n as u64);
-        }
+        // Moves `to`'s queue count by `n`, wrapping: a negated `n` lowers it.
+        let queued = |n: u64| {
+            if let Executor::Delegate(i) = to {
+                debug_assert!(i < self.inner.n_delegates);
+                if lane == Lane::Ring {
+                    core.stats.ring_queued(i, n);
+                } else {
+                    core.stats.add_queued(i, n);
+                }
+            }
+        };
+        queued(n as u64);
         if lane.counted() {
             d.in_flight.fetch_add(n as u64, Ordering::Relaxed);
         }
@@ -437,9 +447,7 @@ impl Runtime {
         let lost = n - pushed;
         if lost > 0 {
             core.audit_unsubmit(d, key, base, lost);
-            if let Executor::Delegate(i) = to {
-                core.stats.sub_queued(i, lost as u64);
-            }
+            queued((lost as u64).wrapping_neg());
             if lane.counted() {
                 d.release(lost as u64);
             }
@@ -538,7 +546,7 @@ impl Runtime {
     /// it is here.)
     pub(crate) fn sync_owner(&self, owner: Executor, ss: Option<SsId>) -> SsResult<Executor> {
         self.check_live()?;
-        let stats = self.inner.core.stats.program();
+        let stats = self.program_stats();
         if self.inner.core.chaos_skip_reclaim_fence() {
             // chaos weakening: claim the reclaim succeeded without
             // flushing anything. The auditor's access gate (which runs
@@ -550,7 +558,7 @@ impl Runtime {
             self.barrier(d)?;
             if !self.is_root() {
                 // Stands for the per-set token a session cannot send.
-                StatsCell::bump(&stats.sync_objects);
+                stats.bump(|c| &c.sync_objects);
             }
             return Ok(owner);
         }
@@ -595,7 +603,7 @@ impl Runtime {
             return Ok(Executor::Program);
         };
         self.inner.events[i].notify();
-        StatsCell::bump(&stats.sync_objects);
+        stats.bump(|c| &c.sync_objects);
         let token = &self.inner.sync_tokens[i];
         self.program_wait(d, || token.is_done());
         Ok(executor)
@@ -657,7 +665,7 @@ impl Runtime {
             // A token whose push fails (consumer gone) is signalled here
             // instead, so the wait below needs no list of who was
             // actually sent to.
-            let stats = self.inner.core.stats.program();
+            let stats = self.program_stats();
             let tokens = &self.inner.sync_tokens;
             for (i, token) in tokens.iter().enumerate() {
                 let sync = self.sync_object(i);
@@ -673,7 +681,7 @@ impl Runtime {
                     }
                 }
                 self.inner.events[i].notify();
-                StatsCell::bump(&stats.sync_objects);
+                stats.bump(|c| &c.sync_objects);
             }
             tokens
         } else {
@@ -688,8 +696,8 @@ impl Runtime {
 
     /// Records reduction time (called by `Reducible`; Figure 5a component).
     pub(crate) fn add_reduction_time(&self, d: std::time::Duration) {
-        let stats = self.inner.core.stats.program();
-        StatsCell::add_nanos(&stats.reduction_nanos, d);
-        StatsCell::bump(&stats.reductions);
+        let stats = self.program_stats();
+        stats.add_nanos(|c| &c.reduction_nanos, d);
+        stats.bump(|c| &c.reductions);
     }
 }

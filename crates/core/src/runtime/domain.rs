@@ -65,6 +65,20 @@ pub(crate) fn key_domain(key: u64) -> u32 {
     (key >> KEY_BITS) as u32
 }
 
+thread_local! {
+    /// The calling thread's id, read once per thread: `thread::current()`
+    /// clones the thread's handle — a reference-count increment and
+    /// decrement — on every call.
+    static THREAD_ID: ThreadId = std::thread::current().id();
+}
+
+/// The calling thread's id (a thread-local copy): what every
+/// program-thread check compares with [`Domain::program_thread`].
+#[inline]
+pub(crate) fn current_thread_id() -> ThreadId {
+    THREAD_ID.with(|id| *id)
+}
+
 /// Program-thread-only epoch bookkeeping of one domain.
 pub(crate) struct EpochState {
     pub(super) in_isolation: bool,
@@ -154,7 +168,7 @@ impl Domain {
     pub(crate) fn new(id: u32, shards: usize, queue_cap: Option<u64>, waiter: Event) -> Self {
         Domain {
             id,
-            program_thread: std::thread::current().id(),
+            program_thread: current_thread_id(),
             epoch: ProgramOnly::new(EpochState {
                 in_isolation: false,
                 started: None,

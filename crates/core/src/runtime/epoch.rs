@@ -17,7 +17,6 @@ use std::sync::atomic::Ordering;
 use std::time::Instant;
 
 use crate::error::{SsError, SsResult};
-use crate::stats::StatsCell;
 use crate::trace::TraceKind;
 
 use super::Runtime;
@@ -109,18 +108,18 @@ impl Runtime {
         // After the barrier every execution record of the epoch has been
         // delivered (audit records land before the drain counters/tokens
         // they are proven by), so the conservation check is exact.
-        let audit_failure = self.inner.core.audit_end_epoch(d);
-        let stats = self.inner.core.stats.program();
+        let stats = self.program_stats();
+        let audit_failure = self.inner.core.audit_end_epoch(d, stats);
         {
             // SAFETY: program thread; scoped.
             let epoch = unsafe { d.epoch.get() };
             epoch.in_isolation = false;
             if let Some(t0) = epoch.started.take() {
-                StatsCell::add_nanos(&stats.isolation_nanos, t0.elapsed());
+                stats.add_nanos(|c| &c.isolation_nanos, t0.elapsed());
             }
         }
         d.epochs.fetch_add(1, Ordering::Release);
-        StatsCell::bump(&stats.isolation_epochs);
+        stats.bump(|c| &c.isolation_epochs);
         if self.is_root() {
             self.inner.epoch_gen.fetch_add(1, Ordering::Release); // → even
             self.flush_side_trace();
@@ -150,7 +149,7 @@ impl Runtime {
         let super::Channels::Steal(shared) = &self.inner.channels else {
             return;
         };
-        let sessions = &self.inner.core.stats.program().sessions_active;
+        let sessions = self.inner.core.stats.sessions_active();
         if sessions.load(Ordering::Acquire) == 0 {
             shared.reset_epoch();
         }

@@ -99,15 +99,17 @@ mod tests {
 
     #[test]
     fn script_orders_two_threads() {
-        let gates = Arc::new(TestGates::new(
-            ["a@0", "b@1", "c@0"].map(String::from).into(),
-        ));
+        // Each log entry sits between two scripted hits of its thread, so
+        // the other thread's next hit cannot overtake it.
+        let script = ["a@0", "a-logged@0", "b@1", "b-logged@1", "c@0"];
+        let gates = Arc::new(TestGates::new(script.map(String::from).into()));
         let log = Arc::new(Mutex::new(Vec::new()));
         std::thread::scope(|s| {
             let (g, l) = (Arc::clone(&gates), Arc::clone(&log));
             s.spawn(move || {
                 g.hit("a@0");
                 l.lock().push("a");
+                g.hit("a-logged@0");
                 g.hit("c@0");
                 l.lock().push("c");
             });
@@ -115,6 +117,7 @@ mod tests {
             s.spawn(move || {
                 g.hit("b@1");
                 l.lock().push("b");
+                g.hit("b-logged@1");
             });
         });
         assert_eq!(*log.lock(), vec!["a", "b", "c"]);

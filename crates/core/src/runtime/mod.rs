@@ -69,7 +69,7 @@ pub(crate) use assign::StealShared;
 pub(crate) use delegate::future_wait_turn;
 pub use delegate::DelegateContext;
 pub(crate) use dispatch::Origin;
-pub(crate) use domain::Domain;
+pub(crate) use domain::{current_thread_id, Domain};
 pub(crate) use event::Event;
 pub(crate) use gates::TestGates;
 pub(crate) use router::Router;
@@ -96,7 +96,7 @@ use crate::config::RuntimeBuilder;
 use crate::error::{SsError, SsResult};
 use crate::invocation::{Invocation, SyncToken};
 use crate::serializer::SsId;
-use crate::stats::{Stats, StatsCell};
+use crate::stats::{Counters, Stats, StatsCell};
 use crate::trace::{SideEvent, TraceEvent, TraceExecutor, TraceKind, TraceLog};
 
 /// Global runtime-id dispenser so multiple runtimes (e.g. in tests) never
@@ -331,12 +331,12 @@ impl Core {
     /// them, bumps `epochs_audited`, and returns the first violation (if
     /// any).
     #[inline]
-    pub(crate) fn audit_end_epoch(&self, d: &Domain) -> Option<AuditReport> {
+    pub(crate) fn audit_end_epoch(&self, d: &Domain, stats: &Counters) -> Option<AuditReport> {
         let a = self.audit.as_ref()?;
         if !d.audit_on.swap(false, Ordering::Relaxed) {
             return None;
         }
-        StatsCell::bump(&self.stats.program().epochs_audited);
+        stats.bump(|c| &c.epochs_audited);
         a.close_domain(d.audit_serial())
     }
 
@@ -876,9 +876,16 @@ impl Runtime {
         self.session.is_none()
     }
 
+    /// The counter block this handle's program thread writes: the root
+    /// program thread's own, or the one the session program threads share.
+    #[inline]
+    pub(crate) fn program_stats(&self) -> &Counters {
+        self.inner.core.stats.program(self.is_root())
+    }
+
     #[inline]
     pub(crate) fn is_program_thread(&self) -> bool {
-        std::thread::current().id() == self.domain().program_thread
+        current_thread_id() == self.domain().program_thread
     }
 
     /// Executor identity of the calling thread, if it belongs to this

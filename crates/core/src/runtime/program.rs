@@ -53,7 +53,6 @@ use crate::cell::ProgramOnly;
 use crate::error::SsError;
 use crate::invocation::{ExecCx, Invocation, TaskSlot};
 use crate::serializer::SsId;
-use crate::stats::StatsCell;
 use crate::trace::TraceExecutor;
 
 use super::domain::Domain;
@@ -326,7 +325,8 @@ impl Runtime {
         }
         let took = !taken.is_empty();
         if took {
-            core.stats.sub_queued(i, taken.len() as u64);
+            core.stats
+                .ring_queued(i, (taken.len() as u64).wrapping_neg());
         }
         for inv in taken.drain(..) {
             let Invocation::Execute {
@@ -464,15 +464,16 @@ impl Runtime {
         // SAFETY: the domain's program thread; scoped, so the task may
         // re-enter the runtime.
         unsafe { d.epoch.get() }.active.push(ss.0);
+        let stats = self.program_stats();
         task.run(&ExecCx {
             core,
             executor: TraceExecutor::Program,
+            stats,
         });
         unsafe { d.epoch.get() }.active.pop();
         core.audit_exec(d, ss, audit, 0);
-        let stats = core.stats.program();
-        StatsCell::bump(&stats.inline_executions);
-        StatsCell::bump(&stats.executed);
+        stats.bump(|c| &c.inline_executions);
+        stats.bump(|c| &c.executed);
     }
 
     /// Runs one `Lane::Program` entry whose set is not on the program

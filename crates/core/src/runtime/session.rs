@@ -11,7 +11,6 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use crate::error::{SsError, SsResult};
-use crate::stats::StatsCell;
 
 use super::domain::{Domain, SESSION_SHARDS};
 use super::{Event, Runtime};
@@ -121,10 +120,7 @@ impl Drop for Session {
         // reports `Terminated`), so unregister regardless.
         let _ = self.rt.barrier(d);
         core.sessions.lock().remove(&d.id);
-        core.stats
-            .program()
-            .sessions_active
-            .fetch_sub(1, Ordering::Release);
+        core.stats.sessions_active().fetch_sub(1, Ordering::Release);
     }
 }
 
@@ -167,7 +163,7 @@ impl Runtime {
             }
         }
         core.sessions.lock().insert(id, Arc::clone(&domain));
-        StatsCell::bump(&core.stats.program().sessions_active);
+        core.stats.sessions_active().fetch_add(1, Ordering::Relaxed);
         Ok(Session {
             rt: Runtime {
                 inner: Arc::clone(&self.inner),

@@ -1157,7 +1157,7 @@ fn capped_session_admits_a_long_run_only_up_to_its_cap() {
             .map(|k| {
                 let (h, peak) = ((*session).clone(), Arc::clone(&peak));
                 Some(TaskSlot::new(move |_| {
-                    let (d, stats) = (h.domain(), h.inner.core.stats.program());
+                    let (d, stats) = (h.domain(), h.program_stats());
                     // The first operation holds its queue until the program
                     // thread has filled the cap and stalled on it (or has
                     // overrun it, which the assertion below reports).

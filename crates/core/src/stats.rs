@@ -3,25 +3,29 @@
 //! Figure 5a of the paper breaks program execution time into *aggregation*,
 //! *isolation*, and *reduction* components; this module provides the
 //! counters and timers the `fig5a_breakdown` harness reads. Counters are
-//! plain relaxed atomics — they are statistics, not synchronization.
+//! relaxed atomics — they are statistics, not synchronization.
 //!
 //! **Single-writer counters.** Every counter lives in a per-writer
-//! [`Counters`] block, padded to lines of its own: block 0 is the program
-//! side (the root's and every session's program thread, which share it
-//! through `fetch_add`), block `1 + i` is delegate `i`. Each site bumps the
-//! block of the thread it runs on, so on the per-operation path a program
-//! thread and a delegate never write the same cache line — the other half
-//! of the FastForward discipline the ring slots already follow. The
-//! [`Stats`] snapshot sums the blocks.
+//! [`Counters`] block, padded to lines of its own, and each site adds to
+//! the block of the thread it runs on:
 //!
-//! Queue depth is the one derived number: `queued[i] − executed(1 + i)`.
-//! `queued[i]` is raised by submitters before the push, lowered for a push
-//! that was lost, and moved from victim to thief by a steal; the delegate
-//! only ever bumps its own block's `executed`, after each operation. The
-//! difference counts enqueued-or-executing operations and feeds the
-//! [`Stats::queue_depths`] snapshot and the thief's victim choice alike.
-//! Its two loads are not one atomic read, so a mid-epoch reading
-//! saturates at 0.
+//! * block 0 is the **root program thread**'s alone — its submits, the
+//!   operations it runs inline, its epoch and reclaim accounting;
+//! * block `1 + i` is **delegate `i`**'s alone;
+//! * the last block is shared by **every session program thread**.
+//!
+//! A block with one writer needs no read-modify-write: its writer adds
+//! with a plain load and store ([`Counters::add`]), so on the per-operation
+//! path neither the root program thread nor a delegate issues an atomic
+//! RMW for a counter, and the two never write the same cache line — the
+//! other half of the FastForward discipline the ring slots already
+//! follow. Only the sessions' block is marked shared and adds with
+//! `fetch_add`; the one `add` reads the mark. The [`Stats`] snapshot sums
+//! the blocks. The `sessions_active` gauge is moved by whichever thread
+//! opens or drops a session, so it lives outside the blocks.
+//!
+//! Queue depth is the one derived number; see
+//! [`StatsCell::queue_depth`].
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -31,6 +35,10 @@ use ss_queue::CachePadded;
 /// One writer's counters (see the module docs for who writes which block).
 #[derive(Debug, Default)]
 pub(crate) struct Counters {
+    /// Whether more than one thread writes this block (the session
+    /// program threads' block): [`add`](Counters::add) then uses
+    /// `fetch_add`.
+    shared: bool,
     pub delegations: AtomicU64,
     pub inline_executions: AtomicU64,
     /// Operations this writer executed (inline on the program side, or
@@ -71,10 +79,6 @@ pub(crate) struct Counters {
     /// Isolation epochs certified (or condemned) by the serializability
     /// auditor.
     pub epochs_audited: AtomicU64,
-    /// Live [`Session`](crate::Session) handles (gauge, not a counter):
-    /// raised by `Runtime::session`, lowered when the handle drops, both
-    /// in the program block — the root epoch boundary reads it there.
-    pub sessions_active: AtomicU64,
     /// Times a session submit had to stall because the session was at its
     /// per-session queue-depth cap (`RuntimeBuilder::session_queue_cap`).
     pub starvation_stalls: AtomicU64,
@@ -93,49 +97,105 @@ pub(crate) struct Counters {
     pub ops_cancelled: AtomicU64,
 }
 
+/// Selects one counter of a block.
+pub(crate) type Field = fn(&Counters) -> &AtomicU64;
+
+impl Counters {
+    /// Adds `n` to the counter `field` selects. The block's one writer
+    /// adds with a plain load and store — no other thread writes the
+    /// word, so nothing can be lost between them; the sessions' shared
+    /// block adds with `fetch_add`.
+    #[inline]
+    pub fn add(&self, field: Field, n: u64) {
+        let counter = field(self);
+        if self.shared {
+            counter.fetch_add(n, Ordering::Relaxed);
+        } else {
+            counter.store(
+                counter.load(Ordering::Relaxed).wrapping_add(n),
+                Ordering::Relaxed,
+            );
+        }
+    }
+
+    #[inline]
+    pub fn bump(&self, field: Field) {
+        self.add(field, 1);
+    }
+
+    #[inline]
+    pub fn add_nanos(&self, field: Field, d: Duration) {
+        self.add(field, d.as_nanos() as u64);
+    }
+}
+
 /// A writer's block: its own 128-byte lines, never shared with another
-/// writer's block or with a `queued` counter.
+/// writer's block or with a queue counter.
 type Block = CachePadded<Counters>;
 
 const _: () = assert!(std::mem::align_of::<Block>() == 128);
 
 /// Internal counters owned by the runtime: one [`Counters`] block per
-/// writer plus the per-delegate `queued` counters.
+/// writer, the per-delegate queue counters and the session gauge.
 #[derive(Debug)]
 pub(crate) struct StatsCell {
-    /// Block 0: program threads; block `1 + i`: delegate `i`.
+    /// Block 0: the root program thread; block `1 + i`: delegate `i`; the
+    /// last block: the session program threads (shared).
     blocks: Box<[Block]>,
-    /// Per-delegate operations ever queued (net of lost pushes and
-    /// steals); `queued[i] − executed(1 + i)` is delegate `i`'s depth.
+    /// Per-delegate operations ever queued on the injector lane or the
+    /// steal deque (net of lost pushes and steals): written by any
+    /// submitter and by thieves, with `fetch_add`.
     queued: Box<[CachePadded<AtomicU64>]>,
+    /// Per-delegate operations ever pushed on the ring (net of lost
+    /// pushes and retractions): written only by the root program thread,
+    /// the rings' one producer.
+    ring_queued: Box<[CachePadded<AtomicU64>]>,
+    /// Live [`Session`](crate::Session) handles (a gauge, not a counter):
+    /// raised by `Runtime::session`, lowered when the handle drops, on
+    /// whichever thread that happens.
+    sessions_active: CachePadded<AtomicU64>,
 }
 
 impl StatsCell {
     /// Creates counters for a runtime with `n_delegates` delegate threads.
     pub fn new(n_delegates: usize) -> Self {
         StatsCell {
-            blocks: (0..=n_delegates).map(|_| Block::default()).collect(),
+            blocks: (0..n_delegates + 2)
+                .map(|slot| {
+                    Block::new(Counters {
+                        shared: slot == n_delegates + 1,
+                        ..Counters::default()
+                    })
+                })
+                .collect(),
             queued: (0..n_delegates).map(|_| Default::default()).collect(),
+            ring_queued: (0..n_delegates).map(|_| Default::default()).collect(),
+            sessions_active: Default::default(),
         }
     }
 
-    /// The block of writer `slot` (0 = program side, `1 + i` = delegate
-    /// `i` — the executor slots audit producers use too).
+    /// The block of writer `slot` in a domain (0: the domain's program
+    /// thread — the root's own block, or the sessions' shared one; `1 + i`:
+    /// delegate `i`, the executor slots audit producers use too).
     #[inline]
-    pub fn at(&self, slot: usize) -> &Counters {
-        &self.blocks[slot]
+    pub fn writer(&self, slot: usize, root: bool) -> &Counters {
+        match slot {
+            0 if !root => self.blocks.last().expect("the sessions' block"),
+            _ => &self.blocks[slot],
+        }
     }
 
-    /// The program side's block.
+    /// A domain's program-thread block: the root program thread's own, or
+    /// the one every session program thread shares.
     #[inline]
-    pub fn program(&self) -> &Counters {
-        self.at(0)
+    pub fn program(&self, root: bool) -> &Counters {
+        self.writer(0, root)
     }
 
     /// Delegate `i`'s block.
     #[inline]
     pub fn delegate(&self, i: usize) -> &Counters {
-        self.at(1 + i)
+        &self.blocks[1 + i]
     }
 
     /// Number of delegates with a queue.
@@ -143,7 +203,8 @@ impl StatsCell {
         self.queued.len()
     }
 
-    /// `n` operations are about to land on delegate `i`'s queue.
+    /// `n` operations are about to land on delegate `i`'s injector lane or
+    /// deque.
     #[inline]
     pub fn add_queued(&self, i: usize, n: u64) {
         self.queued[i].fetch_add(n, Ordering::Relaxed);
@@ -164,26 +225,40 @@ impl StatsCell {
         self.sub_queued(from, n);
     }
 
-    /// Delegate `i`'s enqueued-or-executing operations.
+    /// Moves delegate `i`'s ring count by `n`, wrapping: raised before a
+    /// ring push, lowered by a lost push or a retraction. Root program
+    /// thread only — the count's one writer, hence a plain load and store.
+    #[inline]
+    pub fn ring_queued(&self, i: usize, n: u64) {
+        let c = &self.ring_queued[i];
+        c.store(c.load(Ordering::Relaxed).wrapping_add(n), Ordering::Relaxed);
+    }
+
+    /// The gauge of live sessions.
+    #[inline]
+    pub fn sessions_active(&self) -> &AtomicU64 {
+        &self.sessions_active
+    }
+
+    /// Delegate `i`'s enqueued-or-executing operations: `ring_queued +
+    /// queued − executed`, the one derived number. The queue counts are
+    /// raised by submitters before the push and lowered for a push that
+    /// was lost; a retraction lowers the ring count (the program thread
+    /// runs what it took), and a steal moves `queued` from victim to
+    /// thief; the delegate only ever adds to its own block's `executed`,
+    /// after each operation. The reading feeds the
+    /// [`Stats::queue_depths`] snapshot and the thief's victim choice
+    /// alike. Its loads are not one atomic read, so a mid-epoch reading
+    /// saturates at 0.
     #[inline]
     pub fn queue_depth(&self, i: usize) -> u64 {
-        // `executed` first: it never passes `queued`, which is raised
-        // before the push, so only a steal racing this read can take the
-        // difference below zero.
+        // `executed` first: it never passes the queue counts, which are
+        // raised before the push, so only a steal or a retraction racing
+        // this read can take the difference below zero.
         let executed = self.delegate(i).executed.load(Ordering::Relaxed);
-        self.queued[i]
-            .load(Ordering::Relaxed)
+        let ring = self.ring_queued[i].load(Ordering::Relaxed);
+        ring.wrapping_add(self.queued[i].load(Ordering::Relaxed))
             .saturating_sub(executed)
-    }
-
-    #[inline]
-    pub fn bump(counter: &AtomicU64) {
-        counter.fetch_add(1, Ordering::Relaxed);
-    }
-
-    #[inline]
-    pub fn add_nanos(counter: &AtomicU64, d: Duration) {
-        counter.fetch_add(d.as_nanos() as u64, Ordering::Relaxed);
     }
 
     pub fn snapshot(&self, since: Instant) -> Stats {
@@ -218,7 +293,7 @@ impl StatsCell {
             // root `Domain`, the auditor outside this cell (0 when off).
             in_flight: 0,
             epochs_audited: sum(|c| &c.epochs_audited),
-            sessions_active: sum(|c| &c.sessions_active),
+            sessions_active: self.sessions_active.load(Ordering::Relaxed),
             starvation_stalls: sum(|c| &c.starvation_stalls),
             memo_hits: sum(|c| &c.memo_hits),
             memo_misses: sum(|c| &c.memo_misses),
@@ -433,8 +508,9 @@ mod tests {
     fn snapshot_decomposes_time() {
         let cell = StatsCell::new(0);
         let t0 = Instant::now();
-        StatsCell::add_nanos(&cell.program().isolation_nanos, Duration::from_millis(2));
-        StatsCell::add_nanos(&cell.program().reduction_nanos, Duration::from_millis(1));
+        let root = cell.program(true);
+        root.add_nanos(|c| &c.isolation_nanos, Duration::from_millis(2));
+        root.add_nanos(|c| &c.reduction_nanos, Duration::from_millis(1));
         std::thread::sleep(Duration::from_millis(5));
         let s = cell.snapshot(t0);
         assert!(s.total >= Duration::from_millis(5));
@@ -448,12 +524,70 @@ mod tests {
     #[test]
     fn counters_accumulate() {
         let cell = StatsCell::new(2);
-        StatsCell::bump(&cell.program().delegations);
-        StatsCell::bump(&cell.delegate(1).delegations);
-        StatsCell::bump(&cell.delegate(0).executed);
+        cell.program(true).bump(|c| &c.delegations);
+        cell.program(false).add(|c| &c.delegations, 3);
+        cell.delegate(1).bump(|c| &c.delegations);
+        cell.delegate(0).bump(|c| &c.executed);
+        cell.sessions_active().fetch_add(2, Ordering::Relaxed);
         let s = cell.snapshot(Instant::now());
-        assert_eq!(s.delegations, 2);
+        assert_eq!(s.delegations, 5);
         assert_eq!(s.executed, 1);
+        assert_eq!(s.sessions_active, 2);
+    }
+
+    #[test]
+    fn only_the_sessions_block_is_shared() {
+        let cell = StatsCell::new(3);
+        let root = cell.program(true);
+        let sessions = cell.program(false);
+        assert!(!root.shared && sessions.shared);
+        assert!((0..3).all(|i| !cell.delegate(i).shared));
+        // Writer slots: 0 is the domain's program thread, `1 + i` delegate
+        // `i` whatever the domain.
+        assert!(std::ptr::eq(cell.writer(0, true), root));
+        assert!(std::ptr::eq(cell.writer(0, false), sessions));
+        for i in 0..3 {
+            assert!(std::ptr::eq(cell.writer(1 + i, false), cell.delegate(i)));
+            assert!(std::ptr::eq(cell.writer(1 + i, true), cell.delegate(i)));
+        }
+        assert!(!std::ptr::eq(root, sessions));
+    }
+
+    #[test]
+    fn session_program_threads_count_in_the_shared_block_only() {
+        use crate::{SequenceSerializer, Writable};
+        const SESSIONS: u64 = 2;
+        const OPS: u64 = 50;
+        let rt = crate::Runtime::builder()
+            .delegate_threads(1)
+            .build()
+            .unwrap();
+        std::thread::scope(|s| {
+            for _ in 0..SESSIONS {
+                let rt = rt.clone();
+                s.spawn(move || {
+                    let session = rt.session().unwrap();
+                    let w: Writable<u64, SequenceSerializer> = Writable::new(&session, 0);
+                    session.begin_isolation().unwrap();
+                    for _ in 0..OPS {
+                        w.delegate(|n| *n += 1).unwrap();
+                    }
+                    session.end_isolation().unwrap();
+                });
+            }
+        });
+        let cell = &rt.inner.core.stats;
+        let (root, sessions) = (cell.program(true), cell.program(false));
+        let read = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        assert_eq!(read(&sessions.delegations), SESSIONS * OPS);
+        assert_eq!(read(&sessions.tasks_inline), SESSIONS * OPS);
+        assert_eq!(read(&sessions.isolation_epochs), SESSIONS);
+        assert_eq!(read(&root.delegations), 0);
+        assert_eq!(read(&root.tasks_inline), 0);
+        assert_eq!(read(&root.isolation_epochs), 0);
+        // The delegate counts what it ran in its own block.
+        assert_eq!(read(&cell.delegate(0).executed), SESSIONS * OPS);
+        assert_eq!(read(&cell.delegate(0).delegations), 0);
     }
 
     #[test]
@@ -500,7 +634,7 @@ mod tests {
         cell.add_queued(1, 4);
         cell.add_queued(2, 9);
         cell.delegate(2).executed.store(9, Ordering::Relaxed);
-        StatsCell::bump(&cell.program().pins);
+        cell.program(true).bump(|c| &c.pins);
         let s = cell.snapshot(Instant::now());
         assert_eq!(s.queue_depths, vec![0, 4, 0]);
         assert_eq!(s.delegate_executed, vec![0, 0, 9]);
@@ -523,18 +657,41 @@ mod tests {
     }
 
     #[test]
+    fn depth_adds_the_ring_count_net_of_retractions() {
+        let cell = StatsCell::new(2);
+        cell.ring_queued(1, 8);
+        cell.ring_queued(1, 2u64.wrapping_neg()); // a lost push
+        cell.add_queued(1, 3); // nested submits on the injector lane
+        cell.delegate(1).executed.store(4, Ordering::Relaxed);
+        assert_eq!(cell.queue_depth(1), 5);
+        // A retraction takes three back; the program thread runs them.
+        cell.ring_queued(1, 3u64.wrapping_neg());
+        assert_eq!(cell.queue_depth(1), 2);
+        cell.delegate(1).executed.store(6, Ordering::Relaxed);
+        assert_eq!((cell.queue_depth(0), cell.queue_depth(1)), (0, 0));
+        assert_eq!(cell.snapshot(Instant::now()).queue_depths, vec![0, 0]);
+    }
+
+    #[test]
     fn writer_blocks_and_queued_counters_never_share_a_line() {
         let cell = StatsCell::new(3);
         let line = |p: *const u8| p as usize / 128;
         let mut spans: Vec<(usize, usize)> = Vec::new();
         let span_of = |p: *const u8, len: usize| (line(p), line(p.wrapping_add(len - 1)));
-        for slot in 0..4 {
-            let b = cell.at(slot) as *const Counters as *const u8;
+        for b in cell.blocks.iter() {
+            let b = &**b as *const Counters as *const u8;
             spans.push(span_of(b, std::mem::size_of::<Counters>()));
         }
-        for q in cell.queued.iter() {
+        let gauge = std::iter::once(&cell.sessions_active);
+        for q in cell
+            .queued
+            .iter()
+            .chain(cell.ring_queued.iter())
+            .chain(gauge)
+        {
             spans.push(span_of(&**q as *const AtomicU64 as *const u8, 8));
         }
+        assert_eq!(spans.len(), 5 + 3 + 3 + 1);
         for (k, a) in spans.iter().enumerate() {
             for b in &spans[k + 1..] {
                 assert!(a.1 < b.0 || b.1 < a.0, "lines {a:?} and {b:?} overlap");

@@ -41,36 +41,61 @@
 //!    program context's access closure runs, the `accessing` flag rejects
 //!    racing delegations ([`SsError::AccessInProgress`]) instead of letting
 //!    them alias the live borrow.
-//! 3. `pending` (raised at delegation, lowered with Release after
-//!    execution) gives the cheap "no outstanding work" fast path, read with
-//!    Acquire. Every delegation — program-context and nested alike — raises
-//!    it *under* the state mutex, in the critical section that tags the
-//!    object (a nested one after raising the domain's nested-epoch flag).
-//!    So whoever holds the mutex and reads `pending == 0` with `accessing
-//!    == false` knows that no executor holds the value and that none can
-//!    take it before the mutex is released. That is what lets the
-//!    delegation state machine hand `&T` to the internal serializer (for
-//!    the first tag of an epoch and for the §3.3 re-check of a later
-//!    delegation, from either context), and what orders a program-context
-//!    access against a nested submission: the submission either precedes
-//!    the access's critical section (which then sees its `pending` count
-//!    or the nested flag and quiesces) or follows it (and is rejected by
-//!    `accessing`, or queues behind the state the access left).
+//! 3. `pending` gives the cheap "no outstanding work" fast path. It is
+//!    two counters, each with one writer at a time ([`Pending`]), so that
+//!    neither the delegating nor the executing thread issues an atomic
+//!    read-modify-write on it:
+//!
+//!    * `raised` is written only under the state mutex, with a plain load
+//!      and store. Every delegation — program-context and nested alike —
+//!      raises it in the critical section that tags the object (a nested
+//!      one after raising the domain's nested-epoch flag), and a failed
+//!      submit unwinds what will never run under the mutex again.
+//!    * `settled` is written only by the executor that runs the object's
+//!      operations, after each one (load, then a Release store). Within an
+//!      epoch every operation of the object is in its one set, whose
+//!      operations run on one executor at a time (point 1), and
+//!      consecutive executors of a set are ordered by happens-before in
+//!      one of three ways: the epoch barrier (the old executor's token or
+//!      drain-counter release, the program thread's Acquire, its push to
+//!      the new one); a tail retraction, which takes a set before any of
+//!      its operations ran in the epoch; or the stealing transport's
+//!      quiescence handshake — the owner's `finish` of the set's last
+//!      popped operation, which follows that operation's settle, and the
+//!      thief's steal read the deque's in-flight record under the same
+//!      deque lock. So each settle's load sees the previous settle's
+//!      store, and no settle is lost.
+//!
+//!    A read loads `settled` with Acquire, then `raised`. Settles follow
+//!    raises and an unwound operation is never settled, so the difference
+//!    never wraps, and a zero proves every raised operation settled with
+//!    its effects visible. So whoever holds the mutex and reads `pending
+//!    == 0` with `accessing == false` knows that no executor holds the
+//!    value and that none can take it before the mutex is released. That
+//!    is what lets the delegation state machine hand `&T` to the internal
+//!    serializer (for the first tag of an epoch and for the §3.3 re-check
+//!    of a later delegation, from either context), and what orders a
+//!    program-context access against a nested submission: the submission
+//!    either precedes the access's critical section (which then sees its
+//!    `pending` count or the nested flag and quiesces) or follows it (and
+//!    is rejected by `accessing`, or queues behind the state the access
+//!    left).
 
-use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
 use ss_queue::oneshot::OneshotSender;
+use ss_queue::Pending;
 
 use crate::error::{SsError, SsResult};
 use crate::fingerprint::MemoValue;
 use crate::future::SsFuture;
 use crate::invocation::{ExecCx, TaskSlot};
-use crate::runtime::{Core, DelegateContext, Executor, Origin, Runtime};
+use crate::runtime::{DelegateContext, Executor, Origin, Runtime};
 use crate::serializer::{ObjectSerializer, SerializeCx, Serializer, SsId};
-use crate::stats::{Counters, StatsCell};
+use crate::stats::Counters;
 use crate::trace::TraceKind;
 use crate::wrappers::panic_message;
 
@@ -120,8 +145,10 @@ impl EpochLocal {
 struct Shared<T> {
     value: core::cell::UnsafeCell<T>,
     instance: u64,
-    /// Outstanding delegated operations on this object.
-    pending: AtomicU32,
+    /// Outstanding delegated operations on this object, in two halves:
+    /// raised under `local`, settled by the executor that owns the
+    /// object's set (module safety model, point 3).
+    pending: Pending,
     local: Mutex<EpochLocal>,
 }
 
@@ -144,8 +171,8 @@ impl Receiver<'_> {
 }
 
 // SAFETY: `value` is accessed under the executor-exclusivity protocol
-// documented at module level; `local` is mutex-guarded; `pending` is
-// atomic. `T: Send` because the value migrates between executor threads.
+// documented at module level; `local` is mutex-guarded; `pending`'s halves
+// are atomic. `T: Send` because the value migrates between executor threads.
 unsafe impl<T: Send> Send for Shared<T> {}
 unsafe impl<T: Send> Sync for Shared<T> {}
 
@@ -173,7 +200,7 @@ pub(crate) enum Submitter<'a> {
     Nested(&'a DelegateContext<'a>),
 }
 
-impl Submitter<'_> {
+impl<'a> Submitter<'a> {
     fn origin(self) -> Origin {
         match self {
             Submitter::Program => Origin::Program,
@@ -181,11 +208,15 @@ impl Submitter<'_> {
         }
     }
 
-    /// The submitting thread's counter block.
-    fn stats(self, core: &Core) -> &Counters {
+    /// The submitting thread's counter block; `rt` is the handle a
+    /// program-context delegation was made through.
+    fn stats<'s>(self, rt: &'s Runtime) -> &'s Counters
+    where
+        'a: 's,
+    {
         match self {
-            Submitter::Program => core.stats.program(),
-            Submitter::Nested(cx) => core.stats.at(cx.slot()),
+            Submitter::Program => rt.program_stats(),
+            Submitter::Nested(cx) => cx.stats(),
         }
     }
 }
@@ -201,7 +232,7 @@ pub(crate) trait Sink<R>: Send + 'static {
     /// Whether the delegator abandoned the result before the operation
     /// was popped (drop-to-cancel): the body is then skipped.
     fn cancelled(&self) -> bool;
-    /// Delivers the result, before the object's `pending` count drops.
+    /// Delivers the result, before the object's `pending` count settles.
     /// `object` is the operation's receiver, for the trace.
     fn resolve(self, out: R, cx: &ExecCx<'_>, object: Receiver<'_>);
 }
@@ -238,7 +269,7 @@ impl<R: Send + 'static> Sink<R> for Cell<R> {
     fn resolve(self, out: R, cx: &ExecCx<'_>, object: Receiver<'_>) {
         let serial = self.0.tag();
         self.0.send(out);
-        StatsCell::bump(&cx.stats().futures_resolved);
+        cx.stats.bump(|c| &c.futures_resolved);
         if cx.core.side_events.is_some() {
             cx.core.record_side(
                 serial,
@@ -266,7 +297,7 @@ impl<R: MemoValue> Sink<R> for MemoCell<R> {
     }
     fn resolve(self, out: R, cx: &ExecCx<'_>, object: Receiver<'_>) {
         // Publish before settle: the result lands in the memo table before
-        // the cell settles and `pending` drops, so every drain proof (epoch
+        // the cell and `pending` settle, so every drain proof (epoch
         // barrier, reclaim quiesce) covers the publication and a
         // re-submission after any barrier observes it. `publish` re-checks
         // the generation under the shard lock and drops a publication
@@ -384,7 +415,7 @@ impl<T: Send + 'static, S: Serializer<T>> std::fmt::Debug for Writable<T, S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Writable")
             .field("instance", &self.shared.instance)
-            .field("pending", &self.shared.pending.load(Ordering::Relaxed))
+            .field("pending", &self.shared.pending.outstanding())
             .finish()
     }
 }
@@ -405,7 +436,7 @@ impl<T: Send + 'static, S: Serializer<T>> Writable<T, S> {
             shared: Arc::new(Shared {
                 value: core::cell::UnsafeCell::new(value),
                 instance: rt.next_instance(),
-                pending: AtomicU32::new(0),
+                pending: Pending::new(),
                 local: Mutex::new(EpochLocal {
                     serial: 0,
                     use_state: UseState::Unused,
@@ -431,7 +462,7 @@ impl<T: Send + 'static, S: Serializer<T>> Writable<T, S> {
 
     /// Outstanding delegated operations (diagnostic).
     pub fn pending_operations(&self) -> u32 {
-        self.shared.pending.load(Ordering::Acquire)
+        self.shared.pending.outstanding()
     }
 
     /// Serialization set this object was tagged with in the current epoch,
@@ -772,7 +803,7 @@ impl<T: Send + 'static, S: Serializer<T>> Writable<T, S> {
         // What the serializers say now: the external set when one was
         // supplied, else the internal serializer — which needs `&T`, so it
         // is consulted only while no delegated operation is in flight.
-        let idle = self.shared.pending.load(Ordering::Acquire) == 0;
+        let idle = self.shared.pending.outstanding() == 0;
         let computed = match external {
             Some(e) => Some(e),
             None if idle => {
@@ -819,7 +850,7 @@ impl<T: Send + 'static, S: Serializer<T>> Writable<T, S> {
                     if entry_gen == live_gen || core.chaos_stale_memo_serve() =>
                 {
                     drop(local);
-                    StatsCell::bump(&by.stats(core).memo_hits);
+                    by.stats(rt).bump(|c| &c.memo_hits);
                     core.audit_memo_hit(d, SsId(key), entry_gen, live_gen);
                     // `MemoHit` is a program-order, delegation-site record.
                     if matches!(by, Submitter::Program) && rt.trace_enabled() {
@@ -833,7 +864,7 @@ impl<T: Send + 'static, S: Serializer<T>> Writable<T, S> {
                     });
                 }
                 _ => {
-                    StatsCell::bump(&by.stats(core).memo_misses);
+                    by.stats(rt).bump(|c| &c.memo_misses);
                     generation = table.generation(key);
                 }
             }
@@ -843,7 +874,7 @@ impl<T: Send + 'static, S: Serializer<T>> Writable<T, S> {
         if matches!(by, Submitter::Nested(_)) {
             rt.mark_nested_epoch();
         }
-        self.shared.pending.fetch_add(count, Ordering::Relaxed);
+        self.shared.pending.raise(count);
         drop(local);
         if memo.is_none() {
             // A non-memoized delegation mutates the set's object outside
@@ -867,16 +898,17 @@ impl<T: Send + 'static, S: Serializer<T>> Writable<T, S> {
         let core = &self.rt.inner.core;
         if let Some(memo) = &core.memo {
             memo.bump_generation(self.rt.domain().key(ss));
-            StatsCell::bump(&by.stats(core).memo_invalidations);
+            by.stats(&self.rt).bump(|c| &c.memo_invalidations);
         }
     }
 
     /// Delegation, phase 3, for either origin: submit the packaged run
     /// (`prepare` has already raised `pending` by its length) and record
     /// the owning executor for later reclaims — one router resolution and
-    /// one queue publish however long the run. A failed submit undoes
-    /// `pending` by exactly the number of tasks that will never execute
-    /// (tasks already landed still run and settle their own share). With
+    /// one queue publish however long the run. A failed submit unwinds
+    /// `pending`, under the state mutex, by exactly the number of tasks
+    /// that will never execute (tasks already landed still run and settle
+    /// their own share). With
     /// tracing on, one event is recorded per operation — in the
     /// program-order log for program origin, as a side event for nested —
     /// so the log of a run is indistinguishable from the equivalent
@@ -892,9 +924,9 @@ impl<T: Send + 'static, S: Serializer<T>> Writable<T, S> {
         let executor = match rt.submit(origin, ss, run) {
             Ok(e) => e,
             Err((e, unsubmitted)) => {
-                self.shared
-                    .pending
-                    .fetch_sub(unsubmitted as u32, Ordering::Release);
+                // `raised` is written under the state mutex only.
+                let _local = self.shared.local.lock();
+                self.shared.pending.unwind(unsubmitted as u32);
                 return Err(e);
             }
         };
@@ -953,7 +985,7 @@ impl<T: Send + 'static, S: Serializer<T>> Writable<T, S> {
     ///   and waking the waiter), so a waiter that wakes on a closed cell
     ///   and consults the flag cannot miss the panic.
     /// * **Sink before settle.** The sink resolves or drops before
-    ///   `pending` (and the caller-side queue counters) drop, so every
+    ///   `pending` (and the caller-side queue counters) settle, so every
     ///   drain proof (`end_isolation`, reclaim quiesce) transitively
     ///   proves all futures of the epoch are resolved.
     ///
@@ -973,7 +1005,7 @@ impl<T: Send + 'static, S: Serializer<T>> Writable<T, S> {
         let run = move |cx: &ExecCx<'_>| {
             let core = cx.core;
             let out = if sink.cancelled() {
-                StatsCell::bump(&cx.stats().ops_cancelled);
+                cx.stats.bump(|c| &c.ops_cancelled);
                 None
             } else if core.poisoned.load(Ordering::Acquire) {
                 None
@@ -1003,7 +1035,7 @@ impl<T: Send + 'static, S: Serializer<T>> Writable<T, S> {
                 }
                 None => drop(sink),
             }
-            shared.pending.fetch_sub(1, Ordering::Release);
+            shared.pending.settle();
         };
         Some(TaskSlot::with_awaited(run, K::AWAITED))
     }
@@ -1057,7 +1089,7 @@ impl<T: Send + 'static, S: Serializer<T>> Writable<T, S> {
         if !in_iso {
             // Aggregation epoch: "any method may be called" (Table 1); all
             // queues were drained at end_isolation.
-            debug_assert_eq!(self.shared.pending.load(Ordering::Acquire), 0);
+            debug_assert_eq!(self.shared.pending.outstanding(), 0);
             // SAFETY: program context is the sole accessor in aggregation.
             return Ok(f(unsafe { &mut *self.shared.value.get() }));
         }
@@ -1128,13 +1160,13 @@ impl<T: Send + 'static, S: Serializer<T>> Writable<T, S> {
             let sync_target = owner.unwrap_or(Executor::Program);
             let mut escalated = mid_submit;
             let mut synced: Option<Executor> = None;
-            // `pending` drops inside the operation's closure, but its audit
+            // `pending` settles inside the operation's closure, but its audit
             // record lands after the closure returns: in an audited epoch
             // `pending == 0` does not yet prove the record the gate below
             // checks is in, so the reclaim always flushes the queue.
             let audited = rt.inner.core.auditing(rt.domain()).is_some();
             loop {
-                if escalated || audited || self.shared.pending.load(Ordering::Acquire) > 0 {
+                if escalated || audited || self.shared.pending.outstanding() > 0 {
                     // With stealing enabled the set may have migrated since
                     // delegation, so the reclaim resolves the *current*
                     // owner from the router's sharded pin map — fence
@@ -1153,7 +1185,7 @@ impl<T: Send + 'static, S: Serializer<T>> Writable<T, S> {
                 // reclaim above is a lie, so operations may still be
                 // pending here — the audit gate below is what catches it.
                 #[cfg(not(feature = "chaos"))]
-                debug_assert_eq!(self.shared.pending.load(Ordering::Acquire), 0);
+                debug_assert_eq!(self.shared.pending.outstanding(), 0);
                 local.accessing = true;
                 break;
             }
@@ -1212,7 +1244,7 @@ impl<T: Send + 'static, S: Serializer<T>> Writable<T, S> {
     pub fn try_unwrap(self) -> Result<T, Self> {
         if !self.rt.is_program_thread()
             || self.rt.in_isolation()
-            || self.shared.pending.load(Ordering::Acquire) != 0
+            || self.shared.pending.outstanding() != 0
         {
             return Err(self);
         }

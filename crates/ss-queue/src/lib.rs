@@ -46,6 +46,9 @@
 //! [`memomap`] module reuses the same sharding recipe for the
 //! incremental-epochs result cache: fingerprinted results stamped with
 //! per-set generations, invalidated by a counter bump instead of a walk.
+//! [`Pending`] is the runtime objects' outstanding-operation count, in
+//! two halves that the delegating and the executing thread each write
+//! alone.
 //!
 //! The SPSC queues are bounded, lock-free, and split statically into a
 //! [`Producer`]/[`Consumer`] handle pair so the single-producer /
@@ -77,6 +80,7 @@ mod deque;
 pub mod memomap;
 pub mod oneshot;
 mod pad;
+mod pending;
 pub mod shardmap;
 pub mod slab;
 mod spsc;
@@ -84,6 +88,7 @@ mod spsc;
 pub use backoff::Backoff;
 pub use deque::{push_shard_of, FenceScope, StealDeque, StealScan, StealTag, PUSH_SHARDS};
 pub use pad::CachePadded;
+pub use pending::Pending;
 pub use spsc::{Consumer, Injector, Producer, Retraction, SpscQueue, MAX_CLAIM};
 
 /// Error returned by `try_push` when the ring is full; carries the rejected

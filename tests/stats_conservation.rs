@@ -14,6 +14,12 @@
 //!   program thread's executions are the rest;
 //! * every `queue_depths` entry is 0.
 //!
+//! With the root and every session delegating at once — on a runtime
+//! without delegates, where every program thread runs its operations
+//! inline, and on one with them — every sum is exact, not merely
+//! balanced: the root program thread adds to its counter block with plain
+//! loads and stores, so a second writer in that block would lose updates.
+//!
 //! Mid-epoch, with a delegate held by a blocker, its depth counts exactly
 //! the blocker and the operations queued behind it, and a whole-batch
 //! steal moves exactly the stolen batch to the thief. The delegate count
@@ -228,6 +234,77 @@ fn split_counters_balance_after_every_epoch() {
             });
             let label = format!("{sessions} sessions stealing {stealing} {leg:?}");
             assert_conserved(&rt.stats(), futures, &label);
+        }
+    }
+}
+
+/// Operations one tenant submits per object and epoch in
+/// [`tenant_program`]: four `delegate`s, one `delegate_with` and a
+/// `delegate_iter` run of four.
+const OPS_PER_OBJECT: u64 = 9;
+
+/// Epochs of the concurrent leg: enough for the tenants' submits to
+/// overlap many times over.
+const CONCURRENT_EPOCHS: u64 = 200;
+
+/// One tenant's program for the concurrent leg; returns its futures.
+fn tenant_program(rt: &Runtime) -> u64 {
+    let objects: Vec<Obj> = (0..OBJECTS).map(|_| Writable::new(rt, 0)).collect();
+    for _ in 0..CONCURRENT_EPOCHS {
+        rt.begin_isolation().unwrap();
+        let mut futures = Vec::new();
+        for w in &objects {
+            for _ in 0..4 {
+                w.delegate(|n| *n += 1).unwrap();
+            }
+            futures.push(w.delegate_with(|n| *n += 1).unwrap());
+            w.delegate_iter((0..4).map(|_| |n: &mut u64| *n += 1))
+                .unwrap();
+        }
+        futures.into_iter().for_each(|f| f.wait().unwrap());
+        rt.end_isolation().unwrap();
+    }
+    for w in &objects {
+        assert_eq!(w.call(|n| *n).unwrap(), CONCURRENT_EPOCHS * OPS_PER_OBJECT);
+    }
+    CONCURRENT_EPOCHS * OBJECTS
+}
+
+#[test]
+fn root_and_sessions_delegating_at_once_count_exactly() {
+    let sessions = env("SS_TEST_SESSIONS", 2) as u64;
+    let tenants = 1 + sessions;
+    let ops = tenants * CONCURRENT_EPOCHS * OBJECTS * OPS_PER_OBJECT;
+    for (n_delegates, stealing) in [(0, false), (delegates(), false), (delegates(), true)] {
+        // A small ring makes the root program thread retract now and then.
+        let rt = Runtime::builder()
+            .delegate_threads(n_delegates)
+            .stealing(stealing)
+            .queue_capacity(8)
+            .build()
+            .unwrap();
+        let futures: u64 = std::thread::scope(|scope| {
+            let tenants: Vec<_> = (0..sessions)
+                .map(|_| {
+                    let rt = rt.clone();
+                    scope.spawn(move || tenant_program(&rt.session().unwrap()))
+                })
+                .collect();
+            let root = tenant_program(&rt);
+            root + tenants.into_iter().map(|t| t.join().unwrap()).sum::<u64>()
+        });
+        let s = rt.stats();
+        let label = format!("{n_delegates} delegates, stealing {stealing}: {s:?}");
+        assert_eq!(futures, tenants * CONCURRENT_EPOCHS * OBJECTS, "{label}");
+        assert_conserved(&s, futures, &label);
+        assert_eq!(s.delegations, ops, "{label}");
+        assert_eq!(s.tasks_inline, ops, "{label}");
+        assert_eq!(s.tasks_boxed, 0, "{label}");
+        assert_eq!(s.futures_resolved, futures, "{label}");
+        assert_eq!(s.isolation_epochs, tenants * CONCURRENT_EPOCHS, "{label}");
+        assert_eq!(s.sessions_active, 0, "{label}");
+        if n_delegates == 0 {
+            assert_eq!(s.inline_executions, ops, "{label}");
         }
     }
 }
