@@ -9,9 +9,9 @@
 //! to some other number". The paper's other knob, virtual delegates with a
 //! static program-thread share ("the assignment ratio"), is not here: the
 //! program thread runs sets where it would otherwise wait — it retracts
-//! fresh runs from the unclaimed end of its delegate's ring at the
-//! barrier and at a full ring (`docs/POLICIES.md`, "The program thread
-//! retracts fresh tails at its waits").
+//! fresh and quiescent runs from the unclaimed end of its delegate's ring
+//! at the barrier, at a full ring and in a future wait (`docs/POLICIES.md`,
+//! "The program thread retracts fresh and quiescent tails at its waits").
 
 use std::sync::Arc;
 
@@ -54,6 +54,12 @@ pub struct ChaosKnobs {
     /// both generations, so a stale serve is reported as
     /// `AuditViolation::StaleMemoServe`.
     pub stale_memo_serve: bool,
+    /// The root program thread's tail retraction skips its retired check:
+    /// it takes the queued tail of a set whose earlier operations its
+    /// delegate may still be running, so the set runs on two executors
+    /// at once and the retracted tail can overtake the delegate's
+    /// prefix.
+    pub retract_unretired: bool,
 }
 
 /// Builder for [`Runtime`](crate::Runtime).

@@ -222,6 +222,10 @@ trait Transport {
     fn popped(&self, _lane: Lane) {}
     /// Slip hook: a token was popped (a program thread waits on us).
     fn on_token(&self) {}
+    /// Everything popped so far has finished running: the ring publishes
+    /// it as its retired cursor, which lets the program thread retract a
+    /// started set's tail (`program.rs`).
+    fn retire(&self) {}
     /// An operation of `set` ran and its audit record landed; its
     /// counters settle after this returns.
     fn after_exec(&self, _set: u64) {}
@@ -320,6 +324,21 @@ impl Transport for Ring {
 
     fn on_token(&self) {
         self.with_slip(Slip::disarm);
+    }
+
+    /// Under an armed test script, a retirement that moves the cursor
+    /// lands between two `retire@i` gates, so a script can order it
+    /// before or after a retraction's read of the cursor.
+    fn retire(&self) {
+        let c = &self.consumer;
+        let gated = self.core.test_gates.is_some() && c.retired() < c.popped();
+        if gated {
+            self.core.gate("retire", self.idx);
+        }
+        c.retire(c.popped());
+        if gated {
+            self.core.gate("retire", self.idx);
+        }
     }
 }
 
@@ -703,6 +722,10 @@ fn wait_turn(rt: &Runtime, set: SsId, signal: &WaitSignal) -> bool {
         if help() {
             return true;
         }
+        // The root's wait outside any operation retracts before it parks.
+        if at_top && rt.is_root() && rt.retract_at_wait(|| signal.is_settled() || arrived()) {
+            return true;
+        }
         signal.waiting(|| d.waiter.wait_until(|| signal.is_settled() || arrived()));
         return true;
     }
@@ -856,6 +879,15 @@ fn delegate_loop<T: Transport + 'static>(rt_id: u64, t: T, force_sleep: &AtomicB
         let (inv, lane) = match with_help(|s| s.deferred.pop_front()).flatten() {
             Some(entry) => entry,
             None => {
+                // Nothing deferred and nothing on the stack: everything
+                // popped has finished — unless chaos holds an entry back.
+                #[cfg(feature = "chaos")]
+                let done = hold.is_none();
+                #[cfg(not(feature = "chaos"))]
+                let done = true;
+                if done {
+                    t.retire();
+                }
                 t.before_pop();
                 match t.pop() {
                     Pop::Value((inv, lane)) => {

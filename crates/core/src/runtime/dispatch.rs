@@ -431,6 +431,7 @@ impl Runtime {
                     }
                     pushed += 1;
                 }
+                self.ring_pushed(d, i, key, pushed);
                 pushed
             }
             // The injector accepts or rejects a run whole (one lock).
@@ -458,14 +459,14 @@ impl Runtime {
     /// Pushes one entry onto delegate `i`'s ring — the root program
     /// thread's one producer path, for operations and tokens alike. While
     /// the ring is full the program thread runs `Lane::Program` entries
-    /// and spins; once a spin phase is spent it retracts fresh runs from
-    /// the ring's unclaimed end — never those of the set it is pushing —
-    /// and runs them, or yields when there are none. It never parks on a
-    /// full ring, whose consumer is awake with a ring of work — every
-    /// earlier run notified it once it had landed. Only a run that filled
-    /// the ring itself (`unnotified`: it has pushed entries nobody was
-    /// told of) notifies first. Returns the entry if the consumer
-    /// disconnected.
+    /// and spins; once a spin phase is spent it retracts fresh and
+    /// quiescent runs from the ring's unclaimed end — never those of the
+    /// set it is pushing — and runs them, or yields when there are none.
+    /// It never parks on a full ring, whose consumer is awake with a ring
+    /// of work — every earlier run notified it once it had landed. Only a
+    /// run that filled the ring itself (`unnotified`: it has pushed
+    /// entries nobody was told of) notifies first. Returns the entry if
+    /// the consumer disconnected.
     fn push_ring(&self, i: usize, mut inv: Invocation, unnotified: bool) -> Result<(), Invocation> {
         let Channels::Spsc { producers, .. } = &self.inner.channels else {
             unreachable!("rings exist on the SPSC transport only");
@@ -668,15 +669,22 @@ impl Runtime {
             let stats = self.program_stats();
             let tokens = &self.inner.sync_tokens;
             for (i, token) in tokens.iter().enumerate() {
-                let sync = self.sync_object(i);
                 match &self.inner.channels {
-                    Channels::Spsc { .. } => {
-                        if self.push_ring(i, sync, false).is_err() {
+                    Channels::Spsc { producers, .. } => {
+                        // SAFETY: the root program thread; scoped borrow.
+                        let ring = unsafe { producers[i].get() };
+                        // Every entry of the ring has run: the token would
+                        // prove nothing, and stays signalled.
+                        if ring.retired() == ring.head() {
+                            continue;
+                        }
+                        if self.push_ring(i, self.sync_object(i), false).is_err() {
                             token.signal();
                             continue;
                         }
                     }
                     Channels::Steal(shared) => {
+                        let sync = self.sync_object(i);
                         shared.deques[i].push_fence(ss_queue::FenceScope::Open, sync);
                     }
                 }

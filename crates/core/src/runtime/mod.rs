@@ -379,6 +379,19 @@ impl Core {
         }
     }
 
+    /// Whether tail retractions deliberately skip their retired check.
+    #[inline(always)]
+    pub(crate) fn chaos_retract_unretired(&self) -> bool {
+        #[cfg(feature = "chaos")]
+        {
+            self.chaos.retract_unretired
+        }
+        #[cfg(not(feature = "chaos"))]
+        {
+            false
+        }
+    }
+
     /// Whether steals deliberately skip re-pinning the stolen set.
     #[cfg(feature = "chaos")]
     #[inline(always)]

@@ -3,26 +3,34 @@
 //!
 //! The paper's Prometheus "uses the program thread to execute some of the
 //! delegated methods" (§4) through a static ratio. Here the program thread
-//! executes where it would otherwise wait: at the epoch barrier and at a
-//! full ring, once its spin phase is spent, it pops whole *fresh* runs back
-//! off the unclaimed end of a ring it feeds and runs them inline
-//! ([`Runtime::retract`]) — Chase–Lev's owner pop, inverted: the single
-//! producer pops from the end it pushes to while the delegate claims from
-//! the other. An epoch the delegates drain within the spin phase never
-//! retracts. Four pieces make that sound:
+//! executes where it would otherwise wait: at the epoch barrier, at a full
+//! ring and in a future wait outside any operation, once its spin phase
+//! is spent, it pops whole runs back off the unclaimed end of a ring it
+//! feeds and runs them inline ([`Runtime::retract`]) — Chase–Lev's owner
+//! pop, inverted: the single producer pops from the end it pushes to while
+//! the delegate claims from the other. A run is taken when its set is
+//! *fresh* or *quiescent*: nothing of the set pushed before it is left to
+//! run. A wait the delegates satisfy within the spin phase never
+//! retracts. Five pieces make that sound:
 //!
 //! * **The claim** (`ss_queue`'s claim protocol): the delegate pops only
 //!   below an index it has claimed, and a retraction holds the ring with a
 //!   limit it publishes — a Dekker pair, so a held value is one the
 //!   delegate has not claimed and never will.
+//! * **The retired cursor** (`ss_queue`'s, published by the delegate
+//!   loop): every ring entry below it has finished running, and a
+//!   retraction's Acquire read of it orders those operations — effects,
+//!   settles, audit records — before anything the retraction runs.
 //! * **The record** ([`RouteRecord`]): the program thread's epoch-local
-//!   memory of every set it routed on the ring lane — its executor and the
-//!   ring index of its first push this epoch. A set is retractable only if
-//!   its first entry, and so every entry, lies in the held run, and its
-//!   entries form one run there: then no operation of the set has been
-//!   claimed, so none has run on its delegate this epoch (the auditor's
-//!   `TwoExecutors`). The set a full-ring wait is pushing is never
-//!   retracted.
+//!   memory of every set it routed on the ring lane — its executor, its
+//!   latest contiguous run on the ring, and where its pushes before that
+//!   run ended. A held run is retractable only if it is the unclaimed
+//!   part of its set's latest run and every entry of the set before it
+//!   lies below the retired cursor: then the operations taken are the
+//!   set's next in program order and none before them is running, so the
+//!   set runs on one executor at a time (the auditor's `TwoExecutors`,
+//!   whose record a quiescent set hands over to the program thread). The
+//!   set a full-ring wait is pushing is never retracted.
 //! * **Program pins.** A retraction pins each set it takes to the program
 //!   executor under the set's shard lock
 //!   ([`Router::pin_program`](super::Router)), while it still holds the
@@ -64,14 +72,18 @@ use super::{Channels, Executor, Runtime};
 // the record
 
 /// One record slot: a set key, `serial << 16 | choice`, where choice 0
-/// is the program executor and `1 + i` delegate `i`, and the ring index of
-/// the set's first push this epoch. Serials start at 1, so a zero tag is a
-/// slot never written.
+/// is the program executor and `1 + i` delegate `i`, and where the set's
+/// pushes this epoch landed on that delegate's ring: `[start, end)` is
+/// its latest contiguous run, and `before` is one past its pushes before
+/// that run (0 when there were none). A set not pushed yet reads
+/// `(0, 0, 0)`. Serials start at 1, so a zero tag is a slot never written.
 #[derive(Clone, Copy, Default)]
 struct Entry {
     key: u64,
     tag: u64,
-    first: u64,
+    before: u64,
+    start: u64,
+    end: u64,
 }
 
 impl Entry {
@@ -85,6 +97,18 @@ impl Entry {
             c => Executor::Delegate(c as usize - 1),
         }
     }
+
+    /// One past the set's last entry before ring index `run`, where
+    /// `[run, end)` is the unclaimed part of its latest run: the index
+    /// the delegate must have retired before the run may be retracted.
+    /// 0 for a set with no entry before `run` — a fresh one.
+    fn earlier(self, run: u64) -> u64 {
+        if self.start < run {
+            run
+        } else {
+            self.before
+        }
+    }
 }
 
 /// Initial record size (slots); the table doubles while more than half of
@@ -92,8 +116,8 @@ impl Entry {
 const RECORD_SLOTS: usize = 64;
 
 /// The program thread's epoch-local record of the sets it has routed on
-/// the ring lane: each set's executor, and where its first push landed
-/// (see the module docs).
+/// the ring lane: each set's executor, and where its pushes landed (see
+/// the module docs).
 ///
 /// An open-addressing table whose entries are stamped with the epoch
 /// serial: an entry of an earlier epoch reads as a free slot, so a new
@@ -103,7 +127,8 @@ const RECORD_SLOTS: usize = 64;
 /// Program-thread state only: nothing here is read or written by a
 /// delegate.
 pub(crate) struct RouteRecord {
-    last: Entry,
+    /// The slot of the last answer.
+    last: usize,
     slots: Box<[Entry]>,
     /// Entries stamped `live_serial`.
     live: usize,
@@ -113,7 +138,7 @@ pub(crate) struct RouteRecord {
 impl RouteRecord {
     pub(crate) fn new() -> Self {
         RouteRecord {
-            last: Entry::default(),
+            last: 0,
             slots: vec![Entry::default(); RECORD_SLOTS].into_boxed_slice(),
             live: 0,
             live_serial: 0,
@@ -142,32 +167,30 @@ impl RouteRecord {
         self.entry(key, serial).map(Entry::executor)
     }
 
-    /// The executor and first ring index recorded for `key` in epoch
-    /// `serial`, if any.
-    pub(crate) fn first(&mut self, key: u64, serial: u64) -> Option<(Executor, u64)> {
-        self.entry(key, serial).map(|e| (e.executor(), e.first))
-    }
-
     #[inline]
     fn entry(&mut self, key: u64, serial: u64) -> Option<Entry> {
-        if self.last.key == key && self.last.serial() == serial {
+        self.slot(key, serial).map(|i| self.slots[i])
+    }
+
+    /// The slot holding `key`'s entry of epoch `serial`, if any: the last
+    /// answer's slot when it still holds it, else a probe.
+    #[inline]
+    fn slot(&mut self, key: u64, serial: u64) -> Option<usize> {
+        let holds = |e: Entry| e.key == key && e.serial() == serial;
+        if holds(self.slots[self.last]) {
             return Some(self.last);
         }
-        let e = self.slots[self.find(key, serial)];
-        (e.serial() == serial && e.key == key).then(|| {
-            self.last = e;
-            e
+        let i = self.find(key, serial);
+        holds(self.slots[i]).then(|| {
+            self.last = i;
+            i
         })
     }
 
     /// Rewrites the entry of `key`, recorded in epoch `serial`.
     fn update(&mut self, key: u64, serial: u64, f: impl FnOnce(&mut Entry)) {
-        let i = self.find(key, serial);
-        if self.slots[i].serial() == serial && self.slots[i].key == key {
+        if let Some(i) = self.slot(key, serial) {
             f(&mut self.slots[i]);
-            if self.last.key == key {
-                self.last = self.slots[i];
-            }
         }
     }
 
@@ -177,19 +200,20 @@ impl RouteRecord {
         self.update(key, serial, |e| e.tag &= !0xFFFF);
     }
 
-    /// Moves the first index of `key` from `from` to `to` — a set whose
-    /// first push had not landed when a retraction moved the head back.
-    fn rebase(&mut self, key: u64, serial: u64, from: u64, to: u64) {
+    /// Records that a run of `key` landed at ring indices `from..to`:
+    /// it extends the set's latest run if it lands right behind it, and
+    /// starts a new one otherwise.
+    pub(crate) fn pushed(&mut self, key: u64, serial: u64, from: u64, to: u64) {
         self.update(key, serial, |e| {
-            if e.first == from {
-                e.first = to;
+            if e.end != from {
+                (e.before, e.start) = (e.end, from);
             }
+            e.end = to;
         });
     }
 
-    /// Records the executor of a set first seen in epoch `serial`, and the
-    /// ring index its first push lands at (0 for the program executor).
-    pub(crate) fn insert(&mut self, key: u64, serial: u64, executor: Executor, first: u64) {
+    /// Records the executor of a set first seen in epoch `serial`.
+    pub(crate) fn insert(&mut self, key: u64, serial: u64, executor: Executor) {
         if self.live_serial != serial {
             (self.live, self.live_serial) = (0, serial);
         }
@@ -203,15 +227,14 @@ impl RouteRecord {
                 1 + i as u64
             }
         };
-        let e = Entry {
+        let i = self.find(key, serial);
+        self.slots[i] = Entry {
             key,
             tag: serial << 16 | choice,
-            first,
+            ..Entry::default()
         };
-        let i = self.find(key, serial);
-        self.slots[i] = e;
         self.live += 1;
-        self.last = e;
+        self.last = i;
     }
 
     fn grow(&mut self, serial: u64) {
@@ -265,8 +288,7 @@ impl ProgramLane {
 impl Runtime {
     /// The route of a root program-origin submit on the ring lane: the
     /// record's answer for a set already routed this epoch, else static
-    /// placement, recorded for the rest of the epoch with the ring index
-    /// the set's first push lands at.
+    /// placement, recorded for the rest of the epoch.
     pub(super) fn route_ring(&self, d: &Domain, key: SsId) -> Route {
         // Only this thread writes the serial.
         let serial = d.epoch_serial.load(Ordering::Relaxed);
@@ -275,13 +297,7 @@ impl Runtime {
         let routes = unsafe { self.inner.routes.get() };
         let executor = routes.get(key.0, serial).unwrap_or_else(|| {
             let executor = self.inner.router.home(key);
-            let first = match (executor, &self.inner.channels) {
-                (Executor::Delegate(i), Channels::Spsc { producers, .. }) => {
-                    unsafe { producers[i].get() }.head()
-                }
-                _ => 0,
-            };
-            routes.insert(key.0, serial, executor, first);
+            routes.insert(key.0, serial, executor);
             executor
         });
         Route {
@@ -291,12 +307,26 @@ impl Runtime {
         }
     }
 
+    /// Records that the last `n` entries on delegate `i`'s ring are a run
+    /// of `key`. A run lands in one piece: once its first entry is at the
+    /// ring's end, a retraction stops there (it never takes the set being
+    /// pushed). Root program thread only.
+    pub(super) fn ring_pushed(&self, d: &Domain, i: usize, key: SsId, n: usize) {
+        let Channels::Spsc { producers, .. } = &self.inner.channels else {
+            return;
+        };
+        let serial = d.epoch_serial.load(Ordering::Relaxed);
+        // SAFETY: the root program thread; scoped borrows.
+        let head = unsafe { producers[i].get() }.head();
+        unsafe { self.inner.routes.get() }.pushed(key.0, serial, head - n as u64, head);
+    }
+
     /// **Tail retraction** on delegate `i`'s ring (module docs): holds the
-    /// ring, takes the whole fresh runs at its unclaimed end — at least
-    /// half the held values where the runs allow — and runs them inline,
-    /// in push order. `pushing` is the set a full-ring wait is pushing,
-    /// which is never taken. Returns whether anything ran. Root program
-    /// thread only, outside any operation it runs.
+    /// ring, takes the whole fresh and quiescent runs at its unclaimed
+    /// end — at least half the held values where the runs allow — and
+    /// runs them inline, in push order. `pushing` is the set a full-ring
+    /// wait is pushing, which is never taken. Returns whether anything
+    /// ran. Root program thread only, outside any operation it runs.
     pub(super) fn retract(&self, i: usize, pushing: Option<u64>) -> bool {
         let Channels::Spsc { producers, .. } = &self.inner.channels else {
             return false;
@@ -315,11 +345,8 @@ impl Runtime {
             let routes = unsafe { self.inner.routes.get() };
             core.gate("retract", "p");
             if let Some(held) = ring.retract(ring.head().saturating_sub(ring.capacity() as u64)) {
-                let (cut, end) = (self.cut(&held, d, i, serial, pushing, routes), held.end());
+                let cut = self.cut(&held, d, i, serial, pushing, routes);
                 held.pop_from(cut, &mut taken);
-                if let Some(key) = pushing {
-                    routes.rebase(key, serial, end, cut);
-                }
             }
             core.gate("retract", "p");
         }
@@ -348,10 +375,12 @@ impl Runtime {
 
     /// Where a retraction of `held` cuts: walking back from the end, run
     /// by run, while the cut is above half the held values. A run is
-    /// taken when it is the whole of its set's pushes this epoch — the
-    /// set's recorded first index is the run's start — its set is not
-    /// `pushing`, and the set's program pin holds; the walk stops at the
-    /// first run that is not.
+    /// taken when it is the unclaimed part of its set's latest run, its
+    /// set's entries before it have all retired (a fresh set has none),
+    /// the set is not `pushing`, and the set's program pin holds; the walk
+    /// stops at the first run that is not. A set that ran on the delegate
+    /// this epoch hands its audit record over to the program executor, as
+    /// a stolen tail does.
     fn cut(
         &self,
         held: &Retraction<'_, Invocation>,
@@ -365,7 +394,7 @@ impl Runtime {
             Invocation::Execute { ss, .. } => Some(ss.0),
             Invocation::Token { .. } => None,
         };
-        let (start, end) = (held.start(), held.end());
+        let (start, end, retired) = (held.start(), held.end(), held.retired());
         let half = end - (end - start).div_ceil(2);
         let mut cut = end;
         while cut > half {
@@ -376,15 +405,29 @@ impl Runtime {
             while run > start && key_at(run - 1) == Some(key) {
                 run -= 1;
             }
-            if routes.first(key, serial) != Some((Executor::Delegate(i), run))
+            let Some(e) = routes.entry(key, serial) else {
+                break;
+            };
+            let earlier = e.earlier(run);
+            if e.executor() != Executor::Delegate(i)
+                || e.end != cut
+                || (earlier > retired && !self.inner.core.chaos_retract_unretired())
                 || !self.inner.router.pin_program(d, SsId(key))
             {
                 break;
+            }
+            if earlier > 0 {
+                self.inner.core.audit_handover(d, SsId(key), 0);
             }
             routes.retracted(key, serial);
             cut = run;
         }
         cut
+    }
+
+    /// One retraction from every ring; whether anything ran.
+    fn retract_all(&self) -> bool {
+        (0..self.inner.n_delegates).fold(false, |took, i| self.retract(i, None) | took)
     }
 
     /// The barrier's first phase on the root's rings, before it pushes its
@@ -410,14 +453,18 @@ impl Runtime {
                 }
                 continue;
             }
-            let mut took = false;
-            for i in 0..producers.len() {
-                took |= self.retract(i, None);
-            }
-            if !took {
+            if !self.retract_all() {
                 return;
             }
         })
+    }
+
+    /// The root program thread's future wait at top level, before it
+    /// parks: the wait's spin phase on `done`, then a retraction from
+    /// every ring. True when `done` held or an operation ran — the
+    /// caller polls again — and false when the wait may park.
+    pub(crate) fn retract_at_wait(&self, done: impl FnMut() -> bool) -> bool {
+        spin_until(done) || self.retract_all()
     }
 
     /// True while the domain's program thread is running an operation
@@ -536,40 +583,56 @@ impl Runtime {
 mod tests {
     use super::*;
 
+    /// The record's view of `key`: executor, `before`, `start`, `end`.
+    fn view(r: &mut RouteRecord, key: u64, serial: u64) -> Option<(Executor, u64, u64, u64)> {
+        r.entry(key, serial)
+            .map(|e| (e.executor(), e.before, e.start, e.end))
+    }
+
     #[test]
     fn the_record_forgets_an_epoch_by_its_serial() {
         let mut r = RouteRecord::new();
-        r.insert(7, 1, Executor::Program, 0);
-        r.insert(8, 1, Executor::Delegate(3), 40);
+        r.insert(7, 1, Executor::Program);
+        r.insert(8, 1, Executor::Delegate(3));
+        r.pushed(8, 1, 40, 42);
         assert_eq!(r.get(7, 1), Some(Executor::Program));
-        assert_eq!(r.first(8, 1), Some((Executor::Delegate(3), 40)));
+        assert_eq!(view(&mut r, 8, 1), Some((Executor::Delegate(3), 0, 40, 42)));
         assert_eq!(r.get(9, 1), None);
         // A new epoch starts empty, and reuses the slots.
         assert_eq!(r.get(7, 2), None);
-        r.insert(7, 2, Executor::Delegate(0), 50);
-        assert_eq!(r.get(7, 2), Some(Executor::Delegate(0)));
+        r.insert(7, 2, Executor::Delegate(0));
+        assert_eq!(view(&mut r, 7, 2), Some((Executor::Delegate(0), 0, 0, 0)));
         assert_eq!(r.get(8, 2), None);
     }
 
     #[test]
-    fn a_retraction_rewrites_the_record() {
+    fn the_record_keeps_the_latest_run_and_what_came_before_it() {
         let mut r = RouteRecord::new();
-        r.insert(7, 1, Executor::Delegate(1), 10);
-        r.insert(8, 1, Executor::Delegate(1), 12);
+        r.insert(7, 1, Executor::Delegate(1));
+        r.insert(8, 1, Executor::Delegate(1));
+        // A first run at index 0, and one behind it, are one run.
+        r.pushed(7, 1, 0, 2);
+        r.pushed(7, 1, 2, 3);
+        assert_eq!(view(&mut r, 7, 1), Some((Executor::Delegate(1), 0, 0, 3)));
+        // Fresh: nothing before any part of its run.
+        let e = r.entry(7, 1).unwrap();
+        assert_eq!((e.earlier(0), e.earlier(2)), (0, 2));
+        // Another set between two runs starts a new one.
+        r.pushed(8, 1, 3, 4);
+        r.pushed(7, 1, 4, 6);
+        assert_eq!(view(&mut r, 7, 1), Some((Executor::Delegate(1), 3, 4, 6)));
+        let e = r.entry(7, 1).unwrap();
+        assert_eq!((e.earlier(4), e.earlier(5)), (3, 5));
         // Through the cached last answer and through the table alike.
         r.retracted(8, 1);
-        assert_eq!(r.first(8, 1), Some((Executor::Program, 12)));
+        assert_eq!(r.get(8, 1), Some(Executor::Program));
         r.retracted(7, 1);
-        assert_eq!(r.first(7, 1), Some((Executor::Program, 10)));
-        // A rebase moves only a first index that is where it is expected.
-        r.insert(9, 1, Executor::Delegate(0), 20);
-        r.rebase(9, 1, 19, 4);
-        assert_eq!(r.first(9, 1), Some((Executor::Delegate(0), 20)));
-        r.rebase(9, 1, 20, 4);
-        assert_eq!(r.first(9, 1), Some((Executor::Delegate(0), 4)));
+        assert_eq!(view(&mut r, 7, 1), Some((Executor::Program, 3, 4, 6)));
         // Another epoch's entry is never rewritten.
+        r.insert(9, 1, Executor::Delegate(0));
         r.retracted(9, 2);
-        assert_eq!(r.get(9, 1), Some(Executor::Delegate(0)));
+        r.pushed(9, 2, 0, 1);
+        assert_eq!(view(&mut r, 9, 1), Some((Executor::Delegate(0), 0, 0, 0)));
     }
 
     #[test]
@@ -583,7 +646,7 @@ mod tests {
                     Executor::Delegate((key % 5) as usize)
                 };
                 assert_eq!(r.get(key * 64, serial), None);
-                r.insert(key * 64, serial, choice, key);
+                r.insert(key * 64, serial, choice);
             }
             for key in 0..1000u64 {
                 let want = if key % 3 == 0 {

@@ -1,7 +1,7 @@
 //! Runtime-level tests: epoch state machine, delegation, termination,
 //! and placement's end-to-end behaviour.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -182,12 +182,53 @@ fn sleep_requires_aggregation_and_wakes_on_isolation() {
     assert_eq!(hits.load(Ordering::Relaxed), 1);
 }
 
+/// A ring whose every entry has run when the barrier looks — its
+/// delegate has retired them all — gets no token: the barrier sends none
+/// and its parked delegate is left asleep.
+#[test]
+fn a_barrier_sends_no_token_to_a_retired_ring() {
+    let rt = Runtime::builder()
+        .delegate_threads(1)
+        .test_schedule(["retire@0", "retire@0"])
+        .build()
+        .unwrap();
+    let hits = Arc::new(AtomicU64::new(0));
+    rt.begin_isolation().unwrap();
+    submit(&rt, SsId(1), bump(&hits)).unwrap();
+    while rt.test_gates_remaining() != Some(0) {
+        std::hint::spin_loop();
+    }
+    rt.end_isolation().unwrap();
+    let s = rt.stats();
+    assert_eq!((hits.load(Ordering::Relaxed), s.executed), (1, 1));
+    assert_eq!((s.sync_objects, s.inline_executions), (0, 0));
+}
+
 #[test]
 fn stats_count_operations() {
-    let rt = Runtime::builder().delegate_threads(1).build().unwrap();
+    // The last operation is running when the barrier starts, and runs
+    // until the program thread parks on its token: the barrier cannot
+    // retract it, nor find its ring retired, so it sends the token.
+    let rt = Runtime::builder()
+        .delegate_threads(1)
+        .test_schedule(["sleep@p"])
+        .build()
+        .unwrap();
     rt.begin_isolation().unwrap();
-    for i in 0..10u64 {
+    for i in 0..9u64 {
         submit(&rt, SsId(i), TaskSlot::new(|_| {})).unwrap();
+    }
+    let started = Arc::new(AtomicBool::new(false));
+    let (s, rt2) = (Arc::clone(&started), rt.clone());
+    let last = TaskSlot::new(move |_| {
+        s.store(true, Ordering::Release);
+        while rt2.test_gates_remaining() != Some(0) {
+            std::hint::spin_loop();
+        }
+    });
+    submit(&rt, SsId(9), last).unwrap();
+    while !started.load(Ordering::Acquire) {
+        std::hint::spin_loop();
     }
     rt.end_isolation().unwrap();
     let s = rt.stats();

@@ -330,6 +330,8 @@ pub struct Stats {
     /// Operations whose execution has completed (on any executor).
     pub executed: u64,
     /// Synchronization objects sent (ownership reclaims + epoch barriers).
+    /// Only tokens actually pushed count: an epoch barrier sends none to
+    /// a ring whose every entry has already run.
     pub sync_objects: u64,
     /// Completed isolation epochs.
     pub isolation_epochs: u64,

@@ -18,6 +18,13 @@
 //! is thus a special case of privately-writable data" (§2.2 fn. 1) — the
 //! soundness argument is the same executor-exclusivity argument as
 //! `Writable`, with the executor index selecting the slot.
+//!
+//! The fold runs in one fixed order: what earlier reductions merged, then
+//! the delegates' views in index order, then the program context's view
+//! of the epoch. A set moves between executors within an epoch only from
+//! its delegate to the program thread (a tail retraction), so a set's
+//! contributions keep their program order even under a merge that does
+//! not commute.
 
 use core::cell::UnsafeCell;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -48,9 +55,12 @@ struct ViewSlot<T> {
 struct RShared<T> {
     /// Slot 0 = program context, slot `1 + i` = delegate `i`.
     views: Box<[CachePadded<ViewSlot<T>>]>,
+    /// Every view folded so far: the program context's view in an
+    /// aggregation epoch (program-thread-only, guarded by slot 0's flag).
+    merged: ProgramOnly<Option<T>>,
     factory: Box<dyn Fn() -> T + Send + Sync>,
     /// Highest isolation-epoch serial whose views have been folded into
-    /// slot 0 (program-thread-only).
+    /// `merged` (program-thread-only).
     reduced_through: ProgramOnly<u64>,
     parallel_reduction: bool,
 }
@@ -140,6 +150,7 @@ impl<T: Reduce> Reducible<T> {
         Reducible {
             shared: Arc::new(RShared {
                 views,
+                merged: ProgramOnly::new(None),
                 factory: Box::new(factory),
                 reduced_through: ProgramOnly::new(0),
                 parallel_reduction,
@@ -158,11 +169,14 @@ impl<T: Reduce> Reducible<T> {
             .rt
             .current_executor_slot()
             .ok_or(SsError::NoExecutorContext)?;
+        let mut aggregating = false;
         if slot_idx == 0 {
-            // Program context (slot 0 implies program thread).
+            // Program context (slot 0 implies program thread): in an
+            // aggregation epoch, the merged result.
             let (in_iso, serial, _) = self.rt.epoch_flags();
             if !in_iso {
                 self.ensure_reduced(serial)?;
+                aggregating = true;
             }
         }
         let slot = &self.shared.views[slot_idx];
@@ -177,10 +191,15 @@ impl<T: Reduce> Reducible<T> {
             }
         }
         let _guard = Unborrow(&slot.borrowed);
-        // SAFETY: slot index equals the calling executor's identity, each
-        // executor runs one operation at a time, and the re-entrancy flag
-        // above excludes aliasing from nested access on the same executor.
-        let view = unsafe { &mut *slot.value.get() };
+        // SAFETY: slot index equals the calling executor's identity (and
+        // `merged` is the program thread's), each executor runs one
+        // operation at a time, and the re-entrancy flag above excludes
+        // aliasing from nested access on the same executor.
+        let view = if aggregating {
+            unsafe { self.shared.merged.get() }
+        } else {
+            unsafe { &mut *slot.value.get() }
+        };
         let v = view.get_or_insert_with(|| (self.shared.factory)());
         Ok(f(v))
     }
@@ -207,8 +226,8 @@ impl<T: Reduce> Reducible<T> {
         if slot.borrowed.swap(true, Ordering::Relaxed) {
             return Err(SsError::ReentrantView);
         }
-        // SAFETY: program slot, flag held, delegates idle in aggregation.
-        let out = unsafe { &mut *slot.value.get() }.take();
+        // SAFETY: program thread, slot 0's flag held.
+        let out = unsafe { self.shared.merged.get() }.take();
         slot.borrowed.store(false, Ordering::Relaxed);
         Ok(out)
     }
@@ -240,16 +259,25 @@ impl<T: Reduce> Reducible<T> {
         Ok(())
     }
 
-    /// Folds all views into slot 0. Program thread, aggregation epoch: every
-    /// delegate queue was drained at `end_isolation`, so no view is in use.
+    /// Folds all views into `merged`, in the order of the module docs.
+    /// Program thread, aggregation epoch: every delegate queue was drained
+    /// at `end_isolation`, so no view is in use.
     fn reduce_views(&self) -> SsResult<()> {
         let t0 = Instant::now();
-        let mut items: Vec<T> = Vec::new();
-        for slot in self.shared.views.iter() {
-            if slot.borrowed.load(Ordering::Relaxed) {
-                return Err(SsError::ReentrantView);
-            }
-            // SAFETY: delegates idle (aggregation), program thread here.
+        let views = &self.shared.views;
+        if views
+            .iter()
+            .any(|slot| slot.borrowed.load(Ordering::Relaxed))
+        {
+            return Err(SsError::ReentrantView);
+        }
+        // SAFETY: program thread; delegates idle (aggregation).
+        let mut items: Vec<T> = unsafe { self.shared.merged.get() }
+            .take()
+            .into_iter()
+            .collect();
+        for slot in views[1..].iter().chain(&views[..1]) {
+            // SAFETY: as above.
             if let Some(v) = unsafe { &mut *slot.value.get() }.take() {
                 items.push(v);
             }
@@ -267,11 +295,8 @@ impl<T: Reduce> Reducible<T> {
             }
             acc
         };
-        let slot = &self.shared.views[0];
         // SAFETY: as above.
-        unsafe {
-            *slot.value.get() = Some(merged);
-        }
+        *unsafe { self.shared.merged.get() } = Some(merged);
         self.rt.add_reduction_time(t0.elapsed());
         self.rt
             .trace_record(crate::trace::TraceKind::Reduce, None, None, None);

@@ -115,10 +115,22 @@ fn future_resolve_reports_the_delegation_site_view() {
         .build()
         .unwrap();
 
-    // Root, program-submitted, in the root's first epoch.
+    // Root, program-submitted, in the root's first epoch. The delegate
+    // is running the operation before the program thread waits, so the
+    // wait cannot retract it.
     let w: Writable<u64, NullSerializer> = Writable::new(&rt, 1);
     rt.begin_isolation().unwrap();
-    let f = w.delegate_in_with(77u64, |n| *n + 1).unwrap();
+    let started = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let s = std::sync::Arc::clone(&started);
+    let f = w
+        .delegate_in_with(77u64, move |n| {
+            s.store(true, std::sync::atomic::Ordering::Release);
+            *n + 1
+        })
+        .unwrap();
+    while !started.load(std::sync::atomic::Ordering::Acquire) {
+        std::hint::spin_loop();
+    }
     assert_eq!(f.wait().unwrap(), 2);
     rt.end_isolation().unwrap();
     assert_eq!(

@@ -1,8 +1,10 @@
 //! `reducible_vec`: per-executor vectors merged by concatenation.
 //!
-//! Concatenation is associative but not commutative: the merged order is
-//! deterministic *for a fixed runtime configuration* (executor slots merge
-//! in index order) but differs across configurations. Use
+//! Concatenation is associative but not commutative: the merged order
+//! keeps each serialization set's pushes in program order (`Reducible`'s
+//! fold order; a steal, which can move a started set's tail to a delegate
+//! whose view folds earlier, is the exception) but otherwise depends on
+//! which executor ran what. Use
 //! [`ReducibleVec::take_sorted`] when a canonical order is required — the
 //! paper's reducible contract assumes order-insensitive operations (§2.2).
 
@@ -137,7 +139,8 @@ mod tests {
 
     #[test]
     fn same_executor_order_is_preserved() {
-        // All pushes from one serialization set → one executor → FIFO order.
+        // All pushes from one serialization set keep FIFO order, on one
+        // executor or with a tail the program thread retracted.
         let rt = Runtime::builder().delegate_threads(2).build().unwrap();
         let out: ReducibleVec<u32> = ReducibleVec::new(&rt);
         let cell: Writable<u32> = Writable::new(&rt, 0);

@@ -15,10 +15,12 @@
 //! * [`SpscQueue`] — FastForward-style: *no shared head/tail indices*.
 //!   Each slot carries its own full/empty flag; the producer and consumer
 //!   keep purely thread-local cursors, so in steady state they touch disjoint
-//!   cache lines and never contend on index words. The one shared index
-//!   pair is for **tail retraction** ([`Producer::retract`]): the consumer
+//!   cache lines and never contend on index words. The shared indices are
+//!   for **tail retraction** ([`Producer::retract`]): the consumer
 //!   publishes a claim once per batch of pops, and the producer, at its
-//!   waits, may take values back past it. Every ring also carries a
+//!   waits, may take values back past it; the consumer also publishes a
+//!   retired cursor ([`Consumer::retire`]), below which everything it
+//!   popped has finished. Every ring also carries a
 //!   multi-producer **injector lane** ([`Producer::injector`] →
 //!   [`Injector`]): an unbounded spinlocked FIFO that turns the pair into an
 //!   MPSC queue when extra producers (the runtime's recursive-delegation

@@ -52,6 +52,18 @@
 //! at the limit, or both back off. Never do both sides own one index. A
 //! claim is a reservation of indices, not a count of values: a slot below
 //! the claim is popped only once its flag says it is full.
+//!
+//! # The retired cursor
+//!
+//! A claim says which values the consumer *will* take; **`retired`** says
+//! which it is done with. The consumer publishes, with a Release store on
+//! a line of its own, an index below which every value it popped has
+//! finished being used ([`Consumer::retire`]); the producer reads it with
+//! Acquire ([`Producer::retired`]). It never moves back and never passes
+//! the consumer's pop index, and a consumer that still holds a popped
+//! value retires only below it. Whatever the consumer did with a value
+//! below the cursor happens-before the producer's read: a producer that
+//! retracts a value may run it after everything it sees retired.
 
 use core::cell::{Cell, UnsafeCell};
 use core::mem::MaybeUninit;
@@ -129,6 +141,8 @@ pub struct SpscQueue<T> {
     claim: CachePadded<AtomicU64>,
     /// The index a retraction holds the ring at, or `UNHELD`.
     limit: CachePadded<AtomicU64>,
+    /// The consumer's retired cursor (module docs, "The retired cursor").
+    retired: CachePadded<AtomicU64>,
     lane: Lane<T>,
     producer_alive: AtomicBool,
     consumer_alive: AtomicBool,
@@ -161,6 +175,7 @@ impl<T> SpscQueue<T> {
             mask: cap - 1,
             claim: CachePadded::new(AtomicU64::new(0)),
             limit: CachePadded::new(AtomicU64::new(UNHELD)),
+            retired: CachePadded::new(AtomicU64::new(0)),
             lane: Lane::new(),
             producer_alive: AtomicBool::new(true),
             consumer_alive: AtomicBool::new(true),
@@ -174,6 +189,7 @@ impl<T> SpscQueue<T> {
                 shared,
                 tail: Cell::new(0),
                 claimed: Cell::new(0),
+                retired: Cell::new(0),
             },
         )
     }
@@ -280,6 +296,14 @@ impl<T> Producer<T> {
         self.head.get().saturating_sub(claim)
     }
 
+    /// The consumer's retired cursor (module docs, "The retired cursor"):
+    /// every value it popped below this index has finished being used,
+    /// and that happens-before this read.
+    #[inline]
+    pub fn retired(&self) -> u64 {
+        self.shared.retired.load(Ordering::Acquire)
+    }
+
     /// Holds the ring at index `from` for a retraction (module docs, "Tail
     /// retraction"): stores the limit, fences, and reads the consumer's
     /// claim. The hold owns every value at or past both; `None`, with the
@@ -359,6 +383,13 @@ impl<T> Retraction<'_, T> {
     #[inline]
     pub fn end(&self) -> u64 {
         self.producer.head.get()
+    }
+
+    /// The consumer's retired cursor, read as [`Producer::retired`] does:
+    /// at most the hold's start, since nothing held was popped.
+    #[inline]
+    pub fn retired(&self) -> u64 {
+        self.producer.retired()
     }
 
     /// The held value at `index` (`start <= index < end`).
@@ -481,6 +512,9 @@ pub struct Consumer<T> {
     tail: Cell<u64>,
     /// This handle's copy of its published claim; never below `tail`.
     claimed: Cell<u64>,
+    /// This handle's copy of its published retired cursor; never above
+    /// `tail`.
+    retired: Cell<u64>,
 }
 
 unsafe impl<T: Send> Send for Consumer<T> {}
@@ -564,6 +598,32 @@ impl<T> Consumer<T> {
         };
         self.claimed.set(got);
         got > tail
+    }
+
+    /// The ring index the next pop takes: how many values were popped.
+    #[inline]
+    pub fn popped(&self) -> u64 {
+        self.tail.get()
+    }
+
+    /// This handle's retired cursor (module docs, "The retired cursor").
+    #[inline]
+    pub fn retired(&self) -> u64 {
+        self.retired.get()
+    }
+
+    /// Publishes that every value popped below `index` has finished
+    /// being used: the retired cursor moves to `index`, held at the pop
+    /// index, with one Release store — or not at all if it is there
+    /// already, for it never moves back. A consumer that still holds a
+    /// popped value passes that value's index, or does not call.
+    #[inline]
+    pub fn retire(&self, index: u64) {
+        let to = index.min(self.tail.get());
+        if to > self.retired.get() {
+            self.retired.set(to);
+            self.shared.retired.store(to, Ordering::Release);
+        }
     }
 
     /// Attempts to dequeue without blocking.
@@ -1007,6 +1067,59 @@ mod tests {
         drop(tx.retract(0).unwrap());
         assert_eq!(tx.head(), 4);
         assert_eq!(drain(&rx), [0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn the_retired_cursor_is_monotone_and_stops_at_the_pop_index() {
+        let (tx, rx) = ring_of(8, 0..6);
+        rx.retire(3);
+        assert_eq!(tx.retired(), 0, "nothing popped yet");
+        for v in 0..4 {
+            assert_eq!(rx.try_pop().value(), Some(v));
+        }
+        rx.retire(u64::MAX);
+        assert_eq!((tx.retired(), rx.retired()), (4, 4));
+        rx.retire(2);
+        assert_eq!(tx.retired(), 4, "never moves back");
+        // Across the wrap: indices count pushes, not slots.
+        assert_eq!(drain(&rx), [4, 5]);
+        for v in 6..14 {
+            tx.try_push(v).unwrap();
+        }
+        assert_eq!(drain(&rx), (6..14).collect::<Vec<_>>());
+        rx.retire(rx.popped());
+        assert_eq!(tx.retired(), 14);
+    }
+
+    #[test]
+    fn the_retired_cursor_never_passes_a_held_value() {
+        let (tx, rx) = ring_of(8, 0..5);
+        assert_eq!(drain(&rx), [0, 1, 2, 3, 4]);
+        // The value at index 1 is still held: retire only below it.
+        rx.retire(1);
+        assert_eq!(tx.retired(), 1);
+        // Done with it; the one at index 3 is held now.
+        rx.retire(3);
+        assert_eq!(tx.retired(), 3);
+        rx.retire(rx.popped());
+        assert_eq!(tx.retired(), 5);
+    }
+
+    #[test]
+    fn a_retraction_leaves_the_retired_cursor_below_the_head() {
+        let (mut tx, rx) = ring_of(8, 0..6);
+        // Six visible: the claim covers half of the four its probes see.
+        assert!(rx.claim());
+        assert_eq!(rx.claimed.get(), 2);
+        assert_eq!(rx.try_pop().value(), Some(0));
+        assert_eq!(rx.try_pop().value(), Some(1));
+        rx.retire(rx.popped());
+        let held = tx.retract(0).unwrap();
+        assert_eq!((held.start(), held.retired()), (2, 2));
+        let mut back = Vec::new();
+        held.pop_from(2, &mut back);
+        assert_eq!(back, [2, 3, 4, 5]);
+        assert_eq!((tx.head(), tx.retired()), (2, 2));
     }
 
     #[test]

@@ -5,6 +5,14 @@
 //! in push order on each side: the consumer's stream, and every retracted
 //! run. (Runs need not ascend across retractions: a later one may take an
 //! older value that an earlier one left in place.)
+//!
+//! The consumer also retires as it goes, now and then holding a popped
+//! value back for a few pops and retiring only below it. The producer
+//! checks the cursor at every retraction: it never moves back, never
+//! passes a held value's index, and whatever the consumer finished before
+//! retiring is visible to the producer that reads it.
+
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use ss_queue::{Full, Pop, SpscQueue};
 
@@ -30,25 +38,53 @@ impl Rng {
 /// One run: returns (popped by the consumer, retracted by the producer).
 fn run(capacity: usize, seed: u64, retract_one_in: u64) -> (Vec<u64>, Vec<u64>) {
     let (mut tx, rx) = SpscQueue::with_capacity(capacity);
+    // Values the consumer has finished with: stored before each retire.
+    let finished = AtomicU64::new(0);
     std::thread::scope(|s| {
+        let finished = &finished;
         let consumer = s.spawn(move || {
             let mut got = Vec::with_capacity(N as usize);
+            let mut rng = Rng(seed ^ 0x5EED);
+            // A popped value held back: its index and when it is done.
+            let mut held: Option<(u64, u64)> = None;
             loop {
+                let index = rx.popped();
                 match rx.try_pop() {
-                    Pop::Value(v) => got.push(v),
+                    Pop::Value(v) => {
+                        got.push(v);
+                        if held.is_none() && rng.below(8) == 0 {
+                            held = Some((index, got.len() as u64 + rng.below(4)));
+                        }
+                    }
                     Pop::Empty => std::hint::spin_loop(),
                     Pop::Disconnected => return got,
                 }
+                if held.is_some_and(|(_, until)| got.len() as u64 >= until) {
+                    held = None;
+                }
+                let done = got.len() as u64 - u64::from(held.is_some());
+                finished.store(done, Ordering::Relaxed);
+                rx.retire(held.map_or(rx.popped(), |(index, _)| index));
             }
         });
         let mut rng = Rng(seed);
         let mut back = Vec::new();
         let mut taken = Vec::new();
         let mut next = 0;
+        let mut retired = 0;
         while next < N {
             if rng.below(retract_one_in) == 0 {
+                let r = tx.retired();
+                assert!(r >= retired, "the retired cursor moved back");
+                assert!(r <= tx.head(), "retired past the head");
+                // Every value below the cursor was finished before the
+                // Release that published it.
+                assert!(finished.load(Ordering::Relaxed) >= r, "retired unfinished");
+                retired = r;
                 let from = tx.head().saturating_sub(tx.capacity() as u64);
                 if let Some(held) = tx.retract(from) {
+                    // Nothing retired is retractable: the consumer popped it.
+                    assert!(retired <= held.start(), "retired past the claim");
                     let (start, end) = (held.start(), held.end());
                     // The held values are still in push order.
                     assert!((start + 1..end).all(|i| held.get(i - 1) < held.get(i)));

@@ -11,9 +11,10 @@
 //!
 //! **Completeness (the auditor has teeth):** with the `chaos` feature,
 //! deterministic legs switch on one weakened-runtime knob at a time —
-//! reorder a ring drain, skip the reclaim fence, steal without re-pinning
-//! — and assert the auditor reports a violation of the *right kind*,
-//! naming a real operation pair. Run them with
+//! reorder a ring drain, skip the reclaim fence, steal without re-pinning,
+//! retract a tail whose set its delegate still runs — and assert the
+//! auditor reports a violation of the *right kind*, naming a real
+//! operation pair. Run them with
 //! `cargo test --features chaos --test audit_oracle`.
 
 use prometheus_rs::prelude::*;
@@ -394,6 +395,94 @@ fn retracted_sets_with_nested_submits_certify() {
     );
 }
 
+/// Epochs in which the program thread's future wait retracts a started
+/// set's quiescent tail, and a delegate then nests into the set, certify
+/// under `AuditMode::Full` and match the sequential result. `s`'s first
+/// operation runs on the one delegate and retires before the blocker is
+/// popped; `s`'s next three are pushed behind the held blocker as futures,
+/// and the `wait_all` over them takes them whole — the set's executor
+/// handed over to the program thread, as a stolen tail's is to its thief.
+/// The last of them releases the blocker, whose nested fold into `s` rides
+/// `Lane::Program`.
+#[test]
+fn quiescent_tails_retracted_at_future_waits_certify() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
+    use std::time::{Duration, Instant};
+
+    const EPOCHS: u64 = 25;
+    let rt = Runtime::builder()
+        .delegate_threads(1)
+        .queue_capacity(8)
+        .audit(AuditMode::Full)
+        .build()
+        .unwrap();
+    let [b, s]: [Writable<u64, SequenceSerializer>; 2] = [(); 2].map(|()| Writable::new(&rt, 0));
+    let mut want = 0;
+    for e in 0..EPOCHS {
+        rt.begin_isolation().unwrap();
+        let [ran, started, gate] = [(); 3].map(|()| Arc::new(AtomicBool::new(false)));
+        let r = Arc::clone(&ran);
+        s.delegate(move |v| {
+            *v = fold(*v, e);
+            r.store(true, Ordering::Release);
+        })
+        .unwrap();
+        while !ran.load(Ordering::Acquire) {
+            std::hint::spin_loop();
+        }
+        let (st, g, rt2, s2) = (
+            Arc::clone(&started),
+            Arc::clone(&gate),
+            rt.clone(),
+            s.clone(),
+        );
+        b.delegate(move |_| {
+            st.store(true, Ordering::Release);
+            // Bounded, so a runtime that never retracts fails the
+            // assertions below instead of hanging.
+            let deadline = Instant::now() + Duration::from_secs(5);
+            while !g.load(Ordering::Acquire) && Instant::now() < deadline {
+                std::hint::spin_loop();
+            }
+            rt2.delegate_scope(|cx| cx.delegate(&s2, move |v| *v = fold(*v, mix(e))))
+                .unwrap()
+                .unwrap();
+        })
+        .unwrap();
+        while !started.load(Ordering::Acquire) {
+            std::hint::spin_loop();
+        }
+        let futs: Vec<_> = (1..=3)
+            .map(|k| {
+                let g = (k == 3).then(|| Arc::clone(&gate));
+                s.delegate_with(move |v| {
+                    *v = fold(*v, e * 10 + k);
+                    if let Some(g) = &g {
+                        g.store(true, Ordering::Release);
+                    }
+                    *v
+                })
+                .unwrap()
+            })
+            .collect();
+        let got = SsFuture::wait_all(futs).unwrap();
+        rt.end_isolation().unwrap();
+        want = fold(want, e);
+        for (k, v) in (1..=3).zip(got) {
+            want = fold(want, e * 10 + k);
+            assert_eq!(v, want);
+        }
+        want = fold(want, mix(e));
+    }
+    let st = rt.stats();
+    assert_eq!(st.epochs_audited, EPOCHS);
+    // Three retracted and one nested fold drained from the lane, per epoch.
+    assert_eq!(st.inline_executions, 4 * EPOCHS, "{st:?}");
+    assert_eq!(st.nested_delegations, EPOCHS);
+    assert_eq!(s.call(|v| *v).unwrap(), want);
+}
+
 // ----------------------------------------------------------------------
 // chaos legs: each weakened-runtime knob must trip the auditor with the
 // right violation kind, naming a real operation pair.
@@ -485,6 +574,75 @@ mod chaos {
         // The epoch close may re-report the stored violation; either way
         // the runtime must still shut down cleanly.
         let _ = rt.end_isolation();
+    }
+
+    /// `retract_unretired` lets the program thread's future wait retract
+    /// a started set's tail while its delegate still runs the set's
+    /// first operation: the set runs on two executors at once, and the
+    /// retracted operation overtakes the running one. The first operation
+    /// holds its delegate until the retracted one has run, or until the
+    /// scripted retraction is over, so the leg is the same every run.
+    #[test]
+    fn retract_unretired_is_caught_as_two_executors() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::sync::Arc;
+
+        let rt = Runtime::builder()
+            .delegate_threads(1)
+            .queue_capacity(8)
+            .audit(AuditMode::Full)
+            .chaos(ChaosKnobs {
+                retract_unretired: true,
+                ..Default::default()
+            })
+            .test_schedule(["retract@p", "retract@p"])
+            .build()
+            .unwrap();
+        let w: Writable<u64, SequenceSerializer> = Writable::new(&rt, 0);
+        let [started, gate] = [(); 2].map(|()| Arc::new(AtomicBool::new(false)));
+        rt.begin_isolation().unwrap();
+        let (s, g) = (Arc::clone(&started), Arc::clone(&gate));
+        w.delegate(move |v| {
+            s.store(true, Ordering::Release);
+            while !g.load(Ordering::Acquire) {
+                std::hint::spin_loop();
+            }
+            *v = fold(*v, 1);
+        })
+        .unwrap();
+        while !started.load(Ordering::Acquire) {
+            std::hint::spin_loop();
+        }
+        let g = Arc::clone(&gate);
+        let second = w
+            .delegate_with(move |_| {
+                g.store(true, Ordering::Release);
+                2u64
+            })
+            .unwrap();
+        let (rt2, g) = (rt.clone(), Arc::clone(&gate));
+        let release = std::thread::spawn(move || {
+            while rt2.test_gates_remaining() != Some(0) {
+                std::thread::yield_now();
+            }
+            g.store(true, Ordering::Release);
+        });
+        let _ = second.wait();
+        release.join().unwrap();
+        assert_eq!(rt.test_gates_remaining(), Some(0), "no retraction tried");
+        assert_eq!(rt.stats().inline_executions, 1, "the tail was not taken");
+        match rt.end_isolation() {
+            Err(SsError::SerializabilityViolation(report)) => match report.kind {
+                AuditViolation::TwoExecutors { first, second } => {
+                    assert_ne!(first, second, "{report}");
+                }
+                AuditViolation::OrderInversion { earlier, later, .. } => {
+                    assert!(earlier < later, "pair must be real ops: {report}");
+                }
+                other => panic!("wrong violation kind: {other:?}"),
+            },
+            other => panic!("expected a violation, got: {other:?}"),
+        }
     }
 
     /// The schedule both mis-pinning legs run under (gate names are point

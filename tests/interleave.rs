@@ -36,6 +36,12 @@
 //! `claim@0` brackets a whole batch claim and `retract@p` a whole hold, so
 //! a script orders one before the other; the Dekker interleavings inside
 //! them are the queue's own unit tests (`ss_queue`'s `spsc` module).
+//!
+//! A retraction may also take a *started* set's tail once every earlier
+//! operation of the set has run, which the delegate publishes as its
+//! ring's retired cursor. `retire@0` brackets a retirement, so a script
+//! orders it before or after the retraction's read of the cursor: the
+//! tail goes in the first order and stays in the second.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -275,4 +281,90 @@ fn the_retraction_wins_and_the_claim_takes_what_is_left() {
     assert!(on_delegate[..2].iter().all(|&d| d), "{on_delegate:?}");
     assert!(on_delegate[3..].iter().all(|&d| !d), "{on_delegate:?}");
     assert!(rt.stats().inline_executions >= 5);
+}
+
+// ----------------------------------------------------------------------
+// the retirement/retraction race on the ring
+
+/// Set `s`'s first operation runs on the one delegate; a blocker and
+/// `s`'s second operation are pushed behind it, and the program thread
+/// waits on the second, retracting once its spin phase is spent. The
+/// blocker lets go when the second operation runs, or once the script is
+/// consumed. Returns whether the second ran on the delegate, and the
+/// runtime.
+fn retire_race(script: &[&str]) -> (bool, Runtime) {
+    let rt = Runtime::builder()
+        .delegate_threads(1)
+        .audit(AuditMode::Full)
+        .test_schedule(script.iter().copied())
+        .build()
+        .unwrap();
+    let (blocker, s): (Obj, Obj) = (Writable::new(&rt, 0), Writable::new(&rt, 0));
+    let [ran, gate] = [(); 2].map(|()| Arc::new(AtomicBool::new(false)));
+    rt.begin_isolation().unwrap();
+    let r = Arc::clone(&ran);
+    s.delegate(move |n| {
+        *n += 1;
+        r.store(true, Ordering::Release);
+    })
+    .unwrap();
+    while !ran.load(Ordering::Acquire) {
+        std::hint::spin_loop();
+    }
+    let g = Arc::clone(&gate);
+    blocker
+        .delegate(move |_| {
+            while !g.load(Ordering::Acquire) {
+                std::hint::spin_loop();
+            }
+        })
+        .unwrap();
+    let g = Arc::clone(&gate);
+    let second = s
+        .delegate_with(move |n| {
+            *n += 1;
+            g.store(true, Ordering::Release);
+            on_delegate()
+        })
+        .unwrap();
+    let (rt2, g) = (rt.clone(), Arc::clone(&gate));
+    let release = std::thread::spawn(move || {
+        while rt2.test_gates_remaining() != Some(0) {
+            std::thread::yield_now();
+        }
+        g.store(true, Ordering::Release);
+    });
+    let on = second.wait().unwrap();
+    release.join().unwrap();
+    // The auditor certifies the epoch either way.
+    rt.end_isolation().unwrap();
+    assert_eq!(s.call(|n| *n).unwrap(), 2);
+    assert_eq!(
+        rt.test_gates_remaining(),
+        Some(0),
+        "script not fully consumed: the forced interleaving was not followed"
+    );
+    (on, rt)
+}
+
+/// The retirement lands before the retraction reads the cursor: the first
+/// operation has run, so the second is a quiescent tail and the wait
+/// takes it.
+#[test]
+fn a_retirement_before_the_read_lets_the_tail_go() {
+    let script = ["retire@0", "retire@0", "retract@p", "retract@p"];
+    let (on_delegate, rt) = retire_race(&script);
+    assert!(!on_delegate);
+    assert_eq!(rt.stats().inline_executions, 1);
+}
+
+/// The retirement waits until the retraction has read the cursor and
+/// released the ring: the read sees the first operation unretired, so
+/// the tail stays on the delegate.
+#[test]
+fn a_retirement_after_the_read_holds_the_tail_back() {
+    let script = ["retract@p", "retract@p", "retire@0", "retire@0"];
+    let (on_delegate, rt) = retire_race(&script);
+    assert!(on_delegate);
+    assert_eq!(rt.stats().inline_executions, 0);
 }

@@ -1,16 +1,21 @@
 //! The program thread as an executor by tail retraction: where the root
 //! program thread would otherwise wait — at the epoch barrier, at a full
-//! ring — it pops whole fresh runs back off the unclaimed end of its
-//! delegate's ring and runs them itself, for the rest of the epoch; nested
-//! submits into a retracted set reach it through `Lane::Program`.
+//! ring, in a future wait — it pops whole runs back off the unclaimed end
+//! of its delegate's ring and runs them itself, for the rest of the
+//! epoch; nested submits into a retracted set reach it through
+//! `Lane::Program`. A run is taken when its set is fresh, or when every
+//! earlier operation of the set has run: a quiescent tail.
 //!
 //! Retractions are made deterministic with one delegate held inside a
 //! blocker operation: a held delegate claims nothing more, so every entry
 //! pushed behind the blocker is unclaimed when the program thread's spin
 //! phase runs out. Each scenario's blocker is running before anything is
-//! pushed behind it, so its own claim covers it alone. Every scenario runs
-//! under a 5 s watchdog, so a program thread that stops serving
-//! `Lane::Program` in one of its waits fails instead of hanging.
+//! pushed behind it, so its own claim covers it alone. A scenario in which
+//! nothing may be retracted opens its blocker once the scripted
+//! `retract@p` gates show the program thread has looked and left the
+//! ring alone. Every scenario runs under a 5 s watchdog, so a program
+//! thread that stops serving `Lane::Program` in one of its waits fails
+//! instead of hanging.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
@@ -98,6 +103,32 @@ fn hold(b: &Obj, gate: &Gate, then: impl FnOnce() + Send + 'static) {
     until(&started);
 }
 
+/// Drops `opener` once the runtime's test script is down to `left`
+/// entries: the release of a blocker that must outlast a retraction
+/// attempt.
+fn open_when_left(rt: &Runtime, left: usize, opener: Gate) -> std::thread::JoinHandle<()> {
+    let rt = rt.clone();
+    std::thread::spawn(move || {
+        while rt.test_gates_remaining() != Some(left) {
+            std::thread::yield_now();
+        }
+        drop(opener);
+    })
+}
+
+/// Delegates one `+= 1` on `w` and returns once it has run — on the
+/// delegate, which retires it before it pops anything else.
+fn ran_first(w: &Obj) {
+    let ran = Arc::new(AtomicBool::new(false));
+    let r = Arc::clone(&ran);
+    w.delegate(move |n| {
+        *n += 1;
+        r.store(true, Ordering::Release);
+    })
+    .unwrap();
+    until(&ran);
+}
+
 fn delegate_thread() -> bool {
     std::thread::current()
         .name()
@@ -144,16 +175,24 @@ fn a_fresh_run_at_the_barrier_is_retracted() {
 #[test]
 fn a_run_that_straddles_the_claim_point_is_never_retracted() {
     watchdog(|| {
-        let rt = runtime(Runtime::builder().audit(AuditMode::Full));
+        const EPOCHS: u64 = 20;
+        // Two retractions per epoch: the first takes `t`, the second finds
+        // nothing more.
+        let script = vec!["retract@p"; 4 * EPOCHS as usize];
+        let rt = runtime(
+            Runtime::builder()
+                .audit(AuditMode::Full)
+                .test_schedule(script),
+        );
         let (a, t): (Obj, Obj) = (Writable::new(&rt, 0), Writable::new(&rt, 0));
         let a_off_delegate = Arc::new(AtomicU64::new(0));
-        const EPOCHS: u64 = 20;
-        for _ in 0..EPOCHS {
+        for e in 0..EPOCHS {
             rt.begin_isolation().unwrap();
             // `a`'s first operation is the blocker, claimed alone; its two
             // more stay unclaimed behind it — a run whose set has been
-            // claimed from. The fresh `t` behind them is retracted, and
-            // lets the blocker go.
+            // claimed from, and whose claimed part is still running. The
+            // fresh `t` behind them is retracted; the blocker goes once
+            // the barrier has looked again and left `a` alone.
             let gate = Gate::new();
             hold(&a, &gate, || {});
             for _ in 0..2 {
@@ -164,14 +203,12 @@ fn a_run_that_straddles_the_claim_point_is_never_retracted() {
                 })
                 .unwrap();
             }
-            let opener = gate.opener();
-            t.delegate(move |n| {
-                *n += 1;
-                drop(opener);
-            })
-            .unwrap();
+            t.delegate(|n| *n += 1).unwrap();
+            let left = 4 * (EPOCHS - e - 1) as usize;
+            let release = open_when_left(&rt, left, gate.opener());
             // The auditor certifies the epoch: no set ran on two executors.
             rt.end_isolation().unwrap();
+            release.join().unwrap();
         }
         let s = rt.stats();
         assert_eq!(s.epochs_audited, EPOCHS);
@@ -179,6 +216,7 @@ fn a_run_that_straddles_the_claim_point_is_never_retracted() {
         assert_eq!(a_off_delegate.load(Ordering::Relaxed), 0);
         assert_eq!(a.call(|n| *n).unwrap(), 2 * EPOCHS);
         assert_eq!(t.call(|n| *n).unwrap(), EPOCHS);
+        assert_eq!(rt.test_gates_remaining(), Some(0), "script not followed");
     });
 }
 
@@ -393,7 +431,10 @@ fn lane_program_is_served_at_a_full_ring_and_at_the_barrier() {
             Arc::clone(&at_barrier),
             Arc::clone(&t_off_program),
         );
+        let fourth = Arc::new(AtomicBool::new(false));
+        let f4 = Arc::clone(&fourth);
         b.delegate(move |_| {
+            f4.store(true, Ordering::Release);
             until(&flag);
             std::thread::sleep(SETTLE);
             let fut = rt3
@@ -408,6 +449,9 @@ fn lane_program_is_served_at_a_full_ring_and_at_the_barrier() {
             r3.lock().unwrap().push(fut.wait().unwrap());
         })
         .unwrap();
+        // Running before the barrier, so the barrier cannot retract it:
+        // the program thread parks on its token.
+        until(&fourth);
         at_barrier.store(true, Ordering::Release);
         rt.end_isolation().unwrap();
         assert_eq!(*results.lock().unwrap(), vec![11, 12]);
@@ -416,5 +460,186 @@ fn lane_program_is_served_at_a_full_ring_and_at_the_barrier() {
         assert!(fill.iter().all(|w| w.call(|n| *n).unwrap() == 1));
         assert!(rt.stats().inline_executions >= 4, "{:?}", rt.stats());
         assert_eq!(rt.test_gates_remaining(), Some(0), "script not followed");
+    });
+}
+
+/// A started set whose earlier operation has run is a quiescent tail: a
+/// future wait on it retracts it, and the auditor certifies the epoch —
+/// the set ran on the delegate, then on the program thread, one after
+/// the other.
+#[test]
+fn a_quiescent_tail_is_retracted_at_a_wait() {
+    watchdog(|| {
+        let rt = runtime(Runtime::builder().audit(AuditMode::Full));
+        let (b, s): (Obj, Obj) = (Writable::new(&rt, 0), Writable::new(&rt, 0));
+        const EPOCHS: u64 = 10;
+        for _ in 0..EPOCHS {
+            rt.begin_isolation().unwrap();
+            ran_first(&s);
+            let gate = Gate::new();
+            hold(&b, &gate, || {});
+            let opener = gate.opener();
+            let fut = s
+                .delegate_with(move |n| {
+                    *n += 1;
+                    drop(opener);
+                    delegate_thread()
+                })
+                .unwrap();
+            assert!(!fut.wait().unwrap(), "ran on the delegate");
+            rt.end_isolation().unwrap();
+        }
+        let st = rt.stats();
+        assert_eq!((st.inline_executions, st.epochs_audited), (EPOCHS, EPOCHS));
+        assert_eq!(s.call(|n| *n).unwrap(), 2 * EPOCHS);
+    });
+}
+
+/// The same at a `wait_all` over a three-operation tail: taken whole.
+#[test]
+fn a_quiescent_tail_is_retracted_at_a_wait_all() {
+    watchdog(|| {
+        let rt = runtime(Runtime::builder().audit(AuditMode::Full));
+        let (b, s): (Obj, Obj) = (Writable::new(&rt, 0), Writable::new(&rt, 0));
+        rt.begin_isolation().unwrap();
+        ran_first(&s);
+        let gate = Gate::new();
+        hold(&b, &gate, || {});
+        let mut futs = Vec::new();
+        for k in 0..3 {
+            let opener = (k == 2).then(|| gate.opener());
+            futs.push(
+                s.delegate_with(move |n| {
+                    *n = *n * 10 + k;
+                    drop(opener);
+                    (*n, delegate_thread())
+                })
+                .unwrap(),
+            );
+        }
+        let got = SsFuture::wait_all(futs).unwrap();
+        assert_eq!(got, [(10, false), (101, false), (1012, false)]);
+        rt.end_isolation().unwrap();
+        let st = rt.stats();
+        assert_eq!((st.inline_executions, st.epochs_audited), (3, 1));
+        assert_eq!(st.delegate_executed, vec![2]);
+    });
+}
+
+/// A started set whose earlier operation is still running is no tail to
+/// take: the wait's retraction leaves it, and it runs on the delegate
+/// once the blocker — the set's own first operation — lets go.
+#[test]
+fn a_tail_behind_a_running_operation_is_never_retracted() {
+    watchdog(|| {
+        let rt = runtime(
+            Runtime::builder()
+                .audit(AuditMode::Full)
+                .test_schedule(["retract@p", "retract@p"]),
+        );
+        let s: Obj = Writable::new(&rt, 0);
+        rt.begin_isolation().unwrap();
+        let gate = Gate::new();
+        hold(&s, &gate, || {});
+        let fut = s
+            .delegate_with(|n| {
+                *n += 1;
+                delegate_thread()
+            })
+            .unwrap();
+        let release = open_when_left(&rt, 0, gate.opener());
+        assert!(fut.wait().unwrap(), "retracted behind a running operation");
+        release.join().unwrap();
+        rt.end_isolation().unwrap();
+        let st = rt.stats();
+        assert_eq!((st.inline_executions, st.epochs_audited), (0, 1));
+        assert_eq!(rt.test_gates_remaining(), Some(0), "no retraction tried");
+    });
+}
+
+/// A started set a delegate nested into before the program thread looked
+/// is pinned to that delegate for the epoch: its quiescent tail stays.
+#[test]
+fn a_started_set_a_delegate_nested_into_is_never_retracted() {
+    watchdog(|| {
+        let rt = runtime(
+            Runtime::builder()
+                .audit(AuditMode::Full)
+                .test_schedule(["retract@p", "retract@p"]),
+        );
+        let (b, s): (Obj, Obj) = (Writable::new(&rt, 0), Writable::new(&rt, 0));
+        rt.begin_isolation().unwrap();
+        ran_first(&s);
+        // The blocker nests into `s` — after `s`'s first operation ran —
+        // and then holds its delegate.
+        let gate = Gate::new();
+        let nested = Arc::new(AtomicBool::new(false));
+        let (rt2, s2, n2, g) = (
+            rt.clone(),
+            s.clone(),
+            Arc::clone(&nested),
+            Arc::clone(&gate.0),
+        );
+        b.delegate(move |_| {
+            rt2.delegate_scope(|cx| cx.delegate(&s2, |n| *n += 10))
+                .unwrap()
+                .unwrap();
+            n2.store(true, Ordering::Release);
+            until(&g);
+        })
+        .unwrap();
+        until(&nested);
+        let fut = s
+            .delegate_with(|n| {
+                *n += 100;
+                delegate_thread()
+            })
+            .unwrap();
+        let release = open_when_left(&rt, 0, gate.opener());
+        assert!(
+            fut.wait().unwrap(),
+            "retracted a set a delegate nested into"
+        );
+        release.join().unwrap();
+        rt.end_isolation().unwrap();
+        assert_eq!(s.call(|n| *n).unwrap(), 111);
+        let st = rt.stats();
+        assert_eq!((st.inline_executions, st.epochs_audited), (0, 1));
+        assert_eq!(rt.test_gates_remaining(), Some(0), "no retraction tried");
+    });
+}
+
+/// A set whose head ran on the delegate and whose tail the program thread
+/// retracted keeps its program order in a reducible that does not
+/// commute: the program context's view of the epoch folds after the
+/// delegates'.
+#[test]
+fn a_retracted_tail_keeps_its_order_in_a_reducible() {
+    watchdog(|| {
+        let rt = runtime(Runtime::builder());
+        let (b, s): (Obj, Obj) = (Writable::new(&rt, 0), Writable::new(&rt, 0));
+        let out: ReducibleVec<u64> = ReducibleVec::new(&rt);
+        rt.begin_isolation().unwrap();
+        let (o, ran) = (out.clone(), Arc::new(AtomicBool::new(false)));
+        let r = Arc::clone(&ran);
+        s.delegate(move |_| {
+            o.push(1).unwrap();
+            r.store(true, Ordering::Release);
+        })
+        .unwrap();
+        until(&ran);
+        let gate = Gate::new();
+        hold(&b, &gate, || {});
+        let (o, opener) = (out.clone(), gate.opener());
+        let fut = s
+            .delegate_with(move |_| {
+                o.push(2).unwrap();
+                drop(opener);
+                delegate_thread()
+            })
+            .unwrap();
+        assert!(!fut.wait().unwrap(), "ran on the delegate");
+        rt.end_isolation().unwrap();
+        assert_eq!(out.take().unwrap(), [1, 2]);
     });
 }

@@ -17,7 +17,9 @@
 //! that was not followed leaves entries behind, which every test
 //! asserts against.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use prometheus_rs::prelude::*;
@@ -52,33 +54,46 @@ fn assert_followed(rt: &Runtime) {
     );
 }
 
+/// Spins until `flag` is raised.
+fn until(flag: &AtomicBool) {
+    while !flag.load(Ordering::Acquire) {
+        std::hint::spin_loop();
+    }
+}
+
 /// Op A on `x` (delegate 0) waits on op B on `y` (delegate 1), which waits
 /// on op C on `z` — queued behind A at delegate 0. Delegate 0 can only
 /// finish the chain by helping C, so it must wake when C lands in its
-/// queue, not when a timer fires. Returns A's future.
+/// queue, not when a timer fires. Returns A's future, and a flag A raises
+/// when it starts.
 fn chain(
     rt: &Runtime,
     [x, y, z]: &[Writable<u64, SequenceSerializer>; 3],
     b_delay: Duration,
-) -> SsFuture<u64> {
+) -> (SsFuture<u64>, Arc<AtomicBool>) {
     let (rt_a, rt_b, y, z) = (rt.clone(), rt.clone(), y.clone(), z.clone());
-    x.delegate_with(move |_| {
-        let b = rt_a
-            .delegate_scope(|cx| {
-                cx.delegate_with(&y, move |_| {
-                    std::thread::sleep(b_delay);
-                    let c = rt_b
-                        .delegate_scope(|cx| cx.delegate_with(&z, |n| *n + 7))
-                        .unwrap()
-                        .unwrap();
-                    c.wait().unwrap()
+    let started = Arc::new(AtomicBool::new(false));
+    let a_started = Arc::clone(&started);
+    let a = x
+        .delegate_with(move |_| {
+            a_started.store(true, Ordering::Release);
+            let b = rt_a
+                .delegate_scope(|cx| {
+                    cx.delegate_with(&y, move |_| {
+                        std::thread::sleep(b_delay);
+                        let c = rt_b
+                            .delegate_scope(|cx| cx.delegate_with(&z, |n| *n + 7))
+                            .unwrap()
+                            .unwrap();
+                        c.wait().unwrap()
+                    })
                 })
-            })
-            .unwrap()
-            .unwrap();
-        b.wait().unwrap()
-    })
-    .unwrap()
+                .unwrap()
+                .unwrap();
+            b.wait().unwrap()
+        })
+        .unwrap();
+    (a, started)
 }
 
 /// Three sequence-serialized objects: instances 0, 1, 2, which static
@@ -96,7 +111,7 @@ fn a_help_first_chain_wakes_on_its_own_queue() {
             .map(|_| {
                 rt.begin_isolation().unwrap();
                 let t0 = Instant::now();
-                assert_eq!(chain(&rt, &xyz, Duration::ZERO).wait().unwrap(), 7);
+                assert_eq!(chain(&rt, &xyz, Duration::ZERO).0.wait().unwrap(), 7);
                 let took = t0.elapsed();
                 rt.end_isolation().unwrap();
                 took
@@ -123,7 +138,19 @@ fn an_idle_delegate_hears_a_ring_push_before_it_parks() {
             .unwrap();
         let w: Writable<u64> = Writable::new(&rt, 0);
         std::thread::sleep(SETTLE);
-        rt.isolated(|| w.delegate(|n| *n += 1).unwrap()).unwrap();
+        // The barrier starts only once the woken delegate runs the
+        // operation, so it cannot retract it from the ring instead.
+        let ran = Arc::new(AtomicBool::new(false));
+        let r = Arc::clone(&ran);
+        rt.isolated(|| {
+            w.delegate(move |n| {
+                *n += 1;
+                r.store(true, Ordering::Release);
+            })
+            .unwrap();
+            until(&ran);
+        })
+        .unwrap();
         assert_eq!(w.call(|n| *n).unwrap(), 1);
         assert_followed(&rt);
     });
@@ -143,12 +170,18 @@ fn the_root_barrier_hears_a_token_signal_before_it_parks() {
         let w: Writable<u64> = Writable::new(&rt, 0);
         rt.begin_isolation().unwrap();
         // Keeps the token behind this operation until the program thread
-        // has reached its gate.
-        w.delegate(|n| {
+        // has reached its gate. The operation is running before the
+        // barrier starts, so the barrier cannot retract it and must send
+        // the token.
+        let started = Arc::new(AtomicBool::new(false));
+        let s = Arc::clone(&started);
+        w.delegate(move |n| {
+            s.store(true, Ordering::Release);
             std::thread::sleep(SETTLE);
             *n += 1;
         })
         .unwrap();
+        until(&started);
         rt.end_isolation().unwrap();
         assert_eq!(w.call(|n| *n).unwrap(), 1);
         assert_followed(&rt);
@@ -170,7 +203,11 @@ fn a_help_first_wait_hears_a_push_to_its_own_queue_before_it_parks() {
         let xyz = objects(&rt);
         std::thread::sleep(SETTLE);
         rt.begin_isolation().unwrap();
-        assert_eq!(chain(&rt, &xyz, SETTLE).wait().unwrap(), 7);
+        // A is running on delegate 0 before the program thread waits on
+        // it, so the wait cannot retract it.
+        let (a, started) = chain(&rt, &xyz, SETTLE);
+        until(&started);
+        assert_eq!(a.wait().unwrap(), 7);
         rt.end_isolation().unwrap();
         assert_followed(&rt);
     });
