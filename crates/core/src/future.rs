@@ -8,16 +8,22 @@
 //! [`Runtime::delegate_with`]) packages an operation whose closure
 //! *returns a value*, and hands back a typed [`SsFuture`] for it.
 //!
-//! A future is backed by a one-shot completion cell
-//! ([`ss_queue::oneshot`]) that the executing context settles *before*
-//! the operation's completion is published to the drain machinery
-//! (`pending`, queue depths, `in_flight`). Three properties follow:
+//! A future is backed by a completion slot in its domain's result slab
+//! ([`ss_queue::slab`]): issued by the delegating thread from its own
+//! lane with no lock and no read-modify-write, settled by the executing
+//! context *before* the operation's completion is published to the drain
+//! machinery (`pending`, queue depths, `in_flight`), and reclaimed
+//! wholesale at the domain's barrier. The properties below hold for root
+//! and session futures alike:
 //!
 //! * **Drain-safety.** `end_isolation` waits for every queue token and
 //!   for `in_flight` to reach zero; each settles only after its
-//!   operation's cell. After the barrier, every future delegated in the
+//!   operation's slot. After the barrier, every future delegated in the
 //!   epoch is ready — a future crossing an epoch boundary is a
-//!   plain value, never a dangling obligation.
+//!   plain value, never a dangling obligation. It keeps its slot: the
+//!   barrier's reclaim sets the slot's chunk aside until the future is
+//!   consumed or dropped, so the value can be taken in any later epoch
+//!   and from any thread.
 //! * **Drop-safety.** Dropping a pending future abandons the result but
 //!   never the accounting: the drop *requests cancellation* — an
 //!   advisory flag the executor checks when it pops the operation. An
@@ -25,12 +31,13 @@
 //!   [`Stats::ops_cancelled`](crate::Stats::ops_cancelled) counts it);
 //!   one that already started, or that the executor pops before
 //!   observing the flag, completes normally and its value is dropped
-//!   with the cell. Either way every counter (`pending`, queue depths,
+//!   exactly once, by the future's drop or by the send, whichever sees
+//!   the other. Either way every counter (`pending`, queue depths,
 //!   `in_flight`) settles exactly as if the future had been kept, so
 //!   every drain proof is untouched. A *memoized* operation that is
 //!   cancelled publishes nothing into the memo table.
 //! * **Deadlock-safety.** [`SsFuture::wait`] from the program context
-//!   waits for the cell to settle, running `Lane::Program` meanwhile
+//!   waits for the slot to settle, running `Lane::Program` meanwhile
 //!   (delegates drain independently, and program-context operations of a
 //!   set the program thread runs execute inline at delegation time, so
 //!   their futures are born ready). From a *delegate* context, the
@@ -40,6 +47,9 @@
 //!   a wait that provably can never complete is rejected with
 //!   [`SsError::FutureDeadlock`] instead of hanging (see
 //!   `docs/ARCHITECTURE.md` for the full argument).
+//! * **Poison closes the slot.** An operation that panics, or that a
+//!   poisoned runtime skips, drops its sender unsent: the slot closes,
+//!   its waiter wakes, and the wait reports the panic.
 //!
 //! ```
 //! use ss_core::{Runtime, SequenceSerializer, Writable};
@@ -61,10 +71,10 @@
 //! assert_eq!(total, 24);
 //! ```
 
-use ss_queue::oneshot::{OneshotPoll, OneshotReceiver};
+use ss_queue::slab::{SlotPoll, SlotReceiver};
 
 use crate::error::{SsError, SsResult};
-use crate::runtime::{future_wait_turn, Executor, Runtime};
+use crate::runtime::{future_wait_turn, Event, Executor, Runtime};
 use crate::serializer::{Serializer, SsId};
 use crate::wrappers::Writable;
 
@@ -79,24 +89,27 @@ use crate::wrappers::Writable;
 /// above spells out the drain/drop/deadlock guarantees with an example.
 #[must_use = "an SsFuture carries the operation's result; drop it only if the result is unneeded"]
 pub struct SsFuture<R> {
+    /// Dropped before `rt`: a receiver counts itself out of its domain's
+    /// slab, which the runtime handle keeps alive.
     inner: FutureInner<R>,
     rt: Runtime,
     set: SsId,
     executor: Executor,
+    epoch: u64,
 }
 
 /// How the future's value arrives.
 enum FutureInner<R> {
-    /// Backed by a one-shot completion cell the executing context will
-    /// settle (the delegated path, including inline execution — inline
-    /// cells are settled before the future is returned).
-    Cell(OneshotReceiver<R>),
+    /// Backed by a completion slot the executing context will settle
+    /// (the delegated path, including inline execution — inline slots
+    /// are settled before the future is returned). Dropping it unsettled
+    /// requests cancellation.
+    Slot(SlotReceiver<R, Event>),
     /// Born ready with the value held inline — the memo-hit path. No
-    /// cell, no routing, no queue entry ever existed; the epoch serial
-    /// is carried directly. Holding the value inline (not in a pooled
-    /// cell) is what keeps an unbounded run of same-epoch memo hits
+    /// slot, no routing, no queue entry ever existed. Holding the value
+    /// inline is what keeps an unbounded run of same-epoch memo hits
     /// allocation-free.
-    Ready { value: Option<R>, epoch: u64 },
+    Ready(Option<R>),
     /// Consumed by [`SsFuture::wait`] / [`SsFuture::wait_all`] (never
     /// observable through the public API).
     Taken,
@@ -104,61 +117,42 @@ enum FutureInner<R> {
 
 impl<R> std::fmt::Debug for SsFuture<R> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let (epoch, ready) = match &self.inner {
-            FutureInner::Cell(recv) => (recv.tag(), recv.is_settled()),
-            FutureInner::Ready { epoch, .. } => (*epoch, true),
-            FutureInner::Taken => (0, true),
-        };
         f.debug_struct("SsFuture")
             .field("set", &self.set)
-            .field("epoch", &epoch)
-            .field("ready", &ready)
-            .field("memo_hit", &matches!(self.inner, FutureInner::Ready { .. }))
+            .field("epoch", &self.epoch)
+            .field("ready", &self.is_ready())
+            .field("memo_hit", &self.was_memo_hit())
             .finish()
     }
 }
 
-impl<R> Drop for SsFuture<R> {
-    fn drop(&mut self) {
-        // Drop-to-cancel: an unresolved future's result can no longer be
-        // observed, so ask the executor to skip the operation if it has
-        // not started. Advisory only — a send that races the request
-        // still wins, and the value is dropped with the cell.
-        if let FutureInner::Cell(recv) = &self.inner {
-            if !recv.is_settled() {
-                recv.request_cancel();
-            }
-        }
-    }
-}
-
-impl<R: Send + 'static> SsFuture<R> {
+impl<R> SsFuture<R> {
     pub(crate) fn new(
-        recv: OneshotReceiver<R>,
+        recv: SlotReceiver<R, Event>,
         rt: Runtime,
         set: SsId,
         executor: Executor,
+        epoch: u64,
     ) -> Self {
         SsFuture {
-            inner: FutureInner::Cell(recv),
+            inner: FutureInner::Slot(recv),
             rt,
             set,
             executor,
+            epoch,
         }
     }
 
     /// A future born ready from a memoized result: the value is held
     /// inline — nothing was routed, queued or executed, so there is no
-    /// cell and no executor.
+    /// slot and no executor.
     pub(crate) fn new_memo_hit(value: R, rt: Runtime, set: SsId, epoch: u64) -> Self {
         SsFuture {
-            inner: FutureInner::Ready {
-                value: Some(value),
-                epoch,
-            },
+            inner: FutureInner::Ready(Some(value)),
             rt,
             set,
             executor: Executor::Program,
+            epoch,
         }
     }
 
@@ -170,19 +164,15 @@ impl<R: Send + 'static> SsFuture<R> {
     /// The isolation-epoch serial the operation was delegated in. The
     /// epoch's `end_isolation` barrier implies this future is resolved.
     pub fn epoch(&self) -> u64 {
-        match &self.inner {
-            FutureInner::Cell(recv) => recv.tag(),
-            FutureInner::Ready { epoch, .. } => *epoch,
-            FutureInner::Taken => unreachable!("wait consumed the future"),
-        }
+        self.epoch
     }
 
     /// True once the operation has completed (successfully or not) and
     /// [`wait`](SsFuture::wait) will return without blocking.
     pub fn is_ready(&self) -> bool {
         match &self.inner {
-            FutureInner::Cell(recv) => recv.is_settled(),
-            FutureInner::Ready { .. } | FutureInner::Taken => true,
+            FutureInner::Slot(recv) => recv.is_settled(),
+            FutureInner::Ready(_) | FutureInner::Taken => true,
         }
     }
 
@@ -200,9 +190,11 @@ impl<R: Send + 'static> SsFuture<R> {
     /// `delegate_memo` family: the operation never executed and the
     /// future was born ready holding the cached value.
     pub fn was_memo_hit(&self) -> bool {
-        matches!(self.inner, FutureInner::Ready { .. })
+        matches!(self.inner, FutureInner::Ready(_))
     }
+}
 
+impl<R: Send + 'static> SsFuture<R> {
     /// Blocks until the operation completes and returns its result.
     ///
     /// Callable from any thread. On the program context (and foreign
@@ -228,9 +220,13 @@ impl<R: Send + 'static> SsFuture<R> {
             }
             if let Err(deadlock) = self.block() {
                 // A rejected wait cancels nothing: the operation runs
-                // once the cycle unwinds.
+                // once the cycle unwinds, and its value is dropped.
                 let last = self.try_take()?;
-                self.inner = FutureInner::Taken;
+                if let FutureInner::Slot(recv) =
+                    std::mem::replace(&mut self.inner, FutureInner::Taken)
+                {
+                    recv.detach();
+                }
                 return last.ok_or(deadlock);
             }
         }
@@ -239,16 +235,14 @@ impl<R: Send + 'static> SsFuture<R> {
     /// Waits for a whole batch of futures and returns their results in
     /// submission order.
     ///
-    /// Semantically `futures.map(wait)`, but the batch blocks as a unit:
-    /// every sweep first drains all already-settled futures (memo hits
-    /// and inline executions cost one poll each, no parking), and only
-    /// when every remaining future is genuinely pending does the batch
-    /// block on the first of them — help-first on a delegate context
-    /// (one wait registration and one deadlock walk at a time, over
-    /// whichever constituent currently gates the batch), a plain wait for
-    /// its cell on the program context. Work executed while helping routinely
-    /// resolves *other* constituents, so the next sweep collects them
-    /// without ever blocking on each individually.
+    /// One pass, in order: each future is polled in turn and the batch
+    /// blocks — spinning, retracting, parking, or helping first on a
+    /// delegate context, exactly as [`wait`](SsFuture::wait) — only on
+    /// the first one still pending. Memo hits, inline executions and
+    /// futures that settled meanwhile cost one poll each, and work run
+    /// while blocked routinely settles the ones behind. The results `Vec`
+    /// is the only allocation. A lazy iterator is consumed lazily: collect
+    /// it first if its items delegate.
     ///
     /// Errors abort the batch with the failing future's error
     /// ([`SsError::FutureDeadlock`], [`SsError::DelegatePanicked`],
@@ -256,40 +250,12 @@ impl<R: Send + 'static> SsFuture<R> {
     /// which requests cancellation of their unstarted operations as any
     /// drop does.
     pub fn wait_all(futures: impl IntoIterator<Item = SsFuture<R>>) -> SsResult<Vec<R>> {
-        let mut futs: Vec<SsFuture<R>> = futures.into_iter().collect();
-        let mut out: Vec<Option<R>> = futs.iter().map(|_| None).collect();
-        let mut pending = futs.len();
-        while pending > 0 {
-            // Sweep: collect everything already settled.
-            let mut progressed = false;
-            let mut blocker = None;
-            for i in 0..futs.len() {
-                if out[i].is_some() {
-                    continue;
-                }
-                match futs[i].try_take()? {
-                    Some(v) => {
-                        out[i] = Some(v);
-                        pending -= 1;
-                        progressed = true;
-                    }
-                    None => blocker = blocker.or(Some(i)),
-                }
-            }
-            if pending == 0 || progressed {
-                continue;
-            }
-            // Every remaining future is pending: block on the first.
-            let i = blocker.expect("pending > 0 implies an unresolved future");
-            if let Err(deadlock) = futs[i].block() {
-                out[i] = Some(futs[i].try_take()?.ok_or(deadlock)?);
-                pending -= 1;
-            }
+        let futures = futures.into_iter();
+        let mut out = Vec::with_capacity(futures.size_hint().0);
+        for f in futures {
+            out.push(f.wait()?);
         }
-        Ok(out
-            .into_iter()
-            .map(|v| v.expect("all futures resolved"))
-            .collect())
+        Ok(out)
     }
 
     /// One blocking turn on a pending future ([`future_wait_turn`]):
@@ -297,7 +263,7 @@ impl<R: Send + 'static> SsFuture<R> {
     /// caller re-polls even then: the detector may have raced the
     /// resolution window once.
     fn block(&self) -> SsResult<()> {
-        let FutureInner::Cell(recv) = &self.inner else {
+        let FutureInner::Slot(recv) = &self.inner else {
             return Ok(());
         };
         future_wait_turn(&self.rt, self.set, &recv.signal())
@@ -307,28 +273,28 @@ impl<R: Send + 'static> SsFuture<R> {
 
     /// Non-blocking extraction: `Ok(Some(v))` when the future settled
     /// with a value (the future becomes `Taken`), `Ok(None)` while still
-    /// pending, `Err` when the cell closed without a value.
+    /// pending, `Err` when the slot closed without a value.
     fn try_take(&mut self) -> SsResult<Option<R>> {
         match std::mem::replace(&mut self.inner, FutureInner::Taken) {
-            FutureInner::Ready { value, .. } => {
+            FutureInner::Ready(value) => {
                 Ok(Some(value.expect("a born-ready future holds its value")))
             }
-            FutureInner::Taken => unreachable!("resolved futures are skipped by the sweep"),
-            FutureInner::Cell(recv) => match recv.poll() {
-                OneshotPoll::Ready(v) => Ok(Some(v)),
-                OneshotPoll::Closed => Err(self.closed_error()),
-                OneshotPoll::Pending => {
-                    self.inner = FutureInner::Cell(recv);
+            FutureInner::Taken => unreachable!("a taken future is not polled again"),
+            FutureInner::Slot(mut recv) => match recv.poll() {
+                SlotPoll::Ready(v) => Ok(Some(v)),
+                SlotPoll::Closed => Err(self.closed_error()),
+                SlotPoll::Pending => {
+                    self.inner = FutureInner::Slot(recv);
                     Ok(None)
                 }
             },
         }
     }
 
-    /// The cell closed without a value: the operation was skipped by a
+    /// The slot closed without a value: the operation was skipped by a
     /// poisoned runtime (or panicked itself), or the runtime terminated
     /// with the operation still queued. The poison flag is always set
-    /// before the cell closes in the panic cases, so this read is
+    /// before the slot closes in the panic cases, so this read is
     /// ordered correctly.
     fn closed_error(&self) -> SsError {
         if self.rt.is_poisoned() {
@@ -566,6 +532,53 @@ mod tests {
             .unwrap();
         assert_eq!(fut.wait().unwrap(), 10 + 11 + 12 + 13);
         rt.end_isolation().unwrap();
+    }
+
+    #[test]
+    fn wait_all_stops_at_the_first_error_and_cancels_the_rest() {
+        // On the one delegate, an operation submits `x`, then its own set
+        // `w`, then `x` twice more, and waits on all four in one batch:
+        // the first is helped through, the second is a self-cycle, and
+        // the last two — queued behind the waiting operation, so not yet
+        // started — are dropped with the batch and skipped as cancelled.
+        let rt = rt(1);
+        let w: Writable<u64, SequenceSerializer> = Writable::new(&rt, 0);
+        let x: Writable<u64, SequenceSerializer> = Writable::new(&rt, 0);
+        let seen: Arc<Mutex<Option<SsResult<Vec<u64>>>>> = Arc::new(Mutex::new(None));
+        let started = Arc::new(AtomicU64::new(0));
+        rt.begin_isolation().unwrap();
+        let (rt1, w1, x1, seen1) = (rt.clone(), w.clone(), x.clone(), Arc::clone(&seen));
+        let started1 = Arc::clone(&started);
+        w.delegate(move |_| {
+            started1.store(1, Ordering::Release);
+            let bump = |n: &mut u64| {
+                *n += 1;
+                *n
+            };
+            let futs = rt1
+                .delegate_scope(|cx| {
+                    [&x1, &w1, &x1, &x1].map(|o| cx.delegate_with(o, bump).unwrap())
+                })
+                .unwrap();
+            *seen1.lock().unwrap() = Some(SsFuture::wait_all(futs));
+        })
+        .unwrap();
+        // On the delegate, not retracted by the barrier's wait.
+        while started.load(Ordering::Acquire) == 0 {
+            std::hint::spin_loop();
+        }
+        rt.end_isolation().unwrap();
+        let got = seen.lock().unwrap().take().expect("wait_all did not run");
+        assert!(
+            matches!(got, Err(SsError::FutureDeadlock { .. })),
+            "{got:?}"
+        );
+        let stats = rt.stats();
+        assert_eq!(stats.ops_cancelled, 2);
+        // The rejected wait's own operation still ran; the cancelled ones
+        // did not.
+        assert_eq!((w.call(|n| *n).unwrap(), x.call(|n| *n).unwrap()), (1, 1));
+        assert!(!rt.is_poisoned());
     }
 
     #[test]

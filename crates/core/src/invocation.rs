@@ -27,7 +27,7 @@ use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use ss_queue::oneshot::OneshotSender;
+use ss_queue::slab::SlotSender;
 
 use crate::runtime::{Core, Domain, Event};
 use crate::serializer::SsId;
@@ -50,8 +50,8 @@ pub(crate) struct ExecCx<'a> {
 
 /// Words in the [`TaskSlot`] inline buffer. Three words fit the common
 /// packaged shapes — the object's `Arc` plus a two-word user capture for a
-/// void operation, or plus a completion-cell sender and a one-word user
-/// capture for a future-returning one.
+/// void operation, or plus a completion-slot sender and a one-word user
+/// capture for a future-returning one, memoized or not.
 const TASK_INLINE_WORDS: usize = 3;
 /// Byte capacity of the inline buffer.
 const TASK_INLINE_BYTES: usize = TASK_INLINE_WORDS * mem::size_of::<usize>();
@@ -64,7 +64,7 @@ const TASK_INLINE_BYTES: usize = TASK_INLINE_WORDS * mem::size_of::<usize>();
 // the build here instead of silently straddling lines again.
 const _: () = assert!(mem::size_of::<TaskSlot>() == 32);
 const _: () = assert!(mem::size_of::<Invocation>() <= 56);
-const _: () = assert!(mem::size_of::<OneshotSender<u64>>() == mem::size_of::<usize>());
+const _: () = assert!(mem::size_of::<SlotSender<u64, Event>>() == mem::size_of::<usize>());
 
 /// How to run or drop the capture a [`TaskSlot`] holds; one static
 /// instance per capture type.

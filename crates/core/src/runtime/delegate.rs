@@ -32,9 +32,8 @@ use std::cmp::Reverse;
 use std::collections::VecDeque;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
-use ss_queue::oneshot::WaitSignal;
 use ss_queue::{Backoff, Consumer, Pop, StealDeque, StealTag, PUSH_SHARDS};
 
 use crate::error::{SsError, SsResult};
@@ -50,7 +49,7 @@ use crate::wrappers::{Memo, NoMemo, Submitter, Void, Writable};
 use super::assign::STEAL_BAR;
 use super::dispatch::Lane;
 use super::domain::{key_domain, Domain};
-use super::{Core, Event, Executor, Router, Runtime, StealShared};
+use super::{Core, Event, Executor, Router, Runtime, StealShared, WaitSignal};
 
 thread_local! {
     /// `(runtime id, delegate index)` for delegate threads; `None` elsewhere.
@@ -442,7 +441,9 @@ pub(super) enum Queue {
 /// Delegate `idx`'s thread body: [`delegate_loop`] over its queue's
 /// transport. The thread receives only the pieces it needs — deliberately
 /// *not* an `Arc` of the runtime's `Inner`, which would keep the runtime
-/// alive forever (threads are joined by `Inner::drop`).
+/// alive forever (threads are joined by `Inner::drop`). `started` is
+/// passed once the loop's own state is in place, so the thread's start-up
+/// allocations are behind the runtime's `build`.
 pub(super) fn run_delegate(
     rt_id: u64,
     idx: usize,
@@ -450,6 +451,7 @@ pub(super) fn run_delegate(
     core: Arc<Core>,
     event: Arc<Event>,
     force_sleep: Arc<AtomicBool>,
+    started: Arc<Barrier>,
 ) {
     DELEGATE_CTX.with(|c| c.set(Some((rt_id, idx as u32))));
     match queue {
@@ -461,7 +463,7 @@ pub(super) fn run_delegate(
                 consumer,
                 slip: Cell::default(),
             };
-            delegate_loop(rt_id, ring, &force_sleep);
+            delegate_loop(rt_id, ring, &force_sleep, &started);
         }
         Queue::Deque(shared, router) => {
             let deque = Deque {
@@ -472,7 +474,7 @@ pub(super) fn run_delegate(
                 shared,
                 router,
             };
-            delegate_loop(rt_id, deque, &force_sleep);
+            delegate_loop(rt_id, deque, &force_sleep, &started);
         }
     }
     DELEGATE_CTX.with(|c| c.set(None));
@@ -657,16 +659,16 @@ fn help_one(t: &dyn Transport) -> bool {
     true
 }
 
-/// One turn of `SsFuture::wait` on the unsettled cell behind `signal`:
-/// returns `true` to poll the future again — its cell may have settled,
+/// One turn of `SsFuture::wait` on the unsettled slot behind `signal`:
+/// returns `true` to poll the future again — its slot may have settled,
 /// or the waiter helped, or has work to help with — and `false` when the
 /// wait can never complete ([`SsError::FutureDeadlock`]).
 ///
 /// Off this runtime's executors, the calling thread waits on its own
-/// event until the cell settles. On a delegate, or on a domain's program
+/// event until the slot settles. On a delegate, or on a domain's program
 /// thread: self-cycle rejection, then help-first (from the own queue, or
 /// `Lane::Program`), then a wait — on the executor's own event, with
-/// "work arrived" beside "cell settled" in the predicate, so a push to its
+/// "work arrived" beside "slot settled" in the predicate, so a push to its
 /// queue wakes it as surely as the settle does. A wait that can be part
 /// of a cycle — any delegate's, or the root program thread's inside an
 /// operation — registers first and walks the waits-for graph. The
@@ -700,9 +702,13 @@ fn wait_turn(rt: &Runtime, set: SsId, signal: &WaitSignal) -> bool {
         );
     }
     if !rt.is_program_thread() {
-        // The cell's settle unparks this thread; nobody else notifies.
-        let event = Event::default();
-        signal.waiting(|| event.wait_until(|| signal.is_settled()));
+        // The slot's send wakes this thread; nobody else notifies. The
+        // event goes back to the runtime's pool, not away: a send may
+        // still wake it after the wait returns.
+        let core = &rt.inner.core;
+        let event = core.foreign_events.lock().pop().unwrap_or_default();
+        event.wait_on_slot(signal, || signal.is_settled());
+        core.foreign_events.lock().push(event);
         return true;
     }
     let d = rt.domain();
@@ -726,7 +732,8 @@ fn wait_turn(rt: &Runtime, set: SsId, signal: &WaitSignal) -> bool {
         if at_top && rt.is_root() && rt.retract_at_wait(|| signal.is_settled() || arrived()) {
             return true;
         }
-        signal.waiting(|| d.waiter.wait_until(|| signal.is_settled() || arrived()));
+        d.waiter
+            .wait_on_slot(signal, || signal.is_settled() || arrived());
         return true;
     }
     let me = rt.inner.n_delegates;
@@ -736,7 +743,7 @@ fn wait_turn(rt: &Runtime, set: SsId, signal: &WaitSignal) -> bool {
 /// One blocking turn of an executor that can be part of a waits-for
 /// cycle — node `me` of the graph (delegate `i`, or the root program
 /// thread after the delegates): self-cycle rejection, help-first, then a
-/// registered wait with cycle detection, parked on `event` until the cell
+/// registered wait with cycle detection, parked on `event` until the slot
 /// settles or work `arrived`.
 #[allow(clippy::too_many_arguments)]
 fn blocked_turn(
@@ -762,7 +769,7 @@ fn blocked_turn(
     let core = &rt.inner.core;
     let mut waits = core.future_waits.lock();
     // A snapshot of the active stack, for the deadlock detector.
-    waits[me] = Some((set, signal.clone(), stack()));
+    waits[me] = Some((set, *signal, stack()));
     // An unknown walk stays in the ladder and walks again: parking on it
     // could sleep through a cycle no other waiter will ever walk.
     let backoff = Backoff::new();
@@ -777,7 +784,7 @@ fn blocked_turn(
     };
     drop(waits);
     if walk == Some(false) {
-        signal.waiting(|| event.wait_until(|| signal.is_settled() || arrived()));
+        event.wait_on_slot(signal, || signal.is_settled() || arrived());
     }
     core.future_waits.lock()[me] = None;
     walk != Some(true)
@@ -860,13 +867,19 @@ fn wait_cycle(
 /// invocation object, execute it, settle it, repeat; when the queue is
 /// empty, wait on the delegate's event until it is not, letting the
 /// transport look elsewhere (a thief) at every step.
-fn delegate_loop<T: Transport + 'static>(rt_id: u64, t: T, force_sleep: &AtomicBool) {
+fn delegate_loop<T: Transport + 'static>(
+    rt_id: u64,
+    t: T,
+    force_sleep: &AtomicBool,
+    started: &Barrier,
+) {
     let _help = HelpInstall::new(HelpState {
         rt_id,
         source: &t as &(dyn Transport + 'static),
-        active: Vec::new(),
+        active: Vec::with_capacity(4),
         deferred: VecDeque::new(),
     });
+    started.wait();
     let idle = || t.has_work() || t.on_dry();
     #[cfg(feature = "chaos")]
     let mut hold: Option<Invocation> = None;

@@ -194,7 +194,7 @@ impl Runtime {
     /// close with related work still in flight — reject it. A domain's
     /// program thread is a nested producer (slot 0) while it runs one of
     /// the domain's operations, which are the only ones it runs.
-    fn producer(&self, origin: Origin, d: &Domain) -> SsResult<usize> {
+    pub(crate) fn producer(&self, origin: Origin, d: &Domain) -> SsResult<usize> {
         if origin == Origin::Program {
             return Ok(0);
         }

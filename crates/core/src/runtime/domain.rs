@@ -25,7 +25,7 @@
 //! 3. **Per-domain drain counters.** Every operation that is not covered
 //!    by a ring token raises its domain's `in_flight` before the push and
 //!    the executing delegate lowers it *after* the operation's effects
-//!    (completion cell, audit record) are visible — so a domain's barrier
+//!    (completion slot, audit record) are visible — so a domain's barrier
 //!    waits only on its own counter and never for another domain's
 //!    epoch.
 
@@ -35,6 +35,7 @@ use std::thread::ThreadId;
 use std::time::Instant;
 
 use ss_queue::shardmap::ShardMap;
+use ss_queue::slab::ResultSlab;
 
 use super::program::ProgramLane;
 use super::Event;
@@ -161,11 +162,24 @@ pub(crate) struct Domain {
     /// `Lane::Program`: operations nested submits routed to this domain's
     /// program executor, run by its program thread.
     pub(crate) lane: ProgramLane,
+    /// The completion slots of the domain's futures: lane 0 issued on by
+    /// the program thread, lane `1 + i` by delegate `i` (nested futures),
+    /// reclaimed at the domain's barrier (`ss_queue::slab`). Declared
+    /// last: a queued operation's sender points into it, so it must
+    /// outlive `lane`.
+    pub(crate) results: ResultSlab<Event>,
 }
 
 impl Domain {
-    /// Creates a domain whose program thread is the calling thread.
-    pub(crate) fn new(id: u32, shards: usize, queue_cap: Option<u64>, waiter: Event) -> Self {
+    /// Creates a domain whose program thread is the calling thread, with
+    /// one result-slab lane per executor (`1 + delegates`).
+    pub(crate) fn new(
+        id: u32,
+        shards: usize,
+        queue_cap: Option<u64>,
+        waiter: Event,
+        executors: usize,
+    ) -> Self {
         Domain {
             id,
             program_thread: current_thread_id(),
@@ -186,6 +200,7 @@ impl Domain {
             queue_cap,
             waiter: Arc::new(waiter),
             lane: ProgramLane::new(),
+            results: ResultSlab::new(executors),
         }
     }
 

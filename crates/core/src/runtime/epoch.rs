@@ -84,20 +84,22 @@ impl Runtime {
             }
         }
         // The barrier also settles every `SsFuture` delegated this epoch:
-        // each operation's one-shot cell is completed before its queue
+        // each operation's completion slot is settled before its queue
         // token/`in_flight` count settles, so token-drain + counter-drain
         // transitively implies future-resolution. A future carried across
         // this boundary is a plain ready value.
         self.barrier(d)?;
+        // The drain is the domain's result-slab quiescence point: every
+        // operation of the epoch has run, so every sender issued in it
+        // has sent or closed, and no executor issues for this domain
+        // until its next epoch's pushes. Slots of futures resolved or
+        // dropped are reused wholesale; chunks holding a future carried
+        // across this boundary are set aside until it is released.
+        // SAFETY: the quiescence just argued; this is the domain's program
+        // thread, lane 0's issuer; a probe lives only inside its future's
+        // wait turn, so none outlives its receiver.
+        unsafe { d.results.reclaim() };
         if self.is_root() {
-            // The root drain is the completion-cell pool's quiescence
-            // point: every root operation of the epoch has run, so no
-            // sender handle survives, and cells whose futures were
-            // resolved or dropped are down to the pool's own reference —
-            // ready for reuse next epoch. Futures the user still holds
-            // keep their cells in flight. (Session futures take unpooled
-            // cells: this drain proves nothing about them.)
-            self.inner.core.cell_pool.recycle();
             self.reset_steal_epoch();
         }
         // The barrier waited for all transitively spawned work (`in_flight`

@@ -22,7 +22,7 @@ use std::thread::Thread;
 
 use parking_lot::Mutex;
 
-use super::TestGates;
+use super::{TestGates, WaitSignal};
 
 /// Spin hints a waiter polls through before it yields: the budget of
 /// seven doubling backoff rounds (1 + 2 + … + 64).
@@ -95,6 +95,33 @@ impl Event {
         }
     }
 
+    /// [`wait_until`](Event::wait_until) for a future's completion slot:
+    /// after the spin phase the event registers on the slot, so that the
+    /// slot's send wakes it, for the sleeps. The registration is one store
+    /// before [`sleep`](Event::sleep)'s fence — the other half of the
+    /// send's Dekker pair (`ss_queue::slab`). `pred` must include
+    /// `signal.is_settled()`. Gates: `await@…` once the spin phase is
+    /// spent, `register@…` just before the registration.
+    pub(crate) fn wait_on_slot(&self, signal: &WaitSignal, mut pred: impl FnMut() -> bool) {
+        if spin_until(&mut pred) {
+            return;
+        }
+        self.hit("await");
+        self.hit("register");
+        // SAFETY: every event a future is waited on with outlives every
+        // executor: a domain's waiter lives while the domain does (an
+        // operation in flight holds its session's domain), a delegate's
+        // as long as the runtime's delegates, and a foreign thread's
+        // stays in `Core::foreign_events` until the runtime goes.
+        unsafe {
+            signal.waiting(self, || {
+                while !pred() {
+                    self.sleep(&mut pred);
+                }
+            })
+        };
+    }
+
     /// Parks once, unless `pred` holds after the sleeping flag is raised.
     /// Skips the ladder: [`Runtime::sleep`](super::Runtime::sleep) forces
     /// it on idle delegates, and [`wait_until`](Event::wait_until) ends in
@@ -136,6 +163,13 @@ impl Event {
         if let Some((gates, label)) = &self.gate {
             gates.hit(&format!("{point}@{label}"));
         }
+    }
+}
+
+impl ss_queue::slab::Wake for Event {
+    /// A completion slot's send, after its fence.
+    fn wake(&self) {
+        self.wake_sleeper();
     }
 }
 

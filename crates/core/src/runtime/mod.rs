@@ -36,7 +36,7 @@
 //!   `end_isolation` barrier waits for *transitively* spawned work via the
 //!   `in_flight` counter (a child is counted before its parent completes).
 //! * **Futures on delegated operations**: the `delegate_with` family
-//!   returns a typed [`SsFuture`](crate::SsFuture) whose one-shot cell the
+//!   returns a typed [`SsFuture`](crate::SsFuture) whose completion slot the
 //!   executing context settles *before* publishing the operation's
 //!   completion to the drain machinery — so every drain proof covers every
 //!   future. A delegate blocked in `SsFuture::wait` executes **help-first**
@@ -77,12 +77,11 @@ pub use session::{Session, SessionStats};
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
 use parking_lot::Mutex;
-use ss_queue::slab::CellPool;
 use ss_queue::{CachePadded, Injector, Producer, SpscQueue};
 
 use delegate::{run_delegate, Queue, DELEGATE_CTX};
@@ -138,11 +137,11 @@ pub(crate) struct Core {
     /// [`waiting`](Core::waiting)): while any is, no ring delegate slips.
     /// A line of its own, because slipping delegates poll it.
     waiters: CachePadded<AtomicU32>,
-    /// Pool of one-shot completion cells for the `delegate_with` family.
-    /// Recycled at `end_isolation` — the barrier's drain is exactly the
-    /// quiescence point the pool's reuse contract requires (see
-    /// `ss_queue::slab`).
-    pub(crate) cell_pool: CellPool,
+    /// Events that threads outside the runtime's executors wait on
+    /// futures with, taken for one wait and put back: a send may still
+    /// wake one it read before its waiter left, so none is freed before
+    /// the runtime.
+    pub(crate) foreign_events: Mutex<Vec<Arc<Event>>>,
     /// The online serializability auditor, present only when
     /// [`RuntimeBuilder::audit`](crate::RuntimeBuilder::audit) selected a
     /// mode other than `Off` — the `None` fast path keeps the default
@@ -174,14 +173,18 @@ pub(crate) struct Core {
 }
 
 /// One registered blocked future wait: the waited-on serialization set, a
-/// settlement probe for the wait's cell, and a snapshot of the waiter's
+/// settlement probe for the wait's slot, and a snapshot of the waiter's
 /// active-set stack (the sets whose operations are on its call stack)
 /// taken at registration. The snapshot is what lets the deadlock
 /// detector read *other* delegates' stacks without any hot-path sharing:
 /// a registered waiter is parked or walking — not executing — so its
 /// stack cannot change while the entry exists, and the detector only
 /// follows edges through registered delegates.
-pub(crate) type FutureWait = (u64, ss_queue::oneshot::WaitSignal, Vec<u64>);
+pub(crate) type FutureWait = (u64, WaitSignal, Vec<u64>);
+
+/// A settlement probe onto a future's completion slot; its waiters park
+/// on [`Event`]s.
+pub(crate) type WaitSignal = ss_queue::slab::WaitSignal<Event>;
 
 impl Core {
     /// Runs `wait` — a wait on delegate progress — counted in `waiters`.
@@ -589,11 +592,17 @@ impl Runtime {
             stats: StatsCell::new(n_delegates),
             poisoned: AtomicBool::new(false),
             panic_msg: Mutex::new(None),
-            root: Domain::new(0, ROOT_SHARDS, None, Event::scripted(&b.test_gates, "p")),
+            root: Domain::new(
+                0,
+                ROOT_SHARDS,
+                None,
+                Event::scripted(&b.test_gates, "p"),
+                1 + n_delegates,
+            ),
             side_events: b.trace.then(|| Mutex::new(Vec::new())),
             future_waits: Mutex::new((0..=n_delegates).map(|_| None).collect()),
             waiters: CachePadded::default(),
-            cell_pool: CellPool::new(),
+            foreign_events: Mutex::new(Vec::new()),
             audit: (b.audit != AuditMode::Off).then(|| AuditState::new(b.audit)),
             sessions: Mutex::new(HashMap::new()),
             next_session_id: AtomicU32::new(1),
@@ -651,6 +660,7 @@ impl Runtime {
 
         let mut handles = inner.join_handles.lock();
         let mut consumers = consumers.into_iter();
+        let started = Arc::new(Barrier::new(n_delegates + 1));
         for idx in 0..n_delegates {
             let queue = match &inner.channels {
                 Channels::Spsc { .. } => {
@@ -663,14 +673,18 @@ impl Runtime {
             let core = Arc::clone(&inner.core);
             let event = Arc::clone(&inner.events[idx]);
             let force_sleep = Arc::clone(&inner.force_sleep);
+            let started = Arc::clone(&started);
             handles.push(
                 std::thread::Builder::new()
                     .name(format!("ss-delegate-{idx}"))
-                    .spawn(move || run_delegate(id, idx, queue, core, event, force_sleep))
+                    .spawn(move || run_delegate(id, idx, queue, core, event, force_sleep, started))
                     .expect("failed to spawn delegate thread"),
             );
         }
         drop(handles);
+        // Every delegate is in its loop before the runtime is handed out:
+        // no thread's start-up lands in the program's first epochs.
+        started.wait();
 
         Ok(Runtime {
             inner,
@@ -737,17 +751,16 @@ impl Runtime {
         self.inner.core.test_gates.as_ref().map(|g| g.remaining())
     }
 
-    /// Diagnostic view of the completion-cell pool backing the
-    /// `delegate_with` family: `(free, in_flight, created)`. `free` cells
-    /// are quiescent and ready for reuse; `in_flight` cells were issued
-    /// since their last recycle (a future held across epochs keeps its
-    /// cell here); `created` is the number of cells ever allocated, so
-    /// `created` staying flat while futures are issued is the proof that
-    /// the pool is recycling.
+    /// Diagnostic view of this handle's domain's result slab, the
+    /// completion slots behind the `delegate_with` family: `(free,
+    /// in_flight, created)`. `free` slots are held by no future;
+    /// `in_flight` slots were issued since the domain's last
+    /// `end_isolation`, or are held by a future carried across it;
+    /// `created` is the number of slots ever constructed, so `created`
+    /// staying flat while futures are issued is the proof that the slab
+    /// reuses its slots. Exact between epochs.
     pub fn cell_pool_stats(&self) -> (usize, usize, u64) {
-        let pool = &self.inner.core.cell_pool;
-        let (free, in_flight) = pool.counts();
-        (free, in_flight, pool.created())
+        self.domain().results.counts()
     }
 
     /// Next instance number for a new wrapped object (the *sequence*
@@ -881,9 +894,8 @@ impl Runtime {
     }
 
     /// True for handles on the root domain — the domain whose program
-    /// thread owns the SPSC ring producers, the program-order trace log,
-    /// the completion-cell pool's recycle point and the pool lifecycle
-    /// (`sleep`/`shutdown`/`session`).
+    /// thread owns the SPSC ring producers, the program-order trace log
+    /// and the pool lifecycle (`sleep`/`shutdown`/`session`).
     #[inline]
     pub(crate) fn is_root(&self) -> bool {
         self.session.is_none()

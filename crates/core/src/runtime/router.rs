@@ -333,7 +333,7 @@ mod tests {
 
     /// A root-like domain whose current epoch serial is `serial`.
     fn epoch(serial: u64) -> Domain {
-        let e = Domain::new(0, 4, None, Default::default());
+        let e = Domain::new(0, 4, None, Default::default(), 1);
         e.epoch_serial.store(serial, Ordering::Relaxed);
         e
     }
@@ -356,7 +356,7 @@ mod tests {
     #[test]
     fn sessions_compute_the_modulo_without_pins() {
         let r = router(2);
-        let session = Domain::new(1, 4, None, Default::default());
+        let session = Domain::new(1, 4, None, Default::default(), 1);
         session.epoch_serial.store(1, Ordering::Relaxed);
         for ss in 0..10u64 {
             for _ in 0..2 {

@@ -145,6 +145,7 @@ impl Runtime {
             SESSION_SHARDS,
             self.inner.session_queue_cap,
             Event::scripted(&core.test_gates, "p"),
+            self.executor_slots(),
         ));
         // A capped session's program-submitted backlog never exceeds its
         // queue cap (`Runtime::admit` stalls the program context at the

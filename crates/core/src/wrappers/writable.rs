@@ -86,17 +86,17 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use ss_queue::oneshot::OneshotSender;
+use ss_queue::slab::SlotSender;
 use ss_queue::Pending;
 
 use crate::error::{SsError, SsResult};
 use crate::fingerprint::MemoValue;
 use crate::future::SsFuture;
 use crate::invocation::{ExecCx, TaskSlot};
-use crate::runtime::{DelegateContext, Executor, Origin, Runtime};
+use crate::runtime::{DelegateContext, Event, Executor, Origin, Runtime};
 use crate::serializer::{ObjectSerializer, SerializeCx, Serializer, SsId};
 use crate::stats::Counters;
-use crate::trace::TraceKind;
+use crate::trace::{TraceExecutor, TraceKind};
 use crate::wrappers::panic_message;
 
 /// Per-epoch use of a writable object (the §3.1 state machine).
@@ -160,13 +160,14 @@ pub(crate) struct Receiver<'a> {
 }
 
 impl Receiver<'_> {
-    /// The set the running operation was delegated in: the object's tag
-    /// for the epoch (the first tag is authoritative, and the epoch cannot
-    /// close before the operation settles). Not recoverable from the
-    /// routing key the executor popped — a session's is composite, and
-    /// folds ids above 2^48.
-    fn set(&self) -> Option<SsId> {
-        self.local.lock().tag
+    /// The epoch serial and the set the running operation was delegated
+    /// in: the object's epoch state (the first tag is authoritative, and
+    /// the epoch cannot close before the operation settles). The set is
+    /// not recoverable from the routing key the executor popped — a
+    /// session's is composite, and folds ids above 2^48.
+    fn delegated_in(&self) -> (u64, Option<SsId>) {
+        let local = self.local.lock();
+        (local.serial, local.tag)
     }
 }
 
@@ -253,59 +254,69 @@ impl Sink<()> for Void {
     fn resolve(self, _: (), _: &ExecCx<'_>, _: Receiver<'_>) {}
 }
 
-/// Future-returning delegation: the sending half of the one-shot cell
+/// Future-returning delegation: the sending half of the completion slot
 /// behind the [`SsFuture`] — one word, so the invocation closure (object
 /// `Arc` + sender + user closure) fits `TaskSlot`'s three inline words
 /// whenever the user capture fits one. What the `FutureResolve` trace
-/// event reports is not carried: the epoch serial is the cell's tag, the
-/// executor comes with the execution context, and the set is the
-/// receiver's epoch tag.
-pub(crate) struct Cell<R>(OneshotSender<R>);
+/// event reports is not carried: the epoch serial and the set are the
+/// receiver's epoch state, and the executor comes with the execution
+/// context.
+pub(crate) struct Cell<R>(SlotSender<R, Event>);
 
 impl<R: Send + 'static> Sink<R> for Cell<R> {
     fn cancelled(&self) -> bool {
         self.0.is_cancelled()
     }
     fn resolve(self, out: R, cx: &ExecCx<'_>, object: Receiver<'_>) {
-        let serial = self.0.tag();
+        gate(cx, "send");
         self.0.send(out);
+        gate(cx, "sent");
         cx.stats.bump(|c| &c.futures_resolved);
         if cx.core.side_events.is_some() {
+            let (serial, set) = object.delegated_in();
             cx.core.record_side(
                 serial,
                 TraceKind::FutureResolve,
                 Some(object.instance),
-                object.set(),
+                set,
                 cx.executor,
             );
         }
     }
 }
 
-/// Memoized delegation that missed: the cell, plus the `(key, fingerprint,
-/// generation)` stamp the executed result publishes under.
-pub(crate) struct MemoCell<R> {
-    cell: Cell<R>,
-    key: u64,
-    fp: u64,
-    generation: u64,
+/// The deterministic-schedule harness's gate `point@…` for the executor
+/// running the operation (its delegate index, or `p`).
+fn gate(cx: &ExecCx<'_>, point: &str) {
+    if cx.core.test_gates.is_some() {
+        match cx.executor {
+            TraceExecutor::Delegate(i) => cx.core.gate(point, i),
+            TraceExecutor::Program => cx.core.gate(point, "p"),
+        }
+    }
 }
+
+/// Memoized delegation that missed: the slot, whose header holds the
+/// `(key, fingerprint, generation)` stamp the executed result publishes
+/// under — so the record is as small as a plain future's.
+pub(crate) struct MemoCell<R>(Cell<R>);
 
 impl<R: MemoValue> Sink<R> for MemoCell<R> {
     fn cancelled(&self) -> bool {
-        self.cell.cancelled()
+        self.0.cancelled()
     }
     fn resolve(self, out: R, cx: &ExecCx<'_>, object: Receiver<'_>) {
         // Publish before settle: the result lands in the memo table before
-        // the cell and `pending` settle, so every drain proof (epoch
+        // the slot and `pending` settle, so every drain proof (epoch
         // barrier, reclaim quiesce) covers the publication and a
         // re-submission after any barrier observes it. `publish` re-checks
         // the generation under the shard lock and drops a publication
         // whose set was invalidated while the operation was queued or ran.
         if let Some(memo) = &cx.core.memo {
-            memo.publish(self.key, self.fp, self.generation, out.to_memo_bits());
+            let [key, fp, generation] = self.0 .0.header();
+            memo.publish(key, fp, generation, out.to_memo_bits());
         }
-        self.cell.resolve(out, cx, object);
+        self.0.resolve(out, cx, object);
     }
 }
 
@@ -318,7 +329,10 @@ pub(crate) trait MemoUse<R>: Copy {
     type Sink: Sink<R>;
     fn fingerprint(self) -> Option<u64>;
     fn decode(bits: u64) -> R;
-    fn sink(self, cell: Cell<R>, key: u64, generation: u64) -> Self::Sink;
+    /// The slot header a miss publishes under: `(key, fingerprint,
+    /// generation)`.
+    fn header(self, key: u64, generation: u64) -> [u64; 3];
+    fn sink(cell: Cell<R>) -> Self::Sink;
 }
 
 #[derive(Clone, Copy)]
@@ -332,7 +346,10 @@ impl<R: Send + 'static> MemoUse<R> for NoMemo {
     fn decode(_: u64) -> R {
         unreachable!("a delegation without a fingerprint cannot hit the memo table")
     }
-    fn sink(self, cell: Cell<R>, _: u64, _: u64) -> Cell<R> {
+    fn header(self, _: u64, _: u64) -> [u64; 3] {
+        [0; 3]
+    }
+    fn sink(cell: Cell<R>) -> Cell<R> {
         cell
     }
 }
@@ -348,13 +365,11 @@ impl<R: MemoValue> MemoUse<R> for Memo {
     fn decode(bits: u64) -> R {
         R::from_memo_bits(bits)
     }
-    fn sink(self, cell: Cell<R>, key: u64, generation: u64) -> MemoCell<R> {
-        MemoCell {
-            cell,
-            key,
-            fp: self.0,
-            generation,
-        }
+    fn header(self, key: u64, generation: u64) -> [u64; 3] {
+        [key, self.0, generation]
+    }
+    fn sink(cell: Cell<R>) -> MemoCell<R> {
+        MemoCell(cell)
     }
 }
 
@@ -712,10 +727,27 @@ impl<T: Send + 'static, S: Serializer<T>> Writable<T, S> {
             let value = M::decode(bits);
             return Ok(SsFuture::new_memo_hit(value, rt.clone(), p.ss, p.serial));
         }
-        let (tx, rx) = self.oneshot_cell(p.serial);
-        let sink = memo.sink(Cell(tx), rt.domain().key(p.ss), p.generation);
+        let d = rt.domain();
+        // The issuing thread's lane of the domain's result slab, checked
+        // before anything is issued on it; what `submit` re-checks.
+        let lane = match rt.producer(by.origin(), d) {
+            Ok(lane) => lane,
+            Err(e) => {
+                self.unwind(1);
+                return Err(e);
+            }
+        };
+        let header = memo.header(d.key(p.ss), p.generation);
+        // SAFETY: `producer` resolved the calling thread's own lane: the
+        // domain's program thread (lane 0) or delegate `lane - 1` running
+        // one of the domain's operations, so the domain's barrier, which
+        // reclaims the slab, follows this issue. The future keeps the
+        // runtime — and with it the domain — alive; a queued sender is
+        // dropped before its domain (`Domain::results`).
+        let (tx, rx) = unsafe { d.results.issue(lane, header) };
+        let sink = M::sink(Cell(tx));
         let executor = self.submit_and_record(by.origin(), p.ss, &mut [self.package(f, sink)])?;
-        Ok(SsFuture::new(rx, rt.clone(), p.ss, executor))
+        Ok(SsFuture::new(rx, rt.clone(), p.ss, executor, p.serial))
     }
 
     /// Delegation, phase 1 — the one per-epoch state machine (§3.1/§3.3)
@@ -924,9 +956,7 @@ impl<T: Send + 'static, S: Serializer<T>> Writable<T, S> {
         let executor = match rt.submit(origin, ss, run) {
             Ok(e) => e,
             Err((e, unsubmitted)) => {
-                // `raised` is written under the state mutex only.
-                let _local = self.shared.local.lock();
-                self.shared.pending.unwind(unsubmitted as u32);
+                self.unwind(unsubmitted);
                 return Err(e);
             }
         };
@@ -953,20 +983,12 @@ impl<T: Send + 'static, S: Serializer<T>> Writable<T, S> {
         Ok(executor)
     }
 
-    /// The one-shot completion cell backing a future-returning delegation.
-    /// Root-domain futures draw pooled cells; the pool's recycle point is
-    /// the *root* epoch barrier, whose drain proves nothing about session
-    /// operations, so session futures take fresh (unpooled) cells whose
-    /// lifetime is governed by reference counting alone.
-    fn oneshot_cell<R: Send + 'static>(
-        &self,
-        serial: u64,
-    ) -> (OneshotSender<R>, ss_queue::oneshot::OneshotReceiver<R>) {
-        if self.rt.is_root() {
-            self.rt.inner.core.cell_pool.oneshot(serial)
-        } else {
-            ss_queue::oneshot::oneshot(serial)
-        }
+    /// Takes back the `pending` raise of `n` operations that will never
+    /// run (a submit that failed after `prepare`).
+    fn unwind(&self, n: usize) {
+        // `raised` is written under the state mutex only.
+        let _local = self.shared.local.lock();
+        self.shared.pending.unwind(n as u32);
     }
 
     /// Delegation, phase 2: packages `f` and its completion `sink` as the
@@ -981,8 +1003,8 @@ impl<T: Send + 'static, S: Serializer<T>> Writable<T, S> {
     ///   and the settle counters move, so the drain accounting is exactly
     ///   that of an executed operation.
     /// * **Poison before close.** On the panic and poisoned-skip paths the
-    ///   poison flag is set before the unsent sink drops (closing its cell
-    ///   and waking the waiter), so a waiter that wakes on a closed cell
+    ///   poison flag is set before the unsent sink drops (closing its slot
+    ///   and waking the waiter), so a waiter that wakes on a closed slot
     ///   and consults the flag cannot miss the panic.
     /// * **Sink before settle.** The sink resolves or drops before
     ///   `pending` (and the caller-side queue counters) settle, so every

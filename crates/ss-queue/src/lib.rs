@@ -34,17 +34,17 @@
 //!   idle delegates are allowed to steal never-started serialization sets
 //!   — or the queued tails of quiescent started sets — from a loaded peer.
 //!
-//! Beside the queues, the [`oneshot`] module provides one-shot completion
-//! cells: the result-return substrate of the runtime's futures on
-//! delegated operations (`SsFuture` in ss-core). A cell never loses its
-//! completion (sends succeed even after the receiver is dropped), reports
-//! cancellation to parked waiters, and exposes a value-blind settlement
-//! probe for the runtime's deadlock detector; the [`slab`] module pools
-//! those cells so a warm runtime issues futures without allocating. The
-//! [`shardmap`] module
-//! provides the sharded, epoch-stamped pin map the runtime's routing
-//! layer keys serialization sets with: per-shard locks for writers,
-//! lock-free reads for the re-delegate-to-a-pinned-set hot path. The
+//! Beside the queues, the [`slab`] module provides the result slab: the
+//! completion slots behind the runtime's futures on delegated operations
+//! (`SsFuture` in ss-core), issued by index from one lane per issuing
+//! thread and reclaimed wholesale at an epoch barrier. A send never fails
+//! (a dropped receiver's value is dropped exactly once), a dropped
+//! receiver cancels, and a value-blind probe lets the runtime's deadlock
+//! detector watch a slot and a waiter register to be woken. The
+//! [`shardmap`] module provides the sharded, epoch-stamped pin map the
+//! runtime's routing layer keys serialization sets with: per-shard locks
+//! for writers, lock-free reads for the re-delegate-to-a-pinned-set hot
+//! path. The
 //! [`memomap`] module reuses the same sharding recipe for the
 //! incremental-epochs result cache: fingerprinted results stamped with
 //! per-set generations, invalidated by a counter bump instead of a walk.
@@ -80,7 +80,6 @@
 mod backoff;
 mod deque;
 pub mod memomap;
-pub mod oneshot;
 mod pad;
 mod pending;
 pub mod shardmap;

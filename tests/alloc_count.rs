@@ -1,8 +1,8 @@
 //! Allocation-count regression test for the zero-allocation hot path.
 //!
-//! The PR that introduced `TaskSlot` (inline task records) and the
-//! completion-cell pool claims that the steady-state delegation loop —
-//! re-delegating a small void closure into an already-pinned
+//! Inline task records (`TaskSlot`) and the result slab (the completion
+//! slots behind futures) make the claim that the steady-state delegation
+//! loop — re-delegating a small void closure into an already-pinned
 //! serialization set over the SPSC transport — performs **zero heap
 //! allocations per operation**. This binary installs a counting global
 //! allocator and holds that claim as a hard regression gate: any future
@@ -116,8 +116,8 @@ fn steady_state_delegation_does_not_allocate() {
 /// two atomic counters to the hot path — arithmetic and lock-free
 /// structure reuse, none of which may touch the heap once the pin and the
 /// shard entry exist. (Session `begin`/`end_isolation` and session
-/// futures — whose cells are unpooled — legitimately allocate and stay
-/// outside the window.)
+/// futures — whose slab grows in its first epochs — legitimately
+/// allocate and stay outside the window.)
 ///
 /// Session pushes travel the multi-producer injector lane, not the SPSC
 /// ring (the ring's producer is owned by the root program thread), and
@@ -181,8 +181,8 @@ fn session_steady_state_delegation_does_not_allocate() {
 /// result is published and the set's generation is stable, every
 /// re-submission through `delegate_memo` is a pure cache hit — a sharded
 /// lookup, two atomic bumps, and a future born ready with the value held
-/// *inline* (no completion cell is reserved, so the hit path is
-/// independent of the cell pool and its cap). Ten thousand hits — each
+/// *inline* (no completion slot is issued, so the hit path is
+/// independent of the result slab). Ten thousand hits — each
 /// including the `wait()` that consumes the born-ready future — must not
 /// touch the heap at all. The single miss that populates the entry, and
 /// the epoch boundaries, stay outside the window as usual.
@@ -232,19 +232,20 @@ fn memo_hit_resubmission_does_not_allocate() {
     let stats = rt.stats();
     assert_eq!(stats.memo_misses, 1, "only the first submission executes");
     assert_eq!(stats.memo_hits, 100 + MEASURED);
-    // Hits never reserve a completion cell or enqueue a task: the one
+    // Hits never issue a completion slot or enqueue a task: the one
     // miss is the only operation the delegate ever saw.
     assert_eq!(stats.tasks_inline + stats.tasks_boxed, 1);
 }
 
 /// The same gate for future-returning delegation. A `delegate_with`
-/// record is the object's `Arc`, the completion cell's one-word sender
+/// record is the object's `Arc`, the completion slot's one-word sender
 /// and the user closure — three words with a one-word capture, so it
-/// rides inline in the `TaskSlot` like a void record — and the cell
-/// itself comes from the pool, whose free list follows demand: a warm-up
-/// epoch that issued as many cells as the measured one leaves all of them
-/// reusable. The window covers the submits only (the futures land in a
-/// pre-sized `Vec`); `wait_all`'s result `Vec` is the caller's.
+/// rides inline in the `TaskSlot` like a void record — and the slot
+/// itself comes from the domain's result slab, which keeps what recent
+/// epochs used: a warm-up epoch that issued as many slots as the measured
+/// one leaves all of them reusable. The window covers the submits only
+/// (the futures land in a pre-sized `Vec`); `wait_all`'s result `Vec` is
+/// the caller's.
 fn steady_state_future_delegation_does_not_allocate() {
     const MEASURED: u64 = 10_000;
     const WARMUP: u64 = 100 + MEASURED;
@@ -267,8 +268,8 @@ fn steady_state_future_delegation_does_not_allocate() {
         );
     };
 
-    // Warm-up epoch, sized to the measured one: every cell the measured
-    // epoch will draw is created here, and the pool's lists and the
+    // Warm-up epoch, sized to the measured one: every slot the measured
+    // epoch will draw is created here, and the slab's chunks and the
     // delegate's lazy structures reach their steady size.
     rt.begin_isolation().unwrap();
     for k in 0..WARMUP {
@@ -277,7 +278,7 @@ fn steady_state_future_delegation_does_not_allocate() {
     SsFuture::wait_all(futures.drain(..)).unwrap();
     rt.end_isolation().unwrap();
     let created = rt.cell_pool_stats().2;
-    assert_eq!(created, WARMUP, "one cell per warm-up future");
+    assert_eq!(created, WARMUP, "one slot per warm-up future");
 
     rt.begin_isolation().unwrap();
     for k in 0..100 {
@@ -307,8 +308,106 @@ fn steady_state_future_delegation_does_not_allocate() {
     assert_eq!(
         rt.cell_pool_stats().2,
         created,
-        "the second epoch must reuse the first one's cells"
+        "the second epoch must reuse the first one's slots"
     );
+}
+
+/// The memo-miss path: a miss's `(key, fingerprint, generation)` stamp
+/// rides in its completion slot's header, so the invocation — object
+/// `Arc`, slot sender, user closure — fits the `TaskSlot` inline words
+/// like a plain future's, and a steady run of misses allocates nothing.
+/// Every fingerprint is new, so every submission misses, executes and
+/// publishes.
+fn memo_miss_delegation_does_not_allocate() {
+    const MEASURED: u64 = 5_000;
+    let rt = Runtime::builder()
+        .delegate_threads(1)
+        .queue_capacity(4096)
+        .memo_capacity(1024)
+        .build()
+        .unwrap();
+    let obj: Writable<u64, SequenceSerializer> = Writable::new(&rt, 7);
+    let epoch = |first: u64| {
+        rt.begin_isolation().unwrap();
+        let before = ALLOCS.load(Ordering::Relaxed);
+        for fp in first..first + MEASURED {
+            let fut = obj.delegate_memo(fp, |n| *n * 3).unwrap();
+            assert_eq!(fut.wait().unwrap(), 21);
+        }
+        let delta = ALLOCS.load(Ordering::Relaxed) - before;
+        rt.end_isolation().unwrap();
+        delta
+    };
+    // Warm-up epoch: slab chunks, memo shards, delegate lazy structures.
+    epoch(0);
+    let delta = epoch(MEASURED);
+    assert_eq!(
+        delta, 0,
+        "memo-miss delegation allocated {delta} times in {MEASURED} misses"
+    );
+    let stats = rt.stats();
+    assert_eq!(stats.memo_misses, 2 * MEASURED, "every submission missed");
+    assert_eq!(
+        stats.tasks_boxed, 0,
+        "memo-miss records must be stored inline"
+    );
+    assert_eq!(stats.tasks_inline, 2 * MEASURED);
+}
+
+/// The result slab keeps what a recurring demand needs across the small
+/// epochs between its large ones: two 16 384-future epochs separated by
+/// 32 one-future epochs (a probe between blocks of work), and the second
+/// large epoch constructs no slot and allocates nothing.
+fn recurring_future_burst_does_not_reallocate() {
+    const BURST: usize = 16_384;
+    let rt = Runtime::builder()
+        .delegate_threads(1)
+        .queue_capacity(4096)
+        .build()
+        .unwrap();
+    let obj: Writable<u64, SequenceSerializer> = Writable::new(&rt, 0);
+    let mut futures: Vec<SsFuture<u64>> = Vec::with_capacity(BURST);
+    let burst = |futures: &mut Vec<SsFuture<u64>>| {
+        rt.begin_isolation().unwrap();
+        let before = ALLOCS.load(Ordering::Relaxed);
+        for _ in 0..BURST {
+            futures.push(
+                obj.delegate_with(|n| {
+                    *n += 1;
+                    *n
+                })
+                .unwrap(),
+            );
+        }
+        for f in futures.drain(..) {
+            f.wait().unwrap();
+        }
+        let delta = ALLOCS.load(Ordering::Relaxed) - before;
+        rt.end_isolation().unwrap();
+        delta
+    };
+    burst(&mut futures);
+    let created = rt.cell_pool_stats().2;
+    assert_eq!(
+        created, BURST as u64,
+        "one slot per future of the first burst"
+    );
+    for _ in 0..32 {
+        rt.begin_isolation().unwrap();
+        obj.delegate_with(|n| *n).unwrap().wait().unwrap();
+        rt.end_isolation().unwrap();
+    }
+    let delta = burst(&mut futures);
+    assert_eq!(
+        delta, 0,
+        "a recurring {BURST}-future epoch allocated {delta} times"
+    );
+    assert_eq!(
+        rt.cell_pool_stats(),
+        (BURST, 0, created),
+        "the second burst must reuse the first one's slots"
+    );
+    assert_eq!(obj.call(|n| *n).unwrap(), 2 * BURST as u64);
 }
 
 fn main() {
@@ -328,6 +427,14 @@ fn main() {
         (
             "steady_state_future_delegation_does_not_allocate",
             steady_state_future_delegation_does_not_allocate,
+        ),
+        (
+            "memo_miss_delegation_does_not_allocate",
+            memo_miss_delegation_does_not_allocate,
+        ),
+        (
+            "recurring_future_burst_does_not_reallocate",
+            recurring_future_burst_does_not_reallocate,
         ),
     ] {
         gate();

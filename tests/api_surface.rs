@@ -156,16 +156,20 @@ fn method_pointer_style_delegation() {
 
 /// Recursive delegation (§4's future work, now implemented): a delegated
 /// operation delegates further operations through the scoped
-/// [`DelegateContext`] handle.
+/// [`DelegateContext`] handle. The program thread waits for the parent to
+/// start before it closes the epoch: the barrier's wait would otherwise
+/// retract the parent and run it on the program thread itself.
 #[test]
 fn recursive_delegation_via_delegate_scope() {
     let rt = Runtime::builder().delegate_threads(2).build().unwrap();
     let parent: Writable<u64, SequenceSerializer> = Writable::new(&rt, 0);
     let child: Writable<Vec<u64>, SequenceSerializer> = Writable::new(&rt, Vec::new());
+    let started = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
     rt.begin_isolation().unwrap();
-    let (rt2, child2) = (rt.clone(), child.clone());
+    let (rt2, child2, started2) = (rt.clone(), child.clone(), started.clone());
     parent
         .delegate(move |n| {
+            started2.store(true, std::sync::atomic::Ordering::Release);
             *n += 1;
             rt2.delegate_scope(|cx| {
                 assert!(cx.index() < 2);
@@ -176,6 +180,9 @@ fn recursive_delegation_via_delegate_scope() {
             .unwrap();
         })
         .unwrap();
+    while !started.load(std::sync::atomic::Ordering::Acquire) {
+        std::hint::spin_loop();
+    }
     rt.end_isolation().unwrap();
     assert_eq!(child.call(|v| v.clone()).unwrap(), vec![0, 1, 2, 3]);
     assert_eq!(rt.stats().nested_delegations, 4);

@@ -42,6 +42,11 @@
 //! ring's retired cursor. `retire@0` brackets a retirement, so a script
 //! orders it before or after the retraction's read of the cursor: the
 //! tail goes in the first order and stays in the second.
+//!
+//! A future's wait and its operation's send are a Dekker pair on the
+//! completion slot (`ss_queue::slab`): the waiter registers, fences and
+//! re-checks; the sender stores, fences and reads the registration. Two
+//! scripts order the send before the registration and after the park.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -367,4 +372,51 @@ fn a_retirement_after_the_read_holds_the_tail_back() {
     let (on_delegate, rt) = retire_race(&script);
     assert!(on_delegate);
     assert_eq!(rt.stats().inline_executions, 0);
+}
+
+/// The send-vs-park pair of a future's completion slot: the root program
+/// thread waits on a future whose operation delegate 0 runs (the steal
+/// transport, so no retraction takes it back). `await@p` is hit once the
+/// wait's spin phase is spent and `register@p` just before the waiter
+/// registers on the slot; `send@0` and `sent@0` bracket the send. The
+/// wait must return the value in both orders without a timer.
+fn send_race(script: &[&str]) {
+    let rt = harness(script);
+    let w: Writable<u64, SequenceSerializer> = Writable::new(&rt, 41);
+    rt.begin_isolation().unwrap();
+    let fut = w
+        .delegate_with(|n| {
+            *n += 1;
+            *n
+        })
+        .unwrap();
+    assert_eq!(fut.wait().unwrap(), 42);
+    rt.end_isolation().unwrap();
+    assert_eq!(
+        rt.test_gates_remaining(),
+        Some(0),
+        "script not fully consumed: the forced interleaving was not followed"
+    );
+}
+
+/// The waiter registers and parks before the send: the send's fence-and-
+/// read finds the registration and the sleeping flag, and wakes it.
+#[test]
+fn a_waiter_parked_before_the_send_is_woken_by_it() {
+    send_race(&[
+        "await@p",
+        "register@p",
+        "sleep@p",
+        "send@0",
+        "wake@p",
+        "sent@0",
+    ]);
+}
+
+/// The send lands between the waiter's spin phase and its registration:
+/// the send reads no waiter, and the waiter's re-check after registering
+/// sees the value, so it never parks.
+#[test]
+fn a_send_before_the_registration_is_seen_by_the_recheck() {
+    send_race(&["await@p", "send@0", "sent@0", "register@p"]);
 }

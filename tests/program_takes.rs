@@ -643,3 +643,58 @@ fn a_retracted_tail_keeps_its_order_in_a_reducible() {
         assert_eq!(out.take().unwrap(), [1, 2]);
     });
 }
+
+/// `wait_all` over four kinds of future in one batch takes them in
+/// submission order: a memo hit (born ready), an inline execution (a set
+/// the program thread retracted earlier in the epoch, so born ready too),
+/// one the delegate settled before the call, and one still pending —
+/// behind a held delegate, which the wait retracts and runs.
+#[test]
+fn wait_all_takes_four_kinds_of_future_in_order() {
+    watchdog(|| {
+        let rt = runtime(Runtime::builder().memo_capacity(64));
+        let [b, m, t, r, q]: [Obj; 5] = [0, 1, 2, 3, 4].map(|v| Writable::new(&rt, v));
+        // An earlier epoch publishes `m`'s memo entry.
+        rt.begin_isolation().unwrap();
+        assert_eq!(
+            m.delegate_memo(7, |n| *n + 100).unwrap().wait().unwrap(),
+            101
+        );
+        rt.end_isolation().unwrap();
+
+        rt.begin_isolation().unwrap();
+        // `t` is retracted at a wait, and is the program thread's for the
+        // rest of the epoch.
+        let gate = Gate::new();
+        hold(&b, &gate, || {});
+        let opener = gate.opener();
+        let took = t.delegate_with(move |_| {
+            drop(opener);
+            delegate_thread()
+        });
+        assert!(!took.unwrap().wait().unwrap(), "ran on the delegate");
+        let ready = r.delegate_with(|n| *n * 3).unwrap();
+        while !ready.is_ready() {
+            std::hint::spin_loop();
+        }
+        let hit = m.delegate_memo(7, |n| *n + 100).unwrap();
+        assert!(hit.was_memo_hit());
+        let inline = t.delegate_with(|n| *n + 1).unwrap();
+        assert!(inline.was_inline() && inline.is_ready());
+        let gate = Gate::new();
+        hold(&b, &gate, || {});
+        let opener = gate.opener();
+        let pending = q
+            .delegate_with(move |n| {
+                drop(opener);
+                *n * 5
+            })
+            .unwrap();
+        assert!(!pending.is_ready());
+        let got = SsFuture::wait_all(vec![hit, inline, ready, pending]).unwrap();
+        assert_eq!(got, [101, 3, 9, 20]);
+        rt.end_isolation().unwrap();
+        let st = rt.stats();
+        assert_eq!((st.memo_hits, st.futures_resolved), (1, 5));
+    });
+}

@@ -930,14 +930,14 @@ fn runtime_handles_survive_wrapper_lifetimes() {
     drop(rt);
 }
 
-/// Completion-cell pool stress: futures — waited, carried across epoch
-/// boundaries, and dropped unpolled — must all return their pooled cells
-/// at the `end_isolation` quiescence point. After a warmup epoch sizes
-/// the pool, `created` must stay flat across every later epoch (cells are
-/// reused, not re-allocated), the pool's own free/in-flight accounting
-/// must drain to zero in flight between epochs (no cell is lost, none is
-/// recycled twice into the free list), and runtime `in_flight` must be
-/// zero at the end.
+/// Result-slab stress: futures — waited, carried across epoch
+/// boundaries, and dropped unpolled — must all give their slots back at
+/// the `end_isolation` reclaim, the carried ones once they are released.
+/// After a warmup epoch sizes the slab, `created` must stay flat across
+/// every later epoch (slots are reused, not re-created), the slab's own
+/// free/in-flight accounting must account for every slot (only held
+/// futures keep one; none is lost or counted twice), and runtime
+/// `in_flight` must be zero at the end.
 #[test]
 fn cell_pool_recycles_dropped_futures_across_epochs() {
     const OBJS: usize = 24;
