@@ -71,19 +71,23 @@ pub(super) fn current_domain_id() -> u32 {
 // ----------------------------------------------------------------------
 // temporal slipping (the ring transport's consumer)
 //
-// A delegate that pops an operation the instant its producer publishes it
-// shares that operation's cache lines with the producer *while both use
-// them*: the ring slot, and — because a program thread's consecutive
-// delegations usually target the same object — the object's state mutex,
-// pending count and reference count, which the producer is already
-// raising for the next operation. Every operation then costs both threads
-// several core-to-core transfers, and the pair runs at one of two speeds
-// a factor of two apart: *lockstep* (ring empty, each side slowed by the
-// other, so the producer never gets away) or *run-ahead* (the delegate a
-// few objects behind, neither side waiting on a line the other holds).
-// Which one an epoch lands in is decided by timer ticks and wake-up
-// latencies — that is what made tiny-operation throughput bimodal from
-// one run to the next.
+// A delegate that pops an operation the instant its producer publishes
+// it shares that operation's cache lines with the producer *while both
+// use them*: the ring slot, and — because a program thread's
+// consecutive delegations usually target the same object — the line
+// holding the object's `pending` halves, whose program half the
+// producer is already raising for the next operation while the delegate
+// settles this one. (The producer touches neither the object's state
+// mutex nor a reference count per operation: a repeat delegation
+// commits without the mutex, and an operation holds a plain pointer to
+// its object.) Every operation then costs both threads several
+// core-to-core transfers, and the pair runs at one of two speeds a
+// factor of two apart: *lockstep* (ring empty, each side slowed by the
+// other, so the producer never gets away) or *run-ahead* (the delegate
+// a few objects behind, neither side waiting on a line the other
+// holds). Which one an epoch lands in is decided by timer ticks and
+// wake-up latencies — that is what made tiny-operation throughput
+// bimodal from one run to the next.
 //
 // FastForward's answer (Giacomoni et al., PPoPP 2008) is *temporal
 // slipping*: a consumer that catches up with a streaming producer holds
@@ -1291,8 +1295,13 @@ fn record_steal_events(core: &Core, serial: u64, sets: &[u64], thief: usize, kin
 /// program thread's, so it gets the same §3.3 consistency check:
 /// re-delegating an object already tagged this epoch reports
 /// [`SsError::InconsistentSerializer`] when the external set supplied —
-/// or, once the object's earlier operations have completed, its
-/// recomputed internal serializer — disagrees with the tag.
+/// or, once the object's earlier operations have completed and the
+/// program thread has not delegated it since its last `call`/`call_mut`
+/// of the epoch, its recomputed internal serializer — disagrees with the
+/// tag. (While the program thread's record of the object is current it
+/// may commit a repeat delegation without the object's mutex, so a zero
+/// `pending` read by a nested delegation proves nothing and the value is
+/// not handed to the serializer.)
 ///
 /// ```
 /// use ss_core::{Runtime, SequenceSerializer, Writable};

@@ -34,6 +34,8 @@ use std::sync::Arc;
 use std::thread::ThreadId;
 use std::time::Instant;
 
+use parking_lot::Mutex;
+
 use ss_queue::shardmap::ShardMap;
 use ss_queue::slab::ResultSlab;
 
@@ -162,6 +164,11 @@ pub(crate) struct Domain {
     /// `Lane::Program`: operations nested submits routed to this domain's
     /// program executor, run by its program thread.
     pub(crate) lane: ProgramLane,
+    /// Objects whose last handle went while operations raised on them
+    /// may still be outstanding: their queued operations point at them
+    /// and hold no reference (`Writable`'s keep-alive). Released after
+    /// the domain's next barrier, or with the domain.
+    kept: Mutex<Vec<Arc<dyn Send + Sync>>>,
     /// The completion slots of the domain's futures: lane 0 issued on by
     /// the program thread, lane `1 + i` by delegate `i` (nested futures),
     /// reclaimed at the domain's barrier (`ss_queue::slab`). Declared
@@ -200,6 +207,7 @@ impl Domain {
             queue_cap,
             waiter: Arc::new(waiter),
             lane: ProgramLane::new(),
+            kept: Mutex::new(Vec::new()),
             results: ResultSlab::new(executors),
         }
     }
@@ -236,6 +244,19 @@ impl Domain {
     #[inline]
     pub(crate) fn audit_serial(&self) -> u64 {
         ((self.id as u64) << KEY_BITS) | (self.serial() & KEY_MASK)
+    }
+
+    /// Keeps `object` alive until [`release_kept`](Domain::release_kept).
+    pub(crate) fn keep(&self, object: Arc<dyn Send + Sync>) {
+        self.kept.lock().push(object);
+    }
+
+    /// Drops the objects kept until now. Called after a barrier of the
+    /// domain that returned `Ok`: every operation raised before it has run.
+    pub(crate) fn release_kept(&self) {
+        let kept = std::mem::take(&mut *self.kept.lock());
+        // Outside the lock: a value's drop is user code.
+        drop(kept);
     }
 
     /// Settles `n` completed operations of a counted lane: bumps the

@@ -99,6 +99,9 @@ impl Runtime {
         // thread, lane 0's issuer; a probe lives only inside its future's
         // wait turn, so none outlives its receiver.
         unsafe { d.results.reclaim() };
+        // Every operation on an object whose last handle went this epoch
+        // has run too.
+        d.release_kept();
         if self.is_root() {
             self.reset_steal_epoch();
         }

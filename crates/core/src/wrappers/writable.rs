@@ -42,15 +42,22 @@
 //!    racing delegations ([`SsError::AccessInProgress`]) instead of letting
 //!    them alias the live borrow.
 //! 3. `pending` gives the cheap "no outstanding work" fast path. It is
-//!    two counters, each with one writer at a time ([`Pending`]), so that
-//!    neither the delegating nor the executing thread issues an atomic
-//!    read-modify-write on it:
+//!    three counters, each with one writer at a time ([`Pending`]), so
+//!    that neither the delegating nor the executing thread issues an
+//!    atomic read-modify-write on it:
 //!
 //!    * `raised` is written only under the state mutex, with a plain load
-//!      and store. Every delegation — program-context and nested alike —
-//!      raises it in the critical section that tags the object (a nested
-//!      one after raising the domain's nested-epoch flag), and a failed
-//!      submit unwinds what will never run under the mutex again.
+//!      and store, by nested delegations: each raises it in the critical
+//!      section that tags the object, after raising the domain's
+//!      nested-epoch flag, and a failed submit unwinds what will never run
+//!      under the mutex again.
+//!    * `program` is written only by the domain's program thread, with a
+//!      plain load and store: under the mutex on the locked path, and
+//!      without it on a *repeat* delegation — one on an object whose
+//!      **stamp** (the epoch serial, the tagged set and the recorded
+//!      owner, written by the program thread under the mutex) is this
+//!      epoch's, with operations outstanding. A failed submit unwinds it
+//!      without the mutex: it only takes back operations that never run.
 //!    * `settled` is written only by the executor that runs the object's
 //!      operations, after each one (load, then a Release store). Within an
 //!      epoch every operation of the object is in its one set, whose
@@ -66,22 +73,36 @@
 //!      deque lock. So each settle's load sees the previous settle's
 //!      store, and no settle is lost.
 //!
-//!    A read loads `settled` with Acquire, then `raised`. Settles follow
-//!    raises and an unwound operation is never settled, so the difference
-//!    never wraps, and a zero proves every raised operation settled with
-//!    its effects visible. So whoever holds the mutex and reads `pending
-//!    == 0` with `accessing == false` knows that no executor holds the
-//!    value and that none can take it before the mutex is released. That
-//!    is what lets the delegation state machine hand `&T` to the internal
-//!    serializer (for the first tag of an epoch and for the §3.3 re-check
-//!    of a later delegation, from either context), and what orders a
+//!    A read loads `settled` with Acquire, then `raised` and `program`.
+//!    Each operation settles after its raise and an unwound operation is
+//!    never settled, so the difference never wraps, and a zero proves
+//!    that every raise the reader sees settled with its effects visible.
+//!    A reader that holds the mutex sees every nested raise, and every
+//!    program raise if it is the program thread or the stamp is stale —
+//!    a stale stamp is renewed only under the mutex, so the program
+//!    thread cannot raise until the reader lets go. So a mutex holder
+//!    that reads `pending == 0` with `accessing == false` and is the
+//!    program thread, or sees a stale stamp, knows that no executor holds
+//!    the value and that none can take it before the mutex is released.
+//!    That is what lets the delegation state machine hand `&T` to the
+//!    internal serializer (for the first tag of an epoch and for the §3.3
+//!    re-check of a later delegation, from either context; a nested one
+//!    skips the re-check while the stamp is current), and what orders a
 //!    program-context access against a nested submission: the submission
 //!    either precedes the access's critical section (which then sees its
 //!    `pending` count or the nested flag and quiesces) or follows it (and
 //!    is rejected by `accessing`, or queues behind the state the access
-//!    left).
+//!    left). An access clears the stamp in that critical section, so a
+//!    repeat never races it either.
+//! 4. An operation holds a pointer to its object, not a counted
+//!    reference: the object's handles keep it alive, and a handle dropped
+//!    while operations raised through it may be outstanding hands a
+//!    reference to its domain, which releases it after its next barrier
+//!    (`ObjectPtr`, and `Writable`'s `Drop`).
 
-use std::sync::atomic::Ordering;
+use std::mem::ManuallyDrop;
+use std::ptr::NonNull;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -145,11 +166,65 @@ impl EpochLocal {
 struct Shared<T> {
     value: core::cell::UnsafeCell<T>,
     instance: u64,
-    /// Outstanding delegated operations on this object, in two halves:
-    /// raised under `local`, settled by the executor that owns the
-    /// object's set (module safety model, point 3).
+    /// Outstanding delegated operations on this object, in three halves:
+    /// raised under `local` by nested delegations, raised by the domain's
+    /// program thread, settled by the executor that owns the object's set
+    /// (module safety model, point 3).
     pending: Pending,
+    /// What the program thread last recorded under `local`.
+    stamp: Stamp,
     local: Mutex<EpochLocal>,
+}
+
+/// The program thread's record of an object it delegated this epoch: the
+/// epoch serial, the set it tagged and the owner it recorded. Written
+/// only by the domain's program thread, and only under the state mutex
+/// (`submit_and_record` sets it, `access` clears it); read by that thread
+/// without the mutex and by nested delegations under it. While the serial
+/// is the current one the object is tagged privately-writable with `tag`
+/// and recorded as owned by `owner`, so a repeat program-thread
+/// delegation commits without the mutex (`Writable::repeat`) and records
+/// its owner only when it changed.
+struct Stamp {
+    /// The epoch serial the record belongs to; 0 (no epoch) when cleared.
+    serial: AtomicU64,
+    tag: AtomicU64,
+    /// [`Executor::Program`] as `u64::MAX`, delegate `i` as `i`.
+    owner: AtomicU64,
+}
+
+impl Stamp {
+    fn owner_bits(owner: Executor) -> u64 {
+        match owner {
+            Executor::Program => u64::MAX,
+            Executor::Delegate(i) => i as u64,
+        }
+    }
+
+    /// Whether the record is this epoch's.
+    #[inline]
+    fn current(&self, serial: u64) -> bool {
+        self.serial.load(Ordering::Relaxed) == serial
+    }
+
+    /// Whether this epoch's record names `owner`.
+    #[inline]
+    fn owned_by(&self, serial: u64, owner: Executor) -> bool {
+        self.current(serial) && self.owner.load(Ordering::Relaxed) == Self::owner_bits(owner)
+    }
+
+    /// Records the epoch, the set and the owner. The program thread, under
+    /// the state mutex.
+    fn record(&self, serial: u64, tag: SsId, owner: Executor) {
+        self.tag.store(tag.0, Ordering::Relaxed);
+        self.owner.store(Self::owner_bits(owner), Ordering::Relaxed);
+        self.serial.store(serial, Ordering::Relaxed);
+    }
+
+    /// Makes the record stale. The program thread, under the state mutex.
+    fn clear(&self) {
+        self.serial.store(0, Ordering::Relaxed);
+    }
 }
 
 /// What a completion [`Sink`] may ask about its operation's receiver —
@@ -173,7 +248,8 @@ impl Receiver<'_> {
 
 // SAFETY: `value` is accessed under the executor-exclusivity protocol
 // documented at module level; `local` is mutex-guarded; `pending`'s halves
-// are atomic. `T: Send` because the value migrates between executor threads.
+// and the stamp are atomic. `T: Send` because the value migrates between
+// executor threads.
 unsafe impl<T: Send> Send for Shared<T> {}
 unsafe impl<T: Send> Sync for Shared<T> {}
 
@@ -239,7 +315,7 @@ pub(crate) trait Sink<R>: Send + 'static {
 }
 
 /// Void delegation (Table 1 `delegate`): nothing to deliver. Zero-sized,
-/// so a void invocation closure is the object's `Arc` plus the user
+/// so a void invocation closure is the object pointer plus the user
 /// closure — it fits `TaskSlot`'s three inline words whenever the user
 /// capture fits two.
 pub(crate) struct Void;
@@ -256,7 +332,7 @@ impl Sink<()> for Void {
 
 /// Future-returning delegation: the sending half of the completion slot
 /// behind the [`SsFuture`] — one word, so the invocation closure (object
-/// `Arc` + sender + user closure) fits `TaskSlot`'s three inline words
+/// pointer + sender + user closure) fits `TaskSlot`'s three inline words
 /// whenever the user capture fits one. What the `FutureResolve` trace
 /// event reports is not carried: the epoch serial and the set are the
 /// receiver's epoch state, and the executor comes with the execution
@@ -426,6 +502,46 @@ impl<T: Send + 'static, S: Serializer<T>> Clone for Writable<T, S> {
     }
 }
 
+/// The object keep-alive: a handle dropped while operations raised on
+/// the object may still be outstanding hands a reference to its domain's
+/// kept list, which `end_isolation` releases after its barrier — by when
+/// every one of them has run (ARCHITECTURE, "The allocation lifecycle of
+/// an operation").
+impl<T: Send + 'static, S: Serializer<T>> Drop for Writable<T, S> {
+    fn drop(&mut self) {
+        if self.shared.pending.outstanding() != 0 {
+            let object: Arc<Shared<T>> = Arc::clone(&self.shared);
+            self.rt.domain().keep(object);
+        }
+    }
+}
+
+/// An invocation's pointer to its object, in place of a counted
+/// reference. The object outlives every operation raised on it: each
+/// raise is made through a handle and happens-before that handle's drop
+/// (a borrow of the handle ends before it is dropped, and a borrow shared
+/// with another thread ends through a synchronization: a join, a lock,
+/// an `Arc` count). So the drop's `outstanding()` — `settled` with
+/// Acquire, then both raised halves — sees the raise, and reads zero
+/// only if the operation's settle, its last access to the object, has
+/// happened-before it. Otherwise the drop keeps the object (`Drop for
+/// Writable`) until its domain's barrier, which every operation raised
+/// on the object in the epoch precedes.
+struct ObjectPtr<T>(NonNull<Shared<T>>);
+
+// SAFETY: the pointee is `Send + Sync` for `T: Send` and outlives the
+// pointer (above).
+unsafe impl<T: Send> Send for ObjectPtr<T> {}
+
+impl<T> ObjectPtr<T> {
+    /// # Safety
+    /// The operation holding the pointer has not settled.
+    unsafe fn get(&self) -> &Shared<T> {
+        // SAFETY: the object outlives every unsettled operation (above).
+        unsafe { self.0.as_ref() }
+    }
+}
+
 impl<T: Send + 'static, S: Serializer<T>> std::fmt::Debug for Writable<T, S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Writable")
@@ -452,6 +568,11 @@ impl<T: Send + 'static, S: Serializer<T>> Writable<T, S> {
                 value: core::cell::UnsafeCell::new(value),
                 instance: rt.next_instance(),
                 pending: Pending::new(),
+                stamp: Stamp {
+                    serial: AtomicU64::new(0),
+                    tag: AtomicU64::new(0),
+                    owner: AtomicU64::new(0),
+                },
                 local: Mutex::new(EpochLocal {
                     serial: 0,
                     use_state: UseState::Unused,
@@ -701,7 +822,7 @@ impl<T: Send + 'static, S: Serializer<T>> Writable<T, S> {
             return Ok(0);
         }
         let p = self.prepare(by, external, n as u32, None)?;
-        self.submit_and_record(by.origin(), p.ss, run)?;
+        self.submit_and_record(by.origin(), &p, run)?;
         Ok(n)
     }
 
@@ -733,7 +854,7 @@ impl<T: Send + 'static, S: Serializer<T>> Writable<T, S> {
         let lane = match rt.producer(by.origin(), d) {
             Ok(lane) => lane,
             Err(e) => {
-                self.unwind(1);
+                self.unwind(by.origin(), 1);
                 return Err(e);
             }
         };
@@ -746,7 +867,7 @@ impl<T: Send + 'static, S: Serializer<T>> Writable<T, S> {
         // dropped before its domain (`Domain::results`).
         let (tx, rx) = unsafe { d.results.issue(lane, header) };
         let sink = M::sink(Cell(tx));
-        let executor = self.submit_and_record(by.origin(), p.ss, &mut [self.package(f, sink)])?;
+        let executor = self.submit_and_record(by.origin(), &p, &mut [self.package(f, sink)])?;
         Ok(SsFuture::new(rx, rt.clone(), p.ss, executor, p.serial))
     }
 
@@ -760,7 +881,10 @@ impl<T: Send + 'static, S: Serializer<T>> Writable<T, S> {
     /// claim, no `pending` raise, because no operation will run. Otherwise
     /// the commit — tag, privately-writable claim, nested-epoch mark and
     /// the `pending` raise by `count` — happens inside the critical
-    /// section for both submitters (module safety model, point 3).
+    /// section for both submitters (module safety model, point 3), with
+    /// one exception: a **repeat** program-thread delegation
+    /// ([`repeat`](Writable::repeat)) finds everything but the raise
+    /// already committed this epoch, and raises without the mutex.
     ///
     /// Three rules apply to a delegate context only:
     ///
@@ -811,6 +935,22 @@ impl<T: Send + 'static, S: Serializer<T>> Writable<T, S> {
         }
         // Without a memo table a memoized delegation is a plain future.
         let memo = core.memo.as_ref().zip(fp);
+        if let (Submitter::Program, None) = (by, memo) {
+            if let Some(ss) = self.repeat(serial, external)? {
+                // Between the read that found work outstanding and the
+                // raise: where a nested `prepare` that trusted a zero
+                // would race this delegation (`tests/repeat_delegation.rs`).
+                core.gate("repeat", "p");
+                self.shared.pending.raise_program(count);
+                self.invalidate_memo(ss, by);
+                return Ok(Prepared {
+                    ss,
+                    serial,
+                    hit: None,
+                    generation: 0,
+                });
+            }
+        }
 
         let mut local = self.shared.local.lock();
         local.refresh(serial);
@@ -834,16 +974,23 @@ impl<T: Send + 'static, S: Serializer<T>> Writable<T, S> {
         }
         // What the serializers say now: the external set when one was
         // supplied, else the internal serializer — which needs `&T`, so it
-        // is consulted only while no delegated operation is in flight.
-        let idle = self.shared.pending.outstanding() == 0;
+        // is consulted only while no delegated operation is in flight. A
+        // nested reader trusts a zero only while the program thread's
+        // stamp is stale: while it is current, the program thread raises
+        // without this mutex.
+        let idle = self.shared.pending.outstanding() == 0
+            && (matches!(by, Submitter::Program) || !self.shared.stamp.current(serial));
         let computed = match external {
             Some(e) => Some(e),
             None if idle => {
                 // SAFETY: `pending == 0` and `accessing == false`, both read
-                // under the state mutex, which every delegation's `pending`
-                // raise and every program access's `accessing` claim also
-                // hold: no executor has the value and none can take it
-                // before the mutex is released.
+                // under the state mutex, which every nested raise, every
+                // program access's `accessing` claim and every program
+                // raise made while the stamp is stale also hold (the
+                // caller is the program thread, or the stamp is stale and
+                // can be renewed only under this mutex): no executor has
+                // the value and none can take it before the mutex is
+                // released.
                 let value = unsafe { &*self.shared.value.get() };
                 self.serializer.serialize(value, self.cx())
             }
@@ -903,10 +1050,13 @@ impl<T: Send + 'static, S: Serializer<T>> Writable<T, S> {
         }
         local.tag = Some(ss);
         local.use_state = UseState::PrivateWritable;
-        if matches!(by, Submitter::Nested(_)) {
-            rt.mark_nested_epoch();
+        match by {
+            Submitter::Program => self.shared.pending.raise_program(count),
+            Submitter::Nested(_) => {
+                rt.mark_nested_epoch();
+                self.shared.pending.raise(count);
+            }
         }
-        self.shared.pending.raise(count);
         drop(local);
         if memo.is_none() {
             // A non-memoized delegation mutates the set's object outside
@@ -919,6 +1069,35 @@ impl<T: Send + 'static, S: Serializer<T>> Writable<T, S> {
             hit: None,
             generation,
         })
+    }
+
+    /// The lock-free branch of `prepare`: `Some(set)` when this
+    /// program-thread delegation is a **repeat** — the object's stamp is
+    /// this epoch's, so the program thread tagged it privately-writable
+    /// with that set and no `access` has run since, and operations are
+    /// still outstanding, so the locked path would not consult the
+    /// internal serializer either. Nothing under the mutex can then reject
+    /// it: `accessing` is set only inside an `access`, which clears the
+    /// stamp first, and a privately-writable object never turns
+    /// read-shared within an epoch. An external set is still checked
+    /// against the tag (§3.3). `None` sends the delegation down the locked
+    /// path: the first of an epoch, one after an `access`, and one on an
+    /// idle object, whose set the internal serializer re-checks.
+    #[inline]
+    fn repeat(&self, serial: u64, external: Option<SsId>) -> SsResult<Option<SsId>> {
+        let shared = &*self.shared;
+        if !shared.stamp.current(serial) || shared.pending.outstanding() == 0 {
+            return Ok(None);
+        }
+        let tag = SsId(shared.stamp.tag.load(Ordering::Relaxed));
+        match external {
+            Some(got) if got != tag => Err(SsError::InconsistentSerializer {
+                instance: shared.instance,
+                tagged: tag,
+                got,
+            }),
+            _ => Ok(Some(tag)),
+        }
     }
 
     /// Invalidates the set's memoized results: one generation bump
@@ -937,10 +1116,12 @@ impl<T: Send + 'static, S: Serializer<T>> Writable<T, S> {
     /// Delegation, phase 3, for either origin: submit the packaged run
     /// (`prepare` has already raised `pending` by its length) and record
     /// the owning executor for later reclaims — one router resolution and
-    /// one queue publish however long the run. A failed submit unwinds
-    /// `pending`, under the state mutex, by exactly the number of tasks
-    /// that will never execute (tasks already landed still run and settle
-    /// their own share). With
+    /// one queue publish however long the run. The program thread takes
+    /// the state mutex for the record only when the owner differs from
+    /// its stamp's (a first delegation of the epoch, a retracted set),
+    /// and renews the stamp there. A failed submit unwinds `pending` by
+    /// exactly the number of tasks that will never execute (tasks already
+    /// landed still run and settle their own share). With
     /// tracing on, one event is recorded per operation — in the
     /// program-order log for program origin, as a side event for nested —
     /// so the log of a run is indistinguishable from the equivalent
@@ -948,19 +1129,27 @@ impl<T: Send + 'static, S: Serializer<T>> Writable<T, S> {
     fn submit_and_record(
         &self,
         origin: Origin,
-        ss: SsId,
+        p: &Prepared,
         run: &mut [Option<TaskSlot>],
     ) -> SsResult<Executor> {
         let rt = &self.rt;
-        let n = run.len();
+        let (n, ss) = (run.len(), p.ss);
         let executor = match rt.submit(origin, ss, run) {
             Ok(e) => e,
             Err((e, unsubmitted)) => {
-                self.unwind(unsubmitted);
+                self.unwind(origin, unsubmitted);
                 return Err(e);
             }
         };
-        self.shared.local.lock().owner = Some(executor);
+        match origin {
+            Origin::Program if self.shared.stamp.owned_by(p.serial, executor) => {}
+            Origin::Program => {
+                let mut local = self.shared.local.lock();
+                local.owner = Some(executor);
+                self.shared.stamp.record(p.serial, ss, executor);
+            }
+            Origin::Nested => self.shared.local.lock().owner = Some(executor),
+        }
         let instance = Some(self.shared.instance);
         match origin {
             Origin::Program if rt.trace_enabled() => {
@@ -984,11 +1173,17 @@ impl<T: Send + 'static, S: Serializer<T>> Writable<T, S> {
     }
 
     /// Takes back the `pending` raise of `n` operations that will never
-    /// run (a submit that failed after `prepare`).
-    fn unwind(&self, n: usize) {
-        // `raised` is written under the state mutex only.
-        let _local = self.shared.local.lock();
-        self.shared.pending.unwind(n as u32);
+    /// run (a submit that failed after `prepare`), on the half `origin`
+    /// raised.
+    fn unwind(&self, origin: Origin, n: usize) {
+        match origin {
+            Origin::Program => self.shared.pending.unwind_program(n as u32),
+            Origin::Nested => {
+                // `raised` is written under the state mutex only.
+                let _local = self.shared.local.lock();
+                self.shared.pending.unwind(n as u32);
+            }
+        }
     }
 
     /// Delegation, phase 2: packages `f` and its completion `sink` as the
@@ -1011,11 +1206,13 @@ impl<T: Send + 'static, S: Serializer<T>> Writable<T, S> {
     ///   drain proof (`end_isolation`, reclaim quiesce) transitively
     ///   proves all futures of the epoch are resolved.
     ///
-    /// The closure owns the object (`shared`) and nothing of the runtime:
-    /// the [`Core`](crate::runtime::Core) it counts and poisons against is
-    /// lent by whoever runs it ([`ExecCx`]), so packaging clones one `Arc`
-    /// and the program thread and the delegate share no refcount per
-    /// operation.
+    /// The closure holds a pointer to the object and nothing of the
+    /// runtime: the [`Core`](crate::runtime::Core) it counts and poisons
+    /// against is lent by whoever runs it ([`ExecCx`]), and the object is
+    /// kept alive by its handles and, once the last handle that raised it
+    /// is gone, by its domain's kept list ([`ObjectPtr`]). So packaging
+    /// touches no reference count, and the program thread and the
+    /// delegate share none per operation.
     ///
     /// Returned as `Some` because a run slice is what consumes it.
     pub(crate) fn package<R, F, K>(&self, f: F, sink: K) -> Option<TaskSlot>
@@ -1023,8 +1220,10 @@ impl<T: Send + 'static, S: Serializer<T>> Writable<T, S> {
         F: FnOnce(&mut T) -> R + Send + 'static,
         K: Sink<R>,
     {
-        let shared = Arc::clone(&self.shared);
+        let object = ObjectPtr(NonNull::from(&*self.shared));
         let run = move |cx: &ExecCx<'_>| {
+            // SAFETY: this operation settles last, below.
+            let shared = unsafe { object.get() };
             let core = cx.core;
             let out = if sink.cancelled() {
                 cx.stats.bump(|c| &c.ops_cancelled);
@@ -1123,6 +1322,9 @@ impl<T: Send + 'static, S: Serializer<T>> Writable<T, S> {
         let (owner, tag, mid_submit) = {
             let mut local = self.shared.local.lock();
             local.refresh(serial);
+            // The next program-thread delegation takes the locked path,
+            // and nested ones trust a zero `pending` again.
+            self.shared.stamp.clear();
             match local.use_state {
                 UseState::Unused => {
                     local.use_state = if mutate {
@@ -1270,9 +1472,18 @@ impl<T: Send + 'static, S: Serializer<T>> Writable<T, S> {
         {
             return Err(self);
         }
-        let serializer = Arc::clone(&self.serializer);
-        let rt = self.rt.clone();
-        match Arc::try_unwrap(self.shared) {
+        // Nothing is outstanding, so the handle's drop would keep nothing.
+        let this = ManuallyDrop::new(self);
+        // SAFETY: each field is moved out exactly once, and `this` is
+        // neither used nor dropped again.
+        let (shared, serializer, rt) = unsafe {
+            (
+                std::ptr::read(&this.shared),
+                std::ptr::read(&this.serializer),
+                std::ptr::read(&this.rt),
+            )
+        };
+        match Arc::try_unwrap(shared) {
             Ok(shared) => Ok(shared.value.into_inner()),
             Err(shared) => Err(Writable {
                 shared,

@@ -49,8 +49,8 @@
 //! incremental-epochs result cache: fingerprinted results stamped with
 //! per-set generations, invalidated by a counter bump instead of a walk.
 //! [`Pending`] is the runtime objects' outstanding-operation count, in
-//! two halves that the delegating and the executing thread each write
-//! alone.
+//! three halves — locked raises, the program thread's raises, settles —
+//! that each have one writer at a time.
 //!
 //! The SPSC queues are bounded, lock-free, and split statically into a
 //! [`Producer`]/[`Consumer`] handle pair so the single-producer /

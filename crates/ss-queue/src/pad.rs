@@ -1,5 +1,6 @@
 //! Cache-line padding to prevent false sharing between adjacent fields that
-//! are written by different threads.
+//! are written by different threads, and a write prefetch for a line the
+//! caller is about to write.
 
 use core::fmt;
 use core::ops::{Deref, DerefMut};
@@ -55,6 +56,63 @@ impl<T> From<T> for CachePadded<T> {
     fn from(value: T) -> Self {
         CachePadded::new(value)
     }
+}
+
+/// Asks for the cache line holding `p` in a writable state, ahead of a
+/// store to it: a hint, which never faults and changes nothing the
+/// program can observe. A line the other side of a queue wrote last then
+/// crosses cores while the caller does other work, instead of when its
+/// store reaches the head of the store buffer.
+///
+/// On x86-64 this is `prefetchw`, issued through `asm!` when the CPU has
+/// it (CPUID's `PRFCHW` bit, read once): `_mm_prefetch::<_MM_HINT_ET0>`
+/// compiles to a read prefetch (`prefetcht0`) unless the crate is built
+/// with `prfchw` enabled, and a read prefetch fetches the line shared, so
+/// the store still waits for ownership. Elsewhere it does nothing.
+#[inline(always)]
+pub(crate) fn prefetch_write<T>(p: *const T) {
+    #[cfg(target_arch = "x86_64")]
+    if has_prefetchw() {
+        // SAFETY: a prefetch reads and writes no memory the program sees
+        // and never faults, whatever the address.
+        unsafe {
+            core::arch::asm!(
+                "prefetchw [{p}]",
+                p = in(reg) p,
+                options(nostack, preserves_flags, readonly)
+            )
+        };
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = p;
+}
+
+/// Whether the CPU implements `prefetchw`, asked once and cached.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+fn has_prefetchw() -> bool {
+    match PRFCHW.load(core::sync::atomic::Ordering::Relaxed) {
+        0 => probe_prefetchw(),
+        known => known == 2,
+    }
+}
+
+/// [`has_prefetchw`]'s cache: 0 not asked yet, 1 absent, 2 present.
+#[cfg(target_arch = "x86_64")]
+static PRFCHW: core::sync::atomic::AtomicU8 = core::sync::atomic::AtomicU8::new(0);
+
+/// Asks CPUID (leaf `0x8000_0001`, ECX bit 8) and fills the cache.
+#[cfg(target_arch = "x86_64")]
+#[cold]
+fn probe_prefetchw() -> bool {
+    use core::arch::x86_64::__cpuid;
+    #[allow(unused_unsafe)]
+    // SAFETY: every x86-64 CPU has CPUID and its extended leaves.
+    let present = unsafe {
+        __cpuid(0x8000_0000).eax >= 0x8000_0001 && __cpuid(0x8000_0001).ecx & (1 << 8) != 0
+    };
+    PRFCHW.store(1 + present as u8, core::sync::atomic::Ordering::Relaxed);
+    present
 }
 
 #[cfg(test)]

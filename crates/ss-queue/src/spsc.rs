@@ -71,6 +71,7 @@ use core::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
+use crate::pad::prefetch_write;
 use crate::{Backoff, CachePadded, Full, Pop};
 
 /// The largest batch a consumer claims at once: the runtime's temporal
@@ -248,7 +249,12 @@ impl<T> Producer<T> {
     /// [`Full`] if the ring has no free slot.
     #[inline]
     pub fn try_push(&self, value: T) -> Result<(), Full<T>> {
-        let slot = self.shared.slot(self.head.get());
+        let head = self.head.get();
+        let slot = self.shared.slot(head);
+        // The slot two pushes on was last written by the consumer, which
+        // emptied it: fetch it for writing now, so that push does not
+        // wait for the line behind this one's store.
+        prefetch_write(self.shared.slot(head + 2));
         if slot.full.load(Ordering::Acquire) {
             return Err(Full(value));
         }
@@ -256,7 +262,7 @@ impl<T> Producer<T> {
         // else touches the payload until we publish it below.
         unsafe { (*slot.value.get()).write(value) };
         slot.full.store(true, Ordering::Release);
-        self.head.set(self.head.get() + 1);
+        self.head.set(head + 1);
         Ok(())
     }
 

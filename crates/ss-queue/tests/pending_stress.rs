@@ -1,18 +1,23 @@
-//! Cross-thread stress test for [`Pending`]'s two halves: one thread
-//! raises under a mutex (and sometimes unwinds part of what it raised)
-//! while another settles, and a third reads the count under the same
-//! mutex. A reading of zero must mean nothing is outstanding: every
-//! operation raised so far has run, and its effect is visible to the
-//! reader. No reading may exceed what is raised (the difference never
-//! wraps).
+//! Cross-thread stress test for [`Pending`]'s three halves, in the shape
+//! the runtime uses them: a *program raiser* raises its half without a
+//! lock while its stamp is current and under the mutex while it is not; a
+//! *mutex raiser* raises the locked half under the mutex (both sometimes
+//! unwind part of what they raised); a settler runs and settles both
+//! raisers' operations; and a reader reads the count under the mutex.
+//!
+//! * The program raiser's own reading of zero must mean that every one of
+//!   *its* operations has run, with its effect visible.
+//! * The mutex reader's reading of zero, taken while no stamp is current,
+//!   must mean that every operation raised so far has run.
+//! * No reading wraps.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use ss_queue::{Pending, Pop, SpscQueue};
+use ss_queue::{Pending, Pop, Producer, SpscQueue};
 
-/// Operations raised per run.
-const N: u64 = 200_000;
+/// Operations each raiser raises per run.
+const N: u64 = 40_000;
 
 /// xorshift64*: a seeded, dependency-free generator.
 struct Rng(u64);
@@ -26,17 +31,33 @@ impl Rng {
     }
 }
 
-/// What the raisers' mutex guards: operations raised, net of unwinds.
+/// What the mutex guards.
 struct Ledger {
+    /// Operations raised, net of unwinds: every locked raise, and the
+    /// program raiser's unlocked raises up to its last stamp clear.
     issued: u64,
+    /// Whether the program raiser's stamp is current: it raises without
+    /// the mutex, so a zero read under the mutex proves nothing.
+    stamped: bool,
 }
 
-/// Checks one reading taken under the ledger's mutex against the ground
-/// truth: `effects` counts operations whose effect the settler wrote
-/// before settling them.
-fn check(pending: &Pending, ledger: &Ledger, effects: &AtomicU64) -> bool {
+/// Effects the settler wrote before settling, per raiser.
+#[derive(Default)]
+struct Effects {
+    program: AtomicU64,
+    locked: AtomicU64,
+}
+
+impl Effects {
+    fn total(&self) -> u64 {
+        self.program.load(Ordering::Relaxed) + self.locked.load(Ordering::Relaxed)
+    }
+}
+
+/// Checks one reading taken under the mutex while no stamp is current.
+fn check_locked(pending: &Pending, ledger: &Ledger, effects: &Effects) -> bool {
     let outstanding = pending.outstanding() as u64;
-    let seen = effects.load(Ordering::Relaxed);
+    let seen = effects.total();
     assert!(
         outstanding <= ledger.issued,
         "{outstanding} > {}",
@@ -54,75 +75,162 @@ fn check(pending: &Pending, ledger: &Ledger, effects: &AtomicU64) -> bool {
     outstanding == 0
 }
 
+/// Checks the program raiser's own reading against its operations:
+/// `mine` raised, net of unwinds.
+fn check_program(pending: &Pending, mine: u64, effects: &Effects) -> bool {
+    let outstanding = pending.outstanding() as u64;
+    let seen = effects.program.load(Ordering::Relaxed);
+    assert!(outstanding < u32::MAX as u64 / 2, "wrapped: {outstanding}");
+    assert!(
+        seen + outstanding >= mine,
+        "{seen} + {outstanding} < {mine}"
+    );
+    if outstanding == 0 {
+        assert_eq!(seen, mine, "read zero with its own work outstanding");
+    }
+    outstanding == 0
+}
+
+/// One run of 1–4 operations: raised by `raise`, pushed, with a tail
+/// sometimes lost and unwound by `unwind`. Returns what stays raised.
+fn one_run(
+    rng: &mut Rng,
+    tx: &Producer<()>,
+    raise: impl FnOnce(u64),
+    unwind: impl FnOnce(u64),
+) -> u64 {
+    let n = 1 + rng.below(4);
+    let lost = if rng.below(8) == 0 {
+        rng.below(n + 1)
+    } else {
+        0
+    };
+    raise(n);
+    for _ in 0..n - lost {
+        tx.push_blocking(()).unwrap();
+    }
+    if lost > 0 {
+        unwind(lost);
+    }
+    n - lost
+}
+
 fn run(seed: u64) {
     let pending = Pending::new();
-    let ledger = Mutex::new(Ledger { issued: 0 });
-    let effects = AtomicU64::new(0);
+    let ledger = Mutex::new(Ledger {
+        issued: 0,
+        stamped: false,
+    });
+    let effects = Effects::default();
     let done = AtomicBool::new(false);
-    let (tx, rx) = SpscQueue::with_capacity(64);
-    let (p, e) = (&pending, &effects);
-    std::thread::scope(|s| {
+    let (ptx, prx) = SpscQueue::with_capacity(64);
+    let (ltx, lrx) = SpscQueue::with_capacity(64);
+    let (p, e, l) = (&pending, &effects, &ledger);
+    let unpublished = std::thread::scope(|s| {
         // The settler: runs each operation — its effect, written by this
-        // thread alone — then settles it.
-        s.spawn(move || loop {
-            match rx.try_pop() {
-                Pop::Value(()) => {
-                    e.store(e.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
-                    p.settle();
+        // thread alone — then settles it, from either raiser's queue.
+        s.spawn(move || {
+            let mut open = [true, true];
+            while open.iter().any(|&o| o) {
+                for (k, (rx, effect)) in [(&prx, &e.program), (&lrx, &e.locked)]
+                    .into_iter()
+                    .enumerate()
+                {
+                    match rx.try_pop() {
+                        Pop::Value(()) => {
+                            effect.store(effect.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
+                            p.settle();
+                        }
+                        Pop::Empty => std::hint::spin_loop(),
+                        Pop::Disconnected => open[k] = false,
+                    }
                 }
-                Pop::Empty => std::hint::spin_loop(),
-                Pop::Disconnected => return,
             }
         });
-        // The reader.
+        // The mutex reader.
         let reader = s.spawn(|| {
             while !done.load(Ordering::Relaxed) {
-                check(&pending, &ledger.lock().unwrap(), &effects);
+                let ledger = l.lock().unwrap();
+                if ledger.stamped {
+                    assert!(p.outstanding() < u32::MAX / 2, "wrapped");
+                } else {
+                    check_locked(p, &ledger, e);
+                }
             }
         });
-        // The raiser: runs of 1–4 operations raised under the mutex and
-        // pushed after it, some with a tail lost and unwound under the
-        // mutex again. Every 256 runs it waits for the settler to catch
-        // up, so readings of zero are sure to happen.
+        // The mutex raiser: every raise and unwind under the mutex.
+        let locked = s.spawn(move || {
+            let mut rng = Rng(seed ^ 0x5555);
+            let mut raised = 0;
+            while raised < N {
+                let raise = |n| {
+                    let mut ledger = l.lock().unwrap();
+                    p.raise(n as u32);
+                    ledger.issued += n;
+                };
+                let unwind = |n| {
+                    let mut ledger = l.lock().unwrap();
+                    p.unwind(n as u32);
+                    ledger.issued -= n;
+                };
+                raised += one_run(&mut rng, &ltx, raise, unwind);
+                std::thread::yield_now();
+            }
+        });
+        // The program raiser: toggles its stamp now and then; while it is
+        // current it raises and unwinds without the mutex and publishes
+        // the count when it clears the stamp, as the runtime's program
+        // thread does between its locked and its lock-free delegations.
         let mut rng = Rng(seed);
-        let mut raised = 0;
+        let (mut mine, mut unpublished, mut stamped) = (0u64, 0u64, false);
         let mut k = 0u64;
-        while raised < N {
-            let n = 1 + rng.below(4);
-            let lost = if rng.below(8) == 0 {
-                rng.below(n + 1)
+        while mine < N {
+            if rng.below(64) == 0 {
+                let mut ledger = ledger.lock().unwrap();
+                stamped = !stamped;
+                ledger.stamped = stamped;
+                ledger.issued += std::mem::take(&mut unpublished);
+            }
+            let stays = if stamped {
+                let raise = |n| pending.raise_program(n as u32);
+                let unwind = |n| pending.unwind_program(n as u32);
+                let stays = one_run(&mut rng, &ptx, raise, unwind);
+                unpublished += stays;
+                stays
             } else {
-                0
+                let raise = |n| {
+                    let mut ledger = ledger.lock().unwrap();
+                    pending.raise_program(n as u32);
+                    ledger.issued += n;
+                };
+                let unwind = |n| {
+                    let mut ledger = ledger.lock().unwrap();
+                    pending.unwind_program(n as u32);
+                    ledger.issued -= n;
+                };
+                one_run(&mut rng, &ptx, raise, unwind)
             };
-            {
-                let mut l = ledger.lock().unwrap();
-                pending.raise(n as u32);
-                l.issued += n;
-            }
-            for _ in 0..n - lost {
-                tx.push_blocking(()).unwrap();
-            }
-            if lost > 0 {
-                let mut l = ledger.lock().unwrap();
-                pending.unwind(lost as u32);
-                l.issued -= lost;
-            }
-            raised += n;
+            mine += stays;
+            check_program(&pending, mine, &effects);
             k += 1;
             if k.is_multiple_of(256) {
-                while pending.outstanding() != 0 {
+                // Wait for the settler, so readings of zero are sure to
+                // happen.
+                while !check_program(&pending, mine, &effects) {
                     std::hint::spin_loop();
                 }
-                assert!(check(&pending, &ledger.lock().unwrap(), &effects));
             }
         }
-        drop(tx);
+        drop(ptx);
+        locked.join().unwrap();
         done.store(true, Ordering::Relaxed);
         reader.join().unwrap();
+        unpublished
     });
-    let l = ledger.into_inner().unwrap();
+    let mut l = ledger.into_inner().unwrap();
+    l.issued += unpublished;
     assert!(
-        check(&pending, &l, &effects),
+        check_locked(&pending, &l, &effects),
         "work left after the settler exited"
     );
 }
