@@ -54,8 +54,8 @@
 //!    * `program` is written only by the domain's program thread, with a
 //!      plain load and store: under the mutex on the locked path, and
 //!      without it on a *repeat* delegation — one on an object whose
-//!      **stamp** (the epoch serial, the tagged set and the recorded
-//!      owner, written by the program thread under the mutex) is this
+//!      **stamp** (an epoch serial the program thread writes under the
+//!      mutex when it records the object's owner, `Record`) is this
 //!      epoch's, with operations outstanding. A failed submit unwinds it
 //!      without the mutex: it only takes back operations that never run.
 //!    * `settled` is written only by the executor that runs the object's
@@ -136,15 +136,15 @@ enum UseState {
 /// Epoch-local bookkeeping. Guarded by a mutex (not a program-only cell)
 /// because recursive delegation lets delegate contexts tag objects and
 /// record owners too; the mutex is what serializes the state machine
-/// across producers.
+/// across producers. The set and the owner it tags and records live in
+/// the object's [`Record`], beside it.
 struct EpochLocal {
     /// Isolation-epoch serial this state belongs to (lazy reset).
     serial: u64,
     use_state: UseState,
-    /// Serialization set recorded at the first delegation of the epoch.
-    tag: Option<SsId>,
-    /// Executor that owns the tagged set.
-    owner: Option<Executor>,
+    /// Whether the first delegation of the epoch has tagged the object
+    /// with a set (`Record::tag`).
+    tagged: bool,
     /// True while a program-context access closure (`call`/`call_mut`)
     /// runs on the value. Delegations observing it are rejected
     /// ([`SsError::AccessInProgress`]) — they would otherwise race the
@@ -153,12 +153,14 @@ struct EpochLocal {
 }
 
 impl EpochLocal {
-    fn refresh(&mut self, serial: u64) {
+    /// Moves the state to epoch `serial`, if it is not there yet. Under
+    /// the mutex.
+    fn refresh(&mut self, serial: u64, record: &Record) {
         if self.serial != serial {
             self.serial = serial;
             self.use_state = UseState::Unused;
-            self.tag = None;
-            self.owner = None;
+            self.tagged = false;
+            record.set_owner(None);
         }
     }
 }
@@ -171,59 +173,96 @@ struct Shared<T> {
     /// program thread, settled by the executor that owns the object's set
     /// (module safety model, point 3).
     pending: Pending,
-    /// What the program thread last recorded under `local`.
-    stamp: Stamp,
+    record: Record,
     local: Mutex<EpochLocal>,
 }
 
-/// The program thread's record of an object it delegated this epoch: the
-/// epoch serial, the set it tagged and the owner it recorded. Written
-/// only by the domain's program thread, and only under the state mutex
-/// (`submit_and_record` sets it, `access` clears it); read by that thread
-/// without the mutex and by nested delegations under it. While the serial
-/// is the current one the object is tagged privately-writable with `tag`
-/// and recorded as owned by `owner`, so a repeat program-thread
-/// delegation commits without the mutex (`Writable::repeat`) and records
-/// its owner only when it changed.
-struct Stamp {
-    /// The epoch serial the record belongs to; 0 (no epoch) when cleared.
-    serial: AtomicU64,
+/// The object's one record of the set it is tagged with and the executor
+/// that owns it in `EpochLocal`'s epoch, and the program thread's
+/// **stamp**. Atomics, so that the program thread can read them without
+/// the state mutex; every field is written only under the mutex.
+///
+/// * `tag` is the epoch's set while `EpochLocal::tagged`; the first
+///   delegation of the epoch writes it, and nothing rewrites it before
+///   the next epoch.
+/// * `owner` is the executor the last submit was routed to, or none
+///   before the first; every submit records it, from either submitter.
+/// * `stamp` is the epoch serial in which the program thread may delegate
+///   the object without the mutex, 0 for none. Only the program thread
+///   writes it: its locked submit sets it, after the tag and the owner,
+///   and `access` clears it.
+///
+/// While the stamp is the current serial the object is tagged
+/// privately-writable with `tag`, and no `access` has run since, so a
+/// repeat program-thread delegation reads `tag` without the mutex
+/// (`Writable::repeat`) and reads `owner` to take the mutex only when it
+/// would change it. That skipped write keeps the record single: the
+/// program thread skips it only when `owner` already holds the executor
+/// it would write, so the record ends as if that submit had taken the
+/// mutex and written it there, whatever a nested submit wrote before.
+struct Record {
     tag: AtomicU64,
-    /// [`Executor::Program`] as `u64::MAX`, delegate `i` as `i`.
+    /// [`Executor::Program`] as `u64::MAX`, delegate `i` as `i`, none as
+    /// [`Record::NO_OWNER`].
     owner: AtomicU64,
+    stamp: AtomicU64,
 }
 
-impl Stamp {
-    fn owner_bits(owner: Executor) -> u64 {
-        match owner {
-            Executor::Program => u64::MAX,
-            Executor::Delegate(i) => i as u64,
+impl Record {
+    const NO_OWNER: u64 = u64::MAX - 1;
+
+    fn new() -> Self {
+        Record {
+            tag: AtomicU64::new(0),
+            owner: AtomicU64::new(Self::NO_OWNER),
+            stamp: AtomicU64::new(0),
         }
     }
 
-    /// Whether the record is this epoch's.
-    #[inline]
-    fn current(&self, serial: u64) -> bool {
-        self.serial.load(Ordering::Relaxed) == serial
+    fn owner_bits(owner: Option<Executor>) -> u64 {
+        match owner {
+            Some(Executor::Program) => u64::MAX,
+            Some(Executor::Delegate(i)) => i as u64,
+            None => Self::NO_OWNER,
+        }
     }
 
-    /// Whether this epoch's record names `owner`.
+    /// The set, if `local` says the object is tagged. Under the mutex.
+    fn tag(&self, local: &EpochLocal) -> Option<SsId> {
+        local.tagged.then(|| SsId(self.tag.load(Ordering::Relaxed)))
+    }
+
+    /// Under the mutex.
+    fn set_tag(&self, local: &mut EpochLocal, tag: SsId) {
+        self.tag.store(tag.0, Ordering::Relaxed);
+        local.tagged = true;
+    }
+
+    /// The recorded owner. Under the mutex.
+    fn owner(&self) -> Option<Executor> {
+        match self.owner.load(Ordering::Relaxed) {
+            u64::MAX => Some(Executor::Program),
+            Self::NO_OWNER => None,
+            i => Some(Executor::Delegate(i as usize)),
+        }
+    }
+
+    /// Under the mutex.
+    fn set_owner(&self, owner: Option<Executor>) {
+        self.owner.store(Self::owner_bits(owner), Ordering::Relaxed);
+    }
+
+    /// Whether the stamp is `serial`'s.
+    #[inline]
+    fn stamped(&self, serial: u64) -> bool {
+        self.stamp.load(Ordering::Relaxed) == serial
+    }
+
+    /// Whether the stamp is `serial`'s and the recorded owner is `owner`.
+    /// The program thread, with or without the mutex.
     #[inline]
     fn owned_by(&self, serial: u64, owner: Executor) -> bool {
-        self.current(serial) && self.owner.load(Ordering::Relaxed) == Self::owner_bits(owner)
-    }
-
-    /// Records the epoch, the set and the owner. The program thread, under
-    /// the state mutex.
-    fn record(&self, serial: u64, tag: SsId, owner: Executor) {
-        self.tag.store(tag.0, Ordering::Relaxed);
-        self.owner.store(Self::owner_bits(owner), Ordering::Relaxed);
-        self.serial.store(serial, Ordering::Relaxed);
-    }
-
-    /// Makes the record stale. The program thread, under the state mutex.
-    fn clear(&self) {
-        self.serial.store(0, Ordering::Relaxed);
+        self.stamped(serial) && self.owner.load(Ordering::Relaxed) == Self::owner_bits(Some(owner))
     }
 }
 
@@ -231,6 +270,7 @@ impl Stamp {
 /// the object half of a `FutureResolve` trace event.
 pub(crate) struct Receiver<'a> {
     instance: u64,
+    record: &'a Record,
     local: &'a Mutex<EpochLocal>,
 }
 
@@ -242,13 +282,13 @@ impl Receiver<'_> {
     /// session's is composite, and folds ids above 2^48.
     fn delegated_in(&self) -> (u64, Option<SsId>) {
         let local = self.local.lock();
-        (local.serial, local.tag)
+        (local.serial, self.record.tag(&local))
     }
 }
 
 // SAFETY: `value` is accessed under the executor-exclusivity protocol
 // documented at module level; `local` is mutex-guarded; `pending`'s halves
-// and the stamp are atomic. `T: Send` because the value migrates between
+// and the record are atomic. `T: Send` because the value migrates between
 // executor threads.
 unsafe impl<T: Send> Send for Shared<T> {}
 unsafe impl<T: Send> Sync for Shared<T> {}
@@ -568,16 +608,11 @@ impl<T: Send + 'static, S: Serializer<T>> Writable<T, S> {
                 value: core::cell::UnsafeCell::new(value),
                 instance: rt.next_instance(),
                 pending: Pending::new(),
-                stamp: Stamp {
-                    serial: AtomicU64::new(0),
-                    tag: AtomicU64::new(0),
-                    owner: AtomicU64::new(0),
-                },
+                record: Record::new(),
                 local: Mutex::new(EpochLocal {
                     serial: 0,
                     use_state: UseState::Unused,
-                    tag: None,
-                    owner: None,
+                    tagged: false,
                     accessing: false,
                 }),
             }),
@@ -613,7 +648,7 @@ impl<T: Send + 'static, S: Serializer<T>> Writable<T, S> {
         if local.serial != serial {
             return Ok(None);
         }
-        Ok(local.tag)
+        Ok(self.shared.record.tag(&local))
     }
 
     // ------------------------------------------------------------------
@@ -952,8 +987,9 @@ impl<T: Send + 'static, S: Serializer<T>> Writable<T, S> {
             }
         }
 
+        let record = &self.shared.record;
         let mut local = self.shared.local.lock();
-        local.refresh(serial);
+        local.refresh(serial, record);
         if local.accessing {
             // Delegating from inside this object's own `call`/`call_mut`
             // closure, or racing it, would alias the live borrow.
@@ -965,7 +1001,7 @@ impl<T: Send + 'static, S: Serializer<T>> Writable<T, S> {
                 was_read_shared: true,
             });
         }
-        let tag = local.tag;
+        let tag = record.tag(&local);
         if tag.is_none()
             && local.use_state == UseState::PrivateWritable
             && matches!(by, Submitter::Nested(_))
@@ -979,7 +1015,7 @@ impl<T: Send + 'static, S: Serializer<T>> Writable<T, S> {
         // stamp is stale: while it is current, the program thread raises
         // without this mutex.
         let idle = self.shared.pending.outstanding() == 0
-            && (matches!(by, Submitter::Program) || !self.shared.stamp.current(serial));
+            && (matches!(by, Submitter::Program) || !record.stamped(serial));
         let computed = match external {
             Some(e) => Some(e),
             None if idle => {
@@ -1048,7 +1084,7 @@ impl<T: Send + 'static, S: Serializer<T>> Writable<T, S> {
                 }
             }
         }
-        local.tag = Some(ss);
+        record.set_tag(&mut local, ss);
         local.use_state = UseState::PrivateWritable;
         match by {
             Submitter::Program => self.shared.pending.raise_program(count),
@@ -1073,8 +1109,8 @@ impl<T: Send + 'static, S: Serializer<T>> Writable<T, S> {
 
     /// The lock-free branch of `prepare`: `Some(set)` when this
     /// program-thread delegation is a **repeat** — the object's stamp is
-    /// this epoch's, so the program thread tagged it privately-writable
-    /// with that set and no `access` has run since, and operations are
+    /// this epoch's, so the object is tagged privately-writable with its
+    /// record's set and no `access` has run since, and operations are
     /// still outstanding, so the locked path would not consult the
     /// internal serializer either. Nothing under the mutex can then reject
     /// it: `accessing` is set only inside an `access`, which clears the
@@ -1086,10 +1122,10 @@ impl<T: Send + 'static, S: Serializer<T>> Writable<T, S> {
     #[inline]
     fn repeat(&self, serial: u64, external: Option<SsId>) -> SsResult<Option<SsId>> {
         let shared = &*self.shared;
-        if !shared.stamp.current(serial) || shared.pending.outstanding() == 0 {
+        if !shared.record.stamped(serial) || shared.pending.outstanding() == 0 {
             return Ok(None);
         }
-        let tag = SsId(shared.stamp.tag.load(Ordering::Relaxed));
+        let tag = SsId(shared.record.tag.load(Ordering::Relaxed));
         match external {
             Some(got) if got != tag => Err(SsError::InconsistentSerializer {
                 instance: shared.instance,
@@ -1117,15 +1153,16 @@ impl<T: Send + 'static, S: Serializer<T>> Writable<T, S> {
     /// (`prepare` has already raised `pending` by its length) and record
     /// the owning executor for later reclaims — one router resolution and
     /// one queue publish however long the run. The program thread takes
-    /// the state mutex for the record only when the owner differs from
-    /// its stamp's (a first delegation of the epoch, a retracted set),
-    /// and renews the stamp there. A failed submit unwinds `pending` by
-    /// exactly the number of tasks that will never execute (tasks already
-    /// landed still run and settle their own share). With
-    /// tracing on, one event is recorded per operation — in the
-    /// program-order log for program origin, as a side event for nested —
-    /// so the log of a run is indistinguishable from the equivalent
-    /// single-op calls.
+    /// the state mutex for the owner record only when its stamp is stale
+    /// or the record names another executor (a first delegation of the
+    /// epoch, one after an `access`, a retracted set, an owner a nested
+    /// submit recorded), and renews the stamp there (`Record`). A failed
+    /// submit unwinds `pending` by exactly the number of tasks that will
+    /// never execute (tasks already landed still run and settle their own
+    /// share). With tracing on, one event is recorded per operation — in
+    /// the program-order log for program origin, as a side event for
+    /// nested — so the log of a run is indistinguishable from the
+    /// equivalent single-op calls.
     fn submit_and_record(
         &self,
         origin: Origin,
@@ -1141,14 +1178,16 @@ impl<T: Send + 'static, S: Serializer<T>> Writable<T, S> {
                 return Err(e);
             }
         };
+        let record = &self.shared.record;
         match origin {
-            Origin::Program if self.shared.stamp.owned_by(p.serial, executor) => {}
-            Origin::Program => {
-                let mut local = self.shared.local.lock();
-                local.owner = Some(executor);
-                self.shared.stamp.record(p.serial, ss, executor);
+            Origin::Program if record.owned_by(p.serial, executor) => {}
+            _ => {
+                let _local = self.shared.local.lock();
+                record.set_owner(Some(executor));
+                if let Origin::Program = origin {
+                    record.stamp.store(p.serial, Ordering::Relaxed);
+                }
             }
-            Origin::Nested => self.shared.local.lock().owner = Some(executor),
         }
         let instance = Some(self.shared.instance);
         match origin {
@@ -1250,6 +1289,7 @@ impl<T: Send + 'static, S: Serializer<T>> Writable<T, S> {
                 Some(out) => {
                     let object = Receiver {
                         instance: shared.instance,
+                        record: &shared.record,
                         local: &shared.local,
                     };
                     sink.resolve(out, cx, object)
@@ -1320,11 +1360,12 @@ impl<T: Send + 'static, S: Serializer<T>> Writable<T, S> {
         // before this critical section (and changes what we see) or after
         // it (and is rejected by the flag / the state it left behind).
         let (owner, tag, mid_submit) = {
+            let record = &self.shared.record;
             let mut local = self.shared.local.lock();
-            local.refresh(serial);
+            local.refresh(serial, record);
             // The next program-thread delegation takes the locked path,
             // and nested ones trust a zero `pending` again.
-            self.shared.stamp.clear();
+            record.stamp.store(0, Ordering::Relaxed);
             match local.use_state {
                 UseState::Unused => {
                     local.use_state = if mutate {
@@ -1345,7 +1386,7 @@ impl<T: Send + 'static, S: Serializer<T>> Writable<T, S> {
                     local.accessing = true;
                     (None, None, false)
                 }
-                UseState::PrivateWritable => match (local.owner, local.tag) {
+                UseState::PrivateWritable => match (record.owner(), record.tag(&local)) {
                     (Some(owner), tag) => (Some(owner), tag, false),
                     (None, Some(tag)) => {
                         // Tagged but owner-less: a nested delegation is

@@ -10,14 +10,21 @@
 //! * The mutex reader's reading of zero, taken while no stamp is current,
 //!   must mean that every operation raised so far has run.
 //! * No reading wraps.
+//!
+//! Every 256 of the mutex raiser's runs the program raiser clears its
+//! stamp, pauses the mutex raiser between runs and holds the mutex until
+//! the settler has drained everything, so readings of zero under the mutex
+//! are sure to happen and each is checked.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use ss_queue::{Pending, Pop, Producer, SpscQueue};
 
-/// Operations each raiser raises per run.
-const N: u64 = 40_000;
+/// Operations the mutex raiser raises per seed, unwound ones included;
+/// the program raiser keeps at least as many and goes on until the mutex
+/// raiser is done.
+const N: u64 = 200_000;
 
 /// xorshift64*: a seeded, dependency-free generator.
 struct Rng(u64);
@@ -122,10 +129,14 @@ fn run(seed: u64) {
         stamped: false,
     });
     let effects = Effects::default();
+    let turn = Mutex::new(());
     let done = AtomicBool::new(false);
+    // The mutex raiser's runs so far; `u64::MAX` once it is done.
+    let locked_runs = AtomicU64::new(0);
     let (ptx, prx) = SpscQueue::with_capacity(64);
     let (ltx, lrx) = SpscQueue::with_capacity(64);
-    let (p, e, l) = (&pending, &effects, &ledger);
+    let (p, e, l, t) = (&pending, &effects, &ledger, &turn);
+    let locked_runs = &locked_runs;
     let unpublished = std::thread::scope(|s| {
         // The settler: runs each operation — its effect, written by this
         // thread alone — then settles it, from either raiser's queue.
@@ -158,7 +169,9 @@ fn run(seed: u64) {
                 }
             }
         });
-        // The mutex raiser: every raise and unwind under the mutex.
+        // The mutex raiser: every raise and unwind under the mutex, each
+        // run inside `turn`, so that a sync point never finds one of its
+        // runs half-pushed or with a lost tail not yet unwound.
         let locked = s.spawn(move || {
             let mut rng = Rng(seed ^ 0x5555);
             let mut raised = 0;
@@ -167,15 +180,20 @@ fn run(seed: u64) {
                     let mut ledger = l.lock().unwrap();
                     p.raise(n as u32);
                     ledger.issued += n;
+                    raised += n;
                 };
                 let unwind = |n| {
                     let mut ledger = l.lock().unwrap();
                     p.unwind(n as u32);
                     ledger.issued -= n;
                 };
-                raised += one_run(&mut rng, &ltx, raise, unwind);
-                std::thread::yield_now();
+                {
+                    let _turn = t.lock().unwrap();
+                    one_run(&mut rng, &ltx, raise, unwind);
+                }
+                locked_runs.fetch_add(1, Ordering::Relaxed);
             }
+            locked_runs.store(u64::MAX, Ordering::Relaxed);
         });
         // The program raiser: toggles its stamp now and then; while it is
         // current it raises and unwinds without the mutex and publishes
@@ -183,8 +201,12 @@ fn run(seed: u64) {
         // thread does between its locked and its lock-free delegations.
         let mut rng = Rng(seed);
         let (mut mine, mut unpublished, mut stamped) = (0u64, 0u64, false);
-        let mut k = 0u64;
-        while mine < N {
+        let mut synced = 0u64;
+        loop {
+            let runs = locked_runs.load(Ordering::Relaxed);
+            if mine >= N && runs == u64::MAX {
+                break;
+            }
             if rng.below(64) == 0 {
                 let mut ledger = ledger.lock().unwrap();
                 stamped = !stamped;
@@ -212,13 +234,21 @@ fn run(seed: u64) {
             };
             mine += stays;
             check_program(&pending, mine, &effects);
-            k += 1;
-            if k.is_multiple_of(256) {
-                // Wait for the settler, so readings of zero are sure to
-                // happen.
-                while !check_program(&pending, mine, &effects) {
+            if runs != u64::MAX && runs >= synced + 256 {
+                synced = runs;
+                // Clear the stamp, pause the mutex raiser between runs and
+                // hold the mutex while the settler drains: the mutex
+                // holder's reading of zero, with no stamp current.
+                let _turn = turn.lock().unwrap();
+                let mut ledger = ledger.lock().unwrap();
+                stamped = false;
+                ledger.stamped = false;
+                ledger.issued += std::mem::take(&mut unpublished);
+                while pending.outstanding() != 0 {
                     std::hint::spin_loop();
                 }
+                assert!(check_locked(&pending, &ledger, &effects));
+                assert!(check_program(&pending, mine, &effects));
             }
         }
         drop(ptx);
